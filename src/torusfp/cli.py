@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import TorusFpError
+from .errors import TorusFpError, ValidationError
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -145,30 +145,49 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+#: The keys each potential kind accepts in ``--potential KIND:KEY=VALUE,...``.
+_POTENTIAL_KEYS = {"zero": (), "cosine": ("z",), "invcos": ("z",), "mlp": ("file",)}
+
+
+def _spec_number(kv: dict, key: str, default: float) -> float:
+    text = kv.get(key)
+    if text is None:
+        return default
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"potential parameter {key}={text!r} is not a finite number")
+    return value
+
+
 def _parse_potential(spec: str, d: int, l: float):
     from . import potential as pot
 
     kind, _, rest = spec.partition(":")
+    if kind not in _POTENTIAL_KEYS:
+        raise ValidationError(f"unknown potential kind {kind!r}")
     kv = {}
     for item in rest.split(","):
         if item:
             key, _, val = item.partition("=")
+            if key not in _POTENTIAL_KEYS[kind]:
+                raise ValidationError(f"{kind} potential takes no parameter {key!r}")
             kv[key] = val
     if kind == "zero":
         return pot.zero_potential(d, l)
     if kind == "cosine":
-        return pot.cosine_potential(float(kv.get("z", 1.0)), d, l)
+        return pot.cosine_potential(_spec_number(kv, "z", 1.0), d, l)
     if kind == "invcos":
         if d != 1:
-            raise TorusFpError("invcos potential is one-dimensional")
-        return pot.invcos_potential(float(kv.get("z", 4.0)), l)
-    if kind == "mlp":
-        path = kv.get("file")
-        if not path:
-            raise TorusFpError("mlp potential needs file=PATH with JSON weights")
-        mlp = pot.PeriodicMlp.from_json(Path(path).read_text())
-        return pot.mlp_potential(mlp)
-    raise TorusFpError(f"unknown potential kind {kind!r}")
+            raise ValidationError("invcos potential is one-dimensional")
+        return pot.invcos_potential(_spec_number(kv, "z", 4.0), l)
+    # kind == "mlp"
+    path = kv.get("file")
+    if not path:
+        raise ValidationError("mlp potential needs file=PATH with JSON weights")
+    return pot.mlp_potential(pot.PeriodicMlp.from_json(Path(path).read_text()))
 
 
 def _parse_range(text: str):

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class EvolutionResult:
     inners: np.ndarray          # <1, u(t_i)>
     chi2: np.ndarray | None     # Var_{rho_s}[u(t_i)/rho_s] when requested
     max_principle: np.ndarray   # max_n e^{W[n]} u[n](t_i)
-    lattice: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -42,9 +41,6 @@ class EvolutionResult:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def final_field(self) -> GridField:
-        return GridField(self.lattice, self.states[-1].reshape(self.lattice.shape), is_real=True)
 
 
 def _propagate(op: FpOperator, u0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -94,7 +90,6 @@ def evolve(op: FpOperator, u0: GridField, T: float, snapshots: int = 2, chi2: bo
         inners=inners,
         chi2=chi2_trace,
         max_principle=max_principle,
-        lattice=op.lattice,
     )
 
 

@@ -2,10 +2,15 @@
 generator  L f = div~( e^{-W} grad~( e^{W} f ) ).
 
 W is the potential actually evolved; the sampling pipeline uses W = E/2 so
-that squared state amplitudes target e^{-E}.  The symmetrization
-L' = U^{-1} L U with U = diag(e^{-W/2}) is exactly symmetric negative
-semidefinite on the lattice (the axis derivatives are antisymmetric), with a
-one-dimensional kernel along e^{-W/2}.
+that squared state amplitudes target e^{-E}.  The axis derivatives D_j are
+antisymmetric, so the symmetrization L' = U^{-1} L U with U = diag(e^{-W/2})
+factors as
+
+    L' = -sum_j B_j^T B_j,    B_j = diag(e^{-W/2}) D_j diag(e^{W/2}),
+
+an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
+is spanned by e^{-W/2} (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1 = 0).  L' is the only
+operator stored; L is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -23,21 +28,17 @@ from .lattice import DENSE_CAP, GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .spectral import derivative_matrix, fourier_derivative, laplacian
 
-#: Eigenvalues of L' within this distance of zero are clipped to exactly zero.
-KERNEL_CLIP = 1e-9
-
 
 @dataclass
 class FpOperator:
-    """The dense generator with its symmetrization and eigendecomposition."""
+    """The symmetrized generator with its eigendecomposition."""
 
     lattice: TorusLattice
     potential: EnergyPotential
     halve: bool
     W: GridField          # evolved potential on the grid (E/2 when halve)
-    matrix: np.ndarray    # L
-    symmetrized: np.ndarray  # L' = U^{-1} L U
-    eigenvalues: np.ndarray  # of L', clipped, sorted descending
+    symmetrized: np.ndarray  # L' = U^{-1} L U, exactly symmetric
+    eigenvalues: np.ndarray  # of L', sorted descending, eigenvalues[0] = 0 exactly
     eigenvectors: np.ndarray  # orthonormal columns matching eigenvalues
     delta_W: float        # grid diameter of W
 
@@ -49,6 +50,14 @@ class FpOperator:
     def u_diag(self) -> np.ndarray:
         """Diagonal of U = diag(e^{-W/2})."""
         return np.exp(-self.W.flat / 2)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """L = U L' U^{-1}, derived on each access."""
+        u = self.u_diag
+        L = self.symmetrized / u
+        L *= u[:, None]
+        return L
 
     @property
     def spectral_gap(self) -> float:
@@ -63,12 +72,9 @@ class FpOperator:
         """Unit eigenvector of L' at eigenvalue zero."""
         return self.eigenvectors[:, 0]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
 
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> FpOperator:
-    """Assemble L by composing diagonal and spectral-derivative matrices.
+    """Assemble L' = -sum_j B_j^T B_j and diagonalize it.
 
     ``halve`` selects W = E/2 (the pipeline default) or W = E.
     """
@@ -81,36 +87,34 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     w_vals = e_grid.values / 2 if halve else e_grid.values
     W = GridField(lattice, w_vals, is_real=True)
     w = W.flat
-    g = np.exp(-w)  # e^{-W}
-    h = np.exp(w)   # e^{+W}
+    u = np.exp(-w / 2)  # U diagonal, the kernel direction of L'
 
-    n = lattice.size
-    L = np.zeros((n, n))
+    # K = -L' = sum_j B_j^T B_j; numpy computes B^T @ B as a symmetric
+    # rank-k update, so K is exactly symmetric.
+    K = np.zeros((lattice.size, lattice.size))
     for j in range(lattice.d):
-        D = derivative_matrix(lattice, j)
-        L += D @ (g[:, None] * D) * h[None, :]
+        B = derivative_matrix(lattice, j)
+        B *= u[:, None]
+        B /= u[None, :]
+        K += B.T @ B
+    del B  # one n x n array less during eigh
 
-    s = np.exp(w / 2)  # U^{-1} diagonal
-    Lp = (s[:, None] * L) * (1.0 / s)[None, :]
-
-    sym = 0.5 * (Lp + Lp.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1].copy()
-    eigvals[np.abs(eigvals) <= KERNEL_CLIP] = 0.0
-
+    # eigh sorts K ascending, which is L' descending.  The kernel is known
+    # exactly, so its eigenvalue is pinned rather than clipped by size.
+    mu, eigvecs = np.linalg.eigh(K)
+    eigvals = -mu
+    eigvals[0] = 0.0
     # orient the kernel eigenvector along e^{-W/2}
-    ref = np.exp(-w / 2)
-    if eigvecs[:, 0] @ ref < 0:
+    if eigvecs[:, 0] @ u < 0:
         eigvecs[:, 0] = -eigvecs[:, 0]
+    np.negative(K, out=K)
 
     return FpOperator(
         lattice=lattice,
         potential=E,
         halve=halve,
         W=W,
-        matrix=L,
-        symmetrized=Lp,
+        symmetrized=K,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
         delta_W=float(w.max() - w.min()),
@@ -166,12 +170,13 @@ def assembly_equivalence_report(
     if band is None:
         band = max(1, lat.N // 4)
     B = expanded_generator_matrix(op)
+    L = op.matrix
     rng = np.random.default_rng(seed)
     worst = 0.0
-    scale = max(np.linalg.norm(op.matrix, ord="fro"), 1e-300)
+    scale = max(np.linalg.norm(L, ord="fro"), 1e-300)
     for _ in range(n_vectors):
         v = _random_band_limited(lat, band, rng)
-        diff = np.linalg.norm(op.matrix @ v - B @ v)
+        diff = np.linalg.norm(L @ v - B @ v)
         worst = max(worst, diff / (scale * np.linalg.norm(v)))
     return AssemblyEquivalenceReport(
         max_relative_mismatch=float(worst), tolerance=tolerance, n_vectors=n_vectors, band=band

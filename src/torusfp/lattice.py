@@ -50,10 +50,6 @@ class TorusLattice:
     def shape(self) -> tuple:
         return (self.points_per_axis,) * self.d
 
-    @property
-    def spacing(self) -> float:
-        return self.l / self.points_per_axis
-
     def axis_indices(self) -> np.ndarray:
         """Centered index range [-N..N] along one axis."""
         return np.arange(-self.N, self.N + 1)

@@ -316,14 +316,6 @@ def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
     )
 
 
-def custom_potential(raw, d: int, l: float, resolution: int | None = None, name: str = "custom") -> EnergyPotential:
-    """Wrap an arbitrary periodic callable; metadata comes from the estimators."""
-    evaluator, diameter = _normalized(raw, d, l, resolution)
-    pot = EnergyPotential(evaluator=evaluator, l=float(l), d=int(d), diameter=diameter, lipschitz=0.0, name=name)
-    pot.lipschitz = estimate_lipschitz(pot, resolution)
-    return pot
-
-
 def expcos_family(z: float, l: float = 1.0):
     """The 1-d family u = e^{z cos(2 pi x / l)} with its exact calculus.
 

@@ -342,8 +342,8 @@ def run_pipeline(
     With T or M left as None they are resolved automatically: T from the
     measured spectral gap (kappa = 1/gap) and the mixing-time formula with the
     full potential diameter; M from the sampling-accuracy formula with
-    parameters fitted to the evolved state's spectrum, clamped to
-    [N, M_cap].
+    parameters fitted to the evolved state's spectrum, capped at M_cap but
+    never below N.
     """
     lattice = make_lattice(E.d, N, E.l)
     op = build_generator(E, lattice, halve=True)
@@ -375,7 +375,7 @@ def run_pipeline(
         resolved.update(
             {"M_mode": "auto", "M_raw": M, "fitted_C": params.C, "fitted_a": params.a, "U_est": U_est, "L_est": L_est}
         )
-        M = min(max(M, N), M_cap)
+        M = max(min(M, M_cap), N)
     else:
         resolved["M_mode"] = "fixed"
         if M < N:

@@ -441,15 +441,3 @@ def profile_to_csv(profile: FourierMomentProfile, params: SemiAnalyticityParams 
         bound = params.bound(m) if params is not None else ""
         writer.writerow([m, repr(profile[m]), repr(bound) if bound != "" else ""])
     return buf.getvalue()
-
-
-def profile_to_json(profile: FourierMomentProfile, params: SemiAnalyticityParams | None = None) -> str:
-    doc = {
-        "semi_norms": [float(v) for v in profile.semi_norms],
-        "mean_square_value": profile.mean_square_value,
-        "truncation_flags": [bool(f) for f in profile.truncation_flags],
-    }
-    if params is not None:
-        doc["C"] = params.C
-        doc["a"] = params.a
-    return json.dumps(doc)

@@ -131,6 +131,16 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["cosine:z=abc", "invcos:z=", "cosine:q=3", "nosuchkind:z=1"])
+def test_malformed_potential_spec_exit_code(tmp_path, spec):
+    # non-numeric values, unknown keys and unknown kinds are validation errors
+    code = run_cli(
+        ["gibbs", "--potential", spec, "--d", "1", "--N", "4", "--samples", "10", "--seed", "1",
+         "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+
+
 def test_assert_mode_exit_code(tmp_path):
     # unconverged run cannot meet eps = 1e-4: bound violation -> exit 3
     code = run_cli(

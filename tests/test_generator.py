@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp.errors import PreconditionError, SizeError
@@ -14,6 +16,16 @@ from torusfp.generator import (
 from torusfp.spectral import derivative_matrix
 
 from conftest import small_mlp
+
+
+def composed_generator(op):
+    """Reference assembly L = sum_j D_j diag(e^{-W}) D_j diag(e^{W})."""
+    w = op.W.flat
+    L = np.zeros((op.size, op.size))
+    for j in range(op.lattice.d):
+        D = derivative_matrix(op.lattice, j)
+        L += D @ (np.exp(-w)[:, None] * D) * np.exp(w)[None, :]
+    return L
 
 
 def test_zero_potential_is_spectral_laplacian():
@@ -58,11 +70,62 @@ def test_symmetrization_and_spectrum_structure():
         assert op.eigenvalues[1] < 0
 
 
+@pytest.mark.parametrize("z, N, l", [(1.0, 200, 0.05), (8.0, 127, 0.01)])
+def test_kernel_eigenvalue_is_exactly_zero(z, N, l):
+    # large ||L'||: an absolute clip of the computed kernel eigenvalue misses it
+    op = tf.build_generator(tf.cosine_potential(z, 1, l), tf.make_lattice(1, N, l))
+    assert op.eigenvalues[0] == 0.0
+    assert np.count_nonzero(op.eigenvalues == 0.0) == 1
+    assert op.eigenvalues[1] < 0
+
+
+@pytest.mark.parametrize("halve", [True, False])
+@pytest.mark.parametrize(
+    "E, N",
+    [
+        (tf.cosine_potential(2.0, 1, 1.0), 24),
+        (tf.mlp_potential(small_mlp(d=2, seed=5)), 6),
+        (tf.cosine_potential(1.0, 3, 1.0), 3),
+    ],
+)
+def test_generator_matches_composed_reference(E, N, halve):
+    op = tf.build_generator(E, tf.make_lattice(E.d, N, E.l), halve=halve)
+    ref = composed_generator(op)
+    assert np.linalg.norm(op.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+_MAX_N = {1: 149, 2: 8, 3: 2}  # at most 299, 289 and 125 nodes
+
+
+@st.composite
+def generator_cases(draw):
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, _MAX_N[d]))
+    l = draw(st.floats(0.05, 10.0))
+    z = draw(st.floats(0.0, 8.0))
+    return tf.cosine_potential(z, d, l), tf.make_lattice(d, N, l), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_cases())
+def test_generator_structure_property(case):
+    E, lat, halve = case
+    op = tf.build_generator(E, lat, halve=halve)
+    assert np.array_equal(op.symmetrized, op.symmetrized.T)
+    ev = op.eigenvalues
+    assert np.all(np.diff(ev) <= 0)
+    assert ev[0] == 0.0 and np.count_nonzero(ev == 0.0) == 1
+    L = op.matrix
+    assert np.abs(L.sum(axis=0)).max() <= 1e-9 * np.linalg.norm(L, 2)
+    ref = np.exp(-op.W.flat / 2)
+    assert op.kernel_vector() @ ref >= (1 - 1e-8) * np.linalg.norm(ref)
+
+
 def test_negative_semidefinite_quadratic_form(rng):
     E = tf.cosine_potential(1.5, 1, 1.0)
     lat = tf.make_lattice(1, 12, 1.0)
     op = tf.build_generator(E, lat)
-    sym = 0.5 * (op.symmetrized + op.symmetrized.T)
+    sym = op.symmetrized
     for _ in range(20):
         f = rng.standard_normal(op.size)
         assert f @ sym @ f <= 1e-9 * f @ f

@@ -274,6 +274,13 @@ def test_pipeline_auto_resolution():
         tf.run_pipeline(E, N=16, M=8, count=10, seed=0)
 
 
+def test_pipeline_auto_M_never_below_N():
+    # an M_cap below N must not push the automatic M under the source N
+    result = tf.run_pipeline(tf.cosine_potential(1.0, 1, 1.0), N=20, M_cap=16, count=100)
+    assert result.resolved["M_mode"] == "auto"
+    assert result.resolved["M"] >= 20
+
+
 # ---------------------------------------------------------------------------
 # means
 
