@@ -3,6 +3,8 @@
 Runs read a JSON config (flags override file values), write CSV/JSON
 artifacts plus a run-manifest, and exit 0 on success, 2 on validation
 errors, 3 on a bound violation in --assert mode, and 64 on usage errors.
+Report artifacts hold each report's fields followed by its verdict flags,
+and every table is written as CSV, both through torusfp.report.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from pathlib import Path
 
 from .errors import TorusFpError, ValidationError
+from .report import csv_text
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -242,7 +245,7 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
 
     u, gu, lu, C, a, _ = expcos_family(cfg["z"], l=cfg["l"])
     params = SemiAnalyticityParams(C, a)
-    rows = ["N,measured_first,bound_first,measured_second,bound_second,violated"]
+    rows = []
     violations = []
     for N in _parse_range(cfg["n_range"]):
         try:
@@ -250,11 +253,12 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
         except PreconditionError:
             continue
         rows.append(
-            f"{N},{rep.measured_first!r},{rep.bound_first!r},{rep.measured_second!r},{rep.bound_second!r},{rep.violated}"
+            [N, repr(rep.measured_first), repr(rep.bound_first), repr(rep.measured_second), repr(rep.bound_second), rep.violated]
         )
         if rep.violated:
             violations.append(f"derivative envelope violated at N={N}")
-    _write(out_dir, "derive_check.csv", "\n".join(rows) + "\n", artifacts)
+    header = ["N", "measured_first", "bound_first", "measured_second", "bound_second", "violated"]
+    _write(out_dir, "derive_check.csv", csv_text(header, rows), artifacts)
     return {"z": cfg["z"], "l": cfg["l"], "C": C, "a": a}, violations
 
 
@@ -272,7 +276,7 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
     elif isinstance(zs, (str, int, float)):
         zs = [float(zs)]
     M = cfg["M"]
-    rows = ["family,z,a_bound,N,distance,tv"]
+    rows = []
     violations = []
     for z in zs:
         if cfg["family"] == "expcos":
@@ -288,12 +292,12 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
             state = GridField(lat, fld.values / fld.norm(), is_real=True)
             dist = normalized_series_distance(state, u_hat, k_max=max(80, 4 * N))
             tv = density_tv_quadrature(upsample(state, max(M, N)), lambda p: np.asarray(u(p)) ** 2)
-            rows.append(f"{cfg['family']},{z},{a!r},{N},{dist!r},{tv!r}")
+            rows.append([cfg["family"], z, repr(a), N, repr(dist), repr(tv)])
             if N == n_min and tv >= 0.1:
                 violations.append(f"sampling error {tv:.3f} >= 0.1 at z={z}, N={N}")
             if dist < 1e-14:
                 break
-    _write(out_dir, cfg["emit"], "\n".join(rows) + "\n", artifacts)
+    _write(out_dir, cfg["emit"], csv_text(["family", "z", "a_bound", "N", "distance", "tv"], rows), artifacts)
     return {"family": cfg["family"], "z_values": zs, "M": M}, violations
 
 
@@ -312,11 +316,11 @@ def _cmd_spectrum(cfg, out_dir, artifacts):
     op = build_generator(E, lat, halve=not cfg.get("full_potential", False))
     cn = condition_number_check(op)
     pr = poincare_report(op)
-    reports = {"condition_number": json.loads(cn.to_json()), "poincare": json.loads(pr.to_json())}
+    reports = {"condition_number": cn.as_dict(), "poincare": pr.as_dict()}
     violations = []
     if lat.N > 3:
         on = operator_norm_check(op)
-        reports["operator_norm"] = json.loads(on.to_json())
+        reports["operator_norm"] = on.as_dict()
         if not on.ok:
             violations.append("operator norm bound violated")
     if not cn.ok:
@@ -353,7 +357,7 @@ def _cmd_evolve(cfg, out_dir, artifacts):
     _write(
         out_dir,
         "evolution.json",
-        json.dumps({"decay": json.loads(dec.to_json()), "norms": json.loads(nrm.to_json())}, indent=2, sort_keys=True),
+        json.dumps({"decay": dec.as_dict(), "norms": nrm.as_dict()}, indent=2, sort_keys=True),
         artifacts,
     )
     return {"potential": cfg["potential"], "T": T, "snapshots": cfg["snapshots"], "gap": op.spectral_gap}, violations
@@ -407,10 +411,10 @@ def _cmd_analyze(cfg, out_dir, artifacts):
     profile = semi_norms(spec, cfg["m_max"])
     params = fit_params(profile)
     bern = bernstein_from_semianalytic(params, profile[0])
-    tails = []
-    for t in range(0, 2 * cfg["N"], max(1, cfg["N"] // 4)):
-        tb = tail_bounds(params, profile[0], t)
-        tails.append({"t": t, "mass": tail_mass(spec, t), "mass_bound": tb.mass_bound, "amplitude_bound": tb.amplitude_bound})
+    tails = [
+        dict(tail_bounds(params, profile[0], t).as_dict(), mass=tail_mass(spec, t))
+        for t in range(0, 2 * cfg["N"], max(1, cfg["N"] // 4))
+    ]
     _write(out_dir, "profile.csv", profile_to_csv(profile, params), artifacts)
     _write(
         out_dir,
@@ -452,7 +456,7 @@ def _cmd_mean(cfg, out_dir, artifacts):
 
     est = estimate_mean(observable, result.batch)
     exact = exact_mean(observable, E)
-    doc = {"mean": est.mean, "stderr": est.stderr, "count": est.count, "exact": exact, "abs_error": abs(est.mean - exact)}
+    doc = dict(est.as_dict(), exact=exact, abs_error=abs(est.mean - exact))
     _write(out_dir, "mean.json", json.dumps(doc, indent=2, sort_keys=True), artifacts)
     violations = []
     if abs(est.mean - exact) > 4 * max(est.stderr, 1e-12):

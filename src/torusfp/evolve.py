@@ -3,13 +3,12 @@ mixing-time selection, and decay diagnostics.
 
 There is no time-stepping error: with L = U Q D Q^T U^{-1} the propagator is
 applied mode by mode, so every bound check isolates discretization error.
+The decay and norm reports are ``torusfp.report.Report`` dataclasses; the
+trace table is written with ``csv_text``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .generator import FpOperator, build_generator
 from .lattice import GridField, make_lattice
+from .report import Report, csv_text
 
 CHI2_FLOOR_REL = 1e-18
 
@@ -114,7 +114,7 @@ def choose_T(kappa: float, Delta: float, eps: float) -> float:
 
 
 @dataclass
-class DecayReport:
+class DecayReport(Report):
     fitted_rate: float | None
     gap: float
     poincare_floor: float
@@ -133,18 +133,6 @@ class DecayReport:
         if self.stationary_input:
             return True
         return self.fitted_rate >= 2 * self.poincare_floor * (1 - self.slack)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fitted_rate": self.fitted_rate,
-                "gap": self.gap,
-                "poincare_floor": self.poincare_floor,
-                "stationary_input": self.stationary_input,
-                "rate_vs_gap_ok": self.rate_vs_gap_ok,
-                "rate_vs_floor_ok": self.rate_vs_floor_ok,
-            }
-        )
 
 
 def decay_report(op: FpOperator, result: EvolutionResult) -> DecayReport:
@@ -187,7 +175,7 @@ def decay_report(op: FpOperator, result: EvolutionResult) -> DecayReport:
 
 
 @dataclass
-class NormTraceReport:
+class NormTraceReport(Report):
     max_norm_ratio: float
     min_norm_ratio: float
     norm_bound: float           # e^{Delta_W/2}
@@ -205,20 +193,6 @@ class NormTraceReport:
     @property
     def inner_ok(self) -> bool:
         return self.inner_drift <= 1e-9
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_norm_ratio": self.max_norm_ratio,
-                "min_norm_ratio": self.min_norm_ratio,
-                "norm_bound": self.norm_bound,
-                "inner_drift": self.inner_drift,
-                "max_norm_ok": self.max_norm_ok,
-                "min_norm_ok": self.min_norm_ok,
-                "inner_ok": self.inner_ok,
-                "max_principle_warnings": self.max_principle_warnings,
-            }
-        )
 
 
 def norm_and_max_principle_report(op: FpOperator, result: EvolutionResult) -> NormTraceReport:
@@ -282,10 +256,9 @@ def nested_restriction_error(E, N: int, T: float, halve: bool = True, factor: in
 
 
 def traces_to_csv(result: EvolutionResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "norm", "inner", "chi2", "max_principle"])
-    for i, t in enumerate(result.times):
-        chi2 = "" if result.chi2 is None else repr(float(result.chi2[i]))
-        writer.writerow([repr(float(t)), repr(float(result.norms[i])), repr(float(result.inners[i])), chi2, repr(float(result.max_principle[i]))])
-    return buf.getvalue()
+    chi2 = [""] * len(result.times) if result.chi2 is None else [repr(float(c)) for c in result.chi2]
+    rows = (
+        [repr(float(t)), repr(float(nrm)), repr(float(inner)), c2, repr(float(mp))]
+        for t, nrm, inner, c2, mp in zip(result.times, result.norms, result.inners, chi2, result.max_principle)
+    )
+    return csv_text(["t", "norm", "inner", "chi2", "max_principle"], rows)

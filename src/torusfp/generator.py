@@ -10,14 +10,16 @@ factors as
 
 an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
 is spanned by e^{-W/2} (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1 = 0).  L' is the only
-operator stored; L is derived from it on demand.
+operator stored; L is derived from it on demand.  Since the kernel is known,
+its eigenpair is pinned to (0, e^{-W/2} / ||e^{-W/2}||) after diagonalization.
+
+The structure checks compare the condition number of the eigenvector basis
+(max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
+with their bounds; their reports serialize through :mod:`torusfp.report`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import DENSE_CAP, GridField, TorusLattice, discretize
 from .potential import EnergyPotential
+from .report import Report, csv_text
 from .spectral import derivative_matrix, fourier_derivative, laplacian
 
 
@@ -100,13 +103,16 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     del B  # one n x n array less during eigh
 
     # eigh sorts K ascending, which is L' descending.  The kernel is known
-    # exactly, so its eigenvalue is pinned rather than clipped by size.
+    # exactly, so its eigenpair is pinned rather than taken from eigh: the
+    # computed kernel vector strays from e^{-W/2} by about eps ||K|| / gap,
+    # and every other mode would then carry mass.  Projecting the exact
+    # kernel out of the other eigenvectors keeps <1, u(t)> fixed to rounding.
     mu, eigvecs = np.linalg.eigh(K)
     eigvals = -mu
     eigvals[0] = 0.0
-    # orient the kernel eigenvector along e^{-W/2}
-    if eigvecs[:, 0] @ u < 0:
-        eigvecs[:, 0] = -eigvecs[:, 0]
+    q0 = u / np.linalg.norm(u)
+    eigvecs[:, 0] = q0
+    eigvecs[:, 1:] -= np.outer(q0, q0 @ eigvecs[:, 1:])
     np.negative(K, out=K)
 
     return FpOperator(
@@ -203,7 +209,7 @@ def _random_band_limited(lattice: TorusLattice, band: int, rng) -> np.ndarray:
 
 
 @dataclass
-class OperatorNormReport:
+class OperatorNormReport(Report):
     measured: float
     bound: float
     log_branch: float
@@ -212,11 +218,6 @@ class OperatorNormReport:
     @property
     def ok(self) -> bool:
         return self.measured <= self.bound * (1 + 1e-9)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"measured": self.measured, "bound": self.bound, "log_branch": self.log_branch, "exp_branch": self.exp_branch, "ok": self.ok}
-        )
 
 
 def operator_norm_check(op: FpOperator) -> OperatorNormReport:
@@ -234,7 +235,7 @@ def operator_norm_check(op: FpOperator) -> OperatorNormReport:
 
 
 @dataclass
-class ConditionNumberReport:
+class ConditionNumberReport(Report):
     kappa: float
     bound: float
 
@@ -242,20 +243,20 @@ class ConditionNumberReport:
     def ok(self) -> bool:
         return self.kappa <= self.bound * (1 + 1e-10)
 
-    def to_json(self) -> str:
-        return json.dumps({"kappa": self.kappa, "bound": self.bound, "ok": self.ok})
-
 
 def condition_number_check(op: FpOperator) -> ConditionNumberReport:
-    """kappa of V = U Q, the diagonalizing similarity L = V D V^{-1}."""
-    V = op.u_diag[:, None] * op.eigenvectors
-    svals = np.linalg.svd(V, compute_uv=False)
-    kappa = float(svals[0] / svals[-1])
+    """kappa of V = U Q, the diagonalizing similarity L = V D V^{-1}.
+
+    Q is orthogonal, so the singular values of V are those of the diagonal
+    U and kappa(V) = max(u) / min(u) exactly; no factorization is needed.
+    """
+    u = op.u_diag
+    kappa = float(u.max() / u.min())
     return ConditionNumberReport(kappa=kappa, bound=math.exp(op.delta_W / 2))
 
 
 @dataclass
-class PoincareReport:
+class PoincareReport(Report):
     gap: float
     floor: float
     slack: float = 0.05
@@ -263,9 +264,6 @@ class PoincareReport:
     @property
     def ok(self) -> bool:
         return self.gap >= self.floor * (1 - self.slack)
-
-    def to_json(self) -> str:
-        return json.dumps({"gap": self.gap, "floor": self.floor, "slack": self.slack, "ok": self.ok})
 
 
 def poincare_report(op: FpOperator) -> PoincareReport:
@@ -279,17 +277,4 @@ def poincare_report(op: FpOperator) -> PoincareReport:
 
 
 def spectrum_to_csv(op: FpOperator) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "eigenvalue"])
-    for i, lam in enumerate(op.eigenvalues):
-        writer.writerow([i, repr(float(lam))])
-    return buf.getvalue()
-
-
-def matrix_to_csv(mat: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in np.asarray(mat):
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    return csv_text(["index", "eigenvalue"], ([i, repr(float(lam))] for i, lam in enumerate(op.eigenvalues)))

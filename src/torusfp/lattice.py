@@ -4,7 +4,7 @@ A lattice with half-width ``N`` has an odd number ``2N + 1`` of equidistant
 points per axis, located at ``x_n = l * n / (2N + 1)`` for multi-indices
 ``n`` in ``[-N..N]^d``.  Fields are stored as C-ordered arrays of shape
 ``(2N+1,)*d`` over the shifted indices ``n + N``; flattening that array gives
-the row-major layout used by the CSV/JSON serializers.
+the row-major layout the dense operator matrices use.
 
 The discrete Fourier transform is the centered unitary convention
 
@@ -15,9 +15,6 @@ with both ``k`` and ``n`` running over ``[-N..N]^d``.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,44 +214,3 @@ def idft(spec: SpectralField) -> GridField:
 
 def constant_field(lattice: TorusLattice, value: float = 1.0) -> GridField:
     return GridField(lattice, np.full(lattice.shape, float(value)), is_real=True)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def field_to_csv(fld) -> str:
-    """CSV with one row per flat index: the multi-index, then re and im parts."""
-    lat = fld.lattice
-    arr = fld.flat
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"n{i}" for i in range(lat.d)] + ["re", "im"])
-    for offset in range(lat.size):
-        n = lat.multi_index(offset)
-        v = complex(arr[offset])
-        writer.writerow(list(n) + [repr(v.real), repr(v.imag)])
-    return buf.getvalue()
-
-
-def field_to_json(fld) -> str:
-    """JSON envelope {lattice: {d, N, l}, values: [...]} (values as [re, im])."""
-    lat = fld.lattice
-    arr = fld.flat
-    payload = {
-        "lattice": {"d": lat.d, "N": lat.N, "l": lat.l},
-        "values": [[float(np.real(v)), float(np.imag(v))] for v in arr],
-    }
-    return json.dumps(payload)
-
-
-def field_from_json(text: str, spectral: bool = False):
-    doc = json.loads(text)
-    lat = make_lattice(doc["lattice"]["d"], doc["lattice"]["N"], doc["lattice"]["l"], cap=None)
-    vals = np.array([complex(re, im) for re, im in doc["values"]])
-    if spectral:
-        return SpectralField(lat, vals)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if np.abs(vals.imag).max() <= _REAL_TOL * scale:
-        return GridField(lat, vals.real, is_real=True)
-    return GridField(lat, vals)

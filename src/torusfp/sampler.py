@@ -5,13 +5,13 @@ Continuous sampling measures a unit-norm lattice state in the node basis and
 then draws uniformly from the box around the node; the resulting density is
 piecewise constant with value |psi[n]|^2 ((2M+1)/l)^d on each box.  The boxes
 tile the fundamental domain exactly.
+
+TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
+sample batches are written with ``csv_text``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +22,7 @@ from .evolve import choose_T, evolve
 from .generator import build_generator
 from .lattice import GridField, SpectralField, dft, idft, make_lattice
 from .potential import FINE_GRID, EnergyPotential
+from .report import Report, csv_text
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
 from .spectral import fourier_derivative
 
@@ -62,16 +63,12 @@ class SampleBatch:
         return self.points.shape[0]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(self.points.shape[1])])
-        for row in self.points:
-            writer.writerow([repr(float(v)) for v in row])
-        return buf.getvalue()
+        header = [f"x{i}" for i in range(self.points.shape[1])]
+        return csv_text(header, ([repr(float(v)) for v in row] for row in self.points))
 
 
 @dataclass
-class TvReport:
+class TvReport(Report):
     tv: float
     method: str  # "quadrature" or "histogram"
     resolution: dict
@@ -81,11 +78,6 @@ class TvReport:
     def __post_init__(self):
         if not -1e-12 <= self.tv <= 1 + 1e-12:
             raise ValidationError(f"total variation {self.tv} outside [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"tv": self.tv, "method": self.method, "resolution": self.resolution, "bound": self.bound, "ci_99": self.ci_99}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +334,9 @@ def run_pipeline(
     With T or M left as None they are resolved automatically: T from the
     measured spectral gap (kappa = 1/gap) and the mixing-time formula with the
     full potential diameter; M from the sampling-accuracy formula with
-    parameters fitted to the evolved state's spectrum, capped at M_cap but
-    never below N.
+    parameters fitted to the evolved state's spectrum, capped at M_cap and,
+    for d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d
+    stays within TV_EVAL_CAP, but never below N.
     """
     lattice = make_lattice(E.d, N, E.l)
     op = build_generator(E, lattice, halve=True)
@@ -375,7 +368,11 @@ def run_pipeline(
         resolved.update(
             {"M_mode": "auto", "M_raw": M, "fitted_C": params.C, "fitted_a": params.a, "U_est": U_est, "L_est": L_est}
         )
-        M = max(min(M, M_cap), N)
+        M = min(M, M_cap)
+        if E.d <= 2:
+            boxes_per_axis = (TV_EVAL_CAP if E.d == 1 else math.isqrt(TV_EVAL_CAP)) // subcells
+            M = min(M, (boxes_per_axis - 1) // 2)
+        M = max(M, N)
     else:
         resolved["M_mode"] = "fixed"
         if M < N:
@@ -401,13 +398,10 @@ def run_pipeline(
 
 
 @dataclass
-class MeanEstimate:
+class MeanEstimate(Report):
     mean: float
     stderr: float
     count: int
-
-    def to_json(self) -> str:
-        return json.dumps({"mean": self.mean, "stderr": self.stderr, "count": self.count})
 
 
 def estimate_mean(f, batch: SampleBatch) -> MeanEstimate:
@@ -438,7 +432,7 @@ def exact_mean(f, E: EnergyPotential, resolution: int | None = None) -> float:
 
 
 @dataclass
-class InterpolationReport:
+class InterpolationReport(Report):
     N: int
     measured_distance: float
     distance_bound: float
@@ -455,22 +449,6 @@ class InterpolationReport:
     @property
     def tv_ok(self) -> bool:
         return (not self.tv_feasible) or self.tv <= self.tv_bound
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "measured_distance": self.measured_distance,
-                "distance_bound": self.distance_bound,
-                "tv": self.tv,
-                "tv_bound": self.tv_bound,
-                "M_bound_choice": self.M_bound_choice,
-                "M_used": self.M_used,
-                "tv_feasible": self.tv_feasible,
-                "distance_ok": self.distance_ok,
-                "tv_ok": self.tv_ok,
-            }
-        )
 
 
 def normalized_series_distance(state: GridField, u_hat, k_max: int) -> float:

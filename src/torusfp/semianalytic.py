@@ -5,13 +5,12 @@ The m-th semi-norm of a periodic function is |u|_m = sqrt(sum_k ||k||^(2m)
 |u_hat[k]|^2); a (C, a) certificate asserts |u|_m <= C a^m m! for all m.
 The induced Fourier random variable has law |u_hat[k]|^2 / U^2 on Z^d, and
 semi-analyticity is equivalent to a Bernstein moment bound on its norm.
+Tail, MLP and witness results are ``torusfp.report.Report`` dataclasses; the
+semi-norm profile is written with ``csv_text``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .lattice import SpectralField, make_lattice, discretize
+from .report import Report, csv_text
 
 _E3 = math.e**3
 
@@ -174,13 +174,10 @@ def tail_mass(spec, t: float) -> float:
 
 
 @dataclass
-class TailBounds:
+class TailBounds(Report):
     t: float
     mass_bound: float
     amplitude_bound: float | None  # valid when t is an integer >= 2a
-
-    def to_json(self) -> str:
-        return json.dumps({"t": self.t, "mass_bound": self.mass_bound, "amplitude_bound": self.amplitude_bound})
 
 
 def tail_bounds(params: SemiAnalyticityParams, U: float, t: float) -> TailBounds:
@@ -283,23 +280,13 @@ def compose_params(op: str, *inputs):
 
 
 @dataclass
-class MlpAnalyticityReport:
+class MlpAnalyticityReport(Report):
     bound: float
     fitted: SemiAnalyticityParams | None
 
     @property
     def ok(self) -> bool:
         return self.fitted is None or self.fitted.a <= self.bound
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bound": self.bound,
-                "fitted_a": None if self.fitted is None else self.fitted.a,
-                "fitted_C": None if self.fitted is None else self.fitted.C,
-                "ok": self.ok,
-            }
-        )
 
 
 def mlp_analyticity_bound(mlp, N: int | None = None, m_max: int = 10) -> MlpAnalyticityReport:
@@ -328,7 +315,7 @@ def mlp_analyticity_bound(mlp, N: int | None = None, m_max: int = 10) -> MlpAnal
 
 
 @dataclass
-class WitnessReport:
+class WitnessReport(Report):
     C: float
     a: float
     z: float
@@ -342,22 +329,6 @@ class WitnessReport:
     @property
     def separated(self) -> bool:
         return self.tv >= self.tv_floor
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "C": self.C,
-                "a": self.a,
-                "z": self.z,
-                "N": self.N,
-                "theta": self.theta,
-                "discretization_mismatch": self.discretization_mismatch,
-                "tv": self.tv,
-                "tv_floor": self.tv_floor,
-                "separated": self.separated,
-                "quadrature_points": self.quadrature_points,
-            }
-        )
 
 
 def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad_points: int = 2**15):
@@ -434,10 +405,7 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad
 
 
 def profile_to_csv(profile: FourierMomentProfile, params: SemiAnalyticityParams | None = None) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["m", "semi_norm", "bound"])
-    for m in range(profile.m_max + 1):
-        bound = params.bound(m) if params is not None else ""
-        writer.writerow([m, repr(profile[m]), repr(bound) if bound != "" else ""])
-    return buf.getvalue()
+    rows = (
+        [m, repr(profile[m]), "" if params is None else repr(params.bound(m))] for m in range(profile.m_max + 1)
+    )
+    return csv_text(["m", "semi_norm", "bound"], rows)

@@ -8,12 +8,12 @@ The derivative along axis j multiplies centered Fourier coefficients by
 
 applied as (d u)[n] = sum_m u[m] a[m - n]; the kernel is (2N+1)-periodic and
 antisymmetric.  The multiplier path is the default; the kernel path exists to
-cross-validate it.
+cross-validate it.  Measured errors against the (C, a) envelopes come back as
+a ``torusfp.report.Report``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .lattice import GridField, TorusLattice
+from .report import Report
 
 _E3 = math.e**3
 
@@ -175,7 +176,7 @@ def operator_norm_power_iteration(lattice: TorusLattice, iters: int = 400, seed:
 
 
 @dataclass
-class DerivativeErrorReport:
+class DerivativeErrorReport(Report):
     """Measured spectral-derivative errors against their proven envelopes."""
 
     N: int
@@ -199,22 +200,6 @@ class DerivativeErrorReport:
     @property
     def violated(self) -> bool:
         return not (self.first_ok and self.second_ok)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "d": self.d,
-                "l": self.l,
-                "C": self.C,
-                "a": self.a,
-                "measured_first": self.measured_first,
-                "bound_first": self.bound_first,
-                "measured_second": self.measured_second,
-                "bound_second": self.bound_second,
-                "violated": self.violated,
-            }
-        )
 
 
 def first_derivative_error_bound(N: int, d: int, l: float, C: float, a: float) -> float:

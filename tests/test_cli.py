@@ -188,3 +188,33 @@ def test_thread_cap_env_var():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == b"1"
+
+
+#: One small run of every subcommand; each must reproduce its artifacts.
+REPRO_CONFIGS = {
+    "derive-check": ["derive-check", "--z", "2", "--N-range", "8..12"],
+    "interpolate": ["interpolate", "--family", "expcos", "--z", "1", "--M", "40"],
+    "spectrum": ["spectrum", "--potential", "invcos:z=4", "--d", "1", "--N", "12"],
+    "evolve": ["evolve", "--potential", "cosine:z=1", "--d", "2", "--N", "4", "--snapshots", "6"],
+    "gibbs": ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "8", "--auto", "--samples", "200", "--seed", "3"],
+    "analyze": ["analyze", "--potential", "cosine:z=2", "--d", "1", "--N", "12"],
+    "witness": ["witness", "--a", "160", "--theta", "0.5", "--N", "5"],
+    "mean": ["mean", "--potential", "cosine:z=2", "--d", "1", "--N", "8", "--samples", "500", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPRO_CONFIGS))
+def test_every_subcommand_is_reproducible(tmp_path, command):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert run_cli(REPRO_CONFIGS[command] + ["--out", str(out)]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert "run-manifest.json" in names and len(names) > 1
+    for name in names:
+        if name != "run-manifest.json":
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    m1, m2 = (json.loads((out / "run-manifest.json").read_text()) for out in runs)
+    # the two runs differ only in --out, which the manifest leaves out
+    m1.pop("wall_time_s"), m2.pop("wall_time_s")
+    assert m1 == m2

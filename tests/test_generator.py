@@ -10,7 +10,6 @@ from torusfp.errors import PreconditionError, SizeError
 from torusfp.generator import (
     assembly_equivalence_report,
     expanded_generator_matrix,
-    matrix_to_csv,
     spectrum_to_csv,
 )
 from torusfp.spectral import derivative_matrix
@@ -119,6 +118,9 @@ def test_generator_structure_property(case):
     assert np.abs(L.sum(axis=0)).max() <= 1e-9 * np.linalg.norm(L, 2)
     ref = np.exp(-op.W.flat / 2)
     assert op.kernel_vector() @ ref >= (1 - 1e-8) * np.linalg.norm(ref)
+    # orthonormal eigenvectors: what makes kappa(U Q) = max(u) / min(u)
+    Q = op.eigenvectors
+    assert np.abs(Q.T @ Q - np.eye(op.size)).max() <= 1e-12
 
 
 def test_negative_semidefinite_quadratic_form(rng):
@@ -197,6 +199,30 @@ def test_condition_number_check():
     assert mrep.ok
 
 
+@pytest.mark.parametrize(
+    "E, N",
+    [
+        (tf.invcos_potential(4.0, 1.0), 40),
+        (tf.cosine_potential(1.5, 2, 1.0), 6),
+        (tf.mlp_potential(small_mlp(d=3, seed=7)), 2),
+    ],
+)
+def test_condition_number_is_closed_form(E, N, monkeypatch):
+    op = tf.build_generator(E, tf.make_lattice(E.d, N, E.l))
+    # reference: singular values of the diagonalizing similarity V = U Q
+    svals = np.linalg.svd(op.u_diag[:, None] * op.eigenvectors, compute_uv=False)
+    reference = svals[0] / svals[-1]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("condition_number_check must not factorize V")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rep = tf.condition_number_check(op)
+    assert rep.kappa == float(op.u_diag.max() / op.u_diag.min())
+    assert abs(rep.kappa - reference) <= 1e-12 * reference
+    assert rep.ok
+
+
 def test_poincare_report():
     # W = 0 at l = 2 pi: gap 1 equals the floor
     lat = tf.make_lattice(1, 8, 2 * np.pi)
@@ -237,5 +263,3 @@ def test_exports():
     text = spectrum_to_csv(op)
     assert text.startswith("index,eigenvalue\n")
     assert len(text.strip().split("\n")) == op.size + 1
-    mat = matrix_to_csv(op.matrix)
-    assert len(mat.strip().split("\n")) == op.size

@@ -3,7 +3,6 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import SizeError, ValidationError
-from torusfp.lattice import field_from_json, field_to_csv, field_to_json
 
 
 def brute_force_dft(values, N):
@@ -137,16 +136,3 @@ def test_real_flag_rejects_complex():
         tf.GridField(lat, np.array([1.0, 1j * 1e-6, 0.0]), is_real=True)
     fld = tf.GridField(lat, np.array([1.0, 1 + 1e-14j, 0.0]), is_real=True)
     assert fld.values.dtype == np.float64
-
-
-def test_serialization_round_trip(rng):
-    lat = tf.make_lattice(2, 2, 1.0)
-    fld = tf.GridField(lat, rng.standard_normal(lat.shape), is_real=True)
-    back = field_from_json(field_to_json(fld))
-    np.testing.assert_allclose(back.values, fld.values, rtol=0, atol=0)
-    assert back.lattice == lat
-
-    csv_text = field_to_csv(fld)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "n0,n1,re,im"
-    assert len(lines) == lat.size + 1

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 import torusfp as tf
+from torusfp import sampler
 from torusfp.errors import ValidationError
 from torusfp.sampler import (
     box_probabilities,
@@ -279,6 +280,19 @@ def test_pipeline_auto_M_never_below_N():
     result = tf.run_pipeline(tf.cosine_potential(1.0, 1, 1.0), N=20, M_cap=16, count=100)
     assert result.resolved["M_mode"] == "auto"
     assert result.resolved["M"] >= 20
+
+
+def test_pipeline_auto_M_stays_within_quadrature_cap(monkeypatch):
+    # d=2 auto-M used to clamp only to M_cap, so the TV quadrature asked for
+    # ((2M+1) * subcells)^2 evaluations beyond TV_EVAL_CAP and raised SizeError
+    monkeypatch.setattr(sampler, "TV_EVAL_CAP", 2**20)
+    N, subcells = 8, 32
+    result = tf.run_pipeline(tf.cosine_potential(1.0, 2, 1.0), N=N, count=100, seed=1, subcells=subcells)
+    M = result.resolved["M"]
+    assert result.resolved["M_mode"] == "auto"
+    assert N <= M
+    assert ((2 * M + 1) * subcells) ** 2 <= 2**20
+    assert result.resolved["M_raw"] > M  # the clamp was exercised
 
 
 # ---------------------------------------------------------------------------
