@@ -10,7 +10,7 @@ import torusfp as tf
 E = tf.cosine_potential(2.0, 1, 1.0)  # E = 2(1 - cos 2 pi x)
 print(f"potential: {E.name}, diameter {E.diameter}, Lipschitz {E.lipschitz:.3f}")
 
-result = tf.run_pipeline(E, N=16, eps=0.05, count=100_000, seed=7, M_cap=512, chi2=True)
+result = tf.run_pipeline(E, N=16, eps=0.05, count=100_000, seed=7, M_cap=512)
 r = result.resolved
 print(f"measured spectral gap: {r['gap']:.3f} -> mixing time T = {r['T']:.4f}")
 print(f"fitted state parameters: C = {r['fitted_C']:.4f}, a = {r['fitted_a']:.4f}")
@@ -18,11 +18,13 @@ print(f"sampling lattice: M = {r['M']} (raw formula suggested {r['M_raw']}, capp
 print(f"TV(sampling density, exact Gibbs) = {result.tv_report.tv:.5f}  (target {r['eps']})")
 
 print("\nnorm traces along the evolution (all-ones start):")
-rep = tf.norm_and_max_principle_report(result.operator, result.evolution)
+op = result.operator
+traced = tf.evolve(op, tf.constant_field(op.lattice), r["T"], snapshots=8, chi2=True)
+rep = tf.norm_and_max_principle_report(op, traced)
 print(f"  max ||u(t)|| / ||1|| = {rep.max_norm_ratio:.6f} <= e^(D_W/2) = {rep.norm_bound:.6f}")
 print(f"  mass drift <1, u(t)>: {rep.inner_drift:.2e} relative")
 
-dec = tf.decay_report(result.operator, result.evolution)
+dec = tf.decay_report(op, traced)
 print(f"  chi-square decay rate {dec.fitted_rate:.2f} >= 2 x gap = {2 * dec.gap:.2f}")
 
 print("\nmean estimation for f = cos(2 pi x):")

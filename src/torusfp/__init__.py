@@ -78,7 +78,6 @@ from .sampler import (
     choose_M,
     continuous_sample,
     estimate_mean,
-    exact_gibbs_density,
     exact_mean,
     interpolation_error_bound_check,
     run_pipeline,
@@ -130,7 +129,6 @@ __all__ = [
     "estimate_lipschitz",
     "estimate_mean",
     "evolve",
-    "exact_gibbs_density",
     "exact_mean",
     "expcos_family",
     "fit_params",

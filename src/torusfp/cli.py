@@ -133,19 +133,43 @@ _DEFAULTS = {
 }
 
 
+#: The JSON types of config values the subcommands use as they are.  Flags
+#: arrive typed by the parser, so only a config file can get these wrong;
+#: ``z``, ``T``, ``M`` and ``n_range`` are parsed where they are used.
+_KEY_TYPES = {
+    **dict.fromkeys(("d", "N", "samples", "snapshots", "m_cap", "subcells", "m_max", "seed"), int),
+    **dict.fromkeys(("l", "eps", "C", "a", "theta"), (int, float)),
+    **dict.fromkeys(("potential", "family", "emit", "out"), str),
+}
+
+
 def _resolve_config(args) -> dict:
     cfg = dict(_DEFAULTS.get(args.command, {}))
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         cfg.update(file_cfg)
     for key, value in vars(args).items():
         if key in ("config", "command", "assert_mode"):
             continue
         if value is not None and value is not False:
             cfg[key] = value
+    for key, value in cfg.items():
+        kind = _KEY_TYPES.get(key)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValidationError(f"config value {key}={value!r} has the wrong type")
     cfg["command"] = args.command
     return cfg
+
+
+def _number(value, kind, key: str):
+    """``kind(value)`` for a number or a numeric string, else a validation error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
 #: The keys each potential kind accepts in ``--potential KIND:KEY=VALUE,...``.
@@ -194,10 +218,13 @@ def _parse_potential(spec: str, d: int, l: float):
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except (TypeError, ValueError):
+        raise ValidationError(f"range {text!r} is not an integer or LO..HI") from None
 
 
 def _write(out_dir: Path, name: str, text: str, artifacts: list) -> None:
@@ -235,15 +262,13 @@ def _manifest(out_dir: Path, cfg: dict, resolved: dict, artifacts: list, started
 
 
 def _cmd_derive_check(cfg, out_dir, artifacts):
-    import numpy as np
-
     from .errors import PreconditionError
     from .lattice import make_lattice
     from .potential import expcos_family
     from .semianalytic import SemiAnalyticityParams
     from .spectral import derivative_error_report
 
-    u, gu, lu, C, a, _ = expcos_family(cfg["z"], l=cfg["l"])
+    u, gu, lu, C, a, _ = expcos_family(_number(cfg["z"], float, "z"), l=cfg["l"])
     params = SemiAnalyticityParams(C, a)
     rows = []
     violations = []
@@ -271,11 +296,12 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
 
     zs = cfg["z"]
     if isinstance(zs, str) and ".." in zs:
-        lo, hi = zs.split("..")
-        zs = [float(v) for v in range(int(lo), int(hi) + 1)]
-    elif isinstance(zs, (str, int, float)):
-        zs = [float(zs)]
-    M = cfg["M"]
+        zs = [float(v) for v in _parse_range(zs)]
+    elif not isinstance(zs, list):
+        zs = [_number(zs, float, "z")]
+    elif not all(isinstance(z, (int, float)) for z in zs):
+        raise ValidationError(f"z must be a number, a range LO..HI or a list of numbers, got {zs!r}")
+    M = _number(cfg["M"], int, "M")
     rows = []
     violations = []
     for z in zs:
@@ -344,7 +370,7 @@ def _cmd_evolve(cfg, out_dir, artifacts):
     if T == "auto":
         T = choose_T(1.0 / op.spectral_gap, E.diameter, cfg["eps"])
     else:
-        T = float(T)
+        T = _number(T, float, "T")
     res = evolve(op, constant_field(lat), T, snapshots=cfg["snapshots"], chi2=True)
     dec = decay_report(op, res)
     nrm = norm_and_max_principle_report(op, res)
@@ -375,8 +401,8 @@ def _cmd_gibbs(cfg, out_dir, artifacts):
     result = run_pipeline(
         E,
         N=cfg["N"],
-        M=None if M in (None, "auto") else int(M),
-        T=None if T in (None, "auto") else float(T),
+        M=None if M in (None, "auto") else _number(M, int, "M"),
+        T=None if T in (None, "auto") else _number(T, float, "T"),
         eps=cfg["eps"],
         count=cfg["samples"],
         seed=cfg["seed"],

@@ -12,6 +12,8 @@ an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
 is spanned by e^{-W/2} (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1 = 0).  L' is the only
 operator stored; L is derived from it on demand.  Since the kernel is known,
 its eigenpair is pinned to (0, e^{-W/2} / ||e^{-W/2}||) after diagonalization.
+``FpOperator.propagate`` applies e^{Lt} through that eigendecomposition, so
+callers never handle the eigenvectors themselves.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
@@ -29,7 +31,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import DENSE_CAP, GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import derivative_matrix, fourier_derivative, laplacian
+from .spectral import derivative_matrix
 
 
 @dataclass
@@ -74,6 +76,15 @@ class FpOperator:
     def kernel_vector(self) -> np.ndarray:
         """Unit eigenvector of L' at eigenvalue zero."""
         return self.eigenvectors[:, 0]
+
+    def propagate(self, v: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1}."""
+        u = self.u_diag
+        modal0 = self.eigenvectors.T @ (v / u)
+        out = np.empty((len(times), self.size))
+        for i, t in enumerate(times):
+            out[i] = u * (self.eigenvectors @ (np.exp(self.eigenvalues * t) * modal0))
+        return out
 
 
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> FpOperator:
@@ -125,83 +136,6 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
         eigenvectors=eigvecs,
         delta_W=float(w.max() - w.min()),
     )
-
-
-def expanded_generator_matrix(op: FpOperator) -> np.ndarray:
-    """The generator re-derived through the product rule, avoiding derivatives
-    of W itself:
-
-        L f = (e^{2W} |grad~ e^{-W}|^2 - e^{W} lap~ e^{-W}) f
-              - e^{W} grad~ e^{-W} . grad~ f  +  lap~ f.
-
-    Agrees with the composed route up to spectral aliasing of e^{+-W}.
-    """
-    lat = op.lattice
-    w = op.W.flat
-    g_field = GridField(lat, np.exp(-op.W.values), is_real=True)
-    grads = [fourier_derivative(g_field, axis=j).flat for j in range(lat.d)]
-    lap_g = laplacian(g_field).flat
-
-    diag_term = np.exp(2 * w) * sum(gj**2 for gj in grads) - np.exp(w) * lap_g
-    n = lat.size
-    B = np.diag(diag_term)
-    for j in range(lat.d):
-        D = derivative_matrix(lat, j)
-        B -= (np.exp(w) * grads[j])[:, None] * D
-        B += D @ D
-    return B
-
-
-@dataclass
-class AssemblyEquivalenceReport:
-    max_relative_mismatch: float
-    tolerance: float
-    n_vectors: int
-    band: int
-
-    @property
-    def ok(self) -> bool:
-        return self.max_relative_mismatch <= self.tolerance
-
-
-def assembly_equivalence_report(
-    op: FpOperator, n_vectors: int = 20, band: int | None = None, seed: int = 0, tolerance: float = 1e-8
-) -> AssemblyEquivalenceReport:
-    """Compare the composed and expanded routes on random band-limited vectors.
-
-    Probes are truncated Fourier series (band <= N/4 by default); full-band
-    probes would alias the grid products the expanded route relies on.
-    """
-    lat = op.lattice
-    if band is None:
-        band = max(1, lat.N // 4)
-    B = expanded_generator_matrix(op)
-    L = op.matrix
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    scale = max(np.linalg.norm(L, ord="fro"), 1e-300)
-    for _ in range(n_vectors):
-        v = _random_band_limited(lat, band, rng)
-        diff = np.linalg.norm(L @ v - B @ v)
-        worst = max(worst, diff / (scale * np.linalg.norm(v)))
-    return AssemblyEquivalenceReport(
-        max_relative_mismatch=float(worst), tolerance=tolerance, n_vectors=n_vectors, band=band
-    )
-
-
-def _random_band_limited(lattice: TorusLattice, band: int, rng) -> np.ndarray:
-    """Real random field whose spectrum is supported on ||k||_inf <= band."""
-    from .lattice import SpectralField, idft
-
-    coeffs = np.zeros(lattice.shape, dtype=complex)
-    grids = lattice.index_grids()
-    mask = np.ones(lattice.shape, dtype=bool)
-    for gidx in grids:
-        mask &= np.abs(gidx) <= band
-    vals = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
-    coeffs[mask] = vals
-    fld = idft(SpectralField(lattice, coeffs))
-    return np.real(fld.values).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A lattice with half-width ``N`` has an odd number ``2N + 1`` of equidistant
 points per axis, located at ``x_n = l * n / (2N + 1)`` for multi-indices
 ``n`` in ``[-N..N]^d``.  Fields are stored as C-ordered arrays of shape
 ``(2N+1,)*d`` over the shifted indices ``n + N``; flattening that array gives
-the row-major layout the dense operator matrices use.
+the row-major layout the dense operator matrices use, and ``grid_points``
+lists every point set (lattice nodes, quadrature midpoints) in that order.
 
 The discrete Fourier transform is the centered unitary convention
 
@@ -25,6 +26,13 @@ from .errors import EvalError, SizeError, ValidationError
 DENSE_CAP = 4096
 
 _REAL_TOL = 1e-12
+
+
+def grid_points(*axes) -> np.ndarray:
+    """Cartesian product of 1-D coordinate arrays as an (m, d) array, row-major
+    (the last axis varies fastest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -55,40 +63,14 @@ class TorusLattice:
         """Coordinates l*n/(2N+1) along one axis."""
         return self.axis_indices() * (self.l / self.points_per_axis)
 
-    def point(self, n) -> np.ndarray:
-        """Coordinates of the lattice node with multi-index ``n``."""
-        n = np.atleast_1d(np.asarray(n, dtype=float))
-        if n.shape[-1] != self.d:
-            raise ValidationError(f"multi-index has {n.shape[-1]} components, expected {self.d}")
-        return n * (self.l / self.points_per_axis)
-
     def points(self) -> np.ndarray:
         """All lattice nodes as an array of shape (size, d), row-major."""
-        axes = [self.axis_points()] * self.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return grid_points(*[self.axis_points()] * self.d)
 
     def index_grids(self) -> list:
         """Centered integer index grid per axis, each of shape ``self.shape``."""
         axes = [self.axis_indices()] * self.d
         return np.meshgrid(*axes, indexing="ij")
-
-    def flat_index(self, n) -> int:
-        """Row-major offset of multi-index ``n`` in [-N..N]^d."""
-        n = tuple(int(c) for c in np.atleast_1d(n))
-        if len(n) != self.d:
-            raise ValidationError(f"multi-index has {len(n)} components, expected {self.d}")
-        if any(abs(c) > self.N for c in n):
-            raise ValidationError(f"multi-index {n} outside [-{self.N}..{self.N}]^{self.d}")
-        shifted = tuple(c + self.N for c in n)
-        return int(np.ravel_multi_index(shifted, self.shape))
-
-    def multi_index(self, offset: int) -> tuple:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= offset < self.size:
-            raise ValidationError(f"flat offset {offset} outside [0, {self.size})")
-        shifted = np.unravel_index(offset, self.shape)
-        return tuple(int(s) - self.N for s in shifted)
 
 
 def make_lattice(d: int, N: int, l: float, cap: int | None = DENSE_CAP) -> TorusLattice:

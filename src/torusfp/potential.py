@@ -114,12 +114,8 @@ def estimate_lipschitz(E: EnergyPotential, resolution: int | None = None) -> flo
     return LIPSCHITZ_MARGIN * worst
 
 
-def _normalized(raw, d, l, resolution=None, exact_min=None):
-    if exact_min is None:
-        lo, hi = _min_max(raw, d, l, resolution)
-    else:
-        lo = exact_min
-        _, hi = _min_max(raw, d, l, resolution)
+def _normalized(raw, d, l):
+    lo, hi = _min_max(raw, d, l)
 
     def evaluator(pts, _raw=raw, _lo=lo):
         return np.asarray(_raw(pts), dtype=float) - _lo
@@ -137,8 +133,7 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
         pts = np.asarray(pts, dtype=float)
         return z * np.sum(1.0 - np.cos(w * pts), axis=-1)
 
-    exact_min = 0.0 if z >= 0 else 2 * z * d
-    shift = exact_min  # normalized E = raw - shift
+    shift = 0.0 if z >= 0 else 2 * z * d  # the exact min of raw; E = raw - shift
 
     def evaluator(pts):
         return raw(pts) - shift

@@ -4,7 +4,9 @@ Gibbs density, mean estimation, and the end-to-end sampling pipeline.
 Continuous sampling measures a unit-norm lattice state in the node basis and
 then draws uniformly from the box around the node; the resulting density is
 piecewise constant with value |psi[n]|^2 ((2M+1)/l)^d on each box.  The boxes
-tile the fundamental domain exactly.
+tile the fundamental domain exactly.  The pipeline evolves the uniform state
+straight to T; the TV quadrature and the exact Gibbs oracle lay out their
+midpoint grids with ``lattice.grid_points``.
 
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
 sample batches are written with ``csv_text``.
@@ -12,15 +14,16 @@ sample batches are written with ``csv_text``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
+from .errors import PreconditionError, SizeError, ValidationError
 from .evolve import choose_T, evolve
 from .generator import build_generator
-from .lattice import GridField, SpectralField, dft, idft, make_lattice
+from .lattice import GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
 from .potential import FINE_GRID, EnergyPotential
 from .report import Report, csv_text
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
@@ -150,64 +153,28 @@ def discrete_state_tv(psi: GridField, phi: GridField) -> float:
 # exact Gibbs oracle and TV quadrature
 
 
-class GibbsDensity:
-    """Reference density proportional to e^{-beta E}, normalized by quadrature.
+def _fine_midpoints(E: EnergyPotential) -> tuple:
+    """Cell midpoints of the FINE_GRID quadrature over the fundamental domain,
+    as an (m, d) array, with the volume of one cell."""
+    pts_axis = FINE_GRID.get(E.d, 64)
+    axis = (np.arange(pts_axis) + 0.5) / pts_axis * E.l - E.l / 2
+    return grid_points(*[axis] * E.d), (E.l / pts_axis) ** E.d
 
-    beta records the convention of the caller: the pipeline evolves W = E/2
-    and squares amplitudes, so its target is beta = 1 relative to E.
+
+class GibbsDensity:
+    """Reference density proportional to e^{-E}, normalized by quadrature.
+
+    The pipeline evolves W = E/2 and squares amplitudes, so e^{-E} is its
+    target.
     """
 
-    def __init__(self, E: EnergyPotential, resolution: int | None = None, beta: float = 1.0):
+    def __init__(self, E: EnergyPotential):
         self.E = E
-        self.l = E.l
-        self.d = E.d
-        self.beta = float(beta)
-        pts_axis = resolution if resolution is not None else FINE_GRID.get(E.d, 64)
-        axis = (np.arange(pts_axis) + 0.5) / pts_axis * self.l - self.l / 2
-        if E.d == 1:
-            grid = axis[:, None]
-        else:
-            mesh = np.meshgrid(*([axis] * E.d), indexing="ij")
-            grid = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.exp(-self.beta * E.evaluate(grid))
-        cell = (self.l / pts_axis) ** E.d
-        self.Z = float(vals.sum() * cell)
-        self._resolution = pts_axis
+        grid, cell = _fine_midpoints(E)
+        self.Z = float(np.exp(-E.evaluate(grid)).sum() * cell)
 
     def density(self, points) -> np.ndarray:
-        return np.exp(-self.beta * self.E.evaluate(points)) / self.Z
-
-    def cell_masses(self, M: int, subcells: int = 32) -> np.ndarray:
-        """Gibbs mass of every box of the M-lattice (midpoint quadrature)."""
-        if self.d > 2:
-            raise SizeError("cell masses by quadrature are provided for d <= 2 only")
-        n = 2 * M + 1
-        pts_axis = _subcell_axis(M, self.l, subcells)
-        sub_vol = (self.l / (n * subcells)) ** self.d
-        if self.d == 1:
-            vals = np.exp(-self.beta * self.E.evaluate(pts_axis[:, None]))
-            masses = vals.reshape(n, subcells).sum(axis=1) * sub_vol
-        else:
-            masses = np.empty((n, n))
-            for i in range(n):
-                xs = pts_axis[i * subcells : (i + 1) * subcells]
-                mesh = np.meshgrid(xs, pts_axis, indexing="ij")
-                block = np.stack([m.ravel() for m in mesh], axis=-1)
-                vals = np.exp(-self.beta * self.E.evaluate(block)).reshape(subcells, n, subcells)
-                masses[i] = vals.sum(axis=(0, 2)) * sub_vol
-        return masses / self.Z
-
-
-def exact_gibbs_density(E: EnergyPotential, resolution: int | None = None, beta: float = 1.0) -> GibbsDensity:
-    return GibbsDensity(E, resolution=resolution, beta=beta)
-
-
-def _subcell_axis(M: int, l: float, subcells: int) -> np.ndarray:
-    """Midpoints of all subcells along one axis, box by box (uniform overall)."""
-    n = 2 * M + 1
-    centers = np.arange(-M, M + 1) * (l / n)
-    offsets = ((np.arange(subcells) + 0.5) / subcells - 0.5) * (l / n)
-    return (centers[:, None] + offsets[None, :]).reshape(-1)
+        return np.exp(-self.E.evaluate(points)) / self.Z
 
 
 def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> float:
@@ -220,39 +187,40 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
     lat = state.lattice
     if lat.d > 2:
         raise SizeError("quadrature TV is provided for d <= 2; use the Monte Carlo path")
+    if subcells < 1:
+        raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
     n = lat.points_per_axis
     S = subcells
     if (n * S) ** lat.d > TV_EVAL_CAP:
         raise SizeError(f"quadrature needs {(n * S) ** lat.d} evaluations, cap is {TV_EVAL_CAP}")
-    axis = _subcell_axis(lat.N, lat.l, S)
+    # midpoints of all subcells along one axis, box by box
+    offsets = ((np.arange(S) + 0.5) / S - 0.5) * (lat.l / n)
+    axis = (lat.axis_points()[:, None] + offsets[None, :]).reshape(-1)
     sub_vol = (lat.l / (n * S)) ** lat.d
-    probs = box_probabilities(state)
-    mu = probs * (n / lat.l) ** lat.d
+    mu = box_probabilities(state) * (n / lat.l) ** lat.d
 
-    if lat.d == 1:
-        raw = np.asarray(raw_density(axis[:, None]), dtype=float)
-        Z = raw.sum() * sub_vol
-        rho = (raw / Z).reshape(n, S)
-        return 0.5 * float(np.abs(mu[:, None] - rho).sum() * sub_vol)
+    # every block holds n boxes: all of them in d=1, one row of them in d=2
+    rows = n ** (2 - lat.d)
+    starts = range(0, n, rows)
 
-    # d == 2: two passes over row blocks, first for Z, then for the integral
+    @functools.lru_cache(maxsize=1)  # a single block (d=1) is evaluated once
+    def raw_block(r0: int) -> np.ndarray:
+        pts = grid_points(axis[r0 * S : (r0 + rows) * S], *[axis] * (lat.d - 1))
+        return np.asarray(raw_density(pts), dtype=float)
+
+    # two passes over the blocks, first for Z, then for the integral
     Z = 0.0
-    for i in range(n):
-        xs = axis[i * S : (i + 1) * S]
-        mesh = np.meshgrid(xs, axis, indexing="ij")
-        block = np.stack([m.ravel() for m in mesh], axis=-1)
-        Z += float(np.asarray(raw_density(block), dtype=float).sum()) * sub_vol
+    for r0 in starts:
+        Z += float(raw_block(r0).sum()) * sub_vol
     acc = 0.0
-    for i in range(n):
-        xs = axis[i * S : (i + 1) * S]
-        mesh = np.meshgrid(xs, axis, indexing="ij")
-        block = np.stack([m.ravel() for m in mesh], axis=-1)
-        rho = (np.asarray(raw_density(block), dtype=float) / Z).reshape(S, n, S)
-        acc += float(np.abs(mu[i][None, :, None] - rho).sum()) * sub_vol
+    for r0 in starts:
+        rho = (raw_block(r0) / Z).reshape((rows, S) + (n, S) * (lat.d - 1))
+        mu_block = mu[r0 : r0 + rows].reshape((rows, 1) + (n, 1) * (lat.d - 1))
+        acc += float(np.abs(mu_block - rho).sum()) * sub_vol
     return 0.5 * acc
 
 
-def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound: float | None = None, seed: int = 0) -> TvReport:
+def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound: float | None = None) -> TvReport:
     """TV between the state's sampling density and the exact Gibbs density.
 
     Per-box quadrature for d <= 2; for d >= 3 a 10^6-point Monte Carlo
@@ -269,7 +237,7 @@ def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound:
         )
 
     oracle = GibbsDensity(E)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=0))
     pts = (rng.random((MC_POINTS, lat.d)) - 0.5) * lat.l
     rho = oracle.density(pts)
     probs = box_probabilities(state).reshape(-1)
@@ -308,7 +276,6 @@ def choose_M(delta: float, L_lip: float, l: float, d: int, a: float, C: float, U
 class PipelineResult:
     batch: SampleBatch
     tv_report: TvReport
-    evolution: object
     operator: object
     state: GridField     # normalized evolved state on the N-lattice
     upsampled: GridField
@@ -324,12 +291,10 @@ def run_pipeline(
     count: int = 10000,
     seed: int = 0,
     M_cap: int = 512,
-    snapshots: int = 8,
     subcells: int = 32,
-    chi2: bool = False,
 ) -> PipelineResult:
-    """Build the E/2 generator, evolve the uniform state, upsample, sample,
-    and measure TV against the exact Gibbs density of e^{-E}.
+    """Build the E/2 generator, evolve the uniform state to T, upsample,
+    sample, and measure TV against the exact Gibbs density of e^{-E}.
 
     With T or M left as None they are resolved automatically: T from the
     measured spectral gap (kappa = 1/gap) and the mixing-time formula with the
@@ -338,6 +303,8 @@ def run_pipeline(
     for d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d
     stays within TV_EVAL_CAP, but never below N.
     """
+    if subcells < 1:
+        raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
     lattice = make_lattice(E.d, N, E.l)
     op = build_generator(E, lattice, halve=True)
     gap = op.spectral_gap
@@ -352,8 +319,7 @@ def run_pipeline(
     resolved["T"] = float(T)
 
     ones = GridField(lattice, np.ones(lattice.shape), is_real=True)
-    evolution = evolve(op, ones, T, snapshots=snapshots, chi2=chi2)
-    final = evolution.final
+    final = evolve(op, ones, T).final
     state = GridField(lattice, (final / np.linalg.norm(final)).reshape(lattice.shape), is_real=True)
 
     if M is None:
@@ -385,7 +351,6 @@ def run_pipeline(
     return PipelineResult(
         batch=batch,
         tv_report=tv_report,
-        evolution=evolution,
         operator=op,
         state=state,
         upsampled=upsampled,
@@ -413,15 +378,9 @@ def estimate_mean(f, batch: SampleBatch) -> MeanEstimate:
     return MeanEstimate(mean=float(vals.mean()), stderr=stderr, count=batch.count)
 
 
-def exact_mean(f, E: EnergyPotential, resolution: int | None = None) -> float:
+def exact_mean(f, E: EnergyPotential) -> float:
     """Quadrature value of E_rho[f] under the Gibbs density of e^{-E}."""
-    pts_axis = resolution if resolution is not None else FINE_GRID.get(E.d, 64)
-    axis = (np.arange(pts_axis) + 0.5) / pts_axis * E.l - E.l / 2
-    if E.d == 1:
-        grid = axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * E.d), indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    grid, _ = _fine_midpoints(E)
     weights = np.exp(-E.evaluate(grid))
     vals = np.asarray(f(grid), dtype=float)
     return float((vals * weights).sum() / weights.sum())
@@ -483,8 +442,6 @@ def interpolation_error_bound_check(
     accuracy formula itself dictates; when that exceeds ``M_cap`` the TV is
     still measured at the cap but not asserted (flagged infeasible).
     """
-    from .errors import PreconditionError
-
     C, a = params.C, params.a
     if N < 2 * a:
         raise PreconditionError(f"need N >= 2ad = {2 * a}, got N={N}")
@@ -493,8 +450,6 @@ def interpolation_error_bound_check(
     ks = np.arange(-k_max, k_max + 1)
     series = np.array([u_hat(int(k)) for k in ks], dtype=float)
     U = math.sqrt(float(np.sum(series**2)))
-
-    from .lattice import discretize
 
     fld = discretize(u, lat)
     state = GridField(lat, fld.values / fld.norm(), is_real=True)

@@ -157,24 +157,6 @@ def operator_norm(lattice: TorusLattice) -> float:
     return 2 * np.pi * lattice.N / lattice.l
 
 
-def operator_norm_power_iteration(lattice: TorusLattice, iters: int = 400, seed: int = 0) -> float:
-    """Measure the axis-derivative norm by power iteration on -D^2."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(lattice.shape)
-    v /= np.linalg.norm(v)
-    fld = GridField(lattice, v, is_real=True)
-    lam = 0.0
-    for _ in range(iters):
-        w = fourier_derivative(fourier_derivative(fld, 0), 0).values
-        w = -w
-        lam = float(np.vdot(fld.values, w).real)
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        fld = GridField(lattice, w / nrm, is_real=True)
-    return math.sqrt(abs(lam))
-
-
 @dataclass
 class DerivativeErrorReport(Report):
     """Measured spectral-derivative errors against their proven envelopes."""

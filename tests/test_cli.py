@@ -141,6 +141,39 @@ def test_malformed_potential_spec_exit_code(tmp_path, spec):
     assert code == 2
 
 
+MALFORMED = [
+    (["derive-check", "--N-range", "8..x"], None, "range '8..x'"),
+    (["interpolate", "--z", "a..b"], None, "range 'a..b'"),
+    (["evolve", "--T", "abc"], None, "T must be a number"),
+    (["evolve", "--T", "nan"], None, "must be finite"),
+    (["evolve", "--T", "inf"], None, "must be finite"),
+    (["evolve", "--T", "5e-324", "--snapshots", "4"], None, "T=5e-324 is too short to split into 4"),
+    (["evolve", "--T", "1e-300", "--snapshots", "4"], None, "too short to fit"),
+    (["gibbs", "--M", "abc", "--seed", "1"], None, "M must be an integer"),
+    (["gibbs", "--subcells", "0", "--M", "16", "--seed", "1"], None, "subcells=0"),
+    (["gibbs", "--auto", "--subcells", "0", "--seed", "1"], None, "subcells=0"),
+    (["gibbs", "--seed", "1"], {"samples": "many"}, "samples='many'"),
+    (["gibbs", "--seed", "1"], {"eps": "x"}, "eps='x'"),
+    (["gibbs", "--seed", "1"], {"d": "2"}, "d='2'"),
+    (["gibbs", "--seed", "1"], [{"N": 8}], "JSON object"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    MALFORMED,
+    ids=[" ".join(argv) + ("" if config is None else f" config={json.dumps(config)}") for argv, config, _ in MALFORMED],
+)
+def test_malformed_number_exit_code(tmp_path, capsys, argv, config, message):
+    # malformed values end in exit 2 with a message, never in a traceback
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_assert_mode_exit_code(tmp_path):
     # unconverged run cannot meet eps = 1e-4: bound violation -> exit 3
     code = run_cli(

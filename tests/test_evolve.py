@@ -5,12 +5,19 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import ValidationError
-from torusfp.evolve import nested_restriction_error, stationary_projection, traces_to_csv
+from torusfp.evolve import nested_restriction_error, traces_to_csv
 from torusfp.lattice import SpectralField, idft
 
 
 def _ones(lat):
     return tf.constant_field(lat, 1.0)
+
+
+def stationary_projection(op, u0):
+    """The t -> infinity limit of the evolution: the kernel-mode component."""
+    q0 = op.kernel_vector()
+    coeff = q0 @ (u0.flat / op.u_diag)
+    return op.u_diag * (coeff * q0)
 
 
 def test_kernel_state_is_fixed():
@@ -118,6 +125,30 @@ def test_decay_report_validation():
     res3 = tf.evolve(op, _ones(lat), T=0.1, snapshots=3, chi2=True)
     with pytest.raises(ValidationError):
         tf.decay_report(op, res3)
+
+
+@pytest.mark.parametrize(
+    "T, match",
+    [
+        (math.nan, "must be finite"),
+        (math.inf, "must be finite"),
+        (5e-324, r"T=5e-324 is too short to split into 4 distinct snapshot times"),
+    ],
+)
+def test_evolve_rejects_unusable_T(T, match):
+    lat = tf.make_lattice(1, 4, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    with pytest.raises(ValidationError, match=match):
+        tf.evolve(op, _ones(lat), T, snapshots=4)
+
+
+def test_decay_report_rejects_too_short_span():
+    # distinct, positive times whose squares underflow: no rate can be fitted
+    lat = tf.make_lattice(1, 4, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    res = tf.evolve(op, _ones(lat), 1e-300, snapshots=4, chi2=True)
+    with pytest.raises(ValidationError, match="too short to fit"):
+        tf.decay_report(op, res)
 
 
 def test_decay_rate_beats_gap_and_floor():

@@ -20,7 +20,8 @@ def test_make_lattice_points():
 
     lat2 = tf.make_lattice(2, 2, 1.0)
     assert lat2.size == 25
-    np.testing.assert_allclose(lat2.point((1, -2)), [0.2, -0.4])
+    # node (1, -2) sits at row-major offset (1 + 2) * 5 + (-2 + 2)
+    np.testing.assert_allclose(lat2.points()[15], [0.2, -0.4])
 
 
 def test_make_lattice_cap_and_validation():
@@ -114,20 +115,6 @@ def test_wrapping_identity_cosine_family():
             wrapped += np.array([tf.bessel_i(int(k) + p * n, z) for k in ks])
         np.testing.assert_allclose(est.real, wrapped, atol=1e-8)
         assert np.abs(est.imag).max() < 1e-12
-
-
-def test_layout_round_trip():
-    lat = tf.make_lattice(2, 3, 1.0)
-    seen = set()
-    for offset in range(lat.size):
-        n = lat.multi_index(offset)
-        assert lat.flat_index(n) == offset
-        seen.add(n)
-    assert len(seen) == lat.size
-    with pytest.raises(ValidationError):
-        lat.flat_index((4, 0))
-    with pytest.raises(ValidationError):
-        lat.multi_index(lat.size)
 
 
 def test_real_flag_rejects_complex():

