@@ -59,6 +59,7 @@ from .semianalytic import (
 )
 from .generator import (
     FpOperator,
+    MatrixFreeOperator,
     build_generator,
     condition_number_check,
     operator_norm_check,
@@ -97,6 +98,7 @@ __all__ = [
     "FourierMomentProfile",
     "FpOperator",
     "GridField",
+    "MatrixFreeOperator",
     "MeanEstimate",
     "PeriodicMlp",
     "PreconditionError",

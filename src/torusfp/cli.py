@@ -233,7 +233,7 @@ def _write(out_dir: Path, name: str, text: str, artifacts: list) -> None:
     artifacts.append(name)
 
 
-def _manifest(out_dir: Path, cfg: dict, resolved: dict, artifacts: list, started: float) -> None:
+def _manifest(out_dir: Path, cfg: dict, resolved: dict, health: dict, artifacts: list, started: float) -> None:
     import numpy as np
 
     from . import __version__
@@ -254,11 +254,15 @@ def _manifest(out_dir: Path, cfg: dict, resolved: dict, artifacts: list, started
         },
         "wall_time_s": time.time() - started,
     }
+    # how the numbers were computed, not what was asked: outside config_hash
+    if health:
+        doc["health"] = health
     (out_dir / "run-manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies; each returns (resolved, violations)
+# subcommand bodies; each returns (resolved, violations, health), where
+# health holds the operator's and the propagation's numerical health
 
 
 def _cmd_derive_check(cfg, out_dir, artifacts):
@@ -284,7 +288,7 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
             violations.append(f"derivative envelope violated at N={N}")
     header = ["N", "measured_first", "bound_first", "measured_second", "bound_second", "violated"]
     _write(out_dir, "derive_check.csv", csv_text(header, rows), artifacts)
-    return {"z": cfg["z"], "l": cfg["l"], "C": C, "a": a}, violations
+    return {"z": cfg["z"], "l": cfg["l"], "C": C, "a": a}, violations, {}
 
 
 def _cmd_interpolate(cfg, out_dir, artifacts):
@@ -294,6 +298,8 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
     from .potential import expcos_family, invcos_potential
     from .sampler import density_tv_quadrature, normalized_series_distance, upsample
 
+    if cfg["family"] not in ("expcos", "invcos"):
+        raise ValidationError(f"family must be expcos or invcos, got {cfg['family']!r}")
     zs = cfg["z"]
     if isinstance(zs, str) and ".." in zs:
         zs = [float(v) for v in _parse_range(zs)]
@@ -324,7 +330,7 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
             if dist < 1e-14:
                 break
     _write(out_dir, cfg["emit"], csv_text(["family", "z", "a_bound", "N", "distance", "tv"], rows), artifacts)
-    return {"family": cfg["family"], "z_values": zs, "M": M}, violations
+    return {"family": cfg["family"], "z_values": zs, "M": M}, violations, {}
 
 
 def _cmd_spectrum(cfg, out_dir, artifacts):
@@ -355,7 +361,8 @@ def _cmd_spectrum(cfg, out_dir, artifacts):
         violations.append("spectral gap fell below the universal floor")
     _write(out_dir, "spectrum.csv", spectrum_to_csv(op), artifacts)
     _write(out_dir, "structure.json", json.dumps(reports, indent=2, sort_keys=True), artifacts)
-    return {"potential": cfg["potential"], "N": cfg["N"], "d": cfg["d"], "gap": op.spectral_gap, "delta_W": op.delta_W}, violations
+    resolved = {"potential": cfg["potential"], "N": cfg["N"], "d": cfg["d"], "gap": op.spectral_gap, "delta_W": op.delta_W}
+    return resolved, violations, op.health
 
 
 def _cmd_evolve(cfg, out_dir, artifacts):
@@ -386,7 +393,8 @@ def _cmd_evolve(cfg, out_dir, artifacts):
         json.dumps({"decay": dec.as_dict(), "norms": nrm.as_dict()}, indent=2, sort_keys=True),
         artifacts,
     )
-    return {"potential": cfg["potential"], "T": T, "snapshots": cfg["snapshots"], "gap": op.spectral_gap}, violations
+    resolved = {"potential": cfg["potential"], "T": T, "snapshots": cfg["snapshots"], "gap": op.spectral_gap}
+    return resolved, violations, {**op.health, **res.health}
 
 
 def _cmd_gibbs(cfg, out_dir, artifacts):
@@ -414,7 +422,7 @@ def _cmd_gibbs(cfg, out_dir, artifacts):
     violations = []
     if result.tv_report.tv > cfg["eps"]:
         violations.append(f"pipeline TV {result.tv_report.tv:.4f} exceeded eps {cfg['eps']}")
-    return result.resolved, violations
+    return result.resolved, violations, result.health
 
 
 def _cmd_analyze(cfg, out_dir, artifacts):
@@ -453,7 +461,7 @@ def _cmd_analyze(cfg, out_dir, artifacts):
         artifacts,
     )
     violations = [f"tail mass exceeded bound at t={row['t']}" for row in tails if row["mass"] > row["mass_bound"]]
-    return {"potential": cfg["potential"], "C": params.C, "a": params.a}, violations
+    return {"potential": cfg["potential"], "C": params.C, "a": params.a}, violations, {}
 
 
 def _cmd_witness(cfg, out_dir, artifacts):
@@ -466,7 +474,7 @@ def _cmd_witness(cfg, out_dir, artifacts):
         violations.append("witness discretizations disagree beyond 1e-12")
     if not rep.separated:
         violations.append("witness TV fell below the adversary floor")
-    return {"a": cfg["a"], "theta": cfg["theta"], "N": cfg["N"], "tv": rep.tv, "floor": rep.tv_floor}, violations
+    return {"a": cfg["a"], "theta": cfg["theta"], "N": cfg["N"], "tv": rep.tv, "floor": rep.tv_floor}, violations, {}
 
 
 def _cmd_mean(cfg, out_dir, artifacts):
@@ -489,7 +497,7 @@ def _cmd_mean(cfg, out_dir, artifacts):
         violations.append("sample mean more than 4 standard errors from the quadrature value")
     resolved = dict(result.resolved)
     resolved.update({"observable": "cos", "samples": cfg["samples"]})
-    return resolved, violations
+    return resolved, violations, result.health
 
 
 _COMMANDS = {
@@ -512,10 +520,10 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.get("out") or "torusfp-out")
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts: list = []
-        resolved, violations = _COMMANDS[args.command](cfg, out_dir, artifacts)
+        resolved, violations, health = _COMMANDS[args.command](cfg, out_dir, artifacts)
         resolved = dict(resolved)
         resolved["violations"] = violations
-        _manifest(out_dir, cfg, resolved, artifacts, started)
+        _manifest(out_dir, cfg, resolved, health, artifacts, started)
     except TorusFpError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_EXIT

@@ -1,21 +1,26 @@
-"""Exact evolution u(t) = e^{Lt} u(0), mixing-time selection, and decay
+"""Evolution u(t) = e^{Lt} u(0), mixing-time selection, and decay
 diagnostics.
 
-``FpOperator.propagate`` applies the propagator mode by mode, so there is no
-time-stepping error and every bound check isolates discretization error.
-The decay and norm reports are ``torusfp.report.Report`` dataclasses; the
-trace table is written with ``csv_text``.
+``evolve`` calls the operator's ``propagate``.  For d = 1 the dense
+``FpOperator`` applies the propagator mode by mode, so there is no
+time-stepping error and every bound check isolates discretization error.  For
+d >= 2 the ``MatrixFreeOperator`` keeps the kernel component exactly and
+approximates the rest in a Krylov space, to an a posteriori error bound of
+``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)|| in the symmetrized frame;
+``EvolutionResult.health`` carries its step count and bound.  The decay and
+norm reports are ``torusfp.report.Report`` dataclasses; the trace table is
+written with ``csv_text``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .generator import FpOperator, build_generator
+from .generator import Operator, build_generator
 from .lattice import GridField, make_lattice
 from .report import Report, csv_text
 
@@ -32,13 +37,14 @@ class EvolutionResult:
     inners: np.ndarray          # <1, u(t_i)>
     chi2: np.ndarray | None     # Var_{rho_s}[u(t_i)/rho_s] when requested
     max_principle: np.ndarray   # max_n e^{W[n]} u[n](t_i)
+    health: dict = field(default_factory=dict)  # Krylov steps and error bound, if any
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
 
-def evolve(op: FpOperator, u0: GridField, T: float, snapshots: int = 2, chi2: bool = False) -> EvolutionResult:
+def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2, chi2: bool = False) -> EvolutionResult:
     """Evolve u0 under the generator for time T, recording ``snapshots`` states."""
     if not (math.isfinite(T) and T >= 0):
         raise ValidationError(f"evolution time must be finite and >= 0, got {T}")
@@ -50,11 +56,12 @@ def evolve(op: FpOperator, u0: GridField, T: float, snapshots: int = 2, chi2: bo
     if T == 0:
         times = np.array([0.0])
         states = np.asarray(u0.flat, dtype=float)[None, :].copy()
+        health = {}
     else:
         times = np.linspace(0.0, float(T), snapshots)
         if np.any(np.diff(times) <= 0):
             raise ValidationError(f"T={T} is too short to split into {snapshots} distinct snapshot times")
-        states = op.propagate(np.asarray(u0.flat, dtype=float), times)
+        states, health = op.propagate(np.asarray(u0.flat, dtype=float), times)
 
     w = op.W.flat
     norms = np.linalg.norm(states, axis=1)
@@ -78,6 +85,7 @@ def evolve(op: FpOperator, u0: GridField, T: float, snapshots: int = 2, chi2: bo
         inners=inners,
         chi2=chi2_trace,
         max_principle=max_principle,
+        health=health,
     )
 
 
@@ -116,7 +124,7 @@ class DecayReport(Report):
         return self.fitted_rate >= 2 * self.poincare_floor * (1 - self.slack)
 
 
-def decay_report(op: FpOperator, result: EvolutionResult) -> DecayReport:
+def decay_report(op: Operator, result: EvolutionResult) -> DecayReport:
     """Fit the exponential chi-square decay rate and compare with 2x the gap.
 
     The fitted rate is the least-squares slope of -log chi2(t) over snapshots
@@ -179,7 +187,7 @@ class NormTraceReport(Report):
         return self.inner_drift <= 1e-9
 
 
-def norm_and_max_principle_report(op: FpOperator, result: EvolutionResult) -> NormTraceReport:
+def norm_and_max_principle_report(op: Operator, result: EvolutionResult) -> NormTraceReport:
     """Norm and mass traces for the all-ones initial state, plus the discrete
     max-principle diagnostic (monotonicity violations are warnings only: the
     continuous proof does not transfer to the spectral discretization)."""

@@ -1,5 +1,5 @@
-"""Dense assembly and spectral analysis of the discretized Fokker-Planck
-generator  L f = div~( e^{-W} grad~( e^{W} f ) ).
+"""The discretized Fokker-Planck generator  L f = div~( e^{-W} grad~( e^{W} f ) ),
+its spectral gap, its propagator, and its structure checks.
 
 W is the potential actually evolved; the sampling pipeline uses W = E/2 so
 that squared state amplitudes target e^{-E}.  The axis derivatives D_j are
@@ -9,21 +9,34 @@ factors as
     L' = -sum_j B_j^T B_j,    B_j = diag(e^{-W/2}) D_j diag(e^{W/2}),
 
 an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
-is spanned by e^{-W/2} (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1 = 0).  L' is the only
-operator stored; L is derived from it on demand.  Since the kernel is known,
-its eigenpair is pinned to (0, e^{-W/2} / ||e^{-W/2}||) after diagonalization.
-``FpOperator.propagate`` applies e^{Lt} through that eigendecomposition, so
-callers never handle the eigenvectors themselves.
+is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
+= 0).  L is derived from L' on demand.
 
-The structure checks compare the condition number of the eigenvector basis
-(max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
-with their bounds; their reports serialize through :mod:`torusfp.report`.
+``build_generator`` picks the backend by dimension:
+
+- d = 1: :class:`FpOperator` stores the dense L' and its eigendecomposition,
+  with the kernel eigenpair pinned to (0, q0).  ``propagate`` applies e^{Lt}
+  mode by mode, with no time-stepping error.
+- d >= 2: :class:`MatrixFreeOperator` stores only W and the (2N+1)-point axis
+  derivative, and applies L' one axis at a time.  The gap comes from Lanczos
+  on the complement of q0 (Saad, SIAM J. Numer. Anal. 29, 1992), to a Ritz
+  residual of GAP_RTOL.  ``propagate`` keeps the q0 component exactly and
+  advances the rest in a Krylov space (Hochbruck & Lubich, SIAM J. Numer.
+  Anal. 34, 1997) until an a posteriori error bound meets KRYLOV_RTOL.  The
+  dense L', L and spectrum are assembled only when asked for.
+
+Both record their numerical health (backend, Lanczos steps, gap residual) in
+``op.health``; ``propagate`` returns the Krylov steps and error bound of its
+run next to the states.  The structure checks compare the condition number of
+the eigenvector basis (max(u)/min(u) in closed form), the spectral norm of L
+and the spectral gap with their bounds; their reports serialize through
+:mod:`torusfp.report`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,21 +44,32 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import DENSE_CAP, GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import derivative_matrix
+from .spectral import derivative_axis_matrix, derivative_matrix
+
+EPS = np.finfo(float).eps
+#: The gap iteration stops once the Ritz residual r of its top Ritz value,
+#: which bounds |theta - lambda| for some eigenvalue lambda, falls to
+#: GAP_RTOL |theta|, or to the rounding level eps ||L'||.
+GAP_RTOL = 1e-12
+#: The propagation stops once its a posteriori bound on the error, in the
+#: symmetrized frame and at the largest time, falls to KRYLOV_RTOL ||U^{-1} v||.
+KRYLOV_RTOL = 1e-12
+#: Lanczos runs test for convergence every this many steps, and every m / 8
+#: steps past m = 64, so that the O(m^3) tests stay below the run's own cost.
+CHECK_EVERY = 8
+#: Gauss-Legendre nodes per interval of the error-bound quadrature.
+GAUSS_NODES = 16
 
 
-@dataclass
-class FpOperator:
-    """The symmetrized generator with its eigendecomposition."""
+class Operator:
+    """The generator as its callers see it, whichever the backend.
 
-    lattice: TorusLattice
-    potential: EnergyPotential
-    halve: bool
-    W: GridField          # evolved potential on the grid (E/2 when halve)
-    symmetrized: np.ndarray  # L' = U^{-1} L U, exactly symmetric
-    eigenvalues: np.ndarray  # of L', sorted descending, eigenvalues[0] = 0 exactly
-    eigenvectors: np.ndarray  # orthonormal columns matching eigenvalues
-    delta_W: float        # grid diameter of W
+    Both backends carry ``lattice``, ``potential``, ``halve``, ``W``,
+    ``delta_W``, ``spectral_gap``, ``health`` (a dict for the run manifest),
+    ``symmetrized`` (L'), ``eigenvalues`` and ``propagate(v, times)``, which
+    returns the states as rows and the health of the propagation; what
+    follows derives from W and L' alone.
+    """
 
     @property
     def size(self) -> int:
@@ -57,6 +81,11 @@ class FpOperator:
         return np.exp(-self.W.flat / 2)
 
     @property
+    def stationary(self) -> np.ndarray:
+        """Grid of e^{-W}, the kernel direction of L (unnormalized)."""
+        return np.exp(-self.W.flat)
+
+    @property
     def matrix(self) -> np.ndarray:
         """L = U L' U^{-1}, derived on each access."""
         u = self.u_diag
@@ -64,33 +93,243 @@ class FpOperator:
         L *= u[:, None]
         return L
 
+    def kernel_vector(self) -> np.ndarray:
+        """Unit eigenvector of L' at eigenvalue zero: e^{-W/2} normalized."""
+        u = self.u_diag
+        return u / np.linalg.norm(u)
+
+
+@dataclass
+class FpOperator(Operator):
+    """The dense symmetrized generator with its eigendecomposition (d = 1)."""
+
+    lattice: TorusLattice
+    potential: EnergyPotential
+    halve: bool
+    W: GridField          # evolved potential on the grid (E/2 when halve)
+    symmetrized: np.ndarray  # L' = U^{-1} L U, exactly symmetric
+    eigenvalues: np.ndarray  # of L', sorted descending, eigenvalues[0] = 0 exactly
+    eigenvectors: np.ndarray  # orthonormal columns matching eigenvalues
+    delta_W: float        # grid diameter of W
+    health: dict = field(default_factory=lambda: {"backend": "dense"})
+
     @property
     def spectral_gap(self) -> float:
         return float(-self.eigenvalues[1])
 
-    @property
-    def stationary(self) -> np.ndarray:
-        """Grid of e^{-W}, the kernel direction of L (unnormalized)."""
-        return np.exp(-self.W.flat)
-
-    def kernel_vector(self) -> np.ndarray:
-        """Unit eigenvector of L' at eigenvalue zero."""
-        return self.eigenvectors[:, 0]
-
-    def propagate(self, v: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1}."""
+    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
+        """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1},
+        and the (empty) health of that exact propagation."""
         u = self.u_diag
         modal0 = self.eigenvectors.T @ (v / u)
         out = np.empty((len(times), self.size))
         for i, t in enumerate(times):
             out[i] = u * (self.eigenvectors @ (np.exp(self.eigenvalues * t) * modal0))
-        return out
+        return out, {}
 
 
-def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> FpOperator:
-    """Assemble L' = -sum_j B_j^T B_j and diagonalize it.
+@dataclass
+class MatrixFreeOperator(Operator):
+    """The symmetrized generator applied axis by axis (d >= 2).
 
-    ``halve`` selects W = E/2 (the pipeline default) or W = E.
+    L' x = -sum_j B_j^T B_j x costs 2d products with the (2N+1)-point axis
+    derivative, O(n (2N+1) d) in all.  ``spectral_gap`` comes from Lanczos
+    and ``propagate`` from a Krylov space; the dense ``symmetrized``,
+    ``matrix`` and ``eigenvalues`` are assembled, O(n^2) memory and O(n^3)
+    time, on each access.
+    """
+
+    lattice: TorusLattice
+    potential: EnergyPotential
+    halve: bool
+    W: GridField          # evolved potential on the grid (E/2 when halve)
+    delta_W: float        # grid diameter of W
+    axis_derivative: np.ndarray  # (2N+1) x (2N+1) derivative along one axis
+    spectral_gap: float = math.nan
+    health: dict = field(default_factory=dict)
+
+    @property
+    def symmetrized(self) -> np.ndarray:
+        """Dense L', assembled on each access."""
+        return np.negative(_negated_symmetrized(self.lattice, self.u_diag))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Dense spectrum of L', sorted descending, with the kernel pinned at 0."""
+        ev = -np.linalg.eigvalsh(_negated_symmetrized(self.lattice, self.u_diag))
+        ev[0] = 0.0
+        return ev
+
+    def scaled_derivatives(self, x: np.ndarray) -> list:
+        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays."""
+        u = self.u_diag.reshape(self.lattice.shape)
+        y = x.reshape(u.shape) / u
+        return [u * _along_axis(self.axis_derivative, y, j) for j in range(self.lattice.d)]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L' x = -sum_j B_j^T B_j x for a flat vector x."""
+        u = self.u_diag.reshape(self.lattice.shape)
+        Dt = self.axis_derivative.T
+        acc = sum(_along_axis(Dt, u * b, j) for j, b in enumerate(self.scaled_derivatives(x)))
+        return -(acc / u).reshape(-1)
+
+    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
+        """Rows e^{L t_i} v and the health of the Krylov approximation.
+
+        With x = U^{-1} v = c q0 + r, the kernel part c q0 is kept exactly
+        and e^{L' t} r is approximated in one Krylov space of r, grown until
+        the bound ||r|| beta_m int_0^{t_max} |e_m^T e^{s T_m} e_1| ds on the
+        error (L' <= 0 on q0-perp makes it rigorous in exact arithmetic, and
+        it grows with t) falls to KRYLOV_RTOL ||x||.  The space depends only
+        on v and max(times); each time is evaluated on its own.
+        """
+        u = self.u_diag
+        q0 = u / np.linalg.norm(u)
+        x = v / u
+        c = q0 @ x
+        rest = x - c * q0
+        r0 = float(np.linalg.norm(rest))
+        scale = float(np.linalg.norm(x))
+        t_max = float(max(times))
+        out = np.empty((len(times), self.size))
+        # both e^{L' t} r and its approximation have norm <= ||r||, so the
+        # error never exceeds 2 ||r||: a small enough rest needs no space
+        if 2 * r0 <= KRYLOV_RTOL * scale:
+            out[:] = u * (c * q0)
+            return out, {"krylov_steps": 0, "krylov_error": 2 * r0 / scale if scale else 0.0}
+
+        def bound(alpha, beta):
+            return min(r0 * _krylov_bound(alpha, beta, t_max), 2 * r0)
+
+        basis, alpha, beta = _lanczos(self.apply, q0, rest / r0, lambda a, b: bound(a, b) <= KRYLOV_RTOL * scale)
+        theta, S = _ritz(alpha, beta)
+        for i, t in enumerate(times):
+            y = S @ (np.exp(theta * t) * S[0])
+            out[i] = u * (c * q0 + r0 * (basis.T @ y))
+        return out, {"krylov_steps": len(alpha), "krylov_error": float(bound(alpha, beta) / scale)}
+
+
+def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """mat applied to the index of ``y`` along ``axis``."""
+    return np.moveaxis(np.tensordot(mat, y, axes=(1, axis)), 0, axis)
+
+
+def _negated_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
+    """K = -L' = sum_j B_j^T B_j.  numpy computes B^T @ B as a symmetric
+    rank-k update, so K is exactly symmetric."""
+    K = np.zeros((lattice.size, lattice.size))
+    for j in range(lattice.d):
+        B = derivative_matrix(lattice, j)
+        B *= u[:, None]
+        B /= u[None, :]
+        K += B.T @ B
+    return K
+
+
+def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """Eigenvalues (ascending) and eigenvectors of the Lanczos tridiagonal."""
+    T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    return np.linalg.eigh(T)
+
+
+def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
+    """Lanczos on the orthogonal complement of the unit vector ``q0``.
+
+    ``start`` is a unit vector orthogonal to q0.  Each new direction is
+    reorthogonalized twice against the whole basis and then against q0, so
+    rounding cannot bring the kernel back however long the run.  Stops when
+    ``converged(alpha, beta)`` holds (asked on the CHECK_EVERY schedule),
+    when the space is invariant, or after n - 1 steps, when it fills q0-perp.
+    Returns the basis as rows, the diagonal alpha and the off-diagonal beta
+    (its last entry couples the basis to the next direction).
+    """
+    n = len(start)
+    steps = n - 1
+    basis = np.empty((min(steps, 4 * CHECK_EVERY), n))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    q = start
+    check = CHECK_EVERY
+    for k in range(steps):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, steps - k), n))])
+        basis[k] = q
+        w = apply(q)
+        alpha[k] = q @ w
+        w -= alpha[k] * q
+        if k:
+            w -= beta[k - 1] * basis[k - 1]
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+            w -= (q0 @ w) * q0
+        beta[k] = np.linalg.norm(w)
+        m = k + 1
+        if m == steps or beta[k] == 0.0:
+            return basis[:m], alpha[:m], beta[:m]
+        if m == check:
+            if converged(alpha[:m], beta[:m]):
+                return basis[:m], alpha[:m], beta[:m]
+            check += max(CHECK_EVERY, m // 8)
+        q = w / beta[k]
+
+
+def _lanczos_gap(op: MatrixFreeOperator) -> tuple:
+    """The spectral gap by Lanczos on q0-perp, with the health of the run.
+
+    The start vector is a fixed pseudo-random one: a start built from W would
+    share the potential's symmetries and miss the modes that break them.  The
+    run stops once the Ritz residual beta_m |s_m| of the top Ritz value meets
+    GAP_RTOL, or eps max|alpha| (about eps ||L'||), below which it measures
+    rounding rather than convergence.  The gap is then the Rayleigh quotient
+    sum_j ||B_j y||^2 / ||y||^2 of the Ritz vector y: a sum of squares, it
+    keeps about eps sqrt(||L'|| / gap) relative accuracy where the Ritz value
+    itself keeps only eps ||L'|| / gap.
+    """
+    q0 = op.kernel_vector()
+    start = np.random.default_rng(0).standard_normal(op.size)
+    start -= (q0 @ start) * q0
+    start /= np.linalg.norm(start)
+
+    def top_ritz(alpha, beta):
+        theta, S = _ritz(alpha, beta)
+        return theta[-1], S[:, -1], beta[-1] * abs(S[-1, -1])
+
+    def converged(alpha, beta):
+        theta, _, residual = top_ritz(alpha, beta)
+        return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
+
+    basis, alpha, beta = _lanczos(op.apply, q0, start, converged)
+    _, s, residual = top_ritz(alpha, beta)
+    y = basis.T @ s
+    gap = sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
+    return gap, {"backend": "matrix-free", "lanczos_steps": len(alpha), "gap_residual": float(residual)}
+
+
+def _krylov_bound(alpha: np.ndarray, beta: np.ndarray, t: float) -> float:
+    """beta_m int_0^t |e_m^T e^{s T_m} e_1| ds by Gauss-Legendre quadrature
+    on intervals graded geometrically toward s = 0, where the fastest Ritz
+    modes live on the scale 1 / max|theta|."""
+    if t == 0.0:
+        return 0.0
+    theta, S = _ritz(alpha, beta)
+    weights = S[-1] * S[0]
+    levels = max(0, math.ceil(math.log2(max(t * abs(theta[0]), 1.0)))) + 4
+    edges = t * np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1)])
+    nodes, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    s = ((hi - lo) * (nodes + 1) / 2 + lo).reshape(-1)
+    ds = ((hi - lo) * w / 2).reshape(-1)
+    f = np.exp(np.outer(s, theta)) @ weights
+    return float(beta[-1] * (ds @ np.abs(f)))
+
+
+def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> Operator:
+    """The generator of W = E/2 (``halve``, the pipeline default) or W = E.
+
+    For d = 1 the result is the dense :class:`FpOperator`: the axis matrix is
+    the whole matrix, and Lanczos would need about n steps.  For d >= 2 it is
+    the :class:`MatrixFreeOperator`, whose gap is computed here by Lanczos.
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, dense cap is {DENSE_CAP}")
@@ -101,17 +340,22 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     w_vals = e_grid.values / 2 if halve else e_grid.values
     W = GridField(lattice, w_vals, is_real=True)
     w = W.flat
-    u = np.exp(-w / 2)  # U diagonal, the kernel direction of L'
+    delta_W = float(w.max() - w.min())
 
-    # K = -L' = sum_j B_j^T B_j; numpy computes B^T @ B as a symmetric
-    # rank-k update, so K is exactly symmetric.
-    K = np.zeros((lattice.size, lattice.size))
-    for j in range(lattice.d):
-        B = derivative_matrix(lattice, j)
-        B *= u[:, None]
-        B /= u[None, :]
-        K += B.T @ B
-    del B  # one n x n array less during eigh
+    if lattice.d >= 2:
+        op = MatrixFreeOperator(
+            lattice=lattice,
+            potential=E,
+            halve=halve,
+            W=W,
+            delta_W=delta_W,
+            axis_derivative=derivative_axis_matrix(lattice),
+        )
+        op.spectral_gap, op.health = _lanczos_gap(op)
+        return op
+
+    u = np.exp(-w / 2)  # U diagonal, the kernel direction of L'
+    K = _negated_symmetrized(lattice, u)
 
     # eigh sorts K ascending, which is L' descending.  The kernel is known
     # exactly, so its eigenpair is pinned rather than taken from eigh: the
@@ -134,7 +378,7 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
         symmetrized=K,
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
-        delta_W=float(w.max() - w.min()),
+        delta_W=delta_W,
     )
 
 
@@ -154,7 +398,7 @@ class OperatorNormReport(Report):
         return self.measured <= self.bound * (1 + 1e-9)
 
 
-def operator_norm_check(op: FpOperator) -> OperatorNormReport:
+def operator_norm_check(op: Operator) -> OperatorNormReport:
     """Spectral norm of L against d N^2/l^2 min(4 pi^2 + 2606 D (ln N)^2, 4 pi^2 e^D)."""
     lat = op.lattice
     if lat.N <= 3:
@@ -178,7 +422,7 @@ class ConditionNumberReport(Report):
         return self.kappa <= self.bound * (1 + 1e-10)
 
 
-def condition_number_check(op: FpOperator) -> ConditionNumberReport:
+def condition_number_check(op: Operator) -> ConditionNumberReport:
     """kappa of V = U Q, the diagonalizing similarity L = V D V^{-1}.
 
     Q is orthogonal, so the singular values of V are those of the diagonal
@@ -200,7 +444,7 @@ class PoincareReport(Report):
         return self.gap >= self.floor * (1 - self.slack)
 
 
-def poincare_report(op: FpOperator) -> PoincareReport:
+def poincare_report(op: Operator) -> PoincareReport:
     """Discrete spectral gap against the universal floor 4 pi^2 / (l^2 e^D)."""
     floor = 4 * math.pi**2 / (op.lattice.l**2 * math.exp(op.delta_W))
     return PoincareReport(gap=op.spectral_gap, floor=floor)
@@ -210,5 +454,5 @@ def poincare_report(op: FpOperator) -> PoincareReport:
 # exports
 
 
-def spectrum_to_csv(op: FpOperator) -> str:
+def spectrum_to_csv(op: Operator) -> str:
     return csv_text(["index", "eigenvalue"], ([i, repr(float(lam))] for i, lam in enumerate(op.eigenvalues)))

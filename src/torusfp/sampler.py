@@ -280,6 +280,7 @@ class PipelineResult:
     state: GridField     # normalized evolved state on the N-lattice
     upsampled: GridField
     resolved: dict = field(default_factory=dict)
+    health: dict = field(default_factory=dict)  # the operator's and the propagation's
 
 
 def run_pipeline(
@@ -319,7 +320,8 @@ def run_pipeline(
     resolved["T"] = float(T)
 
     ones = GridField(lattice, np.ones(lattice.shape), is_real=True)
-    final = evolve(op, ones, T).final
+    evolution = evolve(op, ones, T)
+    final = evolution.final
     state = GridField(lattice, (final / np.linalg.norm(final)).reshape(lattice.shape), is_real=True)
 
     if M is None:
@@ -355,6 +357,7 @@ def run_pipeline(
         state=state,
         upsampled=upsampled,
         resolved=resolved,
+        health={**op.health, **evolution.health},
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,6 +124,42 @@ def test_mean_subcommand(tmp_path):
     assert abs(doc["mean"] - doc["exact"]) <= 4 * doc["stderr"]
 
 
+HEALTH_RUNS = {
+    "gibbs": ["gibbs", "--d", "2", "--N", "6", "--M", "6", "--samples", "100", "--seed", "1"],
+    "evolve": ["evolve", "--d", "2", "--N", "4", "--snapshots", "4"],
+    "spectrum": ["spectrum", "--d", "2", "--N", "4"],
+}
+OPERATOR_HEALTH = {"backend", "lanczos_steps", "gap_residual"}
+PROPAGATION_HEALTH = {"krylov_steps", "krylov_error"}
+
+
+@pytest.mark.parametrize("command", sorted(HEALTH_RUNS))
+def test_manifest_health_block(tmp_path, command):
+    out = tmp_path / command
+    assert run_cli(HEALTH_RUNS[command] + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    health = manifest["health"]
+    assert health["backend"] == "matrix-free"
+    expected = OPERATOR_HEALTH if command == "spectrum" else OPERATOR_HEALTH | PROPAGATION_HEALTH
+    assert set(health) == expected
+    assert health["lanczos_steps"] > 0 and health["gap_residual"] >= 0
+    # health describes how the numbers were computed: it stays out of the
+    # config, its hash and the other artifacts
+    canonical = json.dumps(dict(sorted(manifest["config"].items())), sort_keys=True)
+    assert manifest["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+    assert not set(manifest["config"]) & set(health)
+    for name in manifest["artifacts"]:
+        text = (out / name).read_text()
+        assert "lanczos" not in text and "krylov" not in text and "backend" not in text, name
+
+
+def test_manifest_health_for_the_dense_backend(tmp_path):
+    assert run_cli(["gibbs", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
+    assert json.loads((tmp_path / "g" / "run-manifest.json").read_text())["health"] == {"backend": "dense"}
+    assert run_cli(["witness", "--N", "5", "--out", str(tmp_path / "w")]) == 0
+    assert "health" not in json.loads((tmp_path / "w" / "run-manifest.json").read_text())
+
+
 def test_validation_exit_code(tmp_path):
     code = run_cli(
         ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "9999", "--samples", "10", "--seed", "1",
@@ -156,6 +193,7 @@ MALFORMED = [
     (["gibbs", "--seed", "1"], {"eps": "x"}, "eps='x'"),
     (["gibbs", "--seed", "1"], {"d": "2"}, "d='2'"),
     (["gibbs", "--seed", "1"], [{"N": 8}], "JSON object"),
+    (["interpolate"], {"family": "foo", "z": 3.0, "M": 40}, "family must be expcos or invcos, got 'foo'"),
 ]
 
 
