@@ -25,12 +25,15 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
   Anal. 34, 1997) until an a posteriori error bound meets KRYLOV_RTOL.  The
   dense L', L and spectrum are assembled only when asked for.
 
-Both record their numerical health (backend, Lanczos steps, gap residual) in
-``op.health``; ``propagate`` returns the Krylov steps and error bound of its
-run next to the states.  The structure checks compare the condition number of
-the eigenvector basis (max(u)/min(u) in closed form), the spectral norm of L
-and the spectral gap with their bounds; their reports serialize through
-:mod:`torusfp.report`.
+Both apply L' through ``op.apply(x)`` and record their numerical health
+(backend, Lanczos steps, gap residual) in ``op.health``; ``propagate`` returns
+the Krylov steps and error bound of its run next to the states.  The structure
+checks compare the condition number of the eigenvector basis (max(u)/min(u) in
+closed form), the spectral norm of L and the spectral gap with their bounds;
+their reports serialize through :mod:`torusfp.report`.  The norm ||L||_2 is
+the square root of the top eigenvalue of L^T L = U^{-1} L' U^2 L' U^{-1},
+found by Lanczos through ``op.apply`` to a Ritz residual of NORM_RTOL
+relative, with neither the dense L nor an SVD.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ GAP_RTOL = 1e-12
 #: The propagation stops once its a posteriori bound on the error, in the
 #: symmetrized frame and at the largest time, falls to KRYLOV_RTOL ||U^{-1} v||.
 KRYLOV_RTOL = 1e-12
+#: The norm iteration stops once the Ritz residual of its top Ritz value theta
+#: of L^T L falls to NORM_RTOL theta; ||L||_2 = sqrt(theta) is then good to
+#: about NORM_RTOL / 2 relative, and in practice to rounding.
+NORM_RTOL = 1e-12
 #: Lanczos runs test for convergence every this many steps, and every m / 8
 #: steps past m = 64, so that the O(m^3) tests stay below the run's own cost.
 CHECK_EVERY = 8
@@ -66,9 +73,9 @@ class Operator:
 
     Both backends carry ``lattice``, ``potential``, ``halve``, ``W``,
     ``delta_W``, ``spectral_gap``, ``health`` (a dict for the run manifest),
-    ``symmetrized`` (L'), ``eigenvalues`` and ``propagate(v, times)``, which
-    returns the states as rows and the health of the propagation; what
-    follows derives from W and L' alone.
+    ``symmetrized`` (L'), ``apply(x)`` (L' x), ``eigenvalues`` and
+    ``propagate(v, times)``, which returns the states as rows and the health
+    of the propagation; what follows derives from W and L' alone.
     """
 
     @property
@@ -116,6 +123,10 @@ class FpOperator(Operator):
     @property
     def spectral_gap(self) -> float:
         return float(-self.eigenvalues[1])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L' x for a flat vector x."""
+        return self.symmetrized @ x
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
         """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1},
@@ -232,6 +243,22 @@ def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     return np.linalg.eigh(T)
 
 
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """The largest Ritz value, its eigenvector in the Lanczos basis and its
+    Ritz residual beta_m |s_m|."""
+    theta, S = _ritz(alpha, beta)
+    return theta[-1], S[:, -1], beta[-1] * abs(S[-1, -1])
+
+
+def _random_start(q0: np.ndarray) -> np.ndarray:
+    """A fixed pseudo-random unit vector orthogonal to the unit vector q0: a
+    start built from W would share the potential's symmetries and miss the
+    modes that break them."""
+    start = np.random.default_rng(0).standard_normal(len(q0))
+    start -= (q0 @ start) * q0
+    return start / np.linalg.norm(start)
+
+
 def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     """Lanczos on the orthogonal complement of the unit vector ``q0``.
 
@@ -277,9 +304,8 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
 def _lanczos_gap(op: MatrixFreeOperator) -> tuple:
     """The spectral gap by Lanczos on q0-perp, with the health of the run.
 
-    The start vector is a fixed pseudo-random one: a start built from W would
-    share the potential's symmetries and miss the modes that break them.  The
-    run stops once the Ritz residual beta_m |s_m| of the top Ritz value meets
+    The start vector is the fixed pseudo-random :func:`_random_start`.  The run
+    stops once the Ritz residual beta_m |s_m| of the top Ritz value meets
     GAP_RTOL, or eps max|alpha| (about eps ||L'||), below which it measures
     rounding rather than convergence.  The gap is then the Rayleigh quotient
     sum_j ||B_j y||^2 / ||y||^2 of the Ritz vector y: a sum of squares, it
@@ -287,20 +313,13 @@ def _lanczos_gap(op: MatrixFreeOperator) -> tuple:
     itself keeps only eps ||L'|| / gap.
     """
     q0 = op.kernel_vector()
-    start = np.random.default_rng(0).standard_normal(op.size)
-    start -= (q0 @ start) * q0
-    start /= np.linalg.norm(start)
-
-    def top_ritz(alpha, beta):
-        theta, S = _ritz(alpha, beta)
-        return theta[-1], S[:, -1], beta[-1] * abs(S[-1, -1])
 
     def converged(alpha, beta):
-        theta, _, residual = top_ritz(alpha, beta)
+        theta, _, residual = _top_ritz(alpha, beta)
         return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
-    basis, alpha, beta = _lanczos(op.apply, q0, start, converged)
-    _, s, residual = top_ritz(alpha, beta)
+    basis, alpha, beta = _lanczos(op.apply, q0, _random_start(q0), converged)
+    _, s, residual = _top_ritz(alpha, beta)
     y = basis.T @ s
     gap = sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
     return gap, {"backend": "matrix-free", "lanczos_steps": len(alpha), "gap_residual": float(residual)}
@@ -399,16 +418,35 @@ class OperatorNormReport(Report):
 
 
 def operator_norm_check(op: Operator) -> OperatorNormReport:
-    """Spectral norm of L against d N^2/l^2 min(4 pi^2 + 2606 D (ln N)^2, 4 pi^2 e^D)."""
+    """Spectral norm of L against d N^2/l^2 min(4 pi^2 + 2606 D (ln N)^2, 4 pi^2 e^D).
+
+    ||L||_2 is sqrt(theta) for the top Ritz value theta of Lanczos on
+    L^T L = U^{-1} L' U^2 L' U^{-1}, applied through ``op.apply`` on the
+    complement of its kernel e^{-W} from the fixed pseudo-random start, once
+    the Ritz residual meets NORM_RTOL theta.  The step count and the relative
+    Ritz residual go into ``op.health``, not into the report.
+    """
     lat = op.lattice
     if lat.N <= 3:
         raise PreconditionError(f"operator norm bound is stated for N > 3, got N={lat.N}")
-    measured = float(np.linalg.norm(op.matrix, ord=2))
+    u = op.u_diag
+    q0 = u * u / np.linalg.norm(u * u)
+
+    def normal(x):
+        return op.apply(u * u * op.apply(x / u)) / u
+
+    def converged(alpha, beta):
+        theta, _, residual = _top_ritz(alpha, beta)
+        return residual <= NORM_RTOL * theta
+
+    _, alpha, beta = _lanczos(normal, q0, _random_start(q0), converged)
+    theta, _, residual = _top_ritz(alpha, beta)
+    op.health.update(norm_lanczos_steps=len(alpha), norm_residual=float(residual / theta))
     pref = lat.d * lat.N**2 / lat.l**2
     log_branch = pref * (4 * math.pi**2 + 2606 * op.delta_W * math.log(lat.N) ** 2)
     exp_branch = pref * 4 * math.pi**2 * math.exp(op.delta_W)
     return OperatorNormReport(
-        measured=measured, bound=min(log_branch, exp_branch), log_branch=log_branch, exp_branch=exp_branch
+        measured=math.sqrt(theta), bound=min(log_branch, exp_branch), log_branch=log_branch, exp_branch=exp_branch
     )
 
 

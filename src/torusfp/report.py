@@ -3,7 +3,8 @@
 A report is a dataclass that inherits :class:`Report`.  Its JSON form holds
 its fields in declaration order (arrays as lists, nested dataclasses
 expanded), followed by every property the class defines: its verdicts.
-Every CSV artifact is written by :func:`csv_text`.
+Every CSV artifact is written by :func:`csv_text`, except the sample
+batch, whose faster writer yields the same bytes.
 """
 
 from __future__ import annotations

@@ -94,15 +94,16 @@ def kernel_derivative(u: GridField, axis: int, kernel: DerivativeKernel | None =
 
 
 def derivative_axis_matrix(lattice: TorusLattice, order: int = 1) -> np.ndarray:
-    """Dense (2N+1) x (2N+1) matrix of the one-axis derivative of given order."""
+    """Dense (2N+1) x (2N+1) matrix of the one-axis derivative of given order.
+
+    The derivative commutes with cyclic shifts, so the matrix is the circulant
+    mat[r, c] = t[(r - c) mod (2N+1)] of its first column t, the derivative of
+    the unit vector e_0, whose DFT is all ones: t = ifft(multipliers).
+    """
     n = lattice.points_per_axis
-    mult = _multipliers(lattice, order)
-    # column c of the matrix is the derivative of the c-th shifted basis vector
-    eye = np.eye(n, dtype=complex)
-    rolled = np.roll(eye, -lattice.N, axis=0)
-    spec = np.fft.fft(rolled, axis=0) * mult[:, None]
-    mat = np.roll(np.fft.ifft(spec, axis=0), lattice.N, axis=0)
-    return mat.real.copy()
+    t = np.fft.ifft(_multipliers(lattice, order)).real
+    idx = np.arange(n)
+    return t[(idx[:, None] - idx[None, :]) % n]
 
 
 def derivative_matrix(lattice: TorusLattice, axis: int, order: int = 1) -> np.ndarray:

@@ -131,6 +131,7 @@ HEALTH_RUNS = {
 }
 OPERATOR_HEALTH = {"backend", "lanczos_steps", "gap_residual"}
 PROPAGATION_HEALTH = {"krylov_steps", "krylov_error"}
+NORM_HEALTH = {"norm_lanczos_steps", "norm_residual"}
 
 
 @pytest.mark.parametrize("command", sorted(HEALTH_RUNS))
@@ -140,7 +141,7 @@ def test_manifest_health_block(tmp_path, command):
     manifest = json.loads((out / "run-manifest.json").read_text())
     health = manifest["health"]
     assert health["backend"] == "matrix-free"
-    expected = OPERATOR_HEALTH if command == "spectrum" else OPERATOR_HEALTH | PROPAGATION_HEALTH
+    expected = OPERATOR_HEALTH | (NORM_HEALTH if command == "spectrum" else PROPAGATION_HEALTH)
     assert set(health) == expected
     assert health["lanczos_steps"] > 0 and health["gap_residual"] >= 0
     # health describes how the numbers were computed: it stays out of the
@@ -151,6 +152,40 @@ def test_manifest_health_block(tmp_path, command):
     for name in manifest["artifacts"]:
         text = (out / name).read_text()
         assert "lanczos" not in text and "krylov" not in text and "backend" not in text, name
+
+
+def test_spectrum_manifest_records_norm_health(tmp_path):
+    from torusfp.generator import NORM_RTOL
+
+    out = tmp_path / "s"
+    assert run_cli(["spectrum", "--potential", "invcos:z=4", "--N", "40", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    health = manifest["health"]
+    assert set(health) == {"backend"} | NORM_HEALTH
+    assert health["norm_lanczos_steps"] > 0
+    assert 0 <= health["norm_residual"] <= NORM_RTOL
+    # structure.json keeps its three reports and their keys
+    structure = json.loads((out / "structure.json").read_text())
+    assert set(structure) == {"condition_number", "operator_norm", "poincare"}
+    assert set(structure["operator_norm"]) == {"measured", "bound", "log_branch", "exp_branch", "ok"}
+    assert all(report["ok"] for report in structure.values())
+    assert not set(manifest["config"]) & NORM_HEALTH
+
+
+def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
+    from torusfp import generator
+
+    calls = []
+    assemble = generator._negated_symmetrized
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(generator, "_negated_symmetrized", counted)
+    assert run_cli(["spectrum", "--d", "2", "--N", "6", "--out", str(tmp_path / "s")]) == 0
+    assert "operator_norm" in json.loads((tmp_path / "s" / "structure.json").read_text())
+    assert len(calls) == 1
 
 
 def test_manifest_health_for_the_dense_backend(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp.errors import PreconditionError, SizeError
-from torusfp.generator import spectrum_to_csv
+from torusfp.generator import NORM_RTOL, Operator, spectrum_to_csv
 from torusfp.spectral import derivative_matrix, fourier_derivative, laplacian
 
 from conftest import random_band_field, small_mlp
@@ -216,6 +217,32 @@ def test_operator_norm_check():
 
     with pytest.raises(PreconditionError):
         tf.operator_norm_check(tf.build_generator(tf.zero_potential(1, 1.0), tf.make_lattice(1, 3, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "E, N",
+    [
+        (tf.zero_potential(1, 1.0), 20),  # doubly degenerate top singular value
+        (tf.cosine_potential(8.0, 1, 1.0), 30),
+        (tf.cosine_potential(1.0, 2, 1.0), 6),
+        (tf.cosine_potential(2.0, 3, 1.0), 4),
+    ],
+)
+def test_operator_norm_matches_svd_oracle_without_svd(E, N, monkeypatch):
+    op = tf.build_generator(E, tf.make_lattice(E.d, N, E.l))
+    oracle = np.linalg.norm(op.matrix, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the norm check must not use an SVD or the dense L")
+
+    # numpy's norm reaches the SVD through its private module, so patch both
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(importlib.import_module("numpy.linalg._linalg"), "svd", forbidden, raising=False)
+    monkeypatch.setattr(Operator, "matrix", property(forbidden))
+    rep = tf.operator_norm_check(op)
+    assert rep.measured == pytest.approx(oracle, rel=1e-10, abs=0)
+    assert op.health["norm_lanczos_steps"] > 0
+    assert op.health["norm_residual"] <= NORM_RTOL
 
 
 def test_condition_number_check():

@@ -7,6 +7,7 @@ import scipy.stats
 import torusfp as tf
 from torusfp import sampler
 from torusfp.errors import ValidationError
+from torusfp.report import csv_text
 from torusfp.sampler import (
     GibbsDensity,
     box_probabilities,
@@ -112,6 +113,22 @@ def test_sampling_determinism():
     assert b1.to_csv() == b2.to_csv()
     b3 = tf.continuous_sample(psi, 1000, seed=78)
     assert not np.array_equal(b1.points, b3.points)
+
+
+@pytest.mark.parametrize("chunk", [7, 200, sampler.CSV_CHUNK])
+@pytest.mark.parametrize("d", [1, 3])
+def test_samples_csv_matches_csv_text(rng, d, chunk, monkeypatch):
+    monkeypatch.setattr(sampler, "CSV_CHUNK", chunk)
+    l = 1e300
+    points = rng.uniform(-l / 2, l / 2, (200, d)) * 10.0 ** rng.integers(-320, 1, (200, d))
+    # negative zero, the smallest subnormal, a negative subnormal, a huge value
+    points.flat[:4] = [-0.0, 5e-324, -1e-310, 4.9e299]
+    batch = sampler.SampleBatch(points, seed=0, M=1, l=l)
+    header = [f"x{i}" for i in range(d)]
+    expected = csv_text(header, ([repr(float(v)) for v in row] for row in batch.points))
+    assert batch.to_csv().encode() == expected.encode()
+    empty = sampler.SampleBatch(np.empty((0, d)), seed=0, M=1, l=l)
+    assert empty.to_csv() == csv_text(header, [])
 
 
 def test_sample_validation():

@@ -129,6 +129,33 @@ def test_matrix_symmetry():
     assert np.abs(K + K.T).max() <= 1e-10 * np.abs(K).max()
 
 
+def fft_of_identity_axis_matrix(lattice, order):
+    """Reference axis matrix: column c is the FFT derivative of the c-th
+    shifted unit vector, one complex transform pair per column."""
+    n = lattice.points_per_axis
+    mult = (2j * np.pi * np.fft.fftfreq(n, d=1.0 / n) / lattice.l) ** order
+    rolled = np.roll(np.eye(n, dtype=complex), -lattice.N, axis=0)
+    spec = np.fft.fft(rolled, axis=0) * mult[:, None]
+    return np.roll(np.fft.ifft(spec, axis=0), lattice.N, axis=0).real
+
+
+@pytest.mark.parametrize("N", [1, 3, 25, 1023])
+def test_circulant_axis_matrix_matches_references(N):
+    lat = tf.make_lattice(1, N, 1.0, cap=None)
+    for order in (1, 2):
+        D = derivative_axis_matrix(lat, order)
+        ref = fft_of_identity_axis_matrix(lat, order)
+        assert np.abs(D - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the closed-form kernel applied to a unit vector gives its column
+    n = lat.points_per_axis
+    D1 = derivative_axis_matrix(lat, 1)
+    for c in sorted({0, 1, N, n - 1}):
+        unit = np.zeros(n)
+        unit[c] = 1.0
+        column = tf.kernel_derivative(tf.GridField(lat, unit, is_real=True), 0).values
+        assert np.abs(D1[:, c] - column).max() <= 1e-14 * np.abs(D1).max()
+
+
 def test_composability(rng):
     lat = tf.make_lattice(1, 7, 1.0)
     u = tf.GridField(lat, rng.standard_normal(lat.shape), is_real=True)
