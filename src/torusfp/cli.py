@@ -17,6 +17,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import TorusFpError, ValidationError
 from .report import csv_text
@@ -33,133 +34,65 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _add_common(p, seed_required=False):
-    p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its values")
-    p.add_argument("--out", type=str, default=None, help="output directory (default torusfp-out)")
-    p.add_argument("--assert", dest="assert_mode", action="store_true", help="exit 3 on any bound violation")
-    if seed_required:
-        p.add_argument("--seed", type=int, required=True, help="RNG seed (required: stochastic subcommand)")
-    else:
-        p.add_argument("--seed", type=int, default=None)
+class _Option(NamedTuple):
+    """One config key of a subcommand, declared once for its flag and its
+    config-file value.  A ``None`` default leaves the key out of the config
+    unless it is given; a ``bool`` kind is a switch."""
+
+    default: object
+    kind: type
+    help: str | None = None
+    flag: str | None = None  # when not --KEY with "_" as "-"
+    choices: tuple | None = None
+    required: bool = False
+
+
+class _Command(NamedTuple):
+    help: str
+    run: object  # (cfg, out_dir, artifacts) -> (resolved, violations, health)
+    options: dict
+
+
+#: Config keys parsed where they are used: a config file may give them as
+#: numbers or strings, and ``z`` as a list.
+_PARSED_WHERE_USED = frozenset({"M", "T", "z", "n_range"})
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="torusfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("derive-check", help="spectral derivative errors vs envelopes")
-    _add_common(p)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--N-range", dest="n_range", type=str, default=None, help="like 8..64")
-
-    p = sub.add_parser("interpolate", help="sampling-error-vs-N tables for the smooth families")
-    _add_common(p)
-    p.add_argument("--family", choices=["expcos", "invcos"], default=None)
-    p.add_argument("--z", type=str, default=None, help="single value or range like 1..8")
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--emit", type=str, default=None, help="CSV filename for the error table")
-
-    p = sub.add_parser("spectrum", help="generator assembly and structure checks")
-    _add_common(p)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--full-potential", action="store_true", help="evolve W = E instead of E/2")
-
-    p = sub.add_parser("evolve", help="evolution traces and norm reports")
-    _add_common(p)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--T", type=str, default=None, help="time or 'auto'")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--snapshots", type=int, default=None)
-
-    p = sub.add_parser("gibbs", help="end-to-end sampling pipeline")
-    _add_common(p, seed_required=True)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--M", type=str, default=None, help="half-width or 'auto'")
-    p.add_argument("--T", type=str, default=None, help="time or 'auto'")
-    p.add_argument("--auto", action="store_true", help="resolve both T and M automatically")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--M-cap", dest="m_cap", type=int, default=None)
-    p.add_argument("--subcells", type=int, default=None)
-
-    p = sub.add_parser("analyze", help="semi-analyticity profile and tail bounds")
-    _add_common(p)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-
-    p = sub.add_parser("witness", help="aliasing lower-bound witness")
-    _add_common(p)
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-
-    p = sub.add_parser("mean", help="Gibbs mean estimation for a periodic observable")
-    _add_common(p, seed_required=True)
-    p.add_argument("--potential", type=str, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its values")
+        p.add_argument("--assert", dest="assert_mode", action="store_true", help="exit 3 on any bound violation")
+        for key, opt in command.options.items():
+            kind = {"action": "store_true"} if opt.kind is bool else {"type": opt.kind, "choices": opt.choices}
+            flag = opt.flag or "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, default=None, help=opt.help, required=opt.required, **kind)
     return parser
 
 
-_DEFAULTS = {
-    "derive-check": {"z": 2.0, "l": 1.0, "n_range": "8..32", "out": "torusfp-out"},
-    "interpolate": {"family": "expcos", "z": "1..8", "M": 200, "l": 1.0, "emit": "interpolation.csv", "out": "torusfp-out"},
-    "spectrum": {"potential": "cosine:z=1", "d": 1, "N": 16, "l": 1.0, "out": "torusfp-out"},
-    "evolve": {"potential": "cosine:z=1", "d": 1, "N": 16, "l": 1.0, "T": "auto", "eps": 0.05, "snapshots": 20, "out": "torusfp-out"},
-    "gibbs": {"potential": "cosine:z=1", "d": 1, "N": 16, "l": 1.0, "M": "auto", "T": "auto", "eps": 0.05, "samples": 10000, "m_cap": 512, "subcells": 32, "out": "torusfp-out"},
-    "analyze": {"potential": "cosine:z=1", "d": 1, "N": 16, "l": 1.0, "m_max": 10, "out": "torusfp-out"},
-    "witness": {"C": 1.0, "a": 320.0, "theta": 0.5, "N": 10, "l": 1.0, "out": "torusfp-out"},
-    "mean": {"potential": "cosine:z=2", "d": 1, "N": 16, "l": 1.0, "eps": 0.01, "samples": 100000, "out": "torusfp-out"},
-}
-
-
-#: The JSON types of config values the subcommands use as they are.  Flags
-#: arrive typed by the parser, so only a config file can get these wrong;
-#: ``z``, ``T``, ``M`` and ``n_range`` are parsed where they are used.
-_KEY_TYPES = {
-    **dict.fromkeys(("d", "N", "samples", "snapshots", "m_cap", "subcells", "m_max", "seed"), int),
-    **dict.fromkeys(("l", "eps", "C", "a", "theta"), (int, float)),
-    **dict.fromkeys(("potential", "family", "emit", "out"), str),
-}
-
-
 def _resolve_config(args) -> dict:
-    cfg = dict(_DEFAULTS.get(args.command, {}))
+    options = _COMMANDS[args.command].options
+    cfg = {key: opt.default for key, opt in options.items() if opt.default is not None}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
         cfg.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "command", "assert_mode"):
-            continue
-        if value is not None and value is not False:
-            cfg[key] = value
+    flags = vars(args)
+    cfg.update({key: flags[key] for key in options if flags[key] is not None})
+    # flags arrive typed by the parser, so only a config file can get these wrong
     for key, value in cfg.items():
-        kind = _KEY_TYPES.get(key)
-        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        opt = _CHECKED.get(key)
+        if opt is None:
+            continue
+        kind = (int, float) if opt.kind is float else opt.kind
+        if isinstance(value, bool) != (opt.kind is bool) or not isinstance(value, kind):
             raise ValidationError(f"config value {key}={value!r} has the wrong type")
+        if opt.choices and value not in opt.choices:
+            raise ValidationError(f"{key} must be {' or '.join(opt.choices)}, got {value!r}")
     cfg["command"] = args.command
     return cfg
 
@@ -268,7 +201,7 @@ def _manifest(out_dir: Path, cfg: dict, resolved: dict, health: dict, artifacts:
 def _cmd_derive_check(cfg, out_dir, artifacts):
     from .errors import PreconditionError
     from .lattice import make_lattice
-    from .potential import expcos_family
+    from .potential import RESOLUTION_CAP, expcos_family
     from .semianalytic import SemiAnalyticityParams
     from .spectral import derivative_error_report
 
@@ -278,7 +211,7 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
     violations = []
     for N in _parse_range(cfg["n_range"]):
         try:
-            rep = derivative_error_report(u, gu, lu, make_lattice(1, N, cfg["l"], cap=None), params)
+            rep = derivative_error_report(u, gu, lu, make_lattice(1, N, cfg["l"], cap=RESOLUTION_CAP), params)
         except PreconditionError:
             continue
         rows.append(
@@ -295,11 +228,9 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
     import numpy as np
 
     from .lattice import GridField, discretize, make_lattice
-    from .potential import expcos_family, invcos_potential
+    from .potential import RESOLUTION_CAP, expcos_family, invcos_potential
     from .sampler import density_tv_quadrature, normalized_series_distance, upsample
 
-    if cfg["family"] not in ("expcos", "invcos"):
-        raise ValidationError(f"family must be expcos or invcos, got {cfg['family']!r}")
     zs = cfg["z"]
     if isinstance(zs, str) and ".." in zs:
         zs = [float(v) for v in _parse_range(zs)]
@@ -319,7 +250,7 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
             a = max(8.0, 8.0 / (z - 1))
         n_min = math.ceil(max(1.0, a if cfg["family"] == "invcos" else z / 2)) + 2
         for N in range(n_min, n_min + 10):
-            lat = make_lattice(1, N, cfg["l"], cap=None)
+            lat = make_lattice(1, N, cfg["l"], cap=RESOLUTION_CAP)
             fld = discretize(u, lat)
             state = GridField(lat, fld.values / fld.norm(), is_real=True)
             dist = normalized_series_distance(state, u_hat, k_max=max(80, 4 * N))
@@ -427,6 +358,7 @@ def _cmd_gibbs(cfg, out_dir, artifacts):
 
 def _cmd_analyze(cfg, out_dir, artifacts):
     from .lattice import dft, discretize, make_lattice
+    from .potential import RESOLUTION_CAP
     from .semianalytic import (
         bernstein_from_semianalytic,
         fit_params,
@@ -437,7 +369,7 @@ def _cmd_analyze(cfg, out_dir, artifacts):
     )
 
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
-    lat = make_lattice(cfg["d"], cfg["N"], cfg["l"], cap=None)
+    lat = make_lattice(cfg["d"], cfg["N"], cfg["l"], cap=RESOLUTION_CAP)
     import numpy as np
 
     fld = discretize(lambda p: np.exp(-E.evaluate(p)), lat)
@@ -500,15 +432,43 @@ def _cmd_mean(cfg, out_dir, artifacts):
     return resolved, violations, result.health
 
 
+#: Options every subcommand takes, and the groups several of them share.
+_COMMON = {"out": _Option("torusfp-out", str, "output directory (default torusfp-out)"), "seed": _Option(None, int)}
+_SEED = _Option(None, int, "RNG seed (required: stochastic subcommand)", required=True)
+_L = _Option(1.0, float)
+_LATTICE = {"potential": _Option("cosine:z=1", str), "d": _Option(1, int), "N": _Option(16, int), "l": _L}
+_TIME = _Option("auto", str, "time or 'auto'")
+
 _COMMANDS = {
-    "derive-check": _cmd_derive_check,
-    "interpolate": _cmd_interpolate,
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "gibbs": _cmd_gibbs,
-    "analyze": _cmd_analyze,
-    "witness": _cmd_witness,
-    "mean": _cmd_mean,
+    "derive-check": _Command("spectral derivative errors vs envelopes", _cmd_derive_check, {
+        **_COMMON, "z": _Option(2.0, float), "l": _L,
+        "n_range": _Option("8..32", str, "like 8..64", flag="--N-range")}),
+    "interpolate": _Command("sampling-error-vs-N tables for the smooth families", _cmd_interpolate, {
+        **_COMMON, "family": _Option("expcos", str, choices=("expcos", "invcos")),
+        "z": _Option("1..8", str, "single value or range like 1..8"), "M": _Option(200, int), "l": _L,
+        "emit": _Option("interpolation.csv", str, "CSV filename for the error table")}),
+    "spectrum": _Command("generator assembly and structure checks", _cmd_spectrum, {
+        **_COMMON, **_LATTICE, "full_potential": _Option(None, bool, "evolve W = E instead of E/2")}),
+    "evolve": _Command("evolution traces and norm reports", _cmd_evolve, {
+        **_COMMON, **_LATTICE, "T": _TIME, "eps": _Option(0.05, float), "snapshots": _Option(20, int)}),
+    "gibbs": _Command("end-to-end sampling pipeline", _cmd_gibbs, {
+        **_COMMON, "seed": _SEED, **_LATTICE, "M": _Option("auto", str, "half-width or 'auto'"), "T": _TIME,
+        "auto": _Option(None, bool, "resolve both T and M automatically"),
+        "eps": _Option(0.05, float), "samples": _Option(10000, int),
+        "m_cap": _Option(512, int, flag="--M-cap"), "subcells": _Option(32, int)}),
+    "analyze": _Command("semi-analyticity profile and tail bounds", _cmd_analyze, {
+        **_COMMON, **_LATTICE, "m_max": _Option(10, int)}),
+    "witness": _Command("aliasing lower-bound witness", _cmd_witness, {
+        **_COMMON, "C": _Option(1.0, float), "a": _Option(320.0, float), "theta": _Option(0.5, float),
+        "N": _Option(10, int), "l": _L}),
+    "mean": _Command("Gibbs mean estimation for a periodic observable", _cmd_mean, {
+        **_COMMON, "seed": _SEED, **_LATTICE, "potential": _Option("cosine:z=2", str),
+        "eps": _Option(0.01, float), "samples": _Option(100000, int)}),
+}
+#: Every declared key but those parsed where they are used, with the option
+#: whose kind (and choices) its config value must match.
+_CHECKED = {
+    key: opt for command in _COMMANDS.values() for key, opt in command.options.items() if key not in _PARSED_WHERE_USED
 }
 
 
@@ -520,7 +480,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.get("out") or "torusfp-out")
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts: list = []
-        resolved, violations, health = _COMMANDS[args.command](cfg, out_dir, artifacts)
+        resolved, violations, health = _COMMANDS[args.command].run(cfg, out_dir, artifacts)
         resolved = dict(resolved)
         resolved["violations"] = violations
         _manifest(out_dir, cfg, resolved, health, artifacts, started)

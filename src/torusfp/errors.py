@@ -10,7 +10,7 @@ class ValidationError(TorusFpError):
 
 
 class SizeError(TorusFpError):
-    """A lattice or resolution exceeds the dense-matrix cap."""
+    """A lattice, resolution or evaluation count exceeds its cap."""
 
 
 class EvalError(TorusFpError):

@@ -87,7 +87,7 @@ def make_lattice(d: int, N: int, l: float, cap: int | None = DENSE_CAP) -> Torus
         raise ValidationError(f"period l must be positive and finite, got {l!r}")
     size = (2 * int(N) + 1) ** int(d)
     if cap is not None and size > cap:
-        raise SizeError(f"lattice has {size} nodes, exceeding the dense cap {cap}")
+        raise SizeError(f"lattice has {size} nodes, exceeding the cap {cap}")
     return TorusLattice(d=int(d), N=int(N), l=float(l))
 
 

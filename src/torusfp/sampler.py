@@ -24,7 +24,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .evolve import choose_T, evolve
 from .generator import build_generator
 from .lattice import GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
-from .potential import FINE_GRID, EnergyPotential
+from .potential import FINE_GRID, RESOLUTION_CAP, EnergyPotential
 from .report import Report
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
 from .spectral import fourier_derivative
@@ -101,7 +101,7 @@ def upsample(state: GridField, M: int) -> GridField:
     """Zero-pad the centered spectrum from the N-lattice into the M-lattice.
 
     The map F_M^{-1} iota F_N is an isometry; the input must be normalized to
-    unit 2-norm.
+    unit 2-norm.  The M-lattice may hold at most RESOLUTION_CAP nodes.
     """
     lat = state.lattice
     if M < lat.N:
@@ -111,7 +111,7 @@ def upsample(state: GridField, M: int) -> GridField:
         raise ValidationError(f"upsample expects a unit-norm state, got norm {nrm}")
     if M == lat.N:
         return state.copy()
-    target = make_lattice(lat.d, M, lat.l, cap=None)
+    target = make_lattice(lat.d, M, lat.l, cap=RESOLUTION_CAP)
     padded = np.zeros(target.shape, dtype=complex)
     center = tuple(slice(M - lat.N, M + lat.N + 1) for _ in range(lat.d))
     padded[center] = dft(state).coeffs
@@ -282,6 +282,16 @@ def choose_M(delta: float, L_lip: float, l: float, d: int, a: float, C: float, U
     return max(int(M), 1)
 
 
+def _integer_root(n: int, d: int) -> int:
+    """The largest integer r with r**d <= n."""
+    r = round(n ** (1.0 / d))
+    while r**d > n:
+        r -= 1
+    while (r + 1) ** d <= n:
+        r += 1
+    return r
+
+
 @dataclass
 class PipelineResult:
     batch: SampleBatch
@@ -310,9 +320,10 @@ def run_pipeline(
     With T or M left as None they are resolved automatically: T from the
     measured spectral gap (kappa = 1/gap) and the mixing-time formula with the
     full potential diameter; M from the sampling-accuracy formula with
-    parameters fitted to the evolved state's spectrum, capped at M_cap and,
-    for d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d
-    stays within TV_EVAL_CAP, but never below N.
+    parameters fitted to the evolved state's spectrum, capped at M_cap, at
+    the largest M whose (2M+1)^d nodes stay within RESOLUTION_CAP and, for
+    d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d stays
+    within TV_EVAL_CAP, but never below N.
     """
     if subcells < 1:
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
@@ -346,10 +357,9 @@ def run_pipeline(
         resolved.update(
             {"M_mode": "auto", "M_raw": M, "fitted_C": params.C, "fitted_a": params.a, "U_est": U_est, "L_est": L_est}
         )
-        M = min(M, M_cap)
+        M = min(M, M_cap, (_integer_root(RESOLUTION_CAP, E.d) - 1) // 2)
         if E.d <= 2:
-            boxes_per_axis = (TV_EVAL_CAP if E.d == 1 else math.isqrt(TV_EVAL_CAP)) // subcells
-            M = min(M, (boxes_per_axis - 1) // 2)
+            M = min(M, (_integer_root(TV_EVAL_CAP, E.d) // subcells - 1) // 2)
         M = max(M, N)
     else:
         resolved["M_mode"] = "fixed"

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from torusfp.cli import main
+from torusfp import cli, lattice, sampler
+from torusfp.cli import build_parser, main
+from torusfp.potential import RESOLUTION_CAP
 
 
 def run_cli(args):
@@ -229,6 +232,9 @@ MALFORMED = [
     (["gibbs", "--seed", "1"], {"d": "2"}, "d='2'"),
     (["gibbs", "--seed", "1"], [{"N": 8}], "JSON object"),
     (["interpolate"], {"family": "foo", "z": 3.0, "M": 40}, "family must be expcos or invcos, got 'foo'"),
+    # a switch in a config file is a JSON boolean: the string "false" is truthy
+    (["spectrum"], {"full_potential": "false"}, "full_potential='false' has the wrong type"),
+    (["gibbs", "--seed", "1"], {"auto": "false", "M": 20, "T": 0.5}, "auto='false' has the wrong type"),
 ]
 
 
@@ -245,6 +251,53 @@ def test_malformed_number_exit_code(tmp_path, capsys, argv, config, message):
         argv = argv + ["--config", str(path)]
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_switches_take_json_true(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"full_potential": True}))
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert run_cli(["spectrum", "--N", "8", "--full-potential", "--out", str(by_flag)]) == 0
+    assert run_cli(["spectrum", "--N", "8", "--config", str(config), "--out", str(by_file)]) == 0
+    assert (by_flag / "spectrum.csv").read_bytes() == (by_file / "spectrum.csv").read_bytes()
+
+    config.write_text(json.dumps({"auto": True, "M": 20, "T": 0.5}))
+    out = tmp_path / "gibbs"
+    assert run_cli(["gibbs", "--N", "6", "--samples", "50", "--seed", "1", "--config", str(config), "--out", str(out)]) == 0
+    resolved = json.loads((out / "run-manifest.json").read_text())["resolved"]
+    assert resolved["M_mode"] == resolved["T_mode"] == "auto"
+
+
+#: Runs whose lattices exceed the node budget RESOLUTION_CAP.
+PAST_BUDGET = [
+    ["derive-check", "--N-range", "2097152..2097152"],
+    ["interpolate", "--family", "invcos", "--z", "1.000001"],
+    ["interpolate", "--z", "1", "--M", "3000000"],
+    ["analyze", "--d", "3", "--N", "1000"],
+    ["gibbs", "--d", "2", "--N", "5", "--M", "20000", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_BUDGET, ids=[" ".join(argv) for argv in PAST_BUDGET])
+def test_lattices_past_the_node_budget_exit_before_allocating(tmp_path, monkeypatch, capsys, argv):
+    # the coordinates of a lattice come from grid_points and the upsampling
+    # target from make_lattice: either failing here means the run would
+    # have allocated past the budget (analyze --d 3 --N 1000: ~192 GB)
+    grid_points, make_lattice = lattice.grid_points, sampler.make_lattice
+
+    def budgeted_points(*axes):
+        assert math.prod(len(axis) for axis in axes) <= RESOLUTION_CAP, "points past the budget"
+        return grid_points(*axes)
+
+    def budgeted_lattice(*args, **kwargs):
+        lat = make_lattice(*args, **kwargs)
+        assert lat.size <= RESOLUTION_CAP, "upsampling target past the budget"
+        return lat
+
+    monkeypatch.setattr(lattice, "grid_points", budgeted_points)
+    monkeypatch.setattr(sampler, "make_lattice", budgeted_lattice)
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert f"exceeding the cap {RESOLUTION_CAP}" in capsys.readouterr().err
 
 
 def test_assert_mode_exit_code(tmp_path):
@@ -309,6 +362,20 @@ REPRO_CONFIGS = {
 }
 
 
+#: The config_hash of each REPRO_CONFIGS run, which a refactor of the
+#: command line must not move.
+REPRO_CONFIG_HASHES = {
+    "derive-check": "db11a4e052732336fe93dfb51a275a79a11eddfc0e42aba68ac68d1b7906878d",
+    "interpolate": "2ad525d845d46ae14a77fd15b2cfa298a239ce46d85226abdfebc2e7408af4fa",
+    "spectrum": "29a5596e5258a47bdd767ec4e6607dd237fdf785d7a951053cc4a5524b978173",
+    "evolve": "8029db31a47653709ce62cb2b419907f45fb92b2964fbdd690d9955a003306db",
+    "gibbs": "337af27eaf4e2df4fc245c4415c6e940730d659a24ba4e2247cff410f5be9309",
+    "analyze": "4ac02f8471f202915374daa7048da194f5dc70fa9d98eb21770b90c8472dadf6",
+    "witness": "fccf768db10dd2b95648eb9b5159b4518acb447cea48487e597fbfcfb32671c8",
+    "mean": "1f15b12e240d730a2dfe18dfe20c57984c4e72925e4ef9f99cfdff185a572f93",
+}
+
+
 @pytest.mark.parametrize("command", sorted(REPRO_CONFIGS))
 def test_every_subcommand_is_reproducible(tmp_path, command):
     runs = [tmp_path / "a", tmp_path / "b"]
@@ -324,3 +391,57 @@ def test_every_subcommand_is_reproducible(tmp_path, command):
     # the two runs differ only in --out, which the manifest leaves out
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
+    assert m1["config_hash"] == REPRO_CONFIG_HASHES[command]
+
+
+def _flags(command: str) -> dict:
+    """Each config key of a subcommand with the flag the parser gives it."""
+    parser = build_parser()
+    subparser = parser._subparsers._group_actions[0].choices[command]
+    return {action.dest: action.option_strings[0] for action in subparser._actions}
+
+
+#: Every option but a required --seed, which a config file cannot give alone.
+REGISTRY = [(name, key) for name, cmd in cli._COMMANDS.items() for key, opt in cmd.options.items() if not opt.required]
+
+
+@pytest.mark.parametrize("command, key", REGISTRY, ids=[f"{name}:{key}" for name, key in REGISTRY])
+def test_flag_and_config_file_record_the_same_config(tmp_path, monkeypatch, command, key):
+    # the subcommand's body is skipped: the manifest records the config alone
+    entry = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, entry._replace(run=lambda cfg, out_dir, artifacts: ({}, [], {})))
+    opt = entry.options[key]
+    value = {bool: True, int: 7, float: 2.5, str: "x"}[opt.kind] if opt.choices is None else opt.choices[-1]
+    seed = ["--seed", "1"] if entry.options["seed"].required else []
+    flag = _flags(command)[key]
+    manifests = []
+    for via in ("flag", "file"):
+        out = tmp_path / via
+        given = str(out) if key == "out" else value
+        config = tmp_path / f"{via}.json"
+        config.write_text(json.dumps({key: given} if via == "file" else {}))
+        argv = [command, "--config", str(config)] + seed + (["--out", str(out)] if key != "out" else [])
+        if via == "flag":
+            argv += [flag] if opt.kind is bool else [flag, str(given)]
+        assert run_cli(argv) == 0
+        manifests.append(json.loads((out / "run-manifest.json").read_text()))
+    by_flag, by_file = manifests
+    assert by_flag["config"] == by_file["config"]
+    assert by_flag["config_hash"] == by_file["config_hash"]
+    assert key == "out" or by_flag["config"][key] == value
+
+
+def test_unset_flags_parse_to_none():
+    # so that a config file's values keep their precedence over defaults
+    for name, command in cli._COMMANDS.items():
+        seed = ["--seed", "1"] if command.options["seed"].required else []
+        args = vars(build_parser().parse_args([name] + seed))
+        assert all(args[key] is None for key in command.options if key != "seed"), name
+
+
+def test_config_keys_have_one_kind_across_subcommands():
+    kinds = {}
+    for command in cli._COMMANDS.values():
+        for key, opt in command.options.items():
+            if key not in cli._PARSED_WHERE_USED:
+                assert kinds.setdefault(key, opt.kind) is opt.kind, key

@@ -7,6 +7,7 @@ import scipy.stats
 import torusfp as tf
 from torusfp import sampler
 from torusfp.errors import ValidationError
+from torusfp.potential import RESOLUTION_CAP
 from torusfp.report import csv_text
 from torusfp.sampler import (
     GibbsDensity,
@@ -299,6 +300,26 @@ def test_pipeline_auto_M_stays_within_quadrature_cap(monkeypatch):
     assert N <= M
     assert ((2 * M + 1) * subcells) ** 2 <= 2**20
     assert result.resolved["M_raw"] > M  # the clamp was exercised
+
+
+def test_pipeline_auto_M_stays_within_the_node_budget(monkeypatch):
+    # d >= 3 auto-M used to clamp only to M_cap: cosine z=1 at N=3 asks for
+    # M_raw = 3214, so M was 512 and the upsampling target 1025^3 complex
+    # values (17 GB); the run stops at upsample here, before any allocation
+    asked = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(state, M):
+        asked.append(M)
+        raise Stop
+
+    monkeypatch.setattr(sampler, "upsample", stop)
+    with pytest.raises(Stop):
+        tf.run_pipeline(tf.cosine_potential(1.0, 3, 1.0), N=3, count=10, seed=1)
+    (M,) = asked
+    assert (2 * M + 1) ** 3 <= RESOLUTION_CAP < (2 * M + 3) ** 3  # M = 80
 
 
 # ---------------------------------------------------------------------------
