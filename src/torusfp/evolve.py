@@ -2,8 +2,9 @@
 diagnostics.
 
 ``evolve`` calls the operator's ``propagate``.  For d = 1 the dense
-``FpOperator`` applies the propagator mode by mode, so there is no
-time-stepping error and every bound check isolates discretization error.  For
+``FpOperator`` applies the propagator mode by mode, from an eigendecomposition
+it computes on its first propagation and keeps, so there is no time-stepping
+error and every bound check isolates discretization error.  For
 d >= 2 the ``MatrixFreeOperator`` keeps the kernel component exactly and
 approximates the rest in a Krylov space, to an a posteriori error bound of
 ``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)|| in the symmetrized frame;

@@ -14,9 +14,11 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 
 ``build_generator`` picks the backend by dimension:
 
-- d = 1: :class:`FpOperator` stores the dense L' and its eigendecomposition,
-  with the kernel eigenpair pinned to (0, q0).  ``propagate`` applies e^{Lt}
-  mode by mode, with no time-stepping error.
+- d = 1: :class:`FpOperator` stores the dense L' and its spectrum, from a
+  values-only ``eigvalsh`` with the kernel eigenvalue pinned to 0; the gap is
+  read off it.  ``propagate`` computes the eigendecomposition (``eigh``, with
+  the kernel eigenpair pinned to (0, q0)) on its first call, keeps it on the
+  operator, and applies e^{Lt} mode by mode, with no time-stepping error.
 - d >= 2: :class:`MatrixFreeOperator` stores only W and the (2N+1)-point axis
   derivative, and applies L' one axis at a time.  The gap comes from Lanczos
   on the complement of q0 (Saad, SIAM J. Numer. Anal. 29, 1992), to a Ritz
@@ -24,6 +26,8 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
   advances the rest in a Krylov space (Hochbruck & Lubich, SIAM J. Numer.
   Anal. 34, 1997) until an a posteriori error bound meets KRYLOV_RTOL.  The
   dense L', L and spectrum are assembled only when asked for.
+
+Both take the dense spectrum from the same values-only routine.
 
 Both apply L' through ``op.apply(x)`` and record their numerical health
 (backend, Lanczos steps, gap residual) in ``op.health``; ``propagate`` returns
@@ -108,7 +112,13 @@ class Operator:
 
 @dataclass
 class FpOperator(Operator):
-    """The dense symmetrized generator with its eigendecomposition (d = 1)."""
+    """The dense symmetrized generator with its spectrum (d = 1).
+
+    ``eigenvalues`` come from a values-only ``eigvalsh`` at construction, so
+    the gap and the spectrum cost no eigenvectors.  The first ``propagate``
+    runs ``eigh`` once, O(n^3) time and one more n x n array, and keeps the
+    pinned decomposition on the operator for the calls that follow.
+    """
 
     lattice: TorusLattice
     potential: EnergyPotential
@@ -116,9 +126,9 @@ class FpOperator(Operator):
     W: GridField          # evolved potential on the grid (E/2 when halve)
     symmetrized: np.ndarray  # L' = U^{-1} L U, exactly symmetric
     eigenvalues: np.ndarray  # of L', sorted descending, eigenvalues[0] = 0 exactly
-    eigenvectors: np.ndarray  # orthonormal columns matching eigenvalues
     delta_W: float        # grid diameter of W
     health: dict = field(default_factory=lambda: {"backend": "dense"})
+    _modes: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def spectral_gap(self) -> float:
@@ -128,14 +138,37 @@ class FpOperator(Operator):
         """L' x for a flat vector x."""
         return self.symmetrized @ x
 
+    def modes(self) -> tuple:
+        """Eigenvalues (descending) and orthonormal eigenvectors of L', by
+        ``eigh`` on the first call and cached.
+
+        The kernel is known exactly, so its eigenpair is pinned rather than
+        taken from eigh: the computed kernel vector strays from e^{-W/2} by
+        about eps ||L'|| / gap, and every other mode would then carry mass.
+        Projecting the exact kernel out of the other eigenvectors keeps
+        <1, u(t)> fixed to rounding.
+        """
+        if self._modes is None:
+            # eigh sorts -L' ascending, which is L' descending
+            mu, vectors = np.linalg.eigh(-self.symmetrized)
+            values = -mu
+            values[0] = 0.0
+            q0 = self.kernel_vector()
+            vectors[:, 0] = q0
+            vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+            self._modes = values, vectors
+        return self._modes
+
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1},
-        and the (empty) health of that exact propagation."""
+        """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1}
+        with the eigenpairs of :meth:`modes`, and the (empty) health of that
+        exact propagation."""
+        values, vectors = self.modes()
         u = self.u_diag
-        modal0 = self.eigenvectors.T @ (v / u)
+        modal0 = vectors.T @ (v / u)
         out = np.empty((len(times), self.size))
         for i, t in enumerate(times):
-            out[i] = u * (self.eigenvectors @ (np.exp(self.eigenvalues * t) * modal0))
+            out[i] = u * (vectors @ (np.exp(values * t) * modal0))
         return out, {}
 
 
@@ -162,14 +195,12 @@ class MatrixFreeOperator(Operator):
     @property
     def symmetrized(self) -> np.ndarray:
         """Dense L', assembled on each access."""
-        return np.negative(_negated_symmetrized(self.lattice, self.u_diag))
+        return _dense_symmetrized(self.lattice, self.u_diag)
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Dense spectrum of L', sorted descending, with the kernel pinned at 0."""
-        ev = -np.linalg.eigvalsh(_negated_symmetrized(self.lattice, self.u_diag))
-        ev[0] = 0.0
-        return ev
+        """Dense spectrum of L', assembled on each access."""
+        return _dense_spectrum(self.symmetrized)
 
     def scaled_derivatives(self, x: np.ndarray) -> list:
         """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays."""
@@ -225,16 +256,25 @@ def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, y, axes=(1, axis)), 0, axis)
 
 
-def _negated_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
-    """K = -L' = sum_j B_j^T B_j.  numpy computes B^T @ B as a symmetric
-    rank-k update, so K is exactly symmetric."""
-    K = np.zeros((lattice.size, lattice.size))
+def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
+    """Dense L' = -K, K = sum_j B_j^T B_j, negated in place.  numpy computes
+    B^T @ B as a symmetric rank-k update, so L' is exactly symmetric."""
+    K = None
     for j in range(lattice.d):
         B = derivative_matrix(lattice, j)
         B *= u[:, None]
         B /= u[None, :]
-        K += B.T @ B
-    return K
+        K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
+    return np.negative(K, out=K)
+
+
+def _dense_spectrum(symmetrized: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L', sorted descending, by a values-only eigvalsh.  The
+    kernel eigenvalue is known to be 0 and is pinned there: eigvalsh puts it
+    at about eps ||L'||, either sign."""
+    ev = np.linalg.eigvalsh(symmetrized)[::-1]
+    ev[0] = 0.0
+    return ev
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
@@ -346,9 +386,10 @@ def _krylov_bound(alpha: np.ndarray, beta: np.ndarray, t: float) -> float:
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> Operator:
     """The generator of W = E/2 (``halve``, the pipeline default) or W = E.
 
-    For d = 1 the result is the dense :class:`FpOperator`: the axis matrix is
-    the whole matrix, and Lanczos would need about n steps.  For d >= 2 it is
-    the :class:`MatrixFreeOperator`, whose gap is computed here by Lanczos.
+    For d = 1 the result is the dense :class:`FpOperator`, whose spectrum, and
+    so its gap, is computed here by eigvalsh: the axis matrix is the whole
+    matrix, and Lanczos would need about n steps.  For d >= 2 it is the
+    :class:`MatrixFreeOperator`, whose gap is computed here by Lanczos.
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, dense cap is {DENSE_CAP}")
@@ -373,30 +414,14 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
         op.spectral_gap, op.health = _lanczos_gap(op)
         return op
 
-    u = np.exp(-w / 2)  # U diagonal, the kernel direction of L'
-    K = _negated_symmetrized(lattice, u)
-
-    # eigh sorts K ascending, which is L' descending.  The kernel is known
-    # exactly, so its eigenpair is pinned rather than taken from eigh: the
-    # computed kernel vector strays from e^{-W/2} by about eps ||K|| / gap,
-    # and every other mode would then carry mass.  Projecting the exact
-    # kernel out of the other eigenvectors keeps <1, u(t)> fixed to rounding.
-    mu, eigvecs = np.linalg.eigh(K)
-    eigvals = -mu
-    eigvals[0] = 0.0
-    q0 = u / np.linalg.norm(u)
-    eigvecs[:, 0] = q0
-    eigvecs[:, 1:] -= np.outer(q0, q0 @ eigvecs[:, 1:])
-    np.negative(K, out=K)
-
+    symmetrized = _dense_symmetrized(lattice, np.exp(-w / 2))
     return FpOperator(
         lattice=lattice,
         potential=E,
         halve=halve,
         W=W,
-        symmetrized=K,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
+        symmetrized=symmetrized,
+        eigenvalues=_dense_spectrum(symmetrized),
         delta_W=delta_W,
     )
 

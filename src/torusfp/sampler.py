@@ -44,6 +44,10 @@ MC_POINTS = 10**6
 #: largest subcell-evaluation count the quadrature TV will attempt
 TV_EVAL_CAP = 2**27
 
+#: largest midpoint count of the Gibbs normalizer's fine grid: 64^4, so every
+#: d <= 4 grid fits (64^5 points at d = 5 would take 8 GiB of coordinates)
+FINE_POINTS_CAP = 2**24
+
 #: sample rows converted to text at a time by ``SampleBatch.to_csv``
 CSV_CHUNK = 4096
 
@@ -163,10 +167,19 @@ def discrete_state_tv(psi: GridField, phi: GridField) -> float:
 # exact Gibbs oracle and TV quadrature
 
 
+def _fine_axis(d: int) -> int:
+    """Midpoints per axis of the fine grid in dimension d, checked against
+    FINE_POINTS_CAP before anything is laid out."""
+    pts_axis = FINE_GRID.get(d, 64)
+    if pts_axis**d > FINE_POINTS_CAP:
+        raise SizeError(f"the Gibbs normalizer needs {pts_axis}^{d} midpoints, exceeding the cap {FINE_POINTS_CAP}")
+    return pts_axis
+
+
 def _fine_midpoints(E: EnergyPotential) -> tuple:
     """Cell midpoints of the FINE_GRID quadrature over the fundamental domain,
     as an (m, d) array, with the volume of one cell."""
-    pts_axis = FINE_GRID.get(E.d, 64)
+    pts_axis = _fine_axis(E.d)
     axis = (np.arange(pts_axis) + 0.5) / pts_axis * E.l - E.l / 2
     return grid_points(*[axis] * E.d), (E.l / pts_axis) ** E.d
 
@@ -187,6 +200,13 @@ class GibbsDensity:
         return np.exp(-self.E.evaluate(points)) / self.Z
 
 
+def _check_quadrature(d: int, boxes: int, subcells: int) -> None:
+    """SizeError unless the TV quadrature over ``boxes`` boxes per axis with
+    ``subcells`` midpoints each fits TV_EVAL_CAP."""
+    if (boxes * subcells) ** d > TV_EVAL_CAP:
+        raise SizeError(f"quadrature needs {(boxes * subcells) ** d} evaluations, cap is {TV_EVAL_CAP}")
+
+
 def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> float:
     """TV between the state's piecewise-constant sampling density and the
     normalized density proportional to ``raw_density`` (d <= 2).
@@ -201,8 +221,7 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
     n = lat.points_per_axis
     S = subcells
-    if (n * S) ** lat.d > TV_EVAL_CAP:
-        raise SizeError(f"quadrature needs {(n * S) ** lat.d} evaluations, cap is {TV_EVAL_CAP}")
+    _check_quadrature(lat.d, n, S)
     # midpoints of all subcells along one axis, box by box
     offsets = ((np.arange(S) + 0.5) / S - 0.5) * (lat.l / n)
     axis = (lat.axis_points()[:, None] + offsets[None, :]).reshape(-1)
@@ -367,6 +386,13 @@ def run_pipeline(
             raise ValidationError(f"M={M} must be at least N={N}")
     resolved["M"] = int(M)
 
+    # the sizes of the upsampling target and of the TV measurement are known
+    # now: check them against their caps before the work ahead
+    make_lattice(E.d, int(M), E.l, cap=RESOLUTION_CAP)
+    if E.d <= 2:
+        _check_quadrature(E.d, 2 * int(M) + 1, subcells)
+    else:
+        _fine_axis(E.d)
     upsampled = upsample(state, int(M))
     batch = continuous_sample(upsampled, count, seed)
     tv_report = tv_distance(upsampled, E, subcells=subcells, bound=eps)

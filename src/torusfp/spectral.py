@@ -14,6 +14,7 @@ a ``torusfp.report.Report``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,10 +113,7 @@ def derivative_matrix(lattice: TorusLattice, axis: int, order: int = 1) -> np.nd
         raise ValidationError(f"axis {axis} out of range for d={lattice.d}")
     mat = derivative_axis_matrix(lattice, order)
     n = lattice.points_per_axis
-    out = np.array([[1.0]])
-    for j in range(lattice.d):
-        out = np.kron(out, mat if j == axis else np.eye(n))
-    return out
+    return functools.reduce(np.kron, [mat if j == axis else np.eye(n) for j in range(lattice.d)])
 
 
 def gradient(u: GridField) -> list:

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from torusfp import cli, lattice, sampler
@@ -179,16 +180,37 @@ def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
     from torusfp import generator
 
     calls = []
-    assemble = generator._negated_symmetrized
+    assemble = generator._dense_symmetrized
 
     def counted(*args):
         calls.append(args)
         return assemble(*args)
 
-    monkeypatch.setattr(generator, "_negated_symmetrized", counted)
+    monkeypatch.setattr(generator, "_dense_symmetrized", counted)
     assert run_cli(["spectrum", "--d", "2", "--N", "6", "--out", str(tmp_path / "s")]) == 0
     assert "operator_norm" in json.loads((tmp_path / "s" / "structure.json").read_text())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [3, 31])
+def test_spectrum_d1_runs_no_eigendecomposition(tmp_path, monkeypatch, N):
+    # spectrum.csv, the gap and the structure checks need no eigenvectors;
+    # the norm check's Lanczos runs solve tridiagonals of fewer than n rows
+    n = 2 * N + 1
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if len(a) >= n:
+            raise AssertionError(f"eigh of a {len(a)} x {len(a)} matrix")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    out = tmp_path / "s"
+    assert run_cli(["spectrum", "--potential", "invcos:z=4", "--d", "1", "--N", str(N), "--out", str(out)]) == 0
+    rows = (out / "spectrum.csv").read_text().strip().split("\n")
+    assert len(rows) == n + 1 and rows[1] == "0,0.0"
+    gap = json.loads((out / "run-manifest.json").read_text())["resolved"]["gap"]
+    assert rows[2] == f"1,{-gap!r}"
 
 
 def test_manifest_health_for_the_dense_backend(tmp_path):
@@ -298,6 +320,40 @@ def test_lattices_past_the_node_budget_exit_before_allocating(tmp_path, monkeypa
     monkeypatch.setattr(sampler, "make_lattice", budgeted_lattice)
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
     assert f"exceeding the cap {RESOLUTION_CAP}" in capsys.readouterr().err
+
+
+#: Runs whose Monte Carlo TV or exact mean needs a Gibbs normalizer past its
+#: fine-grid budget: 64^5 midpoints at d = 5 (8 GiB of coordinates).
+PAST_FINE_BUDGET = [
+    ["gibbs", "--d", "5", "--N", "1", "--M", "2", "--T", "0.3", "--seed", "1"],
+    ["mean", "--potential", "cosine:z=1", "--d", "5", "--N", "1", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_FINE_BUDGET, ids=[" ".join(argv) for argv in PAST_FINE_BUDGET])
+def test_gibbs_normalizer_past_its_budget_exits_before_allocating(tmp_path, monkeypatch, capsys, argv):
+    # the d = 4 grid, 64^4 midpoints, is the largest the normalizer lays out
+    grid_points = sampler.grid_points
+
+    def budgeted_points(*axes):
+        assert math.prod(len(axis) for axis in axes) <= 64**4, "fine grid past the budget"
+        return grid_points(*axes)
+
+    monkeypatch.setattr(sampler, "grid_points", budgeted_points)
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "the Gibbs normalizer needs 64^5 midpoints" in capsys.readouterr().err
+
+
+def test_fixed_M_past_the_quadrature_cap_exits_before_upsampling(tmp_path, monkeypatch, capsys):
+    # d = 2, M = 1000: (2001 * 32)^2 evaluations, 30 times TV_EVAL_CAP; the
+    # run used to upsample and sample at that size before the TV said so
+    def no_upsample(state, M):
+        raise AssertionError(f"upsampled to M={M} before the quadrature check")
+
+    monkeypatch.setattr(sampler, "upsample", no_upsample)
+    argv = ["gibbs", "--d", "2", "--N", "5", "--M", "1000", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "quadrature needs 4100097024 evaluations" in capsys.readouterr().err
 
 
 def test_assert_mode_exit_code(tmp_path):

@@ -99,6 +99,49 @@ def test_kernel_eigenvalue_is_exactly_zero(z, N, l):
     assert op.eigenvalues[1] < 0
 
 
+@pytest.mark.parametrize(
+    "E, N, halve",
+    [
+        (tf.invcos_potential(4.0, 1.0), 63, True),
+        (tf.cosine_potential(8.0, 1, 0.05), 127, False),
+        (tf.cosine_potential(1.0, 1, 2 * np.pi), 1, True),
+    ],
+)
+def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
+    # the d = 1 spectrum is a values-only eigvalsh: it must agree with the
+    # eigenvalues of a full eigh of L', with the kernel pinned at 0
+    op = tf.build_generator(E, tf.make_lattice(1, N, E.l), halve=halve)
+    oracle = -np.linalg.eigh(-op.symmetrized)[0]
+    ev = op.eigenvalues
+    assert np.abs(ev - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert ev[0] == 0.0
+    assert op.spectral_gap == -ev[1]
+    values, _ = op.modes()
+    assert np.abs(values - ev).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_dense_propagation_decomposes_once(monkeypatch):
+    E = tf.cosine_potential(2.0, 1, 1.0)
+    lat = tf.make_lattice(1, 20, 1.0)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    op = tf.build_generator(E, lat)
+    assert calls == []  # the gap and the spectrum need no eigenvectors
+    ones = tf.GridField(lat, np.ones(lat.shape), is_real=True)
+    first = tf.evolve(op, ones, 0.1, snapshots=4)
+    again = tf.evolve(op, ones, 0.1, snapshots=4)
+    longer, _ = op.propagate(ones.flat, np.array([0.0, 0.5, 1.0]))
+    assert calls == [lat.size]
+    assert np.array_equal(first.states, again.states)
+    assert np.abs(longer.sum(axis=1) - lat.size).max() <= 1e-12 * lat.size
+
+
 @pytest.mark.parametrize("halve", [True, False])
 @pytest.mark.parametrize(
     "E, N",
@@ -127,13 +170,9 @@ def generator_cases(draw):
 
 
 def eigenvectors(op):
-    """The eigenvectors of L', as columns in the order of op.eigenvalues.
-
-    The dense backend keeps them; for the matrix-free one an eigh of the
-    assembled L' stands in, computed here as a test oracle.
-    """
-    if isinstance(op, tf.FpOperator):
-        return op.eigenvectors
+    """The eigenvectors of L', as columns in the order of op.eigenvalues: an
+    eigh of the assembled L', computed here as a test oracle.  Neither
+    backend stores them."""
     return np.linalg.eigh(-op.symmetrized)[1]
 
 

@@ -334,6 +334,20 @@ def test_mean_of_constant():
     assert est.stderr == 0.0
 
 
+def test_gibbs_normalizer_checks_its_budget(monkeypatch):
+    # 64^5 midpoints at d = 5 would take 8 GiB of coordinates; d <= 4 fits
+    def no_points(*axes):
+        raise AssertionError("fine grid laid out past the budget")
+
+    monkeypatch.setattr(sampler, "grid_points", no_points)
+    E = tf.cosine_potential(1.0, 5, 1.0)
+    with pytest.raises(tf.SizeError, match="64\\^5 midpoints"):
+        GibbsDensity(E)
+    with pytest.raises(tf.SizeError, match="64\\^5 midpoints"):
+        tf.exact_mean(lambda p: p[..., 0], E)
+    assert sampler._fine_axis(4) ** 4 <= sampler.FINE_POINTS_CAP
+
+
 def test_exact_mean_bessel_ratio():
     E = tf.cosine_potential(2.0, 1, 1.0)
     got = tf.exact_mean(lambda p: np.cos(2 * np.pi * p[..., 0]), E)
