@@ -16,6 +16,7 @@ import math
 import platform
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -160,9 +161,11 @@ def _parse_range(text: str):
         raise ValidationError(f"range {text!r} is not an integer or LO..HI") from None
 
 
-def _write(out_dir: Path, name: str, text: str, artifacts: list) -> None:
-    path = out_dir / name
-    path.write_text(text)
+def _write(out_dir: Path, name: str, text: str | Iterable[str], artifacts: list) -> None:
+    """Write an artifact from its text, or from an iterable of text pieces,
+    which are written one by one so that a large table is never held whole."""
+    with open(out_dir / name, "w") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     artifacts.append(name)
 
 
@@ -348,7 +351,7 @@ def _cmd_gibbs(cfg, out_dir, artifacts):
         M_cap=cfg["m_cap"],
         subcells=cfg["subcells"],
     )
-    _write(out_dir, "samples.csv", result.batch.to_csv(), artifacts)
+    _write(out_dir, "samples.csv", result.batch.csv_chunks(), artifacts)
     _write(out_dir, "tv.json", result.tv_report.to_json(), artifacts)
     violations = []
     if result.tv_report.tv > cfg["eps"]:

@@ -16,25 +16,30 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 
 - d = 1: :class:`FpOperator` stores the dense L' and its spectrum, from a
   values-only ``eigvalsh`` with the kernel eigenvalue pinned to 0; the gap is
-  read off it.  ``propagate`` computes the eigendecomposition (``eigh``, with
-  the kernel eigenpair pinned to (0, q0)) on its first call, keeps it on the
-  operator, and applies e^{Lt} mode by mode, with no time-stepping error.
+  read off it.  ``propagate`` computes the eigendecomposition (``eigh`` of
+  the stored L', with the kernel eigenpair pinned to (0, q0)) on its first
+  call, keeps it on the operator, and applies e^{Lt} mode by mode, with no
+  time-stepping error.
 - d >= 2: :class:`MatrixFreeOperator` stores only W and the (2N+1)-point axis
   derivative, and applies L' one axis at a time.  The gap comes from Lanczos
   on the complement of q0 (Saad, SIAM J. Numer. Anal. 29, 1992), to a Ritz
   residual of GAP_RTOL.  ``propagate`` keeps the q0 component exactly and
   advances the rest in a Krylov space (Hochbruck & Lubich, SIAM J. Numer.
   Anal. 34, 1997) until an a posteriori error bound meets KRYLOV_RTOL.  The
-  dense L', L and spectrum are assembled only when asked for.
+  dense L', L and spectrum are assembled only when asked for.  Every Lanczos
+  run (the gap, the propagation and the norm check) orthogonalizes each new
+  direction once against its basis and q0, and a second time only when the
+  first pass left less than 1/sqrt(2) of its norm (the DGKS rule).
 
 Both take the dense spectrum from the same values-only routine.
 
 Both apply L' through ``op.apply(x)`` and record their numerical health
-(backend, Lanczos steps, gap residual) in ``op.health``; ``propagate`` returns
-the Krylov steps and error bound of its run next to the states.  The structure
-checks compare the condition number of the eigenvector basis (max(u)/min(u) in
-closed form), the spectral norm of L and the spectral gap with their bounds;
-their reports serialize through :mod:`torusfp.report`.  The norm ||L||_2 is
+(backend, Lanczos steps, gap residual, steps that needed the second
+orthogonalization pass) in ``op.health``; ``propagate`` returns the Krylov
+steps, error bound and second-pass count of its run next to the states.  The
+structure checks compare the condition number of the eigenvector basis
+(max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
+with their bounds; their reports serialize through :mod:`torusfp.report`.  The norm ||L||_2 is
 the square root of the top eigenvalue of L^T L = U^{-1} L' U^2 L' U^{-1},
 found by Lanczos through ``op.apply`` to a Ritz residual of NORM_RTOL
 relative, with neither the dense L nor an SVD.
@@ -140,7 +145,8 @@ class FpOperator(Operator):
 
     def modes(self) -> tuple:
         """Eigenvalues (descending) and orthonormal eigenvectors of L', by
-        ``eigh`` on the first call and cached.
+        ``eigh`` of L' itself (a negated copy would cost one more n x n array)
+        on the first call and cached.
 
         The kernel is known exactly, so its eigenpair is pinned rather than
         taken from eigh: the computed kernel vector strays from e^{-W/2} by
@@ -149,9 +155,11 @@ class FpOperator(Operator):
         <1, u(t)> fixed to rounding.
         """
         if self._modes is None:
-            # eigh sorts -L' ascending, which is L' descending
-            mu, vectors = np.linalg.eigh(-self.symmetrized)
-            values = -mu
+            # eigh sorts L' ascending; the descending copy of its vectors is
+            # made once eigh has freed its workspace, below eigh's own peak
+            mu, vectors = np.linalg.eigh(self.symmetrized)
+            values = mu[::-1].copy()
+            vectors = np.ascontiguousarray(vectors[:, ::-1])
             values[0] = 0.0
             q0 = self.kernel_vector()
             vectors[:, 0] = q0
@@ -238,17 +246,21 @@ class MatrixFreeOperator(Operator):
         # error never exceeds 2 ||r||: a small enough rest needs no space
         if 2 * r0 <= KRYLOV_RTOL * scale:
             out[:] = u * (c * q0)
-            return out, {"krylov_steps": 0, "krylov_error": 2 * r0 / scale if scale else 0.0}
+            error = 2 * r0 / scale if scale else 0.0
+            return out, {"krylov_steps": 0, "krylov_error": error, "krylov_reorth_steps": 0}
 
         def bound(alpha, beta):
             return min(r0 * _krylov_bound(alpha, beta, t_max), 2 * r0)
 
-        basis, alpha, beta = _lanczos(self.apply, q0, rest / r0, lambda a, b: bound(a, b) <= KRYLOV_RTOL * scale)
+        basis, alpha, beta, repeats = _lanczos(
+            self.apply, q0, rest / r0, lambda a, b: bound(a, b) <= KRYLOV_RTOL * scale
+        )
         theta, S = _ritz(alpha, beta)
         for i, t in enumerate(times):
             y = S @ (np.exp(theta * t) * S[0])
             out[i] = u * (c * q0 + r0 * (basis.T @ y))
-        return out, {"krylov_steps": len(alpha), "krylov_error": float(bound(alpha, beta) / scale)}
+        error = float(bound(alpha, beta) / scale)
+        return out, {"krylov_steps": len(alpha), "krylov_error": error, "krylov_reorth_steps": repeats}
 
 
 def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -303,12 +315,17 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     """Lanczos on the orthogonal complement of the unit vector ``q0``.
 
     ``start`` is a unit vector orthogonal to q0.  Each new direction is
-    reorthogonalized twice against the whole basis and then against q0, so
-    rounding cannot bring the kernel back however long the run.  Stops when
-    ``converged(alpha, beta)`` holds (asked on the CHECK_EVERY schedule),
-    when the space is invariant, or after n - 1 steps, when it fills q0-perp.
-    Returns the basis as rows, the diagonal alpha and the off-diagonal beta
-    (its last entry couples the basis to the next direction).
+    reorthogonalized against the whole basis and then against q0, so
+    rounding cannot bring the kernel back however long the run.  A second
+    such pass runs only when the first cancelled most of the direction,
+    leaving less than 1/sqrt(2) of its norm: otherwise one pass already
+    leaves it orthogonal to rounding (Daniel, Gragg, Kaufman & Stewart,
+    Math. Comp. 30, 1976).  Stops when ``converged(alpha, beta)`` holds
+    (asked on the CHECK_EVERY schedule), when the space is invariant, or
+    after n - 1 steps, when it fills q0-perp.  Returns the basis as rows, the
+    diagonal alpha, the off-diagonal beta (its last entry couples the basis
+    to the next direction) and the number of steps that needed the second
+    pass.
     """
     n = len(start)
     steps = n - 1
@@ -317,6 +334,7 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     beta = np.empty(steps)
     q = start
     check = CHECK_EVERY
+    repeats = 0
     for k in range(steps):
         if k == len(basis):
             basis = np.concatenate([basis, np.empty((min(k, steps - k), n))])
@@ -327,16 +345,21 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
         if k:
             w -= beta[k - 1] * basis[k - 1]
         done = basis[: k + 1]
-        for _ in range(2):
+        before = np.linalg.norm(w)
+        for sweep in range(2):
             w -= done.T @ (done @ w)
             w -= (q0 @ w) * q0
-        beta[k] = np.linalg.norm(w)
+            beta[k] = np.linalg.norm(w)
+            # a pass that kept 1/sqrt(2) of the norm needs no second one
+            if sweep or beta[k] >= before / math.sqrt(2):
+                break
+            repeats += 1
         m = k + 1
         if m == steps or beta[k] == 0.0:
-            return basis[:m], alpha[:m], beta[:m]
+            return basis[:m], alpha[:m], beta[:m], repeats
         if m == check:
             if converged(alpha[:m], beta[:m]):
-                return basis[:m], alpha[:m], beta[:m]
+                return basis[:m], alpha[:m], beta[:m], repeats
             check += max(CHECK_EVERY, m // 8)
         q = w / beta[k]
 
@@ -358,11 +381,16 @@ def _lanczos_gap(op: MatrixFreeOperator) -> tuple:
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
-    basis, alpha, beta = _lanczos(op.apply, q0, _random_start(q0), converged)
+    basis, alpha, beta, repeats = _lanczos(op.apply, q0, _random_start(q0), converged)
     _, s, residual = _top_ritz(alpha, beta)
     y = basis.T @ s
     gap = sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
-    return gap, {"backend": "matrix-free", "lanczos_steps": len(alpha), "gap_residual": float(residual)}
+    return gap, {
+        "backend": "matrix-free",
+        "lanczos_steps": len(alpha),
+        "gap_residual": float(residual),
+        "lanczos_reorth_steps": repeats,
+    }
 
 
 def _krylov_bound(alpha: np.ndarray, beta: np.ndarray, t: float) -> float:
@@ -464,9 +492,9 @@ def operator_norm_check(op: Operator) -> OperatorNormReport:
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= NORM_RTOL * theta
 
-    _, alpha, beta = _lanczos(normal, q0, _random_start(q0), converged)
+    _, alpha, beta, repeats = _lanczos(normal, q0, _random_start(q0), converged)
     theta, _, residual = _top_ritz(alpha, beta)
-    op.health.update(norm_lanczos_steps=len(alpha), norm_residual=float(residual / theta))
+    op.health.update(norm_lanczos_steps=len(alpha), norm_residual=float(residual / theta), norm_reorth_steps=repeats)
     pref = lat.d * lat.N**2 / lat.l**2
     log_branch = pref * (4 * math.pi**2 + 2606 * op.delta_W * math.log(lat.N) ** 2)
     exp_branch = pref * 4 * math.pi**2 * math.exp(op.delta_W)

@@ -2,7 +2,8 @@
 
 A report is a dataclass that inherits :class:`Report`.  Its JSON form holds
 its fields in declaration order (arrays as lists, nested dataclasses
-expanded), followed by every property the class defines: its verdicts.
+expanded), followed by every property the class defines: its verdicts.  A
+field whose metadata sets ``artifact`` false (run health) is left out.
 Every CSV artifact is written by :func:`csv_text`, except the sample
 batch, whose faster writer yields the same bytes.
 """
@@ -23,6 +24,8 @@ class Report:
     def as_dict(self) -> dict:
         doc = {}
         for f in dataclasses.fields(self):
+            if not f.metadata.get("artifact", True):
+                continue
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value = value.tolist()

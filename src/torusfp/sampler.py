@@ -6,7 +6,17 @@ then draws uniformly from the box around the node; the resulting density is
 piecewise constant with value |psi[n]|^2 ((2M+1)/l)^d on each box.  The boxes
 tile the fundamental domain exactly.  The pipeline evolves the uniform state
 straight to T; the TV quadrature and the exact Gibbs oracle lay out their
-midpoint grids with ``lattice.grid_points``.
+midpoint grids block by block with ``lattice.grid_points``, so their memory
+is bounded by one block.
+
+The quadrature TV evaluates the reference density once per subcell midpoint.
+It needs the normalizer Z before it can take |mu - rho / Z|, so it starts from
+an estimate of 1/Z on the box centres (the trapezoid sum of a periodic
+analytic density is accurate to near rounding), accumulates |mu - c rho| and
+its slope in c in the same pass as Z, and corrects to the exact Z afterwards.
+The correction is exact, up to rounding, whenever no subcell's sign can flip
+between the estimate and Z; otherwise a second pass sums |mu - rho / Z|
+directly.  ``TvReport.health`` records which way it went.
 
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
 sample batches write their own CSV, byte for byte what ``csv_text`` would.
@@ -44,11 +54,21 @@ MC_POINTS = 10**6
 #: largest subcell-evaluation count the quadrature TV will attempt
 TV_EVAL_CAP = 2**27
 
+#: relative half-width of the band around the estimated reference density
+#: c rho inside which the quadrature TV keeps a subcell aside: outside it, the
+#: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
+TV_BAND = 1e-8
+
 #: largest midpoint count of the Gibbs normalizer's fine grid: 64^4, so every
 #: d <= 4 grid fits (64^5 points at d = 5 would take 8 GiB of coordinates)
 FINE_POINTS_CAP = 2**24
 
-#: sample rows converted to text at a time by ``SampleBatch.to_csv``
+#: fine-grid midpoints laid out and evaluated at a time by the Gibbs
+#: normalizer: 2^18 = 512^2 = 64^3, so a d <= 3 grid is one block and the
+#: d = 4 grid is 64 of them
+FINE_BLOCK = 2**18
+
+#: sample rows converted to text at a time by ``SampleBatch.csv_chunks``
 CSV_CHUNK = 4096
 
 
@@ -72,16 +92,20 @@ class SampleBatch:
     def count(self) -> int:
         return self.points.shape[0]
 
-    def to_csv(self) -> str:
-        """The points as CSV text, the same bytes as ``csv_text`` writes: no
-        value needs quoting, so each row is its shortest round-trip reprs
-        joined by commas.  Rows are converted CSV_CHUNK at a time, so the
-        Python floats of the whole batch never exist at once."""
-        parts = [",".join(f"x{i}" for i in range(self.points.shape[1])) + "\n"]
+    def csv_chunks(self):
+        """The points as CSV text in pieces, the same bytes as ``csv_text``
+        writes: no value needs quoting, so each row is its shortest
+        round-trip reprs joined by commas.  The header comes first, then
+        CSV_CHUNK rows at a time, so neither the Python floats nor the text
+        of the whole batch need exist at once."""
+        yield ",".join(f"x{i}" for i in range(self.points.shape[1])) + "\n"
         for start in range(0, self.count, CSV_CHUNK):
             rows = self.points[start : start + CSV_CHUNK].tolist()
-            parts.append("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
-        return "".join(parts)
+            yield "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+
+    def to_csv(self) -> str:
+        """The points as CSV text: the pieces of :meth:`csv_chunks` joined."""
+        return "".join(self.csv_chunks())
 
 
 @dataclass
@@ -91,6 +115,8 @@ class TvReport(Report):
     resolution: dict
     bound: float | None = None
     ci_99: float | None = None
+    # quadrature passes and potential evaluations: for the run manifest, not tv.json
+    health: dict = field(default_factory=dict, compare=False, metadata={"artifact": False})
 
     def __post_init__(self):
         if not -1e-12 <= self.tv <= 1 + 1e-12:
@@ -176,12 +202,15 @@ def _fine_axis(d: int) -> int:
     return pts_axis
 
 
-def _fine_midpoints(E: EnergyPotential) -> tuple:
+def _fine_blocks(E: EnergyPotential) -> tuple:
     """Cell midpoints of the FINE_GRID quadrature over the fundamental domain,
-    as an (m, d) array, with the volume of one cell."""
+    in grid order, as a generator of (m, d) arrays of whole planes along the
+    first axis, at most FINE_BLOCK points each, with the volume of one cell."""
     pts_axis = _fine_axis(E.d)
     axis = (np.arange(pts_axis) + 0.5) / pts_axis * E.l - E.l / 2
-    return grid_points(*[axis] * E.d), (E.l / pts_axis) ** E.d
+    rows = max(1, FINE_BLOCK // pts_axis ** (E.d - 1))
+    blocks = (grid_points(axis[r0 : r0 + rows], *[axis] * (E.d - 1)) for r0 in range(0, pts_axis, rows))
+    return blocks, (E.l / pts_axis) ** E.d
 
 
 class GibbsDensity:
@@ -193,8 +222,8 @@ class GibbsDensity:
 
     def __init__(self, E: EnergyPotential):
         self.E = E
-        grid, cell = _fine_midpoints(E)
-        self.Z = float(np.exp(-E.evaluate(grid)).sum() * cell)
+        blocks, cell = _fine_blocks(E)
+        self.Z = sum(float(np.exp(-E.evaluate(pts)).sum()) for pts in blocks) * cell
 
     def density(self, points) -> np.ndarray:
         return np.exp(-self.E.evaluate(points)) / self.Z
@@ -211,8 +240,28 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
     """TV between the state's piecewise-constant sampling density and the
     normalized density proportional to ``raw_density`` (d <= 2).
 
-    Integrates |mu - rho| with ``subcells`` midpoints per box per axis; the
-    normalizer uses the same grid so the reference integrates to one exactly.
+    Integrates |mu - rho / Z| with ``subcells`` midpoints per box per axis;
+    the normalizer Z uses the same grid so the reference integrates to one
+    exactly.  One pass over the grid suffices: see :func:`_tv_quadrature`.
+    """
+    return _tv_quadrature(state, raw_density, subcells)[0]
+
+
+def _tv_quadrature(state: GridField, raw_density, subcells: int) -> tuple:
+    """The quadrature TV of :func:`density_tv_quadrature`, with its health:
+    the passes over the grid and the points handed to ``raw_density``.
+
+    An estimate c of 1/Z comes first from the n^d box centres, a trapezoid
+    sum that is spectrally accurate for a periodic analytic density.  One
+    pass over the blocks then evaluates each subcell midpoint once and
+    accumulates Z, A = sum |mu - c rho| and G = sum sign(mu - c rho) rho.
+    Where |mu - c rho| > TV_BAND c rho, the sign of mu - rho / Z equals that
+    of mu - c rho as long as |1/Z - c| <= TV_BAND c, and then
+    sum |mu - rho / Z| = A - (1/Z - c) G exactly; the few subcells inside the
+    band are kept and summed exactly.  When the estimate misses (a density
+    the box centres under-resolve) or the band outgrows one line of subcells
+    (a state on its reference density), a second pass evaluates the grid
+    again and sums |mu - rho / Z| directly.
     """
     lat = state.lattice
     if lat.d > 2:
@@ -231,38 +280,76 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
     # every block holds n boxes: all of them in d=1, one row of them in d=2
     rows = n ** (2 - lat.d)
     starts = range(0, n, rows)
+    shape = (rows, S) + (n, S) * (lat.d - 1)
+    mu_shape = (rows, 1) + (n, 1) * (lat.d - 1)
+    evaluated = 0
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        nonlocal evaluated
+        evaluated += len(pts)
+        return np.asarray(raw_density(pts), dtype=float)
 
     @functools.lru_cache(maxsize=1)  # a single block (d=1) is evaluated once
     def raw_block(r0: int) -> np.ndarray:
-        pts = grid_points(axis[r0 * S : (r0 + rows) * S], *[axis] * (lat.d - 1))
-        return np.asarray(raw_density(pts), dtype=float)
+        return evaluate(grid_points(axis[r0 * S : (r0 + rows) * S], *[axis] * (lat.d - 1))).reshape(shape)
 
-    # two passes over the blocks, first for Z, then for the integral
-    Z = 0.0
+    estimate = float(evaluate(lat.points()).sum()) * (lat.l / n) ** lat.d
+    one_pass = 0 < estimate < math.inf
+    c = 1.0 / estimate if one_pass else 0.0
+    room = n * S ** (lat.d - 1)  # band subcells kept at most
+    band_mu, band_rho = [], []
+    Z = A = G = 0.0
     for r0 in starts:
-        Z += float(raw_block(r0).sum()) * sub_vol
+        raw = raw_block(r0)
+        Z += float(raw.sum()) * sub_vol
+        if not one_pass:
+            continue
+        mu_block = mu[r0 : r0 + rows].reshape(mu_shape)
+        delta = np.multiply(raw, c)
+        np.subtract(mu_block, delta, out=delta)
+        G += float(np.copysign(raw, delta).sum())
+        np.abs(delta, out=delta)
+        A += float(delta.sum())
+        band = delta <= (TV_BAND * c) * raw
+        room -= np.count_nonzero(band)
+        one_pass = room >= 0
+        if one_pass:
+            band_mu.append(np.broadcast_to(mu_block, shape)[band])
+            band_rho.append(raw[band])
+
+    if one_pass and abs(1.0 / Z - c) <= TV_BAND * c:
+        shift = 1.0 / Z - c
+        mu_in, rho_in = np.concatenate(band_mu), np.concatenate(band_rho)
+        delta_in = mu_in - rho_in * c
+        # the band's terms of A and G, replaced by their exact values
+        exact_in = np.abs(mu_in - rho_in / Z) - np.abs(delta_in) + shift * np.copysign(rho_in, delta_in)
+        acc = (A - shift * G + float(exact_in.sum())) * sub_vol
+        return 0.5 * acc, {"tv_passes": 1, "tv_eval_points": evaluated}
+
     acc = 0.0
     for r0 in starts:
-        rho = (raw_block(r0) / Z).reshape((rows, S) + (n, S) * (lat.d - 1))
-        mu_block = mu[r0 : r0 + rows].reshape((rows, 1) + (n, 1) * (lat.d - 1))
+        rho = raw_block(r0) / Z
+        mu_block = mu[r0 : r0 + rows].reshape(mu_shape)
         acc += float(np.abs(mu_block - rho).sum()) * sub_vol
-    return 0.5 * acc
+    return 0.5 * acc, {"tv_passes": 2, "tv_eval_points": evaluated}
 
 
 def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound: float | None = None) -> TvReport:
     """TV between the state's sampling density and the exact Gibbs density.
 
-    Per-box quadrature for d <= 2; for d >= 3 a 10^6-point Monte Carlo
-    estimate with a 99% confidence radius is reported instead.
+    Per-box quadrature for d <= 2, whose passes and evaluations go into the
+    report's ``health``; for d >= 3 a 10^6-point Monte Carlo estimate with a
+    99% confidence radius is reported instead.
     """
     lat = state.lattice
     if lat.d <= 2:
-        tv = density_tv_quadrature(state, lambda pts: np.exp(-E.evaluate(pts)), subcells)
+        tv, health = _tv_quadrature(state, lambda pts: np.exp(-E.evaluate(pts)), subcells)
         return TvReport(
             tv=min(tv, 1.0),
             method="quadrature",
             resolution={"M": lat.N, "subcells": subcells},
             bound=bound,
+            health=health,
         )
 
     oracle = GibbsDensity(E)
@@ -319,7 +406,7 @@ class PipelineResult:
     state: GridField     # normalized evolved state on the N-lattice
     upsampled: GridField
     resolved: dict = field(default_factory=dict)
-    health: dict = field(default_factory=dict)  # the operator's and the propagation's
+    health: dict = field(default_factory=dict)  # the operator's, the propagation's and the TV's
 
 
 def run_pipeline(
@@ -403,7 +490,7 @@ def run_pipeline(
         state=state,
         upsampled=upsampled,
         resolved=resolved,
-        health={**op.health, **evolution.health},
+        health={**op.health, **evolution.health, **tv_report.health},
     )
 
 
@@ -429,10 +516,12 @@ def estimate_mean(f, batch: SampleBatch) -> MeanEstimate:
 
 def exact_mean(f, E: EnergyPotential) -> float:
     """Quadrature value of E_rho[f] under the Gibbs density of e^{-E}."""
-    grid, _ = _fine_midpoints(E)
-    weights = np.exp(-E.evaluate(grid))
-    vals = np.asarray(f(grid), dtype=float)
-    return float((vals * weights).sum() / weights.sum())
+    total = norm = 0.0
+    for pts in _fine_blocks(E)[0]:
+        weights = np.exp(-E.evaluate(pts))
+        total += float((np.asarray(f(pts), dtype=float) * weights).sum())
+        norm += float(weights.sum())
+    return total / norm
 
 
 # ---------------------------------------------------------------------------

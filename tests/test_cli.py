@@ -9,7 +9,7 @@ import pytest
 
 from torusfp import cli, lattice, sampler
 from torusfp.cli import build_parser, main
-from torusfp.potential import RESOLUTION_CAP
+from torusfp.potential import RESOLUTION_CAP, cosine_potential
 
 
 def run_cli(args):
@@ -133,9 +133,10 @@ HEALTH_RUNS = {
     "evolve": ["evolve", "--d", "2", "--N", "4", "--snapshots", "4"],
     "spectrum": ["spectrum", "--d", "2", "--N", "4"],
 }
-OPERATOR_HEALTH = {"backend", "lanczos_steps", "gap_residual"}
-PROPAGATION_HEALTH = {"krylov_steps", "krylov_error"}
-NORM_HEALTH = {"norm_lanczos_steps", "norm_residual"}
+OPERATOR_HEALTH = {"backend", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+PROPAGATION_HEALTH = {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
+NORM_HEALTH = {"norm_lanczos_steps", "norm_residual", "norm_reorth_steps"}
+TV_HEALTH = {"tv_passes", "tv_eval_points"}
 
 
 @pytest.mark.parametrize("command", sorted(HEALTH_RUNS))
@@ -146,8 +147,13 @@ def test_manifest_health_block(tmp_path, command):
     health = manifest["health"]
     assert health["backend"] == "matrix-free"
     expected = OPERATOR_HEALTH | (NORM_HEALTH if command == "spectrum" else PROPAGATION_HEALTH)
+    if command == "gibbs":
+        expected |= TV_HEALTH
+        # one pass over the (13 * 32)^2 subcells, after the 13^2 box centres
+        assert health["tv_passes"] == 1 and health["tv_eval_points"] == (13 * 32) ** 2 + 13**2
     assert set(health) == expected
     assert health["lanczos_steps"] > 0 and health["gap_residual"] >= 0
+    assert 0 <= health["lanczos_reorth_steps"] <= health["lanczos_steps"]
     # health describes how the numbers were computed: it stays out of the
     # config, its hash and the other artifacts
     canonical = json.dumps(dict(sorted(manifest["config"].items())), sort_keys=True)
@@ -155,7 +161,8 @@ def test_manifest_health_block(tmp_path, command):
     assert not set(manifest["config"]) & set(health)
     for name in manifest["artifacts"]:
         text = (out / name).read_text()
-        assert "lanczos" not in text and "krylov" not in text and "backend" not in text, name
+        for key in ("lanczos", "krylov", "backend", "reorth", "tv_passes", "tv_eval_points"):
+            assert key not in text, (name, key)
 
 
 def test_spectrum_manifest_records_norm_health(tmp_path):
@@ -213,9 +220,25 @@ def test_spectrum_d1_runs_no_eigendecomposition(tmp_path, monkeypatch, N):
     assert rows[2] == f"1,{-gap!r}"
 
 
+def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
+    # samples.csv goes to disk CSV_CHUNK rows at a time: the text of the
+    # whole batch, and its encoded copy, are never held at once
+    def whole_text(self):
+        raise AssertionError("samples.csv built as one string")
+
+    monkeypatch.setattr(sampler.SampleBatch, "to_csv", whole_text)
+    out = tmp_path / "g"
+    assert run_cli(["gibbs", "--N", "6", "--samples", "9000", "--seed", "3", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    E = cosine_potential(1.0, 1, 1.0)
+    batch = sampler.run_pipeline(E, N=6, eps=0.05, count=9000, seed=3).batch
+    assert (out / "samples.csv").read_text() == batch.to_csv()
+
+
 def test_manifest_health_for_the_dense_backend(tmp_path):
     assert run_cli(["gibbs", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
-    assert json.loads((tmp_path / "g" / "run-manifest.json").read_text())["health"] == {"backend": "dense"}
+    health = json.loads((tmp_path / "g" / "run-manifest.json").read_text())["health"]
+    assert set(health) == {"backend"} | TV_HEALTH and health["backend"] == "dense"
     assert run_cli(["witness", "--N", "5", "--out", str(tmp_path / "w")]) == 0
     assert "health" not in json.loads((tmp_path / "w" / "run-manifest.json").read_text())
 

@@ -120,6 +120,29 @@ def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
     assert np.abs(values - ev).max() <= 1e-12 * np.abs(oracle).max()
 
 
+def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
+    # eigh of L' itself, not of a negated n x n copy; the modes come out
+    # descending, orthonormal, with the kernel pinned
+    E = tf.cosine_potential(2.0, 1, 1.0)
+    lat = tf.make_lattice(1, 20, 1.0)
+    op = tf.build_generator(E, lat)
+    eigh = np.linalg.eigh
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        seen.append(a is op.symmetrized)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    values, vectors = op.modes()
+    assert seen == [True]
+    assert values[0] == 0.0 and np.all(np.diff(values) <= 0)
+    np.testing.assert_allclose(values, op.eigenvalues, rtol=0, atol=1e-12 * abs(values[-1]))
+    np.testing.assert_allclose(vectors[:, 0], op.kernel_vector(), rtol=0, atol=0)
+    assert np.abs(vectors.T @ vectors - np.eye(lat.size)).max() <= 1e-12
+    assert np.abs(vectors @ (values[:, None] * vectors.T) - op.symmetrized).max() <= 1e-12 * abs(values[-1])
+
+
 def test_dense_propagation_decomposes_once(monkeypatch):
     E = tf.cosine_potential(2.0, 1, 1.0)
     lat = tf.make_lattice(1, 20, 1.0)

@@ -11,12 +11,13 @@ the health numbers, the independence of the time grid and the memory bound.
 import tracemalloc
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusfp as tf
-from torusfp.generator import GAP_RTOL, KRYLOV_RTOL
+from torusfp.generator import GAP_RTOL, KRYLOV_RTOL, _lanczos, _random_start
 from torusfp.spectral import derivative_matrix
 
 EPS = np.finfo(float).eps
@@ -101,6 +102,37 @@ def test_lanczos_keeps_the_kernel_out_past_300_steps():
     assert abs(op.spectral_gap - gap) <= (1e-10 + 4 * EPS * norm / gap) * gap
 
 
+@pytest.mark.parametrize("z", [1.0, 8.0])
+def test_one_orthogonalization_pass_keeps_the_basis_orthonormal(z):
+    # one pass per step, a second only when the first cancels most of the
+    # direction: over 600 and more steps the basis stays orthonormal and
+    # orthogonal to the kernel to rounding
+    op = _build(2, 25, 1.0, z, True)
+    q0 = op.kernel_vector()
+    basis, alpha, _, repeats = _lanczos(op.apply, q0, _random_start(q0), lambda a, b: len(a) >= 600)
+    assert len(alpha) >= 600
+    assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-13
+    assert np.abs(basis @ q0).max() <= 1e-13
+    assert repeats < len(alpha) / 10
+    assert op.health["lanczos_reorth_steps"] == 0
+
+
+def test_second_orthogonalization_pass_runs_when_the_first_cancels():
+    # a nonsymmetric map leaves most of each new direction in the span of
+    # the older basis vectors, which the three-term recurrence does not
+    # remove: the first pass cancels most of it and the second must run
+    rng = np.random.default_rng(5)
+    n = 80
+    A = rng.standard_normal((n, n))
+    q0 = np.zeros(n)
+    q0[0] = 1.0
+    basis, alpha, _, repeats = _lanczos(lambda x: A @ x, q0, _random_start(q0), lambda a, b: False)
+    assert len(alpha) == n - 1
+    assert repeats > 0
+    assert np.abs(basis @ basis.T - np.eye(n - 1)).max() <= 1e-13
+    assert np.abs(basis @ q0).max() <= 1e-13
+
+
 def test_propagation_is_independent_of_the_time_grid():
     op = _build(2, 8, 1.0, 2.0, True)
     T = tf.choose_T(1.0 / op.spectral_gap, op.potential.diameter, 0.05)
@@ -120,9 +152,9 @@ def test_health_is_recorded():
     assert tf.evolve(line, tf.constant_field(line.lattice), 0.1).health == {}
 
     op = _build(2, 8, 1.0, 1.0, True)
-    assert set(op.health) == {"backend", "lanczos_steps", "gap_residual"}
+    assert set(op.health) == {"backend", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
     res = tf.evolve(op, tf.constant_field(op.lattice), 0.1)
-    assert set(res.health) == {"krylov_steps", "krylov_error"}
+    assert set(res.health) == {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
     assert 0 < res.health["krylov_steps"] < op.size
     assert 0 <= res.health["krylov_error"] <= KRYLOV_RTOL
     # a stationary input has nothing to advance

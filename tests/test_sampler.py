@@ -1,12 +1,17 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp import sampler
 from torusfp.errors import ValidationError
+from torusfp.lattice import grid_points
 from torusfp.potential import RESOLUTION_CAP
 from torusfp.report import csv_text
 from torusfp.sampler import (
@@ -173,6 +178,122 @@ def test_tv_discretized_gibbs_state():
     rep = tf.tv_distance(_normalized(fld), E)
     assert rep.method == "quadrature"
     assert rep.tv <= 0.01
+
+
+def _two_pass_tv(state, raw_density, subcells=32):
+    """The quadrature TV as two passes over the grid: the first for Z, the
+    second for sum |mu - rho / Z|, each evaluating every subcell midpoint."""
+    lat = state.lattice
+    n, S, d = lat.points_per_axis, subcells, lat.d
+    offsets = ((np.arange(S) + 0.5) / S - 0.5) * (lat.l / n)
+    axis = (lat.axis_points()[:, None] + offsets[None, :]).reshape(-1)
+    sub_vol = (lat.l / (n * S)) ** d
+    mu = box_probabilities(state) * (n / lat.l) ** d
+    rows = n ** (2 - d)
+
+    def raw_block(r0):
+        pts = grid_points(axis[r0 * S : (r0 + rows) * S], *[axis] * (d - 1))
+        return np.asarray(raw_density(pts), dtype=float)
+
+    Z = sum(float(raw_block(r0).sum()) * sub_vol for r0 in range(0, n, rows))
+    acc = 0.0
+    for r0 in range(0, n, rows):
+        rho = (raw_block(r0) / Z).reshape((rows, S) + (n, S) * (d - 1))
+        mu_block = mu[r0 : r0 + rows].reshape((rows, 1) + (n, 1) * (d - 1))
+        acc += float(np.abs(mu_block - rho).sum()) * sub_vol
+    return 0.5 * acc
+
+
+def _gibbs(E):
+    return lambda pts: np.exp(-E.evaluate(pts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    M=st.integers(1, 6),
+    z=st.floats(0.0, 8.0),
+    subcells=st.integers(1, 16),
+    noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, None]),
+    seed=st.integers(0, 2**16),
+)
+@example(d=2, M=6, z=8.0, subcells=16, noise=1e-6, seed=0)
+@example(d=1, M=1, z=8.0, subcells=3, noise=None, seed=0)
+def test_single_pass_tv_matches_two_pass_oracle(d, M, z, subcells, noise, seed):
+    # states near the Gibbs density (its discretized square root, perturbed
+    # by a relative noise) and far from it (noise None: a random state)
+    E = tf.cosine_potential(z, d, 1.0)
+    lat = tf.make_lattice(d, M if d == 2 else 7 * M, 1.0, cap=None)
+    rng = np.random.default_rng(seed)
+    if noise is None:
+        values = rng.standard_normal(lat.shape)
+    else:
+        values = tf.discretize(lambda p: np.exp(-E.evaluate(p) / 2), lat).values
+        values = values * (1 + noise * rng.standard_normal(lat.shape))
+    state = _normalized(tf.GridField(lat, values, is_real=True))
+    tv = density_tv_quadrature(state, _gibbs(E), subcells)
+    assert abs(tv - _two_pass_tv(state, _gibbs(E), subcells)) <= 1e-14
+
+
+def _counting(raw_density):
+    counts = []
+
+    def counted(pts):
+        counts.append(len(pts))
+        return raw_density(pts)
+
+    return counted, counts
+
+
+def test_tv_evaluates_each_point_once_at_the_benchmark_smoke_size():
+    # the gibbs-dense-2d smoke size: d = 2, M = 8, so 17 boxes per axis
+    E = tf.cosine_potential(1.0, 2, 1.0)
+    result = tf.run_pipeline(E, N=8, M=8, count=10, seed=7)
+    n, S = 17, 32
+    counted, counts = _counting(_gibbs(E))
+    tv = density_tv_quadrature(result.upsampled, counted)
+    assert sum(counts) == (n * S) ** 2 + n**2  # two passes took 2 (n S)^2
+    assert abs(tv - _two_pass_tv(result.upsampled, _gibbs(E))) <= 1e-14
+    assert result.health["tv_passes"] == 1
+    assert result.health["tv_eval_points"] == sum(counts)
+    assert result.tv_report.health == {"tv_passes": 1, "tv_eval_points": sum(counts)}
+    assert "health" not in json.loads(result.tv_report.to_json())
+
+
+def test_tv_falls_back_to_two_passes_when_the_centres_under_resolve():
+    # z = 30 on 5 boxes per axis: the box centres miss most of e^{-E}
+    for d, M in ((1, 2), (2, 2)):
+        E = tf.cosine_potential(30.0, d, 1.0)
+        lat = tf.make_lattice(d, M, 1.0)
+        state = _normalized(tf.discretize(lambda p: np.exp(-E.evaluate(p) / 2), lat))
+        n, S = lat.points_per_axis, 32
+        counted, counts = _counting(_gibbs(E))
+        tv, health = sampler._tv_quadrature(state, counted, S)
+        assert health["tv_passes"] == 2
+        # d = 1 keeps its one block between the passes
+        assert sum(counts) == health["tv_eval_points"] == (1 if d == 1 else 2) * (n * S) ** d + n**d
+        assert abs(tv - _two_pass_tv(state, _gibbs(E))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_tv_falls_back_when_every_subcell_sits_on_the_breakpoint(d):
+    # the uniform state against the flat density: mu = rho / Z everywhere,
+    # so no subcell has a sign; the band would hold the whole grid
+    lat = tf.make_lattice(d, 16 if d == 2 else 500, 1.0, cap=None)
+    state = _uniform_state(lat)
+    flat = _gibbs(tf.zero_potential(d, 1.0))
+    grid_bytes = (lat.points_per_axis * 32) ** d * 8
+    tracemalloc.start()
+    try:
+        tv, health = sampler._tv_quadrature(state, flat, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert health["tv_passes"] == 2
+    assert tv <= 1e-12 and abs(tv - _two_pass_tv(state, flat)) <= 1e-14
+    if d == 2:
+        # a block and its temporaries, not a buffer of the whole grid
+        assert peak < grid_bytes / 4
 
 
 def test_tv_orthogonal_supports():
@@ -346,6 +467,29 @@ def test_gibbs_normalizer_checks_its_budget(monkeypatch):
     with pytest.raises(tf.SizeError, match="64\\^5 midpoints"):
         tf.exact_mean(lambda p: p[..., 0], E)
     assert sampler._fine_axis(4) ** 4 <= sampler.FINE_POINTS_CAP
+
+
+def test_gibbs_normalizer_lays_out_one_block_at_a_time(monkeypatch):
+    # the d = 3 grid (64^3 midpoints) in blocks of one plane: the normalizer
+    # and the exact mean match their one-block values to rounding, and no
+    # call lays out more than a block
+    E = tf.cosine_potential(1.5, 3, 1.0)
+
+    def observable(p):
+        return np.cos(2 * np.pi * p[..., 0]) + p[..., 2]
+
+    Z, mean = GibbsDensity(E).Z, tf.exact_mean(observable, E)
+    block = 64**2
+    lay_out = sampler.grid_points
+
+    def one_block(*axes):
+        assert math.prod(len(a) for a in axes) <= block, "more than one block laid out"
+        return lay_out(*axes)
+
+    monkeypatch.setattr(sampler, "FINE_BLOCK", block, raising=False)
+    monkeypatch.setattr(sampler, "grid_points", one_block)
+    assert GibbsDensity(E).Z == pytest.approx(Z, rel=1e-13)
+    assert tf.exact_mean(observable, E) == pytest.approx(mean, rel=1e-13, abs=1e-15)
 
 
 def test_exact_mean_bessel_ratio():
