@@ -58,8 +58,7 @@ from .semianalytic import (
     tail_mass,
 )
 from .generator import (
-    FpOperator,
-    MatrixFreeOperator,
+    Operator,
     build_generator,
     condition_number_check,
     operator_norm_check,
@@ -96,10 +95,9 @@ __all__ = [
     "EvalError",
     "EvolutionResult",
     "FourierMomentProfile",
-    "FpOperator",
     "GridField",
-    "MatrixFreeOperator",
     "MeanEstimate",
+    "Operator",
     "PeriodicMlp",
     "PreconditionError",
     "SampleBatch",

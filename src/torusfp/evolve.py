@@ -1,12 +1,12 @@
 """Evolution u(t) = e^{Lt} u(0), mixing-time selection, and decay
 diagnostics.
 
-``evolve`` calls the operator's ``propagate``.  For d = 1 the dense
-``FpOperator`` applies the propagator mode by mode, from an eigendecomposition
-it computes on its first propagation and keeps, so there is no time-stepping
-error and every bound check isolates discretization error.  For
-d >= 2 the ``MatrixFreeOperator`` keeps the kernel component exactly and
-approximates the rest in a Krylov space, to an a posteriori error bound of
+``evolve`` calls ``Operator.propagate``, which picks its method by d.  For
+d = 1 it applies the propagator mode by mode, from an eigendecomposition of
+the dense L' computed on its first propagation and kept, so there is no
+time-stepping error and every bound check isolates discretization error.
+For d >= 2 it keeps the kernel component exactly and approximates the rest
+in a Krylov space through ``Operator.apply``, to an a posteriori error bound of
 ``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)|| in the symmetrized frame;
 ``EvolutionResult.health`` carries its step count and bound.  The decay and
 norm reports are ``torusfp.report.Report`` dataclasses; the trace table is

@@ -12,32 +12,34 @@ an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
 is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 = 0).  L is derived from L' on demand.
 
-``build_generator`` picks the backend by dimension:
+One :class:`Operator` serves every d.  It stores W and the gap; ``apply``
+acts with L' one axis at a time, by ``rfft``/``irfft`` on axes of more than
+FFT_AXIS_POINTS points and by the dense circulant on shorter ones.  The dense
+L' (``symmetrized``) and its spectrum (``eigenvalues``, a values-only
+``eigvalsh`` with the kernel eigenvalue pinned to 0) are assembled on first
+access and kept.  Two things depend on d, since at d = 1 Lanczos and Krylov
+need about n steps, some 14 times the dense cost at N = 1023:
 
-- d = 1: :class:`FpOperator` stores the dense L' and its spectrum, from a
-  values-only ``eigvalsh`` with the kernel eigenvalue pinned to 0; the gap is
-  read off it.  ``propagate`` computes the eigendecomposition (``eigh`` of
-  the stored L', with the kernel eigenpair pinned to (0, q0)) on its first
-  call, keeps it on the operator, and applies e^{Lt} mode by mode, with no
-  time-stepping error.
-- d >= 2: :class:`MatrixFreeOperator` stores only W and the (2N+1)-point axis
-  derivative, and applies L' one axis at a time.  The gap comes from Lanczos
-  on the complement of q0 (Saad, SIAM J. Numer. Anal. 29, 1992), to a Ritz
-  residual of GAP_RTOL.  ``propagate`` keeps the q0 component exactly and
-  advances the rest in a Krylov space (Hochbruck & Lubich, SIAM J. Numer.
-  Anal. 34, 1997) until an a posteriori error bound meets KRYLOV_RTOL.  The
-  dense L', L and spectrum are assembled only when asked for.  Every Lanczos
-  run (the gap, the propagation and the norm check) orthogonalizes each new
-  direction once against its basis and q0, and a second time only when the
-  first pass left less than 1/sqrt(2) of its norm (the DGKS rule).
+- the gap (``build_generator``): read off ``eigenvalues`` at d = 1; by
+  Lanczos on the complement of q0 at d >= 2 (Saad, SIAM J. Numer. Anal. 29,
+  1992), to a Ritz residual of GAP_RTOL;
+- the propagation (``propagate``): mode by mode at d = 1, with no
+  time-stepping error, from ``modes()`` (``eigh`` of the stored L' with the
+  kernel eigenpair pinned to (0, q0), on the first call, kept); at d >= 2 the
+  q0 component is kept exactly and the rest advanced in a Krylov space
+  (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) until an a posteriori
+  error bound meets KRYLOV_RTOL.
 
-Both take the dense spectrum from the same values-only routine.
+Every Lanczos run (the gap, the propagation and the norm check)
+orthogonalizes each new direction once against its basis and q0, and a
+second time only when the first pass left less than 1/sqrt(2) of its norm
+(the DGKS rule).  ``op.health`` records the backend ("dense" at d = 1,
+"matrix-free" at d >= 2 with its Lanczos steps, gap residual and second
+passes); ``propagate`` returns the health of its Krylov run next to the
+states.  U scales L' by up to e^{delta_W}: numbers of a steep potential past
+the float64 range end in a PreconditionError that names delta_W and N.
 
-Both apply L' through ``op.apply(x)`` and record their numerical health
-(backend, Lanczos steps, gap residual, steps that needed the second
-orthogonalization pass) in ``op.health``; ``propagate`` returns the Krylov
-steps, error bound and second-pass count of its run next to the states.  The
-structure checks compare the condition number of the eigenvector basis
+The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
 with their bounds; their reports serialize through :mod:`torusfp.report`.  The norm ||L||_2 is
 the square root of the top eigenvalue of L^T L = U^{-1} L' U^2 L' U^{-1},
@@ -48,7 +50,9 @@ relative, with neither the dense L nor an SVD.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +60,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import DENSE_CAP, GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import derivative_axis_matrix, derivative_matrix
+from .spectral import _multipliers, derivative_axis_matrix, derivative_matrix
 
 EPS = np.finfo(float).eps
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
@@ -75,17 +79,28 @@ NORM_RTOL = 1e-12
 CHECK_EVERY = 8
 #: Gauss-Legendre nodes per interval of the error-bound quadrature.
 GAUSS_NODES = 16
+#: Axes of more than this many points take the derivative by FFT, shorter ones
+#: by the dense circulant.  Measured per axis product (2 vCPU, one BLAS thread):
+#: the circulant won at 2N+1 = 401 and 449, primes with a slow FFT, and at 51;
+#: the FFT tied at the prime 521 and won above it (0.06 against 0.52 ms at 1023).
+FFT_AXIS_POINTS = 512
 
 
+@dataclass
 class Operator:
-    """The generator as its callers see it, whichever the backend.
+    """The symmetrized generator L' = -sum_j B_j^T B_j, for every d.
 
-    Both backends carry ``lattice``, ``potential``, ``halve``, ``W``,
-    ``delta_W``, ``spectral_gap``, ``health`` (a dict for the run manifest),
-    ``symmetrized`` (L'), ``apply(x)`` (L' x), ``eigenvalues`` and
-    ``propagate(v, times)``, which returns the states as rows and the health
-    of the propagation; what follows derives from W and L' alone.
+    ``propagate(v, times)`` returns the states as rows and the health of the
+    propagation; ``matrix`` (L) is derived from L' on each access.
     """
+
+    lattice: TorusLattice
+    potential: EnergyPotential
+    halve: bool
+    W: GridField          # evolved potential on the grid (E/2 when halve)
+    delta_W: float        # grid diameter of W
+    spectral_gap: float = math.nan
+    health: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -114,39 +129,25 @@ class Operator:
         u = self.u_diag
         return u / np.linalg.norm(u)
 
+    @cached_property
+    def symmetrized(self) -> np.ndarray:
+        """Dense L', assembled on first access and kept."""
+        return _dense_symmetrized(self.lattice, self.u_diag)
 
-@dataclass
-class FpOperator(Operator):
-    """The dense symmetrized generator with its spectrum (d = 1).
-
-    ``eigenvalues`` come from a values-only ``eigvalsh`` at construction, so
-    the gap and the spectrum cost no eigenvectors.  The first ``propagate``
-    runs ``eigh`` once, O(n^3) time and one more n x n array, and keeps the
-    pinned decomposition on the operator for the calls that follow.
-    """
-
-    lattice: TorusLattice
-    potential: EnergyPotential
-    halve: bool
-    W: GridField          # evolved potential on the grid (E/2 when halve)
-    symmetrized: np.ndarray  # L' = U^{-1} L U, exactly symmetric
-    eigenvalues: np.ndarray  # of L', sorted descending, eigenvalues[0] = 0 exactly
-    delta_W: float        # grid diameter of W
-    health: dict = field(default_factory=lambda: {"backend": "dense"})
-    _modes: tuple | None = field(default=None, init=False, repr=False)
-
-    @property
-    def spectral_gap(self) -> float:
-        return float(-self.eigenvalues[1])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """L' x for a flat vector x."""
-        return self.symmetrized @ x
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of L', sorted descending, by a values-only eigvalsh.  The
+        kernel eigenvalue is known to be 0 and is pinned there: eigvalsh puts
+        it at about eps ||L'||, either sign."""
+        with _float64_range(self):
+            ev = np.linalg.eigvalsh(self.symmetrized)[::-1]
+        ev[0] = 0.0
+        return ev
 
     def modes(self) -> tuple:
         """Eigenvalues (descending) and orthonormal eigenvectors of L', by
         ``eigh`` of L' itself (a negated copy would cost one more n x n array)
-        on the first call and cached.
+        on the first call and kept.
 
         The kernel is known exactly, so its eigenpair is pinned rather than
         taken from eigh: the computed kernel vector strays from e^{-W/2} by
@@ -154,23 +155,58 @@ class FpOperator(Operator):
         Projecting the exact kernel out of the other eigenvectors keeps
         <1, u(t)> fixed to rounding.
         """
-        if self._modes is None:
-            # eigh sorts L' ascending; the descending copy of its vectors is
-            # made once eigh has freed its workspace, below eigh's own peak
-            mu, vectors = np.linalg.eigh(self.symmetrized)
-            values = mu[::-1].copy()
-            vectors = np.ascontiguousarray(vectors[:, ::-1])
-            values[0] = 0.0
-            q0 = self.kernel_vector()
-            vectors[:, 0] = q0
-            vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
-            self._modes = values, vectors
         return self._modes
 
+    @cached_property
+    def _modes(self) -> tuple:
+        # eigh sorts L' ascending; the descending copy of its vectors is made
+        # once eigh has freed its workspace, below eigh's own peak
+        with _float64_range(self):
+            mu, vectors = np.linalg.eigh(self.symmetrized)
+        values = mu[::-1].copy()
+        vectors = np.ascontiguousarray(vectors[:, ::-1])
+        values[0] = 0.0
+        q0 = self.kernel_vector()
+        vectors[:, 0] = q0
+        vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+        return values, vectors
+
+    @cached_property
+    def _axis_matrix(self) -> np.ndarray:
+        """The dense (2N+1) x (2N+1) circulant of the axis derivative."""
+        return derivative_axis_matrix(self.lattice)
+
+    def _derivative(self, y: np.ndarray, axis: int, transpose: bool = False) -> np.ndarray:
+        """D y along ``axis`` of a lattice-shaped y, or D^T y: by rfft/irfft on
+        axes of more than FFT_AXIS_POINTS points, by the dense circulant on
+        shorter ones."""
+        n = self.lattice.points_per_axis
+        if n <= FFT_AXIS_POINTS:
+            D = self._axis_matrix
+            return _along_axis(D.T if transpose else D, y, axis)
+        # D is real and diagonal in the Fourier basis, so D^T has the
+        # conjugate multipliers
+        mult = _multipliers(self.lattice, 1)[: n // 2 + 1].reshape([-1 if j == axis else 1 for j in range(y.ndim)])
+        return np.fft.irfft(np.fft.rfft(y, axis=axis) * (mult.conj() if transpose else mult), n=n, axis=axis)
+
+    def scaled_derivatives(self, x: np.ndarray) -> list:
+        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays."""
+        u = self.u_diag.reshape(self.lattice.shape)
+        y = x.reshape(u.shape) / u
+        return [u * self._derivative(y, j) for j in range(self.lattice.d)]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L' x = -sum_j B_j^T B_j x for a flat vector x."""
+        u = self.u_diag.reshape(self.lattice.shape)
+        acc = sum(self._derivative(u * b, j, transpose=True) for j, b in enumerate(self.scaled_derivatives(x)))
+        return -(acc / u).reshape(-1)
+
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v, applied mode by mode through L = U Q D Q^T U^{-1}
-        with the eigenpairs of :meth:`modes`, and the (empty) health of that
-        exact propagation."""
+        """Rows e^{L t_i} v and the health of the propagation: in a Krylov
+        space at d >= 2, and at d = 1 exactly, with empty health, through
+        L = U Q D Q^T U^{-1} with the eigenpairs of :meth:`modes`."""
+        if self.lattice.d >= 2:
+            return self._propagate_krylov(v, times)
         values, vectors = self.modes()
         u = self.u_diag
         modal0 = vectors.T @ (v / u)
@@ -179,52 +215,8 @@ class FpOperator(Operator):
             out[i] = u * (vectors @ (np.exp(values * t) * modal0))
         return out, {}
 
-
-@dataclass
-class MatrixFreeOperator(Operator):
-    """The symmetrized generator applied axis by axis (d >= 2).
-
-    L' x = -sum_j B_j^T B_j x costs 2d products with the (2N+1)-point axis
-    derivative, O(n (2N+1) d) in all.  ``spectral_gap`` comes from Lanczos
-    and ``propagate`` from a Krylov space; the dense ``symmetrized``,
-    ``matrix`` and ``eigenvalues`` are assembled, O(n^2) memory and O(n^3)
-    time, on each access.
-    """
-
-    lattice: TorusLattice
-    potential: EnergyPotential
-    halve: bool
-    W: GridField          # evolved potential on the grid (E/2 when halve)
-    delta_W: float        # grid diameter of W
-    axis_derivative: np.ndarray  # (2N+1) x (2N+1) derivative along one axis
-    spectral_gap: float = math.nan
-    health: dict = field(default_factory=dict)
-
-    @property
-    def symmetrized(self) -> np.ndarray:
-        """Dense L', assembled on each access."""
-        return _dense_symmetrized(self.lattice, self.u_diag)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Dense spectrum of L', assembled on each access."""
-        return _dense_spectrum(self.symmetrized)
-
-    def scaled_derivatives(self, x: np.ndarray) -> list:
-        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays."""
-        u = self.u_diag.reshape(self.lattice.shape)
-        y = x.reshape(u.shape) / u
-        return [u * _along_axis(self.axis_derivative, y, j) for j in range(self.lattice.d)]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """L' x = -sum_j B_j^T B_j x for a flat vector x."""
-        u = self.u_diag.reshape(self.lattice.shape)
-        Dt = self.axis_derivative.T
-        acc = sum(_along_axis(Dt, u * b, j) for j, b in enumerate(self.scaled_derivatives(x)))
-        return -(acc / u).reshape(-1)
-
-    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v and the health of the Krylov approximation.
+    def _propagate_krylov(self, v: np.ndarray, times: np.ndarray) -> tuple:
+        """e^{L t} v in one Krylov space.
 
         With x = U^{-1} v = c q0 + r, the kernel part c q0 is kept exactly
         and e^{L' t} r is approximated in one Krylov space of r, grown until
@@ -252,15 +244,33 @@ class MatrixFreeOperator(Operator):
         def bound(alpha, beta):
             return min(r0 * _krylov_bound(alpha, beta, t_max), 2 * r0)
 
-        basis, alpha, beta, repeats = _lanczos(
-            self.apply, q0, rest / r0, lambda a, b: bound(a, b) <= KRYLOV_RTOL * scale
-        )
-        theta, S = _ritz(alpha, beta)
+        with _float64_range(self):
+            basis, alpha, beta, repeats = _lanczos(
+                self.apply, q0, rest / r0, lambda a, b: bound(a, b) <= KRYLOV_RTOL * scale
+            )
+            theta, S = _ritz(alpha, beta)
+            error = float(bound(alpha, beta) / scale)
+        if not math.isfinite(error):
+            raise _too_steep(self)
         for i, t in enumerate(times):
             y = S @ (np.exp(theta * t) * S[0])
             out[i] = u * (c * q0 + r0 * (basis.T @ y))
-        error = float(bound(alpha, beta) / scale)
         return out, {"krylov_steps": len(alpha), "krylov_error": error, "krylov_reorth_steps": repeats}
+
+
+def _too_steep(op: Operator) -> PreconditionError:
+    return PreconditionError(f"potential too steep for float64 at delta_W = {op.delta_W:.6g}, N = {op.lattice.N}")
+
+
+@contextmanager
+def _float64_range(op: Operator):
+    """A LinAlgError from numbers of ``op`` past the float64 range becomes
+    :func:`_too_steep`, with no warnings; callers check non-finite results."""
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except np.linalg.LinAlgError:
+            raise _too_steep(op) from None
 
 
 def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -278,15 +288,6 @@ def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
         B /= u[None, :]
         K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
     return np.negative(K, out=K)
-
-
-def _dense_spectrum(symmetrized: np.ndarray) -> np.ndarray:
-    """Eigenvalues of L', sorted descending, by a values-only eigvalsh.  The
-    kernel eigenvalue is known to be 0 and is pinned there: eigvalsh puts it
-    at about eps ||L'||, either sign."""
-    ev = np.linalg.eigvalsh(symmetrized)[::-1]
-    ev[0] = 0.0
-    return ev
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
@@ -364,7 +365,7 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
         q = w / beta[k]
 
 
-def _lanczos_gap(op: MatrixFreeOperator) -> tuple:
+def _lanczos_gap(op: Operator) -> tuple:
     """The spectral gap by Lanczos on q0-perp, with the health of the run.
 
     The start vector is the fixed pseudo-random :func:`_random_start`.  The run
@@ -412,12 +413,13 @@ def _krylov_bound(alpha: np.ndarray, beta: np.ndarray, t: float) -> float:
 
 
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> Operator:
-    """The generator of W = E/2 (``halve``, the pipeline default) or W = E.
+    """The generator of W = E/2 (``halve``, the pipeline default) or W = E,
+    with its spectral gap.
 
-    For d = 1 the result is the dense :class:`FpOperator`, whose spectrum, and
-    so its gap, is computed here by eigvalsh: the axis matrix is the whole
-    matrix, and Lanczos would need about n steps.  For d >= 2 it is the
-    :class:`MatrixFreeOperator`, whose gap is computed here by Lanczos.
+    For d = 1 the gap is read off the spectrum, a values-only eigvalsh of
+    the assembled L': the axis matrix is the whole matrix, and Lanczos would
+    need about n steps.  For d >= 2 it comes from Lanczos through ``apply``,
+    and L' is not assembled.
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, dense cap is {DENSE_CAP}")
@@ -428,30 +430,15 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     w_vals = e_grid.values / 2 if halve else e_grid.values
     W = GridField(lattice, w_vals, is_real=True)
     w = W.flat
-    delta_W = float(w.max() - w.min())
-
-    if lattice.d >= 2:
-        op = MatrixFreeOperator(
-            lattice=lattice,
-            potential=E,
-            halve=halve,
-            W=W,
-            delta_W=delta_W,
-            axis_derivative=derivative_axis_matrix(lattice),
-        )
-        op.spectral_gap, op.health = _lanczos_gap(op)
-        return op
-
-    symmetrized = _dense_symmetrized(lattice, np.exp(-w / 2))
-    return FpOperator(
-        lattice=lattice,
-        potential=E,
-        halve=halve,
-        W=W,
-        symmetrized=symmetrized,
-        eigenvalues=_dense_spectrum(symmetrized),
-        delta_W=delta_W,
-    )
+    op = Operator(lattice=lattice, potential=E, halve=halve, W=W, delta_W=float(w.max() - w.min()))
+    with _float64_range(op):
+        if lattice.d == 1:
+            op.spectral_gap, op.health = float(-op.eigenvalues[1]), {"backend": "dense"}
+        else:
+            op.spectral_gap, op.health = _lanczos_gap(op)
+    if not (math.isfinite(op.spectral_gap) and op.spectral_gap > 0):
+        raise _too_steep(op)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +470,6 @@ def operator_norm_check(op: Operator) -> OperatorNormReport:
     if lat.N <= 3:
         raise PreconditionError(f"operator norm bound is stated for N > 3, got N={lat.N}")
     u = op.u_diag
-    q0 = u * u / np.linalg.norm(u * u)
 
     def normal(x):
         return op.apply(u * u * op.apply(x / u)) / u
@@ -492,8 +478,12 @@ def operator_norm_check(op: Operator) -> OperatorNormReport:
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= NORM_RTOL * theta
 
-    _, alpha, beta, repeats = _lanczos(normal, q0, _random_start(q0), converged)
-    theta, _, residual = _top_ritz(alpha, beta)
+    with _float64_range(op):
+        q0 = u * u / np.linalg.norm(u * u)
+        _, alpha, beta, repeats = _lanczos(normal, q0, _random_start(q0), converged)
+        theta, _, residual = _top_ritz(alpha, beta)
+    if not math.isfinite(theta):
+        raise _too_steep(op)
     op.health.update(norm_lanczos_steps=len(alpha), norm_residual=float(residual / theta), norm_reorth_steps=repeats)
     pref = lat.d * lat.N**2 / lat.l**2
     log_branch = pref * (4 * math.pi**2 + 2606 * op.delta_W * math.log(lat.N) ** 2)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError, SizeError, ValidationError
 from .evolve import choose_T, evolve
-from .generator import build_generator
+from .generator import Operator, build_generator
 from .lattice import GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
 from .potential import FINE_GRID, RESOLUTION_CAP, EnergyPotential
 from .report import Report
@@ -402,11 +402,11 @@ def _integer_root(n: int, d: int) -> int:
 class PipelineResult:
     batch: SampleBatch
     tv_report: TvReport
-    operator: object
+    operator: Operator
     state: GridField     # normalized evolved state on the N-lattice
     upsampled: GridField
     resolved: dict = field(default_factory=dict)
-    health: dict = field(default_factory=dict)  # the operator's, the propagation's and the TV's
+    health: dict = field(default_factory=dict)  # the operator's, the propagation's, the TV's and mixing_l2
 
 
 def run_pipeline(
@@ -430,6 +430,9 @@ def run_pipeline(
     the largest M whose (2M+1)^d nodes stay within RESOLUTION_CAP and, for
     d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d stays
     within TV_EVAL_CAP, but never below N.
+
+    ``health`` adds the mixing part of the error, ``mixing_l2``, to the
+    operator's, the propagation's and the TV's numbers.
     """
     if subcells < 1:
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
@@ -450,6 +453,9 @@ def run_pipeline(
     evolution = evolve(op, ones, T)
     final = evolution.final
     state = GridField(lattice, (final / np.linalg.norm(final)).reshape(lattice.shape), is_real=True)
+    w = op.W.flat
+    stationary = np.exp(w.min() - w)  # e^{-W} scaled by e^{min W}: neither it nor its norm overflows
+    mixing_l2 = float(np.linalg.norm(state.flat - stationary / np.linalg.norm(stationary)))
 
     if M is None:
         spec = dft(state)
@@ -490,7 +496,7 @@ def run_pipeline(
         state=state,
         upsampled=upsampled,
         resolved=resolved,
-        health={**op.health, **evolution.health, **tv_report.health},
+        health={**op.health, **evolution.health, **tv_report.health, "mixing_l2": mixing_l2},
     )
 
 

@@ -137,6 +137,7 @@ OPERATOR_HEALTH = {"backend", "lanczos_steps", "gap_residual", "lanczos_reorth_s
 PROPAGATION_HEALTH = {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
 NORM_HEALTH = {"norm_lanczos_steps", "norm_residual", "norm_reorth_steps"}
 TV_HEALTH = {"tv_passes", "tv_eval_points"}
+PIPELINE_HEALTH = TV_HEALTH | {"mixing_l2"}
 
 
 @pytest.mark.parametrize("command", sorted(HEALTH_RUNS))
@@ -148,7 +149,7 @@ def test_manifest_health_block(tmp_path, command):
     assert health["backend"] == "matrix-free"
     expected = OPERATOR_HEALTH | (NORM_HEALTH if command == "spectrum" else PROPAGATION_HEALTH)
     if command == "gibbs":
-        expected |= TV_HEALTH
+        expected |= PIPELINE_HEALTH
         # one pass over the (13 * 32)^2 subcells, after the 13^2 box centres
         assert health["tv_passes"] == 1 and health["tv_eval_points"] == (13 * 32) ** 2 + 13**2
     assert set(health) == expected
@@ -161,7 +162,7 @@ def test_manifest_health_block(tmp_path, command):
     assert not set(manifest["config"]) & set(health)
     for name in manifest["artifacts"]:
         text = (out / name).read_text()
-        for key in ("lanczos", "krylov", "backend", "reorth", "tv_passes", "tv_eval_points"):
+        for key in ("lanczos", "krylov", "backend", "reorth", "tv_passes", "tv_eval_points", "mixing"):
             assert key not in text, (name, key)
 
 
@@ -238,9 +239,45 @@ def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
 def test_manifest_health_for_the_dense_backend(tmp_path):
     assert run_cli(["gibbs", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
     health = json.loads((tmp_path / "g" / "run-manifest.json").read_text())["health"]
-    assert set(health) == {"backend"} | TV_HEALTH and health["backend"] == "dense"
+    assert set(health) == {"backend"} | PIPELINE_HEALTH and health["backend"] == "dense"
     assert run_cli(["witness", "--N", "5", "--out", str(tmp_path / "w")]) == 0
     assert "health" not in json.loads((tmp_path / "w" / "run-manifest.json").read_text())
+
+
+def test_mean_manifest_records_the_mixing_distance(tmp_path):
+    out = tmp_path / "m"
+    assert run_cli(["mean", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert set(manifest["health"]) == {"backend"} | PIPELINE_HEALTH
+    assert 0 <= manifest["health"]["mixing_l2"] < 1
+    assert "mixing" not in (out / "mean.json").read_text()
+    assert not set(manifest["config"]) & set(manifest["health"])
+
+
+#: Potentials steep enough that e^(+-W/2) takes the generator past the float64
+#: range: the first five (delta_W about 800) overflow the dense spectrum or
+#: the gap, the next two the norm check and the Krylov error bound; at the
+#: last the d = 1 gap falls below the rounding of L' and came out negative.
+STEEP = [
+    ["spectrum", "--potential", "cosine:z=800", "--d", "1", "--N", "8"],
+    ["gibbs", "--potential", "cosine:z=800", "--d", "1", "--N", "8", "--seed", "1"],
+    ["evolve", "--potential", "cosine:z=800", "--d", "1", "--N", "8"],
+    ["spectrum", "--potential", "cosine:z=400", "--d", "2", "--N", "4"],
+    ["gibbs", "--potential", "cosine:z=400", "--d", "2", "--N", "4", "--M", "4", "--seed", "1"],
+    ["spectrum", "--potential", "cosine:z=200", "--d", "1", "--N", "8"],
+    ["gibbs", "--potential", "cosine:z=300", "--d", "2", "--N", "4", "--M", "4", "--seed", "1"],
+    ["spectrum", "--potential", "cosine:z=40", "--d", "1", "--N", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", STEEP, ids=[f"{argv[0]}-{argv[2]}-d{argv[4]}" for argv in STEEP])
+def test_steep_potential_exits_with_a_typed_error(tmp_path, capsys, argv):
+    # a typed error naming delta_W and N, exit 2, never a traceback or a
+    # LinAlgError; under pytest an overflow warning on the way fails too
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "too steep for float64 at delta_W = " in err
+    assert f"N = {argv[argv.index('--N') + 1]}" in err
 
 
 def test_validation_exit_code(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp.errors import PreconditionError, SizeError
-from torusfp.generator import NORM_RTOL, Operator, spectrum_to_csv
+from torusfp import generator
+from torusfp.generator import FFT_AXIS_POINTS, NORM_RTOL, Operator, spectrum_to_csv
 from torusfp.spectral import derivative_matrix, fourier_derivative, laplacian
 
 from conftest import random_band_field, small_mlp
@@ -204,7 +205,7 @@ def eigenvectors(op):
 def test_generator_structure_property(case):
     E, lat, halve = case
     op = tf.build_generator(E, lat, halve=halve)
-    assert isinstance(op, tf.MatrixFreeOperator) == (lat.d >= 2)
+    assert op.health["backend"] == ("matrix-free" if lat.d >= 2 else "dense")
     sym = op.symmetrized
     assert np.array_equal(sym, sym.T)
     ev = op.eigenvalues
@@ -305,6 +306,50 @@ def test_operator_norm_matches_svd_oracle_without_svd(E, N, monkeypatch):
     assert rep.measured == pytest.approx(oracle, rel=1e-10, abs=0)
     assert op.health["norm_lanczos_steps"] > 0
     assert op.health["norm_residual"] <= NORM_RTOL
+
+
+@pytest.mark.parametrize(
+    "d, N",
+    [(1, 20), (1, FFT_AXIS_POINTS // 2 - 1), (1, FFT_AXIS_POINTS // 2), (1, 300), (2, 8), (3, 3)],
+)
+def test_apply_matches_the_assembled_generator(d, N, monkeypatch):
+    # the axis derivative by FFT past FFT_AXIS_POINTS points, by the dense
+    # circulant, built once per operator, below
+    built = []
+    circulant = generator.derivative_axis_matrix
+    monkeypatch.setattr(generator, "derivative_axis_matrix", lambda lat: built.append(lat) or circulant(lat))
+    op = tf.build_generator(tf.cosine_potential(2.0, d, 1.0), tf.make_lattice(d, N, 1.0))
+    x = np.random.default_rng(N).standard_normal(op.size)
+    ref = op.symmetrized @ x
+    assert np.linalg.norm(op.apply(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+    B = np.array([b.reshape(-1) for b in op.scaled_derivatives(x)])
+    assert abs(np.sum(B * B) + x @ ref) <= 1e-13 * abs(x @ ref)
+    assert len(built) == (0 if 2 * N + 1 > FFT_AXIS_POINTS else 1)
+
+
+def test_operator_norm_through_the_fft_axis_matches_the_dense_norm():
+    op = tf.build_generator(tf.cosine_potential(2.0, 1, 1.0), tf.make_lattice(1, 300, 1.0))
+    assert op.lattice.points_per_axis > FFT_AXIS_POINTS
+    oracle = np.linalg.norm(op.matrix, 2)
+    assert tf.operator_norm_check(op).measured == pytest.approx(oracle, rel=1e-10, abs=0)
+
+
+def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
+    assembled, solved = [], []
+    assemble, eigvalsh = generator._dense_symmetrized, np.linalg.eigvalsh
+    monkeypatch.setattr(generator, "_dense_symmetrized", lambda *a: assembled.append(1) or assemble(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(1) or eigvalsh(a))
+    plane = tf.build_generator(tf.cosine_potential(1.0, 2, 1.0), tf.make_lattice(2, 4, 1.0))
+    assert assembled == [] and solved == []
+    sym = plane.symmetrized
+    assert plane.eigenvalues is plane.eigenvalues and plane.symmetrized is sym
+    assert plane.matrix.shape == sym.shape
+    assert assembled == [1] and solved == [1]
+    # at d = 1 the gap is read off the spectrum: one assembly, one eigvalsh
+    line = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 8, 1.0))
+    assert len(assembled) == 2 and len(solved) == 2
+    assert line.spectral_gap == -line.eigenvalues[1] and line.modes()[0] is line.modes()[0]
+    assert len(assembled) == 2 and len(solved) == 2
 
 
 def test_condition_number_check():

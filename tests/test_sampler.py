@@ -562,3 +562,15 @@ def test_series_distance_matches_manual(rng):
     series = series / np.linalg.norm(series)
     manual = np.concatenate([coeffs - series[(ks >= -5) & (ks <= 5)], series[np.abs(ks) > 5]])
     assert got == pytest.approx(float(np.linalg.norm(manual)), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, N", [(1, 8), (2, 4)])
+def test_pipeline_health_carries_the_mixing_distance(d, N):
+    E = tf.cosine_potential(1.0, d, 1.0)
+    short = tf.run_pipeline(E, N=N, M=N, T=0.01, count=10, seed=0)
+    longer = tf.run_pipeline(E, N=N, M=N, T=0.02, count=10, seed=0)
+    op = short.operator
+    stationary = op.stationary / np.linalg.norm(op.stationary)
+    direct = np.linalg.norm(short.state.flat - stationary)
+    assert short.health["mixing_l2"] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+    assert 0 < longer.health["mixing_l2"] < short.health["mixing_l2"]
