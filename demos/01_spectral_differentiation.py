@@ -51,7 +51,7 @@ params = tf.SemiAnalyticityParams(C, a)
 print(f"  certified parameters: C = {C:.4f}, a = {a}")
 print(f"  {'N':>4} {'grad error':>12} {'envelope':>12} {'lap error':>12} {'envelope':>12}")
 for N in (8, 12, 16, 24, 32):
-    rep = tf.derivative_error_report(u_fn, grad_fn, lap_fn, tf.make_lattice(1, N, 1.0, cap=None), params)
+    rep = tf.derivative_error_report(u_fn, grad_fn, lap_fn, tf.make_lattice(1, N, 1.0), params)
     print(
         f"  {N:>4} {rep.measured_first:>12.3e} {rep.bound_first:>12.3e}"
         f" {rep.measured_second:>12.3e} {rep.bound_second:>12.3e}"

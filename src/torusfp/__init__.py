@@ -11,7 +11,6 @@ if _threads:
 
 from .errors import EvalError, PreconditionError, SizeError, TorusFpError, ValidationError
 from .lattice import (
-    DENSE_CAP,
     GridField,
     SpectralField,
     TorusLattice,
@@ -58,6 +57,7 @@ from .semianalytic import (
     tail_mass,
 )
 from .generator import (
+    DENSE_CAP,
     Operator,
     build_generator,
     condition_number_check,

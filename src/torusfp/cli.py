@@ -204,7 +204,7 @@ def _manifest(out_dir: Path, cfg: dict, resolved: dict, health: dict, artifacts:
 def _cmd_derive_check(cfg, out_dir, artifacts):
     from .errors import PreconditionError
     from .lattice import make_lattice
-    from .potential import RESOLUTION_CAP, expcos_family
+    from .potential import expcos_family
     from .semianalytic import SemiAnalyticityParams
     from .spectral import derivative_error_report
 
@@ -214,7 +214,7 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
     violations = []
     for N in _parse_range(cfg["n_range"]):
         try:
-            rep = derivative_error_report(u, gu, lu, make_lattice(1, N, cfg["l"], cap=RESOLUTION_CAP), params)
+            rep = derivative_error_report(u, gu, lu, make_lattice(1, N, cfg["l"]), params)
         except PreconditionError:
             continue
         rows.append(
@@ -231,7 +231,7 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
     import numpy as np
 
     from .lattice import GridField, discretize, make_lattice
-    from .potential import RESOLUTION_CAP, expcos_family, invcos_potential
+    from .potential import expcos_family, invcos_potential
     from .sampler import density_tv_quadrature, normalized_series_distance, upsample
 
     zs = cfg["z"]
@@ -253,7 +253,7 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
             a = max(8.0, 8.0 / (z - 1))
         n_min = math.ceil(max(1.0, a if cfg["family"] == "invcos" else z / 2)) + 2
         for N in range(n_min, n_min + 10):
-            lat = make_lattice(1, N, cfg["l"], cap=RESOLUTION_CAP)
+            lat = make_lattice(1, N, cfg["l"])
             fld = discretize(u, lat)
             state = GridField(lat, fld.values / fld.norm(), is_real=True)
             dist = normalized_series_distance(state, u_hat, k_max=max(80, 4 * N))
@@ -361,7 +361,6 @@ def _cmd_gibbs(cfg, out_dir, artifacts):
 
 def _cmd_analyze(cfg, out_dir, artifacts):
     from .lattice import dft, discretize, make_lattice
-    from .potential import RESOLUTION_CAP
     from .semianalytic import (
         bernstein_from_semianalytic,
         fit_params,
@@ -372,7 +371,7 @@ def _cmd_analyze(cfg, out_dir, artifacts):
     )
 
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
-    lat = make_lattice(cfg["d"], cfg["N"], cfg["l"], cap=RESOLUTION_CAP)
+    lat = make_lattice(cfg["d"], cfg["N"], cfg["l"])
     import numpy as np
 
     fld = discretize(lambda p: np.exp(-E.evaluate(p)), lat)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .generator import Operator, build_generator
+from .generator import Operator, _too_steep, build_generator
 from .lattice import GridField, make_lattice
 from .report import Report, csv_text
 
@@ -67,17 +67,19 @@ def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2, chi2: bool
     w = op.W.flat
     norms = np.linalg.norm(states, axis=1)
     inners = states.sum(axis=1)
-    max_principle = (states * np.exp(w)[None, :]).max(axis=1)
-
     chi2_trace = None
-    if chi2:
-        pi = np.exp(-w)
-        pi = pi / pi.sum()
-        h = states * np.exp(w)[None, :]
-        mean = (h * pi[None, :]).sum(axis=1)
-        # centered form; the raw second moment cancels catastrophically near
-        # stationarity
-        chi2_trace = ((h - mean[:, None]) ** 2 * pi[None, :]).sum(axis=1)
+    try:  # u e^{W} and its square overflow on steep potentials the generator accepts
+        with np.errstate(over="raise"):
+            h = states * np.exp(w)[None, :]
+            max_principle = h.max(axis=1)
+            if chi2:
+                pi = np.exp(-w)
+                pi = pi / pi.sum()
+                mean = (h * pi[None, :]).sum(axis=1)
+                # centered: the raw second moment cancels catastrophically near stationarity
+                chi2_trace = ((h - mean[:, None]) ** 2 * pi[None, :]).sum(axis=1)
+    except FloatingPointError:
+        raise _too_steep(op) from None
 
     return EvolutionResult(
         times=times,
@@ -235,8 +237,8 @@ def nested_restriction_error(E, N: int, T: float, halve: bool = True, factor: in
     coarse = make_lattice(E.d, N, E.l)
     fine = make_lattice(E.d, N_ref, E.l)
 
+    op_f = build_generator(E, fine, halve=halve)  # first: past DENSE_CAP, refused before any work
     op_c = build_generator(E, coarse, halve=halve)
-    op_f = build_generator(E, fine, halve=halve)
 
     ones_c = GridField(coarse, np.ones(coarse.shape), is_real=True)
     ones_f = GridField(fine, np.ones(fine.shape), is_real=True)

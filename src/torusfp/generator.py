@@ -57,12 +57,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, SizeError, ValidationError
-from .lattice import DENSE_CAP, GridField, TorusLattice, discretize
+from .lattice import GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
 from .spectral import _multipliers, derivative_axis_matrix, derivative_matrix
 
 EPS = np.finfo(float).eps
+#: Largest node count of ``build_generator``: dense L' and eigenvectors, n^2 each.
+DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
 #: GAP_RTOL |theta|, or to the rounding level eps ||L'||.
@@ -422,7 +424,7 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     and L' is not assembled.
     """
     if lattice.size > DENSE_CAP:
-        raise SizeError(f"lattice has {lattice.size} nodes, dense cap is {DENSE_CAP}")
+        raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")
     if lattice.d != E.d:
         raise ValidationError(f"potential dimension {E.d} != lattice dimension {lattice.d}")
 

@@ -12,6 +12,9 @@ The discrete Fourier transform is the centered unitary convention
     F[k, n] = (2N+1)^(-d/2) * exp(-i 2 pi <k, n> / (2N+1)),
 
 with both ``k`` and ``n`` running over ``[-N..N]^d``.
+
+``make_lattice`` refuses every lattice of more than RESOLUTION_CAP nodes; dense
+operator work has its own, smaller limit, ``generator.DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from .errors import EvalError, SizeError, ValidationError
 
-#: Largest total node count for which dense operator assembly is allowed.
-DENSE_CAP = 4096
+#: Largest total node count of any lattice: 2^22, so at most 2047^2 or 161^3.
+RESOLUTION_CAP = 2**22
 
 _REAL_TOL = 1e-12
 
@@ -73,12 +76,9 @@ class TorusLattice:
         return np.meshgrid(*axes, indexing="ij")
 
 
-def make_lattice(d: int, N: int, l: float, cap: int | None = DENSE_CAP) -> TorusLattice:
-    """Build a lattice with 2N+1 points per axis on a d-torus of period l.
-
-    ``cap`` bounds the total node count (2N+1)^d; it protects dense operator
-    assembly and may be raised or disabled (``None``) for FFT-only work.
-    """
+def make_lattice(d: int, N: int, l: float) -> TorusLattice:
+    """Build a lattice with 2N+1 points per axis on a d-torus of period l,
+    refusing one of more than RESOLUTION_CAP nodes."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValidationError(f"dimension d must be a positive integer, got {d!r}")
     if not isinstance(N, (int, np.integer)) or N < 1:
@@ -86,8 +86,8 @@ def make_lattice(d: int, N: int, l: float, cap: int | None = DENSE_CAP) -> Torus
     if not np.isfinite(l) or l <= 0:
         raise ValidationError(f"period l must be positive and finite, got {l!r}")
     size = (2 * int(N) + 1) ** int(d)
-    if cap is not None and size > cap:
-        raise SizeError(f"lattice has {size} nodes, exceeding the cap {cap}")
+    if size > RESOLUTION_CAP:
+        raise SizeError(f"lattice has {size} nodes, exceeding the cap {RESOLUTION_CAP}")
     return TorusLattice(d=int(d), N=int(N), l=float(l))
 
 

@@ -2,6 +2,7 @@
 
 Potentials are min-normalized at construction (min E = 0 over the torus), so
 e^{-E} <= 1 and the diameter doubles as the inverse temperature scale.
+The metadata estimators' fine grids are lattices, bounded by RESOLUTION_CAP.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvalError, SizeError, ValidationError
+from .errors import EvalError, ValidationError
 from .lattice import GridField, TorusLattice, make_lattice
 from .spectral import fourier_derivative
 
 #: Fine-grid points per axis used by the metadata estimators.
 FINE_GRID = {1: 2**15, 2: 512, 3: 64}
-
-#: Total fine-grid evaluation budget.
-RESOLUTION_CAP = 2**22
 
 LIPSCHITZ_MARGIN = 1.05
 
@@ -85,10 +83,7 @@ class EnergyPotential:
 
 def _fine_lattice(d: int, l: float, resolution: int | None) -> TorusLattice:
     pts = resolution if resolution is not None else FINE_GRID.get(d, 64)
-    if pts**d > RESOLUTION_CAP:
-        raise SizeError(f"fine grid {pts}^{d} exceeds the resolution cap {RESOLUTION_CAP}")
-    N = max(1, (int(pts) - 1) // 2)
-    return make_lattice(d, N, l, cap=None)
+    return make_lattice(d, max(1, (int(pts) - 1) // 2), l)
 
 
 def _min_max(raw, d: int, l: float, resolution: int | None = None):
@@ -105,14 +100,15 @@ def estimate_diameter(E: EnergyPotential, resolution: int | None = None) -> floa
     return hi - lo
 
 
+def lipschitz_on_grid(fld: GridField) -> float:
+    """LIPSCHITZ_MARGIN x the largest spectral-gradient component of a field."""
+    return LIPSCHITZ_MARGIN * max(float(np.abs(fourier_derivative(fld, j).values).max()) for j in range(fld.lattice.d))
+
+
 def estimate_lipschitz(E: EnergyPotential, resolution: int | None = None) -> float:
-    """1.05 x the largest spectral-gradient component on a fine grid."""
+    """:func:`lipschitz_on_grid` of E on a fine grid."""
     lat = _fine_lattice(E.d, E.l, resolution)
-    fld = GridField(lat, E.evaluate(lat.points()).reshape(lat.shape), is_real=True)
-    worst = 0.0
-    for j in range(lat.d):
-        worst = max(worst, float(np.abs(fourier_derivative(fld, axis=j).values).max()))
-    return LIPSCHITZ_MARGIN * worst
+    return lipschitz_on_grid(GridField(lat, E.evaluate(lat.points()).reshape(lat.shape), is_real=True))
 
 
 def _normalized(raw, d, l):

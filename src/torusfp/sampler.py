@@ -18,6 +18,10 @@ The correction is exact, up to rounding, whenever no subcell's sign can flip
 between the estimate and Z; otherwise a second pass sums |mu - rho / Z|
 directly.  ``TvReport.health`` records which way it went.
 
+Sizes are checked before any work: ``make_lattice`` bounds the upsampling
+target, and the TV quadrature and the Gibbs normalizer, both midpoint sums,
+each evaluate at most QUADRATURE_CAP midpoints.
+
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
 sample batches write their own CSV, byte for byte what ``csv_text`` would.
 """
@@ -33,11 +37,10 @@ import numpy as np
 from .errors import PreconditionError, SizeError, ValidationError
 from .evolve import choose_T, evolve
 from .generator import Operator, build_generator
-from .lattice import GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
-from .potential import FINE_GRID, RESOLUTION_CAP, EnergyPotential
+from .lattice import RESOLUTION_CAP, GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
+from .potential import FINE_GRID, EnergyPotential, lipschitz_on_grid
 from .report import Report
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
-from .spectral import fourier_derivative
 
 _E3 = math.e**3
 _E4 = math.e**4
@@ -51,17 +54,14 @@ INTERPOLATION_CONST = 16 * math.sqrt(2) * _E3
 
 MC_POINTS = 10**6
 
-#: largest subcell-evaluation count the quadrature TV will attempt
-TV_EVAL_CAP = 2**27
+#: largest midpoint count of the TV quadrature and of the Gibbs normalizer: the
+#: normalizer's 64^4 grid fits, its 64^5 grid (8 GiB of coordinates) does not
+QUADRATURE_CAP = 2**27
 
 #: relative half-width of the band around the estimated reference density
 #: c rho inside which the quadrature TV keeps a subcell aside: outside it, the
 #: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
 TV_BAND = 1e-8
-
-#: largest midpoint count of the Gibbs normalizer's fine grid: 64^4, so every
-#: d <= 4 grid fits (64^5 points at d = 5 would take 8 GiB of coordinates)
-FINE_POINTS_CAP = 2**24
 
 #: fine-grid midpoints laid out and evaluated at a time by the Gibbs
 #: normalizer: 2^18 = 512^2 = 64^3, so a d <= 3 grid is one block and the
@@ -131,7 +131,7 @@ def upsample(state: GridField, M: int) -> GridField:
     """Zero-pad the centered spectrum from the N-lattice into the M-lattice.
 
     The map F_M^{-1} iota F_N is an isometry; the input must be normalized to
-    unit 2-norm.  The M-lattice may hold at most RESOLUTION_CAP nodes.
+    unit 2-norm.  ``make_lattice`` bounds the M-lattice.
     """
     lat = state.lattice
     if M < lat.N:
@@ -141,7 +141,7 @@ def upsample(state: GridField, M: int) -> GridField:
         raise ValidationError(f"upsample expects a unit-norm state, got norm {nrm}")
     if M == lat.N:
         return state.copy()
-    target = make_lattice(lat.d, M, lat.l, cap=RESOLUTION_CAP)
+    target = make_lattice(lat.d, M, lat.l)
     padded = np.zeros(target.shape, dtype=complex)
     center = tuple(slice(M - lat.N, M + lat.N + 1) for _ in range(lat.d))
     padded[center] = dft(state).coeffs
@@ -176,7 +176,8 @@ def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     idx = np.searchsorted(cum, draws, side="right")
     offsets = (rng.random((count, lat.d)) - 0.5) * (lat.l / lat.points_per_axis)
 
-    centers = lat.points()[idx]
+    # the drawn nodes' coordinates, without laying out the whole lattice
+    centers = lat.axis_points()[np.stack(np.unravel_index(idx, lat.shape), axis=-1)]
     pts = centers + offsets
     pts = np.mod(pts + lat.l / 2, lat.l) - lat.l / 2
     return SampleBatch(points=pts, seed=int(seed), M=lat.N, l=lat.l)
@@ -195,10 +196,10 @@ def discrete_state_tv(psi: GridField, phi: GridField) -> float:
 
 def _fine_axis(d: int) -> int:
     """Midpoints per axis of the fine grid in dimension d, checked against
-    FINE_POINTS_CAP before anything is laid out."""
+    QUADRATURE_CAP before anything is laid out."""
     pts_axis = FINE_GRID.get(d, 64)
-    if pts_axis**d > FINE_POINTS_CAP:
-        raise SizeError(f"the Gibbs normalizer needs {pts_axis}^{d} midpoints, exceeding the cap {FINE_POINTS_CAP}")
+    if pts_axis**d > QUADRATURE_CAP:
+        raise SizeError(f"the Gibbs normalizer needs {pts_axis}^{d} midpoints, exceeding the cap {QUADRATURE_CAP}")
     return pts_axis
 
 
@@ -231,9 +232,9 @@ class GibbsDensity:
 
 def _check_quadrature(d: int, boxes: int, subcells: int) -> None:
     """SizeError unless the TV quadrature over ``boxes`` boxes per axis with
-    ``subcells`` midpoints each fits TV_EVAL_CAP."""
-    if (boxes * subcells) ** d > TV_EVAL_CAP:
-        raise SizeError(f"quadrature needs {(boxes * subcells) ** d} evaluations, cap is {TV_EVAL_CAP}")
+    ``subcells`` midpoints each fits QUADRATURE_CAP."""
+    if (boxes * subcells) ** d > QUADRATURE_CAP:
+        raise SizeError(f"quadrature needs {(boxes * subcells) ** d} evaluations, cap is {QUADRATURE_CAP}")
 
 
 def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> float:
@@ -429,7 +430,7 @@ def run_pipeline(
     parameters fitted to the evolved state's spectrum, capped at M_cap, at
     the largest M whose (2M+1)^d nodes stay within RESOLUTION_CAP and, for
     d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d stays
-    within TV_EVAL_CAP, but never below N.
+    within QUADRATURE_CAP, but never below N.
 
     ``health`` adds the mixing part of the error, ``mixing_l2``, to the
     operator's, the propagation's and the TV's numbers.
@@ -462,16 +463,14 @@ def run_pipeline(
         profile = semi_norms(spec, m_max=8)
         params = fit_params(profile)
         U_est = profile[0]
-        L_est = 1.05 * max(
-            float(np.abs(fourier_derivative(state, axis=j).values).max()) for j in range(lattice.d)
-        )
+        L_est = lipschitz_on_grid(state)
         M = choose_M(eps, L_est, E.l, E.d, params.a, params.C, U_est)
         resolved.update(
             {"M_mode": "auto", "M_raw": M, "fitted_C": params.C, "fitted_a": params.a, "U_est": U_est, "L_est": L_est}
         )
         M = min(M, M_cap, (_integer_root(RESOLUTION_CAP, E.d) - 1) // 2)
         if E.d <= 2:
-            M = min(M, (_integer_root(TV_EVAL_CAP, E.d) // subcells - 1) // 2)
+            M = min(M, (_integer_root(QUADRATURE_CAP, E.d) // subcells - 1) // 2)
         M = max(M, N)
     else:
         resolved["M_mode"] = "fixed"
@@ -481,7 +480,7 @@ def run_pipeline(
 
     # the sizes of the upsampling target and of the TV measurement are known
     # now: check them against their caps before the work ahead
-    make_lattice(E.d, int(M), E.l, cap=RESOLUTION_CAP)
+    make_lattice(E.d, int(M), E.l)
     if E.d <= 2:
         _check_quadrature(E.d, 2 * int(M) + 1, subcells)
     else:
@@ -590,7 +589,7 @@ def interpolation_error_bound_check(
     if N < 2 * a:
         raise PreconditionError(f"need N >= 2ad = {2 * a}, got N={N}")
 
-    lat = make_lattice(1, N, l, cap=None)
+    lat = make_lattice(1, N, l)
     ks = np.arange(-k_max, k_max + 1)
     series = np.array([u_hat(int(k)) for k in ks], dtype=float)
     U = math.sqrt(float(np.sum(series**2)))

@@ -292,7 +292,8 @@ class MlpAnalyticityReport(Report):
 def mlp_analyticity_bound(mlp, N: int | None = None, m_max: int = 10) -> MlpAnalyticityReport:
     """Depth-and-weights bound 2^D exp(sum_k 2||W_k||_inf + ||b_k||_inf) on the
     inverse convergence radius of a sigmoid MLP, cross-checked against the
-    envelope fitted to the discretized network output."""
+    envelope fitted to the discretized network output.  The default N = 24
+    lattice has 49^d nodes, past ``lattice.RESOLUTION_CAP`` from d = 4 on."""
     total = 0.0
     for W, b in zip(mlp.weights, mlp.biases):
         total += 2 * float(np.abs(W).sum(axis=1).max()) + float(np.abs(b).max())
@@ -304,7 +305,7 @@ def mlp_analyticity_bound(mlp, N: int | None = None, m_max: int = 10) -> MlpAnal
     if N >= 4:
         from .lattice import dft
 
-        lat = make_lattice(mlp.d, N, mlp.l, cap=None)
+        lat = make_lattice(mlp.d, N, mlp.l)
         fld = discretize(mlp.forward, lat)
         fitted = fit_params(semi_norms(dft(fld), m_max))
     return MlpAnalyticityReport(bound=float(bound), fitted=fitted)
@@ -376,7 +377,7 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad
             out = out + 2 * g_hat[N + k] * np.cos(k * theta_x)
         return out
 
-    lat = make_lattice(1, N, l, cap=None)
+    lat = make_lattice(1, N, l)
     fv = f(lat.points())
     gv = g(lat.points())
     mismatch = float(np.linalg.norm(fv / np.linalg.norm(fv) - gv / np.linalg.norm(gv)))

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from torusfp import cli, lattice, sampler
+from torusfp import cli, generator, lattice, sampler
 from torusfp.cli import build_parser, main
-from torusfp.potential import RESOLUTION_CAP, cosine_potential
+from torusfp.lattice import RESOLUTION_CAP
+from torusfp.potential import cosine_potential
 
 
 def run_cli(args):
@@ -267,6 +268,7 @@ STEEP = [
     ["spectrum", "--potential", "cosine:z=200", "--d", "1", "--N", "8"],
     ["gibbs", "--potential", "cosine:z=300", "--d", "2", "--N", "4", "--M", "4", "--seed", "1"],
     ["spectrum", "--potential", "cosine:z=40", "--d", "1", "--N", "8"],
+    ["evolve", "--potential", "cosine:z=200", "--d", "2", "--N", "4"],
 ]
 
 
@@ -382,6 +384,15 @@ def test_lattices_past_the_node_budget_exit_before_allocating(tmp_path, monkeypa
     assert f"exceeding the cap {RESOLUTION_CAP}" in capsys.readouterr().err
 
 
+def test_dense_cap_bounds_only_the_generator(tmp_path, monkeypatch):
+    # 67^2 = 4489 nodes: raising generator.DENSE_CAP, and nothing else, lets
+    # the run through; no other module holds a limit of its own at 4096
+    argv = ["gibbs", "--d", "2", "--N", "33", "--M", "33", "--samples", "1000", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(tmp_path / "capped")]) == 2
+    monkeypatch.setattr(generator, "DENSE_CAP", 8192)
+    assert run_cli(argv + ["--out", str(tmp_path / "raised")]) == 0
+
+
 #: Runs whose Monte Carlo TV or exact mean needs a Gibbs normalizer past its
 #: fine-grid budget: 64^5 midpoints at d = 5 (8 GiB of coordinates).
 PAST_FINE_BUDGET = [
@@ -405,7 +416,7 @@ def test_gibbs_normalizer_past_its_budget_exits_before_allocating(tmp_path, monk
 
 
 def test_fixed_M_past_the_quadrature_cap_exits_before_upsampling(tmp_path, monkeypatch, capsys):
-    # d = 2, M = 1000: (2001 * 32)^2 evaluations, 30 times TV_EVAL_CAP; the
+    # d = 2, M = 1000: (2001 * 32)^2 evaluations, 30 times QUADRATURE_CAP; the
     # run used to upsample and sample at that size before the TV said so
     def no_upsample(state, M):
         raise AssertionError(f"upsampled to M={M} before the quadrature check")

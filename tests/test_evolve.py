@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -204,6 +205,24 @@ def test_nested_restriction_error_decays():
 
     with pytest.raises(ValidationError):
         nested_restriction_error(E, 4, T=0.1, factor=2)
+
+
+def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatch):
+    # N = 700 nests in N_ref = 2101 (4203 nodes): with DENSE_CAP checked only
+    # by build_generator, the fine lattice must be refused before the coarse
+    # one is built
+    built = []
+
+    def recording(E, lattice, halve=True):
+        built.append(lattice.size)
+        return build_generator(E, lattice, halve)
+
+    evolve_module = importlib.import_module("torusfp.evolve")  # torusfp.evolve is also the function
+    build_generator = evolve_module.build_generator
+    monkeypatch.setattr(evolve_module, "build_generator", recording)
+    with pytest.raises(tf.SizeError):
+        nested_restriction_error(tf.cosine_potential(1.0, 1, 1.0), 700, T=0.1)
+    assert built == [4203]
 
 
 def test_traces_csv():

@@ -426,7 +426,7 @@ def test_poincare_report():
 def test_dense_cap_enforced():
     E = tf.zero_potential(2, 1.0)
     with pytest.raises(SizeError):
-        tf.build_generator(E, tf.make_lattice(2, 40, 1.0, cap=None))
+        tf.build_generator(E, tf.make_lattice(2, 40, 1.0))
 
 
 def test_exports():

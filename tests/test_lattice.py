@@ -3,6 +3,7 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import SizeError, ValidationError
+from torusfp.lattice import RESOLUTION_CAP
 
 
 def brute_force_dft(values, N):
@@ -25,9 +26,13 @@ def test_make_lattice_points():
 
 
 def test_make_lattice_cap_and_validation():
+    # the node limit is RESOLUTION_CAP; DENSE_CAP bounds only the generator
+    assert tf.make_lattice(1, 2048, 1.0).size == 4097 > tf.DENSE_CAP
+    assert tf.make_lattice(2, 1023, 1.0).size == 2047**2 <= RESOLUTION_CAP
+    with pytest.raises(SizeError, match=f"4198401 nodes, exceeding the cap {RESOLUTION_CAP}"):
+        tf.make_lattice(2, 1024, 1.0)  # 2049^2 points
     with pytest.raises(SizeError):
-        tf.make_lattice(1, 2048, 1.0, cap=4096)  # 4097 points
-    tf.make_lattice(1, 2048, 1.0, cap=4097)  # raised cap admits it
+        tf.make_lattice(1, RESOLUTION_CAP // 2, 1.0)  # 2^22 + 1 points
     with pytest.raises(ValidationError):
         tf.make_lattice(0, 4, 1.0)
     with pytest.raises(ValidationError):

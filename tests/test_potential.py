@@ -166,7 +166,7 @@ def test_expcos_semianalyticity_certificate():
 def test_min_normalization():
     # built-ins attain minimum ~0 on the torus
     for pot in (tf.cosine_potential(1.5, 1, 1.0), tf.invcos_potential(3.0, 1.0), tf.mlp_potential(small_mlp(seed=11))):
-        lat = tf.make_lattice(1, 256, pot.l, cap=None)
+        lat = tf.make_lattice(1, 256, pot.l)
         vals = pot.evaluate(lat.points())
         assert vals.min() >= -1e-12
         assert vals.min() <= 1e-6

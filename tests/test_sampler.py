@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import torusfp as tf
 from torusfp import sampler
 from torusfp.errors import ValidationError
-from torusfp.lattice import grid_points
-from torusfp.potential import RESOLUTION_CAP
+from torusfp.lattice import RESOLUTION_CAP, grid_points
 from torusfp.report import csv_text
 from torusfp.sampler import (
     GibbsDensity,
@@ -49,7 +48,7 @@ def test_upsample_nyquist_band_limited(rng):
     l = 1.0
     for d in (1, 2):
         latN = tf.make_lattice(d, 4, l)
-        latM = tf.make_lattice(d, 9, l, cap=None)
+        latM = tf.make_lattice(d, 9, l)
 
         def u(pts):
             phase = 2 * np.pi / l
@@ -89,7 +88,7 @@ def test_one_hot_state_samples_center_box():
 
 
 def test_uniform_state_chi2_goodness_of_fit():
-    lat = tf.make_lattice(1, 64, 1.0, cap=None)
+    lat = tf.make_lattice(1, 64, 1.0)
     batch = tf.continuous_sample(_uniform_state(lat), 100_000, seed=42)
     counts, _ = np.histogram(batch.points[:, 0], bins=50, range=(-0.5, 0.5))
     expected = 100_000 / 50
@@ -119,6 +118,26 @@ def test_sampling_determinism():
     assert b1.to_csv() == b2.to_csv()
     b3 = tf.continuous_sample(psi, 1000, seed=78)
     assert not np.array_equal(b1.points, b3.points)
+
+
+def test_sampling_does_not_lay_out_the_lattice(rng, monkeypatch):
+    # the drawn box centres come from their multi-indices: the same points as
+    # indexing the coordinates of every node, which are never laid out
+    lat = tf.make_lattice(2, 6, 2 * np.pi)
+    psi = _normalized(tf.GridField(lat, rng.standard_normal(lat.shape), is_real=True))
+    count, seed = 1000, 5
+    philox = np.random.Generator(np.random.Philox(key=seed))
+    cum = np.cumsum(box_probabilities(psi).reshape(-1))
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, philox.random(count), side="right")
+    offsets = (philox.random((count, lat.d)) - 0.5) * (lat.l / lat.points_per_axis)
+    expected = np.mod(lat.points()[idx] + offsets + lat.l / 2, lat.l) - lat.l / 2
+
+    def no_points(self):
+        raise AssertionError("every node was laid out")
+
+    monkeypatch.setattr(tf.TorusLattice, "points", no_points)
+    assert np.array_equal(tf.continuous_sample(psi, count, seed).points, expected)
 
 
 @pytest.mark.parametrize("chunk", [7, 200, sampler.CSV_CHUNK])
@@ -173,7 +192,7 @@ def test_exact_gibbs_density_bessel_normalizer():
 def test_tv_discretized_gibbs_state():
     # |(e^{-E/2})_M> at M=256 lands within 0.01 of the Gibbs density
     E = tf.cosine_potential(2.0, 1, 2 * np.pi)
-    lat = tf.make_lattice(1, 256, 2 * np.pi, cap=None)
+    lat = tf.make_lattice(1, 256, 2 * np.pi)
     fld = tf.discretize(lambda p: np.exp(-E.evaluate(p) / 2), lat)
     rep = tf.tv_distance(_normalized(fld), E)
     assert rep.method == "quadrature"
@@ -223,7 +242,7 @@ def test_single_pass_tv_matches_two_pass_oracle(d, M, z, subcells, noise, seed):
     # states near the Gibbs density (its discretized square root, perturbed
     # by a relative noise) and far from it (noise None: a random state)
     E = tf.cosine_potential(z, d, 1.0)
-    lat = tf.make_lattice(d, M if d == 2 else 7 * M, 1.0, cap=None)
+    lat = tf.make_lattice(d, M if d == 2 else 7 * M, 1.0)
     rng = np.random.default_rng(seed)
     if noise is None:
         values = rng.standard_normal(lat.shape)
@@ -279,7 +298,7 @@ def test_tv_falls_back_to_two_passes_when_the_centres_under_resolve():
 def test_tv_falls_back_when_every_subcell_sits_on_the_breakpoint(d):
     # the uniform state against the flat density: mu = rho / Z everywhere,
     # so no subcell has a sign; the band would hold the whole grid
-    lat = tf.make_lattice(d, 16 if d == 2 else 500, 1.0, cap=None)
+    lat = tf.make_lattice(d, 16 if d == 2 else 500, 1.0)
     state = _uniform_state(lat)
     flat = _gibbs(tf.zero_potential(d, 1.0))
     grid_bytes = (lat.points_per_axis * 32) ** d * 8
@@ -319,14 +338,14 @@ def test_tv_chain_bound_random_pairs(rng):
 
 
 def test_tv_quadrature_resolution_cap():
-    lat = tf.make_lattice(2, 64, 1.0, cap=None)
+    lat = tf.make_lattice(2, 64, 1.0)
     psi = _uniform_state(lat)
     with pytest.raises(tf.SizeError):
         density_tv_quadrature(psi, lambda p: np.ones(p.shape[0]), subcells=512)
 
 
 def test_tv_monte_carlo_d3():
-    lat = tf.make_lattice(3, 4, 1.0, cap=None)
+    lat = tf.make_lattice(3, 4, 1.0)
     rep = tf.tv_distance(_uniform_state(lat), tf.zero_potential(3, 1.0))
     assert rep.method == "histogram"
     assert rep.tv <= 1e-9
@@ -412,8 +431,8 @@ def test_pipeline_auto_M_never_below_N():
 
 def test_pipeline_auto_M_stays_within_quadrature_cap(monkeypatch):
     # d=2 auto-M used to clamp only to M_cap, so the TV quadrature asked for
-    # ((2M+1) * subcells)^2 evaluations beyond TV_EVAL_CAP and raised SizeError
-    monkeypatch.setattr(sampler, "TV_EVAL_CAP", 2**20)
+    # ((2M+1) * subcells)^2 evaluations beyond QUADRATURE_CAP and raised SizeError
+    monkeypatch.setattr(sampler, "QUADRATURE_CAP", 2**20)
     N, subcells = 8, 32
     result = tf.run_pipeline(tf.cosine_potential(1.0, 2, 1.0), N=N, count=100, seed=1, subcells=subcells)
     M = result.resolved["M"]
@@ -466,7 +485,21 @@ def test_gibbs_normalizer_checks_its_budget(monkeypatch):
         GibbsDensity(E)
     with pytest.raises(tf.SizeError, match="64\\^5 midpoints"):
         tf.exact_mean(lambda p: p[..., 0], E)
-    assert sampler._fine_axis(4) ** 4 <= sampler.FINE_POINTS_CAP
+    assert sampler._fine_axis(4) ** 4 <= sampler.QUADRATURE_CAP
+
+
+def test_both_quadratures_share_one_budget(monkeypatch):
+    # lowering QUADRATURE_CAP alone makes the TV quadrature (41 * 32 midpoints
+    # here) and the Gibbs normalizer (512^2) refuse before laying anything out
+    def no_points(*args):
+        raise AssertionError("midpoints laid out past the budget")
+
+    monkeypatch.setattr(sampler, "QUADRATURE_CAP", 2**10)
+    monkeypatch.setattr(sampler, "grid_points", no_points)
+    with pytest.raises(tf.SizeError, match="quadrature needs 1312 evaluations, cap is 1024"):
+        density_tv_quadrature(_uniform_state(tf.make_lattice(1, 20, 1.0)), no_points)
+    with pytest.raises(tf.SizeError, match="the Gibbs normalizer needs 512\\^2 midpoints, exceeding the cap 1024"):
+        GibbsDensity(tf.cosine_potential(1.0, 2, 1.0))
 
 
 def test_gibbs_normalizer_lays_out_one_block_at_a_time(monkeypatch):
@@ -500,7 +533,7 @@ def test_exact_mean_bessel_ratio():
 
 
 def test_mean_clt_scaling():
-    lat = tf.make_lattice(1, 32, 1.0, cap=None)
+    lat = tf.make_lattice(1, 32, 1.0)
     psi = _uniform_state(lat)
     f = lambda p: np.cos(2 * np.pi * p[..., 0])
     small = tf.estimate_mean(f, tf.continuous_sample(psi, 20_000, seed=3))

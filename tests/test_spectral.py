@@ -141,7 +141,7 @@ def fft_of_identity_axis_matrix(lattice, order):
 
 @pytest.mark.parametrize("N", [1, 3, 25, 1023])
 def test_circulant_axis_matrix_matches_references(N):
-    lat = tf.make_lattice(1, N, 1.0, cap=None)
+    lat = tf.make_lattice(1, N, 1.0)
     for order in (1, 2):
         D = derivative_axis_matrix(lat, order)
         ref = fft_of_identity_axis_matrix(lat, order)
@@ -215,7 +215,7 @@ def test_derivative_error_report_expcos_sweep():
     params = tf.SemiAnalyticityParams(C, a)
     measured = []
     for N in (8, 12, 16, 24, 32, 48, 64):
-        lat = tf.make_lattice(1, N, 1.0, cap=None)
+        lat = tf.make_lattice(1, N, 1.0)
         rep = tf.derivative_error_report(u, gu, lu, lat, params)
         assert rep.first_ok and rep.second_ok, f"envelope violated at N={N}"
         measured.append((N, rep.measured_first))
