@@ -13,9 +13,8 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 = 0).  L is derived from L' on demand.
 
 One :class:`Operator` serves every d.  It stores W and the gap; ``apply``
-acts with L' one axis at a time, by ``rfft``/``irfft`` on axes of more than
-FFT_AXIS_POINTS points and by the dense circulant on shorter ones.  The dense
-L' (``symmetrized``) and its spectrum (``eigenvalues``, a values-only
+acts with L' one axis at a time through :func:`torusfp.spectral.axis_derivative`.
+The dense L' (``symmetrized``) and its spectrum (``eigenvalues``, a values-only
 ``eigvalsh`` with the kernel eigenvalue pinned to 0) are assembled on first
 access and kept.  Two things depend on d, since at d = 1 Lanczos and Krylov
 need about n steps, some 14 times the dense cost at N = 1023:
@@ -24,8 +23,8 @@ need about n steps, some 14 times the dense cost at N = 1023:
   Lanczos on the complement of q0 at d >= 2 (Saad, SIAM J. Numer. Anal. 29,
   1992), to a Ritz residual of GAP_RTOL;
 - the propagation (``propagate``): mode by mode at d = 1, with no
-  time-stepping error, from ``modes()`` (``eigh`` of the stored L' with the
-  kernel eigenpair pinned to (0, q0), on the first call, kept); at d >= 2 the
+  time-stepping error, from ``modes`` (``eigh`` of the stored L' with the
+  kernel eigenpair pinned to (0, q0), on first access, kept); at d >= 2 the
   q0 component is kept exactly and the rest advanced in a Krylov space
   (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) until an a posteriori
   error bound meets KRYLOV_RTOL.
@@ -60,7 +59,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import _multipliers, derivative_axis_matrix, derivative_matrix
+from .spectral import axis_derivative, derivative_matrix
 
 EPS = np.finfo(float).eps
 #: Largest node count of ``build_generator``: dense L' and eigenvectors, n^2 each.
@@ -81,11 +80,6 @@ NORM_RTOL = 1e-12
 CHECK_EVERY = 8
 #: Gauss-Legendre nodes per interval of the error-bound quadrature.
 GAUSS_NODES = 16
-#: Axes of more than this many points take the derivative by FFT, shorter ones
-#: by the dense circulant.  Measured per axis product (2 vCPU, one BLAS thread):
-#: the circulant won at 2N+1 = 401 and 449, primes with a slow FFT, and at 51;
-#: the FFT tied at the prime 521 and won above it (0.06 against 0.52 ms at 1023).
-FFT_AXIS_POINTS = 512
 
 
 @dataclass
@@ -98,8 +92,7 @@ class Operator:
 
     lattice: TorusLattice
     potential: EnergyPotential
-    halve: bool
-    W: GridField          # evolved potential on the grid (E/2 when halve)
+    W: GridField          # evolved potential on the grid (E/2 or E)
     delta_W: float        # grid diameter of W
     spectral_gap: float = math.nan
     health: dict = field(default_factory=dict)
@@ -146,10 +139,11 @@ class Operator:
         ev[0] = 0.0
         return ev
 
+    @cached_property
     def modes(self) -> tuple:
         """Eigenvalues (descending) and orthonormal eigenvectors of L', by
         ``eigh`` of L' itself (a negated copy would cost one more n x n array)
-        on the first call and kept.
+        on first access and kept.
 
         The kernel is known exactly, so its eigenpair is pinned rather than
         taken from eigh: the computed kernel vector strays from e^{-W/2} by
@@ -157,10 +151,6 @@ class Operator:
         Projecting the exact kernel out of the other eigenvectors keeps
         <1, u(t)> fixed to rounding.
         """
-        return self._modes
-
-    @cached_property
-    def _modes(self) -> tuple:
         # eigh sorts L' ascending; the descending copy of its vectors is made
         # once eigh has freed its workspace, below eigh's own peak
         with _float64_range(self):
@@ -173,43 +163,27 @@ class Operator:
         vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
         return values, vectors
 
-    @cached_property
-    def _axis_matrix(self) -> np.ndarray:
-        """The dense (2N+1) x (2N+1) circulant of the axis derivative."""
-        return derivative_axis_matrix(self.lattice)
-
-    def _derivative(self, y: np.ndarray, axis: int, transpose: bool = False) -> np.ndarray:
-        """D y along ``axis`` of a lattice-shaped y, or D^T y: by rfft/irfft on
-        axes of more than FFT_AXIS_POINTS points, by the dense circulant on
-        shorter ones."""
-        n = self.lattice.points_per_axis
-        if n <= FFT_AXIS_POINTS:
-            D = self._axis_matrix
-            return _along_axis(D.T if transpose else D, y, axis)
-        # D is real and diagonal in the Fourier basis, so D^T has the
-        # conjugate multipliers
-        mult = _multipliers(self.lattice, 1)[: n // 2 + 1].reshape([-1 if j == axis else 1 for j in range(y.ndim)])
-        return np.fft.irfft(np.fft.rfft(y, axis=axis) * (mult.conj() if transpose else mult), n=n, axis=axis)
-
     def scaled_derivatives(self, x: np.ndarray) -> list:
         """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays."""
         u = self.u_diag.reshape(self.lattice.shape)
         y = x.reshape(u.shape) / u
-        return [u * self._derivative(y, j) for j in range(self.lattice.d)]
+        return [u * axis_derivative(y, self.lattice, j) for j in range(self.lattice.d)]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L' x = -sum_j B_j^T B_j x for a flat vector x."""
         u = self.u_diag.reshape(self.lattice.shape)
-        acc = sum(self._derivative(u * b, j, transpose=True) for j, b in enumerate(self.scaled_derivatives(x)))
+        acc = sum(
+            axis_derivative(u * b, self.lattice, j, transpose=True) for j, b in enumerate(self.scaled_derivatives(x))
+        )
         return -(acc / u).reshape(-1)
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
         """Rows e^{L t_i} v and the health of the propagation: in a Krylov
         space at d >= 2, and at d = 1 exactly, with empty health, through
-        L = U Q D Q^T U^{-1} with the eigenpairs of :meth:`modes`."""
+        L = U Q D Q^T U^{-1} with the eigenpairs of ``modes``."""
         if self.lattice.d >= 2:
             return self._propagate_krylov(v, times)
-        values, vectors = self.modes()
+        values, vectors = self.modes
         u = self.u_diag
         modal0 = vectors.T @ (v / u)
         out = np.empty((len(times), self.size))
@@ -273,11 +247,6 @@ def _float64_range(op: Operator):
             yield
         except np.linalg.LinAlgError:
             raise _too_steep(op) from None
-
-
-def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """mat applied to the index of ``y`` along ``axis``."""
-    return np.moveaxis(np.tensordot(mat, y, axes=(1, axis)), 0, axis)
 
 
 def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
@@ -432,7 +401,7 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     w_vals = e_grid.values / 2 if halve else e_grid.values
     W = GridField(lattice, w_vals, is_real=True)
     w = W.flat
-    op = Operator(lattice=lattice, potential=E, halve=halve, W=W, delta_W=float(w.max() - w.min()))
+    op = Operator(lattice=lattice, potential=E, W=W, delta_W=float(w.max() - w.min()))
     with _float64_range(op):
         if lattice.d == 1:
             op.spectral_gap, op.health = float(-op.eigenvalues[1]), {"backend": "dense"}

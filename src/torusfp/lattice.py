@@ -165,18 +165,13 @@ def discretize(f, lattice: TorusLattice) -> GridField:
     return GridField(lattice, vals.reshape(lattice.shape), is_real=True)
 
 
-def _centered_roll(values: np.ndarray, N: int, sign: int) -> np.ndarray:
-    shift = (sign * N,) * values.ndim
-    return np.roll(values, shift, axis=tuple(range(values.ndim)))
-
-
 def dft(fld: GridField) -> SpectralField:
     """Centered unitary DFT of a grid field."""
     lat = fld.lattice
-    # rolling by -N re-indexes node m to position (m mod 2N+1); the plain FFT
-    # of that array is exactly the centered sum for frequencies taken mod 2N+1
-    rolled = _centered_roll(np.asarray(fld.values, dtype=complex), lat.N, -1)
-    spec = np.fft.fftn(rolled)
+    # on an odd axis ifftshift rolls by -N, re-indexing node m to position
+    # (m mod 2N+1); the plain FFT of that array is exactly the centered sum
+    # for frequencies taken mod 2N+1
+    spec = np.fft.fftn(np.fft.ifftshift(np.asarray(fld.values, dtype=complex)))
     spec = np.fft.fftshift(spec)
     spec /= lat.points_per_axis ** (lat.d / 2)
     return SpectralField(lat, spec)
@@ -186,8 +181,7 @@ def idft(spec: SpectralField) -> GridField:
     """Inverse of :func:`dft`; flags the result real when imaginary parts vanish."""
     lat = spec.lattice
     arr = np.fft.ifftshift(np.asarray(spec.coeffs, dtype=complex))
-    vals = np.fft.ifftn(arr) * lat.points_per_axis ** (lat.d / 2)
-    vals = _centered_roll(vals, lat.N, +1)
+    vals = np.fft.fftshift(np.fft.ifftn(arr) * lat.points_per_axis ** (lat.d / 2))
     scale = max(1.0, float(np.abs(vals).max()))
     if np.abs(vals.imag).max() <= _REAL_TOL * scale:
         return GridField(lat, vals.real.copy(), is_real=True)

@@ -18,7 +18,9 @@ from .errors import EvalError, ValidationError
 from .lattice import GridField, TorusLattice, make_lattice
 from .spectral import fourier_derivative
 
-#: Fine-grid points per axis used by the metadata estimators.
+#: Fine-grid points per axis used by the metadata estimators.  A d past the
+#: table gets the largest odd count whose d-th power stays within the d = 2, 3
+#: size of 2^18 nodes (21 points per axis at d = 4).
 FINE_GRID = {1: 2**15, 2: 512, 3: 64}
 
 LIPSCHITZ_MARGIN = 1.05
@@ -82,7 +84,7 @@ class EnergyPotential:
 
 
 def _fine_lattice(d: int, l: float, resolution: int | None) -> TorusLattice:
-    pts = resolution if resolution is not None else FINE_GRID.get(d, 64)
+    pts = resolution if resolution is not None else FINE_GRID.get(d, int(FINE_GRID[3] ** (3 / d)))
     return make_lattice(d, max(1, (int(pts) - 1) // 2), l)
 
 

@@ -7,9 +7,13 @@ The derivative along axis j multiplies centered Fourier coefficients by
     a[m] = pi (-1)^(m+1) / (l sin(pi m / (2N+1))) otherwise,
 
 applied as (d u)[n] = sum_m u[m] a[m - n]; the kernel is (2N+1)-periodic and
-antisymmetric.  The multiplier path is the default; the kernel path exists to
-cross-validate it.  Measured errors against the (C, a) envelopes come back as
-a ``torusfp.report.Report``.
+antisymmetric.  The closed-form kernel (``kernel_derivative``) is the
+reference the tests hold the multiplier path against.  ``fourier_derivative``
+and the generator's products apply D_j through one primitive,
+:func:`axis_derivative`, by FFT or by the dense circulant (FFT_AXIS_POINTS);
+D is real, so a complex field is differentiated as its real and imaginary
+parts.  Measured errors against the (C, a) envelopes come back as a
+``torusfp.report.Report``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ from .lattice import GridField, TorusLattice
 from .report import Report
 
 _E3 = math.e**3
+#: Axes of more than this many points take the derivative by FFT, shorter ones
+#: by the dense circulant.  Measured per axis product (2 vCPU, one BLAS thread):
+#: the circulant won at 2N+1 = 401 and 449, primes with a slow FFT, and at 51
+#: (a generator product on the 51^2 lattice took 206 us against 435 us by FFT);
+#: the FFT tied at the prime 521 and won above it (0.06 against 0.52 ms at 1023).
+FFT_AXIS_POINTS = 512
 
 
 @dataclass
@@ -59,6 +69,35 @@ def _multipliers(lattice: TorusLattice, order: int) -> np.ndarray:
     return (2j * np.pi * k / lattice.l) ** order
 
 
+@functools.lru_cache(maxsize=8)
+def _circulant(lattice: TorusLattice, order: int) -> np.ndarray:
+    """:func:`derivative_axis_matrix`, built once per lattice and order, read-only."""
+    mat = derivative_axis_matrix(lattice, order)
+    mat.flags.writeable = False
+    return mat
+
+
+def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """mat applied to the index of ``y`` along ``axis``."""
+    return np.moveaxis(np.tensordot(mat, y, axes=(1, axis)), 0, axis)
+
+
+def axis_derivative(
+    y: np.ndarray, lattice: TorusLattice, axis: int, order: int = 1, transpose: bool = False
+) -> np.ndarray:
+    """D^order, or its transpose, along ``axis`` of a real lattice-shaped ``y``:
+    by rfft/irfft on axes of more than FFT_AXIS_POINTS points, by the kept
+    dense circulant on shorter ones."""
+    n = lattice.points_per_axis
+    if n <= FFT_AXIS_POINTS:
+        D = _circulant(lattice, order)
+        return _along_axis(D.T if transpose else D, y, axis)
+    # D is real and diagonal in the Fourier basis, so D^T has the conjugate
+    # multipliers
+    mult = _multipliers(lattice, order)[: n // 2 + 1].reshape([-1 if j == axis else 1 for j in range(y.ndim)])
+    return np.fft.irfft(np.fft.rfft(y, axis=axis) * (mult.conj() if transpose else mult), n=n, axis=axis)
+
+
 def fourier_derivative(u: GridField, axis: int, order: int = 1) -> GridField:
     """Spectral derivative of given order along one axis."""
     lat = u.lattice
@@ -66,16 +105,11 @@ def fourier_derivative(u: GridField, axis: int, order: int = 1) -> GridField:
         raise ValidationError(f"axis {axis} out of range for d={lat.d}")
     if order < 1:
         raise ValidationError(f"derivative order must be >= 1, got {order}")
-    rolled = np.roll(np.asarray(u.values, dtype=complex), -lat.N, axis=axis)
-    spec = np.fft.fft(rolled, axis=axis)
-    mult = _multipliers(lat, order)
-    shape = [1] * lat.d
-    shape[axis] = lat.points_per_axis
-    spec *= mult.reshape(shape)
-    vals = np.roll(np.fft.ifft(spec, axis=axis), lat.N, axis=axis)
-    if u.is_real:
-        return GridField(lat, vals.real.copy(), is_real=True)
-    return GridField(lat, vals)
+    if np.iscomplexobj(u.values):
+        vals = axis_derivative(u.values.real, lat, axis, order) + 1j * axis_derivative(u.values.imag, lat, axis, order)
+    else:
+        vals = axis_derivative(u.values, lat, axis, order)
+    return GridField(lat, vals, is_real=u.is_real)
 
 
 def kernel_derivative(u: GridField, axis: int, kernel: DerivativeKernel | None = None) -> GridField:
@@ -88,10 +122,7 @@ def kernel_derivative(u: GridField, axis: int, kernel: DerivativeKernel | None =
     n = lat.points_per_axis
     # row i of the axis matrix holds a[j - i], indices wrapped mod 2N+1
     offs = (np.arange(n)[None, :] - np.arange(n)[:, None] + lat.N) % n - lat.N
-    mat = kernel.entries[offs + lat.N]
-    vals = np.tensordot(mat, np.asarray(u.values), axes=([1], [axis]))
-    vals = np.moveaxis(vals, 0, axis)
-    return GridField(lat, vals, is_real=u.is_real)
+    return GridField(lat, _along_axis(kernel.entries[offs + lat.N], u.values, axis), is_real=u.is_real)
 
 
 def derivative_axis_matrix(lattice: TorusLattice, order: int = 1) -> np.ndarray:

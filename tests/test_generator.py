@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp.errors import PreconditionError, SizeError
-from torusfp import generator
-from torusfp.generator import FFT_AXIS_POINTS, NORM_RTOL, Operator, spectrum_to_csv
-from torusfp.spectral import derivative_matrix, fourier_derivative, laplacian
+from torusfp import generator, spectral
+from torusfp.generator import NORM_RTOL, Operator, spectrum_to_csv
+from torusfp.spectral import FFT_AXIS_POINTS, derivative_matrix, fourier_derivative, laplacian
 
 from conftest import random_band_field, small_mlp
 
@@ -117,7 +117,7 @@ def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
     assert np.abs(ev - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert ev[0] == 0.0
     assert op.spectral_gap == -ev[1]
-    values, _ = op.modes()
+    values, _ = op.modes
     assert np.abs(values - ev).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -135,7 +135,7 @@ def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    values, vectors = op.modes()
+    values, vectors = op.modes
     assert seen == [True]
     assert values[0] == 0.0 and np.all(np.diff(values) <= 0)
     np.testing.assert_allclose(values, op.eigenvalues, rtol=0, atol=1e-12 * abs(values[-1]))
@@ -312,19 +312,17 @@ def test_operator_norm_matches_svd_oracle_without_svd(E, N, monkeypatch):
     "d, N",
     [(1, 20), (1, FFT_AXIS_POINTS // 2 - 1), (1, FFT_AXIS_POINTS // 2), (1, 300), (2, 8), (3, 3)],
 )
-def test_apply_matches_the_assembled_generator(d, N, monkeypatch):
+def test_apply_matches_the_assembled_generator(d, N):
     # the axis derivative by FFT past FFT_AXIS_POINTS points, by the dense
-    # circulant, built once per operator, below
-    built = []
-    circulant = generator.derivative_axis_matrix
-    monkeypatch.setattr(generator, "derivative_axis_matrix", lambda lat: built.append(lat) or circulant(lat))
+    # circulant, built once per lattice, below
+    spectral._circulant.cache_clear()
     op = tf.build_generator(tf.cosine_potential(2.0, d, 1.0), tf.make_lattice(d, N, 1.0))
     x = np.random.default_rng(N).standard_normal(op.size)
     ref = op.symmetrized @ x
     assert np.linalg.norm(op.apply(x) - ref) <= 1e-13 * np.linalg.norm(ref)
     B = np.array([b.reshape(-1) for b in op.scaled_derivatives(x)])
     assert abs(np.sum(B * B) + x @ ref) <= 1e-13 * abs(x @ ref)
-    assert len(built) == (0 if 2 * N + 1 > FFT_AXIS_POINTS else 1)
+    assert spectral._circulant.cache_info().misses == (0 if 2 * N + 1 > FFT_AXIS_POINTS else 1)
 
 
 def test_operator_norm_through_the_fft_axis_matches_the_dense_norm():
@@ -348,7 +346,7 @@ def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     # at d = 1 the gap is read off the spectrum: one assembly, one eigvalsh
     line = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 8, 1.0))
     assert len(assembled) == 2 and len(solved) == 2
-    assert line.spectral_gap == -line.eigenvalues[1] and line.modes()[0] is line.modes()[0]
+    assert line.spectral_gap == -line.eigenvalues[1] and line.modes[0] is line.modes[0]
     assert len(assembled) == 2 and len(solved) == 2
 
 

@@ -87,6 +87,19 @@ def test_dft_matches_brute_force_random(rng):
         np.testing.assert_allclose(spec.flat, brute_force_dft(vals.astype(complex), N), atol=1e-12)
 
 
+@pytest.mark.parametrize("d, N", [(1, 1), (1, 7), (2, 2), (2, 5)])
+def test_dft_and_idft_match_an_explicit_roll(d, N, rng):
+    # ifftshift and fftshift are the centered rolls by -N and +N on odd axes
+    lat = tf.make_lattice(d, N, 1.0)
+    axes, scale = tuple(range(d)), lat.points_per_axis ** (d / 2)
+    vals = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    spec = np.fft.fftshift(np.fft.fftn(np.roll(vals, (-N,) * d, axis=axes)))
+    spec /= scale
+    assert np.array_equal(tf.dft(tf.GridField(lat, vals)).coeffs, spec)
+    back = np.roll(np.fft.ifftn(np.fft.ifftshift(vals)) * scale, (N,) * d, axis=axes)
+    assert np.array_equal(tf.idft(tf.SpectralField(lat, vals)).values, back)
+
+
 def test_unitarity_and_parseval(rng):
     for d, N in [(1, 8), (2, 4)]:
         lat = tf.make_lattice(d, N, 1.5)

@@ -116,6 +116,14 @@ def test_mlp_potential_examples():
     assert periodicity_check(pot2)
 
 
+def test_mlp_potential_builds_past_the_fine_grid_table():
+    # d = 4 has no FINE_GRID entry: its metadata grid has 21^4 nodes, not the
+    # 63^4 past the resolution cap that make_lattice refused
+    pot = tf.mlp_potential(small_mlp(d=4, seed=3))
+    assert pot.diameter == pytest.approx(tf.estimate_diameter(pot, resolution=31), rel=1e-2)
+    assert pot.lipschitz == pytest.approx(tf.estimate_lipschitz(pot, resolution=31), rel=1e-2)
+
+
 def test_mlp_shape_validation():
     with pytest.raises(ValidationError):
         tf.PeriodicMlp([np.zeros((2, 3))], [np.zeros(2)], l=1.0, d=1)  # wrong feature width

@@ -6,6 +6,7 @@ import pytest
 import torusfp as tf
 from torusfp.errors import PreconditionError, ValidationError
 from torusfp.spectral import (
+    FFT_AXIS_POINTS,
     derivative_axis_matrix,
     derivative_matrix,
     first_derivative_error_bound,
@@ -33,12 +34,22 @@ def test_kernel_closed_form():
 
 
 def test_kernel_and_multiplier_paths_agree(rng):
-    for N in (4, 9):
+    # axes on both sides of FFT_AXIS_POINTS, real and complex fields: the
+    # first derivative against the closed-form kernel, orders 1-3 against
+    # the FFT of the identity
+    for N in (4, 9, FFT_AXIS_POINTS // 2 - 1, FFT_AXIS_POINTS // 2, 600):
         lat = tf.make_lattice(1, N, 1.3)
-        fld = tf.GridField(lat, rng.standard_normal(lat.shape), is_real=True)
-        a = tf.fourier_derivative(fld, 0)
-        b = tf.kernel_derivative(fld, 0)
-        assert np.abs(a.values - b.values).max() <= 1e-10 * max(1, np.abs(a.values).max())
+        real = rng.standard_normal(lat.shape)
+        for vals in (real, real + 1j * rng.standard_normal(lat.shape)):
+            fld = tf.GridField(lat, vals, is_real=np.isrealobj(vals))
+            a = tf.fourier_derivative(fld, 0)
+            b = tf.kernel_derivative(fld, 0)
+            assert a.is_real == fld.is_real and np.iscomplexobj(a.values) == np.iscomplexobj(vals)
+            assert np.abs(a.values - b.values).max() <= 1e-10 * max(1, np.abs(a.values).max())
+            for order in (1, 2, 3):
+                ref = fft_of_identity_axis_matrix(lat, order) @ vals
+                got = tf.fourier_derivative(fld, 0, order).values
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_constant_derivative_is_zero():
