@@ -8,12 +8,13 @@ import numpy as np
 import torusfp as tf
 
 E = tf.cosine_potential(2.0, 1, 1.0)  # E = 2(1 - cos 2 pi x)
-print(f"potential: {E.name}, diameter {E.diameter}, Lipschitz {E.lipschitz:.3f}")
+print(f"potential: {E.name}, diameter {E.diameter}")
 
 result = tf.run_pipeline(E, N=16, eps=0.05, count=100_000, seed=7, M_cap=512)
 r = result.resolved
 print(f"measured spectral gap: {r['gap']:.3f} -> mixing time T = {r['T']:.4f}")
 print(f"fitted state parameters: C = {r['fitted_C']:.4f}, a = {r['fitted_a']:.4f}")
+print(f"Lipschitz estimate of the evolved state: L = {r['L_est']:.3f}")
 print(f"sampling lattice: M = {r['M']} (raw formula suggested {r['M_raw']}, capped at 512)")
 print(f"TV(sampling density, exact Gibbs) = {result.tv_report.tv:.5f}  (target {r['eps']})")
 

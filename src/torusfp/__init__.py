@@ -36,7 +36,6 @@ from .potential import (
     bessel_i,
     cosine_potential,
     estimate_diameter,
-    estimate_lipschitz,
     expcos_family,
     invcos_potential,
     mlp_potential,
@@ -126,7 +125,6 @@ __all__ = [
     "discretize",
     "divergence",
     "estimate_diameter",
-    "estimate_lipschitz",
     "estimate_mean",
     "evolve",
     "exact_mean",

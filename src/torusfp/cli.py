@@ -304,14 +304,16 @@ def _cmd_evolve(cfg, out_dir, artifacts):
     from .generator import build_generator
     from .lattice import constant_field, make_lattice
 
+    T = cfg["T"]
+    if T != "auto":
+        T = _number(T, float, "T")
+        if not (math.isfinite(T) and T > 0):  # T = 0 leaves one snapshot, nothing to fit
+            raise ValidationError(f"T must be finite and > 0, got T={T}")
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
     lat = make_lattice(cfg["d"], cfg["N"], cfg["l"])
     op = build_generator(E, lat)
-    T = cfg["T"]
     if T == "auto":
         T = choose_T(1.0 / op.spectral_gap, E.diameter, cfg["eps"])
-    else:
-        T = _number(T, float, "T")
     res = evolve(op, constant_field(lat), T, snapshots=cfg["snapshots"], chi2=True)
     dec = decay_report(op, res)
     nrm = norm_and_max_principle_report(op, res)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .generator import Operator, _too_steep, build_generator
+from .generator import Operator, _too_steep, build_generator, poincare_report
 from .lattice import GridField, make_lattice
 from .report import Report, csv_text
 
@@ -139,7 +139,7 @@ def decay_report(op: Operator, result: EvolutionResult) -> DecayReport:
         raise ValidationError(f"need at least 4 snapshots, got {len(result.times)}")
 
     chi2 = result.chi2
-    floor = 4 * math.pi**2 / (op.lattice.l**2 * math.exp(op.delta_W))
+    floor = poincare_report(op).floor
     peak = chi2.max()
     mean_h0 = result.inners[0] / op.stationary.sum()  # conserved mean of u/rho_s
     if peak <= 1e-20 * max(mean_h0**2, 1.0):
@@ -225,28 +225,24 @@ def norm_and_max_principle_report(op: Operator, result: EvolutionResult) -> Norm
 # discrete-vs-continuous consistency on nested lattices
 
 
-def nested_restriction_error(E, N: int, T: float, halve: bool = True, factor: int = 3) -> float:
-    """|| u_N(T) - restrict(u_{N_ref}(T)) || with N_ref = (factor (2N+1) - 1)/2.
-
-    The default factor 3 gives N_ref = 3N + 1, whose lattice contains the
+def nested_restriction_error(E, N: int, T: float) -> float:
+    """|| u_N(T) - restrict(u_{N_ref}(T)) || under the E/2 generator, with
+    N_ref = 3N + 1, whose lattice of 3 (2N+1) points per axis contains the
     coarse one (fine index 3n + 1 per shifted axis).
     """
-    if factor % 2 == 0:
-        raise ValidationError("nesting factor must be odd so lattices share nodes")
-    N_ref = (factor * (2 * N + 1) - 1) // 2
+    N_ref = 3 * N + 1
     coarse = make_lattice(E.d, N, E.l)
     fine = make_lattice(E.d, N_ref, E.l)
 
-    op_f = build_generator(E, fine, halve=halve)  # first: past DENSE_CAP, refused before any work
-    op_c = build_generator(E, coarse, halve=halve)
+    op_f = build_generator(E, fine)  # first: past DENSE_CAP, refused before any work
+    op_c = build_generator(E, coarse)
 
     ones_c = GridField(coarse, np.ones(coarse.shape), is_real=True)
     ones_f = GridField(fine, np.ones(fine.shape), is_real=True)
     u_c = evolve(op_c, ones_c, T, snapshots=2).final.reshape(coarse.shape)
     u_f = evolve(op_f, ones_f, T, snapshots=2).final.reshape(fine.shape)
 
-    offset = (factor - 1) // 2
-    sel = tuple(slice(offset, None, factor) for _ in range(E.d))
+    sel = tuple(slice(1, None, 3) for _ in range(E.d))
     return float(np.linalg.norm((u_c - u_f[sel]).reshape(-1)))
 
 

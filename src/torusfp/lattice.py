@@ -188,5 +188,5 @@ def idft(spec: SpectralField) -> GridField:
     return GridField(lat, vals, is_real=False)
 
 
-def constant_field(lattice: TorusLattice, value: float = 1.0) -> GridField:
-    return GridField(lattice, np.full(lattice.shape, float(value)), is_real=True)
+def constant_field(lattice: TorusLattice) -> GridField:
+    return GridField(lattice, np.full(lattice.shape, 1.0), is_real=True)

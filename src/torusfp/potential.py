@@ -2,7 +2,10 @@
 
 Potentials are min-normalized at construction (min E = 0 over the torus), so
 e^{-E} <= 1 and the diameter doubles as the inverse temperature scale.
-The metadata estimators' fine grids are lattices, bounded by RESOLUTION_CAP.
+An MLP potential has no closed form: its minimum and diameter are taken on
+the fine lattice (:func:`fine_lattice`), in one evaluation of the network.
+``lipschitz_on_grid`` bounds the slope of a lattice field; the pipeline
+applies it to the evolved state, not to E.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import EvalError, ValidationError
 from .lattice import GridField, TorusLattice, make_lattice
 from .spectral import fourier_derivative
 
-#: Fine-grid points per axis used by the metadata estimators.  A d past the
+#: Points per axis of the fine lattice, rounded down to odd.  A d past the
 #: table gets the largest odd count whose d-th power stays within the d = 2, 3
 #: size of 2^18 nodes (21 points per axis at d = 4).
 FINE_GRID = {1: 2**15, 2: 512, 3: 64}
@@ -26,11 +29,11 @@ FINE_GRID = {1: 2**15, 2: 512, 3: 64}
 LIPSCHITZ_MARGIN = 1.05
 
 
-def bessel_i(k: int, z: float, rel_tol: float = 1e-18) -> float:
+def bessel_i(k: int, z: float) -> float:
     """Modified Bessel function I_k(z) by its ascending series.
 
     Terms (z/2)^(k+2l) / (l! (k+l)!) are accumulated until one falls below
-    ``rel_tol`` relative to the running sum.
+    1e-18 relative to the running sum.
     """
     k = abs(int(k))
     half = z / 2.0
@@ -44,7 +47,7 @@ def bessel_i(k: int, z: float, rel_tol: float = 1e-18) -> float:
         low += 1
         term *= half * half / (low * (k + low))
         total += term
-        if abs(term) <= rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= 1e-18 * max(abs(total), 1e-300):
             return total
         if low > 10_000:
             raise EvalError(f"Bessel series for I_{k}({z}) did not converge")
@@ -56,13 +59,12 @@ def sigmoid(x):
 
 @dataclass
 class EnergyPotential:
-    """An l-periodic potential with min 0, plus diameter/Lipschitz metadata."""
+    """An l-periodic potential with min 0, plus its diameter."""
 
     evaluator: object  # callable mapping points (m, d) -> (m,)
     l: float
     d: int
     diameter: float
-    lipschitz: float
     analytic_fourier: object = None  # callable k (multi-index) -> coeff of e^{-E}
     name: str = "custom"
     meta: dict = field(default_factory=dict)
@@ -83,34 +85,30 @@ class EnergyPotential:
     __call__ = evaluate
 
 
-def _fine_lattice(d: int, l: float, resolution: int | None) -> TorusLattice:
-    pts = resolution if resolution is not None else FINE_GRID.get(d, int(FINE_GRID[3] ** (3 / d)))
-    return make_lattice(d, max(1, (int(pts) - 1) // 2), l)
+def fine_lattice(d: int, l: float) -> TorusLattice:
+    """The lattice on which diameters are estimated and MLP potentials
+    min-normalized, within RESOLUTION_CAP for every d."""
+    pts = FINE_GRID.get(d, int(FINE_GRID[3] ** (3 / d)))
+    return make_lattice(d, max(1, (pts - 1) // 2), l)
 
 
-def _min_max(raw, d: int, l: float, resolution: int | None = None):
-    lat = _fine_lattice(d, l, resolution)
+def _min_max(raw, d: int, l: float):
+    lat = fine_lattice(d, l)
     vals = np.asarray(raw(lat.points()), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvalError("potential evaluated to non-finite values on the fine grid")
     return float(vals.min()), float(vals.max())
 
 
-def estimate_diameter(E: EnergyPotential, resolution: int | None = None) -> float:
-    """max E - min E over a fine grid."""
-    lo, hi = _min_max(E.evaluate, E.d, E.l, resolution)
+def estimate_diameter(E: EnergyPotential) -> float:
+    """max E - min E over the fine lattice."""
+    lo, hi = _min_max(E.evaluate, E.d, E.l)
     return hi - lo
 
 
 def lipschitz_on_grid(fld: GridField) -> float:
     """LIPSCHITZ_MARGIN x the largest spectral-gradient component of a field."""
     return LIPSCHITZ_MARGIN * max(float(np.abs(fourier_derivative(fld, j).values).max()) for j in range(fld.lattice.d))
-
-
-def estimate_lipschitz(E: EnergyPotential, resolution: int | None = None) -> float:
-    """:func:`lipschitz_on_grid` of E on a fine grid."""
-    lat = _fine_lattice(E.d, E.l, resolution)
-    return lipschitz_on_grid(GridField(lat, E.evaluate(lat.points()).reshape(lat.shape), is_real=True))
 
 
 def _normalized(raw, d, l):
@@ -157,7 +155,6 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
         l=float(l),
         d=int(d),
         diameter=2 * abs(z) * d,
-        lipschitz=LIPSCHITZ_MARGIN * 2 * math.pi * abs(z) / l,
         analytic_fourier=analytic_fourier,
         name=f"cosine(z={z})",
         meta={"z": z},
@@ -197,7 +194,6 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
         l=float(l),
         d=1,
         diameter=math.log(u_max / u_min),
-        lipschitz=0.0,
         analytic_fourier=analytic_fourier,
         name=f"invcos(z={z})",
         meta={
@@ -209,7 +205,6 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
     )
     pot.meta["u"] = u
     pot.meta["u_hat"] = u_hat
-    pot.lipschitz = estimate_lipschitz(pot)
     return pot
 
 
@@ -285,22 +280,17 @@ class PeriodicMlp:
         )
 
 
-def mlp_potential(mlp: PeriodicMlp, l: float | None = None) -> EnergyPotential:
+def mlp_potential(mlp: PeriodicMlp) -> EnergyPotential:
     """Energy given by a sigmoid MLP on periodic features; min-normalized."""
-    if l is not None and not math.isclose(l, mlp.l):
-        raise ValidationError(f"period mismatch: mlp has l={mlp.l}, got l={l}")
     evaluator, diameter = _normalized(mlp.forward, mlp.d, mlp.l)
-    pot = EnergyPotential(
+    return EnergyPotential(
         evaluator=evaluator,
         l=mlp.l,
         d=mlp.d,
         diameter=diameter,
-        lipschitz=0.0,
         name=f"mlp(depth={mlp.depth})",
         meta={"mlp": mlp},
     )
-    pot.lipschitz = estimate_lipschitz(pot)
-    return pot
 
 
 def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
@@ -309,7 +299,6 @@ def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
         l=float(l),
         d=int(d),
         diameter=0.0,
-        lipschitz=0.0,
         analytic_fourier=lambda k: 1.0 if not np.any(np.atleast_1d(k)) else 0.0,
         name="zero",
     )
@@ -348,14 +337,15 @@ def expcos_family(z: float, l: float = 1.0):
     return u, grad_u, lap_u, C, a, u_hat
 
 
-def periodicity_check(E: EnergyPotential, samples: int = 64, seed: int = 0, tol: float = 1e-10) -> bool:
-    """Sampled check that E(x + l e_j) = E(x) for every axis."""
-    rng = np.random.default_rng(seed)
-    pts = (rng.random((samples, E.d)) - 0.5) * E.l
+def periodicity_check(E: EnergyPotential) -> bool:
+    """Check at 64 random points that E(x + l e_j) = E(x), to 1e-10, for
+    every axis."""
+    rng = np.random.default_rng(0)
+    pts = (rng.random((64, E.d)) - 0.5) * E.l
     base = E.evaluate(pts)
     for j in range(E.d):
         shifted = pts.copy()
         shifted[:, j] += E.l
-        if np.abs(E.evaluate(shifted) - base).max() > tol * max(1.0, np.abs(base).max()):
+        if np.abs(E.evaluate(shifted) - base).max() > 1e-10 * max(1.0, np.abs(base).max()):
             return False
     return True

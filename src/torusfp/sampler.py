@@ -71,14 +71,15 @@ FINE_BLOCK = 2**18
 #: sample rows converted to text at a time by ``SampleBatch.csv_chunks``
 CSV_CHUNK = 4096
 
+#: largest upsampling half-width of ``interpolation_error_bound_check``
+INTERPOLATION_M_CAP = 20000
+
 
 @dataclass
 class SampleBatch:
     """Points drawn from the continuous-sampling density of a lattice state."""
 
     points: np.ndarray  # (count, d) inside [-l/2, l/2)^d
-    seed: int
-    M: int
     l: float
 
     def __post_init__(self):
@@ -180,7 +181,7 @@ def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     centers = lat.axis_points()[np.stack(np.unravel_index(idx, lat.shape), axis=-1)]
     pts = centers + offsets
     pts = np.mod(pts + lat.l / 2, lat.l) - lat.l / 2
-    return SampleBatch(points=pts, seed=int(seed), M=lat.N, l=lat.l)
+    return SampleBatch(points=pts, l=lat.l)
 
 
 def discrete_state_tv(psi: GridField, phi: GridField) -> float:
@@ -576,14 +577,12 @@ def interpolation_error_bound_check(
     l: float,
     lipschitz: float,
     k_max: int = 60,
-    M_cap: int = 20000,
-    subcells: int = 32,
 ) -> InterpolationReport:
     """Measured truncation distance and sampling TV against their envelopes.
 
     Requires N >= 2 a d (d = 1 here).  The TV side uses the lattice size the
-    accuracy formula itself dictates; when that exceeds ``M_cap`` the TV is
-    still measured at the cap but not asserted (flagged infeasible).
+    accuracy formula itself dictates; when that exceeds INTERPOLATION_M_CAP
+    the TV is still measured at the cap but not asserted (flagged infeasible).
     """
     C, a = params.C, params.a
     if N < 2 * a:
@@ -601,10 +600,10 @@ def interpolation_error_bound_check(
 
     eps_prime = UPSAMPLE_CONST * (C / U) * math.exp(-0.6 * N / a)
     M_choice = choose_M(min(eps_prime, 0.999999), lipschitz, l, 1, a, C, U)
-    feasible = M_choice <= M_cap
-    M_used = max(min(M_choice, M_cap), N)
+    feasible = M_choice <= INTERPOLATION_M_CAP
+    M_used = max(min(M_choice, INTERPOLATION_M_CAP), N)
     up = upsample(state, M_used)
-    tv = density_tv_quadrature(up, lambda pts: np.asarray(u(pts)) ** 2, subcells)
+    tv = density_tv_quadrature(up, lambda pts: np.asarray(u(pts)) ** 2)
     tv_bound = INTERPOLATION_CONST * (C / U) * math.exp(-0.6 * N / a)
 
     return InterpolationReport(

@@ -3,8 +3,11 @@ and the aliasing lower-bound witness.
 
 The m-th semi-norm of a periodic function is |u|_m = sqrt(sum_k ||k||^(2m)
 |u_hat[k]|^2); a (C, a) certificate asserts |u|_m <= C a^m m! for all m.
-The induced Fourier random variable has law |u_hat[k]|^2 / U^2 on Z^d, and
-semi-analyticity is equivalent to a Bernstein moment bound on its norm.
+The induced Fourier random variable has law |u_hat[k]|^2 / U^2 on Z^d, with
+U = |u|_0 the mean-square value, and semi-analyticity is equivalent to a
+Bernstein moment bound on its norm.  The MLP depth bound is cross-checked on
+a lattice no larger than the potential's fine lattice, within RESOLUTION_CAP
+in every d.
 Tail, MLP and witness results are ``torusfp.report.Report`` dataclasses; the
 semi-norm profile is written with ``csv_text``.
 """
@@ -18,6 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .lattice import SpectralField, make_lattice, discretize
+from .potential import fine_lattice
 from .report import Report, csv_text
 
 _E3 = math.e**3
@@ -89,10 +93,9 @@ def spectrum_of_series(u_hat, k_max: int) -> TruncatedSpectrum:
 
 @dataclass
 class FourierMomentProfile:
-    """Semi-norms |u|_m for m = 0..m_max and the mean-square value U."""
+    """Semi-norms |u|_m for m = 0..m_max; |u|_0 is the mean-square value U."""
 
     semi_norms: np.ndarray
-    mean_square_value: float
     truncation_flags: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -129,7 +132,7 @@ def semi_norms(spec, m_max: int) -> FourierMomentProfile:
         norms[m] = math.sqrt(max(total, 0.0))
         flags[m] = total > 0 and shell > 1e-12 * total
         kpow = kpow * spec.knorms**2
-    return FourierMomentProfile(norms, mean_square_value=norms[0], truncation_flags=flags)
+    return FourierMomentProfile(norms, truncation_flags=flags)
 
 
 def fit_params(profile: FourierMomentProfile) -> SemiAnalyticityParams:
@@ -158,8 +161,8 @@ def fit_params(profile: FourierMomentProfile) -> SemiAnalyticityParams:
     return SemiAnalyticityParams(C=float(C), a=float(a))
 
 
-def certificate_holds(profile: FourierMomentProfile, params: SemiAnalyticityParams, slack: float = 1e-9) -> bool:
-    return all(profile[m] <= params.bound(m) * (1 + slack) for m in range(profile.m_max + 1))
+def certificate_holds(profile: FourierMomentProfile, params: SemiAnalyticityParams) -> bool:
+    return all(profile[m] <= params.bound(m) * (1 + 1e-9) for m in range(profile.m_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +292,14 @@ class MlpAnalyticityReport(Report):
         return self.fitted is None or self.fitted.a <= self.bound
 
 
-def mlp_analyticity_bound(mlp, N: int | None = None, m_max: int = 10) -> MlpAnalyticityReport:
+def mlp_analyticity_bound(mlp, N: int | None = None) -> MlpAnalyticityReport:
     """Depth-and-weights bound 2^D exp(sum_k 2||W_k||_inf + ||b_k||_inf) on the
     inverse convergence radius of a sigmoid MLP, cross-checked against the
-    envelope fitted to the discretized network output.  The default N = 24
-    lattice has 49^d nodes, past ``lattice.RESOLUTION_CAP`` from d = 4 on."""
+    envelope fitted to the first 10 semi-norms of the discretized network
+    output.  The default N is 128 at d = 1 and otherwise 24, or the half-width
+    of the potential's fine lattice (``potential.fine_lattice``) where that is
+    smaller: 10 at d = 4, 5 at d = 5.  Below N = 4 (d >= 6) no envelope is
+    fitted."""
     total = 0.0
     for W, b in zip(mlp.weights, mlp.biases):
         total += 2 * float(np.abs(W).sum(axis=1).max()) + float(np.abs(b).max())
@@ -301,13 +307,13 @@ def mlp_analyticity_bound(mlp, N: int | None = None, m_max: int = 10) -> MlpAnal
 
     fitted = None
     if N is None:
-        N = 128 if mlp.d == 1 else 24
+        N = 128 if mlp.d == 1 else min(24, fine_lattice(mlp.d, mlp.l).N)
     if N >= 4:
         from .lattice import dft
 
         lat = make_lattice(mlp.d, N, mlp.l)
         fld = discretize(mlp.forward, lat)
-        fitted = fit_params(semi_norms(dft(fld), m_max))
+        fitted = fit_params(semi_norms(dft(fld), 10))
     return MlpAnalyticityReport(bound=float(bound), fitted=fitted)
 
 
@@ -405,8 +411,6 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad
 # serialization
 
 
-def profile_to_csv(profile: FourierMomentProfile, params: SemiAnalyticityParams | None = None) -> str:
-    rows = (
-        [m, repr(profile[m]), "" if params is None else repr(params.bound(m))] for m in range(profile.m_max + 1)
-    )
+def profile_to_csv(profile: FourierMomentProfile, params: SemiAnalyticityParams) -> str:
+    rows = ([m, repr(profile[m]), repr(params.bound(m))] for m in range(profile.m_max + 1))
     return csv_text(["m", "semi_norm", "bound"], rows)

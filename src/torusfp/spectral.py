@@ -42,7 +42,6 @@ class DerivativeKernel:
     """First-order cyclic differentiation kernel for one axis."""
 
     N: int
-    l: float
     entries: np.ndarray  # a[m] for m in [-N..N], stored at m + N
 
     def __getitem__(self, m: int) -> float:
@@ -59,7 +58,7 @@ def derivative_kernel(N: int, l: float) -> DerivativeKernel:
     entries = np.zeros(2 * N + 1)
     nz = m != 0
     entries[nz] = np.pi * (-1.0) ** (m[nz] + 1) / (l * np.sin(np.pi * m[nz] / (2 * N + 1)))
-    return DerivativeKernel(N=N, l=l, entries=entries)
+    return DerivativeKernel(N=N, entries=entries)
 
 
 def _multipliers(lattice: TorusLattice, order: int) -> np.ndarray:
@@ -112,13 +111,12 @@ def fourier_derivative(u: GridField, axis: int, order: int = 1) -> GridField:
     return GridField(lat, vals, is_real=u.is_real)
 
 
-def kernel_derivative(u: GridField, axis: int, kernel: DerivativeKernel | None = None) -> GridField:
+def kernel_derivative(u: GridField, axis: int) -> GridField:
     """First derivative by cyclic application of the closed-form kernel."""
     lat = u.lattice
     if not 0 <= axis < lat.d:
         raise ValidationError(f"axis {axis} out of range for d={lat.d}")
-    if kernel is None:
-        kernel = derivative_kernel(lat.N, lat.l)
+    kernel = derivative_kernel(lat.N, lat.l)
     n = lat.points_per_axis
     # row i of the axis matrix holds a[j - i], indices wrapped mod 2N+1
     offs = (np.arange(n)[None, :] - np.arange(n)[:, None] + lat.N) % n - lat.N

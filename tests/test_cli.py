@@ -306,6 +306,7 @@ MALFORMED = [
     (["evolve", "--T", "abc"], None, "T must be a number"),
     (["evolve", "--T", "nan"], None, "must be finite"),
     (["evolve", "--T", "inf"], None, "must be finite"),
+    (["evolve", "--T", "0"], None, "T=0"),
     (["evolve", "--T", "5e-324", "--snapshots", "4"], None, "T=5e-324 is too short to split into 4"),
     (["evolve", "--T", "1e-300", "--snapshots", "4"], None, "too short to fit"),
     (["gibbs", "--M", "abc", "--seed", "1"], None, "M must be an integer"),

@@ -11,7 +11,7 @@ from torusfp.lattice import SpectralField, idft
 
 
 def _ones(lat):
-    return tf.constant_field(lat, 1.0)
+    return tf.constant_field(lat)
 
 
 def stationary_projection(op, u0):
@@ -202,9 +202,6 @@ def test_nested_restriction_error_decays():
     visible = [(N, math.log(e)) for N, e in errs.items() if e > 1e-11]
     slope = np.polyfit([p[0] for p in visible], [p[1] for p in visible], 1)[0]
     assert slope <= -0.5  # at least geometric decay in N
-
-    with pytest.raises(ValidationError):
-        nested_restriction_error(E, 4, T=0.1, factor=2)
 
 
 def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatch):

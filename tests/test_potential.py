@@ -6,7 +6,7 @@ import scipy.special as sps
 
 import torusfp as tf
 from torusfp.errors import ValidationError
-from torusfp.potential import periodicity_check
+from torusfp.potential import fine_lattice, lipschitz_on_grid, periodicity_check
 
 from conftest import small_mlp
 
@@ -120,8 +120,23 @@ def test_mlp_potential_builds_past_the_fine_grid_table():
     # d = 4 has no FINE_GRID entry: its metadata grid has 21^4 nodes, not the
     # 63^4 past the resolution cap that make_lattice refused
     pot = tf.mlp_potential(small_mlp(d=4, seed=3))
-    assert pot.diameter == pytest.approx(tf.estimate_diameter(pot, resolution=31), rel=1e-2)
-    assert pot.lipschitz == pytest.approx(tf.estimate_lipschitz(pot, resolution=31), rel=1e-2)
+    reference = pot.evaluate(tf.make_lattice(4, 15, pot.l).points())  # 31^4 nodes
+    assert pot.diameter == pytest.approx(reference.max() - reference.min(), rel=1e-2)
+
+
+def test_mlp_potential_evaluates_the_fine_lattice_once(monkeypatch):
+    # the min-normalization is the only pass over the 511^2 fine lattice
+    calls = []
+    forward = tf.PeriodicMlp.forward
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return forward(self, pts)
+
+    monkeypatch.setattr(tf.PeriodicMlp, "forward", counting)
+    tf.mlp_potential(small_mlp(d=2, seed=5))
+    assert fine_lattice(2, 1.0).size == 261121
+    assert calls.count(261121) == 1
 
 
 def test_mlp_shape_validation():
@@ -143,21 +158,19 @@ def test_mlp_json_round_trip():
 def test_estimators():
     flat = tf.zero_potential(1, 1.0)
     assert tf.estimate_diameter(flat) == 0.0
-    assert tf.estimate_lipschitz(flat) <= 1e-12
+    assert lipschitz_on_grid(tf.discretize(flat.evaluate, fine_lattice(1, 1.0))) <= 1e-12
 
     pot = tf.cosine_potential(2.0, 1, 2 * np.pi)
     assert abs(tf.estimate_diameter(pot) - 4.0) <= 1e-6
-    assert abs(tf.estimate_lipschitz(pot) - 2.1) <= 1e-3  # 1.05 x true max slope 2
+    slope = lipschitz_on_grid(tf.discretize(pot.evaluate, fine_lattice(1, pot.l)))
+    assert abs(slope - 2.1) <= 1e-3  # 1.05 x true max slope 2
 
     # d=2: additive over axes, exact in the stored metadata; the default
     # 512-point estimator grid resolves it to ~4e-5 (maximum falls between
     # nodes)
     pot2 = tf.cosine_potential(1.0, 2, 1.0)
     assert pot2.diameter == 4.0
-    assert abs(tf.estimate_diameter(pot2, resolution=512) - 4.0) <= 1e-4
-
-    with pytest.raises(tf.SizeError):
-        tf.estimate_diameter(pot, resolution=2**23)
+    assert abs(tf.estimate_diameter(pot2) - 4.0) <= 1e-4
 
 
 def test_expcos_semianalyticity_certificate():

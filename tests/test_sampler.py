@@ -148,11 +148,11 @@ def test_samples_csv_matches_csv_text(rng, d, chunk, monkeypatch):
     points = rng.uniform(-l / 2, l / 2, (200, d)) * 10.0 ** rng.integers(-320, 1, (200, d))
     # negative zero, the smallest subnormal, a negative subnormal, a huge value
     points.flat[:4] = [-0.0, 5e-324, -1e-310, 4.9e299]
-    batch = sampler.SampleBatch(points, seed=0, M=1, l=l)
+    batch = sampler.SampleBatch(points, l=l)
     header = [f"x{i}" for i in range(d)]
     expected = csv_text(header, ([repr(float(v)) for v in row] for row in batch.points))
     assert batch.to_csv().encode() == expected.encode()
-    empty = sampler.SampleBatch(np.empty((0, d)), seed=0, M=1, l=l)
+    empty = sampler.SampleBatch(np.empty((0, d)), l=l)
     assert empty.to_csv() == csv_text(header, [])
 
 
@@ -161,7 +161,7 @@ def test_sample_validation():
     with pytest.raises(ValidationError):
         tf.continuous_sample(_uniform_state(lat), 0, seed=1)
     with pytest.raises(ValidationError):
-        tf.continuous_sample(tf.constant_field(lat, 1.0), 10, seed=1)  # not unit norm
+        tf.continuous_sample(tf.constant_field(lat), 10, seed=1)  # not unit norm
 
 
 def test_sampling_density_integrates_to_one(rng):

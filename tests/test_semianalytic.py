@@ -18,7 +18,7 @@ from torusfp.semianalytic import (
 
 def test_semi_norms_constant():
     lat = tf.make_lattice(1, 4, 1.0)
-    spec = tf.dft(tf.constant_field(lat, 2.0))
+    spec = tf.dft(tf.GridField(lat, np.full(lat.shape, 2.0), is_real=True))
     prof = tf.semi_norms(spec, 5)
     np.testing.assert_allclose(prof[0], 2.0, atol=1e-12)
     for m in range(1, 6):
@@ -31,7 +31,6 @@ def test_semi_norms_cosine():
     fld = tf.discretize(lambda p: np.cos(2 * np.pi * p[..., 0]), lat)
     prof = tf.semi_norms(tf.dft(fld), 8)
     np.testing.assert_allclose(prof.semi_norms, 1 / math.sqrt(2), rtol=1e-12)
-    assert prof.mean_square_value == pytest.approx(prof[0])
 
 
 def test_semi_norms_truncation_flag():
@@ -46,12 +45,12 @@ def test_semi_norms_truncation_flag():
 
 def test_fit_params_constant_and_validation():
     lat = tf.make_lattice(1, 4, 1.0)
-    prof = tf.semi_norms(tf.dft(tf.constant_field(lat, 3.0)), 5)
+    prof = tf.semi_norms(tf.dft(tf.GridField(lat, np.full(lat.shape, 3.0), is_real=True)), 5)
     fit = tf.fit_params(prof)
     assert fit.a == 0.0
     assert fit.C == pytest.approx(3.0)
     with pytest.raises(ValidationError):
-        tf.fit_params(tf.FourierMomentProfile(np.array([1.0, 1.0]), 1.0))
+        tf.fit_params(tf.FourierMomentProfile(np.array([1.0, 1.0])))
 
 
 def test_fit_params_band_limited(rng):
@@ -174,6 +173,17 @@ def test_mlp_analyticity_bound():
     for seed in range(5):
         rep = tf.mlp_analyticity_bound(small_mlp(seed=seed), N=64)
         assert rep.ok, f"fitted a {rep.fitted.a} exceeded bound {rep.bound}"
+
+
+def test_mlp_analyticity_bound_default_lattice_stays_within_the_fine_lattice():
+    from conftest import small_mlp
+
+    # the d = 4 default used to be N = 24, a 49^4 lattice past RESOLUTION_CAP;
+    # it is now the fine lattice's N = 10
+    assert tf.mlp_analyticity_bound(small_mlp(d=4, seed=3)).fitted is not None
+    # d = 2 keeps N = 24
+    mlp = small_mlp(d=2, seed=3)
+    assert tf.mlp_analyticity_bound(mlp) == tf.mlp_analyticity_bound(mlp, N=24)
 
 
 def test_alias_witness_preconditions():

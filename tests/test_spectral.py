@@ -54,7 +54,7 @@ def test_kernel_and_multiplier_paths_agree(rng):
 
 def test_constant_derivative_is_zero():
     lat = tf.make_lattice(2, 4, 1.0)
-    c = tf.constant_field(lat, 3.0)
+    c = tf.GridField(lat, np.full(lat.shape, 3.0), is_real=True)
     for ax in range(2):
         assert np.abs(tf.fourier_derivative(c, ax).values).max() <= 1e-12
 
