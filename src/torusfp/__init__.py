@@ -35,7 +35,6 @@ from .potential import (
     PeriodicMlp,
     bessel_i,
     cosine_potential,
-    estimate_diameter,
     expcos_family,
     invcos_potential,
     mlp_potential,
@@ -124,7 +123,6 @@ __all__ = [
     "dft",
     "discretize",
     "divergence",
-    "estimate_diameter",
     "estimate_mean",
     "evolve",
     "exact_mean",

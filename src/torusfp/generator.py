@@ -14,16 +14,22 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 
 One :class:`Operator` serves every d.  It stores W and the gap; ``apply``
 acts with L' one axis at a time through :func:`torusfp.spectral.axis_derivative`.
-The dense L' (``symmetrized``) and its spectrum (``eigenvalues``, a values-only
-``eigvalsh`` with the kernel eigenvalue pinned to 0) are assembled on first
-access and kept.  Two things depend on d, since at d = 1 Lanczos and Krylov
-need about n steps, some 14 times the dense cost at N = 1023:
+The dense spectrum (``eigenvalues``, values only, with the kernel eigenvalue
+pinned to 0, and ``modes``) is computed on first access, one reflection sector
+at a time, and kept.  If W equals its own flip along every axis, bitwise, L'
+commutes with each reflection n_j -> -n_j (D_j anticommutes with it) and
+splits into 2^d sectors, even or odd along each axis: each block
+-sum_j B_j^T B_j is assembled in the basis (e_m +- e_{-m}) / sqrt 2 of its
+sector, over the closed positive orthant, without forming L'.  Otherwise
+there is one sector, L' itself.  The dense L' (``symmetrized``) is assembled
+only on demand.  Two things depend on d, since at d = 1 Lanczos and Krylov
+need about n steps, some 12 times the dense cost at N = 1023:
 
 - the gap (``build_generator``): read off ``eigenvalues`` at d = 1; by
   Lanczos on the complement of q0 at d >= 2 (Saad, SIAM J. Numer. Anal. 29,
   1992), to a Ritz residual of GAP_RTOL;
 - the propagation (``propagate``): mode by mode at d = 1, with no
-  time-stepping error, from ``modes`` (``eigh`` of the stored L' with the
+  time-stepping error, from ``modes`` (``eigh`` of each stored block with the
   kernel eigenpair pinned to (0, q0), on first access, kept); at d >= 2 the
   q0 component is kept exactly and the rest advanced in a Krylov space
   (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) until an a posteriori
@@ -34,8 +40,8 @@ orthogonalizes each new direction once against its basis and q0, and a
 second time only when the first pass left less than 1/sqrt(2) of its norm
 (the DGKS rule).  ``op.health`` records the backend ("dense" at d = 1,
 "matrix-free" at d >= 2 with its Lanczos steps, gap residual and second
-passes); ``propagate`` returns the health of its Krylov run next to the
-states.  U scales L' by up to e^{delta_W}: numbers of a steep potential past
+passes) and, once the dense spectrum ran, its ``dense_sectors``;
+``propagate`` returns the health of its Krylov run next to the states.  U scales L' by up to e^{delta_W}: numbers of a steep potential past
 the float64 range end in a PreconditionError that names delta_W and N.
 
 The structure checks compare the condition number of the eigenvector basis
@@ -48,6 +54,8 @@ relative, with neither the dense L nor an SVD.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -59,9 +67,10 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import axis_derivative, derivative_matrix
+from .spectral import axis_derivative, derivative_kernel, derivative_matrix
 
 EPS = np.finfo(float).eps
+_SQRT_HALF = math.sqrt(0.5)
 #: Largest node count of ``build_generator``: dense L' and eigenvectors, n^2 each.
 DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
@@ -130,20 +139,38 @@ class Operator:
         return _dense_symmetrized(self.lattice, self.u_diag)
 
     @cached_property
+    def _blocks(self) -> list:
+        """The dense spectrum's blocks as (sector, block) pairs, the all-even
+        sector first: 2^d reflection sectors (a parity per axis, 0 even, 1
+        odd) when W equals its own flip along every axis, bitwise, else one,
+        (None, L').  Assembled on first access and kept; the count goes into
+        ``health`` as ``dense_sectors``."""
+        W = self.W.values
+        if all(np.array_equal(W, np.flip(W, j)) for j in range(self.lattice.d)):
+            u = self.u_diag.reshape(self.lattice.shape)
+            half = _half_derivative(self.lattice)
+            sectors = itertools.product((0, 1), repeat=self.lattice.d)
+            blocks = [(sector, _sector_block(u, half, sector)) for sector in sectors]
+        else:
+            blocks = [(None, self.symmetrized)]
+        self.health["dense_sectors"] = len(blocks)
+        return blocks
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of L', sorted descending, by a values-only eigvalsh.  The
-        kernel eigenvalue is known to be 0 and is pinned there: eigvalsh puts
-        it at about eps ||L'||, either sign."""
+        """Eigenvalues of L', sorted descending, by a values-only eigvalsh of
+        each block.  The kernel eigenvalue is known to be 0 and is pinned
+        there: eigvalsh puts it at about eps ||L'||, either sign."""
         with _float64_range(self):
-            ev = np.linalg.eigvalsh(self.symmetrized)[::-1]
-        ev[0] = 0.0
-        return ev
+            parts = [np.linalg.eigvalsh(block) for _, block in self._blocks]
+        return _descending(parts)[0]
 
     @cached_property
     def modes(self) -> tuple:
         """Eigenvalues (descending) and orthonormal eigenvectors of L', by
-        ``eigh`` of L' itself (a negated copy would cost one more n x n array)
-        on first access and kept.
+        ``eigh`` of each block itself (a negated copy would cost one more
+        array) on first access and kept; a sector's vectors are mapped back
+        to the grid through the reflection basis.
 
         The kernel is known exactly, so its eigenpair is pinned rather than
         taken from eigh: the computed kernel vector strays from e^{-W/2} by
@@ -151,13 +178,22 @@ class Operator:
         Projecting the exact kernel out of the other eigenvectors keeps
         <1, u(t)> fixed to rounding.
         """
-        # eigh sorts L' ascending; the descending copy of its vectors is made
-        # once eigh has freed its workspace, below eigh's own peak
         with _float64_range(self):
-            mu, vectors = np.linalg.eigh(self.symmetrized)
-        values = mu[::-1].copy()
-        vectors = np.ascontiguousarray(vectors[:, ::-1])
-        values[0] = 0.0
+            pairs = [np.linalg.eigh(block) for _, block in self._blocks]
+        values, order = _descending([mu for mu, _ in pairs])
+        # column of the result for each entry of the reversed, concatenated
+        # blocks; the descending copy is made once eigh has freed its
+        # workspace, and each block's vectors are dropped once copied
+        column = np.empty_like(order)
+        column[order] = np.arange(len(order))
+        vectors = np.empty((self.size, self.size))
+        start = 0
+        for sector, _ in self._blocks:
+            _, block_vectors = pairs.pop(0)
+            stop = start + block_vectors.shape[1]
+            vectors[:, column[start:stop]] = _unfold(self.lattice, sector, block_vectors[:, ::-1])
+            start = stop
+        del block_vectors
         q0 = self.kernel_vector()
         vectors[:, 0] = q0
         vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
@@ -259,6 +295,78 @@ def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
         B /= u[None, :]
         K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
     return np.negative(K, out=K)
+
+
+def _descending(parts: list) -> tuple:
+    """The spectrum from each block's ascending eigenvalues ``parts``, whose
+    first holds the kernel as its top: descending, with the kernel pinned to
+    0 at index 0, and for each value its index into the concatenation of the
+    reversed parts."""
+    desc = np.concatenate([p[::-1] for p in parts])
+    order = np.concatenate([[0], 1 + np.argsort(-desc[1:], kind="stable")])
+    values = desc[order]
+    values[0] = 0.0
+    return values, order
+
+
+def _half_derivative(lattice: TorusLattice) -> np.ndarray:
+    """D_oe, the N x (N+1) block of the axis derivative from the even to the
+    odd coordinates of one axis: entry (m, k), m = 1..N, k = 0..N, is
+    a[k - m] + a[-k - m] for the (2N+1)-periodic kernel a of
+    :func:`derivative_kernel`, divided by sqrt 2 at k = 0.  The kernel is
+    exactly odd, so the block from the odd to the even coordinates is
+    exactly -D_oe^T."""
+    N, n = lattice.N, lattice.points_per_axis
+    a = derivative_kernel(N, lattice.l).entries  # a[m] at m + N
+    windows = np.lib.stride_tricks.sliding_window_view
+    # a[k - m] is row m of a Toeplitz matrix; a[-(m + k)] = g[m + k] of a Hankel one
+    g = a[(N - np.arange(n)) % n]
+    half = windows(a, N + 1)[N - 1 :: -1] + windows(g, N + 1)[1:]
+    half[:, 0] *= _SQRT_HALF
+    return half
+
+
+def _orthant(u: np.ndarray, sector: tuple) -> np.ndarray:
+    """A lattice-shaped even array on a sector's coordinates, flat: indices
+    m = 0..N along even axes, m = 1..N along odd ones."""
+    N = u.shape[0] // 2
+    return u[tuple(slice(N + s, None) for s in sector)].reshape(-1)
+
+
+def _sector_block(u: np.ndarray, half: np.ndarray, sector: tuple) -> np.ndarray:
+    """The block -K_sigma of L' on one reflection sector, K_sigma = sum_j
+    B_{j,sigma}^T B_{j,sigma}, for the lattice-shaped u = e^{-W/2} and the
+    axis block ``half`` = D_oe.  B_{j,sigma} = diag(u_sigma') (I x .. x D_j
+    x .. x I) diag(1 / u_sigma), where sigma' is sigma with the parity of axis
+    j flipped and D_j is D_oe from an even axis, -D_oe^T from an odd one.
+    Negated in place; numpy computes B^T @ B as a symmetric rank-k update,
+    so the block is exactly symmetric."""
+    K = None
+    for j in range(len(sector)):
+        target = sector[:j] + (1 - sector[j],) + sector[j + 1 :]
+        axes = [np.eye(len(half) + 1 - s) for s in sector]
+        axes[j] = -half.T if sector[j] else half
+        B = functools.reduce(np.kron, axes) * _orthant(u, target)[:, None]
+        B /= _orthant(u, sector)[None, :]
+        K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
+    return np.negative(K, out=K)
+
+
+def _unfold(lattice: TorusLattice, sector, vectors: np.ndarray) -> np.ndarray:
+    """Columns of sector coordinates as grid vectors, or ``vectors`` itself for
+    the one sector None.  Along an even axis coordinate m puts x at n = +-m,
+    along an odd axis x at n = m and -x at n = -m, each divided by sqrt 2
+    unless m = 0; 2^d nonzeros per column."""
+    if sector is None:
+        return vectors
+    n = lattice.axis_indices()
+    x = vectors.reshape(tuple(lattice.N + 1 - s for s in sector) + (-1,))
+    for j, s in enumerate(sector):
+        shape = [-1 if i == j else 1 for i in range(x.ndim)]
+        coef = np.sign(n) * _SQRT_HALF if s else np.where(n == 0, 1.0, _SQRT_HALF)
+        x = np.take(x, np.maximum(np.abs(n) - s, 0), axis=j)
+        x *= coef.reshape(shape)
+    return x.reshape(lattice.size, -1)
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:
@@ -388,9 +496,9 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     with its spectral gap.
 
     For d = 1 the gap is read off the spectrum, a values-only eigvalsh of
-    the assembled L': the axis matrix is the whole matrix, and Lanczos would
-    need about n steps.  For d >= 2 it comes from Lanczos through ``apply``,
-    and L' is not assembled.
+    each sector block: the axis matrix is the whole matrix, and Lanczos
+    would need about n steps.  For d >= 2 it comes from Lanczos through
+    ``apply``, and nothing dense is assembled.
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")
@@ -404,7 +512,8 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     op = Operator(lattice=lattice, potential=E, W=W, delta_W=float(w.max() - w.min()))
     with _float64_range(op):
         if lattice.d == 1:
-            op.spectral_gap, op.health = float(-op.eigenvalues[1]), {"backend": "dense"}
+            op.health["backend"] = "dense"
+            op.spectral_gap = float(-op.eigenvalues[1])
         else:
             op.spectral_gap, op.health = _lanczos_gap(op)
     if not (math.isfinite(op.spectral_gap) and op.spectral_gap > 0):

@@ -86,24 +86,10 @@ class EnergyPotential:
 
 
 def fine_lattice(d: int, l: float) -> TorusLattice:
-    """The lattice on which diameters are estimated and MLP potentials
-    min-normalized, within RESOLUTION_CAP for every d."""
+    """The lattice on which MLP potentials are min-normalized and their
+    diameters taken, within RESOLUTION_CAP for every d."""
     pts = FINE_GRID.get(d, int(FINE_GRID[3] ** (3 / d)))
     return make_lattice(d, max(1, (pts - 1) // 2), l)
-
-
-def _min_max(raw, d: int, l: float):
-    lat = fine_lattice(d, l)
-    vals = np.asarray(raw(lat.points()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvalError("potential evaluated to non-finite values on the fine grid")
-    return float(vals.min()), float(vals.max())
-
-
-def estimate_diameter(E: EnergyPotential) -> float:
-    """max E - min E over the fine lattice."""
-    lo, hi = _min_max(E.evaluate, E.d, E.l)
-    return hi - lo
 
 
 def lipschitz_on_grid(fld: GridField) -> float:
@@ -112,7 +98,11 @@ def lipschitz_on_grid(fld: GridField) -> float:
 
 
 def _normalized(raw, d, l):
-    lo, hi = _min_max(raw, d, l)
+    """``raw`` shifted by its minimum over the fine lattice, and its diameter there."""
+    vals = np.asarray(raw(fine_lattice(d, l).points()), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvalError("potential evaluated to non-finite values on the fine grid")
+    lo, hi = float(vals.min()), float(vals.max())
 
     def evaluator(pts, _raw=raw, _lo=lo):
         return np.asarray(_raw(pts), dtype=float) - _lo

@@ -148,7 +148,8 @@ def test_manifest_health_block(tmp_path, command):
     manifest = json.loads((out / "run-manifest.json").read_text())
     health = manifest["health"]
     assert health["backend"] == "matrix-free"
-    expected = OPERATOR_HEALTH | (NORM_HEALTH if command == "spectrum" else PROPAGATION_HEALTH)
+    # only spectrum reaches the dense spectrum, split into 2^2 reflection sectors
+    expected = OPERATOR_HEALTH | (NORM_HEALTH | {"dense_sectors"} if command == "spectrum" else PROPAGATION_HEALTH)
     if command == "gibbs":
         expected |= PIPELINE_HEALTH
         # one pass over the (13 * 32)^2 subcells, after the 13^2 box centres
@@ -163,7 +164,7 @@ def test_manifest_health_block(tmp_path, command):
     assert not set(manifest["config"]) & set(health)
     for name in manifest["artifacts"]:
         text = (out / name).read_text()
-        for key in ("lanczos", "krylov", "backend", "reorth", "tv_passes", "tv_eval_points", "mixing"):
+        for key in ("lanczos", "krylov", "backend", "reorth", "tv_passes", "tv_eval_points", "mixing", "sectors"):
             assert key not in text, (name, key)
 
 
@@ -174,7 +175,7 @@ def test_spectrum_manifest_records_norm_health(tmp_path):
     assert run_cli(["spectrum", "--potential", "invcos:z=4", "--N", "40", "--out", str(out)]) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
     health = manifest["health"]
-    assert set(health) == {"backend"} | NORM_HEALTH
+    assert set(health) == {"backend", "dense_sectors"} | NORM_HEALTH
     assert health["norm_lanczos_steps"] > 0
     assert 0 <= health["norm_residual"] <= NORM_RTOL
     # structure.json keeps its three reports and their keys
@@ -186,40 +187,53 @@ def test_spectrum_manifest_records_norm_health(tmp_path):
 
 
 def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
-    from torusfp import generator
+    # the even d = 2 cosine splits into 2^2 reflection sectors: one block and
+    # one values-only eigvalsh each, and the whole L' is never assembled
+    blocks, solved = [], []
+    assemble, eigvalsh = generator._sector_block, np.linalg.eigvalsh
 
-    calls = []
-    assemble = generator._dense_symmetrized
+    def whole(*args):
+        raise AssertionError("the whole L' was assembled")
 
-    def counted(*args):
-        calls.append(args)
-        return assemble(*args)
-
-    monkeypatch.setattr(generator, "_dense_symmetrized", counted)
+    monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(a[2]) or assemble(*a))
+    monkeypatch.setattr(generator, "_dense_symmetrized", whole)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
     assert run_cli(["spectrum", "--d", "2", "--N", "6", "--out", str(tmp_path / "s")]) == 0
     assert "operator_norm" in json.loads((tmp_path / "s" / "structure.json").read_text())
-    assert len(calls) == 1
+    assert blocks == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert solved == [7 * 7, 7 * 6, 6 * 7, 6 * 6]
 
 
 @pytest.mark.parametrize("N", [3, 31])
 def test_spectrum_d1_runs_no_eigendecomposition(tmp_path, monkeypatch, N):
     # spectrum.csv, the gap and the structure checks need no eigenvectors;
-    # the norm check's Lanczos runs solve tridiagonals of fewer than n rows
+    # the norm check's Lanczos runs solve tridiagonals of fewer than n rows,
+    # and the even potential's spectrum comes from its even and odd blocks:
+    # no n x n array reaches eigvalsh or eigh, and L' is never assembled
     n = 2 * N + 1
-    eigh = np.linalg.eigh
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
-    def small_eigh(a, *args, **kwargs):
-        if len(a) >= n:
-            raise AssertionError(f"eigh of a {len(a)} x {len(a)} matrix")
-        return eigh(a, *args, **kwargs)
+    def whole(*args):
+        raise AssertionError("the whole L' was assembled")
 
-    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    def smaller(solve):
+        def checked(a, *args, **kwargs):
+            if len(a) >= n:
+                raise AssertionError(f"{solve.__name__} of a {len(a)} x {len(a)} matrix")
+            return solve(a, *args, **kwargs)
+
+        return checked
+
+    monkeypatch.setattr(generator, "_dense_symmetrized", whole)
+    monkeypatch.setattr(np.linalg, "eigvalsh", smaller(eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", smaller(eigh))
     out = tmp_path / "s"
     assert run_cli(["spectrum", "--potential", "invcos:z=4", "--d", "1", "--N", str(N), "--out", str(out)]) == 0
     rows = (out / "spectrum.csv").read_text().strip().split("\n")
     assert len(rows) == n + 1 and rows[1] == "0,0.0"
-    gap = json.loads((out / "run-manifest.json").read_text())["resolved"]["gap"]
-    assert rows[2] == f"1,{-gap!r}"
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert rows[2] == f"1,{-manifest['resolved']['gap']!r}"
+    assert manifest["health"]["dense_sectors"] == 2
 
 
 def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
@@ -240,7 +254,8 @@ def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
 def test_manifest_health_for_the_dense_backend(tmp_path):
     assert run_cli(["gibbs", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
     health = json.loads((tmp_path / "g" / "run-manifest.json").read_text())["health"]
-    assert set(health) == {"backend"} | PIPELINE_HEALTH and health["backend"] == "dense"
+    assert set(health) == {"backend", "dense_sectors"} | PIPELINE_HEALTH and health["backend"] == "dense"
+    assert health["dense_sectors"] == 2
     assert run_cli(["witness", "--N", "5", "--out", str(tmp_path / "w")]) == 0
     assert "health" not in json.loads((tmp_path / "w" / "run-manifest.json").read_text())
 
@@ -249,7 +264,7 @@ def test_mean_manifest_records_the_mixing_distance(tmp_path):
     out = tmp_path / "m"
     assert run_cli(["mean", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
-    assert set(manifest["health"]) == {"backend"} | PIPELINE_HEALTH
+    assert set(manifest["health"]) == {"backend", "dense_sectors"} | PIPELINE_HEALTH
     assert 0 <= manifest["health"]["mixing_l2"] < 1
     assert "mixing" not in (out / "mean.json").read_text()
     assert not set(manifest["config"]) & set(manifest["health"])

@@ -122,8 +122,8 @@ def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
 
 
 def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
-    # eigh of L' itself, not of a negated n x n copy; the modes come out
-    # descending, orthonormal, with the kernel pinned
+    # eigh of each stored sector block itself, not of a negated copy; the
+    # modes come out descending, orthonormal, with the kernel pinned
     E = tf.cosine_potential(2.0, 1, 1.0)
     lat = tf.make_lattice(1, 20, 1.0)
     op = tf.build_generator(E, lat)
@@ -131,12 +131,13 @@ def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
     seen = []
 
     def counted(a, *args, **kwargs):
-        seen.append(a is op.symmetrized)
+        seen.append(a)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     values, vectors = op.modes
-    assert seen == [True]
+    assert len(seen) == 2 and all(a is block for a, (_, block) in zip(seen, op._blocks))
+    assert op.modes[1] is vectors and len(seen) == 2
     assert values[0] == 0.0 and np.all(np.diff(values) <= 0)
     np.testing.assert_allclose(values, op.eigenvalues, rtol=0, atol=1e-12 * abs(values[-1]))
     np.testing.assert_allclose(vectors[:, 0], op.kernel_vector(), rtol=0, atol=0)
@@ -161,7 +162,7 @@ def test_dense_propagation_decomposes_once(monkeypatch):
     first = tf.evolve(op, ones, 0.1, snapshots=4)
     again = tf.evolve(op, ones, 0.1, snapshots=4)
     longer, _ = op.propagate(ones.flat, np.array([0.0, 0.5, 1.0]))
-    assert calls == [lat.size]
+    assert calls == [lat.N + 1, lat.N]  # the even and the odd block
     assert np.array_equal(first.states, again.states)
     assert np.abs(longer.sum(axis=1) - lat.size).max() <= 1e-12 * lat.size
 
@@ -219,6 +220,91 @@ def test_generator_structure_property(case):
     Q = eigenvectors(op)
     assert np.abs(Q.T @ Q - np.eye(op.size)).max() <= 1e-12
     assert abs(Q[:, 0] @ ref) >= (1 - 1e-8) * np.linalg.norm(ref)
+
+
+@st.composite
+def even_cases(draw):
+    """Potentials whose grid W equals its own flip along every axis, bitwise:
+    cosine with z in [0, 8], invcos (d = 1) and zero."""
+    kind = draw(st.sampled_from(["cosine", "invcos", "zero"]))
+    d = 1 if kind == "invcos" else draw(st.integers(1, 3))
+    lat = tf.make_lattice(d, draw(st.integers(1, _MAX_N[d])), draw(st.floats(0.05, 10.0)))
+    if kind == "cosine":
+        E = tf.cosine_potential(draw(st.floats(0.0, 8.0)), d, lat.l)
+    elif kind == "invcos":
+        E = tf.invcos_potential(draw(st.floats(1.5, 8.0)), lat.l)
+    else:
+        E = tf.zero_potential(d, lat.l)
+    return E, lat, draw(st.booleans()), draw(st.floats(0.0, 1.0, allow_subnormal=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_cases())
+def test_reflection_sectors_reproduce_the_whole_generator(case):
+    E, lat, halve, t_frac = case
+    op = tf.build_generator(E, lat, halve=halve)
+    ev = op.eigenvalues
+    assert op.health["dense_sectors"] == 2**lat.d
+    oracle = -np.linalg.eigh(-op.symmetrized)[0]
+    scale = np.abs(oracle).max()
+    assert np.abs(ev - oracle).max() <= 1e-12 * scale
+    assert ev[0] == 0.0 and np.all(np.diff(ev) <= 0)
+    values, vectors = op.modes
+    assert np.abs(values - ev).max() <= 1e-12 * scale
+    assert np.abs(vectors.T @ vectors - np.eye(op.size)).max() <= 1e-12
+    assert np.abs(vectors @ (values[:, None] * vectors.T) - op.symmetrized).max() <= 1e-12 * scale
+    assert np.array_equal(vectors[:, 0], op.kernel_vector())
+    # mass under the modal propagation, which evolve runs at d = 1, within
+    # the documented tolerance of NormTraceReport.inner_ok
+    T = t_frac * tf.choose_T(1.0 / op.spectral_gap, E.diameter, 0.05)
+    u = op.u_diag
+    state = u * (vectors @ (np.exp(values * T) * (vectors.T @ (1 / u))))
+    assert abs(state.sum() - op.size) <= 1e-9 * op.size
+    if lat.d == 1:
+        res = tf.evolve(op, tf.constant_field(lat), T, snapshots=4)
+        assert np.abs(res.inners - res.inners[0]).max() <= 1e-9 * abs(res.inners[0])
+
+
+def whole_spectrum(op):
+    """The one-sector computation, as a bitwise oracle: a values-only
+    eigvalsh and an eigh of the whole L', descending, the kernel pinned and
+    projected out of the other modes."""
+    ev = np.linalg.eigvalsh(op.symmetrized)[::-1].copy()
+    ev[0] = 0.0
+    mu, Q = np.linalg.eigh(op.symmetrized)
+    values, vectors = mu[::-1].copy(), np.ascontiguousarray(Q[:, ::-1])
+    values[0] = 0.0
+    q0 = op.kernel_vector()
+    vectors[:, 0] = q0
+    vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+    return ev, values, vectors
+
+
+def off_by_one_ulp():
+    """The d = 1 cosine generator with W moved by one ulp at the node n = N,
+    so that W is even to rounding but not bitwise."""
+    op = tf.build_generator(tf.cosine_potential(2.0, 1, 1.0), tf.make_lattice(1, 20, 1.0))
+    w = op.W.values.copy()
+    w[-1] = np.nextafter(w[-1], np.inf)
+    assert not np.array_equal(w, w[::-1]) and np.abs(w - w[::-1]).max() == np.spacing(w[0])
+    return Operator(op.lattice, op.potential, tf.GridField(op.lattice, w, is_real=True), float(w.max() - w.min()))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: tf.build_generator(tf.mlp_potential(small_mlp(seed=3)), tf.make_lattice(1, 20, 1.0)),
+        lambda: tf.build_generator(tf.mlp_potential(small_mlp(d=2, seed=5)), tf.make_lattice(2, 4, 1.0)),
+        off_by_one_ulp,
+    ],
+    ids=["mlp-d1", "mlp-d2", "cosine-one-ulp-off"],
+)
+def test_a_potential_that_is_not_bitwise_even_takes_one_sector(make):
+    op = make()
+    ev, values, vectors = whole_spectrum(op)
+    assert np.array_equal(op.eigenvalues, ev)
+    assert op.health["dense_sectors"] == 1
+    assert np.array_equal(op.modes[0], values) and np.array_equal(op.modes[1], vectors)
 
 
 def test_negative_semidefinite_quadratic_form(rng):
@@ -333,21 +419,23 @@ def test_operator_norm_through_the_fft_axis_matches_the_dense_norm():
 
 
 def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
-    assembled, solved = [], []
-    assemble, eigvalsh = generator._dense_symmetrized, np.linalg.eigvalsh
+    assembled, blocks, solved = [], [], []
+    assemble, block, eigvalsh = generator._dense_symmetrized, generator._sector_block, np.linalg.eigvalsh
     monkeypatch.setattr(generator, "_dense_symmetrized", lambda *a: assembled.append(1) or assemble(*a))
+    monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(1) or block(*a))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(1) or eigvalsh(a))
     plane = tf.build_generator(tf.cosine_potential(1.0, 2, 1.0), tf.make_lattice(2, 4, 1.0))
-    assert assembled == [] and solved == []
+    assert assembled == [] and blocks == [] and solved == []
     sym = plane.symmetrized
     assert plane.eigenvalues is plane.eigenvalues and plane.symmetrized is sym
     assert plane.matrix.shape == sym.shape
-    assert assembled == [1] and solved == [1]
-    # at d = 1 the gap is read off the spectrum: one assembly, one eigvalsh
+    # one block and one eigvalsh per reflection sector, 2^2 of them
+    assert assembled == [1] and len(blocks) == 4 and len(solved) == 4
+    # at d = 1 the gap is read off the spectrum: two blocks, two eigvalsh
     line = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 8, 1.0))
-    assert len(assembled) == 2 and len(solved) == 2
+    assert len(blocks) == 6 and len(solved) == 6
     assert line.spectral_gap == -line.eigenvalues[1] and line.modes[0] is line.modes[0]
-    assert len(assembled) == 2 and len(solved) == 2
+    assert assembled == [1] and len(blocks) == 6 and len(solved) == 6
 
 
 def test_condition_number_check():

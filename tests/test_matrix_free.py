@@ -147,7 +147,7 @@ def test_propagation_is_independent_of_the_time_grid():
 
 def test_health_is_recorded():
     line = _build(1, 8, 1.0, 1.0, True)
-    assert line.health == {"backend": "dense"}
+    assert line.health == {"backend": "dense", "dense_sectors": 2}
     assert tf.evolve(line, tf.constant_field(line.lattice), 0.1).health == {}
 
     op = _build(2, 8, 1.0, 1.0, True)

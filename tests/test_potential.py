@@ -155,22 +155,28 @@ def test_mlp_json_round_trip():
     np.testing.assert_allclose(clone.forward(pts), mlp.forward(pts), rtol=0, atol=0)
 
 
+def diameter_on_fine_lattice(E):
+    """max E - min E over the fine lattice: the oracle for stored diameters."""
+    vals = tf.discretize(E, fine_lattice(E.d, E.l)).values
+    return float(vals.max() - vals.min())
+
+
 def test_estimators():
     flat = tf.zero_potential(1, 1.0)
-    assert tf.estimate_diameter(flat) == 0.0
+    assert diameter_on_fine_lattice(flat) == 0.0
     assert lipschitz_on_grid(tf.discretize(flat.evaluate, fine_lattice(1, 1.0))) <= 1e-12
 
     pot = tf.cosine_potential(2.0, 1, 2 * np.pi)
-    assert abs(tf.estimate_diameter(pot) - 4.0) <= 1e-6
+    assert abs(diameter_on_fine_lattice(pot) - 4.0) <= 1e-6
     slope = lipschitz_on_grid(tf.discretize(pot.evaluate, fine_lattice(1, pot.l)))
     assert abs(slope - 2.1) <= 1e-3  # 1.05 x true max slope 2
 
     # d=2: additive over axes, exact in the stored metadata; the default
-    # 512-point estimator grid resolves it to ~4e-5 (maximum falls between
+    # 512-point fine lattice resolves it to ~4e-5 (maximum falls between
     # nodes)
     pot2 = tf.cosine_potential(1.0, 2, 1.0)
     assert pot2.diameter == 4.0
-    assert abs(tf.estimate_diameter(pot2) - 4.0) <= 1e-4
+    assert abs(diameter_on_fine_lattice(pot2) - 4.0) <= 1e-4
 
 
 def test_expcos_semianalyticity_certificate():
