@@ -12,8 +12,9 @@ an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
 is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 = 0).  L is derived from L' on demand.
 
-One :class:`Operator` serves every d.  It stores W and the gap; ``apply``
-acts with L' one axis at a time through :func:`torusfp.spectral.axis_derivative`.
+One :class:`Operator` serves every d.  It stores W and the gap, and keeps
+U; ``apply`` acts with L' one axis at a time through
+:func:`torusfp.spectral.axis_derivative`, on one vector or on a block.
 The dense spectrum (``eigenvalues``, values only, with the kernel eigenvalue
 pinned to 0, and ``modes``) is computed on first access, one reflection sector
 at a time, and kept.  If W equals its own flip along every axis, bitwise, L'
@@ -25,9 +26,12 @@ there is one sector, L' itself.  The dense L' (``symmetrized``) is assembled
 only on demand.  Two things depend on d, since at d = 1 Lanczos and Krylov
 need about n steps, some 12 times the dense cost at N = 1023:
 
-- the gap (``build_generator``): read off ``eigenvalues`` at d = 1; by
-  Lanczos on the complement of q0 at d >= 2 (Saad, SIAM J. Numer. Anal. 29,
-  1992), to a Ritz residual of GAP_RTOL;
+- the gap (``build_generator``): read off ``eigenvalues`` at d = 1; at
+  d >= 2 by Lanczos on the complement of q0 (Saad, SIAM J. Numer. Anal. 29,
+  1992), to a Ritz residual of GAP_RTOL, from the best vector of a short
+  block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
+  (-Delta + sigma)^{-1} through the FFT, which takes a mild potential to the
+  gap in a number of iterations that does not grow with N;
 - the propagation (``propagate``): mode by mode at d = 1, with no
   time-stepping error, from ``modes`` (``eigh`` of each stored block with the
   kernel eigenpair pinned to (0, q0), on first access, kept); at d >= 2 the
@@ -39,10 +43,12 @@ Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
 second time only when the first pass left less than 1/sqrt(2) of its norm
 (the DGKS rule).  ``op.health`` records the backend ("dense" at d = 1,
-"matrix-free" at d >= 2 with its Lanczos steps, gap residual and second
-passes) and, once the dense spectrum ran, its ``dense_sectors``;
-``propagate`` returns the health of its Krylov run next to the states.  U scales L' by up to e^{delta_W}: numbers of a steep potential past
-the float64 range end in a PreconditionError that names delta_W and N.
+"matrix-free" at d >= 2 with the block iterations of its start, its
+Lanczos steps, gap residual and second passes) and, once the dense spectrum
+ran, its ``dense_sectors``; ``propagate`` returns the health of its Krylov
+run next to the states.  U scales L' by up to e^{delta_W}: numbers of
+a steep potential past the float64 range end in a PreconditionError that
+names delta_W and N.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
@@ -67,7 +73,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import GridField, TorusLattice, discretize
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import axis_derivative, derivative_kernel, derivative_matrix
+from .spectral import axis_derivative, derivative_kernel, derivative_matrix, shifted_laplacian_solve
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
@@ -87,6 +93,25 @@ NORM_RTOL = 1e-12
 #: Lanczos runs test for convergence every this many steps, and every m / 8
 #: steps past m = 64, so that the O(m^3) tests stay below the run's own cost.
 CHECK_EVERY = 8
+#: Columns per block of the copy into ``Operator.modes`` and of its kernel
+#: projection: an n x 256 temporary, 4 MiB at n = 2047, in place of an n x n
+#: one and of one per reflection sector.
+MODES_COLUMNS = 256
+#: Vectors in the block iteration that starts the gap's Lanczos run.
+GAP_BLOCK = 4
+#: The block starts as a fixed pseudo-random one smoothed by
+#: (-Delta + (2 pi / l)^2)^{-8}, which damps each Fourier mode k by
+#: (1 + |k|^2)^{-8} and drops none.  Measured at d=2 N=25, cosine z=1/4/8,
+#: as block iterations/Lanczos steps: unsmoothed 37/8, 40/257, 40/365;
+#: smoothed 4 times 22/8, 40/32, 40/257; 6 times 18/8, 36/8, 40/204; 8 times
+#: 16/8, 36/8, 40/229.  12 times broke down at z=1 (40/32 at l=1 and l=4).
+GAP_BLOCK_SMOOTHING = 8
+#: Most iterations of that block.  Measured at d=2 N=25, cosine z=1/2/4/8:
+#: with a budget of 20, 16/8, 20/16, 20/144, 20/257; of 40, 16/8, 22/8,
+#: 36/8, 40/229; of 60 the same but 60/144 at z=8.  At d=2 N=31 z=8 the
+#: budgets 20/40/60 took build_generator 0.50/0.40/0.30 s, at d=3 N=7 z=8,
+#: with 289 Lanczos steps each, 0.39/0.44/0.45 s.
+GAP_BLOCK_ITERATIONS = 40
 #: Gauss-Legendre nodes per interval of the error-bound quadrature.
 GAUSS_NODES = 16
 
@@ -110,10 +135,13 @@ class Operator:
     def size(self) -> int:
         return self.lattice.size
 
-    @property
+    @cached_property
     def u_diag(self) -> np.ndarray:
-        """Diagonal of U = diag(e^{-W/2})."""
-        return np.exp(-self.W.flat / 2)
+        """Diagonal of U = diag(e^{-W/2}), computed on first access and kept,
+        read-only."""
+        u = np.exp(-self.W.flat / 2)
+        u.flags.writeable = False
+        return u
 
     @property
     def stationary(self) -> np.ndarray:
@@ -183,35 +211,50 @@ class Operator:
         values, order = _descending([mu for mu, _ in pairs])
         # column of the result for each entry of the reversed, concatenated
         # blocks; the descending copy is made once eigh has freed its
-        # workspace, and each block's vectors are dropped once copied
+        # workspace, and each block's vectors are dropped once copied.  The
+        # copy and the kernel projection go MODES_COLUMNS columns at a time,
+        # so that neither needs one more array of n rows by a block's width.
+        # A (row, column) index pair scatters each row in turn: a column
+        # index alone writes down whole columns, about three times slower
         column = np.empty_like(order)
         column[order] = np.arange(len(order))
+        rows = np.arange(self.size)[:, None]
         vectors = np.empty((self.size, self.size))
         start = 0
         for sector, _ in self._blocks:
             _, block_vectors = pairs.pop(0)
-            stop = start + block_vectors.shape[1]
-            vectors[:, column[start:stop]] = _unfold(self.lattice, sector, block_vectors[:, ::-1])
-            start = stop
+            for first in range(0, block_vectors.shape[1], MODES_COLUMNS):
+                part = block_vectors[:, ::-1][:, first : first + MODES_COLUMNS]
+                target = column[start + first : start + first + part.shape[1]]
+                vectors[rows, target] = _unfold(self.lattice, sector, part)
+            start += block_vectors.shape[1]
         del block_vectors
         q0 = self.kernel_vector()
         vectors[:, 0] = q0
-        vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+        weights = q0 @ vectors[:, 1:]
+        for first in range(1, self.size, MODES_COLUMNS):
+            part = slice(first, first + MODES_COLUMNS)
+            vectors[:, part] -= np.outer(q0, weights[first - 1 : first - 1 + MODES_COLUMNS])
         return values, vectors
 
     def scaled_derivatives(self, x: np.ndarray) -> list:
-        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays."""
+        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays (a
+        block of them when x is a block of flat vectors along its leading axis)."""
         u = self.u_diag.reshape(self.lattice.shape)
-        y = x.reshape(u.shape) / u
-        return [u * axis_derivative(y, self.lattice, j) for j in range(self.lattice.d)]
+        y = x.reshape(x.shape[:-1] + u.shape) / u
+        lead = x.ndim - 1
+        return [u * axis_derivative(y, self.lattice, lead + j) for j in range(self.lattice.d)]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """L' x = -sum_j B_j^T B_j x for a flat vector x."""
+        """L' x = -sum_j B_j^T B_j x for a flat vector x, or for each row of a
+        block x of flat vectors."""
         u = self.u_diag.reshape(self.lattice.shape)
+        lead = x.ndim - 1
         acc = sum(
-            axis_derivative(u * b, self.lattice, j, transpose=True) for j, b in enumerate(self.scaled_derivatives(x))
+            axis_derivative(u * b, self.lattice, lead + j, transpose=True)
+            for j, b in enumerate(self.scaled_derivatives(x))
         )
-        return -(acc / u).reshape(-1)
+        return -(acc / u).reshape(x.shape)
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
         """Rows e^{L t_i} v and the health of the propagation: in a Krylov
@@ -444,10 +487,78 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
         q = w / beta[k]
 
 
+def _inverse_cholesky(V: np.ndarray) -> np.ndarray:
+    """C^{-1} for the Cholesky factor C of the Gram matrix V V^T = C C^T, so
+    that C^{-1} V has orthonormal rows.  Raises LinAlgError when V is
+    numerically rank-deficient."""
+    return np.linalg.inv(np.linalg.cholesky(V @ V.T))
+
+
+def _block_start(op: Operator, q0: np.ndarray) -> tuple:
+    """A start vector for the gap's Lanczos run, and the number of block
+    iterations spent on it: the best vector of a block LOBPCG (Knyazev, SIAM
+    J. Sci. Comput. 23, 2001) for the smallest eigenvalues of K = -L' on
+    q0-perp.
+
+    The GAP_BLOCK vectors start as a fixed pseudo-random block (one built
+    from W would share its symmetries, see :func:`_random_start`) smoothed
+    by (-Delta + (2 pi / l)^2)^{-GAP_BLOCK_SMOOTHING}.  Each iteration is a
+    Rayleigh-Ritz step on the span of the block X, of its residuals
+    preconditioned by (-Delta + sigma)^{-1}, sigma the smallest Ritz value,
+    and of its previous directions P.  The residuals, orthogonalized against
+    q0 and X, and P get orthonormal rows first; K is applied once per block,
+    through ``op.apply``.  The iteration stops once the smallest Ritz pair
+    has a residual within the gap's own rule (GAP_RTOL, or eps times the
+    largest Ritz value seen), when a Gram matrix fails its Cholesky
+    factorization, or after GAP_BLOCK_ITERATIONS iterations.
+    """
+    k, lattice = GAP_BLOCK, op.lattice
+    shape = (k,) + lattice.shape
+    smooth = (2 * math.pi / lattice.l) ** 2
+    S = shifted_laplacian_solve(np.random.default_rng(0).standard_normal(shape), lattice, smooth, GAP_BLOCK_SMOOTHING)
+    S = S.reshape(k, -1)
+    S -= np.outer(S @ q0, q0)
+    AS = -op.apply(S)
+    F = _inverse_cholesky(S)
+    top = 0.0
+    P = AP = None
+    iterations = 0
+    while True:
+        # Rayleigh-Ritz on the rows of S, which need not be orthonormal
+        mu, Y = np.linalg.eigh(F @ (S @ AS.T) @ F.T)
+        C = Y[:, :k].T @ F
+        X, AX = C @ S, C @ AS
+        if len(S) > k:
+            P, AP = C[:, k:] @ S[k:], C[:, k:] @ AS[k:]
+        theta, top = mu[:k], max(top, mu[-1])
+        R = AX - theta[:, None] * X
+        if iterations == GAP_BLOCK_ITERATIONS or np.linalg.norm(R[0]) <= max(GAP_RTOL * theta[0], EPS * top):
+            break
+        W = shifted_laplacian_solve(R.reshape(shape), lattice, theta[0]).reshape(k, -1)
+        W -= np.outer(W @ q0, q0)
+        W -= (W @ X.T) @ X
+        try:
+            W = _inverse_cholesky(W) @ W
+            S, AS = [X, W], [AX, -op.apply(W)]
+            if P is not None:
+                F = _inverse_cholesky(P)
+                S, AS = S + [F @ P], AS + [F @ AP]
+            S, AS = np.concatenate(S), np.concatenate(AS)
+            F = _inverse_cholesky(S)
+        except np.linalg.LinAlgError:
+            break
+        iterations += 1
+    start = X[0] - (q0 @ X[0]) * q0
+    return start / np.linalg.norm(start), iterations
+
+
 def _lanczos_gap(op: Operator) -> tuple:
     """The spectral gap by Lanczos on q0-perp, with the health of the run.
 
-    The start vector is the fixed pseudo-random :func:`_random_start`.  The run
+    Lanczos starts from the vector of the block iteration
+    :func:`_block_start`.  Where that converged (a mild potential), Lanczos
+    confirms the gap at its first check; where it spent its budget (a stiff
+    one), Lanczos carries on from a better start than a random one.  The run
     stops once the Ritz residual beta_m |s_m| of the top Ritz value meets
     GAP_RTOL, or eps max|alpha| (about eps ||L'||), below which it measures
     rounding rather than convergence.  The gap is then the Rayleigh quotient
@@ -461,12 +572,14 @@ def _lanczos_gap(op: Operator) -> tuple:
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
-    basis, alpha, beta, repeats = _lanczos(op.apply, q0, _random_start(q0), converged)
+    start, iterations = _block_start(op, q0)
+    basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, converged)
     _, s, residual = _top_ritz(alpha, beta)
     y = basis.T @ s
     gap = sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
     return gap, {
         "backend": "matrix-free",
+        "gap_block_iterations": iterations,
         "lanczos_steps": len(alpha),
         "gap_residual": float(residual),
         "lanczos_reorth_steps": repeats,
@@ -497,8 +610,11 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
 
     For d = 1 the gap is read off the spectrum, a values-only eigvalsh of
     each sector block: the axis matrix is the whole matrix, and Lanczos
-    would need about n steps.  For d >= 2 it comes from Lanczos through
-    ``apply``, and nothing dense is assembled.
+    would need about n steps.  For d >= 2 it comes through ``apply``, and
+    nothing dense is assembled: a block LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001) with the FFT preconditioner (-Delta + sigma)^{-1} runs
+    for at most GAP_BLOCK_ITERATIONS iterations, and Lanczos finishes from
+    its best vector (see :func:`_lanczos_gap`).
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")

@@ -12,7 +12,8 @@ reference the tests hold the multiplier path against.  ``fourier_derivative``
 and the generator's products apply D_j through one primitive,
 :func:`axis_derivative`, by FFT or by the dense circulant (FFT_AXIS_POINTS);
 D is real, so a complex field is differentiated as its real and imaginary
-parts.  Measured errors against the (C, a) envelopes come back as a
+parts.  :func:`shifted_laplacian_solve` inverts -Delta + sigma by FFT, the
+generator's preconditioner.  Measured errors against the (C, a) envelopes come back as a
 ``torusfp.report.Report``.
 """
 
@@ -84,7 +85,8 @@ def _along_axis(mat: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 def axis_derivative(
     y: np.ndarray, lattice: TorusLattice, axis: int, order: int = 1, transpose: bool = False
 ) -> np.ndarray:
-    """D^order, or its transpose, along ``axis`` of a real lattice-shaped ``y``:
+    """D^order, or its transpose, along ``axis`` of a real ``y`` whose length
+    along ``axis`` is 2N+1 (a lattice-shaped array, or a block of them):
     by rfft/irfft on axes of more than FFT_AXIS_POINTS points, by the kept
     dense circulant on shorter ones."""
     n = lattice.points_per_axis
@@ -95,6 +97,19 @@ def axis_derivative(
     # multipliers
     mult = _multipliers(lattice, order)[: n // 2 + 1].reshape([-1 if j == axis else 1 for j in range(y.ndim)])
     return np.fft.irfft(np.fft.rfft(y, axis=axis) * (mult.conj() if transpose else mult), n=n, axis=axis)
+
+
+def shifted_laplacian_solve(y: np.ndarray, lattice: TorusLattice, sigma: float, power: int = 1) -> np.ndarray:
+    """(-Delta + sigma)^{-power} y over the last d axes of a real ``y``
+    (leading axes index a block), by rfftn/irfftn: -Delta = sum_j D_j^T D_j
+    has the symbol sum_j (2 pi k_j / l)^2.  Needs sigma > 0."""
+    n, d = lattice.points_per_axis, lattice.d
+    k2 = -_multipliers(lattice, 2).real
+    symbol = sigma + sum(
+        (k2[: n // 2 + 1] if j == d - 1 else k2).reshape([-1 if i == j else 1 for i in range(d)]) for j in range(d)
+    )
+    axes = tuple(range(y.ndim - d, y.ndim))
+    return np.fft.irfftn(np.fft.rfftn(y, axes=axes) / symbol**power, s=lattice.shape, axes=axes)
 
 
 def fourier_derivative(u: GridField, axis: int, order: int = 1) -> GridField:

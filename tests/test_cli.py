@@ -134,7 +134,7 @@ HEALTH_RUNS = {
     "evolve": ["evolve", "--d", "2", "--N", "4", "--snapshots", "4"],
     "spectrum": ["spectrum", "--d", "2", "--N", "4"],
 }
-OPERATOR_HEALTH = {"backend", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+OPERATOR_HEALTH = {"backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
 PROPAGATION_HEALTH = {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
 NORM_HEALTH = {"norm_lanczos_steps", "norm_residual", "norm_reorth_steps"}
 TV_HEALTH = {"tv_passes", "tv_eval_points"}

@@ -408,6 +408,12 @@ def test_apply_matches_the_assembled_generator(d, N):
     assert np.linalg.norm(op.apply(x) - ref) <= 1e-13 * np.linalg.norm(ref)
     B = np.array([b.reshape(-1) for b in op.scaled_derivatives(x)])
     assert abs(np.sum(B * B) + x @ ref) <= 1e-13 * abs(x @ ref)
+    # a block of vectors along the leading axis, row by row as on its own
+    X = np.random.default_rng(N + 1).standard_normal((3, op.size))
+    refs = X @ op.symmetrized
+    assert np.linalg.norm(op.apply(X) - refs, axis=1).max() <= 1e-13 * np.linalg.norm(refs, axis=1).min()
+    # U is computed once per operator and cannot be written through
+    assert op.u_diag is op.u_diag and not op.u_diag.flags.writeable
     assert spectral._circulant.cache_info().misses == (0 if 2 * N + 1 > FFT_AXIS_POINTS else 1)
 
 

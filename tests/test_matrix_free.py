@@ -17,7 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusfp as tf
-from torusfp.generator import GAP_RTOL, KRYLOV_RTOL, _lanczos, _random_start
+from torusfp.generator import (
+    CHECK_EVERY,
+    GAP_BLOCK_ITERATIONS,
+    GAP_RTOL,
+    KRYLOV_RTOL,
+    _lanczos,
+    _random_start,
+    _top_ritz,
+)
 from torusfp.spectral import derivative_matrix
 
 EPS = np.finfo(float).eps
@@ -91,14 +99,45 @@ def test_krylov_propagation_matches_expm(case, t_frac, seed):
 
 
 def test_lanczos_keeps_the_kernel_out_past_300_steps():
-    # a long run: without q0 projected out inside the iteration, rounding
-    # brings the kernel back and the gap collapses to about 0.  The cosine
-    # potential is separable, so the exact gap is that of the d = 1 generator.
+    # a long run, from the pseudo-random start (the block start of the gap
+    # needs fewer steps): without q0 projected out inside the iteration,
+    # rounding brings the kernel back and the gap collapses to about 0.  The
+    # cosine potential is separable, so the exact gap is that of the d = 1
+    # generator.
     op = _build(2, 25, 1.0, 8.0, True)
-    assert op.health["lanczos_steps"] > 300
+    q0 = op.kernel_vector()
+
+    def converged(alpha, beta):
+        theta, _, residual = _top_ritz(alpha, beta)
+        return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
+
+    _, alpha, beta, _ = _lanczos(op.apply, q0, _random_start(q0), converged)
+    assert len(alpha) > 300
     line = _build(1, 25, 1.0, 8.0, True)
     gap, norm = line.spectral_gap, -line.eigenvalues[-1]
-    assert abs(op.spectral_gap - gap) <= (1e-10 + 4 * EPS * norm / gap) * gap
+    assert abs(-_top_ritz(alpha, beta)[0] - gap) <= (1e-10 + 4 * EPS * norm / gap) * gap
+
+
+@pytest.mark.parametrize("z", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("d, N", [(2, 25), (2, 31), (3, 7)])
+def test_gap_matches_the_separable_oracle_past_the_property_range(d, N, z):
+    # the cosine potential is separable: the gap at every d is the d = 1 gap
+    op = _build(d, N, 1.0, z, True)
+    line = _build(1, N, 1.0, z, True)
+    assert abs(op.spectral_gap - line.spectral_gap) <= 1e-12 * line.spectral_gap
+    health = op.health
+    # Lanczos stopped on its rule, not on filling q0-perp
+    assert health["lanczos_steps"] < op.size - 1
+    if z == 1.0:
+        # a mild potential: the block iteration converges within its budget
+        # and Lanczos confirms its vector within two checks
+        assert health["gap_block_iterations"] < GAP_BLOCK_ITERATIONS
+        assert health["lanczos_steps"] <= 2 * CHECK_EVERY
+    if z == 8.0:
+        # a stiff one: the block iteration spends its budget and Lanczos
+        # carries on from its vector
+        assert health["gap_block_iterations"] == GAP_BLOCK_ITERATIONS
+        assert health["lanczos_steps"] > 2 * CHECK_EVERY
 
 
 @pytest.mark.parametrize("z", [1.0, 8.0])
@@ -151,7 +190,8 @@ def test_health_is_recorded():
     assert tf.evolve(line, tf.constant_field(line.lattice), 0.1).health == {}
 
     op = _build(2, 8, 1.0, 1.0, True)
-    assert set(op.health) == {"backend", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+    assert set(op.health) == {"backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+    assert 0 < op.health["gap_block_iterations"] <= GAP_BLOCK_ITERATIONS
     res = tf.evolve(op, tf.constant_field(op.lattice), 0.1)
     assert set(res.health) == {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
     assert 0 < res.health["krylov_steps"] < op.size
