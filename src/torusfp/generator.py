@@ -212,8 +212,7 @@ class Operator:
         # column of the result for each entry of the reversed, concatenated
         # blocks; the descending copy is made once eigh has freed its
         # workspace, and each block's vectors are dropped once copied.  The
-        # copy and the kernel projection go MODES_COLUMNS columns at a time,
-        # so that neither needs one more array of n rows by a block's width.
+        # copy and the kernel projection go MODES_COLUMNS columns at a time.
         # A (row, column) index pair scatters each row in turn: a column
         # index alone writes down whole columns, about three times slower
         column = np.empty_like(order)
@@ -541,8 +540,8 @@ def _block_start(op: Operator, q0: np.ndarray) -> tuple:
             W = _inverse_cholesky(W) @ W
             S, AS = [X, W], [AX, -op.apply(W)]
             if P is not None:
-                F = _inverse_cholesky(P)
-                S, AS = S + [F @ P], AS + [F @ AP]
+                G = _inverse_cholesky(P)
+                S, AS = S + [G @ P], AS + [G @ AP]
             S, AS = np.concatenate(S), np.concatenate(AS)
             F = _inverse_cholesky(S)
         except np.linalg.LinAlgError:

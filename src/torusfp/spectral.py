@@ -13,8 +13,8 @@ and the generator's products apply D_j through one primitive,
 :func:`axis_derivative`, by FFT or by the dense circulant (FFT_AXIS_POINTS);
 D is real, so a complex field is differentiated as its real and imaginary
 parts.  :func:`shifted_laplacian_solve` inverts -Delta + sigma by FFT, the
-generator's preconditioner.  Measured errors against the (C, a) envelopes come back as a
-``torusfp.report.Report``.
+generator's preconditioner.  Measured errors against the (C, a) envelopes
+come back as a ``torusfp.report.Report``.
 """
 
 from __future__ import annotations
