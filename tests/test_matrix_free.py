@@ -4,8 +4,10 @@ The Lanczos gap is checked against eigvalsh of the assembled L' and against
 the singular values of the stacked B_j, the Krylov propagation against
 scipy.linalg.expm, over the property-test range of tests/test_properties.py.
 Each tolerance is fixed from the conditioning of the oracle before the run:
-a relative term of 1e-10 plus the oracle's own rounding.  Further tests pin
-the health numbers, the independence of the time grid and the memory bound.
+a relative term of 1e-10 plus the oracle's own rounding.  Past that range
+the gap of the separable cosine potential is checked against the d = 1 gap.
+Further tests pin the health numbers, the independence of the time grid and
+the memory bound.
 """
 
 import tracemalloc
