@@ -1,21 +1,35 @@
-"""The cost of the matrix-free spectral gap over a fixed grid, as JSON.
+"""The cost of the matrix-free spectral gap and propagation over a fixed
+grid, as JSON.
 
     python3 bench/gap.py OUT.json
 
 Run it from a checkout of the repository; it imports the package from
-``src/`` and needs numpy alone.  BLAS runs on one thread.  For cosine z in
-{1, 4, 8} on the lattices d=2 N in {15, 25, 31} and d=3 N=7 (l = 1), it
-records the wall time of ``build_generator`` (the median of REPEATS builds,
-after one untimed build that fills the per-lattice caches), the block
-iterations and Lanczos steps of the gap (``op.health``), and the gap's error
-relative to the separable oracle: the cosine potential is a sum over axes,
-so the gap at every d is the d = 1 gap, read off the dense spectrum.  The
-file holds one entry per case and the environment the numbers were taken on.
+``src/`` and needs numpy alone.  BLAS runs on one thread.  Each case records
+the wall time of ``build_generator`` and of ``op.propagate(1, [0, T])`` at
+the pipeline's mixing time T (each the median of REPEATS runs, after one
+untimed run that fills the per-lattice caches), the block iterations and
+Lanczos steps of the gap, the path, outer and inner steps and error bound of
+the propagation (``op.health`` and the propagation's health), and the gap's
+error relative to an oracle.  Separable and non-separable potentials are
+reported apart, since the separable preconditioner is exact only for the
+first:
+
+- separable: cosine z in {1, 4, 8} on the lattices d=2 N in {15, 25, 31} and
+  d=3 N=7, and z=12 at d=2 N=25 (l = 1).  The cosine potential is a sum
+  over axes, so the gap at every d is the d = 1 gap, read off the dense
+  spectrum;
+- non-separable: the coupled potential cosine + c z (1 - cos 2 pi (x_1 -
+  x_2)) of tests/test_matrix_free.py, for (z, c) in {(1, 0.5), (4, 0.5),
+  (8, 1)} at d=2 N in {12, 25}, against eigvalsh of the assembled L'.
+
+The file holds the two lists of cases and the environment the numbers were
+taken on.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -32,31 +46,67 @@ import numpy as np  # noqa: E402
 
 import torusfp as tf  # noqa: E402
 
-LATTICES = [(2, 15), (2, 25), (2, 31), (3, 7)]
-STRENGTHS = [1.0, 4.0, 8.0]
+SEPARABLE = [(d, N, z) for d, N in [(2, 15), (2, 25), (2, 31), (3, 7)] for z in (1.0, 4.0, 8.0)] + [(2, 25, 12.0)]
+NON_SEPARABLE = [(N, z, c) for N in (12, 25) for z, c in [(1.0, 0.5), (4.0, 0.5), (8.0, 1.0)]]
 REPEATS = 5
 
 
-def case(d: int, N: int, z: float) -> dict:
-    E, lattice = tf.cosine_potential(z, d, 1.0), tf.make_lattice(d, N, 1.0)
-    tf.build_generator(E, lattice)
+def coupled(z: float, c: float) -> tf.EnergyPotential:
+    """cosine + c z (1 - cos 2 pi (x_1 - x_2)) at d = 2, l = 1."""
+    cosine = tf.cosine_potential(z, 2, 1.0)
+
+    def evaluator(pts):
+        return cosine.evaluate(pts) + c * z * (1 - np.cos(2 * math.pi * (pts[..., 0] - pts[..., 1])))
+
+    return tf.EnergyPotential(evaluator=evaluator, l=1.0, d=2, diameter=cosine.diameter + 2 * c * z, name="coupled")
+
+
+def median_time(run) -> tuple:
+    """The median wall time of REPEATS calls of ``run``, after one untimed
+    call, and the last call's result."""
+    result = run()
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        op = tf.build_generator(E, lattice)
+        result = run()
         times.append(time.perf_counter() - start)
-    oracle = tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0)).spectral_gap
+    return statistics.median(times), result
+
+
+def case(E: tf.EnergyPotential, lattice, oracle) -> dict:
+    build_s, op = median_time(lambda: tf.build_generator(E, lattice))
+    T = tf.choose_T(1.0 / op.spectral_gap, E.diameter, 0.05)
+    ones = np.ones(lattice.size)
+    propagate_s, (_, health) = median_time(lambda: op.propagate(ones, np.array([0.0, T])))
+    gap = oracle(op)
     return {
-        "d": d,
-        "N": N,
-        "z": z,
         "nodes": lattice.size,
-        "build_s": statistics.median(times),
+        "build_s": build_s,
         "gap_block_iterations": op.health["gap_block_iterations"],
         "lanczos_steps": op.health["lanczos_steps"],
         "gap": op.spectral_gap,
-        "gap_rel_error": abs(op.spectral_gap - oracle) / oracle,
+        "gap_rel_error": abs(op.spectral_gap - gap) / gap,
+        "T": T,
+        "propagate_s": propagate_s,
+        "krylov_path": health.get("krylov_path"),
+        "krylov_steps": health["krylov_steps"],
+        "krylov_inner_steps": health.get("krylov_inner_steps"),
+        "krylov_error": health["krylov_error"],
     }
+
+
+def separable(d: int, N: int, z: float) -> dict:
+    def oracle(op):
+        return tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0)).spectral_gap
+
+    return {"d": d, "N": N, "z": z} | case(tf.cosine_potential(z, d, 1.0), tf.make_lattice(d, N, 1.0), oracle)
+
+
+def non_separable(N: int, z: float, c: float) -> dict:
+    def oracle(op):
+        return float(np.linalg.eigvalsh(-op.symmetrized)[1])
+
+    return {"d": 2, "N": N, "z": z, "c": c} | case(coupled(z, c), tf.make_lattice(2, N, 1.0), oracle)
 
 
 def cpu_model() -> str:
@@ -71,11 +121,11 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python3 bench/gap.py OUT.json", file=sys.stderr)
         return 64
-    cases = []
-    for d, N in LATTICES:
-        for z in STRENGTHS:
-            cases.append(case(d, N, z))
-            print(json.dumps(cases[-1]), flush=True)
+    results = {"separable": [], "non_separable": []}
+    for kind, run, cases in [("separable", separable, SEPARABLE), ("non_separable", non_separable, NON_SEPARABLE)]:
+        for args in cases:
+            results[kind].append(run(*args))
+            print(json.dumps(results[kind][-1]), flush=True)
     environment = {
         "nproc": os.cpu_count(),
         "cpu_model": cpu_model(),
@@ -84,7 +134,7 @@ def main(argv: list) -> int:
         "blas_threads": 1,
         "repeats": REPEATS,
     }
-    Path(argv[0]).write_text(json.dumps({"environment": environment, "cases": cases}, indent=1) + "\n")
+    Path(argv[0]).write_text(json.dumps({"environment": environment} | results, indent=1) + "\n")
     return 0
 
 

@@ -23,21 +23,37 @@ splits into 2^d sectors, even or odd along each axis: each block
 -sum_j B_j^T B_j is assembled in the basis (e_m +- e_{-m}) / sqrt 2 of its
 sector, over the closed positive orthant, without forming L'.  Otherwise
 there is one sector, L' itself.  The dense L' (``symmetrized``) is assembled
-only on demand.  Two things depend on d, since at d = 1 Lanczos and Krylov
-need about n steps, some 12 times the dense cost at N = 1023:
+only on demand.
+
+At d >= 2 the gap and the propagation go through a separable
+preconditioner P, built once per operator by fast diagonalization (Lynch,
+Rice & Thomas, Numer. Math. 6, 1964): the 1-D generators K_j of W's mean
+over the other axes, one SVD of a (2N+1)^2 matrix each, give
+P = (x)Q_j (sigma + gamma sum_j Lambda_j)^{-1} (x)Q_j^T, applied by one
+dense product per axis each way.  For a W that is a sum over axes, -L' is
+the sum of the K_j and P is exact.  Two things depend on d, since at d = 1
+Lanczos and Krylov need about n steps, some 12 times the dense cost at
+N = 1023:
 
 - the gap (``build_generator``): read off ``eigenvalues`` at d = 1; at
   d >= 2 by Lanczos on the complement of q0 (Saad, SIAM J. Numer. Anal. 29,
   1992), to a Ritz residual of GAP_RTOL, from the best vector of a short
-  block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
-  (-Delta + sigma)^{-1} through the FFT, which takes a mild potential to the
-  gap in a number of iterations that does not grow with N;
+  block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that starts from
+  P's lowest modes and is preconditioned by P; the gap is the smaller
+  Rayleigh quotient of the Ritz vector and of P's lowest mode, which keeps
+  it for a separable W even below eps ||L'||.  For any other W it carries
+  the rounding of products with L', about eps ||L'|| / gap relative;
 - the propagation (``propagate``): mode by mode at d = 1, with no
   time-stepping error, from ``modes`` (``eigh`` of each stored block with the
   kernel eigenpair pinned to (0, q0), on first access, kept); at d >= 2 the
-  q0 component is kept exactly and the rest advanced in a Krylov space
-  (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) until an a posteriori
-  error bound meets KRYLOV_RTOL.
+  q0 component is kept exactly and the rest advanced in the shift-invert
+  Krylov space of (I + gamma K)^{-1}, K = -L' (van den Eshof & Hochbruck,
+  SIAM J. Sci. Comput. 27, 2006), each step an inner conjugate-gradient
+  solve preconditioned by P, until an a posteriori error bound that
+  includes the inner tolerance meets KRYLOV_RTOL.  Where an inner solve
+  takes more than INNER_BUDGET iterations (a steep W that is not a sum over
+  axes), the polynomial Krylov space of L' itself (Hochbruck & Lubich, SIAM
+  J. Numer. Anal. 34, 1997) takes over, with its own bound.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
@@ -46,7 +62,8 @@ second time only when the first pass left less than 1/sqrt(2) of its norm
 "matrix-free" at d >= 2 with the block iterations of its start, its
 Lanczos steps, gap residual and second passes) and, once the dense spectrum
 ran, its ``dense_sectors``; ``propagate`` returns the health of its Krylov
-run next to the states.  U scales L' by up to e^{delta_W}: numbers of
+run next to the states: the path taken, its outer and inner steps, its
+error bound and second passes.  U scales L' by up to e^{delta_W}: numbers of
 a steep potential past the float64 range end in a PreconditionError that
 names delta_W and N.
 
@@ -70,10 +87,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, SizeError, ValidationError
-from .lattice import GridField, TorusLattice, discretize
+from .lattice import GridField, TorusLattice, discretize, make_lattice
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import axis_derivative, derivative_kernel, derivative_matrix, shifted_laplacian_solve
+from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, derivative_kernel, derivative_matrix
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
@@ -99,21 +116,34 @@ CHECK_EVERY = 8
 MODES_COLUMNS = 256
 #: Vectors in the block iteration that starts the gap's Lanczos run.
 GAP_BLOCK = 4
-#: The block starts as a fixed pseudo-random one smoothed by
-#: (-Delta + (2 pi / l)^2)^{-8}, which damps each Fourier mode k by
-#: (1 + |k|^2)^{-8} and drops none.  Measured at d=2 N=25, cosine z=1/4/8,
-#: as block iterations/Lanczos steps: unsmoothed 37/8, 40/257, 40/365;
-#: smoothed 4 times 22/8, 40/32, 40/257; 6 times 18/8, 36/8, 40/204; 8 times
-#: 16/8, 36/8, 40/229.  12 times broke down at z=1 (40/32 at l=1 and l=4).
-GAP_BLOCK_SMOOTHING = 8
-#: Most iterations of that block.  Measured at d=2 N=25, cosine z=1/2/4/8:
-#: with a budget of 20, 16/8, 20/16, 20/144, 20/257; of 40, 16/8, 22/8,
-#: 36/8, 40/229; of 60 the same but 60/144 at z=8.  At d=2 N=31 z=8 the
-#: budgets 20/40/60 took build_generator 0.50/0.40/0.30 s, at d=3 N=7 z=8,
-#: with 289 Lanczos steps each, 0.39/0.44/0.45 s.
-GAP_BLOCK_ITERATIONS = 40
+#: The block starts as the lowest modes of the preconditioner past its
+#: kernel, plus this multiple of a fixed pseudo-random block.  Measured as
+#: block iterations at cosine z=1/8, d=2 N=25, and z=8, d=3 N=7: 9/14/8 at
+#: 1e-8, 13/21/16 at 1e-3, 20/29/23 at 1e-1; Lanczos confirmed in 8 steps.
+GAP_START_NOISE = 1e-3
+#: Most iterations of that block.  A separable W converges well within it
+#: (cosine d=2 N=25, z=1/4/8/12: 13/15/21/7).  Measured on the coupled
+#: potential of tests/test_matrix_free.py, as iterations/Lanczos steps and
+#: build_generator seconds with budgets 40/100/160: z=4, c=0.5, N=25 40/289
+#: 0.36 s, 99/8 0.14 s, 99/8 0.15 s; N=31 40/365 0.67 s, 98/8 0.22 s, 98/8
+#: 0.18 s; z=8, c=1, N=25 never converged, 461 steps, 0.74/0.69/0.85 s.
+GAP_BLOCK_ITERATIONS = 100
 #: Gauss-Legendre nodes per interval of the error-bound quadrature.
 GAUSS_NODES = 16
+#: The shift-invert propagation to t works with (I + gamma K)^{-1}, gamma =
+#: t / SHIFT_STEPS.  At d=2 N=25, cosine z=1, 2 to 16 all took 14 outer
+#: steps, at z=4 and 8, 4 to 16 took 20 to 24.
+SHIFT_STEPS = 8
+#: Its inner solves stop once the residual falls to INNER_RTOL ||b||.
+INNER_RTOL = 1e-13
+#: An inner solve that has not converged after this many iterations hands
+#: the propagation to the polynomial Krylov run.  For a separable W the
+#: preconditioner is exact and each solve takes 1 or 2.  Measured on the
+#: coupled potential at d=2 N=25, c=0.5 (inner iterations per solve,
+#: shift-invert against polynomial seconds): z=1 8 to 11, 0.11 against
+#: 0.13 s; z=2 10 to 18, 0.17 against 0.21 s; z=4 21 to 76, 0.46 against
+#: 0.23 s.
+INNER_BUDGET = 20
 
 
 @dataclass
@@ -255,6 +285,37 @@ class Operator:
         )
         return -(acc / u).reshape(x.shape)
 
+    @cached_property
+    def _separable(self) -> tuple:
+        """The factors of the fast-diagonalization preconditioner, computed on
+        first access and kept: for each axis j the orthonormal eigenvectors
+        Q_j of the d = 1 generator K_j = B_j^T B_j of W's mean over the other
+        axes, and the lattice-shaped sum of their eigenvalues, sum_j
+        Lambda_j, the all-kernel mode at index 0.  Each factor comes from the
+        SVD of its (2N+1)^2 B_j, ascending: Lambda_j = s_j^2 keeps the small
+        eigenvalues of a steep W to relative accuracy where eigh of K_j loses
+        them below eps ||K_j||.  For a separable W, K = -L' is the sum of the
+        K_j, each acting along its axis, to rounding."""
+        lattice, W = self.lattice, self.W.values
+        D = derivative_axis_matrix(make_lattice(1, lattice.N, lattice.l))
+        vectors, total = [], 0.0
+        for j in range(lattice.d):
+            u = np.exp(-W.mean(axis=tuple(i for i in range(lattice.d) if i != j)) / 2)
+            _, s, Vt = np.linalg.svd(D * u[:, None] / u[None, :])
+            vectors.append(Vt[::-1].T)
+            total = total + (s[::-1] ** 2).reshape([-1 if i == j else 1 for i in range(lattice.d)])
+        return vectors, total
+
+    def precondition(self, x: np.ndarray, sigma: float, gamma: float) -> np.ndarray:
+        """P x = (x)Q_j (sigma + gamma sum_j Lambda_j)^{-1} (x)Q_j^T x for a flat
+        vector x, or for each row of a block x: (sigma + gamma K)^{-1} x for a
+        separable W, by one dense product per axis each way (Lynch, Rice &
+        Thomas, Numer. Math. 6, 1964).  Needs sigma > 0."""
+        vectors, total = self._separable
+        lead = x.ndim - 1
+        y = _along_axes([Q.T for Q in vectors], x.reshape(x.shape[:-1] + self.lattice.shape), lead)
+        return _along_axes(vectors, y / (sigma + gamma * total), lead).reshape(x.shape)
+
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
         """Rows e^{L t_i} v and the health of the propagation: in a Krylov
         space at d >= 2, and at d = 1 exactly, with empty health, through
@@ -274,10 +335,11 @@ class Operator:
 
         With x = U^{-1} v = c q0 + r, the kernel part c q0 is kept exactly
         and e^{L' t} r is approximated in one Krylov space of r, grown until
-        the bound ||r|| beta_m int_0^{t_max} |e_m^T e^{s T_m} e_1| ds on the
-        error (L' <= 0 on q0-perp makes it rigorous in exact arithmetic, and
-        it grows with t) falls to KRYLOV_RTOL ||x||.  The space depends only
-        on v and max(times); each time is evaluated on its own.
+        an a posteriori bound on the error at t_max falls to KRYLOV_RTOL
+        ||x||: by shift-invert (:func:`_shift_invert`), and where that gives
+        way (an inner solve spent INNER_BUDGET iterations) or t_max = 0, by
+        the polynomial Krylov run (:func:`_polynomial_krylov`).  The space
+        depends only on v and max(times); each time is evaluated on its own.
         """
         u = self.u_diag
         q0 = u / np.linalg.norm(u)
@@ -288,28 +350,36 @@ class Operator:
         scale = float(np.linalg.norm(x))
         t_max = float(max(times))
         out = np.empty((len(times), self.size))
+        health = {"krylov_path": "none", "krylov_steps": 0, "krylov_inner_steps": 0}
         # both e^{L' t} r and its approximation have norm <= ||r||, so the
         # error never exceeds 2 ||r||: a small enough rest needs no space
         if 2 * r0 <= KRYLOV_RTOL * scale:
             out[:] = u * (c * q0)
             error = 2 * r0 / scale if scale else 0.0
-            return out, {"krylov_steps": 0, "krylov_error": error, "krylov_reorth_steps": 0}
+            return out, health | {"krylov_error": error, "krylov_reorth_steps": 0}
 
-        def bound(alpha, beta):
-            return min(r0 * _krylov_bound(alpha, beta, t_max), 2 * r0)
-
+        tol = KRYLOV_RTOL * scale / r0
         with _float64_range(self):
-            basis, alpha, beta, repeats = _lanczos(
-                self.apply, q0, rest / r0, lambda a, b: bound(a, b) <= KRYLOV_RTOL * scale
-            )
-            theta, S = _ritz(alpha, beta)
-            error = float(bound(alpha, beta) / scale)
+            run = _shift_invert(self, q0, rest / r0, t_max, tol, health) if t_max > 0 else None
+            if run is None:
+                health["krylov_path"] = "polynomial"
+                run = _polynomial_krylov(self, q0, rest / r0, t_max, tol)
+            basis, rates, S, error, repeats = run
+            error = float(error * r0 / scale)
         if not math.isfinite(error):
             raise _too_steep(self)
         for i, t in enumerate(times):
-            y = S @ (np.exp(theta * t) * S[0])
+            y = S @ (np.exp(rates * t) * S[0])
             out[i] = u * (c * q0 + r0 * (basis.T @ y))
-        return out, {"krylov_steps": len(alpha), "krylov_error": error, "krylov_reorth_steps": repeats}
+        health["krylov_steps"] = len(basis)
+        return out, health | {"krylov_error": error, "krylov_reorth_steps": repeats}
+
+
+def _along_axes(mats: list, y: np.ndarray, lead: int) -> np.ndarray:
+    """mats[j] applied to the index of ``y`` along axis lead + j, each j."""
+    for j, mat in enumerate(mats):
+        y = _along_axis(mat, y, lead + j)
+    return y
 
 
 def _too_steep(op: Operator) -> PreconditionError:
@@ -433,8 +503,9 @@ def _random_start(q0: np.ndarray) -> np.ndarray:
     return start / np.linalg.norm(start)
 
 
-def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
-    """Lanczos on the orthogonal complement of the unit vector ``q0``.
+def _lanczos_steps(apply, q0: np.ndarray, start: np.ndarray):
+    """Lanczos on the orthogonal complement of the unit vector ``q0``, one
+    step at a time.
 
     ``start`` is a unit vector orthogonal to q0.  Each new direction is
     reorthogonalized against the whole basis and then against q0, so
@@ -442,12 +513,11 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     such pass runs only when the first cancelled most of the direction,
     leaving less than 1/sqrt(2) of its norm: otherwise one pass already
     leaves it orthogonal to rounding (Daniel, Gragg, Kaufman & Stewart,
-    Math. Comp. 30, 1976).  Stops when ``converged(alpha, beta)`` holds
-    (asked on the CHECK_EVERY schedule), when the space is invariant, or
-    after n - 1 steps, when it fills q0-perp.  Returns the basis as rows, the
-    diagonal alpha, the off-diagonal beta (its last entry couples the basis
-    to the next direction) and the number of steps that needed the second
-    pass.
+    Math. Comp. 30, 1976).  After step m it yields the basis as rows, the
+    diagonal alpha, the off-diagonal beta (m entries each; the last entry of
+    beta couples the basis to the next direction), the number of steps that
+    needed the second pass and the next direction times beta_m.  It ends when
+    the space is invariant or after n - 1 steps, when it fills q0-perp.
     """
     n = len(start)
     steps = n - 1
@@ -455,7 +525,6 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     alpha = np.empty(steps)
     beta = np.empty(steps)
     q = start
-    check = CHECK_EVERY
     repeats = 0
     for k in range(steps):
         if k == len(basis):
@@ -476,14 +545,26 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
             if sweep or beta[k] >= before / math.sqrt(2):
                 break
             repeats += 1
-        m = k + 1
-        if m == steps or beta[k] == 0.0:
-            return basis[:m], alpha[:m], beta[:m], repeats
-        if m == check:
-            if converged(alpha[:m], beta[:m]):
-                return basis[:m], alpha[:m], beta[:m], repeats
-            check += max(CHECK_EVERY, m // 8)
+        yield basis[: k + 1], alpha[: k + 1], beta[: k + 1], repeats, w
+        if beta[k] == 0.0:
+            return
         q = w / beta[k]
+
+
+def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
+    """:func:`_lanczos_steps` until ``converged(alpha, beta)`` holds, asked
+    on the CHECK_EVERY schedule, or until the steps end.  Returns the basis
+    as rows, alpha, beta and the number of steps that needed the second
+    orthogonalization pass.
+    """
+    check = CHECK_EVERY
+    for basis, alpha, beta, repeats, _ in _lanczos_steps(apply, q0, start):
+        m = len(alpha)
+        if m == check:
+            if converged(alpha, beta):
+                break
+            check += max(CHECK_EVERY, m // 8)
+    return basis, alpha, beta, repeats
 
 
 def _inverse_cholesky(V: np.ndarray) -> np.ndarray:
@@ -493,29 +574,45 @@ def _inverse_cholesky(V: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(V @ V.T))
 
 
-def _block_start(op: Operator, q0: np.ndarray) -> tuple:
+def _lowest_modes(op: Operator, k: int) -> np.ndarray:
+    """The k lowest modes of the preconditioner past its all-kernel one, as
+    rows: for a separable W, eigenvectors of L' to rounding."""
+    vectors, total = op._separable
+    order = np.argsort(total, axis=None, kind="stable")
+    modes = np.zeros((k, op.size))
+    modes[np.arange(k), order[order != 0][:k]] = 1.0
+    return _along_axes(vectors, modes.reshape((k,) + op.lattice.shape), 1).reshape(k, op.size)
+
+
+def _rayleigh(op: Operator, y: np.ndarray) -> float:
+    """sum_j ||B_j y||^2 / ||y||^2: a sum of squares, it keeps about
+    eps sqrt(||L'|| / gap) relative accuracy where y^T L' y keeps only
+    eps ||L'|| / gap."""
+    return sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
+
+
+def _block_start(op: Operator, q0: np.ndarray, modes: np.ndarray) -> tuple:
     """A start vector for the gap's Lanczos run, and the number of block
     iterations spent on it: the best vector of a block LOBPCG (Knyazev, SIAM
     J. Sci. Comput. 23, 2001) for the smallest eigenvalues of K = -L' on
     q0-perp.
 
-    The GAP_BLOCK vectors start as a fixed pseudo-random block (one built
-    from W would share its symmetries, see :func:`_random_start`) smoothed
-    by (-Delta + (2 pi / l)^2)^{-GAP_BLOCK_SMOOTHING}.  Each iteration is a
-    Rayleigh-Ritz step on the span of the block X, of its residuals
-    preconditioned by (-Delta + sigma)^{-1}, sigma the smallest Ritz value,
-    and of its previous directions P.  The residuals, orthogonalized against
-    q0 and X, and P get orthonormal rows first; K is applied once per block,
-    through ``op.apply``.  The iteration stops once the smallest Ritz pair
-    has a residual within the gap's own rule (GAP_RTOL, or eps times the
-    largest Ritz value seen), when a Gram matrix fails its Cholesky
-    factorization, or after GAP_BLOCK_ITERATIONS iterations.
+    The block starts as ``modes``, the lowest modes of the separable
+    preconditioner (:func:`_lowest_modes`), plus GAP_START_NOISE times a
+    fixed pseudo-random block: the preconditioner shares the symmetries of
+    W's mean over each axis, and the pseudo-random part reaches the modes
+    that break them.  Each iteration is a Rayleigh-Ritz step on the span of
+    the block X, of its residuals preconditioned by ``op.precondition`` with
+    the shift sigma the smallest Ritz value, and of its previous directions
+    P.  The residuals, orthogonalized against q0 and X, and P get
+    orthonormal rows first; K is applied once per block, through
+    ``op.apply``.  The iteration stops once the smallest Ritz pair has a
+    residual within the gap's own rule (GAP_RTOL, or eps times the largest
+    Ritz value seen), when a Gram matrix fails its Cholesky factorization, or
+    after GAP_BLOCK_ITERATIONS iterations.
     """
-    k, lattice = GAP_BLOCK, op.lattice
-    shape = (k,) + lattice.shape
-    smooth = (2 * math.pi / lattice.l) ** 2
-    S = shifted_laplacian_solve(np.random.default_rng(0).standard_normal(shape), lattice, smooth, GAP_BLOCK_SMOOTHING)
-    S = S.reshape(k, -1)
+    k = len(modes)
+    S = modes + GAP_START_NOISE * np.random.default_rng(0).standard_normal(modes.shape)
     S -= np.outer(S @ q0, q0)
     AS = -op.apply(S)
     F = _inverse_cholesky(S)
@@ -533,7 +630,7 @@ def _block_start(op: Operator, q0: np.ndarray) -> tuple:
         R = AX - theta[:, None] * X
         if iterations == GAP_BLOCK_ITERATIONS or np.linalg.norm(R[0]) <= max(GAP_RTOL * theta[0], EPS * top):
             break
-        W = shifted_laplacian_solve(R.reshape(shape), lattice, theta[0]).reshape(k, -1)
+        W = op.precondition(R, theta[0], 1.0)
         W -= np.outer(W @ q0, q0)
         W -= (W @ X.T) @ X
         try:
@@ -555,15 +652,16 @@ def _lanczos_gap(op: Operator) -> tuple:
     """The spectral gap by Lanczos on q0-perp, with the health of the run.
 
     Lanczos starts from the vector of the block iteration
-    :func:`_block_start`.  Where that converged (a mild potential), Lanczos
-    confirms the gap at its first check; where it spent its budget (a stiff
-    one), Lanczos carries on from a better start than a random one.  The run
-    stops once the Ritz residual beta_m |s_m| of the top Ritz value meets
-    GAP_RTOL, or eps max|alpha| (about eps ||L'||), below which it measures
-    rounding rather than convergence.  The gap is then the Rayleigh quotient
-    sum_j ||B_j y||^2 / ||y||^2 of the Ritz vector y: a sum of squares, it
-    keeps about eps sqrt(||L'|| / gap) relative accuracy where the Ritz value
-    itself keeps only eps ||L'|| / gap.
+    :func:`_block_start`.  Where that converged, Lanczos confirms the gap at
+    its first check; where it spent its budget (a steep W that is not a sum
+    over axes), Lanczos carries on from its vector.  The run stops once the
+    Ritz residual beta_m |s_m| of the top Ritz value meets GAP_RTOL, or
+    eps max|alpha| (about eps ||L'||), below which it measures rounding
+    rather than convergence.  The gap is then the smaller of the Rayleigh
+    quotients (:func:`_rayleigh`) of the Ritz vector and of the
+    preconditioner's lowest mode, both upper bounds on it: for a separable W
+    that mode is an eigenvector to rounding, and keeps the gap where it sits
+    below eps ||L'||, out of reach of any Ritz value.
     """
     q0 = op.kernel_vector()
 
@@ -571,11 +669,12 @@ def _lanczos_gap(op: Operator) -> tuple:
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
-    start, iterations = _block_start(op, q0)
+    modes = _lowest_modes(op, GAP_BLOCK)
+    start, iterations = _block_start(op, q0, modes)
     basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, converged)
     _, s, residual = _top_ritz(alpha, beta)
-    y = basis.T @ s
-    gap = sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
+    lowest = modes[0] - (q0 @ modes[0]) * q0
+    gap = min(_rayleigh(op, basis.T @ s), _rayleigh(op, lowest))
     return gap, {
         "backend": "matrix-free",
         "gap_block_iterations": iterations,
@@ -585,22 +684,150 @@ def _lanczos_gap(op: Operator) -> tuple:
     }
 
 
-def _krylov_bound(alpha: np.ndarray, beta: np.ndarray, t: float) -> float:
-    """beta_m int_0^t |e_m^T e^{s T_m} e_1| ds by Gauss-Legendre quadrature
-    on intervals graded geometrically toward s = 0, where the fastest Ritz
-    modes live on the scale 1 / max|theta|."""
-    if t == 0.0:
-        return 0.0
-    theta, S = _ritz(alpha, beta)
-    weights = S[-1] * S[0]
-    levels = max(0, math.ceil(math.log2(max(t * abs(theta[0]), 1.0)))) + 4
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """GAUSS_NODES Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
+def _quadrature(rates: np.ndarray, t: float) -> tuple:
+    """Gauss-Legendre quadrature of functions of s in [0, t] built from the
+    exponentials e^{s rates_i}, on intervals graded geometrically toward
+    s = 0, where the fastest modes live on the scale 1 / max|rates|.
+    Returns the exponentials at the nodes (one row per node) and the
+    weights.  Raises LinAlgError for rates past the float64 range."""
+    span = t * float(np.abs(rates).max())
+    if not math.isfinite(span):
+        raise np.linalg.LinAlgError("non-finite Ritz values")
+    levels = max(0, math.ceil(math.log2(max(span, 1.0)))) + 4
     edges = t * np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1)])
-    nodes, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    nodes, w = _gauss_legendre()
     lo, hi = edges[:-1, None], edges[1:, None]
     s = ((hi - lo) * (nodes + 1) / 2 + lo).reshape(-1)
     ds = ((hi - lo) * w / 2).reshape(-1)
-    f = np.exp(np.outer(s, theta)) @ weights
-    return float(beta[-1] * (ds @ np.abs(f)))
+    return np.exp(np.outer(s, rates)), ds
+
+
+def _polynomial_krylov(op: Operator, q0: np.ndarray, start: np.ndarray, t: float, tol: float) -> tuple:
+    """e^{L' s} start for s <= t in the Krylov space of L' itself, grown
+    until the bound beta_m int_0^t |e_m^T e^{s T_m} e_1| ds on the error
+    (L' <= 0 on q0-perp makes it rigorous in exact arithmetic, and it grows
+    with t), capped at 2, falls to ``tol``.  Returns the basis as rows, the
+    Ritz values theta and vectors S of T_m (the state at time s is
+    basis^T S e^{theta s} S^T e_1), the bound and the second passes."""
+
+    def bound(alpha, beta):
+        theta, S = _ritz(alpha, beta)
+        modes, ds = _quadrature(theta, t)
+        return min(beta[-1] * (ds @ np.abs(modes @ (S[-1] * S[0]))), 2.0)
+
+    basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, lambda a, b: bound(a, b) <= tol)
+    theta, S = _ritz(alpha, beta)
+    return basis, theta, S, bound(alpha, beta), repeats
+
+
+class _InnerStall(Exception):
+    """The shift-invert propagation gives way to the polynomial one (see
+    :func:`_shift_invert`)."""
+
+
+def _pcg(op: Operator, q0: np.ndarray, b: np.ndarray, gamma: float) -> tuple:
+    """x with (I + gamma K) x = b, K = -L', for b orthogonal to q0, by
+    conjugate gradients preconditioned with ``op.precondition(., 1, gamma)``
+    projected onto q0-perp, so that every iterate stays there.  Stops once
+    the residual falls to INNER_RTOL ||b||; returns x (None after
+    INNER_BUDGET iterations), the norm of the residual and the iterations
+    spent."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    target = INNER_RTOL * np.linalg.norm(b)
+    p = None
+    for i in range(1, INNER_BUDGET + 1):
+        z = op.precondition(r, 1.0, gamma)
+        z -= (q0 @ z) * q0
+        rz = r @ z
+        p = z if p is None else z + (rz / rz_prev) * p
+        Ap = p - gamma * op.apply(p)
+        step = rz / (p @ Ap)
+        x += step * p
+        r -= step * Ap
+        residual = float(np.linalg.norm(r))
+        if residual <= target:
+            return x, residual, i
+        rz_prev = rz
+    return None, residual, INNER_BUDGET
+
+
+def _shift_invert(op: Operator, q0: np.ndarray, start: np.ndarray, t: float, tol: float, health: dict):
+    """e^{-K s} start for s <= t, K = -L', in the Krylov space of
+    A = (I + gamma K)^{-1} on q0-perp, gamma = t / SHIFT_STEPS (Moret &
+    Novati, BIT 44, 2004; van den Eshof & Hochbruck, SIAM J. Sci. Comput.
+    27, 2006).  Each step solves (I + gamma K) x = v_k by :func:`_pcg` to
+    a residual s_k.  The tridiagonal T_m of A maps back to K_m = (T_m^{-1} -
+    I) / gamma, whose Ritz values are (1 / mu - 1) / gamma for the Ritz
+    values mu of T_m.  From A V_m = V_m T_m + beta_m v_{m+1} e_m^T - A S_m,
+    the residual of the approximation V_m e^{-s K_m} e_1 is
+    ((I + gamma K) beta_m v_{m+1} e_m^T + S_m) T_m^{-1} e^{-s K_m} e_1 /
+    gamma.  K >= 0 on q0-perp bounds the error at every time up to t by
+    the integral of its norm, and Cauchy-Schwarz the sum over the s_k:
+
+        (||(I + gamma K) beta_m v_{m+1}|| int_0^t |f_m(s)| ds
+         + ||(||s_1||, .., ||s_m||)|| int_0^t ||f(s)|| ds) / gamma,
+        f(s) = T_m^{-1} e^{-s K_m} e_1,
+
+    rigorous in exact arithmetic, the inner tolerance included.  The space
+    grows until this bound, capped at 2, falls to ``tol``.  It is evaluated
+    after steps 1, 2, .., at a spacing of m / 8 past m = 16, so that its
+    O(m^3) cost stays below the run's own, and costs one apply, spent only
+    once the bound with ||beta_m v_{m+1}|| in place of the first norm, a
+    lower bound, has met ``tol``.  Returns what :func:`_polynomial_krylov`
+    returns, with the rates -(1 / mu - 1) / gamma in place of theta, and
+    records the path and the inner iterations in ``health``.  Returns None
+    when an inner solve spent INNER_BUDGET iterations, when the inner
+    tolerance alone exceeds ``tol``, or when rounding has made T_m
+    indefinite or (for a t so small that gamma underflows) K_m infinite.
+    """
+    gamma = t / SHIFT_STEPS
+    residuals = []
+
+    def solve(b):
+        x, residual, iterations = _pcg(op, q0, b, gamma)
+        health["krylov_inner_steps"] += iterations
+        if x is None:
+            raise _InnerStall
+        residuals.append(residual)
+        return x
+
+    health["krylov_path"] = "shift-invert"
+    try:
+        check = 1
+        for basis, alpha, beta, repeats, w in _lanczos_steps(solve, q0, start):
+            m = len(alpha)
+            if m < check and beta[-1] > 0 and m < op.size - 1:
+                continue
+            check = m + max(1, m // 8)
+            mu, S = _ritz(alpha, beta)
+            rates = (1.0 - 1.0 / mu) / gamma
+            if mu[0] <= 0.0 or not np.isfinite(rates).all():
+                raise _InnerStall
+            # T_m^{-1} e^{-s K_m} e_1 at the nodes, one row per node, in the
+            # Ritz basis and its last entry f_m(s)
+            modes, ds = _quadrature(rates, t)
+            modes *= S[0] / mu
+            # sum_k ||s_k|| |f_k(s)| <= ||(||s_k||)_k|| ||f(s)||
+            inexact = math.hypot(*residuals) * (ds @ np.linalg.norm(modes, axis=1)) / gamma
+            if inexact > tol:
+                raise _InnerStall
+            last = (ds @ np.abs(modes @ S[-1])) / gamma
+            # ||(I + gamma K) w|| >= ||w|| since K >= 0: a lower bound first
+            error = inexact + beta[-1] * last
+            if error <= tol or m == op.size - 1:
+                error = inexact + float(np.linalg.norm(w - gamma * op.apply(w))) * last
+                if error <= tol:
+                    break
+    except _InnerStall:
+        return None
+    return basis, rates, S, min(error, 2.0), repeats
 
 
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> Operator:
@@ -611,9 +838,9 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     each sector block: the axis matrix is the whole matrix, and Lanczos
     would need about n steps.  For d >= 2 it comes through ``apply``, and
     nothing dense is assembled: a block LOBPCG (Knyazev, SIAM J. Sci.
-    Comput. 23, 2001) with the FFT preconditioner (-Delta + sigma)^{-1} runs
-    for at most GAP_BLOCK_ITERATIONS iterations, and Lanczos finishes from
-    its best vector (see :func:`_lanczos_gap`).
+    Comput. 23, 2001) from the lowest modes of the separable preconditioner,
+    preconditioned by it, runs for at most GAP_BLOCK_ITERATIONS iterations,
+    and Lanczos finishes from its best vector (see :func:`_lanczos_gap`).
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")

@@ -135,7 +135,7 @@ HEALTH_RUNS = {
     "spectrum": ["spectrum", "--d", "2", "--N", "4"],
 }
 OPERATOR_HEALTH = {"backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
-PROPAGATION_HEALTH = {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
+PROPAGATION_HEALTH = {"krylov_path", "krylov_steps", "krylov_inner_steps", "krylov_error", "krylov_reorth_steps"}
 NORM_HEALTH = {"norm_lanczos_steps", "norm_residual", "norm_reorth_steps"}
 TV_HEALTH = {"tv_passes", "tv_eval_points"}
 PIPELINE_HEALTH = TV_HEALTH | {"mixing_l2"}

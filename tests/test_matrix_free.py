@@ -5,9 +5,12 @@ the singular values of the stacked B_j, the Krylov propagation against
 scipy.linalg.expm, over the property-test range of tests/test_properties.py.
 Each tolerance is fixed from the conditioning of the oracle before the run:
 a relative term of 1e-10 plus the oracle's own rounding.  Past that range
-the gap of the separable cosine potential is checked against the d = 1 gap.
-Further tests pin the health numbers, the independence of the time grid and
-the memory bound.
+the gap of the separable cosine potential is checked against the d = 1 gap,
+and past delta_W = 40 against the singular values.  The non-separable
+"coupled" potential, on which the separable preconditioner is inexact, is
+checked against eigvalsh and the eigh exponential, on each propagation
+path.  Further tests pin the health numbers, the independence of the time
+grid and the memory bound.
 """
 
 import tracemalloc
@@ -23,6 +26,7 @@ from torusfp.generator import (
     CHECK_EVERY,
     GAP_BLOCK_ITERATIONS,
     GAP_RTOL,
+    INNER_BUDGET,
     KRYLOV_RTOL,
     _lanczos,
     _random_start,
@@ -45,6 +49,18 @@ def cases(draw):
 
 def _build(d, N, l, z, halve):
     return tf.build_generator(tf.cosine_potential(z, d, l), tf.make_lattice(d, N, l), halve=halve)
+
+
+def _coupled(z, c, l=1.0):
+    """The cosine potential plus c z (1 - cos 2 pi (x_1 - x_2) / l) at d = 2:
+    not a sum over axes, so the separable preconditioner built from W's
+    mean over each axis is inexact.  Its minimum stays 0, at the origin."""
+    cosine = tf.cosine_potential(z, 2, l)
+
+    def evaluator(pts):
+        return cosine.evaluate(pts) + c * z * (1 - np.cos(2 * np.pi * (pts[..., 0] - pts[..., 1]) / l))
+
+    return tf.EnergyPotential(evaluator=evaluator, l=l, d=2, diameter=cosine.diameter + 2 * c * z, name="coupled")
 
 
 def _svd_gap(op):
@@ -130,16 +146,72 @@ def test_gap_matches_the_separable_oracle_past_the_property_range(d, N, z):
     health = op.health
     # Lanczos stopped on its rule, not on filling q0-perp
     assert health["lanczos_steps"] < op.size - 1
-    if z == 1.0:
-        # a mild potential: the block iteration converges within its budget
-        # and Lanczos confirms its vector within two checks
-        assert health["gap_block_iterations"] < GAP_BLOCK_ITERATIONS
+    # the preconditioner is exact for a separable potential, mild or stiff:
+    # the block iteration converges within its budget
+    assert health["gap_block_iterations"] < GAP_BLOCK_ITERATIONS
+    if (d, z) != (3, 4.0):
+        # and Lanczos confirms its vector within two checks; at d = 3, z = 4
+        # the six lowest eigenvalues form two clusters 1e-8 apart, relative,
+        # and it takes longer
         assert health["lanczos_steps"] <= 2 * CHECK_EVERY
-    if z == 8.0:
-        # a stiff one: the block iteration spends its budget and Lanczos
-        # carries on from its vector
-        assert health["gap_block_iterations"] == GAP_BLOCK_ITERATIONS
-        assert health["lanczos_steps"] > 2 * CHECK_EVERY
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (3, 2)])
+def test_preconditioner_inverts_a_separable_generator(d, N):
+    # the cosine potential is a sum over axes, so -L' is the sum of the
+    # axis factors and P = (sigma + gamma K)^{-1} to rounding, on a block of
+    # vectors and on one
+    op = _build(d, N, 1.0, 4.0, True)
+    x = np.random.default_rng(1).standard_normal((2, op.size))
+    want = np.linalg.solve(0.5 * np.eye(op.size) - 0.3 * op.symmetrized, x.T).T
+    tol = 1e-12 * np.abs(want).max()
+    np.testing.assert_allclose(op.precondition(x, 0.5, 0.3), want, rtol=0, atol=tol)
+    np.testing.assert_allclose(op.precondition(x[0], 0.5, 0.3), want[0], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("z", [20.0, 24.0, 30.0])
+def test_gap_matches_the_svd_oracle_past_delta_w_40(z):
+    # delta_W = 2 z: here the gap sits below the rounding of L' products,
+    # eps ||L'||, which Lanczos alone cannot resolve; the lowest mode of the
+    # separable preconditioner, from the singular vectors of each axis
+    # factor, is an eigenvector to rounding and its Rayleigh quotient keeps
+    # the gap
+    op = _build(2, 8, 1.0, z, True)
+    gap_svd = _svd_gap(op)
+    norm = np.linalg.eigvalsh(-op.symmetrized)[-1]
+    assert abs(op.spectral_gap - gap_svd) <= (1e-10 + 4 * EPS * np.sqrt(norm / gap_svd)) * gap_svd
+
+
+@pytest.mark.parametrize(
+    "z, c, path",
+    [
+        # about 10 inner iterations per outer step, within the budget
+        (1.0, 0.5, "shift-invert"),
+        # about 40 per step: the budget is spent within the first 7 steps
+        (4.0, 0.5, "polynomial"),
+        # a stiff one, whose inner solves barely converge
+        (8.0, 1.0, "polynomial"),
+    ],
+)
+def test_non_separable_gap_and_propagation_match_dense_oracles(z, c, path):
+    op = tf.build_generator(_coupled(z, c), tf.make_lattice(2, 12, 1.0))
+    assert not np.allclose(op.W.values, op.W.values[:, :1] + op.W.values[:1, :] - op.W.values[0, 0])
+    mu, vectors = np.linalg.eigh(-op.symmetrized)
+    assert abs(op.spectral_gap - mu[1]) <= 1e-9 * mu[1]
+
+    T = tf.choose_T(1.0 / op.spectral_gap, op.potential.diameter, 0.05)
+    times = np.array([0.0, T / 3, T])
+    v = np.ones(op.size)
+    states, health = op.propagate(v, times)
+    assert health["krylov_path"] == path
+    if path == "polynomial":
+        assert health["krylov_inner_steps"] >= INNER_BUDGET
+    x = v / op.u_diag
+    modal = vectors.T @ x
+    for t, state in zip(times, states):
+        reference = vectors @ (np.exp(-mu * t) * modal)
+        assert np.linalg.norm(state / op.u_diag - reference) <= 1e-10 * np.linalg.norm(x)
+    assert health["krylov_error"] <= KRYLOV_RTOL
 
 
 @pytest.mark.parametrize("z", [1.0, 8.0])
@@ -195,7 +267,7 @@ def test_health_is_recorded():
     assert set(op.health) == {"backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
     assert 0 < op.health["gap_block_iterations"] <= GAP_BLOCK_ITERATIONS
     res = tf.evolve(op, tf.constant_field(op.lattice), 0.1)
-    assert set(res.health) == {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
+    assert set(res.health) == {"krylov_path", "krylov_steps", "krylov_inner_steps", "krylov_error", "krylov_reorth_steps"}
     assert 0 < res.health["krylov_steps"] < op.size
     assert 0 <= res.health["krylov_error"] <= KRYLOV_RTOL
     # a stationary input has nothing to advance

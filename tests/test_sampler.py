@@ -607,3 +607,18 @@ def test_pipeline_health_carries_the_mixing_distance(d, N):
     direct = np.linalg.norm(short.state.flat - stationary)
     assert short.health["mixing_l2"] == pytest.approx(direct, rel=1e-12, abs=1e-15)
     assert 0 < longer.health["mixing_l2"] < short.health["mixing_l2"]
+
+
+def test_mixing_distance_decays_at_the_spectral_gap():
+    # the uniform start excites the gap's modes, so past the faster modes
+    # doubling T multiplies mixing_l2 by e^{-gap T}; for the cosine the next
+    # distinct eigenvalue is twice the gap, which leaves a relative error of
+    # order e^{-gap T} in the ratio.  At gap T = 8 the two distances are
+    # about 1e-4 and 3e-8, far above rounding
+    E = tf.cosine_potential(1.0, 2, 1.0)
+    gap = tf.build_generator(E, tf.make_lattice(2, 8, 1.0)).spectral_gap
+    T = 8 / gap
+    first = tf.run_pipeline(E, N=8, M=8, T=T, count=10, seed=0).health["mixing_l2"]
+    second = tf.run_pipeline(E, N=8, M=8, T=2 * T, count=10, seed=0).health["mixing_l2"]
+    decay = math.exp(-gap * T)
+    assert second / first == pytest.approx(decay, rel=decay)

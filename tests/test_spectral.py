@@ -12,7 +12,6 @@ from torusfp.spectral import (
     first_derivative_error_bound,
     operator_norm,
     second_derivative_error_bound,
-    shifted_laplacian_solve,
     sup_norm_bound,
 )
 
@@ -86,23 +85,6 @@ def test_laplacian_eigenfunctions():
         u = tf.discretize(lambda p, k=k: np.cos(k * p[..., 0]), lat)
         lap = tf.laplacian(u)
         np.testing.assert_allclose(lap.values, -k**2 * u.values, atol=1e-10 * k**2)
-
-
-@pytest.mark.parametrize("d, N", [(1, 4), (2, 5), (3, 2)])
-def test_shifted_laplacian_solve_inverts_minus_laplacian_plus_sigma(rng, d, N):
-    # each field of a block, along its leading axis, is solved on its own
-    lat = tf.make_lattice(d, N, 0.7)
-    sigma = 3.0
-    y = rng.standard_normal((2,) + lat.shape)
-    x = shifted_laplacian_solve(y, lat, sigma)
-    assert x.shape == y.shape
-    for xi, yi in zip(x, y):
-        back = sigma * xi - tf.laplacian(tf.GridField(lat, xi, is_real=True)).values
-        assert np.abs(back - yi).max() <= 1e-12 * np.abs(yi).max()
-    # a power is the solve repeated
-    cubed = shifted_laplacian_solve(y, lat, sigma, power=3)
-    repeated = shifted_laplacian_solve(shifted_laplacian_solve(x, lat, sigma), lat, sigma)
-    assert np.abs(cubed - repeated).max() <= 1e-12 * np.abs(repeated).max()
 
 
 def test_divergence_of_gradient_is_laplacian(rng):
