@@ -6,6 +6,12 @@ An MLP potential has no closed form: its minimum and diameter are taken on
 the fine lattice (:func:`fine_lattice`), in one evaluation of the network.
 ``lipschitz_on_grid`` bounds the slope of a lattice field; the pipeline
 applies it to the evolved state, not to E.
+
+``EnergyPotential.evaluate_grid`` gives E on the tensor product of d 1-D
+coordinate arrays, the grid the quadratures sum over.  By default it lays the
+points out with ``grid_points`` and evaluates them; a potential that is a sum
+over axes (``cosine_potential``) supplies a grid evaluator instead, which
+evaluates each axis once and broadcasts the sum, bit for bit the same values.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError, ValidationError
-from .lattice import GridField, TorusLattice, make_lattice
+from .lattice import GridField, TorusLattice, grid_points, make_lattice
 from .spectral import fourier_derivative
 
 #: Points per axis of the fine lattice, rounded down to odd.  A d past the
@@ -68,6 +74,9 @@ class EnergyPotential:
     analytic_fourier: object = None  # callable k (multi-index) -> coeff of e^{-E}
     name: str = "custom"
     meta: dict = field(default_factory=dict)
+    # callable mapping d 1-D axes -> E on their tensor product, the values of
+    # evaluator(grid_points(*axes)) bit for bit; None lays the points out
+    grid_evaluator: object = None
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -83,6 +92,19 @@ class EnergyPotential:
         return vals[0] if squeeze else vals
 
     __call__ = evaluate
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """E on the tensor product of the d 1-D coordinate arrays ``axes``,
+        shaped (len(axes[0]), ..., len(axes[d-1])): the values of
+        ``evaluate(grid_points(*axes))``, in the same order."""
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if self.grid_evaluator is not None:
+            vals = np.asarray(self.grid_evaluator(axes), dtype=float)
+        else:
+            vals = np.asarray(self.evaluator(grid_points(*axes)), dtype=float).reshape([len(a) for a in axes])
+        if not np.all(np.isfinite(vals)):
+            raise EvalError(f"potential '{self.name}' evaluated to non-finite values")
+        return vals
 
 
 def fine_lattice(d: int, l: float) -> TorusLattice:
@@ -130,6 +152,14 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
     def evaluator(pts):
         return raw(pts) - shift
 
+    def grid_evaluator(axes):
+        # raw's arithmetic, elementwise in the same order, on the d axes and
+        # their broadcast sum instead of the laid-out points
+        terms = [np.subtract(1.0, np.cos(np.multiply(w, a))) for a in axes]
+        vals = functools.reduce(np.add, np.ix_(*terms))
+        np.multiply(z, vals, out=vals)
+        return np.subtract(vals, shift, out=vals)
+
     # e^{-E} = e^{shift - z d} * prod_i e^{z cos(w x_i)}
     log_pref = shift - z * d
 
@@ -148,6 +178,7 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
         analytic_fourier=analytic_fourier,
         name=f"cosine(z={z})",
         meta={"z": z},
+        grid_evaluator=grid_evaluator,
     )
 
 

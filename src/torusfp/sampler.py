@@ -5,9 +5,11 @@ Continuous sampling measures a unit-norm lattice state in the node basis and
 then draws uniformly from the box around the node; the resulting density is
 piecewise constant with value |psi[n]|^2 ((2M+1)/l)^d on each box.  The boxes
 tile the fundamental domain exactly.  The pipeline evolves the uniform state
-straight to T; the TV quadrature and the exact Gibbs oracle lay out their
-midpoint grids block by block with ``lattice.grid_points``, so their memory
-is bounded by one block.
+straight to T.  The TV quadrature and the exact Gibbs oracle walk their
+midpoint grids block by block, each block a tensor product of 1-D axes that
+``EnergyPotential.evaluate_grid`` evaluates, so their memory is bounded by
+one block; a sum-over-axes potential (cosine) evaluates d axes per block and
+never lays the midpoints out as points.
 
 The quadrature TV evaluates the reference density once per subcell midpoint.
 It needs the normalizer Z before it can take |mu - rho / Z|, so it starts from
@@ -16,14 +18,17 @@ analytic density is accurate to near rounding), accumulates |mu - c rho| and
 its slope in c in the same pass as Z, and corrects to the exact Z afterwards.
 The correction is exact, up to rounding, whenever no subcell's sign can flip
 between the estimate and Z; otherwise a second pass sums |mu - rho / Z|
-directly.  ``TvReport.health`` records which way it went.
+directly.  ``TvReport.health`` records which way it went (``tv_passes``)
+and the density values computed (``tv_eval_points``: the product of the axis
+lengths of every block evaluated, the box centres included).
 
 Sizes are checked before any work: ``make_lattice`` bounds the upsampling
 target, and the TV quadrature and the Gibbs normalizer, both midpoint sums,
 each evaluate at most QUADRATURE_CAP midpoints.
 
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
-sample batches write their own CSV, byte for byte what ``csv_text`` would.
+sample batches write their own CSV, byte for byte what ``csv_text`` would,
+with one %-format over each chunk of CSV_CHUNK rows.
 """
 
 from __future__ import annotations
@@ -63,9 +68,9 @@ QUADRATURE_CAP = 2**27
 #: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
 TV_BAND = 1e-8
 
-#: fine-grid midpoints laid out and evaluated at a time by the Gibbs
-#: normalizer: 2^18 = 512^2 = 64^3, so a d <= 3 grid is one block and the
-#: d = 4 grid is 64 of them
+#: fine-grid midpoints evaluated at a time by the Gibbs normalizer (and laid
+#: out by the exact mean): 2^18 = 512^2 = 64^3, so a d <= 3 grid is one block
+#: and the d = 4 grid is 64 of them
 FINE_BLOCK = 2**18
 
 #: sample rows converted to text at a time by ``SampleBatch.csv_chunks``
@@ -97,12 +102,15 @@ class SampleBatch:
         """The points as CSV text in pieces, the same bytes as ``csv_text``
         writes: no value needs quoting, so each row is its shortest
         round-trip reprs joined by commas.  The header comes first, then
-        CSV_CHUNK rows at a time, so neither the Python floats nor the text
-        of the whole batch need exist at once."""
-        yield ",".join(f"x{i}" for i in range(self.points.shape[1])) + "\n"
+        CSV_CHUNK rows at a time, each chunk one %-format of its floats
+        (``%r`` is ``repr``), so neither the Python floats nor the text of
+        the whole batch need exist at once."""
+        d = self.points.shape[1]
+        yield ",".join(f"x{i}" for i in range(d)) + "\n"
+        row_fmt = ",".join(["%r"] * d) + "\n"
         for start in range(0, self.count, CSV_CHUNK):
-            rows = self.points[start : start + CSV_CHUNK].tolist()
-            yield "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+            block = self.points[start : start + CSV_CHUNK]
+            yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
     def to_csv(self) -> str:
         """The points as CSV text: the pieces of :meth:`csv_chunks` joined."""
@@ -197,7 +205,7 @@ def discrete_state_tv(psi: GridField, phi: GridField) -> float:
 
 def _fine_axis(d: int) -> int:
     """Midpoints per axis of the fine grid in dimension d, checked against
-    QUADRATURE_CAP before anything is laid out."""
+    QUADRATURE_CAP before anything is evaluated."""
     pts_axis = FINE_GRID.get(d, 64)
     if pts_axis**d > QUADRATURE_CAP:
         raise SizeError(f"the Gibbs normalizer needs {pts_axis}^{d} midpoints, exceeding the cap {QUADRATURE_CAP}")
@@ -206,12 +214,13 @@ def _fine_axis(d: int) -> int:
 
 def _fine_blocks(E: EnergyPotential) -> tuple:
     """Cell midpoints of the FINE_GRID quadrature over the fundamental domain,
-    in grid order, as a generator of (m, d) arrays of whole planes along the
-    first axis, at most FINE_BLOCK points each, with the volume of one cell."""
+    in grid order, as a generator of blocks of whole planes along the first
+    axis, at most FINE_BLOCK midpoints each, with the volume of one cell.  A
+    block is the list of its d 1-D axes, for ``E.evaluate_grid``."""
     pts_axis = _fine_axis(E.d)
     axis = (np.arange(pts_axis) + 0.5) / pts_axis * E.l - E.l / 2
     rows = max(1, FINE_BLOCK // pts_axis ** (E.d - 1))
-    blocks = (grid_points(axis[r0 : r0 + rows], *[axis] * (E.d - 1)) for r0 in range(0, pts_axis, rows))
+    blocks = ([axis[r0 : r0 + rows]] + [axis] * (E.d - 1) for r0 in range(0, pts_axis, rows))
     return blocks, (E.l / pts_axis) ** E.d
 
 
@@ -225,7 +234,7 @@ class GibbsDensity:
     def __init__(self, E: EnergyPotential):
         self.E = E
         blocks, cell = _fine_blocks(E)
-        self.Z = sum(float(np.exp(-E.evaluate(pts)).sum()) for pts in blocks) * cell
+        self.Z = sum(float(np.exp(-E.evaluate_grid(axes)).sum()) for axes in blocks) * cell
 
     def density(self, points) -> np.ndarray:
         return np.exp(-self.E.evaluate(points)) / self.Z
@@ -244,14 +253,21 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
 
     Integrates |mu - rho / Z| with ``subcells`` midpoints per box per axis;
     the normalizer Z uses the same grid so the reference integrates to one
-    exactly.  One pass over the grid suffices: see :func:`_tv_quadrature`.
+    exactly.  ``raw_density`` maps an (m, d) array of points to m values.
+    One pass over the grid suffices: see :func:`_tv_quadrature`.
     """
-    return _tv_quadrature(state, raw_density, subcells)[0]
+
+    def on_grid(axes):
+        return np.asarray(raw_density(grid_points(*axes)), dtype=float).reshape([len(a) for a in axes])
+
+    return _tv_quadrature(state, on_grid, subcells)[0]
 
 
 def _tv_quadrature(state: GridField, raw_density, subcells: int) -> tuple:
     """The quadrature TV of :func:`density_tv_quadrature`, with its health:
-    the passes over the grid and the points handed to ``raw_density``.
+    the passes over the grid and the density values computed.
+    ``raw_density`` maps d 1-D axes to the density on their tensor product,
+    shaped like that grid.
 
     An estimate c of 1/Z comes first from the n^d box centres, a trapezoid
     sum that is spectrally accurate for a periodic analytic density.  One
@@ -286,16 +302,16 @@ def _tv_quadrature(state: GridField, raw_density, subcells: int) -> tuple:
     mu_shape = (rows, 1) + (n, 1) * (lat.d - 1)
     evaluated = 0
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
+    def evaluate(axes: list) -> np.ndarray:
         nonlocal evaluated
-        evaluated += len(pts)
-        return np.asarray(raw_density(pts), dtype=float)
+        evaluated += math.prod(len(a) for a in axes)
+        return np.asarray(raw_density(axes), dtype=float)
 
     @functools.lru_cache(maxsize=1)  # a single block (d=1) is evaluated once
     def raw_block(r0: int) -> np.ndarray:
-        return evaluate(grid_points(axis[r0 * S : (r0 + rows) * S], *[axis] * (lat.d - 1))).reshape(shape)
+        return evaluate([axis[r0 * S : (r0 + rows) * S]] + [axis] * (lat.d - 1)).reshape(shape)
 
-    estimate = float(evaluate(lat.points()).sum()) * (lat.l / n) ** lat.d
+    estimate = float(evaluate([lat.axis_points()] * lat.d).sum()) * (lat.l / n) ** lat.d
     one_pass = 0 < estimate < math.inf
     c = 1.0 / estimate if one_pass else 0.0
     room = n * S ** (lat.d - 1)  # band subcells kept at most
@@ -345,7 +361,7 @@ def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound:
     """
     lat = state.lattice
     if lat.d <= 2:
-        tv, health = _tv_quadrature(state, lambda pts: np.exp(-E.evaluate(pts)), subcells)
+        tv, health = _tv_quadrature(state, lambda axes: np.exp(-E.evaluate_grid(axes)), subcells)
         return TvReport(
             tv=min(tv, 1.0),
             method="quadrature",
@@ -523,9 +539,9 @@ def estimate_mean(f, batch: SampleBatch) -> MeanEstimate:
 def exact_mean(f, E: EnergyPotential) -> float:
     """Quadrature value of E_rho[f] under the Gibbs density of e^{-E}."""
     total = norm = 0.0
-    for pts in _fine_blocks(E)[0]:
-        weights = np.exp(-E.evaluate(pts))
-        total += float((np.asarray(f(pts), dtype=float) * weights).sum())
+    for axes in _fine_blocks(E)[0]:
+        weights = np.exp(-E.evaluate_grid(axes)).reshape(-1)
+        total += float((np.asarray(f(grid_points(*axes)), dtype=float) * weights).sum())
         norm += float(weights.sum())
     return total / norm
 

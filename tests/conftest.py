@@ -25,6 +25,19 @@ def small_mlp(d=1, seed=42, l=1.0):
     return tf.PeriodicMlp(weights, biases, l=l, d=d)
 
 
+def coupled_potential(z, c, l=1.0):
+    """The cosine potential plus c z (1 - cos 2 pi (x_1 - x_2) / l) at d = 2:
+    not a sum over axes, so the separable preconditioner built from W's
+    mean over each axis is inexact, and it has no grid evaluator.  Its
+    minimum stays 0, at the origin."""
+    cosine = tf.cosine_potential(z, 2, l)
+
+    def evaluator(pts):
+        return cosine.evaluate(pts) + c * z * (1 - np.cos(2 * np.pi * (pts[..., 0] - pts[..., 1]) / l))
+
+    return tf.EnergyPotential(evaluator=evaluator, l=l, d=2, diameter=cosine.diameter + 2 * c * z, name="coupled")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)

@@ -10,7 +10,7 @@ import pytest
 from torusfp import cli, generator, lattice, sampler
 from torusfp.cli import build_parser, main
 from torusfp.lattice import RESOLUTION_CAP
-from torusfp.potential import cosine_potential
+from torusfp.potential import EnergyPotential, cosine_potential
 
 
 def run_cli(args):
@@ -380,14 +380,21 @@ PAST_BUDGET = [
 
 @pytest.mark.parametrize("argv", PAST_BUDGET, ids=[" ".join(argv) for argv in PAST_BUDGET])
 def test_lattices_past_the_node_budget_exit_before_allocating(tmp_path, monkeypatch, capsys, argv):
-    # the coordinates of a lattice come from grid_points and the upsampling
-    # target from make_lattice: either failing here means the run would
-    # have allocated past the budget (analyze --d 3 --N 1000: ~192 GB)
+    # the coordinates of a lattice come from grid_points, a potential's
+    # values on a grid from evaluate_grid (which a cosine potential computes
+    # without grid_points) and the upsampling target from make_lattice: any
+    # of them failing here means the run would have allocated past the
+    # budget (analyze --d 3 --N 1000: ~192 GB)
     grid_points, make_lattice = lattice.grid_points, sampler.make_lattice
+    evaluate_grid = EnergyPotential.evaluate_grid
 
     def budgeted_points(*axes):
         assert math.prod(len(axis) for axis in axes) <= RESOLUTION_CAP, "points past the budget"
         return grid_points(*axes)
+
+    def budgeted_grid(self, axes):
+        assert math.prod(len(axis) for axis in axes) <= RESOLUTION_CAP, "grid values past the budget"
+        return evaluate_grid(self, axes)
 
     def budgeted_lattice(*args, **kwargs):
         lat = make_lattice(*args, **kwargs)
@@ -395,6 +402,7 @@ def test_lattices_past_the_node_budget_exit_before_allocating(tmp_path, monkeypa
         return lat
 
     monkeypatch.setattr(lattice, "grid_points", budgeted_points)
+    monkeypatch.setattr(EnergyPotential, "evaluate_grid", budgeted_grid)
     monkeypatch.setattr(sampler, "make_lattice", budgeted_lattice)
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
     assert f"exceeding the cap {RESOLUTION_CAP}" in capsys.readouterr().err
@@ -420,13 +428,19 @@ PAST_FINE_BUDGET = [
 @pytest.mark.parametrize("argv", PAST_FINE_BUDGET, ids=[" ".join(argv) for argv in PAST_FINE_BUDGET])
 def test_gibbs_normalizer_past_its_budget_exits_before_allocating(tmp_path, monkeypatch, capsys, argv):
     # the d = 4 grid, 64^4 midpoints, is the largest the normalizer lays out
-    grid_points = sampler.grid_points
+    # (the exact mean's points) or evaluates (e^{-E} on each block's axes)
+    grid_points, evaluate_grid = sampler.grid_points, EnergyPotential.evaluate_grid
 
     def budgeted_points(*axes):
         assert math.prod(len(axis) for axis in axes) <= 64**4, "fine grid past the budget"
         return grid_points(*axes)
 
+    def budgeted_grid(self, axes):
+        assert math.prod(len(axis) for axis in axes) <= 64**4, "fine grid evaluated past the budget"
+        return evaluate_grid(self, axes)
+
     monkeypatch.setattr(sampler, "grid_points", budgeted_points)
+    monkeypatch.setattr(EnergyPotential, "evaluate_grid", budgeted_grid)
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
     assert "the Gibbs normalizer needs 64^5 midpoints" in capsys.readouterr().err
 

@@ -34,6 +34,8 @@ from torusfp.generator import (
 )
 from torusfp.spectral import derivative_matrix
 
+from conftest import coupled_potential
+
 EPS = np.finfo(float).eps
 _MAX_N = {2: 8, 3: 2}  # at most 289 and 125 nodes
 _SETTINGS = settings(max_examples=30, deadline=None)
@@ -49,18 +51,6 @@ def cases(draw):
 
 def _build(d, N, l, z, halve):
     return tf.build_generator(tf.cosine_potential(z, d, l), tf.make_lattice(d, N, l), halve=halve)
-
-
-def _coupled(z, c, l=1.0):
-    """The cosine potential plus c z (1 - cos 2 pi (x_1 - x_2) / l) at d = 2:
-    not a sum over axes, so the separable preconditioner built from W's
-    mean over each axis is inexact.  Its minimum stays 0, at the origin."""
-    cosine = tf.cosine_potential(z, 2, l)
-
-    def evaluator(pts):
-        return cosine.evaluate(pts) + c * z * (1 - np.cos(2 * np.pi * (pts[..., 0] - pts[..., 1]) / l))
-
-    return tf.EnergyPotential(evaluator=evaluator, l=l, d=2, diameter=cosine.diameter + 2 * c * z, name="coupled")
 
 
 def _svd_gap(op):
@@ -194,7 +184,7 @@ def test_gap_matches_the_svd_oracle_past_delta_w_40(z):
     ],
 )
 def test_non_separable_gap_and_propagation_match_dense_oracles(z, c, path):
-    op = tf.build_generator(_coupled(z, c), tf.make_lattice(2, 12, 1.0))
+    op = tf.build_generator(coupled_potential(z, c), tf.make_lattice(2, 12, 1.0))
     assert not np.allclose(op.W.values, op.W.values[:, :1] + op.W.values[:1, :] - op.W.values[0, 0])
     mu, vectors = np.linalg.eigh(-op.symmetrized)
     assert abs(op.spectral_gap - mu[1]) <= 1e-9 * mu[1]

@@ -5,10 +5,11 @@ import pytest
 import scipy.special as sps
 
 import torusfp as tf
-from torusfp.errors import ValidationError
+from torusfp.errors import EvalError, ValidationError
+from torusfp.lattice import grid_points
 from torusfp.potential import fine_lattice, lipschitz_on_grid, periodicity_check
 
-from conftest import small_mlp
+from conftest import coupled_potential, small_mlp
 
 
 def test_bessel_series_against_scipy():
@@ -29,6 +30,60 @@ def test_cosine_potential_sums_its_axes_like_np_sum(d):
     pts = (np.random.default_rng(d).random((52_000, d)) - 0.5) * l
     reference = z * np.sum(1.0 - np.cos(2 * math.pi / l * pts), axis=-1)
     assert np.array_equal(tf.cosine_potential(z, d, l).evaluate(pts), reference)
+
+
+def _random_axes(d, l, seed):
+    """d sorted, non-uniform coordinate arrays of different lengths, some
+    outside the fundamental domain."""
+    rng = np.random.default_rng(seed)
+    return [np.sort((rng.random(int(rng.integers(1, 40))) - 0.5) * 1.5 * l) for _ in range(d)]
+
+
+def _on_points(E, axes):
+    return E.evaluate(grid_points(*axes)).reshape([len(a) for a in axes])
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("z", [1.7, -0.9, 0.0, 8.0])
+def test_cosine_grid_evaluator_is_bitwise_the_point_evaluator(d, z):
+    # z < 0 has a nonzero shift; the axes are neither uniform nor of equal length
+    l = 1.3
+    E = tf.cosine_potential(z, d, l)
+    assert E.grid_evaluator is not None
+    for seed in range(3):
+        axes = _random_axes(d, l, seed)
+        grid = E.evaluate_grid(axes)
+        assert grid.shape == tuple(len(a) for a in axes)
+        assert np.array_equal(grid, _on_points(E, axes))
+    # the quadrature's own axes: box centres and subcell midpoints
+    lat = tf.make_lattice(d, 6, l)
+    axes = [lat.axis_points()] * d
+    assert np.array_equal(E.evaluate_grid(axes), _on_points(E, axes))
+
+
+@pytest.mark.parametrize(
+    "E",
+    [coupled_potential(4.0, 0.5), tf.mlp_potential(small_mlp(2)), tf.invcos_potential(4.0), tf.zero_potential(3)],
+    ids=["coupled", "mlp", "invcos", "zero"],
+)
+def test_grid_evaluation_falls_back_to_the_points(E):
+    assert E.grid_evaluator is None
+    axes = _random_axes(E.d, E.l, 5)
+    assert np.array_equal(E.evaluate_grid(axes), _on_points(E, axes))
+
+
+def test_non_finite_values_raise_on_both_paths():
+    # the cosine grid evaluator (inf * (1 - cos 0) is nan) and the point
+    # fallback of a potential with a pole at 0 each raise, as evaluate does
+    cosine = tf.cosine_potential(math.inf, 2, 1.0)
+    pole = tf.EnergyPotential(evaluator=lambda pts: np.log(np.abs(pts[..., 0])), l=1.0, d=1, diameter=1.0)
+    cases = [(cosine, [np.array([0.0, 0.25]), np.array([0.0])]), (pole, [np.array([0.0, 0.1])])]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for E, axes in cases:
+            with pytest.raises(EvalError, match="non-finite"):
+                E.evaluate(grid_points(*axes))
+            with pytest.raises(EvalError, match="non-finite"):
+                E.evaluate_grid(axes)
 
 
 def test_cosine_potential_metadata():

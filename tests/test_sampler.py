@@ -156,6 +156,24 @@ def test_samples_csv_matches_csv_text(rng, d, chunk, monkeypatch):
     assert empty.to_csv() == csv_text(header, [])
 
 
+#: values whose shortest repr is easy to get wrong: signed zero, the smallest
+#: subnormal, exponent form, the domain's edges and a float with 16 digits
+_AWKWARD = [-0.0, 5e-324, 1e-05, -0.5, 0.49999999999999994, 1 / 3]
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 9000])
+@pytest.mark.parametrize("d", range(1, 5))
+def test_samples_csv_formats_each_chunk_like_csv_text(d, count):
+    # the chunks around CSV_CHUNK = 4096 rows: a partial one, exactly one,
+    # one plus a row, and more than two
+    points = np.random.default_rng(count + d).random((count, d)) - 0.5
+    flat = points.reshape(-1)
+    for at in {0, count * d - 1, min(sampler.CSV_CHUNK * d, count * d) - 1}:
+        flat[at : at + len(_AWKWARD)] = _AWKWARD[: count * d - at]
+    batch = sampler.SampleBatch(points, l=1.0)
+    assert batch.to_csv() == csv_text([f"x{i}" for i in range(d)], points.tolist())
+
+
 def test_sample_validation():
     lat = tf.make_lattice(1, 4, 1.0)
     with pytest.raises(ValidationError):
@@ -254,12 +272,19 @@ def test_single_pass_tv_matches_two_pass_oracle(d, M, z, subcells, noise, seed):
     assert abs(tv - _two_pass_tv(state, _gibbs(E), subcells)) <= 1e-14
 
 
+def _gibbs_grid(E):
+    return lambda axes: np.exp(-E.evaluate_grid(axes))
+
+
 def _counting(raw_density):
+    """``raw_density`` recording the number of values of each call: points
+    handed to a point callable, or grid values returned by an axes callable."""
     counts = []
 
-    def counted(pts):
-        counts.append(len(pts))
-        return raw_density(pts)
+    def counted(arg):
+        vals = np.asarray(raw_density(arg))
+        counts.append(vals.size)
+        return vals
 
     return counted, counts
 
@@ -279,6 +304,18 @@ def test_tv_evaluates_each_point_once_at_the_benchmark_smoke_size():
     assert "health" not in json.loads(result.tv_report.to_json())
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 2), M=st.integers(1, 12), z=st.floats(-4.0, 8.0), subcells=st.integers(1, 16), seed=st.integers(0, 2**16))
+def test_tv_on_the_grid_is_bitwise_the_tv_on_points(d, M, z, subcells, seed):
+    # tv_distance evaluates the cosine potential on each block's axes, the
+    # public quadrature on laid-out points: the same values, the same TV
+    E = tf.cosine_potential(z, d, 1.0)
+    lat = tf.make_lattice(d, M, 1.0)
+    state = _normalized(tf.GridField(lat, np.random.default_rng(seed).standard_normal(lat.shape), is_real=True))
+    report = tf.tv_distance(state, E, subcells=subcells)
+    assert report.tv == density_tv_quadrature(state, _gibbs(E), subcells)
+
+
 def test_tv_falls_back_to_two_passes_when_the_centres_under_resolve():
     # z = 30 on 5 boxes per axis: the box centres miss most of e^{-E}
     for d, M in ((1, 2), (2, 2)):
@@ -286,7 +323,7 @@ def test_tv_falls_back_to_two_passes_when_the_centres_under_resolve():
         lat = tf.make_lattice(d, M, 1.0)
         state = _normalized(tf.discretize(lambda p: np.exp(-E.evaluate(p) / 2), lat))
         n, S = lat.points_per_axis, 32
-        counted, counts = _counting(_gibbs(E))
+        counted, counts = _counting(_gibbs_grid(E))
         tv, health = sampler._tv_quadrature(state, counted, S)
         assert health["tv_passes"] == 2
         # d = 1 keeps its one block between the passes
@@ -300,16 +337,16 @@ def test_tv_falls_back_when_every_subcell_sits_on_the_breakpoint(d):
     # so no subcell has a sign; the band would hold the whole grid
     lat = tf.make_lattice(d, 16 if d == 2 else 500, 1.0)
     state = _uniform_state(lat)
-    flat = _gibbs(tf.zero_potential(d, 1.0))
+    flat = tf.zero_potential(d, 1.0)
     grid_bytes = (lat.points_per_axis * 32) ** d * 8
     tracemalloc.start()
     try:
-        tv, health = sampler._tv_quadrature(state, flat, 32)
+        tv, health = sampler._tv_quadrature(state, _gibbs_grid(flat), 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert health["tv_passes"] == 2
-    assert tv <= 1e-12 and abs(tv - _two_pass_tv(state, flat)) <= 1e-14
+    assert tv <= 1e-12 and abs(tv - _two_pass_tv(state, _gibbs(flat))) <= 1e-14
     if d == 2:
         # a block and its temporaries, not a buffer of the whole grid
         assert peak < grid_bytes / 4
@@ -505,7 +542,7 @@ def test_both_quadratures_share_one_budget(monkeypatch):
 def test_gibbs_normalizer_lays_out_one_block_at_a_time(monkeypatch):
     # the d = 3 grid (64^3 midpoints) in blocks of one plane: the normalizer
     # and the exact mean match their one-block values to rounding, and no
-    # call lays out more than a block
+    # call lays out or evaluates more than a block
     E = tf.cosine_potential(1.5, 3, 1.0)
 
     def observable(p):
@@ -513,14 +550,19 @@ def test_gibbs_normalizer_lays_out_one_block_at_a_time(monkeypatch):
 
     Z, mean = GibbsDensity(E).Z, tf.exact_mean(observable, E)
     block = 64**2
-    lay_out = sampler.grid_points
+    lay_out, evaluate_grid = sampler.grid_points, tf.EnergyPotential.evaluate_grid
 
     def one_block(*axes):
         assert math.prod(len(a) for a in axes) <= block, "more than one block laid out"
         return lay_out(*axes)
 
+    def one_block_evaluated(self, axes):
+        assert math.prod(len(a) for a in axes) <= block, "more than one block evaluated"
+        return evaluate_grid(self, axes)
+
     monkeypatch.setattr(sampler, "FINE_BLOCK", block, raising=False)
     monkeypatch.setattr(sampler, "grid_points", one_block)
+    monkeypatch.setattr(tf.EnergyPotential, "evaluate_grid", one_block_evaluated)
     assert GibbsDensity(E).Z == pytest.approx(Z, rel=1e-13)
     assert tf.exact_mean(observable, E) == pytest.approx(mean, rel=1e-13, abs=1e-15)
 
