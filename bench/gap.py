@@ -1,5 +1,4 @@
-"""The cost of the matrix-free spectral gap and propagation over a fixed
-grid, as JSON.
+"""The cost of the spectral gap and propagation over a fixed grid, as JSON.
 
     python3 bench/gap.py OUT.json
 
@@ -12,8 +11,12 @@ Lanczos steps of the gap, the path, outer and inner steps and error bound of
 the propagation (``op.health`` and the propagation's health), and the gap's
 error relative to an oracle.  Separable and non-separable potentials are
 reported apart, since the separable preconditioner is exact only for the
-first:
+first, and d = 1, which propagates densely, apart from both:
 
+- d = 1: cosine z=1 at N in {64, 511, 2047} (l = 1).  Each run builds a new
+  operator and propagates it once, so ``propagate_s`` includes the eigh of
+  each sector block; one more first propagation is traced with tracemalloc
+  for its peak and for the memory it leaves held, the kept modes;
 - separable: cosine z in {1, 4, 8} on the lattices d=2 N in {15, 25, 31} and
   d=3 N=7, and z=12 at d=2 N=25 (l = 1).  The cosine potential is a sum
   over axes, so the gap at every d is the d = 1 gap, read off the dense
@@ -22,8 +25,8 @@ first:
   x_2)) of tests/test_matrix_free.py, for (z, c) in {(1, 0.5), (4, 0.5),
   (8, 1)} at d=2 N in {12, 25}, against eigvalsh of the assembled L'.
 
-The file holds the two lists of cases and the environment the numbers were
-taken on.
+The file holds the three lists of cases and the environment the numbers
+were taken on.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # one BLAS thread: set before numpy loads the BLAS
@@ -47,6 +51,7 @@ import numpy as np  # noqa: E402
 import torusfp as tf  # noqa: E402
 
 SEPARABLE = [(d, N, z) for d, N in [(2, 15), (2, 25), (2, 31), (3, 7)] for z in (1.0, 4.0, 8.0)] + [(2, 25, 12.0)]
+LINE = [(N,) for N in (64, 511, 2047)]
 NON_SEPARABLE = [(N, z, c) for N in (12, 25) for z, c in [(1.0, 0.5), (4.0, 0.5), (8.0, 1.0)]]
 REPEATS = 5
 
@@ -95,6 +100,38 @@ def case(E: tf.EnergyPotential, lattice, oracle) -> dict:
     }
 
 
+def line(N: int) -> dict:
+    E, lattice = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, N, 1.0)
+    ones = np.ones(lattice.size)
+    build, propagate = [], []
+    # the first run, untimed, fills the per-lattice caches
+    for _ in range(REPEATS + 1):
+        start = time.perf_counter()
+        op = tf.build_generator(E, lattice)
+        build.append(time.perf_counter() - start)
+        times = np.array([0.0, tf.choose_T(1.0 / op.spectral_gap, E.diameter, 0.05)])
+        start = time.perf_counter()
+        op.propagate(ones, times)
+        propagate.append(time.perf_counter() - start)
+    op = tf.build_generator(E, lattice)
+    tracemalloc.start()
+    op.propagate(ones, times)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "d": 1,
+        "N": N,
+        "z": 1.0,
+        "nodes": lattice.size,
+        "build_s": statistics.median(build[1:]),
+        "gap": op.spectral_gap,
+        "T": float(times[-1]),
+        "propagate_s": statistics.median(propagate[1:]),
+        "propagate_peak_mib": peak / 2**20,
+        "propagate_held_mib": held / 2**20,
+    }
+
+
 def separable(d: int, N: int, z: float) -> dict:
     def oracle(op):
         return tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0)).spectral_gap
@@ -121,8 +158,9 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python3 bench/gap.py OUT.json", file=sys.stderr)
         return 64
-    results = {"separable": [], "non_separable": []}
-    for kind, run, cases in [("separable", separable, SEPARABLE), ("non_separable", non_separable, NON_SEPARABLE)]:
+    results = {"d1": [], "separable": [], "non_separable": []}
+    runs = [("d1", line, LINE), ("separable", separable, SEPARABLE), ("non_separable", non_separable, NON_SEPARABLE)]
+    for kind, run, cases in runs:
         for args in cases:
             results[kind].append(run(*args))
             print(json.dumps(results[kind][-1]), flush=True)

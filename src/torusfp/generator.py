@@ -16,14 +16,14 @@ One :class:`Operator` serves every d.  It stores W and the gap, and keeps
 U; ``apply`` acts with L' one axis at a time through
 :func:`torusfp.spectral.axis_derivative`, on one vector or on a block.
 The dense spectrum (``eigenvalues``, values only, with the kernel eigenvalue
-pinned to 0, and ``modes``) is computed on first access, one reflection sector
-at a time, and kept.  If W equals its own flip along every axis, bitwise, L'
-commutes with each reflection n_j -> -n_j (D_j anticommutes with it) and
-splits into 2^d sectors, even or odd along each axis: each block
--sum_j B_j^T B_j is assembled in the basis (e_m +- e_{-m}) / sqrt 2 of its
-sector, over the closed positive orthant, without forming L'.  Otherwise
-there is one sector, L' itself.  The dense L' (``symmetrized``) is assembled
-only on demand.
+pinned to 0) is computed on first access, one reflection sector at a time,
+and kept.  If W equals its own flip along every axis, bitwise, L' commutes
+with each reflection n_j -> -n_j (D_j anticommutes with it) and splits into
+2^d sectors, even or odd along each axis: each block -sum_j B_j^T B_j is
+assembled in the basis (e_m +- e_{-m}) / sqrt 2 of its sector, over the
+closed positive orthant, without forming L'.  Otherwise there is one
+sector, L' itself.  The dense L' (``symmetrized``) is assembled only on
+demand.
 
 At d >= 2 the gap and the propagation go through a separable
 preconditioner P, built once per operator by fast diagonalization (Lynch,
@@ -43,9 +43,10 @@ N = 1023:
   Rayleigh quotient of the Ritz vector and of P's lowest mode, which keeps
   it for a separable W even below eps ||L'||.  For any other W it carries
   the rounding of products with L', about eps ||L'|| / gap relative;
-- the propagation (``propagate``): mode by mode at d = 1, with no
-  time-stepping error, from ``modes`` (``eigh`` of each stored block with the
-  kernel eigenpair pinned to (0, q0), on first access, kept); at d >= 2 the
+- the propagation (``propagate``): mode by mode at d = 1, in each sector's
+  own basis, from ``eigh`` of each stored block with the kernel eigenpair
+  pinned to (0, q0) in the all-even block (on first access, kept), within
+  (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L'); at d >= 2 the
   q0 component is kept exactly and the rest advanced in the shift-invert
   Krylov space of (I + gamma K)^{-1}, K = -L' (van den Eshof & Hochbruck,
   SIAM J. Sci. Comput. 27, 2006), each step an inner conjugate-gradient
@@ -94,7 +95,8 @@ from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, deri
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
-#: Largest node count of ``build_generator``: dense L' and eigenvectors, n^2 each.
+#: Largest node count of ``build_generator``: the dense sector blocks, and at
+#: d = 1 their eigenvectors, hold about n^2 / 2 entries each (n^2 in one sector).
 DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
@@ -110,10 +112,6 @@ NORM_RTOL = 1e-12
 #: Lanczos runs test for convergence every this many steps, and every m / 8
 #: steps past m = 64, so that the O(m^3) tests stay below the run's own cost.
 CHECK_EVERY = 8
-#: Columns per block of the copy into ``Operator.modes`` and of its kernel
-#: projection: an n x 256 temporary, 4 MiB at n = 2047, in place of an n x n
-#: one and of one per reflection sector.
-MODES_COLUMNS = 256
 #: Vectors in the block iteration that starts the gap's Lanczos run.
 GAP_BLOCK = 4
 #: The block starts as the lowest modes of the preconditioner past its
@@ -221,50 +219,35 @@ class Operator:
         there: eigvalsh puts it at about eps ||L'||, either sign."""
         with _float64_range(self):
             parts = [np.linalg.eigvalsh(block) for _, block in self._blocks]
-        return _descending(parts)[0]
+        return _descending(parts)
 
     @cached_property
-    def modes(self) -> tuple:
-        """Eigenvalues (descending) and orthonormal eigenvectors of L', by
-        ``eigh`` of each block itself (a negated copy would cost one more
-        array) on first access and kept; a sector's vectors are mapped back
-        to the grid through the reflection basis.
+    def _modes(self) -> list:
+        """(sector, values, vectors) for each block of ``_blocks`` at d = 1,
+        by ``eigh`` of the block itself (a negated copy would cost one more
+        array) on first access and kept: values descending, orthonormal
+        vectors as columns in the block's own basis.
 
-        The kernel is known exactly, so its eigenpair is pinned rather than
-        taken from eigh: the computed kernel vector strays from e^{-W/2} by
-        about eps ||L'|| / gap, and every other mode would then carry mass.
-        Projecting the exact kernel out of the other eigenvectors keeps
-        <1, u(t)> fixed to rounding.
+        The kernel is known exactly, so its eigenpair is pinned in the first
+        block (the all-even one, or the one sector) as the folded q0 rather
+        than taken from eigh: the computed kernel vector strays from
+        e^{-W/2} by about eps ||L'|| / gap, and every other mode would then
+        carry mass.  Projecting it out of that block's other vectors keeps
+        <1, u(t)> fixed to rounding; q0 is even, so no odd block holds any.
         """
+        modes = []
         with _float64_range(self):
-            pairs = [np.linalg.eigh(block) for _, block in self._blocks]
-        values, order = _descending([mu for mu, _ in pairs])
-        # column of the result for each entry of the reversed, concatenated
-        # blocks; the descending copy is made once eigh has freed its
-        # workspace, and each block's vectors are dropped once copied.  The
-        # copy and the kernel projection go MODES_COLUMNS columns at a time.
-        # A (row, column) index pair scatters each row in turn: a column
-        # index alone writes down whole columns, about three times slower
-        column = np.empty_like(order)
-        column[order] = np.arange(len(order))
-        rows = np.arange(self.size)[:, None]
-        vectors = np.empty((self.size, self.size))
-        start = 0
-        for sector, _ in self._blocks:
-            _, block_vectors = pairs.pop(0)
-            for first in range(0, block_vectors.shape[1], MODES_COLUMNS):
-                part = block_vectors[:, ::-1][:, first : first + MODES_COLUMNS]
-                target = column[start + first : start + first + part.shape[1]]
-                vectors[rows, target] = _unfold(self.lattice, sector, part)
-            start += block_vectors.shape[1]
-        del block_vectors
-        q0 = self.kernel_vector()
-        vectors[:, 0] = q0
-        weights = q0 @ vectors[:, 1:]
-        for first in range(1, self.size, MODES_COLUMNS):
-            part = slice(first, first + MODES_COLUMNS)
-            vectors[:, part] -= np.outer(q0, weights[first - 1 : first - 1 + MODES_COLUMNS])
-        return values, vectors
+            for sector, block in self._blocks:
+                mu, Q = np.linalg.eigh(block)
+                values, vectors = mu[::-1].copy(), np.ascontiguousarray(Q[:, ::-1])
+                del Q  # freed before the projection and the next block
+                if not modes:
+                    q0 = _fold(sector, self.kernel_vector())
+                    values[0] = 0.0
+                    vectors[:, 0] = q0
+                    vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+                modes.append((sector, values, vectors))
+        return modes
 
     def scaled_derivatives(self, x: np.ndarray) -> list:
         """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays (a
@@ -318,16 +301,16 @@ class Operator:
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
         """Rows e^{L t_i} v and the health of the propagation: in a Krylov
-        space at d >= 2, and at d = 1 exactly, with empty health, through
-        L = U Q D Q^T U^{-1} with the eigenpairs of ``modes``."""
+        space at d >= 2, and at d = 1, with empty health, mode by mode in
+        each sector of ``_modes``, U^{-1} v folded in and the result unfolded."""
         if self.lattice.d >= 2:
             return self._propagate_krylov(v, times)
-        values, vectors = self.modes
         u = self.u_diag
-        modal0 = vectors.T @ (v / u)
+        x = v / u
+        modal = [(values, vectors, vectors.T @ _fold(sector, x)) for sector, values, vectors in self._modes]
         out = np.empty((len(times), self.size))
         for i, t in enumerate(times):
-            out[i] = u * (vectors @ (np.exp(values * t) * modal0))
+            out[i] = u * _unfold([vectors @ (np.exp(values * t) * c) for values, vectors, c in modal])
         return out, {}
 
     def _propagate_krylov(self, v: np.ndarray, times: np.ndarray) -> tuple:
@@ -409,16 +392,15 @@ def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
     return np.negative(K, out=K)
 
 
-def _descending(parts: list) -> tuple:
+def _descending(parts: list) -> np.ndarray:
     """The spectrum from each block's ascending eigenvalues ``parts``, whose
     first holds the kernel as its top: descending, with the kernel pinned to
-    0 at index 0, and for each value its index into the concatenation of the
-    reversed parts."""
+    0 at index 0."""
     desc = np.concatenate([p[::-1] for p in parts])
     order = np.concatenate([[0], 1 + np.argsort(-desc[1:], kind="stable")])
     values = desc[order]
     values[0] = 0.0
-    return values, order
+    return values
 
 
 def _half_derivative(lattice: TorusLattice) -> np.ndarray:
@@ -464,21 +446,24 @@ def _sector_block(u: np.ndarray, half: np.ndarray, sector: tuple) -> np.ndarray:
     return np.negative(K, out=K)
 
 
-def _unfold(lattice: TorusLattice, sector, vectors: np.ndarray) -> np.ndarray:
-    """Columns of sector coordinates as grid vectors, or ``vectors`` itself for
-    the one sector None.  Along an even axis coordinate m puts x at n = +-m,
-    along an odd axis x at n = m and -x at n = -m, each divided by sqrt 2
-    unless m = 0; 2^d nonzeros per column."""
+def _fold(sector, x: np.ndarray) -> np.ndarray:
+    """A grid vector of a 1-D lattice in the basis of one sector of
+    ``_blocks``: x[0] and (x[m] + x[-m]) / sqrt 2 in the even one, (x[m] -
+    x[-m]) / sqrt 2 in the odd one, m = 1..N; x itself in the one sector."""
     if sector is None:
-        return vectors
-    n = lattice.axis_indices()
-    x = vectors.reshape(tuple(lattice.N + 1 - s for s in sector) + (-1,))
-    for j, s in enumerate(sector):
-        shape = [-1 if i == j else 1 for i in range(x.ndim)]
-        coef = np.sign(n) * _SQRT_HALF if s else np.where(n == 0, 1.0, _SQRT_HALF)
-        x = np.take(x, np.maximum(np.abs(n) - s, 0), axis=j)
-        x *= coef.reshape(shape)
-    return x.reshape(lattice.size, -1)
+        return x
+    N = len(x) // 2
+    if sector[0]:
+        return (x[N + 1 :] - x[N - 1 :: -1]) * _SQRT_HALF
+    return np.concatenate([x[N : N + 1], (x[N + 1 :] + x[N - 1 :: -1]) * _SQRT_HALF])
+
+
+def _unfold(parts: list) -> np.ndarray:
+    """The grid vector whose :func:`_fold` into each sector is ``parts``."""
+    if len(parts) == 1:
+        return parts[0]
+    even, odd = parts
+    return np.concatenate([((even[1:] - odd) * _SQRT_HALF)[::-1], even[:1], (even[1:] + odd) * _SQRT_HALF])
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,13 +118,30 @@ def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
     assert np.abs(ev - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert ev[0] == 0.0
     assert op.spectral_gap == -ev[1]
-    values, _ = op.modes
-    assert np.abs(values - ev).max() <= 1e-12 * np.abs(oracle).max()
+    sector_modes_hold(op)
+
+
+def sector_modes_hold(op):
+    """The modes a d = 1 propagation keeps: each stored block's are
+    descending and orthonormal in the block's own basis and decompose the
+    block itself, and together they hold the spectrum; the first block holds
+    the kernel, pinned to 0 and to the folded q0 = e^{-W/2} / ||e^{-W/2}||,
+    whose norm survives the fold."""
+    scale = abs(op.eigenvalues[-1])
+    values = np.sort(np.concatenate([mu for _, mu, _ in op._modes]))[::-1]
+    assert np.abs(values - op.eigenvalues).max() <= 1e-12 * scale
+    for (sector, block), (same, values, vectors) in zip(op._blocks, op._modes):
+        assert same == sector and np.all(np.diff(values) <= 0)
+        assert np.abs(vectors.T @ vectors - np.eye(len(block))).max() <= 1e-12
+        assert np.abs(vectors @ (values[:, None] * vectors.T) - block).max() <= 1e-12 * scale
+    sector, values, vectors = op._modes[0]
+    assert values[0] == 0.0
+    assert np.array_equal(vectors[:, 0], generator._fold(sector, op.kernel_vector()))
+    assert abs(np.linalg.norm(vectors[:, 0]) - 1) <= 1e-15
 
 
 def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
-    # eigh of each stored sector block itself, not of a negated copy; the
-    # modes come out descending, orthonormal, with the kernel pinned
+    # eigh of each stored sector block itself, not of a negated copy, once
     E = tf.cosine_potential(2.0, 1, 1.0)
     lat = tf.make_lattice(1, 20, 1.0)
     op = tf.build_generator(E, lat)
@@ -135,14 +153,10 @@ def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    values, vectors = op.modes
+    modes = op._modes
     assert len(seen) == 2 and all(a is block for a, (_, block) in zip(seen, op._blocks))
-    assert op.modes[1] is vectors and len(seen) == 2
-    assert values[0] == 0.0 and np.all(np.diff(values) <= 0)
-    np.testing.assert_allclose(values, op.eigenvalues, rtol=0, atol=1e-12 * abs(values[-1]))
-    np.testing.assert_allclose(vectors[:, 0], op.kernel_vector(), rtol=0, atol=0)
-    assert np.abs(vectors.T @ vectors - np.eye(lat.size)).max() <= 1e-12
-    assert np.abs(vectors @ (values[:, None] * vectors.T) - op.symmetrized).max() <= 1e-12 * abs(values[-1])
+    assert op._modes is modes and len(seen) == 2
+    sector_modes_hold(op)
 
 
 def test_dense_propagation_decomposes_once(monkeypatch):
@@ -165,6 +179,19 @@ def test_dense_propagation_decomposes_once(monkeypatch):
     assert calls == [lat.N + 1, lat.N]  # the even and the odd block
     assert np.array_equal(first.states, again.states)
     assert np.abs(longer.sum(axis=1) - lat.size).max() <= 1e-12 * lat.size
+
+
+def test_d1_propagation_holds_no_n_by_n_array():
+    # each sector keeps its modes in its own half-size basis: about n^2 / 2
+    # entries in all, where the modes mapped back to the grid held n^2
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 255, 1.0))
+    tracemalloc.start()
+    try:
+        op.propagate(np.ones(op.size), np.array([0.0, 0.1]))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.6 * op.size**2 * 8
 
 
 @pytest.mark.parametrize("halve", [True, False])
@@ -249,20 +276,13 @@ def test_reflection_sectors_reproduce_the_whole_generator(case):
     scale = np.abs(oracle).max()
     assert np.abs(ev - oracle).max() <= 1e-12 * scale
     assert ev[0] == 0.0 and np.all(np.diff(ev) <= 0)
-    values, vectors = op.modes
-    assert np.abs(values - ev).max() <= 1e-12 * scale
-    assert np.abs(vectors.T @ vectors - np.eye(op.size)).max() <= 1e-12
-    assert np.abs(vectors @ (values[:, None] * vectors.T) - op.symmetrized).max() <= 1e-12 * scale
-    assert np.array_equal(vectors[:, 0], op.kernel_vector())
-    # mass under the modal propagation, which evolve runs at d = 1, within
-    # the documented tolerance of NormTraceReport.inner_ok
-    T = t_frac * tf.choose_T(1.0 / op.spectral_gap, E.diameter, 0.05)
-    u = op.u_diag
-    state = u * (vectors @ (np.exp(values * T) * (vectors.T @ (1 / u))))
-    assert abs(state.sum() - op.size) <= 1e-9 * op.size
     if lat.d == 1:
+        # the sector modes the propagation runs on, and mass under it,
+        # within the documented tolerance of NormTraceReport.inner_ok
+        sector_modes_hold(op)
+        T = t_frac * tf.choose_T(1.0 / op.spectral_gap, E.diameter, 0.05)
         res = tf.evolve(op, tf.constant_field(lat), T, snapshots=4)
-        assert np.abs(res.inners - res.inners[0]).max() <= 1e-9 * abs(res.inners[0])
+        assert np.abs(res.inners - op.size).max() <= 1e-9 * op.size
 
 
 def whole_spectrum(op):
@@ -278,6 +298,15 @@ def whole_spectrum(op):
     vectors[:, 0] = q0
     vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
     return ev, values, vectors
+
+
+def modal_propagation(op, v, times):
+    """Rows e^{L t} v, mode by mode from :func:`whole_spectrum`: the
+    one-sector propagation, as a bitwise oracle."""
+    _, values, vectors = whole_spectrum(op)
+    u = op.u_diag
+    modal = vectors.T @ (v / u)
+    return np.array([u * (vectors @ (np.exp(values * t) * modal)) for t in times])
 
 
 def off_by_one_ulp():
@@ -301,10 +330,12 @@ def off_by_one_ulp():
 )
 def test_a_potential_that_is_not_bitwise_even_takes_one_sector(make):
     op = make()
-    ev, values, vectors = whole_spectrum(op)
-    assert np.array_equal(op.eigenvalues, ev)
+    assert np.array_equal(op.eigenvalues, whole_spectrum(op)[0])
     assert op.health["dense_sectors"] == 1
-    assert np.array_equal(op.modes[0], values) and np.array_equal(op.modes[1], vectors)
+    if op.lattice.d == 1:
+        v = np.random.default_rng(0).standard_normal(op.size) + 2.0
+        times = np.array([0.0, 0.1, 1.0])
+        assert np.array_equal(op.propagate(v, times)[0], modal_propagation(op, v, times))
 
 
 def test_negative_semidefinite_quadratic_form(rng):
@@ -440,7 +471,9 @@ def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     # at d = 1 the gap is read off the spectrum: two blocks, two eigvalsh
     line = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 8, 1.0))
     assert len(blocks) == 6 and len(solved) == 6
-    assert line.spectral_gap == -line.eigenvalues[1] and line.modes[0] is line.modes[0]
+    assert line.spectral_gap == -line.eigenvalues[1]
+    # and propagates on the stored blocks, with no dense L'
+    line.propagate(np.ones(line.size), np.array([0.0, 0.1]))
     assert assembled == [1] and len(blocks) == 6 and len(solved) == 6
 
 
