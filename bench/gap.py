@@ -20,10 +20,18 @@ first, and d = 1, which propagates densely, apart from both:
 - separable: cosine z in {1, 4, 8} on the lattices d=2 N in {15, 25, 31} and
   d=3 N=7, and z=12 at d=2 N=25 (l = 1).  The cosine potential is a sum
   over axes, so the gap at every d is the d = 1 gap, read off the dense
-  spectrum;
+  spectrum.  A lattice too coarse for a stiff z has a spurious slow mode
+  whose rate rises with N, so each case also records ``gap_resolved``, the
+  d = 1 gap at N = RESOLVED_N, converged for z <= 12, and ``resolved``,
+  whether the case's gap is within 1e-6 of it (relative);
 - non-separable: the coupled potential cosine + c z (1 - cos 2 pi (x_1 -
-  x_2)) of tests/test_matrix_free.py, for (z, c) in {(1, 0.5), (4, 0.5),
-  (8, 1)} at d=2 N in {12, 25}, against eigvalsh of the assembled L'.
+  x_2)) of tests/conftest.py, for (z, c) in {(1, 0.5), (4, 0.5), (8, 1)} at
+  d=2 N in {12, 25}, against eigvalsh of the assembled L'.
+
+Every d >= 2 case records the operator's ``gap_rounding``, eps ||L'|| / gap:
+about the gap's relative rounding error for a W that is not a sum over
+axes; a separable W keeps its gap below it, through the preconditioner's
+lowest mode.
 
 The file holds the three lists of cases and the environment the numbers
 were taken on.
@@ -54,6 +62,8 @@ SEPARABLE = [(d, N, z) for d, N in [(2, 15), (2, 25), (2, 31), (3, 7)] for z in 
 LINE = [(N,) for N in (64, 511, 2047)]
 NON_SEPARABLE = [(N, z, c) for N in (12, 25) for z, c in [(1.0, 0.5), (4.0, 0.5), (8.0, 1.0)]]
 REPEATS = 5
+#: d = 1 half-width whose cosine gap has converged for z <= 12
+RESOLVED_N = 511
 
 
 def coupled(z: float, c: float) -> tf.EnergyPotential:
@@ -91,6 +101,7 @@ def case(E: tf.EnergyPotential, lattice, oracle) -> dict:
         "lanczos_steps": op.health["lanczos_steps"],
         "gap": op.spectral_gap,
         "gap_rel_error": abs(op.spectral_gap - gap) / gap,
+        "gap_rounding": op.health["gap_rounding"],
         "T": T,
         "propagate_s": propagate_s,
         "krylov_path": health.get("krylov_path"),
@@ -132,11 +143,18 @@ def line(N: int) -> dict:
     }
 
 
-def separable(d: int, N: int, z: float) -> dict:
-    def oracle(op):
-        return tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0)).spectral_gap
+def line_gap(N: int, z: float) -> float:
+    """The gap of the d = 1 cosine generator, read off its dense spectrum."""
+    return tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0)).spectral_gap
 
-    return {"d": d, "N": N, "z": z} | case(tf.cosine_potential(z, d, 1.0), tf.make_lattice(d, N, 1.0), oracle)
+
+def separable(d: int, N: int, z: float) -> dict:
+    result = case(tf.cosine_potential(z, d, 1.0), tf.make_lattice(d, N, 1.0), lambda op: line_gap(N, z))
+    resolved = line_gap(RESOLVED_N, z)
+    return {"d": d, "N": N, "z": z} | result | {
+        "gap_resolved": resolved,
+        "resolved": abs(result["gap"] - resolved) <= 1e-6 * resolved,
+    }
 
 
 def non_separable(N: int, z: float, c: float) -> dict:

@@ -1,4 +1,5 @@
-"""The cost of scoring and writing a gibbs run's samples, as JSON.
+"""The cost of scoring and writing a gibbs run's samples, and of the exact
+Gibbs oracle, as JSON.
 
     python3 bench/pipeline.py OUT.json
 
@@ -20,12 +21,22 @@ Each time is the median of REPEATS runs after one untimed run.  The cases:
 - ``gibbs-dense-2d``: d = 2, N = 25, M = 25 (51^2 boxes, 2.67e6 subcells);
 - ``gibbs-quad-2d``: d = 2, N = 15, M = 96 (193^2 boxes, 3.81e7 subcells);
 - ``gibbs-readme``: the README command, d = 1, N = 16, automatic T and M.
+
+The oracle cases time the Gibbs normalizer ``GibbsDensity(E).Z`` and
+``exact_mean`` of cos 2 pi x_0, each the median of REPEATS runs after one
+untimed run, and count the potential values one normalizer computes
+(through the potential's point and grid evaluators): cosine z = 1 at
+d = 1..4, and at d = 4 an MLP of the shape of ``small_mlp`` in
+tests/conftest.py (two sigmoid layers, 3 hidden units) with weights drawn
+from MLP_SEED.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -45,6 +56,9 @@ import torusfp as tf  # noqa: E402
 
 #: (name, d, N, M); M None is the automatic choice
 CASES = [("gibbs-dense-2d", 2, 25, 25), ("gibbs-quad-2d", 2, 15, 96), ("gibbs-readme", 1, 16, None)]
+#: (potential, d) of the Gibbs oracle cases
+ORACLE = [("cosine", d) for d in (1, 2, 3, 4)] + [("mlp", 4)]
+MLP_SEED = 42
 SAMPLES = 100_000
 SEED = 7
 REPEATS = 5
@@ -91,6 +105,51 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
     }
 
 
+def seeded_mlp(d: int) -> tf.PeriodicMlp:
+    """A periodic MLP with small_mlp's shapes and weight ranges."""
+    rng = np.random.default_rng(MLP_SEED)
+    weights = [rng.uniform(-0.8, 0.8, (3, 2 * d)), rng.uniform(-0.8, 0.8, (1, 3))]
+    biases = [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 1)]
+    return tf.PeriodicMlp(weights, biases, l=1.0, d=d)
+
+
+def counted(E: tf.EnergyPotential) -> tuple:
+    """E with a counter of the potential values its evaluators compute."""
+    count = [0]
+
+    def evaluator(pts):
+        count[0] += len(pts)
+        return E.evaluator(pts)
+
+    def grid_evaluator(axes):
+        count[0] += math.prod(len(a) for a in axes)
+        return E.grid_evaluator(axes)
+
+    grid = grid_evaluator if E.grid_evaluator is not None else None
+    return dataclasses.replace(E, evaluator=evaluator, grid_evaluator=grid), count
+
+
+def oracle(potential: str, d: int) -> dict:
+    E = tf.cosine_potential(1.0, d, 1.0) if potential == "cosine" else tf.mlp_potential(seeded_mlp(d))
+
+    def observable(pts):
+        return np.cos(2 * np.pi * pts[..., 0])
+
+    Z_s, Z = median_time(lambda: tf.sampler.GibbsDensity(E).Z)
+    mean_s, mean = median_time(lambda: tf.exact_mean(observable, E))
+    E_counted, count = counted(E)
+    tf.sampler.GibbsDensity(E_counted)
+    return {
+        "potential": potential,
+        "d": d,
+        "Z": Z,
+        "Z_s": Z_s,
+        "exact_mean": mean,
+        "mean_s": mean_s,
+        "eval_points": count[0],
+    }
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -103,10 +162,13 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python3 bench/pipeline.py OUT.json", file=sys.stderr)
         return 64
-    cases = []
+    cases, oracles = [], []
     for args in CASES:
         cases.append(case(*args))
         print(json.dumps(cases[-1]), flush=True)
+    for args in ORACLE:
+        oracles.append(oracle(*args))
+        print(json.dumps(oracles[-1]), flush=True)
     environment = {
         "nproc": os.cpu_count(),
         "cpu_model": cpu_model(),
@@ -115,7 +177,8 @@ def main(argv: list) -> int:
         "blas_threads": 1,
         "repeats": REPEATS,
     }
-    Path(argv[0]).write_text(json.dumps({"environment": environment, "cases": cases}, indent=1) + "\n")
+    doc = {"environment": environment, "cases": cases, "oracle": oracles}
+    Path(argv[0]).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -42,7 +42,8 @@ N = 1023:
   P's lowest modes and is preconditioned by P; the gap is the smaller
   Rayleigh quotient of the Ritz vector and of P's lowest mode, which keeps
   it for a separable W even below eps ||L'||.  For any other W it carries
-  the rounding of products with L', about eps ||L'|| / gap relative;
+  the rounding of products with L', about eps ||L'|| / gap relative
+  (``gap_rounding`` in ``op.health``);
 - the propagation (``propagate``): mode by mode at d = 1, in each sector's
   own basis, from ``eigh`` of each stored block with the kernel eigenpair
   pinned to (0, q0) in the all-even block (on first access, kept), within
@@ -61,12 +62,14 @@ orthogonalizes each new direction once against its basis and q0, and a
 second time only when the first pass left less than 1/sqrt(2) of its norm
 (the DGKS rule).  ``op.health`` records the backend ("dense" at d = 1,
 "matrix-free" at d >= 2 with the block iterations of its start, its
-Lanczos steps, gap residual and second passes) and, once the dense spectrum
-ran, its ``dense_sectors``; ``propagate`` returns the health of its Krylov
-run next to the states: the path taken, its outer and inner steps, its
-error bound and second passes.  U scales L' by up to e^{delta_W}: numbers of
-a steep potential past the float64 range end in a PreconditionError that
-names delta_W and N.
+Lanczos steps, gap residual and second passes), ``gap_rounding``, the
+ratio eps ||L'|| / gap with ||L'|| the largest |eigenvalue| at d = 1 and the
+largest |alpha| of the gap's Lanczos run at d >= 2, and, once the dense
+spectrum ran, its ``dense_sectors``; ``propagate`` returns the health of
+its Krylov run next to the states: the path taken, its outer and inner
+steps, its error bound and second passes.  U scales L' by up to
+e^{delta_W}: numbers of a steep potential past the float64 range end in a
+PreconditionError that names delta_W and N.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
@@ -438,8 +441,7 @@ def _sector_block(u: np.ndarray, half: np.ndarray, sector: tuple) -> np.ndarray:
     K = None
     for j in range(len(sector)):
         target = sector[:j] + (1 - sector[j],) + sector[j + 1 :]
-        axes = [np.eye(len(half) + 1 - s) for s in sector]
-        axes[j] = -half.T if sector[j] else half
+        axes = [(-half.T if s else half) if i == j else np.eye(len(half) + 1 - s) for i, s in enumerate(sector)]
         B = functools.reduce(np.kron, axes) * _orthant(u, target)[:, None]
         B /= _orthant(u, sector)[None, :]
         K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
@@ -634,7 +636,8 @@ def _block_start(op: Operator, q0: np.ndarray, modes: np.ndarray) -> tuple:
 
 
 def _lanczos_gap(op: Operator) -> tuple:
-    """The spectral gap by Lanczos on q0-perp, with the health of the run.
+    """The spectral gap by Lanczos on q0-perp, the largest |alpha| of the run
+    (about ||L'||) and the health of the run.
 
     Lanczos starts from the vector of the block iteration
     :func:`_block_start`.  Where that converged, Lanczos confirms the gap at
@@ -660,7 +663,7 @@ def _lanczos_gap(op: Operator) -> tuple:
     _, s, residual = _top_ritz(alpha, beta)
     lowest = modes[0] - (q0 @ modes[0]) * q0
     gap = min(_rayleigh(op, basis.T @ s), _rayleigh(op, lowest))
-    return gap, {
+    return gap, float(np.abs(alpha).max()), {
         "backend": "matrix-free",
         "gap_block_iterations": iterations,
         "lanczos_steps": len(alpha),
@@ -841,10 +844,12 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
         if lattice.d == 1:
             op.health["backend"] = "dense"
             op.spectral_gap = float(-op.eigenvalues[1])
+            norm = float(-op.eigenvalues[-1])
         else:
-            op.spectral_gap, op.health = _lanczos_gap(op)
+            op.spectral_gap, norm, op.health = _lanczos_gap(op)
     if not (math.isfinite(op.spectral_gap) and op.spectral_gap > 0):
         raise _too_steep(op)
+    op.health["gap_rounding"] = float(EPS * norm / op.spectral_gap)
     return op
 
 

@@ -4,6 +4,8 @@ Potentials are min-normalized at construction (min E = 0 over the torus), so
 e^{-E} <= 1 and the diameter doubles as the inverse temperature scale.
 An MLP potential has no closed form: its minimum and diameter are taken on
 the fine lattice (:func:`fine_lattice`), in one evaluation of the network.
+The same lattice is the exact Gibbs oracle's quadrature grid (the normalizer
+and the exact mean of ``torusfp.sampler``) and the aliasing witness's (d = 1).
 ``lipschitz_on_grid`` bounds the slope of a lattice field; the pipeline
 applies it to the evolved state, not to E.
 
@@ -109,7 +111,8 @@ class EnergyPotential:
 
 def fine_lattice(d: int, l: float) -> TorusLattice:
     """The lattice on which MLP potentials are min-normalized and their
-    diameters taken, within RESOLUTION_CAP for every d."""
+    diameters taken, and over whose nodes the Gibbs oracle and the aliasing
+    witness integrate: at most 2^18 nodes for every d."""
     pts = FINE_GRID.get(d, int(FINE_GRID[3] ** (3 / d)))
     return make_lattice(d, max(1, (pts - 1) // 2), l)
 

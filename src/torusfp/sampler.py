@@ -5,11 +5,14 @@ Continuous sampling measures a unit-norm lattice state in the node basis and
 then draws uniformly from the box around the node; the resulting density is
 piecewise constant with value |psi[n]|^2 ((2M+1)/l)^d on each box.  The boxes
 tile the fundamental domain exactly.  The pipeline evolves the uniform state
-straight to T.  The TV quadrature and the exact Gibbs oracle walk their
-midpoint grids block by block, each block a tensor product of 1-D axes that
-``EnergyPotential.evaluate_grid`` evaluates, so their memory is bounded by
-one block; a sum-over-axes potential (cosine) evaluates d axes per block and
-never lays the midpoints out as points.
+straight to T.  The TV quadrature walks its midpoint grid block by block,
+each block a tensor product of 1-D axes that ``EnergyPotential.evaluate_grid``
+evaluates, so its memory is bounded by one block; a sum-over-axes potential
+(cosine) evaluates d axes per block and never lays the midpoints out as
+points.  The exact Gibbs oracle (the normalizer Z and the exact mean) sums
+e^{-E} over the nodes of ``potential.fine_lattice``, at most 2^18 of them in
+every d, in one ``evaluate_grid`` call: the trapezoid rule, spectrally
+accurate for the periodic analytic e^{-E}.
 
 The quadrature TV evaluates the reference density once per subcell midpoint.
 It needs the normalizer Z before it can take |mu - rho / Z|, so it starts from
@@ -23,8 +26,7 @@ and the density values computed (``tv_eval_points``: the product of the axis
 lengths of every block evaluated, the box centres included).
 
 Sizes are checked before any work: ``make_lattice`` bounds the upsampling
-target, and the TV quadrature and the Gibbs normalizer, both midpoint sums,
-each evaluate at most QUADRATURE_CAP midpoints.
+target, and the TV quadrature evaluates at most QUADRATURE_CAP midpoints.
 
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
 sample batches write their own CSV, byte for byte what ``csv_text`` would,
@@ -43,7 +45,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .evolve import choose_T, evolve
 from .generator import Operator, build_generator
 from .lattice import RESOLUTION_CAP, GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
-from .potential import FINE_GRID, EnergyPotential, lipschitz_on_grid
+from .potential import EnergyPotential, fine_lattice, lipschitz_on_grid
 from .report import Report
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
 
@@ -59,19 +61,13 @@ INTERPOLATION_CONST = 16 * math.sqrt(2) * _E3
 
 MC_POINTS = 10**6
 
-#: largest midpoint count of the TV quadrature and of the Gibbs normalizer: the
-#: normalizer's 64^4 grid fits, its 64^5 grid (8 GiB of coordinates) does not
+#: largest midpoint count of the TV quadrature
 QUADRATURE_CAP = 2**27
 
 #: relative half-width of the band around the estimated reference density
 #: c rho inside which the quadrature TV keeps a subcell aside: outside it, the
 #: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
 TV_BAND = 1e-8
-
-#: fine-grid midpoints evaluated at a time by the Gibbs normalizer (and laid
-#: out by the exact mean): 2^18 = 512^2 = 64^3, so a d <= 3 grid is one block
-#: and the d = 4 grid is 64 of them
-FINE_BLOCK = 2**18
 
 #: sample rows converted to text at a time by ``SampleBatch.csv_chunks``
 CSV_CHUNK = 4096
@@ -203,29 +199,16 @@ def discrete_state_tv(psi: GridField, phi: GridField) -> float:
 # exact Gibbs oracle and TV quadrature
 
 
-def _fine_axis(d: int) -> int:
-    """Midpoints per axis of the fine grid in dimension d, checked against
-    QUADRATURE_CAP before anything is evaluated."""
-    pts_axis = FINE_GRID.get(d, 64)
-    if pts_axis**d > QUADRATURE_CAP:
-        raise SizeError(f"the Gibbs normalizer needs {pts_axis}^{d} midpoints, exceeding the cap {QUADRATURE_CAP}")
-    return pts_axis
-
-
-def _fine_blocks(E: EnergyPotential) -> tuple:
-    """Cell midpoints of the FINE_GRID quadrature over the fundamental domain,
-    in grid order, as a generator of blocks of whole planes along the first
-    axis, at most FINE_BLOCK midpoints each, with the volume of one cell.  A
-    block is the list of its d 1-D axes, for ``E.evaluate_grid``."""
-    pts_axis = _fine_axis(E.d)
-    axis = (np.arange(pts_axis) + 0.5) / pts_axis * E.l - E.l / 2
-    rows = max(1, FINE_BLOCK // pts_axis ** (E.d - 1))
-    blocks = ([axis[r0 : r0 + rows]] + [axis] * (E.d - 1) for r0 in range(0, pts_axis, rows))
-    return blocks, (E.l / pts_axis) ** E.d
+def _fine_weights(E: EnergyPotential) -> tuple:
+    """The d axes of ``fine_lattice(E.d, E.l)`` and e^{-E} on its nodes, from
+    one ``E.evaluate_grid`` call."""
+    axes = [fine_lattice(E.d, E.l).axis_points()] * E.d
+    return axes, np.exp(-E.evaluate_grid(axes))
 
 
 class GibbsDensity:
-    """Reference density proportional to e^{-E}, normalized by quadrature.
+    """Reference density proportional to e^{-E}, normalized by the trapezoid
+    sum over the fine lattice, cell volume (l / n)^d.
 
     The pipeline evolves W = E/2 and squares amplitudes, so e^{-E} is its
     target.
@@ -233,8 +216,8 @@ class GibbsDensity:
 
     def __init__(self, E: EnergyPotential):
         self.E = E
-        blocks, cell = _fine_blocks(E)
-        self.Z = sum(float(np.exp(-E.evaluate_grid(axes)).sum()) for axes in blocks) * cell
+        axes, weights = _fine_weights(E)
+        self.Z = float(weights.sum()) * (E.l / len(axes[0])) ** E.d
 
     def density(self, points) -> np.ndarray:
         return np.exp(-self.E.evaluate(points)) / self.Z
@@ -500,8 +483,6 @@ def run_pipeline(
     make_lattice(E.d, int(M), E.l)
     if E.d <= 2:
         _check_quadrature(E.d, 2 * int(M) + 1, subcells)
-    else:
-        _fine_axis(E.d)
     upsampled = upsample(state, int(M))
     batch = continuous_sample(upsampled, count, seed)
     tv_report = tv_distance(upsampled, E, subcells=subcells, bound=eps)
@@ -537,13 +518,11 @@ def estimate_mean(f, batch: SampleBatch) -> MeanEstimate:
 
 
 def exact_mean(f, E: EnergyPotential) -> float:
-    """Quadrature value of E_rho[f] under the Gibbs density of e^{-E}."""
-    total = norm = 0.0
-    for axes in _fine_blocks(E)[0]:
-        weights = np.exp(-E.evaluate_grid(axes)).reshape(-1)
-        total += float((np.asarray(f(grid_points(*axes)), dtype=float) * weights).sum())
-        norm += float(weights.sum())
-    return total / norm
+    """Quadrature value of E_rho[f] under the Gibbs density of e^{-E}, on the
+    nodes of the fine lattice."""
+    axes, weights = _fine_weights(E)
+    weights = weights.reshape(-1)
+    return float((np.asarray(f(grid_points(*axes)), dtype=float) * weights).sum()) / float(weights.sum())
 
 
 # ---------------------------------------------------------------------------

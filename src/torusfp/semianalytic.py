@@ -7,7 +7,7 @@ The induced Fourier random variable has law |u_hat[k]|^2 / U^2 on Z^d, with
 U = |u|_0 the mean-square value, and semi-analyticity is equivalent to a
 Bernstein moment bound on its norm.  The MLP depth bound is cross-checked on
 a lattice no larger than the potential's fine lattice, within RESOLUTION_CAP
-in every d.
+in every d, and the witness's TV is summed over the d = 1 fine lattice.
 Tail, MLP and witness results are ``torusfp.report.Report`` dataclasses; the
 semi-norm profile is written with ``csv_text``.
 """
@@ -338,13 +338,15 @@ class WitnessReport(Report):
         return self.tv >= self.tv_floor
 
 
-def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad_points: int = 2**15):
+def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0):
     """Two functions indistinguishable on the N-lattice with well-separated
     sampling distributions.
 
     f is the heavy-tailed density-family member with z = 1 + 8/a; g wraps f's
     Fourier coefficients into [-N..N] and rescales to mean square C^2.
-    Requires N <= theta a / 16.
+    Requires N <= theta a / 16.  The TV between the densities f^2 and g^2 is
+    summed over the nodes of the d = 1 fine lattice
+    (``potential.fine_lattice``), 32767 of them.
     """
     if not 0 < theta < 1:
         raise ValidationError(f"theta must lie in (0, 1), got {theta}")
@@ -388,7 +390,7 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad
     gv = g(lat.points())
     mismatch = float(np.linalg.norm(fv / np.linalg.norm(fv) - gv / np.linalg.norm(gv)))
 
-    xs = (np.arange(quad_points) + 0.5) / quad_points * l - l / 2
+    xs = fine_lattice(1, l).axis_points()
     f2 = f(xs) ** 2
     g2 = g(xs) ** 2
     tv = 0.5 * float(np.sum(np.abs(f2 / f2.sum() - g2 / g2.sum())))
@@ -402,7 +404,7 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0, quad
         discretization_mismatch=mismatch,
         tv=tv,
         tv_floor=(1 - theta) ** 2 / (512 * math.e),
-        quadrature_points=quad_points,
+        quadrature_points=len(xs),
     )
     return f, g, report
 

@@ -10,7 +10,7 @@ import pytest
 from torusfp import cli, generator, lattice, sampler
 from torusfp.cli import build_parser, main
 from torusfp.lattice import RESOLUTION_CAP
-from torusfp.potential import EnergyPotential, cosine_potential
+from torusfp.potential import EnergyPotential, bessel_i, cosine_potential
 
 
 def run_cli(args):
@@ -134,7 +134,9 @@ HEALTH_RUNS = {
     "evolve": ["evolve", "--d", "2", "--N", "4", "--snapshots", "4"],
     "spectrum": ["spectrum", "--d", "2", "--N", "4"],
 }
-OPERATOR_HEALTH = {"backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+OPERATOR_HEALTH = {
+    "backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps", "gap_rounding"
+}
 PROPAGATION_HEALTH = {"krylov_path", "krylov_steps", "krylov_inner_steps", "krylov_error", "krylov_reorth_steps"}
 NORM_HEALTH = {"norm_lanczos_steps", "norm_residual", "norm_reorth_steps"}
 TV_HEALTH = {"tv_passes", "tv_eval_points"}
@@ -175,7 +177,7 @@ def test_spectrum_manifest_records_norm_health(tmp_path):
     assert run_cli(["spectrum", "--potential", "invcos:z=4", "--N", "40", "--out", str(out)]) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
     health = manifest["health"]
-    assert set(health) == {"backend", "dense_sectors"} | NORM_HEALTH
+    assert set(health) == {"backend", "dense_sectors", "gap_rounding"} | NORM_HEALTH
     assert health["norm_lanczos_steps"] > 0
     assert 0 <= health["norm_residual"] <= NORM_RTOL
     # structure.json keeps its three reports and their keys
@@ -254,7 +256,8 @@ def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
 def test_manifest_health_for_the_dense_backend(tmp_path):
     assert run_cli(["gibbs", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(tmp_path / "g")]) == 0
     health = json.loads((tmp_path / "g" / "run-manifest.json").read_text())["health"]
-    assert set(health) == {"backend", "dense_sectors"} | PIPELINE_HEALTH and health["backend"] == "dense"
+    assert set(health) == {"backend", "dense_sectors", "gap_rounding"} | PIPELINE_HEALTH
+    assert health["backend"] == "dense"
     assert health["dense_sectors"] == 2
     assert run_cli(["witness", "--N", "5", "--out", str(tmp_path / "w")]) == 0
     assert "health" not in json.loads((tmp_path / "w" / "run-manifest.json").read_text())
@@ -264,7 +267,7 @@ def test_mean_manifest_records_the_mixing_distance(tmp_path):
     out = tmp_path / "m"
     assert run_cli(["mean", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
-    assert set(manifest["health"]) == {"backend", "dense_sectors"} | PIPELINE_HEALTH
+    assert set(manifest["health"]) == {"backend", "dense_sectors", "gap_rounding"} | PIPELINE_HEALTH
     assert 0 <= manifest["health"]["mixing_l2"] < 1
     assert "mixing" not in (out / "mean.json").read_text()
     assert not set(manifest["config"]) & set(manifest["health"])
@@ -417,32 +420,38 @@ def test_dense_cap_bounds_only_the_generator(tmp_path, monkeypatch):
     assert run_cli(argv + ["--out", str(tmp_path / "raised")]) == 0
 
 
-#: Runs whose Monte Carlo TV or exact mean needs a Gibbs normalizer past its
-#: fine-grid budget: 64^5 midpoints at d = 5 (8 GiB of coordinates).
-PAST_FINE_BUDGET = [
+#: Runs whose Monte Carlo TV or exact mean needs the Gibbs oracle at d = 5,
+#: where the fine lattice has 11^5 nodes.
+D5_GIBBS_ORACLE = [
     ["gibbs", "--d", "5", "--N", "1", "--M", "2", "--T", "0.3", "--seed", "1"],
     ["mean", "--potential", "cosine:z=1", "--d", "5", "--N", "1", "--seed", "1"],
 ]
 
 
-@pytest.mark.parametrize("argv", PAST_FINE_BUDGET, ids=[" ".join(argv) for argv in PAST_FINE_BUDGET])
-def test_gibbs_normalizer_past_its_budget_exits_before_allocating(tmp_path, monkeypatch, capsys, argv):
-    # the d = 4 grid, 64^4 midpoints, is the largest the normalizer lays out
-    # (the exact mean's points) or evaluates (e^{-E} on each block's axes)
+@pytest.mark.parametrize("argv", D5_GIBBS_ORACLE, ids=[" ".join(argv) for argv in D5_GIBBS_ORACLE])
+def test_gibbs_oracle_runs_at_d5_within_the_fine_lattice(tmp_path, monkeypatch, argv):
+    # the oracle lays out (the exact mean's points) and evaluates (e^{-E})
+    # no grid larger than the fine lattice, at most 2^18 nodes in every d
     grid_points, evaluate_grid = sampler.grid_points, EnergyPotential.evaluate_grid
 
     def budgeted_points(*axes):
-        assert math.prod(len(axis) for axis in axes) <= 64**4, "fine grid past the budget"
+        assert math.prod(len(axis) for axis in axes) <= 2**18, "fine grid past the budget"
         return grid_points(*axes)
 
     def budgeted_grid(self, axes):
-        assert math.prod(len(axis) for axis in axes) <= 64**4, "fine grid evaluated past the budget"
+        assert math.prod(len(axis) for axis in axes) <= 2**18, "fine grid evaluated past the budget"
         return evaluate_grid(self, axes)
 
     monkeypatch.setattr(sampler, "grid_points", budgeted_points)
     monkeypatch.setattr(EnergyPotential, "evaluate_grid", budgeted_grid)
-    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
-    assert "the Gibbs normalizer needs 64^5 midpoints" in capsys.readouterr().err
+    out = tmp_path / "x"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    if argv[0] == "mean":
+        # E[cos 2 pi x_0] = I_1(1) / I_0(1), to the trapezoid error of 11 nodes
+        exact = json.loads((out / "mean.json").read_text())["exact"]
+        assert exact == pytest.approx(bessel_i(1, 1.0) / bessel_i(0, 1.0), rel=1e-9)
+    else:
+        assert json.loads((out / "tv.json").read_text())["method"] == "histogram"
 
 
 def test_fixed_M_past_the_quadrature_cap_exits_before_upsampling(tmp_path, monkeypatch, capsys):

@@ -262,11 +262,22 @@ def test_propagation_is_independent_of_the_time_grid():
 
 def test_health_is_recorded():
     line = _build(1, 8, 1.0, 1.0, True)
-    assert line.health == {"backend": "dense", "dense_sectors": 2}
+    assert line.health == {
+        "backend": "dense",
+        "dense_sectors": 2,
+        "gap_rounding": EPS * -line.eigenvalues[-1] / line.spectral_gap,
+    }
     assert tf.evolve(line, tf.constant_field(line.lattice), 0.1).health == {}
 
     op = _build(2, 8, 1.0, 1.0, True)
-    assert set(op.health) == {"backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+    assert set(op.health) == {
+        "backend",
+        "gap_block_iterations",
+        "lanczos_steps",
+        "gap_residual",
+        "lanczos_reorth_steps",
+        "gap_rounding",
+    }
     assert 0 < op.health["gap_block_iterations"] <= GAP_BLOCK_ITERATIONS
     res = tf.evolve(op, tf.constant_field(op.lattice), 0.1)
     assert set(res.health) == {"krylov_path", "krylov_steps", "krylov_inner_steps", "krylov_error", "krylov_reorth_steps"}
@@ -276,6 +287,17 @@ def test_health_is_recorded():
     still = tf.evolve(op, tf.GridField(op.lattice, op.stationary, is_real=True), 0.1)
     assert still.health["krylov_steps"] == 0
     np.testing.assert_allclose(still.final, op.stationary, rtol=1e-12)
+
+
+def test_gap_rounding_flags_a_gap_lost_to_rounding():
+    # eps ||L'|| / gap, with ||L'|| the largest |alpha| of the gap's Lanczos
+    # run: coupled c=1 z=14 (delta_W = 30) puts the gap off by a factor 1e3
+    # against the singular values, the gibbs-dense-2d settings by 3e-15
+    lost = tf.build_generator(coupled_potential(14.0, 1.0), tf.make_lattice(2, 8, 1.0))
+    assert lost.health["gap_rounding"] >= 1
+    assert lost.spectral_gap > 2 * _svd_gap(lost)
+    kept = _build(2, 25, 1.0, 1.0, True)
+    assert kept.health["gap_rounding"] <= 1e-11
 
 
 def test_generator_and_evolution_stay_below_one_dense_matrix():

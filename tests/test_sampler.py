@@ -12,6 +12,7 @@ import torusfp as tf
 from torusfp import sampler
 from torusfp.errors import ValidationError
 from torusfp.lattice import RESOLUTION_CAP, grid_points
+from torusfp.potential import fine_lattice
 from torusfp.report import csv_text
 from torusfp.sampler import (
     GibbsDensity,
@@ -511,23 +512,44 @@ def test_mean_of_constant():
     assert est.stderr == 0.0
 
 
-def test_gibbs_normalizer_checks_its_budget(monkeypatch):
-    # 64^5 midpoints at d = 5 would take 8 GiB of coordinates; d <= 4 fits
-    def no_points(*axes):
-        raise AssertionError("fine grid laid out past the budget")
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_gibbs_oracle_makes_one_grid_call_on_the_fine_lattice(monkeypatch, d):
+    # the normalizer and the exact mean each evaluate e^{-E} once, on the axes
+    # of potential.fine_lattice: at most 2^18 nodes, d = 5 included
+    E = tf.cosine_potential(1.5, d, 1.0)
+    axes = fine_lattice(d, 1.0).axis_points()
+    calls, evaluate_grid = [], tf.EnergyPotential.evaluate_grid
 
-    monkeypatch.setattr(sampler, "grid_points", no_points)
-    E = tf.cosine_potential(1.0, 5, 1.0)
-    with pytest.raises(tf.SizeError, match="64\\^5 midpoints"):
-        GibbsDensity(E)
-    with pytest.raises(tf.SizeError, match="64\\^5 midpoints"):
-        tf.exact_mean(lambda p: p[..., 0], E)
-    assert sampler._fine_axis(4) ** 4 <= sampler.QUADRATURE_CAP
+    def recorded(self, grid):
+        calls.append(grid)
+        return evaluate_grid(self, grid)
+
+    monkeypatch.setattr(tf.EnergyPotential, "evaluate_grid", recorded)
+    for oracle in (lambda: GibbsDensity(E), lambda: tf.exact_mean(lambda p: p[..., 0], E)):
+        calls.clear()
+        oracle()
+        assert len(calls) == 1 and len(calls[0]) == d
+        assert all(np.array_equal(axis, axes) for axis in calls[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("z", [1.0, 8.0])
+def test_gibbs_oracle_matches_the_bessel_closed_forms(d, z):
+    # Z = (e^{-z} I_0(z))^d and E[cos 2 pi x_0] = I_1(z) / I_0(z) on l = 1;
+    # the trapezoid sum over n nodes per axis misses them by about
+    # 2 I_n(z) / I_0(z) per axis: rounding at d <= 3, 3e-9 at d = 4 (n = 21)
+    # and z = 8
+    E = tf.cosine_potential(z, d, 1.0)
+    rtol = 1e-14 if d <= 3 else 1e-8
+    Z = (math.exp(-z) * tf.bessel_i(0, z)) ** d
+    assert GibbsDensity(E).Z == pytest.approx(Z, rel=rtol)
+    mean = tf.exact_mean(lambda p: np.cos(2 * np.pi * p[..., 0]), E)
+    assert mean == pytest.approx(tf.bessel_i(1, z) / tf.bessel_i(0, z), rel=rtol)
 
 
 def test_both_quadratures_share_one_budget(monkeypatch):
     # lowering QUADRATURE_CAP alone makes the TV quadrature (41 * 32 midpoints
-    # here) and the Gibbs normalizer (512^2) refuse before laying anything out
+    # here) refuse before laying anything out
     def no_points(*args):
         raise AssertionError("midpoints laid out past the budget")
 
@@ -535,36 +557,6 @@ def test_both_quadratures_share_one_budget(monkeypatch):
     monkeypatch.setattr(sampler, "grid_points", no_points)
     with pytest.raises(tf.SizeError, match="quadrature needs 1312 evaluations, cap is 1024"):
         density_tv_quadrature(_uniform_state(tf.make_lattice(1, 20, 1.0)), no_points)
-    with pytest.raises(tf.SizeError, match="the Gibbs normalizer needs 512\\^2 midpoints, exceeding the cap 1024"):
-        GibbsDensity(tf.cosine_potential(1.0, 2, 1.0))
-
-
-def test_gibbs_normalizer_lays_out_one_block_at_a_time(monkeypatch):
-    # the d = 3 grid (64^3 midpoints) in blocks of one plane: the normalizer
-    # and the exact mean match their one-block values to rounding, and no
-    # call lays out or evaluates more than a block
-    E = tf.cosine_potential(1.5, 3, 1.0)
-
-    def observable(p):
-        return np.cos(2 * np.pi * p[..., 0]) + p[..., 2]
-
-    Z, mean = GibbsDensity(E).Z, tf.exact_mean(observable, E)
-    block = 64**2
-    lay_out, evaluate_grid = sampler.grid_points, tf.EnergyPotential.evaluate_grid
-
-    def one_block(*axes):
-        assert math.prod(len(a) for a in axes) <= block, "more than one block laid out"
-        return lay_out(*axes)
-
-    def one_block_evaluated(self, axes):
-        assert math.prod(len(a) for a in axes) <= block, "more than one block evaluated"
-        return evaluate_grid(self, axes)
-
-    monkeypatch.setattr(sampler, "FINE_BLOCK", block, raising=False)
-    monkeypatch.setattr(sampler, "grid_points", one_block)
-    monkeypatch.setattr(tf.EnergyPotential, "evaluate_grid", one_block_evaluated)
-    assert GibbsDensity(E).Z == pytest.approx(Z, rel=1e-13)
-    assert tf.exact_mean(observable, E) == pytest.approx(mean, rel=1e-13, abs=1e-15)
 
 
 def test_exact_mean_bessel_ratio():

@@ -196,7 +196,7 @@ def test_alias_witness_preconditions():
 
 
 def test_alias_witness_identity_and_floor():
-    f, g, rep = tf.alias_witness(C=2.0, a=160.0, N=5, theta=0.5, l=1.0, quad_points=2**13)
+    f, g, rep = tf.alias_witness(C=2.0, a=160.0, N=5, theta=0.5, l=1.0)
     assert rep.discretization_mismatch <= 1e-12
     assert rep.tv >= rep.tv_floor
     assert rep.z == pytest.approx(1 + 8 / 160.0)
@@ -207,7 +207,7 @@ def test_alias_witness_identity_and_floor():
     assert np.abs(ratio - ratio[0]).max() <= 1e-9 * abs(ratio[0])
 
     # theta -> 1 drives the floor to zero
-    _, _, open_rep = tf.alias_witness(C=1.0, a=200.0, N=1, theta=0.999, quad_points=2**10)
+    _, _, open_rep = tf.alias_witness(C=1.0, a=200.0, N=1, theta=0.999)
     assert open_rep.tv_floor <= 1e-6
     assert open_rep.separated
 
