@@ -13,8 +13,12 @@ and then times the two stages that follow the generator:
   ``health`` (passes over the grid, density values computed) and the peak
   of its Python allocations (one extra call under ``tracemalloc``);
 - ``SampleBatch.csv_chunks``, the whole ``samples.csv`` text, with the
-  SHA-256 of its bytes, which must not move between two versions of the
-  writer.
+  SHA-256 of its bytes and the count of values written through ``repr``
+  rather than the vectorized formatter (``report.fast_domain``).
+
+The SHA-256 must equal the case's ``reference.samples_sha256`` in
+``perfbench/workloads.json`` (read, never written): on any difference the
+script still writes OUT.json and then exits 1.
 
 Each time is the median of REPEATS runs after one untimed run.  The cases:
 
@@ -53,6 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import torusfp as tf  # noqa: E402
+from torusfp.report import fast_domain  # noqa: E402
 
 #: (name, d, N, M); M None is the automatic choice
 CASES = [("gibbs-dense-2d", 2, 25, 25), ("gibbs-quad-2d", 2, 15, 96), ("gibbs-readme", 1, 16, None)]
@@ -63,6 +68,7 @@ SAMPLES = 100_000
 SEED = 7
 REPEATS = 5
 MIB = 2**20
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
 
 def median_time(run) -> tuple:
@@ -101,6 +107,7 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
         **report.health,
         "csv_s": csv_s,
         "csv_bytes": len(text),
+        "csv_fallback_values": int(np.count_nonzero(~fast_domain(batch.points.ravel()))),
         "samples_sha256": hashlib.sha256(text.encode()).hexdigest(),
     }
 
@@ -162,10 +169,13 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python3 bench/pipeline.py OUT.json", file=sys.stderr)
         return 64
-    cases, oracles = [], []
+    references = json.loads(WORKLOADS.read_text())["workloads"]
+    cases, oracles, drifted = [], [], []
     for args in CASES:
         cases.append(case(*args))
         print(json.dumps(cases[-1]), flush=True)
+        if cases[-1]["samples_sha256"] != references[args[0]]["reference"]["samples_sha256"]:
+            drifted.append(args[0])
     for args in ORACLE:
         oracles.append(oracle(*args))
         print(json.dumps(oracles[-1]), flush=True)
@@ -179,6 +189,9 @@ def main(argv: list) -> int:
     }
     doc = {"environment": environment, "cases": cases, "oracle": oracles}
     Path(argv[0]).write_text(json.dumps(doc, indent=1) + "\n")
+    if drifted:
+        print(f"samples.csv digest differs from {WORKLOADS.name} at: {', '.join(drifted)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -83,12 +83,18 @@ def make_lattice(d: int, N: int, l: float) -> TorusLattice:
         raise ValidationError(f"dimension d must be a positive integer, got {d!r}")
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValidationError(f"half-width N must be a positive integer, got {N!r}")
-    if not np.isfinite(l) or l <= 0:
-        raise ValidationError(f"period l must be positive and finite, got {l!r}")
+    l = check_period(l)
     size = (2 * int(N) + 1) ** int(d)
     if size > RESOLUTION_CAP:
         raise SizeError(f"lattice has {size} nodes, exceeding the cap {RESOLUTION_CAP}")
-    return TorusLattice(d=int(d), N=int(N), l=float(l))
+    return TorusLattice(d=int(d), N=int(N), l=l)
+
+
+def check_period(l: float) -> float:
+    """The torus period as a float, refused unless positive and finite."""
+    if not np.isfinite(l) or l <= 0:
+        raise ValidationError(f"period l must be positive and finite, got {l!r}")
+    return float(l)
 
 
 @dataclass

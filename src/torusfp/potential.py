@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalError, ValidationError
-from .lattice import GridField, TorusLattice, grid_points, make_lattice
+from .lattice import GridField, TorusLattice, check_period, grid_points, make_lattice
 from .spectral import fourier_derivative
 
 #: Points per axis of the fine lattice, rounded down to odd.  A d past the
@@ -139,6 +139,7 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
     """E(x) = z sum_i (1 - cos(2 pi x_i / l)), so e^{-E} is a product of
     exponential-cosine factors with modified-Bessel Fourier coefficients."""
     z = float(z)
+    l = check_period(l)
     w = 2 * math.pi / l
 
     def raw(pts):
@@ -175,7 +176,7 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
 
     return EnergyPotential(
         evaluator=evaluator,
-        l=float(l),
+        l=l,
         d=int(d),
         diameter=2 * abs(z) * d,
         analytic_fourier=analytic_fourier,
@@ -194,6 +195,7 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
     z = float(z)
     if not z > 1:
         raise ValidationError(f"invcos potential needs z > 1, got {z}")
+    l = check_period(l)
     w = 2 * math.pi / l
     sz = math.sqrt(z)
     u_max = (sz + 1) / (sz - 1)
@@ -215,7 +217,7 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
 
     pot = EnergyPotential(
         evaluator=evaluator,
-        l=float(l),
+        l=l,
         d=1,
         diameter=math.log(u_max / u_min),
         analytic_fourier=analytic_fourier,
@@ -242,6 +244,7 @@ class PeriodicMlp:
     d: int
 
     def __post_init__(self):
+        self.l = check_period(self.l)
         self.weights = [np.asarray(W, dtype=float) for W in self.weights]
         self.biases = [np.asarray(b, dtype=float).reshape(-1) for b in self.biases]
         if len(self.weights) == 0 or len(self.weights) != len(self.biases):
@@ -320,7 +323,7 @@ def mlp_potential(mlp: PeriodicMlp) -> EnergyPotential:
 def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
     return EnergyPotential(
         evaluator=lambda pts: np.zeros(np.asarray(pts).shape[:-1]),
-        l=float(l),
+        l=check_period(l),
         d=int(d),
         diameter=0.0,
         analytic_fourier=lambda k: 1.0 if not np.any(np.atleast_1d(k)) else 0.0,
@@ -336,6 +339,7 @@ def expcos_family(z: float, l: float = 1.0):
     a = max(z/2, 1).
     """
     z = float(z)
+    l = check_period(l)
     w = 2 * math.pi / l
 
     def theta(pts):

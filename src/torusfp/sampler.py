@@ -30,7 +30,10 @@ target, and the TV quadrature evaluates at most QUADRATURE_CAP midpoints.
 
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
 sample batches write their own CSV, byte for byte what ``csv_text`` would,
-with one %-format over each chunk of CSV_CHUNK rows.
+with one ``report.float_rows`` call per chunk of CSV_CHUNK rows: numpy's
+integer arithmetic gives the shortest round-trip digits of every value with
+1e-4 <= |x| < 1e16 whose significand is not a power of two, and ``repr``
+writes the rest.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .evolve import choose_T, evolve
 from .generator import Operator, build_generator
 from .lattice import RESOLUTION_CAP, GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
 from .potential import EnergyPotential, fine_lattice, lipschitz_on_grid
-from .report import Report
+from .report import Report, float_rows
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
 
 _E3 = math.e**3
@@ -98,15 +101,12 @@ class SampleBatch:
         """The points as CSV text in pieces, the same bytes as ``csv_text``
         writes: no value needs quoting, so each row is its shortest
         round-trip reprs joined by commas.  The header comes first, then
-        CSV_CHUNK rows at a time, each chunk one %-format of its floats
-        (``%r`` is ``repr``), so neither the Python floats nor the text of
-        the whole batch need exist at once."""
+        CSV_CHUNK rows at a time, each chunk one ``report.float_rows`` call,
+        so the text of the whole batch need not exist at once."""
         d = self.points.shape[1]
         yield ",".join(f"x{i}" for i in range(d)) + "\n"
-        row_fmt = ",".join(["%r"] * d) + "\n"
         for start in range(0, self.count, CSV_CHUNK):
-            block = self.points[start : start + CSV_CHUNK]
-            yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+            yield float_rows(self.points[start : start + CSV_CHUNK])
 
     def to_csv(self) -> str:
         """The points as CSV text: the pieces of :meth:`csv_chunks` joined."""
@@ -162,11 +162,18 @@ def box_probabilities(state: GridField) -> np.ndarray:
     return p / total
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is not a Philox key, an integer in [0, 2^128)."""
+    if not 0 <= int(seed) < 2**128:
+        raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
+
+
 def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` points: a node by exact cumulative-sum inversion, then a
     uniform offset inside its box.  Uses the counter-based Philox generator."""
     if count <= 0:
         raise ValidationError(f"sample count must be positive, got {count}")
+    _check_seed(seed)
     lat = state.lattice
     nrm = state.norm()
     if abs(nrm - 1.0) > 1e-6:
@@ -437,6 +444,7 @@ def run_pipeline(
     """
     if subcells < 1:
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
+    _check_seed(seed)
     lattice = make_lattice(E.d, N, E.l)
     op = build_generator(E, lattice, halve=True)
     gap = op.spectral_gap

@@ -300,6 +300,34 @@ def test_steep_potential_exits_with_a_typed_error(tmp_path, capsys, argv):
     assert f"N = {argv[argv.index('--N') + 1]}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--N", "8"],
+        ["spectrum", "--N", "8", "--potential", "invcos:z=4"],
+        ["evolve", "--N", "8"],
+        ["gibbs", "--N", "8", "--seed", "1"],
+        ["mean", "--N", "8", "--seed", "1"],
+        ["derive-check"],
+        ["interpolate"],
+    ],
+    ids=["spectrum", "spectrum-invcos", "evolve", "gibbs", "mean", "derive-check", "interpolate"],
+)
+def test_zero_period_exits_2(tmp_path, capsys, argv):
+    # the default cosine and invcos potentials divide by l: a typed error,
+    # never a ZeroDivisionError traceback
+    assert run_cli(argv + ["--l", "0", "--out", str(tmp_path / "x")]) == 2
+    assert "period l must be positive and finite, got 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gibbs", "mean"])
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2^128"])
+def test_seed_outside_the_philox_keys_exits_2(tmp_path, capsys, command, seed):
+    argv = [command, "--N", "4", "--samples", "10", "--seed", str(seed), "--out", str(tmp_path / "x")]
+    assert run_cli(argv) == 2
+    assert "seed must be an integer in [0, 2^128)" in capsys.readouterr().err
+
+
 def test_validation_exit_code(tmp_path):
     code = run_cli(
         ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "9999", "--samples", "10", "--seed", "1",

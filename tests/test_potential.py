@@ -252,3 +252,17 @@ def test_min_normalization():
         vals = pot.evaluate(lat.points())
         assert vals.min() >= -1e-12
         assert vals.min() <= 1e-6
+
+
+@pytest.mark.parametrize("l", [0.0, -1.0, math.inf, math.nan])
+def test_potentials_refuse_a_period_that_is_not_positive_and_finite(l):
+    # each constructor checks l before dividing by it
+    for build in (
+        lambda: tf.cosine_potential(1.0, 1, l),
+        lambda: tf.invcos_potential(4.0, l),
+        lambda: tf.zero_potential(1, l),
+        lambda: tf.potential.expcos_family(2.0, l),
+        lambda: tf.PeriodicMlp([np.ones((1, 2))], [np.zeros(1)], l=l, d=1),
+    ):
+        with pytest.raises(ValidationError, match="period l must be positive and finite"):
+            build()

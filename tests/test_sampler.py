@@ -13,7 +13,7 @@ from torusfp import sampler
 from torusfp.errors import ValidationError
 from torusfp.lattice import RESOLUTION_CAP, grid_points
 from torusfp.potential import fine_lattice
-from torusfp.report import csv_text
+from torusfp.report import csv_text, fast_domain
 from torusfp.sampler import (
     GibbsDensity,
     box_probabilities,
@@ -181,6 +181,27 @@ def test_sample_validation():
         tf.continuous_sample(_uniform_state(lat), 0, seed=1)
     with pytest.raises(ValidationError):
         tf.continuous_sample(tf.constant_field(lat), 10, seed=1)  # not unit norm
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_sample_seed_outside_the_philox_keys_is_a_validation_error(seed):
+    lat = tf.make_lattice(1, 4, 1.0)
+    with pytest.raises(ValidationError, match="seed must be an integer in"):
+        tf.continuous_sample(_uniform_state(lat), 10, seed=seed)
+    with pytest.raises(ValidationError, match="seed must be an integer in"):
+        tf.run_pipeline(tf.cosine_potential(1.0, 1, 1.0), N=4, count=10, seed=seed)
+    # the ends of the key range draw
+    for key in (0, 2**128 - 1):
+        assert tf.continuous_sample(_uniform_state(lat), 10, seed=key).count == 10
+
+
+def test_pipeline_samples_csv_is_a_repr_join_at_another_seed():
+    # the gibbs-dense-2d shape at a smaller size and a seed other than 7
+    result = tf.run_pipeline(tf.cosine_potential(1.0, 2, 1.0), N=6, M=12, count=9000, seed=11)
+    points = result.batch.points
+    assert not np.all(fast_domain(points.ravel()))  # a few values take the repr fallback
+    expected = "x0,x1\n" + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+    assert result.batch.to_csv() == expected
 
 
 def test_sampling_density_integrates_to_one(rng):
