@@ -6,12 +6,14 @@ Run it from a checkout of the repository; it imports the package from
 ``src/`` and needs numpy alone.  BLAS runs on one thread.  Each case records
 the wall time of ``build_generator`` and of ``op.propagate(1, [0, T])`` at
 the pipeline's mixing time T (each the median of REPEATS runs, after one
-untimed run that fills the per-lattice caches), the block iterations and
-Lanczos steps of the gap, the path, outer and inner steps and error bound of
-the propagation (``op.health`` and the propagation's health), and the gap's
-error relative to an oracle.  Separable and non-separable potentials are
-reported apart, since the separable preconditioner is exact only for the
-first, and d = 1, which propagates densely, apart from both:
+untimed run that fills the per-lattice caches), the operator's ``backend``,
+the block iterations and Lanczos steps of a Lanczos gap, the steps and error
+bound of a Krylov propagation (from ``op.health`` and the propagation's
+health, each key only where its route records it), and the gap's error
+relative to an oracle.  Separable and non-separable potentials are reported
+apart, since the first take their gap and propagation from the per-axis
+factors and the others from Lanczos and Krylov, and d = 1, which propagates
+densely, apart from both:
 
 - d = 1: cosine z=1 at N in {64, 511, 2047} (l = 1).  Each run builds a new
   operator and propagates it once, so ``propagate_s`` includes the eigh of
@@ -26,12 +28,13 @@ first, and d = 1, which propagates densely, apart from both:
   whether the case's gap is within 1e-6 of it (relative);
 - non-separable: the coupled potential cosine + c z (1 - cos 2 pi (x_1 -
   x_2)) of tests/conftest.py, for (z, c) in {(1, 0.5), (4, 0.5), (8, 1)} at
-  d=2 N in {12, 25}, against eigvalsh of the assembled L'.
+  d=2 N in {12, 25}, and the MLP potential of tests/conftest.py at d=2
+  N=25, against eigvalsh of the assembled L'.
 
 Every d >= 2 case records the operator's ``gap_rounding``, eps ||L'|| / gap:
 about the gap's relative rounding error for a W that is not a sum over
-axes; a separable W keeps its gap below it, through the preconditioner's
-lowest mode.
+axes; a separable W takes its gap from singular values of the axis
+factors, which keep it accurate far below that.
 
 The file holds the three lists of cases and the environment the numbers
 were taken on.
@@ -60,7 +63,9 @@ import torusfp as tf  # noqa: E402
 
 SEPARABLE = [(d, N, z) for d, N in [(2, 15), (2, 25), (2, 31), (3, 7)] for z in (1.0, 4.0, 8.0)] + [(2, 25, 12.0)]
 LINE = [(N,) for N in (64, 511, 2047)]
-NON_SEPARABLE = [(N, z, c) for N in (12, 25) for z, c in [(1.0, 0.5), (4.0, 0.5), (8.0, 1.0)]]
+NON_SEPARABLE = [("coupled", N, z, c) for N in (12, 25) for z, c in [(1.0, 0.5), (4.0, 0.5), (8.0, 1.0)]] + [
+    ("mlp", 25, None, None)
+]
 REPEATS = 5
 #: d = 1 half-width whose cosine gap has converged for z <= 12
 RESOLVED_N = 511
@@ -74,6 +79,14 @@ def coupled(z: float, c: float) -> tf.EnergyPotential:
         return cosine.evaluate(pts) + c * z * (1 - np.cos(2 * math.pi * (pts[..., 0] - pts[..., 1])))
 
     return tf.EnergyPotential(evaluator=evaluator, l=1.0, d=2, diameter=cosine.diameter + 2 * c * z, name="coupled")
+
+
+def mlp() -> tf.EnergyPotential:
+    """The MLP potential of tests/conftest.py, small_mlp(2, seed=3), l = 1."""
+    rng = np.random.default_rng(3)
+    weights = [rng.uniform(-0.8, 0.8, (3, 4)), rng.uniform(-0.8, 0.8, (1, 3))]
+    biases = [rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 1)]
+    return tf.mlp_potential(tf.PeriodicMlp(weights, biases, l=1.0, d=2))
 
 
 def median_time(run) -> tuple:
@@ -97,17 +110,14 @@ def case(E: tf.EnergyPotential, lattice, oracle) -> dict:
     return {
         "nodes": lattice.size,
         "build_s": build_s,
-        "gap_block_iterations": op.health["gap_block_iterations"],
-        "lanczos_steps": op.health["lanczos_steps"],
+        "backend": op.health["backend"],
+        **{key: op.health[key] for key in ("gap_block_iterations", "lanczos_steps") if key in op.health},
         "gap": op.spectral_gap,
         "gap_rel_error": abs(op.spectral_gap - gap) / gap,
         "gap_rounding": op.health["gap_rounding"],
         "T": T,
         "propagate_s": propagate_s,
-        "krylov_path": health.get("krylov_path"),
-        "krylov_steps": health["krylov_steps"],
-        "krylov_inner_steps": health.get("krylov_inner_steps"),
-        "krylov_error": health["krylov_error"],
+        **{key: health[key] for key in ("krylov_steps", "krylov_error") if key in health},
     }
 
 
@@ -157,11 +167,12 @@ def separable(d: int, N: int, z: float) -> dict:
     }
 
 
-def non_separable(N: int, z: float, c: float) -> dict:
+def non_separable(kind: str, N: int, z: float | None, c: float | None) -> dict:
     def oracle(op):
         return float(np.linalg.eigvalsh(-op.symmetrized)[1])
 
-    return {"d": 2, "N": N, "z": z, "c": c} | case(coupled(z, c), tf.make_lattice(2, N, 1.0), oracle)
+    E = coupled(z, c) if kind == "coupled" else mlp()
+    return {"d": 2, "N": N, "potential": kind, "z": z, "c": c} | case(E, tf.make_lattice(2, N, 1.0), oracle)
 
 
 def cpu_model() -> str:

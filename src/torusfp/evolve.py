@@ -6,12 +6,13 @@ d = 1 it applies the propagator mode by mode in each reflection sector, from
 the eigenpairs of each sector block, computed on its first propagation and
 kept; its tests hold it to scipy's expm(t L') within (1e-10 + 16 eps ||L'||
 t) ||U^{-1} u(0)||, so every bound check isolates discretization error.
-For d >= 2 it keeps the kernel component exactly and approximates the rest
-in a Krylov space through ``Operator.apply``, to an a posteriori error bound of
-``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)|| in the symmetrized frame;
-``EvolutionResult.health`` carries its step count and bound.  The decay and
-norm reports are ``torusfp.report.Report`` dataclasses; the trace table is
-written with ``csv_text``.
+For d >= 2 it keeps the kernel component exactly and advances the rest mode
+by mode in the per-axis factors for a W that is a sum over axes, and
+otherwise in a Krylov space through ``Operator.apply``, to an a posteriori
+error bound of ``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)|| in the
+symmetrized frame; ``EvolutionResult.health`` carries the Krylov run's step
+count and bound.  The decay and norm reports are ``torusfp.report.Report``
+dataclasses; the trace table is written with ``csv_text``.
 """
 
 from __future__ import annotations

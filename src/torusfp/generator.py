@@ -25,51 +25,51 @@ closed positive orthant, without forming L'.  Otherwise there is one
 sector, L' itself.  The dense L' (``symmetrized``) is assembled only on
 demand.
 
-At d >= 2 the gap and the propagation go through a separable
-preconditioner P, built once per operator by fast diagonalization (Lynch,
+At d >= 2 the gap and the propagation start from the per-axis factors
+``_separable``, built once per operator by fast diagonalization (Lynch,
 Rice & Thomas, Numer. Math. 6, 1964): the 1-D generators K_j of W's mean
-over the other axes, one SVD of a (2N+1)^2 matrix each, give
-P = (x)Q_j (sigma + gamma sum_j Lambda_j)^{-1} (x)Q_j^T, applied by one
-dense product per axis each way.  For a W that is a sum over axes, -L' is
-the sum of the K_j and P is exact.  Two things depend on d, since at d = 1
-Lanczos and Krylov need about n steps, some 12 times the dense cost at
-N = 1023:
+over the other axes, one SVD of a (2N+1)^2 matrix each, with orthonormal
+eigenvectors Q_j and eigenvalues Lambda_j.  For a W that is a sum over axes
+(``EnergyPotential.separable``), -L' is the sum of the K_j, each acting
+along its axis, so (x)Q_j and sum_j Lambda_j are its eigendecomposition.
+Three routes, since at d = 1 Lanczos and Krylov need about n steps, some 12
+times the dense cost at N = 1023:
 
-- the gap (``build_generator``): read off ``eigenvalues`` at d = 1; at
-  d >= 2 by Lanczos on the complement of q0 (Saad, SIAM J. Numer. Anal. 29,
-  1992), to a Ritz residual of GAP_RTOL, from the best vector of a short
-  block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) that starts from
-  P's lowest modes and is preconditioned by P; the gap is the smaller
-  Rayleigh quotient of the Ritz vector and of P's lowest mode, which keeps
-  it for a separable W even below eps ||L'||.  For any other W it carries
-  the rounding of products with L', about eps ||L'|| / gap relative
-  (``gap_rounding`` in ``op.health``);
-- the propagation (``propagate``): mode by mode at d = 1, in each sector's
-  own basis, from ``eigh`` of each stored block with the kernel eigenpair
+- d = 1: the gap (``build_generator``) is read off ``eigenvalues``; the
+  propagation (``propagate``) runs mode by mode, in each sector's own
+  basis, from ``eigh`` of each stored block with the kernel eigenpair
   pinned to (0, q0) in the all-even block (on first access, kept), within
-  (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L'); at d >= 2 the
-  q0 component is kept exactly and the rest advanced in the shift-invert
-  Krylov space of (I + gamma K)^{-1}, K = -L' (van den Eshof & Hochbruck,
-  SIAM J. Sci. Comput. 27, 2006), each step an inner conjugate-gradient
-  solve preconditioned by P, until an a posteriori error bound that
-  includes the inner tolerance meets KRYLOV_RTOL.  Where an inner solve
-  takes more than INNER_BUDGET iterations (a steep W that is not a sum over
-  axes), the polynomial Krylov space of L' itself (Hochbruck & Lubich, SIAM
-  J. Numer. Anal. 34, 1997) takes over, with its own bound.
+  (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L');
+- d >= 2, W a sum over axes: the gap is the smallest sum_j Lambda_j past
+  the all-kernel mode, and the propagation keeps the q0 component of
+  U^{-1} v exactly and advances the rest mode by mode in the basis (x)Q_j,
+  one dense product per axis each way;
+- d >= 2, any other W: the gap by Lanczos on the complement of q0 (Saad,
+  SIAM J. Numer. Anal. 29, 1992), to a Ritz residual of GAP_RTOL, from the
+  best vector of a short block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
+  2001) that starts from the factors' lowest modes and is preconditioned by
+  P = (x)Q_j (sigma + sum_j Lambda_j)^{-1} (x)Q_j^T; the gap carries the
+  rounding of products with L', about eps ||L'|| / gap relative
+  (``gap_rounding`` in ``op.health``).  The propagation keeps the q0
+  component exactly and advances the rest in the polynomial Krylov space
+  of L' (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) until an a
+  posteriori error bound meets KRYLOV_RTOL.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
 second time only when the first pass left less than 1/sqrt(2) of its norm
 (the DGKS rule).  ``op.health`` records the backend ("dense" at d = 1,
-"matrix-free" at d >= 2 with the block iterations of its start, its
-Lanczos steps, gap residual and second passes), ``gap_rounding``, the
-ratio eps ||L'|| / gap with ||L'|| the largest |eigenvalue| at d = 1 and the
-largest |alpha| of the gap's Lanczos run at d >= 2, and, once the dense
-spectrum ran, its ``dense_sectors``; ``propagate`` returns the health of
-its Krylov run next to the states: the path taken, its outer and inner
+"separable" for a sum over axes at d >= 2, else "matrix-free" with the
+block iterations of its start, its Lanczos steps, gap residual and second
+passes), ``gap_rounding``, the ratio eps ||L'|| / gap with ||L'|| the
+largest |eigenvalue| at d = 1, the largest sum_j Lambda_j for a separable
+W and the largest |alpha| of the gap's Lanczos run otherwise, and, once the
+dense spectrum ran, its ``dense_sectors``; ``propagate`` returns the health
+of its Krylov run next to the states (empty on the other routes): its
 steps, its error bound and second passes.  U scales L' by up to
-e^{delta_W}: numbers of a steep potential past the float64 range end in a
-PreconditionError that names delta_W and N.
+e^{delta_W}: numbers of a steep potential past the float64 range, and a
+separable gap below eps^2 ||L'||, the rounding of the SVD it comes from,
+end in a PreconditionError that names delta_W and N.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
@@ -122,29 +122,14 @@ GAP_BLOCK = 4
 #: block iterations at cosine z=1/8, d=2 N=25, and z=8, d=3 N=7: 9/14/8 at
 #: 1e-8, 13/21/16 at 1e-3, 20/29/23 at 1e-1; Lanczos confirmed in 8 steps.
 GAP_START_NOISE = 1e-3
-#: Most iterations of that block.  A separable W converges well within it
-#: (cosine d=2 N=25, z=1/4/8/12: 13/15/21/7).  Measured on the coupled
-#: potential of tests/test_matrix_free.py, as iterations/Lanczos steps and
+#: Most iterations of that block.  Measured on the coupled potential of
+#: tests/test_matrix_free.py, as iterations/Lanczos steps and
 #: build_generator seconds with budgets 40/100/160: z=4, c=0.5, N=25 40/289
 #: 0.36 s, 99/8 0.14 s, 99/8 0.15 s; N=31 40/365 0.67 s, 98/8 0.22 s, 98/8
 #: 0.18 s; z=8, c=1, N=25 never converged, 461 steps, 0.74/0.69/0.85 s.
 GAP_BLOCK_ITERATIONS = 100
 #: Gauss-Legendre nodes per interval of the error-bound quadrature.
 GAUSS_NODES = 16
-#: The shift-invert propagation to t works with (I + gamma K)^{-1}, gamma =
-#: t / SHIFT_STEPS.  At d=2 N=25, cosine z=1, 2 to 16 all took 14 outer
-#: steps, at z=4 and 8, 4 to 16 took 20 to 24.
-SHIFT_STEPS = 8
-#: Its inner solves stop once the residual falls to INNER_RTOL ||b||.
-INNER_RTOL = 1e-13
-#: An inner solve that has not converged after this many iterations hands
-#: the propagation to the polynomial Krylov run.  For a separable W the
-#: preconditioner is exact and each solve takes 1 or 2.  Measured on the
-#: coupled potential at d=2 N=25, c=0.5 (inner iterations per solve,
-#: shift-invert against polynomial seconds): z=1 8 to 11, 0.11 against
-#: 0.13 s; z=2 10 to 18, 0.17 against 0.21 s; z=4 21 to 76, 0.46 against
-#: 0.23 s.
-INNER_BUDGET = 20
 
 
 @dataclass
@@ -273,15 +258,15 @@ class Operator:
 
     @cached_property
     def _separable(self) -> tuple:
-        """The factors of the fast-diagonalization preconditioner, computed on
-        first access and kept: for each axis j the orthonormal eigenvectors
-        Q_j of the d = 1 generator K_j = B_j^T B_j of W's mean over the other
-        axes, and the lattice-shaped sum of their eigenvalues, sum_j
-        Lambda_j, the all-kernel mode at index 0.  Each factor comes from the
-        SVD of its (2N+1)^2 B_j, ascending: Lambda_j = s_j^2 keeps the small
-        eigenvalues of a steep W to relative accuracy where eigh of K_j loses
-        them below eps ||K_j||.  For a separable W, K = -L' is the sum of the
-        K_j, each acting along its axis, to rounding."""
+        """The per-axis factors, computed on first access and kept: for each
+        axis j the orthonormal eigenvectors Q_j of the d = 1 generator K_j =
+        B_j^T B_j of W's mean over the other axes, and the lattice-shaped sum
+        of their eigenvalues, sum_j Lambda_j, the all-kernel mode at index 0.
+        Each factor comes from the SVD of its (2N+1)^2 B_j, ascending:
+        Lambda_j = s_j^2 keeps the small eigenvalues of a steep W to relative
+        accuracy where eigh of K_j loses them below eps ||K_j||.  For a
+        separable W, K = -L' is the sum of the K_j, each acting along its
+        axis, to rounding, and the factors are its eigendecomposition."""
         lattice, W = self.lattice, self.W.values
         D = derivative_axis_matrix(make_lattice(1, lattice.N, lattice.l))
         vectors, total = [], 0.0
@@ -292,73 +277,81 @@ class Operator:
             total = total + (s[::-1] ** 2).reshape([-1 if i == j else 1 for i in range(lattice.d)])
         return vectors, total
 
-    def precondition(self, x: np.ndarray, sigma: float, gamma: float) -> np.ndarray:
-        """P x = (x)Q_j (sigma + gamma sum_j Lambda_j)^{-1} (x)Q_j^T x for a flat
-        vector x, or for each row of a block x: (sigma + gamma K)^{-1} x for a
+    def precondition(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """P x = (x)Q_j (sigma + sum_j Lambda_j)^{-1} (x)Q_j^T x for a flat
+        vector x, or for each row of a block x: (sigma + K)^{-1} x for a
         separable W, by one dense product per axis each way (Lynch, Rice &
         Thomas, Numer. Math. 6, 1964).  Needs sigma > 0."""
         vectors, total = self._separable
         lead = x.ndim - 1
         y = _along_axes([Q.T for Q in vectors], x.reshape(x.shape[:-1] + self.lattice.shape), lead)
-        return _along_axes(vectors, y / (sigma + gamma * total), lead).reshape(x.shape)
+        return _along_axes(vectors, y / (sigma + total), lead).reshape(x.shape)
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v and the health of the propagation: in a Krylov
-        space at d >= 2, and at d = 1, with empty health, mode by mode in
-        each sector of ``_modes``, U^{-1} v folded in and the result unfolded."""
-        if self.lattice.d >= 2:
-            return self._propagate_krylov(v, times)
+        """Rows e^{L t_i} v and the health of the propagation.  At d = 1,
+        with empty health, mode by mode in each sector of ``_modes``, U^{-1}
+        v folded in and the result unfolded.  At d >= 2, with x = U^{-1} v =
+        c q0 + r, the kernel part c q0 is kept exactly and e^{L' t} r is
+        taken mode by mode in the factors of ``_separable`` for a W that is a
+        sum over axes, with empty health, and otherwise in a Krylov space
+        (:meth:`_propagate_krylov`)."""
         u = self.u_diag
         x = v / u
-        modal = [(values, vectors, vectors.T @ _fold(sector, x)) for sector, values, vectors in self._modes]
-        out = np.empty((len(times), self.size))
-        for i, t in enumerate(times):
-            out[i] = u * _unfold([vectors @ (np.exp(values * t) * c) for values, vectors, c in modal])
-        return out, {}
-
-    def _propagate_krylov(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """e^{L t} v in one Krylov space.
-
-        With x = U^{-1} v = c q0 + r, the kernel part c q0 is kept exactly
-        and e^{L' t} r is approximated in one Krylov space of r, grown until
-        an a posteriori bound on the error at t_max falls to KRYLOV_RTOL
-        ||x||: by shift-invert (:func:`_shift_invert`), and where that gives
-        way (an inner solve spent INNER_BUDGET iterations) or t_max = 0, by
-        the polynomial Krylov run (:func:`_polynomial_krylov`).  The space
-        depends only on v and max(times); each time is evaluated on its own.
-        """
-        u = self.u_diag
+        if self.lattice.d == 1:
+            modal = [(values, vectors, vectors.T @ _fold(sector, x)) for sector, values, vectors in self._modes]
+            out = np.empty((len(times), self.size))
+            for i, t in enumerate(times):
+                out[i] = u * _unfold([vectors @ (np.exp(values * t) * c) for values, vectors, c in modal])
+            return out, {}
         q0 = u / np.linalg.norm(u)
-        x = v / u
         c = q0 @ x
         rest = x - c * q0
-        r0 = float(np.linalg.norm(rest))
-        scale = float(np.linalg.norm(x))
-        t_max = float(max(times))
+        if self.potential.separable:
+            moved, health = self._propagate_separable(rest, times), {}
+        else:
+            moved, health = self._propagate_krylov(q0, rest, float(np.linalg.norm(x)), times)
+        return u * (c * q0 + moved), health
+
+    def _propagate_separable(self, rest: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Rows e^{L' t_i} rest for a W that is a sum over axes: rest in the
+        eigenbasis (x)Q_j of -L', each mode decayed at its rate sum_j
+        Lambda_j, with the all-kernel rate pinned to 0, and mapped back."""
+        vectors, total = self._separable
+        rates = -total
+        rates.flat[0] = 0.0
+        modal = _along_axes([Q.T for Q in vectors], rest.reshape(self.lattice.shape), 0)
         out = np.empty((len(times), self.size))
-        health = {"krylov_path": "none", "krylov_steps": 0, "krylov_inner_steps": 0}
+        for i, t in enumerate(times):
+            out[i] = _along_axes(vectors, np.exp(rates * t) * modal, 0).reshape(-1)
+        return out
+
+    def _propagate_krylov(self, q0: np.ndarray, rest: np.ndarray, scale: float, times: np.ndarray) -> tuple:
+        """Rows e^{L' t_i} rest, for rest orthogonal to the unit kernel
+        vector q0, approximated in the polynomial Krylov space of rest
+        (:func:`_polynomial_krylov`), grown until an a posteriori bound on
+        the error at t_max falls to KRYLOV_RTOL ``scale``, and its health.
+        The space depends only on rest and max(times); each time is
+        evaluated on its own.
+        """
+        r0 = float(np.linalg.norm(rest))
+        out = np.zeros((len(times), self.size))
         # both e^{L' t} r and its approximation have norm <= ||r||, so the
         # error never exceeds 2 ||r||: a small enough rest needs no space
         if 2 * r0 <= KRYLOV_RTOL * scale:
-            out[:] = u * (c * q0)
             error = 2 * r0 / scale if scale else 0.0
-            return out, health | {"krylov_error": error, "krylov_reorth_steps": 0}
+            return out, {"krylov_steps": 0, "krylov_error": error, "krylov_reorth_steps": 0}
 
-        tol = KRYLOV_RTOL * scale / r0
         with _float64_range(self):
-            run = _shift_invert(self, q0, rest / r0, t_max, tol, health) if t_max > 0 else None
-            if run is None:
-                health["krylov_path"] = "polynomial"
-                run = _polynomial_krylov(self, q0, rest / r0, t_max, tol)
-            basis, rates, S, error, repeats = run
+            basis, rates, S, error, repeats = _polynomial_krylov(
+                self, q0, rest / r0, float(max(times)), KRYLOV_RTOL * scale / r0
+            )
             error = float(error * r0 / scale)
         if not math.isfinite(error):
             raise _too_steep(self)
         for i, t in enumerate(times):
             y = S @ (np.exp(rates * t) * S[0])
-            out[i] = u * (c * q0 + r0 * (basis.T @ y))
-        health["krylov_steps"] = len(basis)
-        return out, health | {"krylov_error": error, "krylov_reorth_steps": repeats}
+            out[i] = r0 * (basis.T @ y)
+        return out, {"krylov_steps": len(basis), "krylov_error": error, "krylov_reorth_steps": repeats}
 
 
 def _along_axes(mats: list, y: np.ndarray, lead: int) -> np.ndarray:
@@ -490,9 +483,11 @@ def _random_start(q0: np.ndarray) -> np.ndarray:
     return start / np.linalg.norm(start)
 
 
-def _lanczos_steps(apply, q0: np.ndarray, start: np.ndarray):
-    """Lanczos on the orthogonal complement of the unit vector ``q0``, one
-    step at a time.
+def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
+    """Lanczos on the orthogonal complement of the unit vector ``q0``, until
+    ``converged(alpha, beta)`` holds, asked after CHECK_EVERY steps and then
+    every max(CHECK_EVERY, m / 8) steps, or until the space is invariant or
+    fills q0-perp after n - 1 steps.
 
     ``start`` is a unit vector orthogonal to q0.  Each new direction is
     reorthogonalized against the whole basis and then against q0, so
@@ -500,11 +495,10 @@ def _lanczos_steps(apply, q0: np.ndarray, start: np.ndarray):
     such pass runs only when the first cancelled most of the direction,
     leaving less than 1/sqrt(2) of its norm: otherwise one pass already
     leaves it orthogonal to rounding (Daniel, Gragg, Kaufman & Stewart,
-    Math. Comp. 30, 1976).  After step m it yields the basis as rows, the
-    diagonal alpha, the off-diagonal beta (m entries each; the last entry of
-    beta couples the basis to the next direction), the number of steps that
-    needed the second pass and the next direction times beta_m.  It ends when
-    the space is invariant or after n - 1 steps, when it fills q0-perp.
+    Math. Comp. 30, 1976).  Returns the basis as rows, the diagonal alpha,
+    the off-diagonal beta (m entries each; the last entry of beta couples
+    the basis to the next direction) and the number of steps that needed
+    the second pass.
     """
     n = len(start)
     steps = n - 1
@@ -513,6 +507,7 @@ def _lanczos_steps(apply, q0: np.ndarray, start: np.ndarray):
     beta = np.empty(steps)
     q = start
     repeats = 0
+    check = CHECK_EVERY
     for k in range(steps):
         if k == len(basis):
             basis = np.concatenate([basis, np.empty((min(k, steps - k), n))])
@@ -532,26 +527,15 @@ def _lanczos_steps(apply, q0: np.ndarray, start: np.ndarray):
             if sweep or beta[k] >= before / math.sqrt(2):
                 break
             repeats += 1
-        yield basis[: k + 1], alpha[: k + 1], beta[: k + 1], repeats, w
-        if beta[k] == 0.0:
-            return
-        q = w / beta[k]
-
-
-def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
-    """:func:`_lanczos_steps` until ``converged(alpha, beta)`` holds, asked
-    on the CHECK_EVERY schedule, or until the steps end.  Returns the basis
-    as rows, alpha, beta and the number of steps that needed the second
-    orthogonalization pass.
-    """
-    check = CHECK_EVERY
-    for basis, alpha, beta, repeats, _ in _lanczos_steps(apply, q0, start):
-        m = len(alpha)
+        m = k + 1
         if m == check:
-            if converged(alpha, beta):
+            if converged(alpha[:m], beta[:m]):
                 break
             check += max(CHECK_EVERY, m // 8)
-    return basis, alpha, beta, repeats
+        if beta[k] == 0.0:
+            break
+        q = w / beta[k]
+    return basis[:m], alpha[:m], beta[:m], repeats
 
 
 def _inverse_cholesky(V: np.ndarray) -> np.ndarray:
@@ -563,7 +547,7 @@ def _inverse_cholesky(V: np.ndarray) -> np.ndarray:
 
 def _lowest_modes(op: Operator, k: int) -> np.ndarray:
     """The k lowest modes of the preconditioner past its all-kernel one, as
-    rows: for a separable W, eigenvectors of L' to rounding."""
+    rows."""
     vectors, total = op._separable
     order = np.argsort(total, axis=None, kind="stable")
     modes = np.zeros((k, op.size))
@@ -617,7 +601,7 @@ def _block_start(op: Operator, q0: np.ndarray, modes: np.ndarray) -> tuple:
         R = AX - theta[:, None] * X
         if iterations == GAP_BLOCK_ITERATIONS or np.linalg.norm(R[0]) <= max(GAP_RTOL * theta[0], EPS * top):
             break
-        W = op.precondition(R, theta[0], 1.0)
+        W = op.precondition(R, theta[0])
         W -= np.outer(W @ q0, q0)
         W -= (W @ X.T) @ X
         try:
@@ -645,11 +629,8 @@ def _lanczos_gap(op: Operator) -> tuple:
     over axes), Lanczos carries on from its vector.  The run stops once the
     Ritz residual beta_m |s_m| of the top Ritz value meets GAP_RTOL, or
     eps max|alpha| (about eps ||L'||), below which it measures rounding
-    rather than convergence.  The gap is then the smaller of the Rayleigh
-    quotients (:func:`_rayleigh`) of the Ritz vector and of the
-    preconditioner's lowest mode, both upper bounds on it: for a separable W
-    that mode is an eigenvector to rounding, and keeps the gap where it sits
-    below eps ||L'||, out of reach of any Ritz value.
+    rather than convergence.  The gap is then the Rayleigh quotient
+    (:func:`_rayleigh`) of the Ritz vector.
     """
     q0 = op.kernel_vector()
 
@@ -657,13 +638,10 @@ def _lanczos_gap(op: Operator) -> tuple:
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
-    modes = _lowest_modes(op, GAP_BLOCK)
-    start, iterations = _block_start(op, q0, modes)
+    start, iterations = _block_start(op, q0, _lowest_modes(op, GAP_BLOCK))
     basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, converged)
     _, s, residual = _top_ritz(alpha, beta)
-    lowest = modes[0] - (q0 @ modes[0]) * q0
-    gap = min(_rayleigh(op, basis.T @ s), _rayleigh(op, lowest))
-    return gap, float(np.abs(alpha).max()), {
+    return _rayleigh(op, basis.T @ s), float(np.abs(alpha).max()), {
         "backend": "matrix-free",
         "gap_block_iterations": iterations,
         "lanczos_steps": len(alpha),
@@ -714,118 +692,16 @@ def _polynomial_krylov(op: Operator, q0: np.ndarray, start: np.ndarray, t: float
     return basis, theta, S, bound(alpha, beta), repeats
 
 
-class _InnerStall(Exception):
-    """The shift-invert propagation gives way to the polynomial one (see
-    :func:`_shift_invert`)."""
-
-
-def _pcg(op: Operator, q0: np.ndarray, b: np.ndarray, gamma: float) -> tuple:
-    """x with (I + gamma K) x = b, K = -L', for b orthogonal to q0, by
-    conjugate gradients preconditioned with ``op.precondition(., 1, gamma)``
-    projected onto q0-perp, so that every iterate stays there.  Stops once
-    the residual falls to INNER_RTOL ||b||; returns x (None after
-    INNER_BUDGET iterations), the norm of the residual and the iterations
-    spent."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    target = INNER_RTOL * np.linalg.norm(b)
-    p = None
-    for i in range(1, INNER_BUDGET + 1):
-        z = op.precondition(r, 1.0, gamma)
-        z -= (q0 @ z) * q0
-        rz = r @ z
-        p = z if p is None else z + (rz / rz_prev) * p
-        Ap = p - gamma * op.apply(p)
-        step = rz / (p @ Ap)
-        x += step * p
-        r -= step * Ap
-        residual = float(np.linalg.norm(r))
-        if residual <= target:
-            return x, residual, i
-        rz_prev = rz
-    return None, residual, INNER_BUDGET
-
-
-def _shift_invert(op: Operator, q0: np.ndarray, start: np.ndarray, t: float, tol: float, health: dict):
-    """e^{-K s} start for s <= t, K = -L', in the Krylov space of
-    A = (I + gamma K)^{-1} on q0-perp, gamma = t / SHIFT_STEPS (Moret &
-    Novati, BIT 44, 2004; van den Eshof & Hochbruck, SIAM J. Sci. Comput.
-    27, 2006).  Each step solves (I + gamma K) x = v_k by :func:`_pcg` to
-    a residual s_k.  The tridiagonal T_m of A maps back to K_m = (T_m^{-1} -
-    I) / gamma, whose Ritz values are (1 / mu - 1) / gamma for the Ritz
-    values mu of T_m.  From A V_m = V_m T_m + beta_m v_{m+1} e_m^T - A S_m,
-    the residual of the approximation V_m e^{-s K_m} e_1 is
-    ((I + gamma K) beta_m v_{m+1} e_m^T + S_m) T_m^{-1} e^{-s K_m} e_1 /
-    gamma.  K >= 0 on q0-perp bounds the error at every time up to t by
-    the integral of its norm, and Cauchy-Schwarz the sum over the s_k:
-
-        (||(I + gamma K) beta_m v_{m+1}|| int_0^t |f_m(s)| ds
-         + ||(||s_1||, .., ||s_m||)|| int_0^t ||f(s)|| ds) / gamma,
-        f(s) = T_m^{-1} e^{-s K_m} e_1,
-
-    rigorous in exact arithmetic, the inner tolerance included.  The space
-    grows until this bound, capped at 2, falls to ``tol``.  It is evaluated
-    after steps 1, 2, .., at a spacing of m / 8 past m = 16, so that its
-    O(m^3) cost stays below the run's own, and costs one apply, spent only
-    once the bound with ||beta_m v_{m+1}|| in place of the first norm, a
-    lower bound, has met ``tol``.  Returns what :func:`_polynomial_krylov`
-    returns, with the rates -(1 / mu - 1) / gamma in place of theta, and
-    records the path and the inner iterations in ``health``.  Returns None
-    when an inner solve spent INNER_BUDGET iterations, when the inner
-    tolerance alone exceeds ``tol``, or when rounding has made T_m
-    indefinite or (for a t so small that gamma underflows) K_m infinite.
-    """
-    gamma = t / SHIFT_STEPS
-    residuals = []
-
-    def solve(b):
-        x, residual, iterations = _pcg(op, q0, b, gamma)
-        health["krylov_inner_steps"] += iterations
-        if x is None:
-            raise _InnerStall
-        residuals.append(residual)
-        return x
-
-    health["krylov_path"] = "shift-invert"
-    try:
-        check = 1
-        for basis, alpha, beta, repeats, w in _lanczos_steps(solve, q0, start):
-            m = len(alpha)
-            if m < check and beta[-1] > 0 and m < op.size - 1:
-                continue
-            check = m + max(1, m // 8)
-            mu, S = _ritz(alpha, beta)
-            rates = (1.0 - 1.0 / mu) / gamma
-            if mu[0] <= 0.0 or not np.isfinite(rates).all():
-                raise _InnerStall
-            # T_m^{-1} e^{-s K_m} e_1 at the nodes, one row per node, in the
-            # Ritz basis and its last entry f_m(s)
-            modes, ds = _quadrature(rates, t)
-            modes *= S[0] / mu
-            # sum_k ||s_k|| |f_k(s)| <= ||(||s_k||)_k|| ||f(s)||
-            inexact = math.hypot(*residuals) * (ds @ np.linalg.norm(modes, axis=1)) / gamma
-            if inexact > tol:
-                raise _InnerStall
-            last = (ds @ np.abs(modes @ S[-1])) / gamma
-            # ||(I + gamma K) w|| >= ||w|| since K >= 0: a lower bound first
-            error = inexact + beta[-1] * last
-            if error <= tol or m == op.size - 1:
-                error = inexact + float(np.linalg.norm(w - gamma * op.apply(w))) * last
-                if error <= tol:
-                    break
-    except _InnerStall:
-        return None
-    return basis, rates, S, min(error, 2.0), repeats
-
-
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> Operator:
     """The generator of W = E/2 (``halve``, the pipeline default) or W = E,
     with its spectral gap.
 
     For d = 1 the gap is read off the spectrum, a values-only eigvalsh of
     each sector block: the axis matrix is the whole matrix, and Lanczos
-    would need about n steps.  For d >= 2 it comes through ``apply``, and
-    nothing dense is assembled: a block LOBPCG (Knyazev, SIAM J. Sci.
+    would need about n steps.  For d >= 2 nothing dense is assembled.  For
+    a W that is a sum over axes the gap is the smallest sum of per-axis
+    eigenvalues of ``_separable`` past the all-kernel one.  For any other W
+    it comes through ``apply``: a block LOBPCG (Knyazev, SIAM J. Sci.
     Comput. 23, 2001) from the lowest modes of the separable preconditioner,
     preconditioned by it, runs for at most GAP_BLOCK_ITERATIONS iterations,
     and Lanczos finishes from its best vector (see :func:`_lanczos_gap`).
@@ -845,6 +721,15 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
             op.health["backend"] = "dense"
             op.spectral_gap = float(-op.eigenvalues[1])
             norm = float(-op.eigenvalues[-1])
+        elif E.separable:
+            op.health["backend"] = "separable"
+            total = op._separable[1]
+            op.spectral_gap = float(total.reshape(-1)[1:].min())
+            norm = float(total.max())
+            # sqrt(gap) is a singular value of an axis factor B_j, resolved
+            # only above the rounding of its SVD, eps ||B_j||
+            if not op.spectral_gap > EPS * EPS * norm:
+                raise _too_steep(op)
         else:
             op.spectral_gap, norm, op.health = _lanczos_gap(op)
     if not (math.isfinite(op.spectral_gap) and op.spectral_gap > 0):

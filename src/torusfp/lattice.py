@@ -19,6 +19,7 @@ operator work has its own, smaller limit, ``generator.DENSE_CAP``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,18 @@ class TorusLattice:
 
 def make_lattice(d: int, N: int, l: float) -> TorusLattice:
     """Build a lattice with 2N+1 points per axis on a d-torus of period l,
-    refusing one of more than RESOLUTION_CAP nodes."""
+    refusing one of more than RESOLUTION_CAP nodes, and a period whose
+    derivative scale (2 pi N / l)^2 leaves the float64 normal range."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValidationError(f"dimension d must be a positive integer, got {d!r}")
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValidationError(f"half-width N must be a positive integer, got {N!r}")
     l = check_period(l)
+    scale = 2 * math.pi * int(N) / l
+    if not np.finfo(float).tiny <= scale * scale <= np.finfo(float).max:
+        raise ValidationError(
+            f"period l = {l!r} puts the derivative scale (2 pi N / l)^2 outside the float64 range at N = {N}"
+        )
     size = (2 * int(N) + 1) ** int(d)
     if size > RESOLUTION_CAP:
         raise SizeError(f"lattice has {size} nodes, exceeding the cap {RESOLUTION_CAP}")

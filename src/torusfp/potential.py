@@ -14,6 +14,9 @@ coordinate arrays, the grid the quadratures sum over.  By default it lays the
 points out with ``grid_points`` and evaluates them; a potential that is a sum
 over axes (``cosine_potential``) supplies a grid evaluator instead, which
 evaluates each axis once and broadcasts the sum, bit for bit the same values.
+``EnergyPotential.separable`` states that E is such a sum (``cosine_potential``
+and ``zero_potential``); the generator then takes its gap and propagation at
+d >= 2 from the exact per-axis eigendecomposition.
 """
 
 from __future__ import annotations
@@ -79,6 +82,9 @@ class EnergyPotential:
     # callable mapping d 1-D axes -> E on their tensor product, the values of
     # evaluator(grid_points(*axes)) bit for bit; None lays the points out
     grid_evaluator: object = None
+    # E is a sum of one-variable functions, one per axis: the generator's
+    # per-axis factors are then its exact eigendecomposition at d >= 2
+    separable: bool = False
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -183,6 +189,7 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
         name=f"cosine(z={z})",
         meta={"z": z},
         grid_evaluator=grid_evaluator,
+        separable=True,
     )
 
 
@@ -245,8 +252,11 @@ class PeriodicMlp:
 
     def __post_init__(self):
         self.l = check_period(self.l)
-        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
-        self.biases = [np.asarray(b, dtype=float).reshape(-1) for b in self.biases]
+        try:
+            self.weights = [np.asarray(W, dtype=float) for W in self.weights]
+            self.biases = [np.asarray(b, dtype=float).reshape(-1) for b in self.biases]
+        except (TypeError, ValueError):
+            raise ValidationError("MLP weights and biases must be arrays of numbers") from None
         if len(self.weights) == 0 or len(self.weights) != len(self.biases):
             raise ValidationError("MLP needs matching, nonempty weight and bias lists")
         expected = 2 * self.d
@@ -285,15 +295,17 @@ class PeriodicMlp:
     @classmethod
     def from_json(cls, text: str) -> "PeriodicMlp":
         doc = json.loads(text)
-        layers = doc.get("layers")
-        if not layers:
-            raise ValidationError("MLP document has no layers")
-        return cls(
-            weights=[layer["W"] for layer in layers],
-            biases=[layer["b"] for layer in layers],
-            l=float(doc["l"]),
-            d=int(doc["d"]),
-        )
+        layers = doc.get("layers") if isinstance(doc, dict) else None
+        if not isinstance(layers, list) or not layers:
+            raise ValidationError("MLP document needs a JSON object with a nonempty list of layers")
+        if not all(isinstance(layer, dict) and {"W", "b"} <= layer.keys() for layer in layers):
+            raise ValidationError("every MLP layer needs W and b")
+        try:
+            l, d = float(doc["l"]), int(doc["d"])
+        except (KeyError, TypeError, ValueError):
+            got = f"l={doc.get('l')!r}, d={doc.get('d')!r}"
+            raise ValidationError(f"MLP document needs numbers l and d, got {got}") from None
+        return cls(weights=[layer["W"] for layer in layers], biases=[layer["b"] for layer in layers], l=l, d=d)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -328,6 +340,7 @@ def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
         diameter=0.0,
         analytic_fourier=lambda k: 1.0 if not np.any(np.atleast_1d(k)) else 0.0,
         name="zero",
+        separable=True,
     )
 
 

@@ -12,6 +12,8 @@ from torusfp.cli import build_parser, main
 from torusfp.lattice import RESOLUTION_CAP
 from torusfp.potential import EnergyPotential, bessel_i, cosine_potential
 
+from conftest import small_mlp
+
 
 def run_cli(args):
     return main(args)
@@ -133,11 +135,11 @@ HEALTH_RUNS = {
     "gibbs": ["gibbs", "--d", "2", "--N", "6", "--M", "6", "--samples", "100", "--seed", "1"],
     "evolve": ["evolve", "--d", "2", "--N", "4", "--snapshots", "4"],
     "spectrum": ["spectrum", "--d", "2", "--N", "4"],
+    "evolve-mlp": ["evolve", "--potential", "mlp:file={weights}", "--d", "2", "--N", "4", "--l", "1", "--snapshots", "4"],
 }
-OPERATOR_HEALTH = {
-    "backend", "gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps", "gap_rounding"
-}
-PROPAGATION_HEALTH = {"krylov_path", "krylov_steps", "krylov_inner_steps", "krylov_error", "krylov_reorth_steps"}
+OPERATOR_HEALTH = {"backend", "gap_rounding"}
+LANCZOS_GAP_HEALTH = {"gap_block_iterations", "lanczos_steps", "gap_residual", "lanczos_reorth_steps"}
+PROPAGATION_HEALTH = {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
 NORM_HEALTH = {"norm_lanczos_steps", "norm_residual", "norm_reorth_steps"}
 TV_HEALTH = {"tv_passes", "tv_eval_points"}
 PIPELINE_HEALTH = TV_HEALTH | {"mixing_l2"}
@@ -146,19 +148,30 @@ PIPELINE_HEALTH = TV_HEALTH | {"mixing_l2"}
 @pytest.mark.parametrize("command", sorted(HEALTH_RUNS))
 def test_manifest_health_block(tmp_path, command):
     out = tmp_path / command
-    assert run_cli(HEALTH_RUNS[command] + ["--out", str(out)]) == 0
+    weights = tmp_path / "weights.json"
+    weights.write_text(small_mlp(2, seed=3).to_json())
+    assert run_cli([arg.format(weights=weights) for arg in HEALTH_RUNS[command]] + ["--out", str(out)]) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
     health = manifest["health"]
-    assert health["backend"] == "matrix-free"
-    # only spectrum reaches the dense spectrum, split into 2^2 reflection sectors
-    expected = OPERATOR_HEALTH | (NORM_HEALTH | {"dense_sectors"} if command == "spectrum" else PROPAGATION_HEALTH)
+    # the default cosine is a sum over axes: its gap and propagation come
+    # from the per-axis factors, with no iteration to report
+    expected = set(OPERATOR_HEALTH)
+    if command == "evolve-mlp":
+        assert health["backend"] == "matrix-free"
+        expected |= LANCZOS_GAP_HEALTH | PROPAGATION_HEALTH
+        assert health["lanczos_steps"] > 0 and health["gap_residual"] >= 0
+        assert 0 <= health["lanczos_reorth_steps"] <= health["lanczos_steps"]
+        assert health["krylov_steps"] > 0
+    else:
+        assert health["backend"] == "separable"
+    if command == "spectrum":
+        # only spectrum reaches the dense spectrum, split into 2^2 reflection sectors
+        expected |= NORM_HEALTH | {"dense_sectors"}
     if command == "gibbs":
         expected |= PIPELINE_HEALTH
         # one pass over the (13 * 32)^2 subcells, after the 13^2 box centres
         assert health["tv_passes"] == 1 and health["tv_eval_points"] == (13 * 32) ** 2 + 13**2
     assert set(health) == expected
-    assert health["lanczos_steps"] > 0 and health["gap_residual"] >= 0
-    assert 0 <= health["lanczos_reorth_steps"] <= health["lanczos_steps"]
     # health describes how the numbers were computed: it stays out of the
     # config, its hash and the other artifacts
     canonical = json.dumps(dict(sorted(manifest["config"].items())), sort_keys=True)
@@ -318,6 +331,42 @@ def test_zero_period_exits_2(tmp_path, capsys, argv):
     # never a ZeroDivisionError traceback
     assert run_cli(argv + ["--l", "0", "--out", str(tmp_path / "x")]) == 2
     assert "period l must be positive and finite, got 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", ["1e308", "1e-300"])
+def test_period_past_the_float64_derivative_scale_exits_2(tmp_path, capsys, period):
+    # (2 pi N / l)^2 underflows or overflows: the error names the period,
+    # not a steep potential
+    assert run_cli(["spectrum", "--l", period, "--N", "4", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"period l = {float(period)!r} puts the derivative scale" in err
+    assert "too steep" not in err
+
+
+def _without_bias(doc):
+    del doc["layers"][0]["b"]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda doc: [doc],
+        lambda doc: doc.update(l=None),
+        _without_bias,
+        lambda doc: doc["layers"][0].update(W="x"),
+    ],
+    ids=["list", "null-period", "missing-bias", "text-weights"],
+)
+def test_malformed_mlp_weights_exit_2(tmp_path, capsys, spoil):
+    # a readable JSON file of the wrong shape is a validation error, never a
+    # traceback
+    doc = json.loads(small_mlp(1).to_json())
+    doc = spoil(doc) or doc
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(doc))
+    argv = ["spectrum", "--potential", f"mlp:file={weights}", "--N", "4", "--out", str(tmp_path / "x")]
+    assert run_cli(argv) == 2
+    assert "MLP" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gibbs", "mean"])

@@ -233,7 +233,7 @@ def eigenvectors(op):
 def test_generator_structure_property(case):
     E, lat, halve = case
     op = tf.build_generator(E, lat, halve=halve)
-    assert op.health["backend"] == ("matrix-free" if lat.d >= 2 else "dense")
+    assert op.health["backend"] == ("separable" if lat.d >= 2 else "dense")
     sym = op.symmetrized
     assert np.array_equal(sym, sym.T)
     ev = op.eigenvalues

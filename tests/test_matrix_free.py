@@ -1,17 +1,18 @@
-"""The matrix-free generator (d >= 2) against dense oracles.
+"""The generator at d >= 2, on both of its routes, against dense oracles.
 
-The Lanczos gap is checked against eigvalsh of the assembled L' and against
-the singular values of the stacked B_j, the Krylov propagation, and the
-d = 1 propagation in reflection sectors, against scipy.linalg.expm, over the
-property-test range of tests/test_properties.py.
-Each tolerance is fixed from the conditioning of the oracle before the run:
-a relative term of 1e-10 plus the oracle's own rounding.  Past that range
-the gap of the separable cosine potential is checked against the d = 1 gap,
-and past delta_W = 40 against the singular values.  The non-separable
-"coupled" potential, on which the separable preconditioner is inexact, is
-checked against eigvalsh and the eigh exponential, on each propagation
-path.  Further tests pin the health numbers, the independence of the time
-grid and the memory bound.
+The gap, from the per-axis factors for the cosine potential (a sum over
+axes) and from Lanczos for an MLP potential, is checked against eigvalsh of
+the assembled L' and against the singular values of the stacked B_j; the
+propagation on both routes, and the d = 1 propagation in reflection
+sectors, against scipy.linalg.expm, over the property-test range of
+tests/test_properties.py.  Each tolerance is fixed from the conditioning of
+the oracle before the run: a relative term of 1e-10 plus the oracle's own
+rounding.  Past that range the gap of the cosine potential is checked
+against the d = 1 gap, and past delta_W = 40 against the singular values.
+The non-separable "coupled" potential, on which the separable
+preconditioner is inexact, is checked against eigvalsh and the eigh
+exponential.  Further tests pin the health numbers, the independence of the
+time grid and the memory bound.
 """
 
 import tracemalloc
@@ -24,10 +25,8 @@ from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp.generator import (
-    CHECK_EVERY,
     GAP_BLOCK_ITERATIONS,
     GAP_RTOL,
-    INNER_BUDGET,
     KRYLOV_RTOL,
     _lanczos,
     _random_start,
@@ -44,11 +43,12 @@ _SETTINGS = settings(max_examples=30, deadline=None)
 
 @st.composite
 def cases(draw, lowest_d=2):
-    """(d, N, l, z, halve) for a cosine potential on a lattice of d >=
-    lowest_d."""
+    """(d, N, l, z, halve) on a lattice of d >= lowest_d, for a cosine
+    potential, or for z None an MLP one."""
     d = draw(st.integers(lowest_d, 3))
     N = draw(st.integers(1, _MAX_N[d]))
-    return d, N, draw(st.floats(0.05, 10.0)), draw(st.floats(0.0, 8.0)), draw(st.booleans())
+    z = draw(st.none() | st.floats(0.0, 8.0))
+    return d, N, draw(st.floats(0.05, 10.0)), z, draw(st.booleans())
 
 
 def _build(d, N, l, z, halve):
@@ -67,12 +67,14 @@ def _svd_gap(op):
 
 @_SETTINGS
 @given(cases())
-# the top Ritz value itself, without the Rayleigh quotient of its vector,
-# misses the singular-value oracle here
+# a steep cosine, whose gap the top Ritz value of a Lanczos run, without the
+# Rayleigh quotient of its vector, missed against the singular-value oracle
 @example((2, 6, 0.763, 7.11, False))
+@example((2, 6, 0.763, None, False))
 def test_lanczos_gap_matches_dense_oracles(case):
     op = _build(*case)
-    assert op.health["backend"] == "matrix-free"
+    separable = case[3] is not None
+    assert op.health["backend"] == ("separable" if separable else "matrix-free")
     mu = np.linalg.eigvalsh(-op.symmetrized)
     gap, norm = mu[1], mu[-1]
     # eigvalsh is backward stable: its gap carries an error of about eps ||L'||
@@ -81,10 +83,11 @@ def test_lanczos_gap_matches_dense_oracles(case):
     gap_svd = _svd_gap(op)
     assert abs(op.spectral_gap - gap_svd) <= (1e-10 + 4 * EPS * np.sqrt(norm / gap_svd)) * gap_svd
 
-    health = op.health
-    assert 0 < health["lanczos_steps"] <= op.size - 1
-    converged = health["gap_residual"] <= max(2 * GAP_RTOL * gap, 2 * EPS * norm)
-    assert converged or health["lanczos_steps"] == op.size - 1
+    if not separable:
+        health = op.health
+        assert 0 < health["lanczos_steps"] <= op.size - 1
+        converged = health["gap_residual"] <= max(2 * GAP_RTOL * gap, 2 * EPS * norm)
+        assert converged or health["lanczos_steps"] == op.size - 1
 
 
 @_SETTINGS
@@ -112,7 +115,7 @@ def test_krylov_propagation_matches_expm(case, t_frac, seed):
         # scaling and squaring loses about eps ||t L'|| in expm itself
         tol = 1e-10 + 16 * EPS * norm * t
         assert np.linalg.norm(state / op.u_diag - reference) <= tol * np.linalg.norm(x)
-    if op.lattice.d == 1:
+    if op.lattice.d == 1 or op.potential.separable:
         assert health == {}
     else:
         assert health["krylov_error"] <= KRYLOV_RTOL or health["krylov_steps"] == op.size - 1
@@ -144,58 +147,50 @@ def test_gap_matches_the_separable_oracle_past_the_property_range(d, N, z):
     # the cosine potential is separable: the gap at every d is the d = 1 gap
     op = _build(d, N, 1.0, z, True)
     line = _build(1, N, 1.0, z, True)
+    assert op.health["backend"] == "separable"
     assert abs(op.spectral_gap - line.spectral_gap) <= 1e-12 * line.spectral_gap
-    health = op.health
-    # Lanczos stopped on its rule, not on filling q0-perp
-    assert health["lanczos_steps"] < op.size - 1
-    # the preconditioner is exact for a separable potential, mild or stiff:
-    # the block iteration converges within its budget
-    assert health["gap_block_iterations"] < GAP_BLOCK_ITERATIONS
-    if (d, z) != (3, 4.0):
-        # and Lanczos confirms its vector within two checks; at d = 3, z = 4
-        # the six lowest eigenvalues form two clusters 1e-8 apart, relative,
-        # and it takes longer
-        assert health["lanczos_steps"] <= 2 * CHECK_EVERY
+
+
+def test_separable_route_keeps_the_gap_and_the_mass():
+    # cosine at d = 2, N = 25 (the gibbs-dense-2d lattice): the gap comes
+    # from the per-axis factors, equals the d = 1 gap, and the propagation
+    # in their modes conserves <1, psi> to rounding
+    op = _build(2, 25, 1.0, 1.0, True)
+    assert op.health == {"backend": "separable", "gap_rounding": op.health["gap_rounding"]}
+    line = _build(1, 25, 1.0, 1.0, True)
+    assert abs(op.spectral_gap - line.spectral_gap) <= 1e-12 * line.spectral_gap
+    psi = tf.GridField(op.lattice, np.random.default_rng(4).random(op.size) + 0.5, is_real=True)
+    res = tf.evolve(op, psi, tf.choose_T(1.0 / op.spectral_gap, op.potential.diameter, 0.05), snapshots=4)
+    assert res.health == {}
+    np.testing.assert_allclose(res.inners, res.inners[0], rtol=64 * EPS, atol=0)
 
 
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 2)])
 def test_preconditioner_inverts_a_separable_generator(d, N):
     # the cosine potential is a sum over axes, so -L' is the sum of the
-    # axis factors and P = (sigma + gamma K)^{-1} to rounding, on a block of
+    # axis factors and P = (sigma + K)^{-1} to rounding, on a block of
     # vectors and on one
     op = _build(d, N, 1.0, 4.0, True)
     x = np.random.default_rng(1).standard_normal((2, op.size))
-    want = np.linalg.solve(0.5 * np.eye(op.size) - 0.3 * op.symmetrized, x.T).T
+    want = np.linalg.solve(0.5 * np.eye(op.size) - op.symmetrized, x.T).T
     tol = 1e-12 * np.abs(want).max()
-    np.testing.assert_allclose(op.precondition(x, 0.5, 0.3), want, rtol=0, atol=tol)
-    np.testing.assert_allclose(op.precondition(x[0], 0.5, 0.3), want[0], rtol=0, atol=tol)
+    np.testing.assert_allclose(op.precondition(x, 0.5), want, rtol=0, atol=tol)
+    np.testing.assert_allclose(op.precondition(x[0], 0.5), want[0], rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("z", [20.0, 24.0, 30.0])
 def test_gap_matches_the_svd_oracle_past_delta_w_40(z):
     # delta_W = 2 z: here the gap sits below the rounding of L' products,
-    # eps ||L'||, which Lanczos alone cannot resolve; the lowest mode of the
-    # separable preconditioner, from the singular vectors of each axis
-    # factor, is an eigenvector to rounding and its Rayleigh quotient keeps
-    # the gap
+    # eps ||L'||, which Lanczos cannot resolve; the singular values of each
+    # axis factor keep it to relative accuracy
     op = _build(2, 8, 1.0, z, True)
     gap_svd = _svd_gap(op)
     norm = np.linalg.eigvalsh(-op.symmetrized)[-1]
     assert abs(op.spectral_gap - gap_svd) <= (1e-10 + 4 * EPS * np.sqrt(norm / gap_svd)) * gap_svd
 
 
-@pytest.mark.parametrize(
-    "z, c, path",
-    [
-        # about 10 inner iterations per outer step, within the budget
-        (1.0, 0.5, "shift-invert"),
-        # about 40 per step: the budget is spent within the first 7 steps
-        (4.0, 0.5, "polynomial"),
-        # a stiff one, whose inner solves barely converge
-        (8.0, 1.0, "polynomial"),
-    ],
-)
-def test_non_separable_gap_and_propagation_match_dense_oracles(z, c, path):
+@pytest.mark.parametrize("z, c", [(1.0, 0.5), (4.0, 0.5), (8.0, 1.0)])
+def test_non_separable_gap_and_propagation_match_dense_oracles(z, c):
     op = tf.build_generator(coupled_potential(z, c), tf.make_lattice(2, 12, 1.0))
     assert not np.allclose(op.W.values, op.W.values[:, :1] + op.W.values[:1, :] - op.W.values[0, 0])
     mu, vectors = np.linalg.eigh(-op.symmetrized)
@@ -205,9 +200,7 @@ def test_non_separable_gap_and_propagation_match_dense_oracles(z, c, path):
     times = np.array([0.0, T / 3, T])
     v = np.ones(op.size)
     states, health = op.propagate(v, times)
-    assert health["krylov_path"] == path
-    if path == "polynomial":
-        assert health["krylov_inner_steps"] >= INNER_BUDGET
+    assert op.health["backend"] == "matrix-free"
     x = v / op.u_diag
     modal = vectors.T @ x
     for t, state in zip(times, states):
@@ -228,7 +221,8 @@ def test_one_orthogonalization_pass_keeps_the_basis_orthonormal(z):
     assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-13
     assert np.abs(basis @ q0).max() <= 1e-13
     assert repeats < len(alpha) / 10
-    assert op.health["lanczos_reorth_steps"] == 0
+    # and the gap's own run, on a potential that is not a sum over axes
+    assert _build(2, 25, 1.0, None, True).health["lanczos_reorth_steps"] == 0
 
 
 def test_second_orthogonalization_pass_runs_when_the_first_cancels():
@@ -248,16 +242,18 @@ def test_second_orthogonalization_pass_runs_when_the_first_cancels():
 
 
 def test_propagation_is_independent_of_the_time_grid():
-    op = _build(2, 8, 1.0, 2.0, True)
-    T = tf.choose_T(1.0 / op.spectral_gap, op.potential.diameter, 0.05)
-    v = np.random.default_rng(3).standard_normal(op.size) + 2.0
-    two, health_two = op.propagate(v, np.array([0.0, T]))
-    eight, health_eight = op.propagate(v, np.linspace(0.0, T, 8))
-    assert np.array_equal(two[-1], eight[-1])
-    assert health_two == health_eight
-    # and so through evolve, whatever the snapshot count
-    ones = tf.constant_field(op.lattice)
-    assert np.array_equal(tf.evolve(op, ones, T).final, tf.evolve(op, ones, T, snapshots=8).final)
+    # on both routes: the separable modes and the Krylov space of an MLP
+    for z in (2.0, None):
+        op = _build(2, 8, 1.0, z, True)
+        T = tf.choose_T(1.0 / op.spectral_gap, op.potential.diameter, 0.05)
+        v = np.random.default_rng(3).standard_normal(op.size) + 2.0
+        two, health_two = op.propagate(v, np.array([0.0, T]))
+        eight, health_eight = op.propagate(v, np.linspace(0.0, T, 8))
+        assert np.array_equal(two[-1], eight[-1])
+        assert health_two == health_eight
+        # and so through evolve, whatever the snapshot count
+        ones = tf.constant_field(op.lattice)
+        assert np.array_equal(tf.evolve(op, ones, T).final, tf.evolve(op, ones, T, snapshots=8).final)
 
 
 def test_health_is_recorded():
@@ -269,7 +265,15 @@ def test_health_is_recorded():
     }
     assert tf.evolve(line, tf.constant_field(line.lattice), 0.1).health == {}
 
-    op = _build(2, 8, 1.0, 1.0, True)
+    cosine = _build(2, 8, 1.0, 1.0, True)
+    total = cosine._separable[1]
+    assert cosine.health == {
+        "backend": "separable",
+        "gap_rounding": EPS * total.max() / cosine.spectral_gap,
+    }
+    assert tf.evolve(cosine, tf.constant_field(cosine.lattice), 0.1).health == {}
+
+    op = _build(2, 8, 1.0, None, True)
     assert set(op.health) == {
         "backend",
         "gap_block_iterations",
@@ -278,9 +282,10 @@ def test_health_is_recorded():
         "lanczos_reorth_steps",
         "gap_rounding",
     }
+    assert op.health["backend"] == "matrix-free"
     assert 0 < op.health["gap_block_iterations"] <= GAP_BLOCK_ITERATIONS
     res = tf.evolve(op, tf.constant_field(op.lattice), 0.1)
-    assert set(res.health) == {"krylov_path", "krylov_steps", "krylov_inner_steps", "krylov_error", "krylov_reorth_steps"}
+    assert set(res.health) == {"krylov_steps", "krylov_error", "krylov_reorth_steps"}
     assert 0 < res.health["krylov_steps"] < op.size
     assert 0 <= res.health["krylov_error"] <= KRYLOV_RTOL
     # a stationary input has nothing to advance
@@ -292,7 +297,8 @@ def test_health_is_recorded():
 def test_gap_rounding_flags_a_gap_lost_to_rounding():
     # eps ||L'|| / gap, with ||L'|| the largest |alpha| of the gap's Lanczos
     # run: coupled c=1 z=14 (delta_W = 30) puts the gap off by a factor 1e3
-    # against the singular values, the gibbs-dense-2d settings by 3e-15
+    # against the singular values; at the gibbs-dense-2d settings, with
+    # ||L'|| the largest sum of the per-axis eigenvalues, it stays small
     lost = tf.build_generator(coupled_potential(14.0, 1.0), tf.make_lattice(2, 8, 1.0))
     assert lost.health["gap_rounding"] >= 1
     assert lost.spectral_gap > 2 * _svd_gap(lost)
