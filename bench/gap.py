@@ -22,10 +22,15 @@ densely, apart from both:
 - separable: cosine z in {1, 4, 8} on the lattices d=2 N in {15, 25, 31} and
   d=3 N=7, and z=12 at d=2 N=25 (l = 1).  The cosine potential is a sum
   over axes, so the gap at every d is the d = 1 gap, read off the dense
-  spectrum.  A lattice too coarse for a stiff z has a spurious slow mode
-  whose rate rises with N, so each case also records ``gap_resolved``, the
-  d = 1 gap at N = RESOLVED_N, converged for z <= 12, and ``resolved``,
-  whether the case's gap is within 1e-6 of it (relative);
+  spectrum, and the whole spectrum is the tensor sum of the d = 1 one.
+  Each case also records ``spectrum_s``, the median time of
+  ``build_generator`` plus ``op.eigenvalues`` on a fresh operator, and
+  ``spectrum_rel_error``, the largest difference of ``op.eigenvalues`` from
+  that tensor sum over the largest |eigenvalue|; the script exits 1 when
+  it exceeds SPECTRUM_RTOL.  A lattice too coarse for a stiff z has a
+  spurious slow mode whose rate rises with N, so each case also records
+  ``gap_resolved``, the d = 1 gap at N = RESOLVED_N, converged for z <= 12,
+  and ``resolved``, whether the case's gap is within 1e-6 of it (relative);
 - non-separable: the coupled potential cosine + c z (1 - cos 2 pi (x_1 -
   x_2)) of tests/conftest.py, for (z, c) in {(1, 0.5), (4, 0.5), (8, 1)} at
   d=2 N in {12, 25}, and the MLP potential of tests/conftest.py at d=2
@@ -42,6 +47,7 @@ were taken on.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -69,6 +75,8 @@ NON_SEPARABLE = [("coupled", N, z, c) for N in (12, 25) for z, c in [(1.0, 0.5),
 REPEATS = 5
 #: d = 1 half-width whose cosine gap has converged for z <= 12
 RESOLVED_N = 511
+#: Largest spectrum_rel_error of a separable case before the script fails
+SPECTRUM_RTOL = 1e-12
 
 
 def coupled(z: float, c: float) -> tf.EnergyPotential:
@@ -153,15 +161,20 @@ def line(N: int) -> dict:
     }
 
 
-def line_gap(N: int, z: float) -> float:
-    """The gap of the d = 1 cosine generator, read off its dense spectrum."""
-    return tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0)).spectral_gap
+def line_operator(N: int, z: float):
+    """The d = 1 cosine generator, whose gap is read off its dense spectrum."""
+    return tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0))
 
 
 def separable(d: int, N: int, z: float) -> dict:
-    result = case(tf.cosine_potential(z, d, 1.0), tf.make_lattice(d, N, 1.0), lambda op: line_gap(N, z))
-    resolved = line_gap(RESOLVED_N, z)
+    E, lattice, line = tf.cosine_potential(z, d, 1.0), tf.make_lattice(d, N, 1.0), line_operator(N, z)
+    result = case(E, lattice, lambda op: line.spectral_gap)
+    spectrum_s, eigenvalues = median_time(lambda: tf.build_generator(E, lattice).eigenvalues)
+    oracle = np.sort(functools.reduce(np.add.outer, [line.eigenvalues] * d), axis=None)[::-1]
+    resolved = line_operator(RESOLVED_N, z).spectral_gap
     return {"d": d, "N": N, "z": z} | result | {
+        "spectrum_s": spectrum_s,
+        "spectrum_rel_error": float(np.abs(eigenvalues - oracle).max() / np.abs(oracle).max()),
         "gap_resolved": resolved,
         "resolved": abs(result["gap"] - resolved) <= 1e-6 * resolved,
     }
@@ -202,6 +215,10 @@ def main(argv: list) -> int:
         "repeats": REPEATS,
     }
     Path(argv[0]).write_text(json.dumps({"environment": environment} | results, indent=1) + "\n")
+    worst = max(row["spectrum_rel_error"] for row in results["separable"])
+    if worst > SPECTRUM_RTOL:
+        print(f"separable spectrum off its tensor-sum oracle by {worst:.3g} > {SPECTRUM_RTOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 

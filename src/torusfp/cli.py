@@ -155,10 +155,14 @@ def _parse_range(text: str):
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(text)]
     except (TypeError, ValueError):
         raise ValidationError(f"range {text!r} is not an integer or LO..HI") from None
+    if not values:
+        raise ValidationError(f"range {text!r} is empty: LO must not exceed HI")
+    return values
 
 
 def _write(out_dir: Path, name: str, text: str | Iterable[str], artifacts: list) -> None:

@@ -15,15 +15,7 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 One :class:`Operator` serves every d.  It stores W and the gap, and keeps
 U; ``apply`` acts with L' one axis at a time through
 :func:`torusfp.spectral.axis_derivative`, on one vector or on a block.
-The dense spectrum (``eigenvalues``, values only, with the kernel eigenvalue
-pinned to 0) is computed on first access, one reflection sector at a time,
-and kept.  If W equals its own flip along every axis, bitwise, L' commutes
-with each reflection n_j -> -n_j (D_j anticommutes with it) and splits into
-2^d sectors, even or odd along each axis: each block -sum_j B_j^T B_j is
-assembled in the basis (e_m +- e_{-m}) / sqrt 2 of its sector, over the
-closed positive orthant, without forming L'.  Otherwise there is one
-sector, L' itself.  The dense L' (``symmetrized``) is assembled only on
-demand.
+The dense L' (``symmetrized``) is assembled only on demand.
 
 At d >= 2 the gap and the propagation start from the per-axis factors
 ``_separable``, built once per operator by fast diagonalization (Lynch,
@@ -32,18 +24,27 @@ over the other axes, one SVD of a (2N+1)^2 matrix each, with orthonormal
 eigenvectors Q_j and eigenvalues Lambda_j.  For a W that is a sum over axes
 (``EnergyPotential.separable``), -L' is the sum of the K_j, each acting
 along its axis, so (x)Q_j and sum_j Lambda_j are its eigendecomposition.
-Three routes, since at d = 1 Lanczos and Krylov need about n steps, some 12
-times the dense cost at N = 1023:
 
-- d = 1: the gap (``build_generator``) is read off ``eigenvalues``; the
-  propagation (``propagate``) runs mode by mode, in each sector's own
-  basis, from ``eigh`` of each stored block with the kernel eigenpair
-  pinned to (0, q0) in the all-even block (on first access, kept), within
-  (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L');
-- d >= 2, W a sum over axes: the gap is the smallest sum_j Lambda_j past
-  the all-kernel mode, and the propagation keeps the q0 component of
-  U^{-1} v exactly and advances the rest mode by mode in the basis (x)Q_j,
-  one dense product per axis each way;
+The spectrum (``eigenvalues``, values only, descending, with the kernel
+eigenvalue pinned to 0 at index 0) is computed on first access and kept:
+at d >= 2 for a W that is a sum over axes it is the negated sums sum_j
+Lambda_j, with nothing dense assembled; otherwise a values-only eigvalsh of
+each block of L'.  At d = 1, if W equals its own flip n -> -n, bitwise, L'
+commutes with that reflection (D anticommutes with it) and splits into an
+even and an odd sector, each block -B^T B assembled in the basis (e_m +-
+e_{-m}) / sqrt 2 of its sector without forming L'; otherwise there is one
+block, L' itself.  Two routes, since at d = 1 Lanczos and Krylov need
+about n steps, some 12 times the dense cost at N = 1023:
+
+- d = 1, or W a sum over axes: the gap (``build_generator``) is read off
+  ``eigenvalues`` as -eigenvalues[1], so ``spectrum.csv`` row 1 is -gap bit
+  for bit.  At d = 1 the propagation (``propagate``) runs mode by mode, in
+  each sector's own basis, from ``eigh`` of each stored block with the
+  kernel eigenpair pinned to (0, q0) in the even block (on first access,
+  kept), within (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L'); at
+  d >= 2 it keeps the q0 component of U^{-1} v exactly and advances the
+  rest mode by mode in the basis (x)Q_j, one dense product per axis each
+  way;
 - d >= 2, any other W: the gap by Lanczos on the complement of q0 (Saad,
   SIAM J. Numer. Anal. 29, 1992), to a Ritz residual of GAP_RTOL, from the
   best vector of a short block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
@@ -62,27 +63,29 @@ second time only when the first pass left less than 1/sqrt(2) of its norm
 "separable" for a sum over axes at d >= 2, else "matrix-free" with the
 block iterations of its start, its Lanczos steps, gap residual and second
 passes), ``gap_rounding``, the ratio eps ||L'|| / gap with ||L'|| the
-largest |eigenvalue| at d = 1, the largest sum_j Lambda_j for a separable
-W and the largest |alpha| of the gap's Lanczos run otherwise, and, once the
-dense spectrum ran, its ``dense_sectors``; ``propagate`` returns the health
-of its Krylov run next to the states (empty on the other routes): its
-steps, its error bound and second passes.  U scales L' by up to
-e^{delta_W}: numbers of a steep potential past the float64 range, and a
-separable gap below eps^2 ||L'||, the rounding of the SVD it comes from,
-end in a PreconditionError that names delta_W and N.
+largest |eigenvalue| at d = 1 and for a separable W, and the largest
+|alpha| of the gap's Lanczos run otherwise, and, once a dense eigvalsh of
+the spectrum ran, its ``dense_sectors`` (1 or 2); ``propagate`` returns
+the health of its Krylov run next to the states (empty on the other
+routes): its steps, its error bound and second passes.  U scales L' by up
+to e^{delta_W}: numbers of a steep potential past the float64 range, and a
+gap read off the spectrum below eps^2 ||L'||, the rounding of the spectrum
+or of the SVD it comes from, end in a PreconditionError that names
+delta_W and N.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
 with their bounds; their reports serialize through :mod:`torusfp.report`.  The norm ||L||_2 is
 the square root of the top eigenvalue of L^T L = U^{-1} L' U^2 L' U^{-1},
 found by Lanczos through ``op.apply`` to a Ritz residual of NORM_RTOL
-relative, with neither the dense L nor an SVD.
+relative, with neither the dense L nor an SVD.  Each product with L'
+scales as (2 pi N / l)^2 and is divided by it, so that L^T L stays inside
+float64 at every period make_lattice accepts.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -98,8 +101,9 @@ from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, deri
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
-#: Largest node count of ``build_generator``: the dense sector blocks, and at
-#: d = 1 their eigenvectors, hold about n^2 / 2 entries each (n^2 in one sector).
+#: Largest node count of ``build_generator``: at d = 1 the dense sector blocks
+#: and their eigenvectors hold about n^2 / 4 entries each (n^2 in one sector),
+#: and at d >= 2 the dense L' of a W that is not a sum over axes, n^2.
 DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
@@ -184,17 +188,15 @@ class Operator:
 
     @cached_property
     def _blocks(self) -> list:
-        """The dense spectrum's blocks as (sector, block) pairs, the all-even
-        sector first: 2^d reflection sectors (a parity per axis, 0 even, 1
-        odd) when W equals its own flip along every axis, bitwise, else one,
+        """The dense spectrum's blocks as (sector, block) pairs: at d = 1, for
+        a W equal to its own flip n -> -n, bitwise, the even and the odd
+        reflection sector (0 and 1), the even one first; otherwise one,
         (None, L').  Assembled on first access and kept; the count goes into
         ``health`` as ``dense_sectors``."""
         W = self.W.values
-        if all(np.array_equal(W, np.flip(W, j)) for j in range(self.lattice.d)):
-            u = self.u_diag.reshape(self.lattice.shape)
+        if self.lattice.d == 1 and np.array_equal(W, W[::-1]):
             half = _half_derivative(self.lattice)
-            sectors = itertools.product((0, 1), repeat=self.lattice.d)
-            blocks = [(sector, _sector_block(u, half, sector)) for sector in sectors]
+            blocks = [(odd, _sector_block(self.u_diag, half, odd)) for odd in (0, 1)]
         else:
             blocks = [(None, self.symmetrized)]
         self.health["dense_sectors"] = len(blocks)
@@ -202,12 +204,16 @@ class Operator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of L', sorted descending, by a values-only eigvalsh of
-        each block.  The kernel eigenvalue is known to be 0 and is pinned
-        there: eigvalsh puts it at about eps ||L'||, either sign."""
+        """Eigenvalues of L', sorted descending, with the kernel eigenvalue
+        pinned to 0 at index 0: at d >= 2 for a W that is a sum over axes
+        the sums sum_j Lambda_j of ``_separable``, negated, with nothing
+        dense assembled; otherwise a values-only eigvalsh of each block of
+        ``_blocks``, which puts the kernel at about eps ||L'||, either sign."""
+        if self.lattice.d > 1 and self.potential.separable:
+            return _descending(-self._separable[1].reshape(-1))
         with _float64_range(self):
             parts = [np.linalg.eigvalsh(block) for _, block in self._blocks]
-        return _descending(parts)
+        return _descending(np.concatenate([p[::-1] for p in parts]))
 
     @cached_property
     def _modes(self) -> list:
@@ -217,7 +223,7 @@ class Operator:
         vectors as columns in the block's own basis.
 
         The kernel is known exactly, so its eigenpair is pinned in the first
-        block (the all-even one, or the one sector) as the folded q0 rather
+        block (the even one, or the one sector) as the folded q0 rather
         than taken from eigh: the computed kernel vector strays from
         e^{-W/2} by about eps ||L'|| / gap, and every other mode would then
         carry mass.  Projecting it out of that block's other vectors keeps
@@ -388,13 +394,11 @@ def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
     return np.negative(K, out=K)
 
 
-def _descending(parts: list) -> np.ndarray:
-    """The spectrum from each block's ascending eigenvalues ``parts``, whose
-    first holds the kernel as its top: descending, with the kernel pinned to
-    0 at index 0."""
-    desc = np.concatenate([p[::-1] for p in parts])
-    order = np.concatenate([[0], 1 + np.argsort(-desc[1:], kind="stable")])
-    values = desc[order]
+def _descending(values: np.ndarray) -> np.ndarray:
+    """``values`` with the kernel at index 0, which stays there pinned to 0,
+    and the rest sorted descending."""
+    order = np.concatenate([[0], 1 + np.argsort(-values[1:], kind="stable")])
+    values = values[order]
     values[0] = 0.0
     return values
 
@@ -416,28 +420,18 @@ def _half_derivative(lattice: TorusLattice) -> np.ndarray:
     return half
 
 
-def _orthant(u: np.ndarray, sector: tuple) -> np.ndarray:
-    """A lattice-shaped even array on a sector's coordinates, flat: indices
-    m = 0..N along even axes, m = 1..N along odd ones."""
-    N = u.shape[0] // 2
-    return u[tuple(slice(N + s, None) for s in sector)].reshape(-1)
-
-
-def _sector_block(u: np.ndarray, half: np.ndarray, sector: tuple) -> np.ndarray:
-    """The block -K_sigma of L' on one reflection sector, K_sigma = sum_j
-    B_{j,sigma}^T B_{j,sigma}, for the lattice-shaped u = e^{-W/2} and the
-    axis block ``half`` = D_oe.  B_{j,sigma} = diag(u_sigma') (I x .. x D_j
-    x .. x I) diag(1 / u_sigma), where sigma' is sigma with the parity of axis
-    j flipped and D_j is D_oe from an even axis, -D_oe^T from an odd one.
-    Negated in place; numpy computes B^T @ B as a symmetric rank-k update,
-    so the block is exactly symmetric."""
-    K = None
-    for j in range(len(sector)):
-        target = sector[:j] + (1 - sector[j],) + sector[j + 1 :]
-        axes = [(-half.T if s else half) if i == j else np.eye(len(half) + 1 - s) for i, s in enumerate(sector)]
-        B = functools.reduce(np.kron, axes) * _orthant(u, target)[:, None]
-        B /= _orthant(u, sector)[None, :]
-        K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
+def _sector_block(u: np.ndarray, half: np.ndarray, odd: int) -> np.ndarray:
+    """The block -K_s of a 1-D L' on the even (``odd`` = 0) or the odd
+    reflection sector, K_s = B_s^T B_s, for u = e^{-W/2} and ``half`` = D_oe:
+    B_s = diag(u_s') D_s diag(1 / u_s), where s' is the other sector, u_s
+    holds u at m = 0..N in the even sector and m = 1..N in the odd one, and
+    D_s is D_oe from the even sector, -D_oe^T from the odd one.  Negated in
+    place; numpy computes B^T @ B as a symmetric rank-k update, so the block
+    is exactly symmetric."""
+    N = len(half)
+    B = (-half.T if odd else half) * u[N + 1 - odd :][:, None]
+    B /= u[N + odd :][None, :]
+    K = B.T @ B
     return np.negative(K, out=K)
 
 
@@ -448,7 +442,7 @@ def _fold(sector, x: np.ndarray) -> np.ndarray:
     if sector is None:
         return x
     N = len(x) // 2
-    if sector[0]:
+    if sector:
         return (x[N + 1 :] - x[N - 1 :: -1]) * _SQRT_HALF
     return np.concatenate([x[N : N + 1], (x[N + 1 :] + x[N - 1 :: -1]) * _SQRT_HALF])
 
@@ -696,15 +690,16 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     """The generator of W = E/2 (``halve``, the pipeline default) or W = E,
     with its spectral gap.
 
-    For d = 1 the gap is read off the spectrum, a values-only eigvalsh of
-    each sector block: the axis matrix is the whole matrix, and Lanczos
-    would need about n steps.  For d >= 2 nothing dense is assembled.  For
-    a W that is a sum over axes the gap is the smallest sum of per-axis
-    eigenvalues of ``_separable`` past the all-kernel one.  For any other W
-    it comes through ``apply``: a block LOBPCG (Knyazev, SIAM J. Sci.
-    Comput. 23, 2001) from the lowest modes of the separable preconditioner,
-    preconditioned by it, runs for at most GAP_BLOCK_ITERATIONS iterations,
-    and Lanczos finishes from its best vector (see :func:`_lanczos_gap`).
+    At d = 1, and for a W that is a sum over axes at every d, the gap and
+    ||L'|| are read off ``eigenvalues`` as -eigenvalues[1] and
+    -eigenvalues[-1]: at d = 1 a values-only eigvalsh of each sector block,
+    since the axis matrix is the whole matrix and Lanczos would need about
+    n steps; at d >= 2 the sums of per-axis eigenvalues of ``_separable``,
+    with nothing dense assembled.  For any other W the gap comes through
+    ``apply``: a block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from
+    the lowest modes of the separable preconditioner, preconditioned by it,
+    runs for at most GAP_BLOCK_ITERATIONS iterations, and Lanczos finishes
+    from its best vector (see :func:`_lanczos_gap`).
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")
@@ -717,17 +712,13 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     w = W.flat
     op = Operator(lattice=lattice, potential=E, W=W, delta_W=float(w.max() - w.min()))
     with _float64_range(op):
-        if lattice.d == 1:
-            op.health["backend"] = "dense"
+        if lattice.d == 1 or E.separable:
+            op.health["backend"] = "dense" if lattice.d == 1 else "separable"
             op.spectral_gap = float(-op.eigenvalues[1])
             norm = float(-op.eigenvalues[-1])
-        elif E.separable:
-            op.health["backend"] = "separable"
-            total = op._separable[1]
-            op.spectral_gap = float(total.reshape(-1)[1:].min())
-            norm = float(total.max())
-            # sqrt(gap) is a singular value of an axis factor B_j, resolved
-            # only above the rounding of its SVD, eps ||B_j||
+            # past eps^2 ||L'|| the gap is rounding: of the dense spectrum,
+            # or of the SVD of an axis factor B_j, of which sqrt(gap) is a
+            # singular value resolved only above eps ||B_j||
             if not op.spectral_gap > EPS * EPS * norm:
                 raise _too_steep(op)
         else:
@@ -767,9 +758,12 @@ def operator_norm_check(op: Operator) -> OperatorNormReport:
     if lat.N <= 3:
         raise PreconditionError(f"operator norm bound is stated for N > 3, got N={lat.N}")
     u = op.u_diag
+    # each product with L' scales as (2 pi N / l)^2: divided by it after each
+    # one, L^T L stays inside float64 at every period make_lattice accepts
+    scale = (2 * math.pi * lat.N / lat.l) ** 2
 
     def normal(x):
-        return op.apply(u * u * op.apply(x / u)) / u
+        return op.apply(u * u * (op.apply(x / u) / scale)) / scale / u
 
     def converged(alpha, beta):
         theta, _, residual = _top_ritz(alpha, beta)
@@ -786,7 +780,7 @@ def operator_norm_check(op: Operator) -> OperatorNormReport:
     log_branch = pref * (4 * math.pi**2 + 2606 * op.delta_W * math.log(lat.N) ** 2)
     exp_branch = pref * 4 * math.pi**2 * math.exp(op.delta_W)
     return OperatorNormReport(
-        measured=math.sqrt(theta), bound=min(log_branch, exp_branch), log_branch=log_branch, exp_branch=exp_branch
+        measured=math.sqrt(theta) * scale, bound=min(log_branch, exp_branch), log_branch=log_branch, exp_branch=exp_branch
     )
 
 

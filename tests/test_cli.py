@@ -165,8 +165,9 @@ def test_manifest_health_block(tmp_path, command):
     else:
         assert health["backend"] == "separable"
     if command == "spectrum":
-        # only spectrum reaches the dense spectrum, split into 2^2 reflection sectors
-        expected |= NORM_HEALTH | {"dense_sectors"}
+        # only spectrum reaches the whole spectrum, which for a sum over axes
+        # at d = 2 is read off the per-axis factors: no dense block runs
+        expected |= NORM_HEALTH
     if command == "gibbs":
         expected |= PIPELINE_HEALTH
         # one pass over the (13 * 32)^2 subcells, after the 13^2 box centres
@@ -202,10 +203,12 @@ def test_spectrum_manifest_records_norm_health(tmp_path):
 
 
 def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
-    # the even d = 2 cosine splits into 2^2 reflection sectors: one block and
-    # one values-only eigvalsh each, and the whole L' is never assembled
+    # the even d = 1 cosine splits into its even and odd reflection sectors:
+    # one block and one values-only eigvalsh each; the d = 2 cosine is a sum
+    # over axes, whose spectrum is read off the per-axis factors, with no
+    # block and no eigvalsh or eigh of n rows; the whole L' is never assembled
     blocks, solved = [], []
-    assemble, eigvalsh = generator._sector_block, np.linalg.eigvalsh
+    assemble, eigvalsh, eigh = generator._sector_block, np.linalg.eigvalsh, np.linalg.eigh
 
     def whole(*args):
         raise AssertionError("the whole L' was assembled")
@@ -213,10 +216,16 @@ def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
     monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(a[2]) or assemble(*a))
     monkeypatch.setattr(generator, "_dense_symmetrized", whole)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: solved.append(len(a)) or eigh(a, *args, **kw))
+    assert run_cli(["spectrum", "--d", "1", "--N", "6", "--out", str(tmp_path / "line")]) == 0
+    assert blocks == [0, 1]
+    assert solved[:2] == [7, 6] and max(solved[2:], default=0) < 13
+    blocks.clear()
+    solved.clear()
     assert run_cli(["spectrum", "--d", "2", "--N", "6", "--out", str(tmp_path / "s")]) == 0
     assert "operator_norm" in json.loads((tmp_path / "s" / "structure.json").read_text())
-    assert blocks == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert solved == [7 * 7, 7 * 6, 6 * 7, 6 * 6]
+    assert blocks == []
+    assert max(solved, default=0) < 13 * 13
 
 
 @pytest.mark.parametrize("N", [3, 31])
@@ -249,6 +258,21 @@ def test_spectrum_d1_runs_no_eigendecomposition(tmp_path, monkeypatch, N):
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert rows[2] == f"1,{-manifest['resolved']['gap']!r}"
     assert manifest["health"]["dense_sectors"] == 2
+
+
+@pytest.mark.parametrize(
+    "d, N, spec",
+    [(1, 8, "cosine:z=20"), (2, 8, "cosine:z=30"), (2, 25, "cosine:z=1"), (3, 4, "cosine:z=8")],
+)
+def test_spectrum_row_one_is_the_negated_gap(tmp_path, d, N, spec):
+    # one source for the gap and the spectrum: row 1 is -gap bit for bit, and
+    # no eigenvalue of the negative semidefinite L' is positive
+    out = tmp_path / "s"
+    assert run_cli(["spectrum", "--potential", spec, "--d", str(d), "--N", str(N), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "spectrum.csv").read_text().strip().split("\n")[1:]]
+    gap = json.loads((out / "run-manifest.json").read_text())["resolved"]["gap"]
+    assert rows[1][1] == repr(-gap)
+    assert rows[0][1] == "0.0" and all(float(value) < 0 for _, value in rows[1:])
 
 
 def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
@@ -343,6 +367,26 @@ def test_period_past_the_float64_derivative_scale_exits_2(tmp_path, capsys, peri
     assert "too steep" not in err
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("period", ["1e-100", "1e100"])
+def test_norm_check_holds_at_a_far_period(tmp_path, period, d):
+    # L^T L scales as (2 pi N / l)^4, past float64 at both periods: the norm
+    # check still measures ||L||, blames nothing on the potential and writes
+    # a manifest that is strict JSON
+    out = tmp_path / "x"
+    assert run_cli(["spectrum", "--l", period, "--d", str(d), "--N", "4", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in run-manifest.json")
+
+    manifest = json.loads((out / "run-manifest.json").read_text(), parse_constant=reject)
+    assert 0 <= manifest["health"]["norm_residual"] <= generator.NORM_RTOL
+    norm = json.loads((out / "structure.json").read_text())["operator_norm"]
+    op = generator.build_generator(cosine_potential(1.0, d, float(period)), lattice.make_lattice(d, 4, float(period)))
+    assert norm["measured"] == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-10, abs=0)
+    assert norm["ok"]
+
+
 def _without_bias(doc):
     del doc["layers"][0]["b"]
 
@@ -398,6 +442,9 @@ def test_malformed_potential_spec_exit_code(tmp_path, spec):
 MALFORMED = [
     (["derive-check", "--N-range", "8..x"], None, "range '8..x'"),
     (["interpolate", "--z", "a..b"], None, "range 'a..b'"),
+    # LO > HI names no value: bad input, not an empty table
+    (["derive-check", "--N-range", "5..3"], None, "range '5..3' is empty"),
+    (["interpolate", "--z", "5..3"], None, "range '5..3' is empty"),
     (["evolve", "--T", "abc"], None, "T must be a number"),
     (["evolve", "--T", "nan"], None, "must be finite"),
     (["evolve", "--T", "inf"], None, "must be finite"),

@@ -271,7 +271,12 @@ def test_reflection_sectors_reproduce_the_whole_generator(case):
     E, lat, halve, t_frac = case
     op = tf.build_generator(E, lat, halve=halve)
     ev = op.eigenvalues
-    assert op.health["dense_sectors"] == 2**lat.d
+    # d = 1 splits into its two reflection sectors; at d >= 2 every drawn W
+    # is a sum over axes, whose spectrum is read off the per-axis factors
+    if lat.d == 1:
+        assert op.health["dense_sectors"] == 2
+    else:
+        assert "dense_sectors" not in op.health
     oracle = -np.linalg.eigh(-op.symmetrized)[0]
     scale = np.abs(oracle).max()
     assert np.abs(ev - oracle).max() <= 1e-12 * scale
@@ -448,6 +453,15 @@ def test_apply_matches_the_assembled_generator(d, N):
     assert spectral._circulant.cache_info().misses == (0 if 2 * N + 1 > FFT_AXIS_POINTS else 1)
 
 
+@pytest.mark.parametrize("d, N", [(2, 25), (3, 7)])
+def test_separable_spectrum_holds_the_gap_exactly(d, N):
+    # the gap and the spectrum of a sum over axes are one computation
+    op = tf.build_generator(tf.cosine_potential(1.0, d, 1.0), tf.make_lattice(d, N, 1.0))
+    assert op.eigenvalues[1] == -op.spectral_gap
+    assert op.eigenvalues[0] == 0.0 and np.all(np.diff(op.eigenvalues) <= 0)
+    assert -op.eigenvalues[-1] == op._separable[1].max()
+
+
 def test_operator_norm_through_the_fft_axis_matches_the_dense_norm():
     op = tf.build_generator(tf.cosine_potential(2.0, 1, 1.0), tf.make_lattice(1, 300, 1.0))
     assert op.lattice.points_per_axis > FFT_AXIS_POINTS
@@ -466,15 +480,20 @@ def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     sym = plane.symmetrized
     assert plane.eigenvalues is plane.eigenvalues and plane.symmetrized is sym
     assert plane.matrix.shape == sym.shape
-    # one block and one eigvalsh per reflection sector, 2^2 of them
-    assert assembled == [1] and len(blocks) == 4 and len(solved) == 4
+    # the sum over axes takes its spectrum from the per-axis factors: L' is
+    # assembled once, on access, and no block or eigvalsh runs
+    assert assembled == [1] and blocks == [] and solved == []
+    # any other W at d >= 2 is one sector, the whole L', with one eigvalsh
+    mlp = tf.build_generator(tf.mlp_potential(small_mlp(d=2, seed=5)), tf.make_lattice(2, 4, 1.0))
+    assert mlp.eigenvalues is mlp.eigenvalues and mlp.health["dense_sectors"] == 1
+    assert assembled == [1, 1] and blocks == [] and solved == [1]
     # at d = 1 the gap is read off the spectrum: two blocks, two eigvalsh
     line = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 8, 1.0))
-    assert len(blocks) == 6 and len(solved) == 6
+    assert len(blocks) == 2 and len(solved) == 3
     assert line.spectral_gap == -line.eigenvalues[1]
     # and propagates on the stored blocks, with no dense L'
     line.propagate(np.ones(line.size), np.array([0.0, 0.1]))
-    assert assembled == [1] and len(blocks) == 6 and len(solved) == 6
+    assert assembled == [1, 1] and len(blocks) == 2 and len(solved) == 3
 
 
 def test_condition_number_check():
