@@ -7,8 +7,9 @@ Run it from a checkout of the repository; it imports the package from
 ``src/`` and needs numpy alone.  BLAS runs on one thread.  Each case runs
 ``run_pipeline`` once, untimed, at the settings of a ``gibbs`` workload of
 ``perfbench/workloads.json`` (cosine z = 1, l = 1, seed 7, 100000 samples),
-and then times the two stages that follow the generator:
+and then times the three stages that follow the generator:
 
+- ``continuous_sample`` of the upsampled state (``sample_s``);
 - ``tv_distance`` of the upsampled state against the Gibbs density, with its
   ``health`` (passes over the grid, density values computed) and the peak
   of its Python allocations (one extra call under ``tracemalloc``);
@@ -17,8 +18,11 @@ and then times the two stages that follow the generator:
   rather than the vectorized formatter (``report.fast_domain``).
 
 The SHA-256 must equal the case's ``reference.samples_sha256`` in
-``perfbench/workloads.json`` (read, never written): on any difference the
-script still writes OUT.json and then exits 1.
+``perfbench/workloads.json`` (read, never written), and the TV must lie
+within TV_TOLERANCE of ``density_tv_quadrature`` on the same state (one
+untimed call that lays the midpoints out as points, recorded as
+``tv_points``): on any difference the script still writes OUT.json and then
+exits 1.
 
 Each time is the median of REPEATS runs after one untimed run.  The cases:
 
@@ -67,6 +71,8 @@ MLP_SEED = 42
 SAMPLES = 100_000
 SEED = 7
 REPEATS = 5
+#: largest |tv_distance - density_tv_quadrature| of a case
+TV_TOLERANCE = 1e-13
 MIB = 2**20
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
@@ -88,7 +94,9 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
     result = tf.run_pipeline(E, N=N, M=M, count=SAMPLES, seed=SEED)
     state, batch = result.upsampled, result.batch
 
+    sample_s, _ = median_time(lambda: tf.continuous_sample(state, SAMPLES, SEED))
     tv_s, report = median_time(lambda: tf.tv_distance(state, E))
+    tv_points = tf.sampler.density_tv_quadrature(state, lambda pts: np.exp(-E.evaluate(pts)))
     tracemalloc.start()
     try:
         tf.tv_distance(state, E)
@@ -102,6 +110,8 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
         "N": N,
         "M": state.lattice.N,
         "tv": report.tv,
+        "tv_points": tv_points,
+        "sample_s": sample_s,
         "tv_s": tv_s,
         "tv_peak_alloc_mb": tv_peak,
         **report.health,
@@ -170,12 +180,14 @@ def main(argv: list) -> int:
         print("usage: python3 bench/pipeline.py OUT.json", file=sys.stderr)
         return 64
     references = json.loads(WORKLOADS.read_text())["workloads"]
-    cases, oracles, drifted = [], [], []
+    cases, oracles, drifted, off = [], [], [], []
     for args in CASES:
         cases.append(case(*args))
         print(json.dumps(cases[-1]), flush=True)
         if cases[-1]["samples_sha256"] != references[args[0]]["reference"]["samples_sha256"]:
             drifted.append(args[0])
+        if not abs(cases[-1]["tv"] - cases[-1]["tv_points"]) <= TV_TOLERANCE:
+            off.append(args[0])
     for args in ORACLE:
         oracles.append(oracle(*args))
         print(json.dumps(oracles[-1]), flush=True)
@@ -191,8 +203,9 @@ def main(argv: list) -> int:
     Path(argv[0]).write_text(json.dumps(doc, indent=1) + "\n")
     if drifted:
         print(f"samples.csv digest differs from {WORKLOADS.name} at: {', '.join(drifted)}", file=sys.stderr)
-        return 1
-    return 0
+    if off:
+        print(f"tv_distance differs from density_tv_quadrature by more than {TV_TOLERANCE} at: {', '.join(off)}", file=sys.stderr)
+    return 1 if drifted or off else 0
 
 
 if __name__ == "__main__":

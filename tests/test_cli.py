@@ -170,8 +170,8 @@ def test_manifest_health_block(tmp_path, command):
         expected |= NORM_HEALTH
     if command == "gibbs":
         expected |= PIPELINE_HEALTH
-        # one pass over the (13 * 32)^2 subcells, after the 13^2 box centres
-        assert health["tv_passes"] == 1 and health["tv_eval_points"] == (13 * 32) ** 2 + 13**2
+        # the cosine is a sum over axes: one line of 13 * 32 midpoints per axis
+        assert health["tv_passes"] == 1 and health["tv_eval_points"] == 2 * 13 * 32
     assert set(health) == expected
     # health describes how the numbers were computed: it stays out of the
     # config, its hash and the other artifacts
@@ -419,6 +419,22 @@ def test_seed_outside_the_philox_keys_exits_2(tmp_path, capsys, command, seed):
     argv = [command, "--N", "4", "--samples", "10", "--seed", str(seed), "--out", str(tmp_path / "x")]
     assert run_cli(argv) == 2
     assert "seed must be an integer in [0, 2^128)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gibbs", "mean"])
+def test_sample_count_past_the_cap_exits_2(tmp_path, capsys, monkeypatch, command):
+    # 10^11 points would need 800 GB: refused by count before any work
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the generator was built")
+
+    monkeypatch.setattr(sampler, "build_generator", no_generator)
+    fixed = ["--M", "4", "--T", "1"] if command == "gibbs" else []
+    argv = [command, "--d", "1", "--N", "4", *fixed, "--samples", "100000000000", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "sample count 100000000000" in err and f"cap is {sampler.SAMPLE_CAP}" in err
+    assert run_cli([command, "--N", "4", "--samples", "0", "--seed", "1", "--out", str(tmp_path / "y")]) == 2
+    assert "sample count must be positive, got 0" in capsys.readouterr().err
 
 
 def test_validation_exit_code(tmp_path):

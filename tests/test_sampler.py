@@ -22,6 +22,7 @@ from torusfp.sampler import (
     normalized_series_distance,
 )
 
+from conftest import coupled_potential, small_mlp
 
 
 def _normalized(fld):
@@ -139,6 +140,75 @@ def test_sampling_does_not_lay_out_the_lattice(rng, monkeypatch):
 
     monkeypatch.setattr(tf.TorusLattice, "points", no_points)
     assert np.array_equal(tf.continuous_sample(psi, count, seed).points, expected)
+
+
+def _mod_oracle(psi, count, seed):
+    """The sample of ``continuous_sample`` by the direct formula: searchsorted
+    on the draws as they come, every node's coordinates, and np.mod."""
+    lat = psi.lattice
+    philox = np.random.Generator(np.random.Philox(key=seed))
+    cum = np.cumsum(box_probabilities(psi).reshape(-1))
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, philox.random(count), side="right")
+    offsets = (philox.random((count, lat.d)) - 0.5) * (lat.l / lat.points_per_axis)
+    return np.mod(lat.points()[idx] + offsets + lat.l / 2, lat.l) - lat.l / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(0, 4),
+    l=st.sampled_from([1.0, 0.3, 2 * np.pi, 1e5]),
+    support=st.sampled_from(["all", "sparse", "edge"]),
+    count=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(d=2, N=0, l=1.0, support="all", count=500, seed=1)
+@example(d=3, N=1, l=2 * np.pi, support="edge", count=3000, seed=2)
+@example(d=1, N=4, l=0.3, support="sparse", count=3000, seed=3)
+def test_sampling_matches_searchsorted_and_mod(d, N, l, support, count, seed):
+    # boxes of zero probability leave flat runs in the cumulative sum; a
+    # one-node axis (N = 0) makes its box the whole period; mass on the edge
+    # boxes alone sends about half the points past the domain's ends
+    lat = tf.TorusLattice(d, N, l)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(lat.shape)
+    if support == "sparse":
+        values[rng.random(lat.shape) < 0.7] = 0.0
+        values.flat[rng.integers(lat.size)] = 1.0
+    elif support == "edge":
+        inner = tuple(slice(1, -1) for _ in range(d))
+        values[inner] = 0.0
+        values.flat[0] = 1.0
+    psi = _normalized(tf.GridField(lat, values, is_real=True))
+    assert np.array_equal(tf.continuous_sample(psi, count, seed).points, _mod_oracle(psi, count, seed))
+
+
+def test_sampling_memory_stays_near_its_output():
+    # 100000 points at d = 2 are 1.5 MiB; the direct formula held about 9 MiB
+    lat = tf.make_lattice(2, 25, 1.0)
+    psi = _normalized(tf.GridField(lat, np.random.default_rng(4).standard_normal(lat.shape), is_real=True))
+    tracemalloc.start()
+    try:
+        batch = tf.continuous_sample(psi, 100_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.count == 100_000
+    assert peak < 6 * 2**20
+
+
+def test_sample_count_cap(monkeypatch):
+    lat = tf.make_lattice(2, 4, 1.0)
+    with pytest.raises(tf.SizeError, match=f"sample count 100000000000 needs 200000000000 coordinates, cap is {sampler.SAMPLE_CAP}"):
+        tf.continuous_sample(_uniform_state(lat), 10**11, seed=1)
+    with pytest.raises(tf.SizeError, match="sample count 100000000000"):
+        tf.run_pipeline(tf.cosine_potential(1.0, 1, 1.0), N=4, count=10**11, seed=1)
+    # the cap counts coordinates: count * d
+    monkeypatch.setattr(sampler, "SAMPLE_CAP", 1000)
+    assert tf.continuous_sample(_uniform_state(lat), 500, seed=1).count == 500
+    with pytest.raises(tf.SizeError, match="sample count 501 needs 1002 coordinates, cap is 1000"):
+        tf.continuous_sample(_uniform_state(lat), 501, seed=1)
 
 
 @pytest.mark.parametrize("chunk", [7, 200, sampler.CSV_CHUNK])
@@ -320,22 +390,84 @@ def test_tv_evaluates_each_point_once_at_the_benchmark_smoke_size():
     tv = density_tv_quadrature(result.upsampled, counted)
     assert sum(counts) == (n * S) ** 2 + n**2  # two passes took 2 (n S)^2
     assert abs(tv - _two_pass_tv(result.upsampled, _gibbs(E))) <= 1e-14
+    # the pipeline's cosine is a sum over axes: its TV reads one line of
+    # midpoints per axis
+    assert abs(result.tv_report.tv - tv) <= 1e-14
     assert result.health["tv_passes"] == 1
-    assert result.health["tv_eval_points"] == sum(counts)
-    assert result.tv_report.health == {"tv_passes": 1, "tv_eval_points": sum(counts)}
+    assert result.health["tv_eval_points"] == 2 * n * S
+    assert result.tv_report.health == {"tv_passes": 1, "tv_eval_points": 2 * n * S}
     assert "health" not in json.loads(result.tv_report.to_json())
+
+
+def _tv_case(E, M, seed, noise):
+    """A state on the d = 2 lattice of half-width M: random for noise None,
+    else the discretized square root of e^{-E} perturbed by a relative noise."""
+    lat = tf.make_lattice(2, M, E.l)
+    rng = np.random.default_rng(seed)
+    if noise is None:
+        values = rng.standard_normal(lat.shape)
+    else:
+        values = tf.discretize(lambda p: np.exp(-E.evaluate(p) / 2), lat).values
+        values = values * (1 + noise * rng.standard_normal(lat.shape))
+    return _normalized(tf.GridField(lat, values, is_real=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    z=st.floats(-4.0, 8.0),
+    M=st.integers(1, 8),
+    subcells=st.integers(1, 16),
+    noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, None]),
+    seed=st.integers(0, 2**16),
+)
+@example(z=30.0, M=2, subcells=16, noise=0.0, seed=0)
+@example(z=30.0, M=2, subcells=1, noise=None, seed=1)
+@example(z=30.0, M=2, subcells=7, noise=1e-3, seed=2)
+@example(z=0.0, M=3, subcells=5, noise=0.0, seed=0)
+def test_per_axis_tv_matches_the_two_pass_oracle(z, M, subcells, noise, seed):
+    # a sum-over-axes potential at d = 2 is scored from its per-axis factors;
+    # z = 30 on 5 boxes is the density the box centres under-resolve
+    E = tf.cosine_potential(z, 2, 1.0)
+    state = _tv_case(E, M, seed, noise)
+    report = tf.tv_distance(state, E, subcells=subcells)
+    n = state.lattice.points_per_axis
+    assert report.health == {"tv_passes": 1, "tv_eval_points": 2 * n * subcells}
+    assert abs(report.tv - _two_pass_tv(state, _gibbs(E), subcells)) <= 1e-14
+
+
+def test_per_axis_tv_survives_an_underflowing_axis_factor():
+    # z = 400: e^{-E} along each axis spans e^0 .. e^{-800}, so most of the
+    # factor a' underflows to 0 and its thresholds mu / a' are inf or nan
+    E = tf.cosine_potential(400.0, 2, 1.0)
+    state = _tv_case(E, 6, 3, None)
+    tv = tf.tv_distance(state, E).tv
+    assert math.isfinite(tv) and 0.0 <= tv <= 1.0
+    assert abs(tv - _two_pass_tv(state, _gibbs(E))) <= 1e-14
+
+
+def test_grid_walk_tv_keeps_its_values_off_the_per_axis_route():
+    # an MLP and a coupled potential are not sums over axes: tv_distance
+    # walks the midpoint grid as it did before the per-axis route, to the bit
+    mlp = tf.mlp_potential(small_mlp(2, seed=3))
+    report = tf.tv_distance(_tv_case(mlp, 6, 5, None), mlp, subcells=8)
+    assert report.tv == 0.4589166747396089
+    assert report.health == {"tv_passes": 1, "tv_eval_points": 10985}
+    coupled = coupled_potential(2.0, 0.5)
+    report = tf.tv_distance(_tv_case(coupled, 5, 9, None), coupled, subcells=12)
+    assert report.tv == 0.8116797363250945
+    assert report.health == {"tv_passes": 2, "tv_eval_points": 34969}
 
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 2), M=st.integers(1, 12), z=st.floats(-4.0, 8.0), subcells=st.integers(1, 16), seed=st.integers(0, 2**16))
 def test_tv_on_the_grid_is_bitwise_the_tv_on_points(d, M, z, subcells, seed):
-    # tv_distance evaluates the cosine potential on each block's axes, the
+    # the grid walk evaluates the cosine potential on each block's axes, the
     # public quadrature on laid-out points: the same values, the same TV
     E = tf.cosine_potential(z, d, 1.0)
     lat = tf.make_lattice(d, M, 1.0)
     state = _normalized(tf.GridField(lat, np.random.default_rng(seed).standard_normal(lat.shape), is_real=True))
-    report = tf.tv_distance(state, E, subcells=subcells)
-    assert report.tv == density_tv_quadrature(state, _gibbs(E), subcells)
+    tv, _ = sampler._tv_quadrature(state, _gibbs_grid(E), subcells)
+    assert tv == density_tv_quadrature(state, _gibbs(E), subcells)
 
 
 def test_tv_falls_back_to_two_passes_when_the_centres_under_resolve():
