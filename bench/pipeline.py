@@ -17,6 +17,10 @@ and then times the three stages that follow the generator:
   SHA-256 of its bytes and the count of values written through ``repr``
   rather than the vectorized formatter (``report.fast_domain``).
 
+``sample_s`` and ``csv_s`` are also given per value (``sample_s_per_value``,
+``csv_s_per_value``): divided by the SAMPLES * d coordinates of the batch,
+so that cases of different d compare.
+
 The SHA-256 must equal the case's ``reference.samples_sha256`` in
 ``perfbench/workloads.json`` (read, never written), and the TV must lie
 within TV_TOLERANCE of ``density_tv_quadrature`` on the same state (one
@@ -112,10 +116,12 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
         "tv": report.tv,
         "tv_points": tv_points,
         "sample_s": sample_s,
+        "sample_s_per_value": sample_s / batch.points.size,
         "tv_s": tv_s,
         "tv_peak_alloc_mb": tv_peak,
         **report.health,
         "csv_s": csv_s,
+        "csv_s_per_value": csv_s / batch.points.size,
         "csv_bytes": len(text),
         "csv_fallback_values": int(np.count_nonzero(~fast_domain(batch.points.ravel()))),
         "samples_sha256": hashlib.sha256(text.encode()).hexdigest(),

@@ -10,6 +10,7 @@ and every table is written as CSV, both through torusfp.report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -71,6 +72,13 @@ def build_parser() -> _Parser:
             flag = opt.flag or "--" + key.replace("_", "-")
             p.add_argument(flag, dest=key, default=None, help=opt.help, required=opt.required, **kind)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser :func:`main` reads its arguments with, built on its first
+    call and shared by every later one in the process."""
+    return build_parser()
 
 
 def _resolve_config(args) -> dict:
@@ -481,7 +489,7 @@ _CHECKED = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.time()
     try:
         cfg = _resolve_config(args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 
@@ -55,105 +56,131 @@ def csv_text(header, rows) -> str:
 
 #: 5^0 .. 5^22; 5^22 serves the smallest values of the fast domain, near 1e-4
 _POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
+#: 10^0 .. 10^22 as doubles, each exact
+_POW10_FLOAT = np.array([float(10**k) for k in range(23)])
 #: 10^0 .. 10^18, every power of ten below 2^63
 _POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
-_LOW31 = (1 << 31) - 1
-_LOW62 = (1 << 62) - 1
 _MANTISSA = (1 << 52) - 1
 #: a fast-domain value that stands in for the fallback values in the arithmetic
 _STAND_IN = 0.3
-#: digit columns the text matrix is filled with, two uint32 halves of 9
-_DIGITS = 18
+#: bytes per value in the text matrix: a group of zeros, five groups of four
+#: digit columns, then the separator and three padding bytes
+_WIDTH = 28
+#: the separator's column; the digits end just left of it
+_SEP = 24
+#: the entries of "," and "\n" in the table of digit groups
+_COMMA, _NEWLINE = 10**4, 10**4 + 1
 
 
-def _mul_wide(m: np.ndarray, p: np.ndarray) -> tuple:
-    """The exact product m * p of int64 arrays with m < 2^55 and p < 2^52 as
-    (hi, lo), m * p = hi 2^62 + lo with 0 <= lo < 2^62, in 31-bit limbs: no
-    partial sum reaches 2^63, so int64 never wraps."""
-    m1, m0 = m >> 31, m & _LOW31
-    p1, p0 = p >> 31, p & _LOW31
-    mid = m1 * p0
-    m1 *= p1  # the high limbs' product, below 2^45
-    p1 *= m0
-    mid += p1  # below 2^56
-    del p1
-    m0 *= p0  # the low limbs' product, below 2^62
-    del p0
-    lo = (mid & _LOW31) << 31
-    lo += m0
-    mid >>= 31
-    m1 += mid
-    m1 += lo >> 62  # the carry out of the low word
-    lo &= _LOW62
-    return m1, lo
+@functools.cache
+def _layout_tables() -> tuple:
+    """The constant tables of :func:`float_rows`, built on its first call:
+    at import they cost a process that writes no samples about 0.3 MiB of
+    resident memory (numpy code and caches it would not touch otherwise).
+
+    - quads: 0 .. 9999 as four ASCII digits each, then "," and "\\n" padded
+      with NULs, one uint32 per entry, its bytes in text order;
+    - keep: row s holds the columns s .. _SEP, where a row's text starts at
+      column s.
+    """
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1).reshape(-1, 4)
+    ends = np.array([[ord(","), 0, 0, 0], [ord("\n"), 0, 0, 0]], np.uint8)
+    quads = np.concatenate([groups, ends]).view(np.uint32).ravel()
+    keep = (np.arange(_WIDTH) >= np.arange(_SEP + 1)[:, None]) & (np.arange(_WIDTH) <= _SEP)
+    return quads, keep
 
 
-def _scaled_interval(x: np.ndarray) -> tuple:
-    """Ryu's first step, over an array of doubles with 1e-4 <= |x| < 1e16
-    whose significand is not a power of two.
+def _scaled_interval(size: np.ndarray) -> tuple:
+    """Ryu's first step, over an array of sizes |x| of doubles with 1e-4 <=
+    |x| < 1e16 whose significand is not a power of two; ``size`` is
+    overwritten.
 
     Such an x is mv 2^e2 with mv = 4 m2 and e2 < 0, and reads back from any
     number in [(mv - 2) 2^e2, (mv + 2) 2^e2], the ends included when m2 is
     even.  Scaled by 10^-exp10 = 5^i / 2^q, with q = max(floor(-e2 log10 5)
     - 1, 0) and i = -e2 - q, x and the two ends floor to the integers vr,
-    vp and vm, exactly.  Returns those and exp10 (int64), whether m2 is
-    even, and whether vr and vm are exact; vp is one less when it is exact
-    but excluded.  The temporaries end here, before the digit loop.
+    vp and vm, exactly.  Returns those and exp10 (int64), whether vr is
+    exact and whether vm is exact and included; vp is one less when it is
+    exact but excluded.
+
+    The double product |x| 10^i is within 513 of vr (below 2^62): call its
+    integer part a.  Then r = mv 5^i - a 2^q is below 2^56 in size, so
+    int64 arithmetic that wraps at 2^64 (on both products) still gets it
+    exactly, and vr = a + r // 2^q, the ends likewise from r -+ 2 5^i.  The
+    ends are exact only where 2^q divides 2 (2 m2 -+ 1) 5^i: at q <= 1.
     """
-    bits = np.abs(x).view(np.int64)
-    neg_e2 = 1077 - (bits >> 52)  # 1077 = 1023 + 52 + 2
+    bits = size.view(np.int64)
+    i = bits >> 52
+    np.subtract(1077, i, out=i)  # -e2; 1077 = 1023 + 52 + 2
     # 732923 / 2^20 is log10 5 to 2620
-    q = np.maximum((neg_e2 * 732923) >> 20, 1) - 1
-    exp10 = q - neg_e2
-    pow5 = _POW5[neg_e2 - q]
-    del neg_e2
-    mv = (bits & _MANTISSA) | (1 << 52)
-    del bits
-    even = (mv & 1) == 0
-    mv <<= 2
-    hi, lo = _mul_wide(mv, pow5)
-    del mv
-    below = (1 << q) - 1  # the bits that the shift by q drops
-    vr = (lo >> q) | (hi << (62 - q))
-    rem = lo & below
-    del hi, lo
-    # the ends are (mv -+ 2) 5^i: add and subtract 2 5^i in quotient and remainder
-    pow5 <<= 1
-    step = pow5 >> q
-    del q
-    pow5 &= below
-    vr_exact = rem == 0
-    vm_exact = even & (rem == pow5)
-    borrow = rem < pow5
-    rem += pow5  # below 2^(q+1): at most one carry
-    vp = vr + step
-    vp += rem > below
-    vp -= ~even & (rem & below == 0)  # an excluded end that is exact
-    vm = np.subtract(vr, step, out=step)
-    vm -= borrow
-    return vr, vp, vm, exp10, even, vr_exact, vm_exact
+    q = i * 732923
+    q >>= 20
+    np.maximum(q, 1, out=q)
+    q -= 1
+    i -= q
+    ends = np.flatnonzero(q <= 1)
+    odd = bits[ends] & 1
+    rem = bits & _MANTISSA
+    rem |= 1 << 52
+    rem <<= 2  # mv
+    size *= _POW10_FLOAT[i]
+    approx = size.astype(np.int64)
+    twice = _POW5[i]
+    exp10 = np.negative(i, out=i)
+    rem = rem.view(np.uint64)
+    rem *= twice.view(np.uint64)
+    twice <<= 1
+    rem -= approx.view(np.uint64) << q.view(np.uint64)
+    rem = rem.view(np.int64)  # r = mv 5^i - a 2^q
+    vr = rem >> q
+    vr += approx
+    vr_exact = np.left_shift(1, q)
+    vr_exact -= 1
+    vr_exact &= rem
+    vr_exact = vr_exact == 0
+    vp = rem + twice
+    vp >>= q
+    vp += approx
+    vm = np.subtract(rem, twice, out=rem)
+    vm >>= q
+    vm += approx
+    del approx, twice
+    vm_exact = np.zeros(size.shape, bool)
+    vm_exact[ends] = odd == 0
+    vp[ends] -= odd
+    return vr, vp, vm, exp10, vr_exact, vm_exact
 
 
 def _shortest_digits(x: np.ndarray) -> tuple:
     """Ryu's general case (Adams, PLDI 2018) over an array: the shortest
     decimal ``digits * 10^exp10`` that reads back as each double, the one
     nearest the double among those (ties to even), as int64 arrays, for the
-    doubles :func:`_scaled_interval` takes.  The digits come from dropping
-    the trailing decimals of vr that keep it inside the interval [vm, vp].
+    sizes :func:`_scaled_interval` takes (and overwrites).  The digits come
+    from dropping the trailing decimals of vr that keep it inside the
+    interval [vm, vp].
     """
-    vr, vp, vm, exp10, even, vr_exact, vm_exact = _scaled_interval(x)
+    vr, vp, vm, exp10, vr_exact, vm_exact = _scaled_interval(x)
 
-    # removed: the largest j with vp // 10^j > vm // 10^j.  The test is
-    # monotone in j; most rows stop by j = 4, so only the rest loop on.
-    removed = np.zeros(x.shape, np.int64)
-    for j in range(1, 5):
-        removed += vp // _POW10[j] > vm // _POW10[j]
+    # removed: the largest j with vp // 10^j > vm // 10^j, a test monotone
+    # in j.  vp - vm < 402, so for j <= 4 it reads only vm mod 10^4 and
+    # vp - vm: the two below 2^16, divided by 10 in place step by step.
+    tail = np.empty((2, x.size), np.int64)
+    np.subtract(vp, vm, out=tail[0])
+    np.floor_divide(vm, 10**4, out=tail[1])
+    tail[1] *= -(10**4)
+    tail[1] += vm
+    tail[0] += tail[1]
+    tail = tail.astype(np.uint16)
+    removed = np.zeros(x.size, np.uint8)
+    for _ in range(4):
+        tail //= 10
+        removed += tail[0] > tail[1]
+    removed = removed.astype(np.intp)
+    # the few rows that reach 4 test every further j at once
     rest = np.flatnonzero(removed == 4)
-    for j in range(5, len(_POW10)):
-        rest = rest[vp[rest] // _POW10[j] > vm[rest] // _POW10[j]]
-        if not rest.size:
-            break
-        removed[rest] += 1
+    if rest.size:
+        removed[rest] += (vp[rest, None] // _POW10[5:] > vm[rest, None] // _POW10[5:]).sum(axis=1)
     # an exact, included vm: drop the trailing zeros it still has
     rest = np.flatnonzero(vm_exact)
     if rest.size:
@@ -164,18 +191,22 @@ def _shortest_digits(x: np.ndarray) -> tuple:
             removed[rest] += 1
 
     del vp
-    low = vm // _POW10[removed]
+    scale = _POW10[removed]
+    digits = vr // scale
+    below = digits * scale
+    # digits * scale <= vm: below the interval, unless it is vm, exact and included
+    outside = below <= vm
+    outside[vm_exact] = False
     del vm
-    some = removed > 0
-    digits = vr // _POW10[np.maximum(removed - 1, 0)]  # and the last digit removed
-    last = np.where(some, digits % 10, 0)
-    np.floor_divide(digits, 10, out=digits, where=some)
+    vr -= below
+    vr <<= 1  # twice the removed part: at least scale when it rounds up
+    up = vr >= scale
     # round half to even when vr is exactly ...d50...0
-    rest = np.flatnonzero(vr_exact & (last == 5) & (digits % 2 == 0))
+    rest = np.flatnonzero(vr_exact)
     if rest.size:
-        tie = vr[rest] % _POW10[removed[rest] - 1] == 0
-        last[rest[tie]] = 4
-    digits += ((digits == low) & ~(even & vm_exact)) | (last >= 5)
+        up[rest] &= (vr[rest] != scale[rest]) | (digits[rest] & 1 == 1)
+    up |= outside
+    np.add(digits, up.view(np.uint8), out=digits)
     exp10 += removed
     return digits, exp10
 
@@ -184,8 +215,12 @@ def fast_domain(x: np.ndarray) -> np.ndarray:
     """Which of the float64 values ``x`` :func:`float_rows` writes from its
     integer arithmetic, not through ``repr``: 1e-4 <= |x| < 1e16 with a
     significand that is not a power of two."""
-    size = np.abs(x)
-    return (size >= 1e-4) & (size < 1e16) & ((x.view(np.int64) & _MANTISSA) != 0)
+    return _fast_sizes(np.abs(x))
+
+
+def _fast_sizes(size: np.ndarray) -> np.ndarray:
+    """:func:`fast_domain` of the values whose sizes |x| are ``size``."""
+    return (size >= 1e-4) & (size < 1e16) & ((size.view(np.int64) & _MANTISSA) != 0)
 
 
 def float_rows(block: np.ndarray) -> str:
@@ -198,62 +233,71 @@ def float_rows(block: np.ndarray) -> str:
     :func:`_shortest_digits`, over the whole array at once.  Every other
     value (zero, exponent form, a power of two, a subnormal, inf, nan) goes
     through ``repr``.  The text is laid out in one uint8 matrix, a value per
-    row, right-aligned: fraction digits, ".", integer digits, sign, and the
-    separator in the last column; one boolean mask keeps the text.
+    row of _WIDTH bytes: the digits right-aligned before the separator,
+    written four at a time from a table into a uint32 view, with "." and "-"
+    placed by flat index; one boolean mask keeps the text.
     """
     x = np.ascontiguousarray(block, dtype=float)
     d = x.shape[1]
     x = x.ravel()
-    fast = fast_domain(x)
-    slow = np.flatnonzero(~fast)
-    digits, exp10 = _shortest_digits(np.where(fast, x, _STAND_IN))
+    n = x.size
+    size = np.abs(x)
+    slow = np.flatnonzero(~_fast_sizes(size))
+    big = size >= 1
+    size[slow] = _STAND_IN
+    digits, exp10 = _shortest_digits(size)
+    del size
 
-    # the text shows the integer shown = |x| 10^frac (its shortest digits)
-    # with frac fraction digits: those of digits if exp10 < 0, else one "0"
-    frac = np.where(exp10 < 0, -exp10, 1)
-    shown = digits * _POW10[np.where(exp10 < 0, 0, exp10 + 1)]
-    point = np.searchsorted(_POW10, digits, side="right") + exp10  # 0.d1d2... x 10^point
-    # each del drops a chunk-sized array once it is spent: the peak of a call
-    # stays near 0.8 MiB at 8192 values (0.6 MiB for the former %-format)
-    del digits, exp10
-    length = np.maximum(point, 1) + frac + 1 + (x < 0)
-    fallback = [repr(v) for v in x[slow].tolist()]
-    length[slow] = [len(t) for t in fallback]
-    width = max(int(length.max(initial=0)), _DIGITS) + 1
+    # The 20 digit columns before the separator hold digits (below 10^18)
+    # right-aligned, its last frac digits the fraction, and "." overwrites
+    # the digit 0 left of those.  Below 1 that is the 0 of "0.", with the
+    # sign left of it; from 1 on, the digits get a 0 inserted there.
+    frac = np.negative(exp10, out=exp10)
+    del exp10
+    sign = (_SEP - 3) - frac
+    big = np.flatnonzero(big)
+    if big.size:
+        shown = digits[big] * _POW10[np.maximum(1 - frac[big], 0)]  # |x| 10^frac
+        frac[big] = np.maximum(frac[big], 1)
+        sign[big] = (_SEP - 2) - np.searchsorted(_POW10, shown, side="right")
+        digits[big] = 10 * shown - 9 * (shown % _POW10[frac[big]])
+        del shown
 
-    text = np.full((x.size, width), ord("0"), np.uint8)
-    # the digits of shown (below 10^17), right-aligned before the separator
-    halves = np.empty((2, x.size), np.uint32)
-    halves[0], halves[1] = shown % 10**9, shown // 10**9
-    del shown
-    for k in range(9):
-        ahead = halves // 10
-        place = (halves - ahead * 10).astype(np.uint8)
-        text[:, width - 2 - k] += place[0]
-        text[:, width - 11 - k] += place[1]
-        halves = ahead
-    # the point: below 1 the zeros left of the fraction already read "0",
-    # from 1 on the integer digits move one column left to make room
-    dot = width - 2 - frac
-    rows = np.flatnonzero(point > 0)
-    if rows.size:
-        left = np.arange(width - 2) < dot[rows, None]
-        sub = text[rows]
-        sub[:, :-2] = np.where(left, sub[:, 1:-1], sub[:, :-2])
-        text[rows] = sub
-    text[np.arange(x.size), dot] = ord(".")
-    del frac, point, dot
-    start = width - 1 - length
-    negative = np.flatnonzero(x < 0)
-    text[negative, start[negative]] = ord("-")
-    if fallback:
-        text[slow, :-1] = np.frombuffer(
-            "".join(t.rjust(width - 1) for t in fallback).encode("ascii"), np.uint8
-        ).reshape(len(fallback), width - 1)
-    text[:, -1] = ord(",")
-    text[d - 1 :: d, -1] = ord("\n")
-    keep = (np.arange(width) >= np.arange(width)[:, None]).take(start, axis=0)
-    del length, start
+    table, keep_from = _layout_tables()
+    text = np.empty((n, _WIDTH // 4), np.uint32)
+    text[:, 0] = table[0]
+    high = digits // 10**8
+    digits -= high * 10**8
+    top = high // 10**8
+    high -= top * 10**8
+    halves = np.empty((2, n), np.uint32)
+    halves[0], halves[1] = high, digits
+    del high, digits
+    quads = halves // 10**4
+    halves -= quads * 10**4
+    for col, group in enumerate((top, quads[0], halves[0], quads[1], halves[1]), start=1):
+        text[:, col] = table.take(group)
+    del top, quads, halves, group
+    text[:, -1] = table[_COMMA]
+    text[d - 1 :: d, -1] = table[_NEWLINE]
+
+    text = text.view(np.uint8)
+    rows = np.arange(0, n * _WIDTH, _WIDTH)  # each row's flat index
+    text.ravel()[rows + sign] = ord("-")  # dropped when x >= 0
+    rows += _SEP - 1
+    rows -= frac
+    text.ravel()[rows] = ord(".")
+    del rows, frac
+    start = np.add(sign, x >= 0, out=sign)
+    del sign
+    if slow.size:
+        fallback = [repr(v) for v in x[slow].tolist()]
+        start[slow] = [_SEP - len(t) for t in fallback]
+        text[slow, :_SEP] = np.frombuffer(
+            "".join(t.rjust(_SEP) for t in fallback).encode("ascii"), np.uint8
+        ).reshape(len(fallback), _SEP)
+    keep = keep_from.take(start, axis=0)
+    del start
     text = text[keep]
     del keep
     return str(text, "ascii")

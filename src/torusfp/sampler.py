@@ -34,9 +34,12 @@ and the density values computed (``tv_eval_points``: the product of the axis
 lengths of every block evaluated, the box centres included; 2 n S on the
 per-axis route, whose one pass is ``tv_passes`` = 1).
 
-Sampling inverts the cumulative box probabilities over the draws in sorted
-order, adds each drawn node's coordinates to its offset axis by axis, and
-wraps by one period only the points that leave the fundamental domain.
+Sampling inverts the cumulative box probabilities with a guide table
+(Chen and Asau's indexed search): each draw starts at the first box past
+the lower edge of its bucket and steps forward, which gives the box
+``searchsorted`` would.  It adds each drawn node's coordinates to its offset
+axis by axis, and wraps by one period only the points that leave the
+fundamental domain.
 
 Sizes are checked before any work: ``make_lattice`` bounds the upsampling
 target, the TV quadrature evaluates at most QUADRATURE_CAP midpoints, and a
@@ -194,13 +197,37 @@ def _check_count(count: int, d: int) -> None:
         raise SizeError(f"sample count {count} needs {count * d} coordinates, cap is {SAMPLE_CAP}")
 
 
+def _invert_cdf(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, draws, side="right")`` for draws in [0, 1) and
+    a ``cum`` that is nondecreasing save its last entry, which exceeds every
+    draw (so that cum > u holds from the answer on), by a guide table of K
+    buckets.
+
+    K is a power of two, at most four times the boxes and at most the draws,
+    so u K is exact and u lies in [k / K, (k + 1) / K) for k = floor(u K).
+    The table holds the first box whose cum exceeds k / K, where no draw of
+    bucket k has its box earlier; a draw steps forward from there while
+    cum <= u.  The few still short after four steps take ``searchsorted``."""
+    buckets = 1 << (min(4 * cum.size, draws.size).bit_length() - 1)
+    guide = np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
+    idx = guide[(draws * buckets).astype(np.intp)]
+    rest = np.flatnonzero(cum[idx] <= draws)
+    for _ in range(4):
+        if not rest.size:
+            break
+        idx[rest] += 1
+        rest = rest[cum[idx[rest]] <= draws[rest]]
+    if rest.size:
+        idx[rest] = np.searchsorted(cum, draws[rest], side="right")
+    return idx
+
+
 def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` points: a node by exact cumulative-sum inversion, then a
     uniform offset inside its box.  Uses the counter-based Philox generator.
 
-    The draws are inverted in sorted order, where ``searchsorted`` runs
-    fastest, and scattered back, so each draw keeps its node.  Each point is
-    its offset plus its node's coordinate, taken per axis from the node's
+    Each draw's node comes from :func:`_invert_cdf`.  Each point is its
+    offset plus its node's coordinate, taken per axis from the node's
     multi-index; only the points that leave [-l/2, l/2) are wrapped, by one
     period, which is bitwise ``np.mod`` on the range the points span."""
     lat = state.lattice
@@ -215,11 +242,7 @@ def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     cum[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    draws = rng.random(count)
-    order = np.argsort(draws)
-    idx = np.empty(count, dtype=np.intp)
-    idx[order] = np.searchsorted(cum, draws[order], side="right")
-    del draws, order
+    idx = _invert_cdf(cum, rng.random(count))
     pts = rng.random((count, lat.d))
     pts -= 0.5
     pts *= lat.l / lat.points_per_axis

@@ -737,6 +737,21 @@ def test_flag_and_config_file_record_the_same_config(tmp_path, monkeypatch, comm
     assert key == "out" or by_flag["config"][key] == value
 
 
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    # the subcommand's body is skipped: only the parsing is exercised
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    entry = cli._COMMANDS["witness"]
+    monkeypatch.setitem(cli._COMMANDS, "witness", entry._replace(run=lambda cfg, out_dir, artifacts: ({}, [], {})))
+    cli._parser.cache_clear()
+    try:
+        for k in range(2):
+            assert run_cli(["witness", "--out", str(tmp_path / str(k))]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_unset_flags_parse_to_none():
     # so that a config file's values keep their precedence over defaults
     for name, command in cli._COMMANDS.items():

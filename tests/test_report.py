@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,3 +119,25 @@ def test_float_rows_puts_fallback_values_mid_chunk(d):
     assert not fast_domain(block.ravel()).all()
     assert float_rows(block) == _repr_rows(block)
     assert float_rows(block[:0]) == ""
+
+
+@pytest.mark.parametrize("kind", ["samples", "mixed"])
+def test_float_rows_of_a_sample_chunk_peaks_below_a_mebibyte(kind):
+    # one chunk of samples.csv, 4096 rows at d = 2: the text matrix, its
+    # mask and the kept bytes, with the digit arithmetic's temporaries freed
+    # before the layout; "mixed" spans every decade of the fast domain and
+    # some fallback values
+    rng = np.random.default_rng(27)
+    block = rng.random((4096, 2)) - 0.5
+    if kind == "mixed":
+        block *= 10.0 ** rng.integers(-5, 17, block.shape)
+    assert not fast_domain(block.ravel()).all()
+    float_rows(block)
+    tracemalloc.start()
+    try:
+        text = float_rows(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _repr_rows(block)
+    assert peak < 2**20

@@ -184,6 +184,30 @@ def test_sampling_matches_searchsorted_and_mod(d, N, l, support, count, seed):
     assert np.array_equal(tf.continuous_sample(psi, count, seed).points, _mod_oracle(psi, count, seed))
 
 
+@pytest.mark.parametrize("d, N", [(1, 40), (2, 6), (3, 3)])
+@pytest.mark.parametrize("count", [1, 5, 300, 2**14 + 3])
+def test_guide_table_inversion_is_searchsorted_on_adversarial_draws(d, N, count):
+    # box masses over twelve decades put runs of tiny boxes into one bucket
+    # (past the four steps); a zero stretch mid-lattice and the last boxes
+    # zeroed leave flat runs of cum, the last ones near 1.  The draws are the
+    # cum entries and the doubles just below them, the bucket edges k / K and
+    # the doubles just below them, whose u K is just below an integer
+    rng = np.random.default_rng(40 + d)
+    lat = tf.TorusLattice(d, N, 1.0)
+    values = rng.standard_normal(lat.size) * 10.0 ** rng.uniform(-6, 0, lat.size)
+    values[lat.size // 3 : lat.size // 2] = 0.0
+    values[-3:] = 0.0
+    cum = np.cumsum(box_probabilities(tf.GridField(lat, values.reshape(lat.shape), is_real=True)).reshape(-1))
+    cum[-1] = 1.0
+    buckets = 1 << (min(4 * lat.size, count).bit_length() - 1)
+    edges = np.arange(buckets) / buckets
+    special = np.concatenate([cum, np.nextafter(cum, 0), edges, np.nextafter(edges, 0), [np.nextafter(1.0, 0)]])
+    special = special[(special >= 0) & (special < 1)]
+    draws = rng.random(count)
+    draws[: special.size] = rng.permutation(special)[:count]
+    assert np.array_equal(sampler._invert_cdf(cum, draws), np.searchsorted(cum, draws, side="right"))
+
+
 def test_sampling_memory_stays_near_its_output():
     # 100000 points at d = 2 are 1.5 MiB; the direct formula held about 9 MiB
     lat = tf.make_lattice(2, 25, 1.0)
