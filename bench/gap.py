@@ -16,9 +16,18 @@ factors and the others from Lanczos and Krylov, and d = 1, which propagates
 densely, apart from both:
 
 - d = 1: cosine z=1 at N in {64, 511, 2047} (l = 1).  Each run builds a new
-  operator and propagates it once, so ``propagate_s`` includes the eigh of
-  each sector block; one more first propagation is traced with tracemalloc
-  for its peak and for the memory it leaves held, the kept modes;
+  operator and propagates it once, so ``propagate_s`` includes the assembly
+  and the eigh of each sector block; ``assemble_s`` is the median time of
+  assembling the two blocks alone, the part of ``propagate_s`` that
+  repeats the build's.  One more build is traced with tracemalloc for its
+  peak and for the memory the operator holds once built
+  (``build_peak_mib``, ``build_held_mib``), and its first propagation for
+  its peak and for the memory it leaves held, the kept modes; the memory
+  live during that propagation, the operator's included, is
+  ``build_held_mib`` plus ``propagate_peak_mib``.  The script
+  exits 1 when a built operator holds more than HELD_BLOCK_FRACTION of one
+  sector block beyond HELD_NODE_BYTES per node, its grid-sized arrays: no
+  block outlives the build;
 - separable: cosine z in {1, 4, 8} on the lattices d=2 N in {15, 25, 31} and
   d=3 N=7, and z=12 at d=2 N=25 (l = 1).  The cosine potential is a sum
   over axes, so the gap at every d is the d = 1 gap, read off the dense
@@ -66,6 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import torusfp as tf  # noqa: E402
+from torusfp import generator  # noqa: E402
 
 SEPARABLE = [(d, N, z) for d, N in [(2, 15), (2, 25), (2, 31), (3, 7)] for z in (1.0, 4.0, 8.0)] + [(2, 25, 12.0)]
 LINE = [(N,) for N in (64, 511, 2047)]
@@ -77,6 +87,11 @@ REPEATS = 5
 RESOLVED_N = 511
 #: Largest spectrum_rel_error of a separable case before the script fails
 SPECTRUM_RTOL = 1e-12
+#: A built d = 1 operator may hold this fraction of one (N+1) x (N+1) sector
+#: block, plus HELD_NODE_BYTES per node for W, U and the spectrum (24 bytes
+#: per node, and the objects around them), before the script fails
+HELD_BLOCK_FRACTION = 0.01
+HELD_NODE_BYTES = 64
 
 
 def coupled(z: float, c: float) -> tf.EnergyPotential:
@@ -129,6 +144,18 @@ def case(E: tf.EnergyPotential, lattice, oracle) -> dict:
     }
 
 
+def traced(run) -> tuple:
+    """The result of ``run()``, and the memory its allocations still hold
+    and their peak, in MiB, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held / 2**20, peak / 2**20
+
+
 def line(N: int) -> dict:
     E, lattice = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, N, 1.0)
     ones = np.ones(lattice.size)
@@ -142,22 +169,26 @@ def line(N: int) -> dict:
         start = time.perf_counter()
         op.propagate(ones, times)
         propagate.append(time.perf_counter() - start)
-    op = tf.build_generator(E, lattice)
-    tracemalloc.start()
-    op.propagate(ones, times)
-    held, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    assemble_s, _ = median_time(
+        lambda: [generator._sector_block(op.u_diag, generator._half_derivative(lattice), odd) for odd in (0, 1)]
+    )
+    op, build_held, build_peak = traced(lambda: tf.build_generator(E, lattice))
+    _, held, peak = traced(lambda: op.propagate(ones, times))
     return {
         "d": 1,
         "N": N,
         "z": 1.0,
         "nodes": lattice.size,
         "build_s": statistics.median(build[1:]),
+        "build_peak_mib": build_peak,
+        "build_held_mib": build_held,
+        "block_mib": (N + 1) ** 2 * 8 / 2**20,
         "gap": op.spectral_gap,
         "T": float(times[-1]),
         "propagate_s": statistics.median(propagate[1:]),
-        "propagate_peak_mib": peak / 2**20,
-        "propagate_held_mib": held / 2**20,
+        "assemble_s": assemble_s,
+        "propagate_peak_mib": peak,
+        "propagate_held_mib": held,
     }
 
 
@@ -215,11 +246,18 @@ def main(argv: list) -> int:
         "repeats": REPEATS,
     }
     Path(argv[0]).write_text(json.dumps({"environment": environment} | results, indent=1) + "\n")
+    status = 0
     worst = max(row["spectrum_rel_error"] for row in results["separable"])
     if worst > SPECTRUM_RTOL:
         print(f"separable spectrum off its tensor-sum oracle by {worst:.3g} > {SPECTRUM_RTOL:g}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    for row in results["d1"]:
+        limit = HELD_BLOCK_FRACTION * row["block_mib"] + HELD_NODE_BYTES * row["nodes"] / 2**20
+        if row["build_held_mib"] > limit:
+            held = row["build_held_mib"]
+            print(f"d = 1 N = {row['N']} operator holds {held:.3g} MiB > {limit:.3g} MiB", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

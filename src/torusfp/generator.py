@@ -33,18 +33,21 @@ each block of L'.  At d = 1, if W equals its own flip n -> -n, bitwise, L'
 commutes with that reflection (D anticommutes with it) and splits into an
 even and an odd sector, each block -B^T B assembled in the basis (e_m +-
 e_{-m}) / sqrt 2 of its sector without forming L'; otherwise there is one
-block, L' itself.  Two routes, since at d = 1 Lanczos and Krylov need
-about n steps, some 12 times the dense cost at N = 1023:
+block, L' itself.  No block is kept: each is assembled when it is used
+and freed before the next, so the d = 1 operator holds none once built,
+and a propagation assembles the blocks once more.  Two routes, since at
+d = 1 Lanczos and Krylov need about n steps, some 12 times the dense cost
+at N = 1023:
 
 - d = 1, or W a sum over axes: the gap (``build_generator``) is read off
   ``eigenvalues`` as -eigenvalues[1], so ``spectrum.csv`` row 1 is -gap bit
   for bit.  At d = 1 the propagation (``propagate``) runs mode by mode, in
-  each sector's own basis, from ``eigh`` of each stored block with the
-  kernel eigenpair pinned to (0, q0) in the even block (on first access,
-  kept), within (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L'); at
-  d >= 2 it keeps the q0 component of U^{-1} v exactly and advances the
-  rest mode by mode in the basis (x)Q_j, one dense product per axis each
-  way;
+  each sector's own basis, from ``eigh`` of each block, assembled afresh,
+  with the kernel eigenpair pinned to (0, q0) in the even block (on first
+  access, kept), within (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of
+  expm(t L'); at d >= 2 it keeps the q0 component of U^{-1} v exactly and
+  advances the rest mode by mode in the basis (x)Q_j, one dense product per
+  axis each way;
 - d >= 2, any other W: the gap by Lanczos on the complement of q0 (Saad,
   SIAM J. Numer. Anal. 29, 1992), to a Ritz residual of GAP_RTOL, from the
   best vector of a short block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
@@ -101,10 +104,15 @@ from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, deri
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
-#: Largest node count of ``build_generator``: at d = 1 the dense sector blocks
-#: and their eigenvectors hold about n^2 / 4 entries each (n^2 in one sector),
-#: and at d >= 2 the dense L' of a W that is not a sum over axes, n^2.
+#: Largest node count of ``build_generator``: at d = 1 a dense sector block
+#: holds about n^2 / 4 entries (n^2 in one sector), one at a time, and a
+#: propagation keeps each block's eigenvectors, as many again, and at d >= 2
+#: the dense L' of a W that is not a sum over axes holds n^2.
 DENSE_CAP = 4096
+#: Rows per outer product of the kernel projection in ``Operator._modes``:
+#: the same elementwise operations as one whole outer product, without its
+#: (N+1) x N temporary.
+PROJECT_ROWS = 64
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
 #: GAP_RTOL |theta|, or to the rounding level eps ||L'||.
@@ -186,21 +194,21 @@ class Operator:
         """Dense L', assembled on first access and kept."""
         return _dense_symmetrized(self.lattice, self.u_diag)
 
-    @cached_property
-    def _blocks(self) -> list:
-        """The dense spectrum's blocks as (sector, block) pairs: at d = 1, for
-        a W equal to its own flip n -> -n, bitwise, the even and the odd
-        reflection sector (0 and 1), the even one first; otherwise one,
-        (None, L').  Assembled on first access and kept; the count goes into
-        ``health`` as ``dense_sectors``."""
+    def _blocks(self):
+        """The dense spectrum's blocks as (sector, block) pairs, each assembled
+        only when it is iterated and kept by no one: at d = 1, for a W equal
+        to its own flip n -> -n, bitwise, the even and the odd reflection
+        sector (0 and 1), the even one first; otherwise one, (None, L').  A
+        consumer drops each block before it asks for the next, so at most one
+        is alive.  The count goes into ``health`` as ``dense_sectors``."""
         W = self.W.values
         if self.lattice.d == 1 and np.array_equal(W, W[::-1]):
-            half = _half_derivative(self.lattice)
-            blocks = [(odd, _sector_block(self.u_diag, half, odd)) for odd in (0, 1)]
+            self.health["dense_sectors"] = 2
+            for odd in (0, 1):
+                yield odd, _sector_block(self.u_diag, _half_derivative(self.lattice), odd)
         else:
-            blocks = [(None, self.symmetrized)]
-        self.health["dense_sectors"] = len(blocks)
-        return blocks
+            self.health["dense_sectors"] = 1
+            yield None, _dense_symmetrized(self.lattice, self.u_diag)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -211,35 +219,44 @@ class Operator:
         ``_blocks``, which puts the kernel at about eps ||L'||, either sign."""
         if self.lattice.d > 1 and self.potential.separable:
             return _descending(-self._separable[1].reshape(-1))
+        parts = []
         with _float64_range(self):
-            parts = [np.linalg.eigvalsh(block) for _, block in self._blocks]
-        return _descending(np.concatenate([p[::-1] for p in parts]))
+            for _, block in self._blocks():
+                parts.append(np.linalg.eigvalsh(block)[::-1])
+                del block  # freed before the next block is assembled
+        return _descending(np.concatenate(parts))
 
     @cached_property
     def _modes(self) -> list:
         """(sector, values, vectors) for each block of ``_blocks`` at d = 1,
-        by ``eigh`` of the block itself (a negated copy would cost one more
-        array) on first access and kept: values descending, orthonormal
-        vectors as columns in the block's own basis.
+        by ``eigh`` of the freshly assembled block itself (a negated copy
+        would cost one more array), on first access and kept; the blocks are
+        not.  Values descending, orthonormal vectors as columns in the
+        block's own basis.
 
         The kernel is known exactly, so its eigenpair is pinned in the first
         block (the even one, or the one sector) as the folded q0 rather
         than taken from eigh: the computed kernel vector strays from
         e^{-W/2} by about eps ||L'|| / gap, and every other mode would then
-        carry mass.  Projecting it out of that block's other vectors keeps
-        <1, u(t)> fixed to rounding; q0 is even, so no odd block holds any.
+        carry mass.  Projecting it out of that block's other vectors, a few
+        rows at a time, keeps <1, u(t)> fixed to rounding; q0 is even, so no
+        odd block holds any.
         """
         modes = []
         with _float64_range(self):
-            for sector, block in self._blocks:
+            for sector, block in self._blocks():
                 mu, Q = np.linalg.eigh(block)
+                del block  # freed before the copy below and the next block
                 values, vectors = mu[::-1].copy(), np.ascontiguousarray(Q[:, ::-1])
-                del Q  # freed before the projection and the next block
+                del Q
                 if not modes:
                     q0 = _fold(sector, self.kernel_vector())
                     values[0] = 0.0
                     vectors[:, 0] = q0
-                    vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+                    c = q0 @ vectors[:, 1:]
+                    for start in range(0, len(q0), PROJECT_ROWS):
+                        rows = slice(start, start + PROJECT_ROWS)
+                        vectors[rows, 1:] -= np.outer(q0[rows], c)
                 modes.append((sector, values, vectors))
         return modes
 
@@ -425,11 +442,15 @@ def _sector_block(u: np.ndarray, half: np.ndarray, odd: int) -> np.ndarray:
     reflection sector, K_s = B_s^T B_s, for u = e^{-W/2} and ``half`` = D_oe:
     B_s = diag(u_s') D_s diag(1 / u_s), where s' is the other sector, u_s
     holds u at m = 0..N in the even sector and m = 1..N in the odd one, and
-    D_s is D_oe from the even sector, -D_oe^T from the odd one.  Negated in
-    place; numpy computes B^T @ B as a symmetric rank-k update, so the block
-    is exactly symmetric."""
+    D_s is D_oe from the even sector, -D_oe^T from the odd one.  ``half`` is
+    overwritten by B_s (transposed in the odd sector), so the block costs one
+    array beside it.  Negated in place; numpy computes B^T @ B as a
+    symmetric rank-k update, so the block is exactly symmetric."""
     N = len(half)
-    B = (-half.T if odd else half) * u[N + 1 - odd :][:, None]
+    B = half
+    if odd:
+        B = np.negative(half, out=half).T
+    B *= u[N + 1 - odd :][:, None]
     B /= u[N + odd :][None, :]
     K = B.T @ B
     return np.negative(K, out=K)

@@ -122,16 +122,23 @@ def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
 
 
 def sector_modes_hold(op):
-    """The modes a d = 1 propagation keeps: each stored block's are
-    descending and orthonormal in the block's own basis and decompose the
-    block itself, and together they hold the spectrum; the first block holds
+    """The modes a d = 1 propagation keeps: each block's are descending and
+    orthonormal in the block's own basis and decompose the block itself,
+    rebuilt here, and together they hold the spectrum; the first block holds
     the kernel, pinned to 0 and to the folded q0 = e^{-W/2} / ||e^{-W/2}||,
     whose norm survives the fold."""
     scale = abs(op.eigenvalues[-1])
     values = np.sort(np.concatenate([mu for _, mu, _ in op._modes]))[::-1]
     assert np.abs(values - op.eigenvalues).max() <= 1e-12 * scale
-    for (sector, block), (same, values, vectors) in zip(op._blocks, op._modes):
-        assert same == sector and np.all(np.diff(values) <= 0)
+    W = op.W.values
+    sectors = [0, 1] if np.array_equal(W, W[::-1]) else [None]
+    assert [sector for sector, _, _ in op._modes] == sectors
+    for sector, values, vectors in op._modes:
+        if sector is None:
+            block = op.symmetrized
+        else:
+            block = generator._sector_block(op.u_diag, generator._half_derivative(op.lattice), sector)
+        assert np.all(np.diff(values) <= 0)
         assert np.abs(vectors.T @ vectors - np.eye(len(block))).max() <= 1e-12
         assert np.abs(vectors @ (values[:, None] * vectors.T) - block).max() <= 1e-12 * scale
     sector, values, vectors = op._modes[0]
@@ -141,22 +148,100 @@ def sector_modes_hold(op):
 
 
 def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
-    # eigh of each stored sector block itself, not of a negated copy, once
+    # eigh of each freshly assembled sector block itself, not of a negated
+    # copy: one assembly and one eigh per block, and the modes are kept
     E = tf.cosine_potential(2.0, 1, 1.0)
     lat = tf.make_lattice(1, 20, 1.0)
     op = tf.build_generator(E, lat)
-    eigh = np.linalg.eigh
-    seen = []
+    eigh, assemble = np.linalg.eigh, generator._sector_block
+    seen, blocks = [], []
 
     def counted(a, *args, **kwargs):
         seen.append(a)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(assemble(*a)) or blocks[-1])
     modes = op._modes
-    assert len(seen) == 2 and all(a is block for a, (_, block) in zip(seen, op._blocks))
-    assert op._modes is modes and len(seen) == 2
+    assert len(seen) == 2 and len(blocks) == 2 and all(a is block for a, block in zip(seen, blocks))
+    assert op._modes is modes and len(seen) == 2 and len(blocks) == 2
     sector_modes_hold(op)
+
+
+def test_d1_build_holds_no_block_and_peaks_below_two_and_a_half_blocks():
+    # each sector block is assembled, solved and freed before the next: the
+    # build peaks at about two blocks (the block and its scaled D_oe, or the
+    # block and eigvalsh's copy) and returns holding none
+    E, lat = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 255, 1.0)
+    tf.build_generator(E, lat)  # fills the per-lattice caches
+    block = (lat.N + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        op = tf.build_generator(E, lat)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.health["dense_sectors"] == 2
+    assert held < block / 10 and peak < 2.5 * block
+
+
+def test_d1_propagation_keeps_only_the_modes():
+    E, lat = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 255, 1.0)
+    tf.build_generator(E, lat)  # fills the per-lattice caches
+    block = (lat.N + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        op = tf.build_generator(E, lat)
+        out, _ = op.propagate(np.ones(op.size), np.array([0.0, 0.1]))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    modes = sum(values.nbytes + vectors.nbytes for _, values, vectors in op._modes)
+    assert modes >= 2 * lat.N**2 * 8
+    assert held - out.nbytes - modes < block / 10
+
+
+def kept_block_spectrum(op):
+    """The spectrum and the modes of a bitwise-even d = 1 operator computed
+    the way one that assembled both sector blocks up front and kept them
+    did, as a bitwise oracle: each block from D_oe or -D_oe^T scaled out of
+    place, and eigvalsh and eigh of that same block."""
+    N, u = op.lattice.N, op.u_diag
+    parts, modes = [], []
+    for odd in (0, 1):
+        half = generator._half_derivative(op.lattice)
+        B = (-half.T if odd else half) * u[N + 1 - odd :][:, None]
+        B /= u[N + odd :][None, :]
+        block = -(B.T @ B)
+        parts.append(np.linalg.eigvalsh(block)[::-1])
+        mu, Q = np.linalg.eigh(block)
+        values, vectors = mu[::-1].copy(), np.ascontiguousarray(Q[:, ::-1])
+        if not odd:
+            q0 = generator._fold(0, op.kernel_vector())
+            values[0] = 0.0
+            vectors[:, 0] = q0
+            vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+        modes.append((odd, values, vectors))
+    return generator._descending(np.concatenate(parts)), modes
+
+
+@pytest.mark.parametrize(
+    "E",
+    [tf.cosine_potential(1.0, 1, 1.0), tf.invcos_potential(4.0, 1.0), tf.mlp_potential(small_mlp(seed=3))],
+    ids=["cosine", "invcos", "mlp"],
+)
+def test_blocks_assembled_on_use_keep_the_spectrum_and_modes_bitwise(E):
+    op = tf.build_generator(E, tf.make_lattice(1, 300, 1.0))
+    if op.health["dense_sectors"] == 2:
+        ev, modes = kept_block_spectrum(op)
+    else:
+        ev, values, vectors = whole_spectrum(op)
+        modes = [(None, values, vectors)]
+    assert np.array_equal(op.eigenvalues, ev)
+    assert len(op._modes) == len(modes)
+    for (sector, values, vectors), (same, want_values, want_vectors) in zip(op._modes, modes):
+        assert sector == same
+        assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
 
 
 def test_dense_propagation_decomposes_once(monkeypatch):
@@ -491,9 +576,13 @@ def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     line = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 8, 1.0))
     assert len(blocks) == 2 and len(solved) == 3
     assert line.spectral_gap == -line.eigenvalues[1]
-    # and propagates on the stored blocks, with no dense L'
+    # and propagates on the two blocks assembled once more, with no dense L'
+    # and no further eigvalsh; the modes are kept, so a second propagation
+    # assembles nothing
     line.propagate(np.ones(line.size), np.array([0.0, 0.1]))
-    assert assembled == [1, 1] and len(blocks) == 2 and len(solved) == 3
+    assert assembled == [1, 1] and len(blocks) == 4 and len(solved) == 3
+    line.propagate(np.ones(line.size), np.array([0.0, 0.1]))
+    assert assembled == [1, 1] and len(blocks) == 4 and len(solved) == 3
 
 
 def test_condition_number_check():
