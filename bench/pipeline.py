@@ -9,7 +9,9 @@ Run it from a checkout of the repository; it imports the package from
 ``perfbench/workloads.json`` (cosine z = 1, l = 1, seed 7, 100000 samples),
 and then times the three stages that follow the generator:
 
-- ``continuous_sample`` of the upsampled state (``sample_s``);
+- ``continuous_sample`` of the upsampled state (``sample_s``), and the peak
+  of its Python allocations (``sample_peak_mb``, one extra call under
+  ``tracemalloc``);
 - ``tv_distance`` of the upsampled state against the Gibbs density, with its
   ``health`` (passes over the grid, density values computed) and the peak
   of its Python allocations (one extra call under ``tracemalloc``);
@@ -25,8 +27,9 @@ The SHA-256 must equal the case's ``reference.samples_sha256`` in
 ``perfbench/workloads.json`` (read, never written), and the TV must lie
 within TV_TOLERANCE of ``density_tv_quadrature`` on the same state (one
 untimed call that lays the midpoints out as points, recorded as
-``tv_points``): on any difference the script still writes OUT.json and then
-exits 1.
+``tv_points``), and ``sample_peak_mb`` must not exceed the batch's points,
+its int32 boxes and SAMPLE_SLACK_MB (``sample_peak_limit_mb``): on any
+difference the script still writes OUT.json and then exits 1.
 
 Each time is the median of REPEATS runs after one untimed run.  The cases:
 
@@ -77,6 +80,8 @@ SEED = 7
 REPEATS = 5
 #: largest |tv_distance - density_tv_quadrature| of a case
 TV_TOLERANCE = 1e-13
+#: traced memory of continuous_sample allowed past its points and int32 boxes
+SAMPLE_SLACK_MB = 1.0
 MIB = 2**20
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
@@ -93,20 +98,26 @@ def median_time(run) -> tuple:
     return statistics.median(times), result
 
 
+def traced_peak(run) -> float:
+    """The peak of the Python allocations of one call of ``run``, in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
 def case(name: str, d: int, N: int, M: int | None) -> dict:
     E = tf.cosine_potential(1.0, d, 1.0)
     result = tf.run_pipeline(E, N=N, M=M, count=SAMPLES, seed=SEED)
     state, batch = result.upsampled, result.batch
 
     sample_s, _ = median_time(lambda: tf.continuous_sample(state, SAMPLES, SEED))
+    sample_peak = traced_peak(lambda: tf.continuous_sample(state, SAMPLES, SEED))
     tv_s, report = median_time(lambda: tf.tv_distance(state, E))
     tv_points = tf.sampler.density_tv_quadrature(state, lambda pts: np.exp(-E.evaluate(pts)))
-    tracemalloc.start()
-    try:
-        tf.tv_distance(state, E)
-        tv_peak = tracemalloc.get_traced_memory()[1] / MIB
-    finally:
-        tracemalloc.stop()
+    tv_peak = traced_peak(lambda: tf.tv_distance(state, E))
     csv_s, text = median_time(lambda: "".join(batch.csv_chunks()))
     return {
         "name": name,
@@ -117,6 +128,8 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
         "tv_points": tv_points,
         "sample_s": sample_s,
         "sample_s_per_value": sample_s / batch.points.size,
+        "sample_peak_mb": sample_peak,
+        "sample_peak_limit_mb": (batch.points.nbytes + 4 * SAMPLES) / MIB + SAMPLE_SLACK_MB,
         "tv_s": tv_s,
         "tv_peak_alloc_mb": tv_peak,
         **report.health,
@@ -186,7 +199,7 @@ def main(argv: list) -> int:
         print("usage: python3 bench/pipeline.py OUT.json", file=sys.stderr)
         return 64
     references = json.loads(WORKLOADS.read_text())["workloads"]
-    cases, oracles, drifted, off = [], [], [], []
+    cases, oracles, drifted, off, heavy = [], [], [], [], []
     for args in CASES:
         cases.append(case(*args))
         print(json.dumps(cases[-1]), flush=True)
@@ -194,6 +207,8 @@ def main(argv: list) -> int:
             drifted.append(args[0])
         if not abs(cases[-1]["tv"] - cases[-1]["tv_points"]) <= TV_TOLERANCE:
             off.append(args[0])
+        if not cases[-1]["sample_peak_mb"] <= cases[-1]["sample_peak_limit_mb"]:
+            heavy.append(args[0])
     for args in ORACLE:
         oracles.append(oracle(*args))
         print(json.dumps(oracles[-1]), flush=True)
@@ -211,7 +226,9 @@ def main(argv: list) -> int:
         print(f"samples.csv digest differs from {WORKLOADS.name} at: {', '.join(drifted)}", file=sys.stderr)
     if off:
         print(f"tv_distance differs from density_tv_quadrature by more than {TV_TOLERANCE} at: {', '.join(off)}", file=sys.stderr)
-    return 1 if drifted or off else 0
+    if heavy:
+        print(f"continuous_sample traced more than its points, int32 boxes and {SAMPLE_SLACK_MB} MiB at: {', '.join(heavy)}", file=sys.stderr)
+    return 1 if drifted or off or heavy else 0
 
 
 if __name__ == "__main__":

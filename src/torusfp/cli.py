@@ -102,6 +102,11 @@ def _resolve_config(args) -> dict:
             raise ValidationError(f"config value {key}={value!r} has the wrong type")
         if opt.choices and value not in opt.choices:
             raise ValidationError(f"{key} must be {' or '.join(opt.choices)}, got {value!r}")
+    # argparse and json both read nan and inf as floats
+    for key, opt in options.items():
+        value = cfg.get(key)
+        if opt.kind is float and isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{key} must be a finite number, got {value!r}")
     cfg["command"] = args.command
     return cfg
 

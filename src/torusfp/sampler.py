@@ -39,7 +39,8 @@ Sampling inverts the cumulative box probabilities with a guide table
 the lower edge of its bucket and steps forward, which gives the box
 ``searchsorted`` would.  It adds each drawn node's coordinates to its offset
 axis by axis, and wraps by one period only the points that leave the
-fundamental domain.
+fundamental domain.  It works CSV_CHUNK rows at a time, so that beside the
+points it holds only their boxes, as int32.
 
 Sizes are checked before any work: ``make_lattice`` bounds the upsampling
 target, the TV quadrature evaluates at most QUADRATURE_CAP midpoints, and a
@@ -92,7 +93,8 @@ SAMPLE_CAP = 2**27
 #: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
 TV_BAND = 1e-8
 
-#: sample rows converted to text at a time by ``SampleBatch.csv_chunks``
+#: sample rows converted to text at a time by ``SampleBatch.csv_chunks``, and
+#: drawn and placed at a time by ``continuous_sample``
 CSV_CHUNK = 4096
 
 #: largest upsampling half-width of ``interpolation_error_bound_check``
@@ -110,7 +112,8 @@ class SampleBatch:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2:
             raise ValidationError("sample points must form a (count, d) array")
-        if np.any(self.points < -self.l / 2) or np.any(self.points >= self.l / 2):
+        # min and max build no count x d masks; a NaN fails neither test
+        if self.points.size and (self.points.min() < -self.l / 2 or self.points.max() >= self.l / 2):
             raise ValidationError("sample points fall outside the fundamental domain")
 
     @property
@@ -197,26 +200,35 @@ def _check_count(count: int, d: int) -> None:
         raise SizeError(f"sample count {count} needs {count * d} coordinates, cap is {SAMPLE_CAP}")
 
 
-def _invert_cdf(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, draws, side="right")`` for draws in [0, 1) and
-    a ``cum`` that is nondecreasing save its last entry, which exceeds every
-    draw (so that cum > u holds from the answer on), by a guide table of K
-    buckets.
+def _guide_table(cum: np.ndarray, count: int) -> np.ndarray:
+    """The guide table of :func:`_invert_cdf` for ``count`` draws, as int32:
+    for each of K buckets the first box whose cum exceeds the bucket's lower
+    edge k / K.  K is a power of two, at most four times the boxes and at
+    most the draws, so u K is exact for every draw u.  Every box index is
+    below RESOLUTION_CAP = 2^22, so int32 holds it."""
+    buckets = 1 << (min(4 * cum.size, count).bit_length() - 1)
+    return np.searchsorted(cum, np.arange(buckets) / buckets, side="right").astype(np.int32)
 
-    K is a power of two, at most four times the boxes and at most the draws,
-    so u K is exact and u lies in [k / K, (k + 1) / K) for k = floor(u K).
-    The table holds the first box whose cum exceeds k / K, where no draw of
-    bucket k has its box earlier; a draw steps forward from there while
-    cum <= u.  The few still short after four steps take ``searchsorted``."""
-    buckets = 1 << (min(4 * cum.size, draws.size).bit_length() - 1)
-    guide = np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
-    idx = guide[(draws * buckets).astype(np.intp)]
-    rest = np.flatnonzero(cum[idx] <= draws)
+
+def _invert_cdf(cum: np.ndarray, guide: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, draws, side="right")`` as int32, for draws in
+    [0, 1) and a ``cum`` that is nondecreasing save its last entry, which
+    exceeds every draw (so that cum > u holds from the answer on), by the
+    guide table of :func:`_guide_table`.
+
+    A draw u lies in bucket k = floor(u K), whose table entry no draw of the
+    bucket has its box before; it steps forward from there while cum <= u.
+    The few still short after four steps take ``searchsorted``.  The table
+    serves any number of calls, one per chunk of the draws.  ``take`` reads
+    by int32 indices about three times faster than fancy indexing, which
+    first copies them to intp."""
+    idx = guide[(draws * guide.size).astype(np.intp)]
+    rest = np.flatnonzero(cum.take(idx) <= draws)
     for _ in range(4):
         if not rest.size:
             break
         idx[rest] += 1
-        rest = rest[cum[idx[rest]] <= draws[rest]]
+        rest = rest[cum.take(idx[rest]) <= draws[rest]]
     if rest.size:
         idx[rest] = np.searchsorted(cum, draws[rest], side="right")
     return idx
@@ -226,37 +238,54 @@ def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` points: a node by exact cumulative-sum inversion, then a
     uniform offset inside its box.  Uses the counter-based Philox generator.
 
-    Each draw's node comes from :func:`_invert_cdf`.  Each point is its
-    offset plus its node's coordinate, taken per axis from the node's
-    multi-index; only the points that leave [-l/2, l/2) are wrapped, by one
-    period, which is bitwise ``np.mod`` on the range the points span."""
+    The first ``count`` doubles of the stream pick the boxes, through
+    :func:`_invert_cdf` on one guide table, CSV_CHUNK draws at a time (one
+    generator gives the same doubles in chunks as in one call) into one int32
+    array; the next ``count * d`` doubles are the offsets, drawn as one
+    array.  Each point is its offset plus its node's coordinate, taken per
+    axis from the node's multi-index by integer division; only the points
+    that leave [-l/2, l/2) are wrapped, by one period, which is bitwise
+    ``np.mod`` on the range the points span.  Beside the points, nothing of
+    the batch's size is held but the boxes: the rest is done a chunk of
+    rows at a time."""
     lat = state.lattice
     _check_count(count, lat.d)
     _check_seed(seed)
+    if lat.size > RESOLUTION_CAP:  # int32 boxes: a lattice not from make_lattice
+        raise SizeError(f"lattice has {lat.size} nodes, exceeding the cap {RESOLUTION_CAP}")
     nrm = state.norm()
     if abs(nrm - 1.0) > 1e-6:
         raise ValidationError(f"continuous sampling expects a unit-norm state, got norm {nrm}")
 
-    probs = box_probabilities(state).reshape(-1)
-    cum = np.cumsum(probs)
+    cum = np.cumsum(box_probabilities(state).reshape(-1))
     cum[-1] = 1.0
+    guide = _guide_table(cum, count)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    idx = _invert_cdf(cum, rng.random(count))
+    boxes = np.empty(count, dtype=np.int32)
+    for start in range(0, count, CSV_CHUNK):
+        chunk = boxes[start : start + CSV_CHUNK]
+        chunk[:] = _invert_cdf(cum, guide, rng.random(chunk.size))
     pts = rng.random((count, lat.d))
-    pts -= 0.5
-    pts *= lat.l / lat.points_per_axis
 
     # the drawn nodes' coordinates, without laying out the whole lattice
+    n, l = lat.points_per_axis, lat.l
     axis = lat.axis_points()
-    for j in reversed(range(lat.d)):
-        idx, node = np.divmod(idx, lat.points_per_axis)
-        pts[:, j] += axis[node]
-    pts += lat.l / 2
-    pts[pts >= lat.l] -= lat.l
-    pts[pts < 0] += lat.l
-    pts -= lat.l / 2
-    return SampleBatch(points=pts, l=lat.l)
+    for start in range(0, count, CSV_CHUNK):
+        block = pts[start : start + CSV_CHUNK]
+        block -= 0.5
+        block *= l / n
+        box = boxes[start : start + CSV_CHUNK]
+        for j in reversed(range(1, lat.d)):
+            q = box // n  # numpy's divmod skips the fast path of // by a scalar
+            block[:, j] += axis.take(box - q * n)
+            box = q
+        block[:, 0] += axis.take(box)  # below n: the first axis's index
+        block += l / 2
+        block[block >= l] -= l
+        block[block < 0] += l
+        block -= l / 2
+    return SampleBatch(points=pts, l=l)
 
 
 def discrete_state_tv(psi: GridField, phi: GridField) -> float:
@@ -558,6 +587,8 @@ def run_pipeline(
     """
     if subcells < 1:
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
+    if not 0 < eps < 1:  # the TV bound, whether or not it also picks T and M
+        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     _check_count(count, E.d)
     _check_seed(seed)
     lattice = make_lattice(E.d, N, E.l)

@@ -350,12 +350,14 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0):
     """
     if not 0 < theta < 1:
         raise ValidationError(f"theta must lie in (0, 1), got {theta}")
-    if C <= 0 or a <= 0:
+    if not (C > 0 and a > 0):
         raise ValidationError(f"need C > 0 and a > 0, got C={C}, a={a}")
     if N > theta * a / 16:
         raise PreconditionError(f"need N <= theta*a/16 = {theta * a / 16}, got N={N}")
 
     z = 1 + 8 / a
+    if z == 1:  # f would vanish and its coefficients z^(-|k|/2) never decay
+        raise ValidationError(f"a={a} is too large: z = 1 + 8/a rounds to 1")
     sz = math.sqrt(z)
     amp = C / math.sqrt(math.e)
     w = 2 * math.pi / l

@@ -496,6 +496,41 @@ def test_malformed_number_exit_code(tmp_path, capsys, argv, config, message):
     assert message in capsys.readouterr().err
 
 
+_FIXED_T_GIBBS = ["gibbs", "--d", "1", "--N", "4", "--M", "4", "--T", "1", "--samples", "5", "--seed", "1"]
+#: float options out of their range, each with the message its exit 2 prints
+OUT_OF_RANGE = [
+    # the TV bound of a fixed-T, fixed-M run is eps, as in an auto run
+    (_FIXED_T_GIBBS + ["--eps", "nan"], None, "eps must be a finite number, got nan"),
+    (_FIXED_T_GIBBS + ["--eps", "5"], None, "eps must lie in (0, 1), got 5.0"),
+    (_FIXED_T_GIBBS + ["--eps", "0"], None, "eps must lie in (0, 1), got 0.0"),
+    (_FIXED_T_GIBBS, {"eps": math.nan}, "eps must be a finite number, got nan"),
+    (["evolve", "--d", "1", "--N", "4", "--T", "1", "--eps", "nan"], None, "eps must be a finite number, got nan"),
+    (["evolve", "--d", "1", "--N", "4", "--T", "1", "--eps", "inf"], None, "eps must be a finite number, got inf"),
+    (["witness", "--C", "nan"], None, "C must be a finite number, got nan"),
+    (["witness", "--C", "inf"], None, "C must be a finite number, got inf"),
+    (["witness"], {"a": math.inf}, "a must be a finite number, got inf"),
+    (["witness", "--a", "1e300"], None, "a=1e+300 is too large"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    OUT_OF_RANGE,
+    ids=[" ".join(argv) + ("" if config is None else f" config={config}") for argv, config, _ in OUT_OF_RANGE],
+)
+def test_float_option_out_of_range_exits_2_before_writing(tmp_path, capsys, argv, config, message):
+    # no NaN or infinity reaches a JSON output, and no eps outside (0, 1)
+    # reaches a TV bound
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "x"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.glob("*.json"))
+
+
 def test_config_switches_take_json_true(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"full_potential": True}))

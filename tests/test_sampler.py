@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,14 +163,18 @@ def _mod_oracle(psi, count, seed):
     support=st.sampled_from(["all", "sparse", "edge"]),
     count=st.integers(1, 3000),
     seed=st.integers(0, 2**64 - 1),
+    chunk=st.sampled_from([1, 7, 256, sampler.CSV_CHUNK]),
 )
-@example(d=2, N=0, l=1.0, support="all", count=500, seed=1)
-@example(d=3, N=1, l=2 * np.pi, support="edge", count=3000, seed=2)
-@example(d=1, N=4, l=0.3, support="sparse", count=3000, seed=3)
-def test_sampling_matches_searchsorted_and_mod(d, N, l, support, count, seed):
+@example(d=2, N=0, l=1.0, support="all", count=500, seed=1, chunk=sampler.CSV_CHUNK)
+@example(d=3, N=1, l=2 * np.pi, support="edge", count=3000, seed=2, chunk=7)
+@example(d=1, N=4, l=0.3, support="sparse", count=3000, seed=3, chunk=256)
+@example(d=2, N=4, l=1.0, support="edge", count=2 * sampler.CSV_CHUNK + 5, seed=4, chunk=sampler.CSV_CHUNK)
+def test_sampling_matches_searchsorted_and_mod(d, N, l, support, count, seed, chunk):
     # boxes of zero probability leave flat runs in the cumulative sum; a
     # one-node axis (N = 0) makes its box the whole period; mass on the edge
-    # boxes alone sends about half the points past the domain's ends
+    # boxes alone sends about half the points past the domain's ends.  The
+    # sampler draws and places its points ``chunk`` rows at a time, so counts
+    # past one chunk cross its boundaries
     lat = tf.TorusLattice(d, N, l)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(lat.shape)
@@ -181,7 +186,9 @@ def test_sampling_matches_searchsorted_and_mod(d, N, l, support, count, seed):
         values[inner] = 0.0
         values.flat[0] = 1.0
     psi = _normalized(tf.GridField(lat, values, is_real=True))
-    assert np.array_equal(tf.continuous_sample(psi, count, seed).points, _mod_oracle(psi, count, seed))
+    with mock.patch.object(sampler, "CSV_CHUNK", chunk):
+        points = tf.continuous_sample(psi, count, seed).points
+    assert np.array_equal(points, _mod_oracle(psi, count, seed))
 
 
 @pytest.mark.parametrize("d, N", [(1, 40), (2, 6), (3, 3)])
@@ -191,7 +198,8 @@ def test_guide_table_inversion_is_searchsorted_on_adversarial_draws(d, N, count)
     # (past the four steps); a zero stretch mid-lattice and the last boxes
     # zeroed leave flat runs of cum, the last ones near 1.  The draws are the
     # cum entries and the doubles just below them, the bucket edges k / K and
-    # the doubles just below them, whose u K is just below an integer
+    # the doubles just below them, whose u K is just below an integer.  One
+    # table for all the draws serves them in chunks, as in the sampler
     rng = np.random.default_rng(40 + d)
     lat = tf.TorusLattice(d, N, 1.0)
     values = rng.standard_normal(lat.size) * 10.0 ** rng.uniform(-6, 0, lat.size)
@@ -199,17 +207,34 @@ def test_guide_table_inversion_is_searchsorted_on_adversarial_draws(d, N, count)
     values[-3:] = 0.0
     cum = np.cumsum(box_probabilities(tf.GridField(lat, values.reshape(lat.shape), is_real=True)).reshape(-1))
     cum[-1] = 1.0
-    buckets = 1 << (min(4 * lat.size, count).bit_length() - 1)
-    edges = np.arange(buckets) / buckets
+    guide = sampler._guide_table(cum, count)
+    assert guide.dtype == np.int32
+    assert guide.size == 1 << (min(4 * lat.size, count).bit_length() - 1)
+    edges = np.arange(guide.size) / guide.size
     special = np.concatenate([cum, np.nextafter(cum, 0), edges, np.nextafter(edges, 0), [np.nextafter(1.0, 0)]])
     special = special[(special >= 0) & (special < 1)]
     draws = rng.random(count)
     draws[: special.size] = rng.permutation(special)[:count]
-    assert np.array_equal(sampler._invert_cdf(cum, draws), np.searchsorted(cum, draws, side="right"))
+    boxes = np.concatenate([sampler._invert_cdf(cum, guide, draws[s : s + 97]) for s in range(0, count, 97)])
+    assert boxes.dtype == np.int32
+    assert np.array_equal(boxes, np.searchsorted(cum, draws, side="right"))
+
+
+def test_box_indices_fit_int32(monkeypatch):
+    # the sampler holds its boxes as int32: it samples lattices of at most
+    # RESOLUTION_CAP nodes, so every box index is below it, and refuses a
+    # larger one built without make_lattice
+    assert RESOLUTION_CAP - 1 <= np.iinfo(np.int32).max
+    lat = tf.TorusLattice(2, 4, 1.0)
+    monkeypatch.setattr(sampler, "RESOLUTION_CAP", lat.size - 1)
+    with pytest.raises(tf.SizeError, match="lattice has 81 nodes, exceeding the cap 80"):
+        tf.continuous_sample(_uniform_state(lat), 10, seed=1)
 
 
 def test_sampling_memory_stays_near_its_output():
-    # 100000 points at d = 2 are 1.5 MiB; the direct formula held about 9 MiB
+    # 100000 points at d = 2 are 1.5 MiB and their int32 boxes 0.4 MiB; the
+    # rest is done a chunk of rows at a time.  The direct formula held about
+    # 9 MiB, and one pass over the whole batch with int64 boxes and divmod 4.6
     lat = tf.make_lattice(2, 25, 1.0)
     psi = _normalized(tf.GridField(lat, np.random.default_rng(4).standard_normal(lat.shape), is_real=True))
     tracemalloc.start()
@@ -219,7 +244,7 @@ def test_sampling_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert batch.count == 100_000
-    assert peak < 6 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def test_sample_count_cap(monkeypatch):
@@ -233,6 +258,22 @@ def test_sample_count_cap(monkeypatch):
     assert tf.continuous_sample(_uniform_state(lat), 500, seed=1).count == 500
     with pytest.raises(tf.SizeError, match="sample count 501 needs 1002 coordinates, cap is 1000"):
         tf.continuous_sample(_uniform_state(lat), 501, seed=1)
+
+
+@pytest.mark.parametrize(
+    "value, inside",
+    [(-0.5, True), (np.nextafter(0.5, 0), True), (np.nextafter(-0.5, -1), False), (0.5, False), (-np.inf, False)],
+)
+def test_sample_batch_holds_points_inside_the_domain(value, inside):
+    # [-l/2, l/2) is half open; the batch is checked by its min and max
+    points = np.zeros((5, 2))
+    points[3, 1] = value
+    if inside:
+        assert sampler.SampleBatch(points, l=1.0).count == 5
+    else:
+        with pytest.raises(ValidationError, match="outside the fundamental domain"):
+            sampler.SampleBatch(points, l=1.0)
+    assert sampler.SampleBatch(np.empty((0, 2)), l=1.0).count == 0
 
 
 @pytest.mark.parametrize("chunk", [7, 200, sampler.CSV_CHUNK])

@@ -193,6 +193,8 @@ def test_alias_witness_preconditions():
         tf.alias_witness(C=1.0, a=320.0, N=1, theta=1.5)
     with pytest.raises(ValidationError):
         tf.alias_witness(C=0.0, a=320.0, N=1, theta=0.5)
+    with pytest.raises(ValidationError, match="a=nan"):
+        tf.alias_witness(C=1.0, a=math.nan, N=1, theta=0.5)
 
 
 def test_alias_witness_identity_and_floor():
