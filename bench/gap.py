@@ -16,18 +16,20 @@ factors and the others from Lanczos and Krylov, and d = 1, which propagates
 densely, apart from both:
 
 - d = 1: cosine z=1 at N in {64, 511, 2047} (l = 1).  Each run builds a new
-  operator and propagates it once, so ``propagate_s`` includes the assembly
-  and the eigh of each sector block; ``assemble_s`` is the median time of
-  assembling the two blocks alone, the part of ``propagate_s`` that
-  repeats the build's.  One more build is traced with tracemalloc for its
-  peak and for the memory the operator holds once built
-  (``build_peak_mib``, ``build_held_mib``), and its first propagation for
-  its peak and for the memory it leaves held, the kept modes; the memory
-  live during that propagation, the operator's included, is
-  ``build_held_mib`` plus ``propagate_peak_mib``.  The script
-  exits 1 when a built operator holds more than HELD_BLOCK_FRACTION of one
-  sector block beyond HELD_NODE_BYTES per node, its grid-sized arrays: no
-  block outlives the build;
+  operator and propagates it once; every propagation assembles each sector
+  block and runs its eigh, so ``propagate_s`` includes both;
+  ``assemble_s`` is the median time of assembling the two blocks alone, the
+  part of ``propagate_s`` that repeats the build's.  One more build is
+  traced with tracemalloc for its peak and for the memory the operator
+  holds once built (``build_peak_mib``, ``build_held_mib``), and a
+  propagation of it for its peak and for the memory it leaves held, the
+  states it returns (``propagate_peak_mib``, ``propagate_held_mib``); the
+  memory live during that propagation, the operator's included, is
+  ``build_held_mib`` plus ``propagate_peak_mib``.  The script exits 1 when
+  a built operator holds, or a propagation leaves held, more than
+  HELD_BLOCK_FRACTION of one sector block beyond HELD_NODE_BYTES per node,
+  its grid-sized arrays: no block and none of its eigenvectors outlives
+  the build or the propagation;
 - separable: cosine z in {1, 4, 8} on the lattices d=2 N in {15, 25, 31} and
   d=3 N=7, and z=12 at d=2 N=25 (l = 1).  The cosine potential is a sum
   over axes, so the gap at every d is the d = 1 gap, read off the dense
@@ -87,9 +89,10 @@ REPEATS = 5
 RESOLVED_N = 511
 #: Largest spectrum_rel_error of a separable case before the script fails
 SPECTRUM_RTOL = 1e-12
-#: A built d = 1 operator may hold this fraction of one (N+1) x (N+1) sector
-#: block, plus HELD_NODE_BYTES per node for W, U and the spectrum (24 bytes
-#: per node, and the objects around them), before the script fails
+#: A built d = 1 operator, or a propagation's result, may hold this fraction
+#: of one (N+1) x (N+1) sector block, plus HELD_NODE_BYTES per node for W, U
+#: and the spectrum, or for the two returned states (24 and 16 bytes per
+#: node, and the objects around them), before the script fails
 HELD_BLOCK_FRACTION = 0.01
 HELD_NODE_BYTES = 64
 
@@ -253,10 +256,10 @@ def main(argv: list) -> int:
         status = 1
     for row in results["d1"]:
         limit = HELD_BLOCK_FRACTION * row["block_mib"] + HELD_NODE_BYTES * row["nodes"] / 2**20
-        if row["build_held_mib"] > limit:
-            held = row["build_held_mib"]
-            print(f"d = 1 N = {row['N']} operator holds {held:.3g} MiB > {limit:.3g} MiB", file=sys.stderr)
-            status = 1
+        for what, key in [("operator", "build_held_mib"), ("propagation", "propagate_held_mib")]:
+            if row[key] > limit:
+                print(f"d = 1 N = {row['N']} {what} holds {row[key]:.3g} MiB > {limit:.3g} MiB", file=sys.stderr)
+                status = 1
     return status
 
 

@@ -3,9 +3,9 @@ diagnostics.
 
 ``evolve`` calls ``Operator.propagate``, which picks its method by d.  For
 d = 1 it applies the propagator mode by mode in each reflection sector, from
-the eigenpairs of each sector block, computed on its first propagation and
-kept; its tests hold it to scipy's expm(t L') within (1e-10 + 16 eps ||L'||
-t) ||U^{-1} u(0)||, so every bound check isolates discretization error.
+the eigenpairs of each sector block, one block at a time, kept by none; its
+tests hold it to scipy's expm(t L') within (1e-10 + 16 eps ||L'|| t)
+||U^{-1} u(0)||, so every bound check isolates discretization error.
 For d >= 2 it keeps the kernel component exactly and advances the rest mode
 by mode in the per-axis factors for a W that is a sum over axes, and
 otherwise in a Krylov space through ``Operator.apply``, to an a posteriori
@@ -22,12 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeError, ValidationError
 from .generator import Operator, _too_steep, build_generator, poincare_report
 from .lattice import GridField, make_lattice
 from .report import Report, csv_text
 
 CHI2_FLOOR_REL = 1e-18
+#: Most stored state values (snapshots x nodes) of one evolution, the budget
+#: of ``sampler.SAMPLE_CAP``: 1 GiB of float64 states.
+STATE_CAP = 2**27
 
 
 @dataclass
@@ -55,6 +58,8 @@ def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2, chi2: bool
         raise ValidationError("initial state lives on a different lattice")
     if snapshots < 2:
         raise ValidationError(f"need at least 2 snapshots, got {snapshots}")
+    if snapshots * op.size > STATE_CAP:
+        raise SizeError(f"{snapshots} snapshots of {op.size} nodes need {snapshots * op.size} values, cap is {STATE_CAP}")
 
     if T == 0:
         times = np.array([0.0])

@@ -35,7 +35,7 @@ even and an odd sector, each block -B^T B assembled in the basis (e_m +-
 e_{-m}) / sqrt 2 of its sector without forming L'; otherwise there is one
 block, L' itself.  No block is kept: each is assembled when it is used
 and freed before the next, so the d = 1 operator holds none once built,
-and a propagation assembles the blocks once more.  Two routes, since at
+and each propagation assembles the blocks once more.  Two routes, since at
 d = 1 Lanczos and Krylov need about n steps, some 12 times the dense cost
 at N = 1023:
 
@@ -43,8 +43,8 @@ at N = 1023:
   ``eigenvalues`` as -eigenvalues[1], so ``spectrum.csv`` row 1 is -gap bit
   for bit.  At d = 1 the propagation (``propagate``) runs mode by mode, in
   each sector's own basis, from ``eigh`` of each block, assembled afresh,
-  with the kernel eigenpair pinned to (0, q0) in the even block (on first
-  access, kept), within (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of
+  with the kernel eigenpair pinned to (0, q0) in the even block, one block
+  at a time and keeping none, within (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of
   expm(t L'); at d >= 2 it keeps the q0 component of U^{-1} v exactly and
   advances the rest mode by mode in the basis (x)Q_j, one dense product per
   axis each way;
@@ -106,13 +106,9 @@ EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
 #: Largest node count of ``build_generator``: at d = 1 a dense sector block
 #: holds about n^2 / 4 entries (n^2 in one sector), one at a time, and a
-#: propagation keeps each block's eigenvectors, as many again, and at d >= 2
-#: the dense L' of a W that is not a sum over axes holds n^2.
+#: propagation holds its eigenvectors, as many again, and at d >= 2 the dense
+#: L' of a W that is not a sum over axes holds n^2.
 DENSE_CAP = 4096
-#: Rows per outer product of the kernel projection in ``Operator._modes``:
-#: the same elementwise operations as one whole outer product, without its
-#: (N+1) x N temporary.
-PROJECT_ROWS = 64
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
 #: GAP_RTOL |theta|, or to the rounding level eps ||L'||.
@@ -226,39 +222,32 @@ class Operator:
                 del block  # freed before the next block is assembled
         return _descending(np.concatenate(parts))
 
-    @cached_property
-    def _modes(self) -> list:
+    def _block_modes(self):
         """(sector, values, vectors) for each block of ``_blocks`` at d = 1,
         by ``eigh`` of the freshly assembled block itself (a negated copy
-        would cost one more array), on first access and kept; the blocks are
-        not.  Values descending, orthonormal vectors as columns in the
-        block's own basis.
+        would cost one more array), each computed when it is iterated and
+        kept by no one.  Values descending, orthonormal vectors as columns in
+        the block's own basis.
 
         The kernel is known exactly, so its eigenpair is pinned in the first
         block (the even one, or the one sector) as the folded q0 rather
         than taken from eigh: the computed kernel vector strays from
         e^{-W/2} by about eps ||L'|| / gap, and every other mode would then
-        carry mass.  Projecting it out of that block's other vectors, a few
-        rows at a time, keeps <1, u(t)> fixed to rounding; q0 is even, so no
-        odd block holds any.
+        carry mass.  Projecting it out of that block's other vectors keeps
+        <1, u(t)> fixed to rounding; q0 is even, so no odd block holds any.
         """
-        modes = []
-        with _float64_range(self):
-            for sector, block in self._blocks():
-                mu, Q = np.linalg.eigh(block)
-                del block  # freed before the copy below and the next block
-                values, vectors = mu[::-1].copy(), np.ascontiguousarray(Q[:, ::-1])
-                del Q
-                if not modes:
-                    q0 = _fold(sector, self.kernel_vector())
-                    values[0] = 0.0
-                    vectors[:, 0] = q0
-                    c = q0 @ vectors[:, 1:]
-                    for start in range(0, len(q0), PROJECT_ROWS):
-                        rows = slice(start, start + PROJECT_ROWS)
-                        vectors[rows, 1:] -= np.outer(q0[rows], c)
-                modes.append((sector, values, vectors))
-        return modes
+        for sector, block in self._blocks():
+            mu, Q = np.linalg.eigh(block)
+            del block  # freed before the copy below and the next block
+            values, vectors = mu[::-1], np.ascontiguousarray(Q[:, ::-1])
+            del Q
+            if sector in (None, 0):
+                q0 = _fold(sector, self.kernel_vector())
+                values[0] = 0.0
+                vectors[:, 0] = q0
+                vectors[:, 1:] -= np.outer(q0, q0 @ vectors[:, 1:])
+            yield sector, values, vectors
+            del vectors  # freed before the next block is assembled
 
     def scaled_derivatives(self, x: np.ndarray) -> list:
         """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays (a
@@ -312,19 +301,28 @@ class Operator:
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
         """Rows e^{L t_i} v and the health of the propagation.  At d = 1,
-        with empty health, mode by mode in each sector of ``_modes``, U^{-1}
-        v folded in and the result unfolded.  At d >= 2, with x = U^{-1} v =
-        c q0 + r, the kernel part c q0 is kept exactly and e^{L' t} r is
-        taken mode by mode in the factors of ``_separable`` for a W that is a
-        sum over axes, with empty health, and otherwise in a Krylov space
-        (:meth:`_propagate_krylov`)."""
+        with empty health, mode by mode in each sector of ``_block_modes``,
+        one block at a time, U^{-1} v folded in and the result unfolded in
+        place.  At d >= 2, with x = U^{-1} v = c q0 + r, the kernel part c q0
+        is kept exactly and e^{L' t} r is taken mode by mode in the factors
+        of ``_separable`` for a W that is a sum over axes, with empty health,
+        and otherwise in a Krylov space (:meth:`_propagate_krylov`)."""
         u = self.u_diag
         x = v / u
         if self.lattice.d == 1:
-            modal = [(values, vectors, vectors.T @ _fold(sector, x)) for sector, values, vectors in self._modes]
-            out = np.empty((len(times), self.size))
-            for i, t in enumerate(times):
-                out[i] = u * _unfold([vectors @ (np.exp(values * t) * c) for values, vectors, c in modal])
+            out, N = np.empty((len(times), self.size)), self.lattice.N
+            with _float64_range(self):
+                for sector, values, vectors in self._block_modes():
+                    c = vectors.T @ _fold(sector, x)
+                    for row, t in zip(out, times):
+                        y = vectors @ (np.exp(values * t) * c)
+                        if sector:  # unfold: x[+-m] = (even[m] +- odd[m]) / sqrt 2, the even part in row[N:]
+                            row[N - 1 :: -1] = (row[N + 1 :] - y) * _SQRT_HALF
+                            row[N + 1 :] = (row[N + 1 :] + y) * _SQRT_HALF
+                        else:  # the one sector fills the row, the even one row[N:] (x[0] and m = 1..N)
+                            row[-len(y) :] = y
+                    del vectors  # freed before the next block is assembled
+            out *= u
             return out, {}
         q0 = u / np.linalg.norm(u)
         c = q0 @ x
@@ -466,14 +464,6 @@ def _fold(sector, x: np.ndarray) -> np.ndarray:
     if sector:
         return (x[N + 1 :] - x[N - 1 :: -1]) * _SQRT_HALF
     return np.concatenate([x[N : N + 1], (x[N + 1 :] + x[N - 1 :: -1]) * _SQRT_HALF])
-
-
-def _unfold(parts: list) -> np.ndarray:
-    """The grid vector whose :func:`_fold` into each sector is ``parts``."""
-    if len(parts) == 1:
-        return parts[0]
-    even, odd = parts
-    return np.concatenate([((even[1:] - odd) * _SQRT_HALF)[::-1], even[:1], (even[1:] + odd) * _SQRT_HALF])
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:

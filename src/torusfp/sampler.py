@@ -587,6 +587,8 @@ def run_pipeline(
     """
     if subcells < 1:
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
+    if M_cap < 1:
+        raise ValidationError(f"M_cap must be at least 1, got {M_cap}")
     if not 0 < eps < 1:  # the TV bound, whether or not it also picks T and M
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     _check_count(count, E.d)

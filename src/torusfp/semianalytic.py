@@ -115,7 +115,8 @@ def semi_norms(spec, m_max: int) -> FourierMomentProfile:
     """Compute |u|_m for m = 0..m_max from a spectrum, spectral field, or series.
 
     Flags m whenever the outermost truncation shell carries more than 1e-12
-    of |u|_m^2 (the profile is then truncation-limited at that order).
+    of |u|_m^2 (the profile is then truncation-limited at that order), and
+    refuses semi-norms past float64 with a ValidationError.
     """
     if isinstance(spec, SpectralField):
         spec = spectrum_of_field(spec)
@@ -127,11 +128,15 @@ def semi_norms(spec, m_max: int) -> FourierMomentProfile:
     flags = np.zeros(m_max + 1, dtype=bool)
     kpow = np.ones_like(spec.knorms)
     for m in range(m_max + 1):
-        total = float(np.sum(kpow * spec.weights))
-        shell = float(np.sum(kpow[spec.boundary] * spec.weights[spec.boundary]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            total = float(np.sum(kpow * spec.weights))
+            shell = float(np.sum(kpow[spec.boundary] * spec.weights[spec.boundary]))
+            kpow = kpow * spec.knorms**2
+        if not math.isfinite(total):  # N is the smallest ||k|| on the outermost shell
+            N = spec.knorms[spec.boundary].min(initial=np.inf)
+            raise ValidationError(f"semi-norms up to m_max = {m_max} leave float64 at N = {N:g}")
         norms[m] = math.sqrt(max(total, 0.0))
         flags[m] = total > 0 and shell > 1e-12 * total
-        kpow = kpow * spec.knorms**2
     return FourierMomentProfile(norms, truncation_flags=flags)
 
 
@@ -139,25 +144,23 @@ def fit_params(profile: FourierMomentProfile) -> SemiAnalyticityParams:
     """Deterministic max-envelope fit of (C, a) certifying |u|_m <= C a^m m!.
 
     a is the smallest growth rate anchored at C0 = |u|_0; C is then the max
-    ratio, which makes the certificate tight at some m.
+    ratio, which makes the certificate tight at some m.  Where a^m, m! or
+    C a^m m! would leave float64, a ValidationError names m_max and a.
     """
-    if profile.m_max < 3:
-        raise ValidationError(f"profile needs m_max >= 3, got {profile.m_max}")
-    u0 = profile[0]
+    m_max, u0 = profile.m_max, profile[0]
+    if m_max < 3:
+        raise ValidationError(f"profile needs m_max >= 3, got {m_max}")
     if u0 <= 0:
         raise ValidationError("profile has |u|_0 = 0")
-    higher = profile.semi_norms[1:]
-    if np.all(higher == 0):
+    if np.all(profile.semi_norms[1:] == 0):
         return SemiAnalyticityParams(C=u0, a=0.0)
-    log_a = -np.inf
-    for m in range(1, profile.m_max + 1):
-        if profile[m] > 0:
-            log_a = max(log_a, (math.log(profile[m]) - math.log(u0) - math.lgamma(m + 1)) / m)
+    log_a = max((math.log(profile[m]) - math.log(u0) - math.lgamma(m + 1)) / m for m in range(1, m_max + 1) if profile[m] > 0)
     a = math.exp(log_a)
-    C = max(
-        profile[m] / (a**m * math.factorial(m)) if a > 0 else profile[0]
-        for m in range(profile.m_max + 1)
-    )
+    # a^m m! is log-convex in m: past float64 at m = 0 or m_max, a**m, m! or C a^m m! would overflow
+    log_C = max(math.log(profile[m]) - m * log_a - math.lgamma(m + 1) for m in range(m_max + 1) if profile[m] > 0)
+    if max(log_C, 0.0) + max(m_max * log_a, 0.0) + math.lgamma(m_max + 1) >= math.log(np.finfo(float).max):
+        raise ValidationError(f"a^m, m! or the bounds C a^m m! up to m_max = {m_max} leave float64 at a = {a:.6g}")
+    C = max(profile[m] / (a**m * math.factorial(m)) if a > 0 else u0 for m in range(m_max + 1))
     return SemiAnalyticityParams(C=float(C), a=float(a))
 
 
@@ -367,15 +370,13 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0):
         theta_x = w * (x[..., 0] if x.ndim > 1 else x)
         return amp * (z - 1) / (1 - 2 * sz * np.cos(theta_x) + z)
 
-    # f_hat[k] = amp * z^(-|k|/2); wrap into [-N..N] with all aliases below 1e-18
-    k_tail = int(math.ceil(2 * 42 * math.log(10) / math.log(z)))
+    # f_hat[k] = amp r^|k|, r = z^(-1/2) of f (z - 1 is exact), wraps into [-N..N] as
+    # sum_p r^|k + p n| = r^|k| + (r^(n + k) + r^(n - k)) / (1 - r^n), 1 - r^n = -expm1(n log r)
+    log_r = -0.5 * math.log1p(z - 1)
     n_pts = 2 * N + 1
-    p_max = k_tail // n_pts + 1
     ks = np.arange(-N, N + 1)
-    wrapped = np.zeros(n_pts)
-    for p in range(-p_max, p_max + 1):
-        wrapped += z ** (-np.abs(ks + p * n_pts) / 2.0)
-    wrapped *= amp
+    aliases = (np.exp((n_pts + ks) * log_r) + np.exp((n_pts - ks) * log_r)) / -math.expm1(n_pts * log_r)
+    wrapped = amp * (np.exp(np.abs(ks) * log_r) + aliases)
     alpha = C / math.sqrt(np.sum(wrapped**2))
     g_hat = alpha * wrapped
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import subprocess
@@ -437,6 +438,33 @@ def test_sample_count_past_the_cap_exits_2(tmp_path, capsys, monkeypatch, comman
     assert "sample count must be positive, got 0" in capsys.readouterr().err
 
 
+def test_evolve_snapshots_past_the_state_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # snapshots x nodes is checked against the budget before any state is
+    # stored: 10^8 snapshots at N = 4 would hold 7.2 GB; the budget is
+    # lowered here so that a run that ignores it stays small
+    evolve_module = importlib.import_module("torusfp.evolve")  # torusfp.evolve is also the function
+    monkeypatch.setattr(evolve_module, "STATE_CAP", 9 * 100, raising=False)
+    argv = ["evolve", "--N", "4", "--T", "1", "--out", str(tmp_path / "x")]
+    assert run_cli(argv + ["--snapshots", "100"]) == 0
+    assert run_cli(argv + ["--snapshots", "101"]) == 2
+    assert "101 snapshots of 9 nodes need 909 values, cap is 900" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_gibbs_M_cap_below_one_exits_2(tmp_path, capsys, cap):
+    # the cap was clamped to and then raised back to N, and so ignored
+    assert run_cli(["gibbs", "--M-cap", cap, "--seed", "1", "--samples", "10", "--out", str(tmp_path / "x")]) == 2
+    assert f"M_cap must be at least 1, got {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--m-max", "171"], ["--N", "2", "--m-max", "171"]])
+def test_analyze_profile_past_float64_exits_2(tmp_path, capsys, argv):
+    # m! leaves float64 at m = 171, and at N = 16 ||k||^(2m) from m = 128
+    assert run_cli(["analyze", *argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "up to m_max = 171 leave float64" in err and "Traceback" not in err
+
+
 def test_validation_exit_code(tmp_path):
     code = run_cli(
         ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "9999", "--samples", "10", "--seed", "1",
@@ -670,6 +698,16 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "torusfp.cli", "witness", "--a", "160", "--theta", "0.5", "--N", "5",
          "--out", str(tmp_path / "w")],
         capture_output=True,
+    )
+    assert proc.returncode == 0
+
+
+def test_witness_at_a_huge_a_finishes(tmp_path):
+    # the aliases are summed in closed form: a loop over them grows with a
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfp.cli", "witness", "--a", "1e9", "--out", str(tmp_path / "w")],
+        capture_output=True,
+        timeout=10,
     )
     assert proc.returncode == 0
 

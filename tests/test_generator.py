@@ -122,18 +122,19 @@ def test_dense_spectrum_matches_eigh_oracle(E, N, halve):
 
 
 def sector_modes_hold(op):
-    """The modes a d = 1 propagation keeps: each block's are descending and
+    """The modes a d = 1 propagation streams: each block's are descending and
     orthonormal in the block's own basis and decompose the block itself,
     rebuilt here, and together they hold the spectrum; the first block holds
     the kernel, pinned to 0 and to the folded q0 = e^{-W/2} / ||e^{-W/2}||,
     whose norm survives the fold."""
     scale = abs(op.eigenvalues[-1])
-    values = np.sort(np.concatenate([mu for _, mu, _ in op._modes]))[::-1]
+    modes = list(op._block_modes())
+    values = np.sort(np.concatenate([mu for _, mu, _ in modes]))[::-1]
     assert np.abs(values - op.eigenvalues).max() <= 1e-12 * scale
     W = op.W.values
     sectors = [0, 1] if np.array_equal(W, W[::-1]) else [None]
-    assert [sector for sector, _, _ in op._modes] == sectors
-    for sector, values, vectors in op._modes:
+    assert [sector for sector, _, _ in modes] == sectors
+    for sector, values, vectors in modes:
         if sector is None:
             block = op.symmetrized
         else:
@@ -141,7 +142,7 @@ def sector_modes_hold(op):
         assert np.all(np.diff(values) <= 0)
         assert np.abs(vectors.T @ vectors - np.eye(len(block))).max() <= 1e-12
         assert np.abs(vectors @ (values[:, None] * vectors.T) - block).max() <= 1e-12 * scale
-    sector, values, vectors = op._modes[0]
+    sector, values, vectors = modes[0]
     assert values[0] == 0.0
     assert np.array_equal(vectors[:, 0], generator._fold(sector, op.kernel_vector()))
     assert abs(np.linalg.norm(vectors[:, 0]) - 1) <= 1e-15
@@ -149,7 +150,8 @@ def sector_modes_hold(op):
 
 def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
     # eigh of each freshly assembled sector block itself, not of a negated
-    # copy: one assembly and one eigh per block, and the modes are kept
+    # copy: one assembly and one eigh per block each time the modes are
+    # streamed, and none is kept
     E = tf.cosine_potential(2.0, 1, 1.0)
     lat = tf.make_lattice(1, 20, 1.0)
     op = tf.build_generator(E, lat)
@@ -162,10 +164,10 @@ def test_dense_modes_decompose_the_stored_generator_without_a_copy(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(assemble(*a)) or blocks[-1])
-    modes = op._modes
+    assert [sector for sector, _, _ in op._block_modes()] == [0, 1]
     assert len(seen) == 2 and len(blocks) == 2 and all(a is block for a, block in zip(seen, blocks))
-    assert op._modes is modes and len(seen) == 2 and len(blocks) == 2
     sector_modes_hold(op)
+    assert len(seen) == 4 and len(blocks) == 4 + 2  # sector_modes_hold rebuilds each block once
 
 
 def test_d1_build_holds_no_block_and_peaks_below_two_and_a_half_blocks():
@@ -185,27 +187,11 @@ def test_d1_build_holds_no_block_and_peaks_below_two_and_a_half_blocks():
     assert held < block / 10 and peak < 2.5 * block
 
 
-def test_d1_propagation_keeps_only_the_modes():
-    E, lat = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 255, 1.0)
-    tf.build_generator(E, lat)  # fills the per-lattice caches
-    block = (lat.N + 1) ** 2 * 8
-    tracemalloc.start()
-    try:
-        op = tf.build_generator(E, lat)
-        out, _ = op.propagate(np.ones(op.size), np.array([0.0, 0.1]))
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    modes = sum(values.nbytes + vectors.nbytes for _, values, vectors in op._modes)
-    assert modes >= 2 * lat.N**2 * 8
-    assert held - out.nbytes - modes < block / 10
-
-
 def kept_block_spectrum(op):
     """The spectrum and the modes of a bitwise-even d = 1 operator computed
-    the way one that assembled both sector blocks up front and kept them
-    did, as a bitwise oracle: each block from D_oe or -D_oe^T scaled out of
-    place, and eigvalsh and eigh of that same block."""
+    the way one that assembled both sector blocks up front and kept them and
+    their modes did, as a bitwise oracle: each block from D_oe or -D_oe^T
+    scaled out of place, and eigvalsh and eigh of that same block."""
     N, u = op.lattice.N, op.u_diag
     parts, modes = [], []
     for odd in (0, 1):
@@ -238,13 +224,14 @@ def test_blocks_assembled_on_use_keep_the_spectrum_and_modes_bitwise(E):
         ev, values, vectors = whole_spectrum(op)
         modes = [(None, values, vectors)]
     assert np.array_equal(op.eigenvalues, ev)
-    assert len(op._modes) == len(modes)
-    for (sector, values, vectors), (same, want_values, want_vectors) in zip(op._modes, modes):
+    streamed = list(op._block_modes())
+    assert len(streamed) == len(modes)
+    for (sector, values, vectors), (same, want_values, want_vectors) in zip(streamed, modes):
         assert sector == same
         assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
 
 
-def test_dense_propagation_decomposes_once(monkeypatch):
+def test_dense_propagation_decomposes_each_block_on_every_call(monkeypatch):
     E = tf.cosine_potential(2.0, 1, 1.0)
     lat = tf.make_lattice(1, 20, 1.0)
     calls = []
@@ -261,22 +248,30 @@ def test_dense_propagation_decomposes_once(monkeypatch):
     first = tf.evolve(op, ones, 0.1, snapshots=4)
     again = tf.evolve(op, ones, 0.1, snapshots=4)
     longer, _ = op.propagate(ones.flat, np.array([0.0, 0.5, 1.0]))
-    assert calls == [lat.N + 1, lat.N]  # the even and the odd block
+    assert calls == [lat.N + 1, lat.N] * 3  # the even and the odd block, each propagation
     assert np.array_equal(first.states, again.states)
     assert np.abs(longer.sum(axis=1) - lat.size).max() <= 1e-12 * lat.size
 
 
 def test_d1_propagation_holds_no_n_by_n_array():
-    # each sector keeps its modes in its own half-size basis: about n^2 / 2
-    # entries in all, where the modes mapped back to the grid held n^2
-    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 255, 1.0))
-    tracemalloc.start()
-    try:
-        op.propagate(np.ones(op.size), np.array([0.0, 0.1]))
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held <= 0.6 * op.size**2 * 8
+    # each block's modes are applied at every time and dropped before the
+    # next block is assembled, and the sectors unfold in place into the
+    # returned states: the propagation peaks at those states plus about two
+    # blocks (a block and its eigenvectors, or the eigenvectors and their
+    # reversed copy) and leaves the operator holding none of them
+    for N, count in [(255, 400), (1023, 2)]:
+        E, lat = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, N, 1.0)
+        tf.build_generator(E, lat)  # fills the per-lattice caches
+        block = (N + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            op = tf.build_generator(E, lat)
+            tracemalloc.reset_peak()
+            out, _ = op.propagate(np.ones(op.size), np.linspace(0.0, 0.1, count))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - out.nbytes < block / 10 and peak - out.nbytes < 2.5 * block
 
 
 @pytest.mark.parametrize("halve", [True, False])
@@ -577,12 +572,12 @@ def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     assert len(blocks) == 2 and len(solved) == 3
     assert line.spectral_gap == -line.eigenvalues[1]
     # and propagates on the two blocks assembled once more, with no dense L'
-    # and no further eigvalsh; the modes are kept, so a second propagation
-    # assembles nothing
+    # and no further eigvalsh; no modes are kept, so a second propagation
+    # assembles both blocks again
     line.propagate(np.ones(line.size), np.array([0.0, 0.1]))
     assert assembled == [1, 1] and len(blocks) == 4 and len(solved) == 3
     line.propagate(np.ones(line.size), np.array([0.0, 0.1]))
-    assert assembled == [1, 1] and len(blocks) == 4 and len(solved) == 3
+    assert assembled == [1, 1] and len(blocks) == 6 and len(solved) == 3
 
 
 def test_condition_number_check():

@@ -53,6 +53,22 @@ def test_fit_params_constant_and_validation():
         tf.fit_params(tf.FourierMomentProfile(np.array([1.0, 1.0])))
 
 
+def test_profiles_past_the_float64_range_are_refused():
+    # ||k||^(2m) leaves float64 at N = 16 from m = 128; m! from m = 171,
+    # where a band-limited profile at N = 2 still has finite semi-norms
+    lat = tf.make_lattice(1, 16, 1.0)
+    spec = tf.dft(tf.discretize(lambda p: np.exp(np.cos(2 * np.pi * p[..., 0])), lat))
+    with pytest.raises(ValidationError, match="m_max = 150 leave float64 at N = 16"):
+        tf.semi_norms(spec, 150)
+    small = tf.dft(tf.discretize(lambda p: np.exp(np.cos(2 * np.pi * p[..., 0])), tf.make_lattice(1, 2, 1.0)))
+    profile = tf.semi_norms(small, 171)
+    assert np.all(np.isfinite(profile.semi_norms))
+    with pytest.raises(ValidationError, match="up to m_max = 171 leave float64 at a = "):
+        tf.fit_params(profile)
+    fit = tf.fit_params(tf.semi_norms(small, 160))
+    assert certificate_holds(tf.semi_norms(small, 160), fit)
+
+
 def test_fit_params_band_limited(rng):
     # flat-ish random spectrum up to k0: fitted a lands in [k0/2, k0]
     from conftest import random_band_field
@@ -212,6 +228,27 @@ def test_alias_witness_identity_and_floor():
     _, _, open_rep = tf.alias_witness(C=1.0, a=200.0, N=1, theta=0.999)
     assert open_rep.tv_floor <= 1e-6
     assert open_rep.separated
+
+
+def looped_witness_coefficients(a: float, N: int) -> np.ndarray:
+    """The witness's wrapped coefficients z^(-|k|/2), k in [-N..N], summed
+    over alias shifts one at a time until they fall below 1e-42."""
+    z = 1 + 8 / a
+    n = 2 * N + 1
+    p_max = int(math.ceil(2 * 42 * math.log(10) / math.log(z))) // n + 1
+    ks = np.arange(-N, N + 1)
+    return sum(z ** (-np.abs(ks + p * n) / 2.0) for p in range(-p_max, p_max + 1))
+
+
+@pytest.mark.parametrize("a", [160.0, 320.0, 1e4])
+def test_alias_witness_closed_form_matches_the_alias_loop(a):
+    N = 5  # the largest N at a = 160, theta = 0.5
+    _, g, _ = tf.alias_witness(C=1.0, a=a, N=N, theta=0.5)
+    wrapped = looped_witness_coefficients(a, N)
+    g_hat = wrapped / math.sqrt(np.sum(wrapped**2))  # mean square C^2 = 1
+    x = np.linspace(0.0, 1.0, 64, endpoint=False)
+    want = g_hat[N] + 2 * sum(g_hat[N + k] * np.cos(2 * np.pi * k * x) for k in range(1, N + 1))
+    assert np.abs(g(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_paley_zygmund_floor_invcos():
