@@ -253,6 +253,23 @@ def test_dense_propagation_decomposes_each_block_on_every_call(monkeypatch):
     assert np.abs(longer.sum(axis=1) - lat.size).max() <= 1e-12 * lat.size
 
 
+def test_d1_propagation_keeps_only_the_modes():
+    # the modes it keeps are now none: after a build and a propagation the
+    # operator holds nothing beyond the returned states
+    E, lat = tf.cosine_potential(1.0, 1, 1.0), tf.make_lattice(1, 255, 1.0)
+    tf.build_generator(E, lat)  # fills the per-lattice caches
+    block = (lat.N + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        op = tf.build_generator(E, lat)
+        out, _ = op.propagate(np.ones(op.size), np.array([0.0, 0.1]))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(op, "_modes")
+    assert held - out.nbytes < block / 10
+
+
 def test_d1_propagation_holds_no_n_by_n_array():
     # each block's modes are applied at every time and dropped before the
     # next block is assembled, and the sectors unfold in place into the
