@@ -40,7 +40,7 @@ Each time is the median of REPEATS runs after one untimed run.  The cases:
 The oracle cases time the Gibbs normalizer ``GibbsDensity(E).Z`` and
 ``exact_mean`` of cos 2 pi x_0, each the median of REPEATS runs after one
 untimed run, and count the potential values one normalizer computes
-(through the potential's point and grid evaluators): cosine z = 1 at
+(one per point of each grid ``evaluate_grid`` is given): cosine z = 1 at
 d = 1..4, and at d = 4 an MLP of the shape of ``small_mlp`` in
 tests/conftest.py (two sigmoid layers, 3 hidden units) with weights drawn
 from MLP_SEED.
@@ -48,7 +48,7 @@ from MLP_SEED.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import hashlib
 import json
 import math
@@ -150,19 +150,17 @@ def seeded_mlp(d: int) -> tf.PeriodicMlp:
 
 
 def counted(E: tf.EnergyPotential) -> tuple:
-    """E with a counter of the potential values its evaluators compute."""
-    count = [0]
+    """A copy of E with a counter of the potential values its grid evaluations
+    compute, one per grid point."""
+    count, E = [0], copy.copy(E)
+    evaluate_grid = E.evaluate_grid
 
-    def evaluator(pts):
-        count[0] += len(pts)
-        return E.evaluator(pts)
-
-    def grid_evaluator(axes):
+    def counting(axes):
         count[0] += math.prod(len(a) for a in axes)
-        return E.grid_evaluator(axes)
+        return evaluate_grid(axes)
 
-    grid = grid_evaluator if E.grid_evaluator is not None else None
-    return dataclasses.replace(E, evaluator=evaluator, grid_evaluator=grid), count
+    E.evaluate_grid = counting
+    return E, count
 
 
 def oracle(potential: str, d: int) -> dict:

@@ -82,9 +82,11 @@ def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2, chi2: bool
             if chi2:
                 pi = np.exp(-w)
                 pi = pi / pi.sum()
-                mean = (h * pi[None, :]).sum(axis=1)
+                work = h * pi[None, :]  # one states-sized array, reused for (h - mean)^2 pi
+                mean = work.sum(axis=1)
                 # centered: the raw second moment cancels catastrophically near stationarity
-                chi2_trace = ((h - mean[:, None]) ** 2 * pi[None, :]).sum(axis=1)
+                np.square(np.subtract(h, mean[:, None], out=work), out=work)
+                chi2_trace = np.multiply(work, pi[None, :], out=work).sum(axis=1)
     except FloatingPointError:
         raise _too_steep(op) from None
 

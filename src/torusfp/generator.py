@@ -22,8 +22,10 @@ At d >= 2 the gap and the propagation start from the per-axis factors
 Rice & Thomas, Numer. Math. 6, 1964): the 1-D generators K_j of W's mean
 over the other axes, one SVD of a (2N+1)^2 matrix each, with orthonormal
 eigenvectors Q_j and eigenvalues Lambda_j.  For a W that is a sum over axes
-(``EnergyPotential.separable``), -L' is the sum of the K_j, each acting
-along its axis, so (x)Q_j and sum_j Lambda_j are its eigendecomposition.
+(built from its terms ``EnergyPotential.axes``, so ``separable``), -L' is
+the sum of the K_j, each acting along its axis, so (x)Q_j and sum_j Lambda_j
+are its eigendecomposition; they take W's mean, not the terms, as the
+preconditioner of any other W needs that mean.
 
 The spectrum (``eigenvalues``, values only, descending, with the kernel
 eigenvalue pinned to 0 at index 0) is computed on first access and kept:

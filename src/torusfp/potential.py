@@ -9,14 +9,16 @@ and the exact mean of ``torusfp.sampler``) and the aliasing witness's (d = 1).
 ``lipschitz_on_grid`` bounds the slope of a lattice field; the pipeline
 applies it to the evolved state, not to E.
 
-``EnergyPotential.evaluate_grid`` gives E on the tensor product of d 1-D
-coordinate arrays, the grid the quadratures sum over.  By default it lays the
-points out with ``grid_points`` and evaluates them; a potential that is a sum
-over axes (``cosine_potential``) supplies a grid evaluator instead, which
-evaluates each axis once and broadcasts the sum, bit for bit the same values.
-``EnergyPotential.separable`` states that E is such a sum (``cosine_potential``
-and ``zero_potential``); the generator then takes its gap and propagation at
-d >= 2 from the exact per-axis eigendecomposition.
+A potential is given by an evaluator of points or by ``axes``, the d terms
+E_j of a sum over axes, E(x) = sum_j E_j(x_j), each with its minimum at 0
+(cosine, zero).  The evaluator of a sum over axes is derived as the sum of
+its terms, and ``EnergyPotential.separable`` is true: the generator takes its
+gap and propagation at d >= 2 from the per-axis eigendecomposition, and the
+d = 2 TV its density factors from the terms.  ``evaluate_grid`` gives E on
+the tensor product of d 1-D coordinate arrays, the grid the quadratures sum
+over: it adds the terms, each evaluated once on its axis, by broadcasting in
+the evaluator's order, the values of the points bit for bit; any other
+potential lays the points out with ``grid_points``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -70,46 +72,62 @@ def sigmoid(x):
 
 @dataclass
 class EnergyPotential:
-    """An l-periodic potential with min 0, plus its diameter."""
+    """An l-periodic potential with min 0, plus its diameter, given by exactly
+    one of ``evaluator`` and ``axes``."""
 
-    evaluator: object  # callable mapping points (m, d) -> (m,)
     l: float
     d: int
     diameter: float
+    _: KW_ONLY
+    evaluator: object = None  # callable mapping points (m, d) -> (m,)
+    axes: tuple = None  # the d terms E_j of E(x) = sum_j E_j(x_j), each 1-D array -> values
     analytic_fourier: object = None  # callable k (multi-index) -> coeff of e^{-E}
     name: str = "custom"
     meta: dict = field(default_factory=dict)
-    # callable mapping d 1-D axes -> E on their tensor product, the values of
-    # evaluator(grid_points(*axes)) bit for bit; None lays the points out
-    grid_evaluator: object = None
-    # E is a sum of one-variable functions, one per axis: the generator's
-    # per-axis factors are then its exact eigendecomposition at d >= 2
-    separable: bool = False
+
+    def __post_init__(self):
+        if (self.evaluator is None) == (self.axes is None):
+            raise ValidationError(f"potential '{self.name}' needs exactly one of an evaluator and axes")
+        if self.axes is not None:
+            self.axes = tuple(self.axes)
+            if len(self.axes) != self.d:
+                raise ValidationError(f"potential '{self.name}' has {len(self.axes)} axis terms at d={self.d}")
+            # the terms added in axis order, as evaluate_grid adds them
+            self.evaluator = lambda pts, terms=self.axes: functools.reduce(
+                np.add, (np.asarray(E_j(pts[..., j]), dtype=float) for j, E_j in enumerate(terms))
+            )
+
+    @property
+    def separable(self) -> bool:
+        """E is a sum over axes: the generator's per-axis factors are then
+        its exact eigendecomposition at d >= 2."""
+        return self.axes is not None
 
     def evaluate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        squeeze = False
-        if pts.ndim == 1 and self.d == 1:
-            pts = pts[:, None]
-        elif pts.ndim == 1:
-            pts = pts[None, :]
-            squeeze = True
-        vals = np.asarray(self.evaluator(pts), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise EvalError(f"potential '{self.name}' evaluated to non-finite values")
+        squeeze = pts.ndim == 1 and self.d > 1  # a single point
+        if pts.ndim == 1:
+            pts = pts[None, :] if squeeze else pts[:, None]
+        vals = self._finite(self.evaluator(pts))
         return vals[0] if squeeze else vals
 
     __call__ = evaluate
+
+    def evaluate_axes(self, axes) -> list:
+        """The terms E_j of a sum over axes, each on its 1-D array of ``axes``."""
+        return [self._finite(E_j(np.asarray(a, dtype=float))) for E_j, a in zip(self.axes, axes, strict=True)]
 
     def evaluate_grid(self, axes) -> np.ndarray:
         """E on the tensor product of the d 1-D coordinate arrays ``axes``,
         shaped (len(axes[0]), ..., len(axes[d-1])): the values of
         ``evaluate(grid_points(*axes))``, in the same order."""
+        if self.axes is not None:
+            return self._finite(functools.reduce(np.add, np.ix_(*self.evaluate_axes(axes))))
         axes = [np.asarray(a, dtype=float) for a in axes]
-        if self.grid_evaluator is not None:
-            vals = np.asarray(self.grid_evaluator(axes), dtype=float)
-        else:
-            vals = np.asarray(self.evaluator(grid_points(*axes)), dtype=float).reshape([len(a) for a in axes])
+        return self._finite(self.evaluator(grid_points(*axes))).reshape([len(a) for a in axes])
+
+    def _finite(self, vals) -> np.ndarray:
+        vals = np.asarray(vals, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise EvalError(f"potential '{self.name}' evaluated to non-finite values")
         return vals
@@ -142,54 +160,30 @@ def _normalized(raw, d, l):
 
 
 def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
-    """E(x) = z sum_i (1 - cos(2 pi x_i / l)), so e^{-E} is a product of
-    exponential-cosine factors with modified-Bessel Fourier coefficients."""
+    """E(x) = sum_i [z (1 - cos(2 pi x_i / l)) - s], s = min(2z, 0): e^{-E} is
+    a product of exponential-cosine factors, with modified-Bessel coefficients."""
     z = float(z)
     l = check_period(l)
     w = 2 * math.pi / l
+    s = 0.0 if z >= 0 else 2 * z  # the exact min of z (1 - cos) on each axis
 
-    def raw(pts):
-        # 1 - cos in place, then the columns added one by one: the same sum
-        # as np.sum over the last axis for d <= 7 (pairwise summation starts
-        # at 8 terms), without the cost of reducing along a short axis
-        terms = np.multiply(w, np.asarray(pts, dtype=float))
-        np.cos(terms, out=terms)
-        np.subtract(1.0, terms, out=terms)
-        return z * functools.reduce(np.add, (terms[..., j] for j in range(terms.shape[-1])))
-
-    shift = 0.0 if z >= 0 else 2 * z * d  # the exact min of raw; E = raw - shift
-
-    def evaluator(pts):
-        return raw(pts) - shift
-
-    def grid_evaluator(axes):
-        # raw's arithmetic, elementwise in the same order, on the d axes and
-        # their broadcast sum instead of the laid-out points
-        terms = [np.subtract(1.0, np.cos(np.multiply(w, a))) for a in axes]
-        vals = functools.reduce(np.add, np.ix_(*terms))
-        np.multiply(z, vals, out=vals)
-        return np.subtract(vals, shift, out=vals)
-
-    # e^{-E} = e^{shift - z d} * prod_i e^{z cos(w x_i)}
-    log_pref = shift - z * d
+    def term(x):
+        return z * (1.0 - np.cos(w * x)) - s
 
     def analytic_fourier(k):
-        ks = np.atleast_1d(np.asarray(k, dtype=int))
-        coeff = math.exp(log_pref)
-        for ki in ks:
+        coeff = math.exp(d * (s - z))  # e^{-E} = e^{d (s - z)} prod_i e^{z cos(w x_i)}
+        for ki in np.atleast_1d(np.asarray(k, dtype=int)):
             coeff *= bessel_i(int(ki), z)
         return coeff
 
     return EnergyPotential(
-        evaluator=evaluator,
+        axes=[term] * int(d),
         l=l,
         d=int(d),
         diameter=2 * abs(z) * d,
         analytic_fourier=analytic_fourier,
         name=f"cosine(z={z})",
         meta={"z": z},
-        grid_evaluator=grid_evaluator,
-        separable=True,
     )
 
 
@@ -334,13 +328,12 @@ def mlp_potential(mlp: PeriodicMlp) -> EnergyPotential:
 
 def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
     return EnergyPotential(
-        evaluator=lambda pts: np.zeros(np.asarray(pts).shape[:-1]),
+        axes=[np.zeros_like] * int(d),
         l=check_period(l),
         d=int(d),
         diameter=0.0,
         analytic_fourier=lambda k: 1.0 if not np.any(np.atleast_1d(k)) else 0.0,
         name="zero",
-        separable=True,
     )
 
 
@@ -373,7 +366,9 @@ def expcos_family(z: float, l: float = 1.0):
     def u_hat(k):
         return bessel_i(int(np.atleast_1d(k)[0]), z)
 
-    C = bessel_i(0, z) * math.exp(z / 2)
+    C = bessel_i(0, z) * math.exp(min(z / 2, 709.0))  # I_0(z) is inf well before z = 1418
+    if not math.isfinite(C):
+        raise ValidationError(f"expcos family needs C = I_0(z) e^(z/2) within float64, got z={z}")
     a = max(z / 2, 1.0)
     return u, grad_u, lap_u, C, a, u_hat
 

@@ -7,16 +7,17 @@ piecewise constant with value |psi[n]|^2 ((2M+1)/l)^d on each box.  The boxes
 tile the fundamental domain exactly.  The pipeline evolves the uniform state
 straight to T.  The TV quadrature walks its midpoint grid block by block,
 each block a tensor product of 1-D axes that ``EnergyPotential.evaluate_grid``
-evaluates, so its memory is bounded by one block; a sum-over-axes potential
-(cosine) evaluates d axes per block and never lays the midpoints out as
+evaluates, so its memory is bounded by one block; a sum over axes (a
+potential with ``EnergyPotential.axes``, such as cosine) evaluates each of
+its d terms on its axis once per block and never lays the midpoints out as
 points.  The exact Gibbs oracle (the normalizer Z and the exact mean) sums
 e^{-E} over the nodes of ``potential.fine_lattice``, at most 2^18 of them in
 every d, in one ``evaluate_grid`` call: the trapezoid rule, spectrally
 accurate for the periodic analytic e^{-E}.
 
-At d = 2 a sum-over-axes potential (``EnergyPotential.separable``) has the
-Gibbs density a(x) b(y) on the midpoint grid, so ``tv_distance`` evaluates
-one line of midpoints per axis and sums each box's |mu - a b / Z| over its
+At d = 2 a sum over axes has the Gibbs density a(x) b(y) on the midpoint
+grid, with a and b from its two terms, so ``tv_distance`` evaluates each
+term on the midpoint axis and sums each box's |mu - a b / Z| over its
 subcells from the sorted b of its column and their prefix sums: 2 n S density
 values and n^2 S thresholds in place of (n S)^2 subcells, for n boxes per axis
 and S subcells per box.
@@ -449,10 +450,10 @@ def _separable_tv(state: GridField, E: EnergyPotential, subcells: int) -> tuple:
     for a sum-over-axes E, with its health, from one line of midpoints per
     axis.
 
-    On the midpoint grid e^{-E} is the outer product of a = e^{-E} on the
-    line [axis, axis[0]] and b = e^{-E} on [axis[0], axis], up to a constant
-    factor; each line is shifted by its own minimum before it is
-    exponentiated, and the factor cancels in Z = sum a sum b sub_vol.  With
+    On the midpoint grid e^{-E} is the outer product of a = e^{-E_0} and
+    b = e^{-E_1}, the terms of E on the midpoint axis; each is shifted by its
+    own minimum before it is exponentiated, and the constant factor this
+    leaves cancels in Z = sum a sum b sub_vol.  With
     a' = a / Z, the S subcells of box (i, j) in sub-row s sum to
     sum_t |mu_ij - a'_s b_t| = mu_ij (2k - S) + a'_s (P_S - 2 P_k), where the
     b_t of box column j are sorted, P are their prefix sums and k counts the
@@ -461,8 +462,7 @@ def _separable_tv(state: GridField, E: EnergyPotential, subcells: int) -> tuple:
     whose a'_s underflows to 0 sums to mu_ij S, as its threshold is inf."""
     n, S = state.lattice.points_per_axis, subcells
     axis, sub_vol, mu = _quadrature_grid(state, S)
-    a = E.evaluate_grid([axis, axis[:1]]).reshape(-1)
-    b = E.evaluate_grid([axis[:1], axis]).reshape(-1)
+    a, b = E.evaluate_axes([axis, axis])
     a = np.exp(a.min() - a)
     b = np.exp(b.min() - b)
     Z = float(a.sum()) * float(b.sum()) * sub_vol

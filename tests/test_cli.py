@@ -465,6 +465,14 @@ def test_analyze_profile_past_float64_exits_2(tmp_path, capsys, argv):
     assert "up to m_max = 171 leave float64" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["derive-check", "--z", "1500"], ["interpolate", "--z", "1e6"], ["derive-check", "--z", "-1500"]])
+def test_expcos_constant_past_float64_exits_2(tmp_path, capsys, argv):
+    # C = I_0(z) e^(z/2) left float64 in an OverflowError traceback (exit 1)
+    assert run_cli([*argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"I_0(z) e^(z/2) within float64, got z={float(argv[2])}" in err and "Traceback" not in err
+
+
 def test_validation_exit_code(tmp_path):
     code = run_cli(
         ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "9999", "--samples", "10", "--seed", "1",

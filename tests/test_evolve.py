@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +231,19 @@ def test_traces_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "t,norm,inner,chi2,max_principle"
     assert len(lines) == 6
+
+
+def test_chi2_trace_adds_at_most_one_states_sized_array():
+    # h pi and (h - mean)^2 pi share one work array; the parent built each of
+    # them, and (h - mean) and its square, as a temporary of their own
+    lat = tf.make_lattice(1, 4, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    peaks = {}
+    for chi2 in (False, True):
+        tracemalloc.start()
+        res = tf.evolve(op, _ones(lat), T=0.5, snapshots=10_000, chi2=chi2)
+        peaks[chi2] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # beyond the run without chi2: the work array, the mean and the trace
+    extra = res.states.nbytes + 2 * res.times.nbytes
+    assert peaks[True] - peaks[False] <= extra + 2**16

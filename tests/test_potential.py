@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import torusfp as tf
 from torusfp.errors import EvalError, ValidationError
 from torusfp.lattice import grid_points
 from torusfp.potential import fine_lattice, lipschitz_on_grid, periodicity_check
+from torusfp.sampler import density_tv_quadrature
 
 from conftest import coupled_potential, small_mlp
 
@@ -24,11 +27,12 @@ def test_bessel_series_against_scipy():
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_cosine_potential_sums_its_axes_like_np_sum(d):
-    # the column-by-column sum is bit for bit np.sum over the last axis for
-    # every d <= 7, so artifacts stay byte-identical
+    # the terms z (1 - cos) added column by column are bit for bit np.sum
+    # over the last axis for every d <= 7 (pairwise summation starts at 8
+    # terms), so artifacts stay byte-identical
     z, l = 1.7, 1.3
     pts = (np.random.default_rng(d).random((52_000, d)) - 0.5) * l
-    reference = z * np.sum(1.0 - np.cos(2 * math.pi / l * pts), axis=-1)
+    reference = np.sum(z * (1.0 - np.cos(2 * math.pi / l * pts)), axis=-1)
     assert np.array_equal(tf.cosine_potential(z, d, l).evaluate(pts), reference)
 
 
@@ -49,7 +53,7 @@ def test_cosine_grid_evaluator_is_bitwise_the_point_evaluator(d, z):
     # z < 0 has a nonzero shift; the axes are neither uniform nor of equal length
     l = 1.3
     E = tf.cosine_potential(z, d, l)
-    assert E.grid_evaluator is not None
+    assert E.separable and len(E.axes) == d
     for seed in range(3):
         axes = _random_axes(d, l, seed)
         grid = E.evaluate_grid(axes)
@@ -63,18 +67,81 @@ def test_cosine_grid_evaluator_is_bitwise_the_point_evaluator(d, z):
 
 @pytest.mark.parametrize(
     "E",
-    [coupled_potential(4.0, 0.5), tf.mlp_potential(small_mlp(2)), tf.invcos_potential(4.0), tf.zero_potential(3)],
-    ids=["coupled", "mlp", "invcos", "zero"],
+    [coupled_potential(4.0, 0.5), tf.mlp_potential(small_mlp(2)), tf.invcos_potential(4.0)],
+    ids=["coupled", "mlp", "invcos"],
 )
 def test_grid_evaluation_falls_back_to_the_points(E):
-    assert E.grid_evaluator is None
+    assert E.axes is None and not E.separable
     axes = _random_axes(E.d, E.l, 5)
     assert np.array_equal(E.evaluate_grid(axes), _on_points(E, axes))
 
 
+def _two_term_sum(d, l=1.3):
+    """A sum over axes built by hand from two different terms, alternating
+    along the axes, each with its minimum 0 at x = 0."""
+
+    def bump(x):
+        return 1.5 * np.sin(math.pi / l * x) ** 2
+
+    def double_well(x):
+        return 0.7 * (1.0 - np.cos(4 * math.pi / l * x)) + 0.3 * (1.0 - np.cos(2 * math.pi / l * x))
+
+    # max of double_well at cos(2 pi x / l) = -0.3 / 2.8
+    diameter = sum((1.5, 1.7 + 0.09 / 5.6)[j % 2] for j in range(d))
+    return tf.EnergyPotential(axes=([bump, double_well] * d)[:d], l=l, d=d, diameter=diameter, name="two-term")
+
+
+def test_a_potential_needs_an_evaluator_or_one_term_per_axis():
+    term = tf.cosine_potential(1.0, 1, 1.0).axes[0]
+    with pytest.raises(ValidationError, match="exactly one of an evaluator and axes"):
+        tf.EnergyPotential(l=1.0, d=1, diameter=0.0)
+    with pytest.raises(ValidationError, match="exactly one of an evaluator and axes"):
+        tf.EnergyPotential(evaluator=lambda pts: pts[..., 0], axes=[term], l=1.0, d=1, diameter=2.0)
+    for count in (1, 3):
+        with pytest.raises(ValidationError, match=f"has {count} axis terms at d=2"):
+            tf.EnergyPotential(axes=[term] * count, l=1.0, d=2, diameter=4.0)
+    # separable follows the terms: a potential given by its evaluator cannot
+    # be declared a sum over axes
+    coupled = coupled_potential(4.0, 0.5)
+    assert not coupled.separable
+    with pytest.raises(TypeError):
+        dataclasses.replace(coupled, separable=True)
+    with pytest.raises(AttributeError):
+        coupled.separable = True
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+@pytest.mark.parametrize("kind", ["zero", "two-term"])
+def test_a_sum_over_axes_evaluates_its_terms_on_points_and_grids_alike(kind, d):
+    # the derived evaluator adds the terms in axis order, and evaluate_grid
+    # adds the same terms by broadcasting: the same values, bit for bit
+    E = tf.zero_potential(d, 1.3) if kind == "zero" else _two_term_sum(d)
+    assert E.separable and len(E.axes) == d
+    for seed in range(3):
+        axes = _random_axes(d, E.l, seed)
+        pts = grid_points(*axes)
+        by_hand = functools.reduce(np.add, (E_j(pts[:, j]) for j, E_j in enumerate(E.axes)))
+        assert np.array_equal(E.evaluate(pts), by_hand)
+        assert np.array_equal(E.evaluate_grid(axes), by_hand.reshape([len(a) for a in axes]))
+
+
+def test_tv_of_a_hand_built_sum_takes_the_per_axis_route():
+    E = _two_term_sum(2, l=1.0)
+    lat = tf.make_lattice(2, 6, E.l)
+    values = tf.discretize(lambda p: np.exp(-E.evaluate(p) / 2), lat).values
+    values = values * (1 + 0.1 * np.random.default_rng(4).standard_normal(lat.shape))
+    state = tf.GridField(lat, values / np.linalg.norm(values), is_real=True)
+    report = tf.tv_distance(state, E, subcells=8)
+    assert report.health == {"tv_passes": 1, "tv_eval_points": 2 * lat.points_per_axis * 8}
+    reference = density_tv_quadrature(state, lambda p: np.exp(-E.evaluate(p)), subcells=8)
+    assert 0.01 < report.tv < 0.5
+    assert abs(report.tv - reference) <= 1e-14
+
+
 def test_non_finite_values_raise_on_both_paths():
-    # the cosine grid evaluator (inf * (1 - cos 0) is nan) and the point
-    # fallback of a potential with a pole at 0 each raise, as evaluate does
+    # the cosine terms (inf * (1 - cos 0) is nan) and the point fallback of
+    # a potential with a pole at 0 each raise, as evaluate does, and so does
+    # the per-axis TV, which reads the terms alone
     cosine = tf.cosine_potential(math.inf, 2, 1.0)
     pole = tf.EnergyPotential(evaluator=lambda pts: np.log(np.abs(pts[..., 0])), l=1.0, d=1, diameter=1.0)
     cases = [(cosine, [np.array([0.0, 0.25]), np.array([0.0])]), (pole, [np.array([0.0, 0.1])])]
@@ -84,6 +151,9 @@ def test_non_finite_values_raise_on_both_paths():
                 E.evaluate(grid_points(*axes))
             with pytest.raises(EvalError, match="non-finite"):
                 E.evaluate_grid(axes)
+        lat = tf.make_lattice(2, 2, 1.0)
+        with pytest.raises(EvalError, match="non-finite"):
+            tf.tv_distance(tf.GridField(lat, np.full(lat.shape, 0.2), is_real=True), cosine, subcells=2)
 
 
 def test_cosine_potential_metadata():
