@@ -31,19 +31,21 @@ untimed call that lays the midpoints out as points, recorded as
 its int32 boxes and SAMPLE_SLACK_MB (``sample_peak_limit_mb``): on any
 difference the script still writes OUT.json and then exits 1.
 
-Each time is the median of REPEATS runs after one untimed run.  The cases:
+Each time is the median of REPEATS runs after one untimed run, recorded
+with the minimum and the interquartile range of those runs (``sample_s_min``,
+``sample_s_iqr`` and so on): five runs on a loaded host cannot resolve a
+change of 20% by their median alone.  The cases:
 
 - ``gibbs-dense-2d``: d = 2, N = 25, M = 25 (51^2 boxes, 2.67e6 subcells);
 - ``gibbs-quad-2d``: d = 2, N = 15, M = 96 (193^2 boxes, 3.81e7 subcells);
 - ``gibbs-readme``: the README command, d = 1, N = 16, automatic T and M.
 
 The oracle cases time the Gibbs normalizer ``GibbsDensity(E).Z`` and
-``exact_mean`` of cos 2 pi x_0, each the median of REPEATS runs after one
-untimed run, and count the potential values one normalizer computes
-(one per point of each grid ``evaluate_grid`` is given): cosine z = 1 at
-d = 1..4, and at d = 4 an MLP of the shape of ``small_mlp`` in
-tests/conftest.py (two sigmoid layers, 3 hidden units) with weights drawn
-from MLP_SEED.
+``exact_mean`` of cos 2 pi x_0, each timed like the stages, and count the
+potential values one normalizer computes (one per point of each grid
+``evaluate_grid`` is given): cosine z = 1 at d = 1..4, and at d = 4 an MLP
+of the shape of ``small_mlp`` in tests/conftest.py (two sigmoid layers,
+3 hidden units) with weights drawn from MLP_SEED.
 """
 
 from __future__ import annotations
@@ -86,16 +88,18 @@ MIB = 2**20
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
 
-def median_time(run) -> tuple:
-    """The median wall time of REPEATS calls of ``run``, after one untimed
-    call, and the last call's result."""
+def timed(name: str, run) -> tuple:
+    """The wall times of REPEATS calls of ``run``, after one untimed call, as
+    their median under ``name``, their minimum under ``name_min`` and their
+    interquartile range under ``name_iqr``; and the last call's result."""
     result = run()
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = run()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), result
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {name: median, f"{name}_min": min(times), f"{name}_iqr": q3 - q1}, result
 
 
 def traced_peak(run) -> float:
@@ -113,12 +117,12 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
     result = tf.run_pipeline(E, N=N, M=M, count=SAMPLES, seed=SEED)
     state, batch = result.upsampled, result.batch
 
-    sample_s, _ = median_time(lambda: tf.continuous_sample(state, SAMPLES, SEED))
+    sample_times, _ = timed("sample_s", lambda: tf.continuous_sample(state, SAMPLES, SEED))
     sample_peak = traced_peak(lambda: tf.continuous_sample(state, SAMPLES, SEED))
-    tv_s, report = median_time(lambda: tf.tv_distance(state, E))
+    tv_times, report = timed("tv_s", lambda: tf.tv_distance(state, E))
     tv_points = tf.sampler.density_tv_quadrature(state, lambda pts: np.exp(-E.evaluate(pts)))
     tv_peak = traced_peak(lambda: tf.tv_distance(state, E))
-    csv_s, text = median_time(lambda: "".join(batch.csv_chunks()))
+    csv_times, text = timed("csv_s", lambda: "".join(batch.csv_chunks()))
     return {
         "name": name,
         "d": d,
@@ -126,15 +130,15 @@ def case(name: str, d: int, N: int, M: int | None) -> dict:
         "M": state.lattice.N,
         "tv": report.tv,
         "tv_points": tv_points,
-        "sample_s": sample_s,
-        "sample_s_per_value": sample_s / batch.points.size,
+        **sample_times,
+        "sample_s_per_value": sample_times["sample_s"] / batch.points.size,
         "sample_peak_mb": sample_peak,
         "sample_peak_limit_mb": (batch.points.nbytes + 4 * SAMPLES) / MIB + SAMPLE_SLACK_MB,
-        "tv_s": tv_s,
+        **tv_times,
         "tv_peak_alloc_mb": tv_peak,
         **report.health,
-        "csv_s": csv_s,
-        "csv_s_per_value": csv_s / batch.points.size,
+        **csv_times,
+        "csv_s_per_value": csv_times["csv_s"] / batch.points.size,
         "csv_bytes": len(text),
         "csv_fallback_values": int(np.count_nonzero(~fast_domain(batch.points.ravel()))),
         "samples_sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -169,17 +173,17 @@ def oracle(potential: str, d: int) -> dict:
     def observable(pts):
         return np.cos(2 * np.pi * pts[..., 0])
 
-    Z_s, Z = median_time(lambda: tf.sampler.GibbsDensity(E).Z)
-    mean_s, mean = median_time(lambda: tf.exact_mean(observable, E))
+    Z_times, Z = timed("Z_s", lambda: tf.sampler.GibbsDensity(E).Z)
+    mean_times, mean = timed("mean_s", lambda: tf.exact_mean(observable, E))
     E_counted, count = counted(E)
     tf.sampler.GibbsDensity(E_counted)
     return {
         "potential": potential,
         "d": d,
         "Z": Z,
-        "Z_s": Z_s,
+        **Z_times,
         "exact_mean": mean,
-        "mean_s": mean_s,
+        **mean_times,
         "eval_points": count[0],
     }
 

@@ -245,11 +245,9 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
 
 
 def _cmd_interpolate(cfg, out_dir, artifacts):
-    import numpy as np
-
-    from .lattice import GridField, discretize, make_lattice
+    from .lattice import make_lattice
     from .potential import expcos_family, invcos_potential
-    from .sampler import density_tv_quadrature, normalized_series_distance, upsample
+    from .sampler import _interpolation_chain
 
     zs = cfg["z"]
     if isinstance(zs, str) and ".." in zs:
@@ -263,18 +261,14 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
     violations = []
     for z in zs:
         if cfg["family"] == "expcos":
-            u, _, _, C, a, u_hat = expcos_family(z, l=cfg["l"])
+            u, _, _, _, a, u_hat = expcos_family(z, l=cfg["l"])
         else:
-            pot = invcos_potential(z, cfg["l"])
-            u, u_hat = pot.meta["u"], pot.meta["u_hat"]
-            a = max(8.0, 8.0 / (z - 1))
-        n_min = math.ceil(max(1.0, a if cfg["family"] == "invcos" else z / 2)) + 2
+            meta = invcos_potential(z, cfg["l"]).meta
+            u, u_hat, a = meta["u"], meta["u_hat"], max(8.0, 8.0 / (z - 1))
+        n_min = math.ceil(a) + 2  # a >= 1 in both families
         for N in range(n_min, n_min + 10):
-            lat = make_lattice(1, N, cfg["l"])
-            fld = discretize(u, lat)
-            state = GridField(lat, fld.values / fld.norm(), is_real=True)
-            dist = normalized_series_distance(state, u_hat, k_max=max(80, 4 * N))
-            tv = density_tv_quadrature(upsample(state, max(M, N)), lambda p: np.asarray(u(p)) ** 2)
+            _, dist, _, tv_at = _interpolation_chain(u, u_hat, make_lattice(1, N, cfg["l"]), max(80, 4 * N))
+            tv = tv_at(M)
             rows.append([cfg["family"], z, repr(a), N, repr(dist), repr(tv)])
             if N == n_min and tv >= 0.1:
                 violations.append(f"sampling error {tv:.3f} >= 0.1 at z={z}, N={N}")
@@ -389,12 +383,10 @@ def _cmd_analyze(cfg, out_dir, artifacts):
         tail_mass,
     )
 
-    E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
-    lat = make_lattice(cfg["d"], cfg["N"], cfg["l"])
     import numpy as np
 
-    fld = discretize(lambda p: np.exp(-E.evaluate(p)), lat)
-    spec = dft(fld)
+    E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
+    spec = dft(discretize(lambda p: np.exp(-E.evaluate(p)), make_lattice(cfg["d"], cfg["N"], cfg["l"])))
     profile = semi_norms(spec, cfg["m_max"])
     params = fit_params(profile)
     bern = bernstein_from_semianalytic(params, profile[0])

@@ -125,15 +125,11 @@ class DecayReport(Report):
 
     @property
     def rate_vs_gap_ok(self) -> bool:
-        if self.stationary_input:
-            return True
-        return self.fitted_rate >= 2 * self.gap * (1 - self.slack)
+        return self.stationary_input or self.fitted_rate >= 2 * self.gap * (1 - self.slack)
 
     @property
     def rate_vs_floor_ok(self) -> bool:
-        if self.stationary_input:
-            return True
-        return self.fitted_rate >= 2 * self.poincare_floor * (1 - self.slack)
+        return self.stationary_input or self.fitted_rate >= 2 * self.poincare_floor * (1 - self.slack)
 
 
 def decay_report(op: Operator, result: EvolutionResult) -> DecayReport:
@@ -148,32 +144,24 @@ def decay_report(op: Operator, result: EvolutionResult) -> DecayReport:
         raise ValidationError(f"need at least 4 snapshots, got {len(result.times)}")
 
     chi2 = result.chi2
-    floor = poincare_report(op).floor
     peak = chi2.max()
     mean_h0 = result.inners[0] / op.stationary.sum()  # conserved mean of u/rho_s
-    if peak <= 1e-20 * max(mean_h0**2, 1.0):
-        return DecayReport(
-            fitted_rate=None,
-            gap=op.spectral_gap,
-            poincare_floor=floor,
-            stationary_input=True,
-            tv_chain_bound=0.5 * np.sqrt(np.maximum(chi2, 0.0)),
-        )
-
-    keep = chi2 > peak * CHI2_FLOOR_REL
-    if keep.sum() < 4:
-        raise ValidationError("fewer than 4 usable snapshots above the chi-square floor")
-    t = result.times[keep]
-    # the fit scales by sqrt(sum t^2), which underflows to zero for tiny spans
-    if not (t[-1] - t[0]) ** 2 >= np.finfo(float).tiny:
-        raise ValidationError(f"snapshot times span {t[-1] - t[0]}, too short to fit a decay rate")
-    y = np.log(chi2[keep])
-    slope = np.polyfit(t, y, 1)[0]
+    stationary = bool(peak <= 1e-20 * max(mean_h0**2, 1.0))
+    fitted_rate = None
+    if not stationary:
+        keep = chi2 > peak * CHI2_FLOOR_REL
+        if keep.sum() < 4:
+            raise ValidationError("fewer than 4 usable snapshots above the chi-square floor")
+        t = result.times[keep]
+        # the fit scales by sqrt(sum t^2), which underflows to zero for tiny spans
+        if not (t[-1] - t[0]) ** 2 >= np.finfo(float).tiny:
+            raise ValidationError(f"snapshot times span {t[-1] - t[0]}, too short to fit a decay rate")
+        fitted_rate = float(-np.polyfit(t, np.log(chi2[keep]), 1)[0])
     return DecayReport(
-        fitted_rate=float(-slope),
+        fitted_rate=fitted_rate,
         gap=op.spectral_gap,
-        poincare_floor=floor,
-        stationary_input=False,
+        poincare_floor=poincare_report(op).floor,
+        stationary_input=stationary,
         tv_chain_bound=0.5 * np.sqrt(np.maximum(chi2, 0.0)),
     )
 

@@ -70,6 +70,18 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
+def _sum_of_terms(terms, pts) -> np.ndarray:
+    """The evaluator of a sum over axes: its terms added in axis order, as
+    ``EnergyPotential.evaluate_grid`` adds them."""
+    return functools.reduce(np.add, (np.asarray(E_j(pts[..., j]), dtype=float) for j, E_j in enumerate(terms)))
+
+
+def _angle(pts, l: float) -> np.ndarray:
+    """The angle 2 pi x_0 / l of points (m, d), or of a 1-D array of coordinates."""
+    pts = np.asarray(pts, dtype=float)
+    return (2 * math.pi / l) * (pts[..., 0] if pts.ndim > 1 else pts)
+
+
 @dataclass
 class EnergyPotential:
     """An l-periodic potential with min 0, plus its diameter, given by exactly
@@ -86,16 +98,15 @@ class EnergyPotential:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.axes is not None and getattr(self.evaluator, "func", None) is _sum_of_terms:
+            self.evaluator = None  # derived from the terms again: ``dataclasses.replace`` hands it back
         if (self.evaluator is None) == (self.axes is None):
             raise ValidationError(f"potential '{self.name}' needs exactly one of an evaluator and axes")
         if self.axes is not None:
             self.axes = tuple(self.axes)
             if len(self.axes) != self.d:
                 raise ValidationError(f"potential '{self.name}' has {len(self.axes)} axis terms at d={self.d}")
-            # the terms added in axis order, as evaluate_grid adds them
-            self.evaluator = lambda pts, terms=self.axes: functools.reduce(
-                np.add, (np.asarray(E_j(pts[..., j]), dtype=float) for j, E_j in enumerate(terms))
-            )
+            self.evaluator = functools.partial(_sum_of_terms, self.axes)
 
     @property
     def separable(self) -> bool:
@@ -197,15 +208,12 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
     if not z > 1:
         raise ValidationError(f"invcos potential needs z > 1, got {z}")
     l = check_period(l)
-    w = 2 * math.pi / l
     sz = math.sqrt(z)
     u_max = (sz + 1) / (sz - 1)
     u_min = (sz - 1) / (sz + 1)
 
     def u(pts):
-        pts = np.asarray(pts, dtype=float)
-        theta = w * (pts[..., 0] if pts.ndim > 1 else pts)
-        return (z - 1) / (1 - 2 * sz * np.cos(theta) + z)
+        return (z - 1) / (1 - 2 * sz * np.cos(_angle(pts, l)) + z)
 
     def evaluator(pts):
         return -np.log(u(pts) / u_max)
@@ -216,7 +224,7 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
     def analytic_fourier(k):
         return u_hat(k) / u_max
 
-    pot = EnergyPotential(
+    return EnergyPotential(
         evaluator=evaluator,
         l=l,
         d=1,
@@ -228,11 +236,10 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
             "u_mean_square": (1 + 1 / z) / (1 - 1 / z),
             # |u_hat[k]| < 1e-16 beyond this index
             "k_max": int(math.ceil(32 * math.log(10) / math.log(z))) + 1,
+            "u": u,
+            "u_hat": u_hat,
         },
     )
-    pot.meta["u"] = u
-    pot.meta["u_hat"] = u_hat
-    return pot
 
 
 @dataclass
@@ -348,19 +355,15 @@ def expcos_family(z: float, l: float = 1.0):
     l = check_period(l)
     w = 2 * math.pi / l
 
-    def theta(pts):
-        pts = np.asarray(pts, dtype=float)
-        return w * (pts[..., 0] if pts.ndim > 1 else pts)
-
     def u(pts):
-        return np.exp(z * np.cos(theta(pts)))
+        return np.exp(z * np.cos(_angle(pts, l)))
 
     def grad_u(pts):
-        t = theta(pts)
+        t = _angle(pts, l)
         return (-w * z * np.sin(t) * np.exp(z * np.cos(t)))[..., None]
 
     def lap_u(pts):
-        t = theta(pts)
+        t = _angle(pts, l)
         return w**2 * (z**2 * np.sin(t) ** 2 - z * np.cos(t)) * np.exp(z * np.cos(t))
 
     def u_hat(k):

@@ -487,7 +487,8 @@ def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound:
     per-axis density factors (:func:`_separable_tv`, one pass, 2 n S values),
     any other E walks the midpoint grid (:func:`_tv_quadrature`).  For d >= 3
     a 10^6-point Monte Carlo estimate with a 99% confidence radius is
-    reported instead.
+    reported instead, whose health counts one pass and the density values of
+    its points and of the fine-lattice nodes of the Gibbs normalizer.
     """
     lat = state.lattice
     if lat.d <= 2:
@@ -521,6 +522,7 @@ def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound:
         resolution={"M": lat.N, "mc_points": MC_POINTS},
         bound=bound,
         ci_99=ci,
+        health={"tv_passes": 1, "tv_eval_points": MC_POINTS + fine_lattice(lat.d, lat.l).size},
     )
 
 
@@ -705,19 +707,47 @@ class InterpolationReport(Report):
         return (not self.tv_feasible) or self.tv <= self.tv_bound
 
 
-def normalized_series_distance(state: GridField, u_hat, k_max: int) -> float:
-    """d(F_N |u_N>, u_hat / U) for a 1-d analytic series truncated at k_max."""
+def _series_distance(state: GridField, u_hat, k_max: int) -> tuple:
+    """:func:`normalized_series_distance` and U, both taken from the series
+    divided by its peak, so that U^2 need not fit in float64."""
     lat = state.lattice
     if lat.d != 1:
         raise ValidationError("series distance is implemented for d = 1")
-    coeffs = dft(state).flat
     ks = np.arange(-k_max, k_max + 1)
     series = np.array([u_hat(int(k)) for k in ks], dtype=float)
+    peak = float(np.abs(series).max())
+    if not peak > 0:
+        raise ValidationError(f"the series vanishes at every |k| <= {k_max}")
+    series = series / peak
     U = math.sqrt(float(np.sum(series**2)))
     inside = np.abs(ks) <= lat.N
-    target_in = series[inside] / U
-    dist_sq = float(np.sum(np.abs(coeffs - target_in) ** 2)) + float(np.sum((series[~inside] / U) ** 2))
-    return math.sqrt(dist_sq)
+    inner = float(np.sum(np.abs(dft(state).flat - series[inside] / U) ** 2))
+    return math.sqrt(inner + float(np.sum((series[~inside] / U) ** 2))), U * peak
+
+
+def normalized_series_distance(state: GridField, u_hat, k_max: int) -> float:
+    """d(F_N |u_N>, u_hat / U) for a 1-d analytic series truncated at k_max."""
+    return _series_distance(state, u_hat, k_max)[0]
+
+
+def _interpolation_chain(u, u_hat, lat, k_max: int) -> tuple:
+    """u on the N-lattice ``lat`` as a unit state, its distance from u_hat / U
+    (:func:`normalized_series_distance`, u_hat evaluated once per
+    |k| <= k_max), U, and a function of M: the TV of the state upsampled to
+    max(M, N) against u^2.  u is divided by its peak on the lattice before
+    anything is squared, so that u^2 need not fit in float64."""
+    values = discretize(u, lat).values
+    peak = float(np.abs(values).max())
+    if not peak > 0:
+        raise ValidationError("u vanishes on every node of the lattice")
+    values = values / peak
+    state = GridField(lat, values / np.linalg.norm(values), is_real=True)
+    distance, U = _series_distance(state, u_hat, k_max)
+
+    def tv(M: int) -> float:
+        return density_tv_quadrature(upsample(state, max(M, lat.N)), lambda pts: (np.asarray(u(pts)) / peak) ** 2)
+
+    return state, distance, U, tv
 
 
 def interpolation_error_bound_check(
@@ -739,31 +769,17 @@ def interpolation_error_bound_check(
     if N < 2 * a:
         raise PreconditionError(f"need N >= 2ad = {2 * a}, got N={N}")
 
-    lat = make_lattice(1, N, l)
-    ks = np.arange(-k_max, k_max + 1)
-    series = np.array([u_hat(int(k)) for k in ks], dtype=float)
-    U = math.sqrt(float(np.sum(series**2)))
-
-    fld = discretize(u, lat)
-    state = GridField(lat, fld.values / fld.norm(), is_real=True)
-    measured = normalized_series_distance(state, u_hat, k_max)
-    distance_bound = ER_CONST * (C / U) * math.exp(-0.6 * N / a)
-
-    eps_prime = UPSAMPLE_CONST * (C / U) * math.exp(-0.6 * N / a)
-    M_choice = choose_M(min(eps_prime, 0.999999), lipschitz, l, 1, a, C, U)
-    feasible = M_choice <= INTERPOLATION_M_CAP
+    _, measured, U, tv_at = _interpolation_chain(u, u_hat, make_lattice(1, N, l), k_max)
+    envelope = (C / U) * math.exp(-0.6 * N / a)
+    M_choice = choose_M(min(UPSAMPLE_CONST * envelope, 0.999999), lipschitz, l, 1, a, C, U)
     M_used = max(min(M_choice, INTERPOLATION_M_CAP), N)
-    up = upsample(state, M_used)
-    tv = density_tv_quadrature(up, lambda pts: np.asarray(u(pts)) ** 2)
-    tv_bound = INTERPOLATION_CONST * (C / U) * math.exp(-0.6 * N / a)
-
     return InterpolationReport(
         N=N,
         measured_distance=measured,
-        distance_bound=distance_bound,
-        tv=tv,
-        tv_bound=tv_bound,
+        distance_bound=ER_CONST * envelope,
+        tv=tv_at(M_used),
+        tv_bound=INTERPOLATION_CONST * envelope,
         M_bound_choice=M_choice,
         M_used=M_used,
-        tv_feasible=feasible,
+        tv_feasible=M_choice <= INTERPOLATION_M_CAP,
     )

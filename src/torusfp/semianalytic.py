@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .lattice import SpectralField, make_lattice, discretize
-from .potential import fine_lattice
+from .lattice import SpectralField, dft, discretize, make_lattice
+from .potential import _angle, fine_lattice, invcos_potential
 from .report import Report, csv_text
 
 _E3 = math.e**3
@@ -37,7 +37,11 @@ class SemiAnalyticityParams:
             raise ValidationError(f"(C, a) must be finite and nonnegative, got ({self.C}, {self.a})")
 
     def bound(self, m: int) -> float:
-        return self.C * self.a**m * math.factorial(m)
+        """C a^m m!, taken in logs (inf past float64)."""
+        if m == 0 or self.C == 0 or self.a == 0:
+            return self.C if m == 0 else 0.0
+        with np.errstate(over="ignore"):
+            return float(np.exp(math.log(self.C) + m * math.log(self.a) + math.lgamma(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,9 @@ def fit_params(profile: FourierMomentProfile) -> SemiAnalyticityParams:
     """Deterministic max-envelope fit of (C, a) certifying |u|_m <= C a^m m!.
 
     a is the smallest growth rate anchored at C0 = |u|_0; C is then the max
-    ratio, which makes the certificate tight at some m.  Where a^m, m! or
-    C a^m m! would leave float64, a ValidationError names m_max and a.
+    ratio, which makes the certificate tight at some m.  Both are taken in
+    logs.  Where a bound C a^m m! would leave float64, a ValidationError
+    names m_max and a.
     """
     m_max, u0 = profile.m_max, profile[0]
     if m_max < 3:
@@ -156,12 +161,11 @@ def fit_params(profile: FourierMomentProfile) -> SemiAnalyticityParams:
         return SemiAnalyticityParams(C=u0, a=0.0)
     log_a = max((math.log(profile[m]) - math.log(u0) - math.lgamma(m + 1)) / m for m in range(1, m_max + 1) if profile[m] > 0)
     a = math.exp(log_a)
-    # a^m m! is log-convex in m: past float64 at m = 0 or m_max, a**m, m! or C a^m m! would overflow
     log_C = max(math.log(profile[m]) - m * log_a - math.lgamma(m + 1) for m in range(m_max + 1) if profile[m] > 0)
-    if max(log_C, 0.0) + max(m_max * log_a, 0.0) + math.lgamma(m_max + 1) >= math.log(np.finfo(float).max):
-        raise ValidationError(f"a^m, m! or the bounds C a^m m! up to m_max = {m_max} leave float64 at a = {a:.6g}")
-    C = max(profile[m] / (a**m * math.factorial(m)) if a > 0 else u0 for m in range(m_max + 1))
-    return SemiAnalyticityParams(C=float(C), a=float(a))
+    # log(C a^m m!) is convex in m: its largest value is at m = 0 or m = m_max
+    if log_C + max(m_max * log_a + math.lgamma(m_max + 1), 0.0) >= math.log(np.finfo(float).max):
+        raise ValidationError(f"the bounds C a^m m! up to m_max = {m_max} leave float64 at a = {a:.6g}")
+    return SemiAnalyticityParams(C=math.exp(log_C), a=a)
 
 
 def certificate_holds(profile: FourierMomentProfile, params: SemiAnalyticityParams) -> bool:
@@ -312,8 +316,6 @@ def mlp_analyticity_bound(mlp, N: int | None = None) -> MlpAnalyticityReport:
     if N is None:
         N = 128 if mlp.d == 1 else min(24, fine_lattice(mlp.d, mlp.l).N)
     if N >= 4:
-        from .lattice import dft
-
         lat = make_lattice(mlp.d, N, mlp.l)
         fld = discretize(mlp.forward, lat)
         fitted = fit_params(semi_norms(dft(fld), 10))
@@ -345,8 +347,9 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0):
     """Two functions indistinguishable on the N-lattice with well-separated
     sampling distributions.
 
-    f is the heavy-tailed density-family member with z = 1 + 8/a; g wraps f's
-    Fourier coefficients into [-N..N] and rescales to mean square C^2.
+    f is C / sqrt(e) times the density u of ``invcos_potential`` at
+    z = 1 + 8/a; g wraps f's Fourier coefficients into [-N..N] and rescales
+    to mean square C^2.
     Requires N <= theta a / 16.  The TV between the densities f^2 and g^2 is
     summed over the nodes of the d = 1 fine lattice
     (``potential.fine_lattice``), 32767 of them.
@@ -361,14 +364,11 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0):
     z = 1 + 8 / a
     if z == 1:  # f would vanish and its coefficients z^(-|k|/2) never decay
         raise ValidationError(f"a={a} is too large: z = 1 + 8/a rounds to 1")
-    sz = math.sqrt(z)
     amp = C / math.sqrt(math.e)
-    w = 2 * math.pi / l
+    u = invcos_potential(z, l).meta["u"]
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        theta_x = w * (x[..., 0] if x.ndim > 1 else x)
-        return amp * (z - 1) / (1 - 2 * sz * np.cos(theta_x) + z)
+        return amp * u(x)
 
     # f_hat[k] = amp r^|k|, r = z^(-1/2) of f (z - 1 is exact), wraps into [-N..N] as
     # sum_p r^|k + p n| = r^|k| + (r^(n + k) + r^(n - k)) / (1 - r^n), 1 - r^n = -expm1(n log r)
@@ -381,8 +381,7 @@ def alias_witness(C: float, a: float, N: int, theta: float, l: float = 1.0):
     g_hat = alpha * wrapped
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        theta_x = w * (x[..., 0] if x.ndim > 1 else x)
+        theta_x = _angle(x, l)
         out = np.full(theta_x.shape, g_hat[N])
         for k in range(1, N + 1):
             out = out + 2 * g_hat[N + k] * np.cos(k * theta_x)

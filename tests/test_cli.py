@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib
+import io
 import json
 import math
 import subprocess
@@ -104,6 +106,17 @@ def test_interpolate_emits_table(tmp_path):
     assert all(line.startswith("invcos,3.0,") for line in rows2[1:])
 
 
+def test_interpolate_far_along_the_expcos_family(tmp_path):
+    # e^(2z) leaves float64 from z = 355: u, its series and the reference
+    # density are divided by their peaks before they are squared, so the
+    # table holds finite distances and TVs, with no RuntimeWarning
+    out = tmp_path / "i"
+    assert run_cli(["interpolate", "--z", "400", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "interpolation.csv").read_text())))
+    assert [int(row["N"]) for row in rows] == list(range(202, 212))
+    assert all(math.isfinite(float(row["distance"])) and 0 <= float(row["tv"]) <= 1 for row in rows)
+
+
 def test_spectrum_and_evolve_and_analyze(tmp_path):
     out = tmp_path / "s"
     assert run_cli(["spectrum", "--potential", "cosine:z=1", "--d", "1", "--N", "12", "--l", "1.0", "--out", str(out)]) == 0
@@ -134,6 +147,7 @@ def test_mean_subcommand(tmp_path):
 
 HEALTH_RUNS = {
     "gibbs": ["gibbs", "--d", "2", "--N", "6", "--M", "6", "--samples", "100", "--seed", "1"],
+    "gibbs-3d": ["gibbs", "--d", "3", "--N", "2", "--M", "2", "--samples", "100", "--seed", "1"],
     "evolve": ["evolve", "--d", "2", "--N", "4", "--snapshots", "4"],
     "spectrum": ["spectrum", "--d", "2", "--N", "4"],
     "evolve-mlp": ["evolve", "--potential", "mlp:file={weights}", "--d", "2", "--N", "4", "--l", "1", "--snapshots", "4"],
@@ -173,6 +187,10 @@ def test_manifest_health_block(tmp_path, command):
         expected |= PIPELINE_HEALTH
         # the cosine is a sum over axes: one line of 13 * 32 midpoints per axis
         assert health["tv_passes"] == 1 and health["tv_eval_points"] == 2 * 13 * 32
+    if command == "gibbs-3d":
+        expected |= PIPELINE_HEALTH
+        # the Monte Carlo TV: its points and the 63^3 fine-lattice nodes of the normalizer
+        assert health["tv_passes"] == 1 and health["tv_eval_points"] == sampler.MC_POINTS + 63**3
     assert set(health) == expected
     # health describes how the numbers were computed: it stays out of the
     # config, its hash and the other artifacts
@@ -457,12 +475,29 @@ def test_gibbs_M_cap_below_one_exits_2(tmp_path, capsys, cap):
     assert f"M_cap must be at least 1, got {cap}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--m-max", "171"], ["--N", "2", "--m-max", "171"]])
+@pytest.mark.parametrize("argv", [["--m-max", "171"], ["--N", "2", "--m-max", "188"]])
 def test_analyze_profile_past_float64_exits_2(tmp_path, capsys, argv):
-    # m! leaves float64 at m = 171, and at N = 16 ||k||^(2m) from m = 128
+    # at N = 16 ||k||^(2m) leaves float64 from m = 128; at N = 2 the semi-norms
+    # fit, and the largest bound C a^m m! (a = 0.629) reads 5.4e307 at
+    # m_max = 187 and leaves float64 at 188
     assert run_cli(["analyze", *argv, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert "up to m_max = 171 leave float64" in err and "Traceback" not in err
+    cause = "semi-norms up to m_max = 171 leave float64 at N = 16" if len(argv) == 2 else (
+        "the bounds C a^m m! up to m_max = 188 leave float64 at a = 0.629378"
+    )
+    assert cause in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m_max", [171, 187])
+def test_analyze_writes_bounds_past_the_range_of_m_factorial(tmp_path, m_max):
+    # m! leaves float64 at m = 171, yet every bound C a^m m! fits: they are taken in logs
+    out = tmp_path / "x"
+    assert run_cli(["analyze", "--N", "2", "--m-max", str(m_max), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO((out / "profile.csv").read_text())))
+    assert len(rows) == m_max + 1
+    bounds = [float(row["bound"]) for row in rows]
+    assert all(math.isfinite(b) for b in bounds)
+    assert all(float(row["semi_norm"]) <= b * (1 + 1e-9) for row, b in zip(rows, bounds))
 
 
 @pytest.mark.parametrize("argv", [["derive-check", "--z", "1500"], ["interpolate", "--z", "1e6"], ["derive-check", "--z", "-1500"]])

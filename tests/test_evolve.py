@@ -105,6 +105,7 @@ def test_decay_report_single_mode():
     rep = tf.decay_report(op, res)
     expected = 2 * (2 * math.pi / l) ** 2
     assert rep.fitted_rate == pytest.approx(expected, rel=0.01)
+    assert rep.stationary_input is False
 
 
 def test_decay_report_flags_stationary():
@@ -113,7 +114,7 @@ def test_decay_report_flags_stationary():
     rho = tf.GridField(lat, op.stationary.reshape(lat.shape), is_real=True)
     res = tf.evolve(op, rho, T=0.1, snapshots=8, chi2=True)
     rep = tf.decay_report(op, res)
-    assert rep.stationary_input
+    assert rep.stationary_input is True  # a Python bool, which evolution.json writes as true
     assert rep.fitted_rate is None
     assert rep.rate_vs_gap_ok and rep.rate_vs_floor_ok
 

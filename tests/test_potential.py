@@ -110,6 +110,21 @@ def test_a_potential_needs_an_evaluator_or_one_term_per_axis():
         coupled.separable = True
 
 
+@pytest.mark.parametrize("d", range(1, 4))
+def test_dataclasses_replace_copies_a_sum_over_axes(d):
+    # replace hands the derived evaluator back to __init__, which derives it
+    # from the terms again; it raised "needs exactly one of an evaluator and axes"
+    E = tf.cosine_potential(1.0, d, 1.0)
+    copy = dataclasses.replace(E, name="x")
+    assert copy.name == "x" and copy.axes == E.axes and copy.separable
+    axes = _random_axes(d, E.l, 0)
+    pts = grid_points(*axes)
+    assert np.array_equal(copy.evaluate(pts), E.evaluate(pts))
+    assert np.array_equal(copy.evaluate_grid(axes), E.evaluate_grid(axes))
+    with pytest.raises(ValidationError, match="exactly one of an evaluator and axes"):
+        dataclasses.replace(E, evaluator=lambda pts: pts[..., 0])
+
+
 @pytest.mark.parametrize("d", range(1, 5))
 @pytest.mark.parametrize("kind", ["zero", "two-term"])
 def test_a_sum_over_axes_evaluates_its_terms_on_points_and_grids_alike(kind, d):

@@ -828,6 +828,31 @@ def test_interpolation_check_expcos_sweep():
     assert slope <= -0.6 / a + 0.05
 
 
+def test_interpolation_check_evaluates_the_series_once_per_k():
+    u, _, _, C, a, u_hat = tf.expcos_family(2.0, l=1.0)
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return u_hat(k)
+
+    rep = tf.interpolation_error_bound_check(u, counted, tf.SemiAnalyticityParams(C, a), 8, 1.0, 200.0, k_max=80)
+    assert sorted(calls) == list(range(-80, 81))
+    state = _normalized(tf.discretize(u, tf.make_lattice(1, 8, 1.0)))
+    assert rep.measured_distance == pytest.approx(normalized_series_distance(state, u_hat, 80), rel=1e-9)
+
+
+def test_interpolation_chain_scales_before_squaring():
+    # at z = 400 u^2, the squared norm of the lattice values and U^2 all pass
+    # float64 (e^(2z)); each is divided by its peak first
+    u, _, _, C, a, u_hat = tf.expcos_family(400.0, l=1.0)
+    state, distance, U, tv_at = sampler._interpolation_chain(u, u_hat, tf.make_lattice(1, 202, 1.0), 808)
+    assert state.norm() == pytest.approx(1.0, rel=1e-14)
+    assert 0 <= distance < 1e-13
+    assert U == pytest.approx(math.sqrt(sum((u_hat(k) / u_hat(0)) ** 2 for k in range(-808, 809))) * u_hat(0), rel=1e-13)
+    assert 0 <= tv_at(200) <= 1
+
+
 def test_interpolation_check_precondition():
     u, _, _, C, a, u_hat = tf.expcos_family(2.0, l=1.0)
     with pytest.raises(tf.PreconditionError):

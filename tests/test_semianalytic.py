@@ -54,19 +54,44 @@ def test_fit_params_constant_and_validation():
 
 
 def test_profiles_past_the_float64_range_are_refused():
-    # ||k||^(2m) leaves float64 at N = 16 from m = 128; m! from m = 171,
-    # where a band-limited profile at N = 2 still has finite semi-norms
+    # ||k||^(2m) leaves float64 at N = 16 from m = 128.  At N = 2 the
+    # semi-norms stay finite, and the bounds C a^m m! (a = 0.629), taken in
+    # logs, fit up to m_max = 187 (5.4e307) though m! leaves float64 at 171
     lat = tf.make_lattice(1, 16, 1.0)
     spec = tf.dft(tf.discretize(lambda p: np.exp(np.cos(2 * np.pi * p[..., 0])), lat))
     with pytest.raises(ValidationError, match="m_max = 150 leave float64 at N = 16"):
         tf.semi_norms(spec, 150)
     small = tf.dft(tf.discretize(lambda p: np.exp(np.cos(2 * np.pi * p[..., 0])), tf.make_lattice(1, 2, 1.0)))
-    profile = tf.semi_norms(small, 171)
+    for m_max in (171, 187):
+        profile = tf.semi_norms(small, m_max)
+        fit = tf.fit_params(profile)
+        assert certificate_holds(profile, fit)
+        assert math.isfinite(fit.bound(m_max))
+    assert fit.bound(187) > 1e307
+    profile = tf.semi_norms(small, 188)
     assert np.all(np.isfinite(profile.semi_norms))
-    with pytest.raises(ValidationError, match="up to m_max = 171 leave float64 at a = "):
+    with pytest.raises(ValidationError, match="bounds C a\\^m m! up to m_max = 188 leave float64 at a = 0.629378"):
         tf.fit_params(profile)
-    fit = tf.fit_params(tf.semi_norms(small, 160))
-    assert certificate_holds(tf.semi_norms(small, 160), fit)
+
+
+def test_bound_is_taken_in_logs():
+    params = tf.SemiAnalyticityParams(1.0, 0.5)
+    # m! alone leaves float64 at m = 171; C a^m m! is about 4.1e257
+    assert params.bound(171) == pytest.approx(math.exp(math.lgamma(172) - 171 * math.log(2)), rel=1e-13)
+    assert params.bound(0) == 1.0 and params.bound(5) == pytest.approx(120 / 32, rel=1e-14)
+    assert params.bound(400) == math.inf
+    assert tf.SemiAnalyticityParams(2.0, 0.0).bound(0) == 2.0
+    assert tf.SemiAnalyticityParams(2.0, 0.0).bound(3) == 0.0
+    assert tf.SemiAnalyticityParams(0.0, 3.0).bound(3) == 0.0
+
+
+def test_fit_params_takes_C_as_the_largest_ratio():
+    # C is exp(max_m log(|u|_m / (a^m m!))): the certificate is tight at some m
+    _, _, _, _, _, u_hat = tf.expcos_family(4.0)
+    prof = tf.semi_norms(spectrum_of_series(u_hat, 60), 40)
+    fit = tf.fit_params(prof)
+    ratios = [prof[m] / fit.bound(m) for m in range(prof.m_max + 1)]
+    assert max(ratios) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_fit_params_band_limited(rng):
