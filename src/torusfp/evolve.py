@@ -1,17 +1,18 @@
 """Evolution u(t) = e^{Lt} u(0), mixing-time selection, and decay
 diagnostics.
 
-``evolve`` calls ``Operator.propagate``, which picks its method by d.  For
-d = 1 it applies the propagator mode by mode in each reflection sector, from
-the eigenpairs of each sector block, one block at a time, kept by none; its
-tests hold it to scipy's expm(t L') within (1e-10 + 16 eps ||L'|| t)
-||U^{-1} u(0)||, so every bound check isolates discretization error.
-For d >= 2 it keeps the kernel component exactly and advances the rest mode
-by mode in the per-axis factors for a W that is a sum over axes, and
-otherwise in a Krylov space through ``Operator.apply``, to an a posteriori
-error bound of ``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)|| in the
-symmetrized frame; ``EvolutionResult.health`` carries the Krylov run's step
-count and bound.  The decay and norm reports are ``torusfp.report.Report``
+``evolve`` calls ``propagate`` of the operator's route, chosen once by
+``build_generator``.  ``DenseOperator`` (d = 1) applies the propagator mode
+by mode in each reflection sector, from the eigenpairs of each sector block,
+one block at a time, kept by none; its tests hold it to scipy's expm(t L')
+within (1e-10 + 16 eps ||L'|| t) ||U^{-1} u(0)||, so every bound check
+isolates discretization error.  At d >= 2 the kernel component is kept
+exactly and the rest advanced mode by mode in the per-axis factors by
+``SeparableOperator`` (a W that is a sum over axes), and otherwise in a
+Krylov space through ``Operator.apply`` by ``MatrixFreeOperator``, to an a
+posteriori error bound of ``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)||
+in the symmetrized frame; ``EvolutionResult.health`` carries the Krylov
+run's step count and bound.  The decay and norm reports are ``torusfp.report.Report``
 dataclasses; the trace table is written with ``csv_text``.
 """
 

@@ -10,73 +10,26 @@ factors as
 
 an exactly symmetric negative semidefinite matrix whose one-dimensional kernel
 is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
-= 0).  L is derived from L' on demand.
+= 0).
 
-One :class:`Operator` serves every d.  It stores W and the gap, and keeps
-U; ``apply`` acts with L' one axis at a time through
-:func:`torusfp.spectral.axis_derivative`, on one vector or on a block.
-The dense L' (``symmetrized``) is assembled only on demand.
-
-At d >= 2 the gap and the propagation start from the per-axis factors
-``_separable``, built once per operator by fast diagonalization (Lynch,
-Rice & Thomas, Numer. Math. 6, 1964): the 1-D generators K_j of W's mean
-over the other axes, one SVD of a (2N+1)^2 matrix each, with orthonormal
-eigenvectors Q_j and eigenvalues Lambda_j.  For a W that is a sum over axes
-(built from its terms ``EnergyPotential.axes``, so ``separable``), -L' is
-the sum of the K_j, each acting along its axis, so (x)Q_j and sum_j Lambda_j
-are its eigendecomposition; they take W's mean, not the terms, as the
-preconditioner of any other W needs that mean.
-
-The spectrum (``eigenvalues``, values only, descending, with the kernel
-eigenvalue pinned to 0 at index 0) is computed on first access and kept:
-at d >= 2 for a W that is a sum over axes it is the negated sums sum_j
-Lambda_j, with nothing dense assembled; otherwise a values-only eigvalsh of
-each block of L'.  At d = 1, if W equals its own flip n -> -n, bitwise, L'
-commutes with that reflection (D anticommutes with it) and splits into an
-even and an odd sector, each block -B^T B assembled in the basis (e_m +-
-e_{-m}) / sqrt 2 of its sector without forming L'; otherwise there is one
-block, L' itself.  No block is kept: each is assembled when it is used
-and freed before the next, so the d = 1 operator holds none once built,
-and each propagation assembles the blocks once more.  Two routes, since at
-d = 1 Lanczos and Krylov need about n steps, some 12 times the dense cost
-at N = 1023:
-
-- d = 1, or W a sum over axes: the gap (``build_generator``) is read off
-  ``eigenvalues`` as -eigenvalues[1], so ``spectrum.csv`` row 1 is -gap bit
-  for bit.  At d = 1 the propagation (``propagate``) runs mode by mode, in
-  each sector's own basis, from ``eigh`` of each block, assembled afresh,
-  with the kernel eigenpair pinned to (0, q0) in the even block, one block
-  at a time and keeping none, within (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of
-  expm(t L'); at d >= 2 it keeps the q0 component of U^{-1} v exactly and
-  advances the rest mode by mode in the basis (x)Q_j, one dense product per
-  axis each way;
-- d >= 2, any other W: the gap by Lanczos on the complement of q0 (Saad,
-  SIAM J. Numer. Anal. 29, 1992), to a Ritz residual of GAP_RTOL, from the
-  best vector of a short block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
-  2001) that starts from the factors' lowest modes and is preconditioned by
-  P = (x)Q_j (sigma + sum_j Lambda_j)^{-1} (x)Q_j^T; the gap carries the
-  rounding of products with L', about eps ||L'|| / gap relative
-  (``gap_rounding`` in ``op.health``).  The propagation keeps the q0
-  component exactly and advances the rest in the polynomial Krylov space
-  of L' (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997) until an a
-  posteriori error bound meets KRYLOV_RTOL.
+:func:`build_generator` chooses the route once, by the lattice and the
+potential: :class:`DenseOperator` at d = 1, :class:`SeparableOperator` for a
+W that is a sum over axes at d >= 2, :class:`MatrixFreeOperator` otherwise.
+Each route owns its spectrum ``eigenvalues`` (values only, descending, the
+kernel eigenvalue pinned to 0 at index 0, computed on first access and
+kept), its gap (``_gap``) and ``propagate``, and names itself in
+``op.health["backend"]``.  All share ``apply``, which acts with L' one axis
+at a time (:func:`torusfp.spectral.axis_derivative`), on one vector or on a
+block; the dense L' (``symmetrized``) is assembled only on demand.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
 second time only when the first pass left less than 1/sqrt(2) of its norm
-(the DGKS rule).  ``op.health`` records the backend ("dense" at d = 1,
-"separable" for a sum over axes at d >= 2, else "matrix-free" with the
-block iterations of its start, its Lanczos steps, gap residual and second
-passes), ``gap_rounding``, the ratio eps ||L'|| / gap with ||L'|| the
-largest |eigenvalue| at d = 1 and for a separable W, and the largest
-|alpha| of the gap's Lanczos run otherwise, and, once a dense eigvalsh of
-the spectrum ran, its ``dense_sectors`` (1 or 2); ``propagate`` returns
-the health of its Krylov run next to the states (empty on the other
-routes): its steps, its error bound and second passes.  U scales L' by up
-to e^{delta_W}: numbers of a steep potential past the float64 range, and a
-gap read off the spectrum below eps^2 ||L'||, the rounding of the spectrum
-or of the SVD it comes from, end in a PreconditionError that names
-delta_W and N.
+(the DGKS rule).  ``op.health`` records, beside each route's own numbers,
+``gap_rounding``, the ratio eps ||L'|| / gap.  U scales L' by up to
+e^{delta_W}: numbers of a steep potential past the float64 range, and a gap
+read off the spectrum below eps^2 ||L'||, the rounding of the spectrum or of
+the SVD it comes from, end in a PreconditionError that names delta_W and N.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
@@ -95,6 +48,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,10 +60,10 @@ from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, deri
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
-#: Largest node count of ``build_generator``: at d = 1 a dense sector block
-#: holds about n^2 / 4 entries (n^2 in one sector), one at a time, and a
-#: propagation holds its eigenvectors, as many again, and at d >= 2 the dense
-#: L' of a W that is not a sum over axes holds n^2.
+#: Largest node count of ``build_generator``, on every route: at d = 1 a dense
+#: sector block holds about n^2 / 4 entries (n^2 in one sector), one at a
+#: time, and a propagation holds its eigenvectors, as many again, and at
+#: d >= 2 the dense L' of a W that is not a sum over axes holds n^2.
 DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
@@ -144,11 +98,9 @@ GAUSS_NODES = 16
 
 @dataclass
 class Operator:
-    """The symmetrized generator L' = -sum_j B_j^T B_j, for every d.
-
-    ``propagate(v, times)`` returns the states as rows and the health of the
-    propagation; ``matrix`` (L) is derived from L' on each access.
-    """
+    """The symmetrized generator L' = -sum_j B_j^T B_j: what every route
+    shares.  ``propagate(v, times)`` of each route returns the states as rows
+    and the health of the propagation."""
 
     lattice: TorusLattice
     potential: EnergyPotential
@@ -156,6 +108,7 @@ class Operator:
     delta_W: float        # grid diameter of W
     spectral_gap: float = math.nan
     health: dict = field(default_factory=dict)
+    backend: ClassVar[str]
 
     @property
     def size(self) -> int:
@@ -174,14 +127,6 @@ class Operator:
         """Grid of e^{-W}, the kernel direction of L (unnormalized)."""
         return np.exp(-self.W.flat)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """L = U L' U^{-1}, derived on each access."""
-        u = self.u_diag
-        L = self.symmetrized / u
-        L *= u[:, None]
-        return L
-
     def kernel_vector(self) -> np.ndarray:
         """Unit eigenvector of L' at eigenvalue zero: e^{-W/2} normalized."""
         u = self.u_diag
@@ -192,15 +137,63 @@ class Operator:
         """Dense L', assembled on first access and kept."""
         return _dense_symmetrized(self.lattice, self.u_diag)
 
+    def scaled_derivatives(self, x: np.ndarray) -> list:
+        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays (a
+        block of them when x is a block of flat vectors along its leading axis)."""
+        u = self.u_diag.reshape(self.lattice.shape)
+        y = x.reshape(x.shape[:-1] + u.shape) / u
+        lead = x.ndim - 1
+        return [u * axis_derivative(y, self.lattice, lead + j) for j in range(self.lattice.d)]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L' x = -sum_j B_j^T B_j x for a flat vector x, or for each row of a
+        block x of flat vectors."""
+        u = self.u_diag.reshape(self.lattice.shape)
+        lead = x.ndim - 1
+        acc = sum(
+            axis_derivative(u * b, self.lattice, lead + j, transpose=True)
+            for j, b in enumerate(self.scaled_derivatives(x))
+        )
+        return -(acc / u).reshape(x.shape)
+
+    def _gap(self) -> tuple:
+        """The gap and ||L'||, read off ``eigenvalues`` as -eigenvalues[1] and
+        -eigenvalues[-1], so ``spectrum.csv`` row 1 is -gap bit for bit.  Past
+        eps^2 ||L'|| the gap is rounding: of the dense spectrum, or of the SVD
+        of an axis factor B_j, of which sqrt(gap) is a singular value resolved
+        only above eps ||B_j||."""
+        gap, norm = float(-self.eigenvalues[1]), float(-self.eigenvalues[-1])
+        if not gap > EPS * EPS * norm:
+            raise _too_steep(self)
+        return gap, norm
+
+
+class DenseOperator(Operator):
+    """The d = 1 route, by dense sector blocks: at d = 1 Lanczos and Krylov
+    need about n steps, some 12 times the dense cost at N = 1023.
+
+    If W equals its own flip n -> -n, bitwise, L' commutes with that
+    reflection (D anticommutes with it) and splits into an even and an odd
+    sector, each block -B^T B assembled in the basis (e_m +- e_{-m}) / sqrt 2
+    of its sector without forming L'; otherwise there is one block, L'
+    itself.  No block is kept: each is assembled when it is used and freed
+    before the next, so the operator holds none once built, and each
+    propagation assembles the blocks once more.  The spectrum is a
+    values-only eigvalsh of each block, and the gap is read off it.  The
+    propagation runs mode by mode from ``eigh`` of each block, within
+    (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L').
+    """
+
+    backend = "dense"
+
     def _blocks(self):
-        """The dense spectrum's blocks as (sector, block) pairs, each assembled
-        only when it is iterated and kept by no one: at d = 1, for a W equal
-        to its own flip n -> -n, bitwise, the even and the odd reflection
-        sector (0 and 1), the even one first; otherwise one, (None, L').  A
-        consumer drops each block before it asks for the next, so at most one
-        is alive.  The count goes into ``health`` as ``dense_sectors``."""
+        """The blocks as (sector, block) pairs, each assembled only when it is
+        iterated: the even and the odd reflection sector (0 and 1), the even
+        one first, or one, (None, L').  A consumer drops each block before it
+        asks for the next, so at most one is alive.  The count goes into
+        ``health`` as ``dense_sectors``."""
         W = self.W.values
-        if self.lattice.d == 1 and np.array_equal(W, W[::-1]):
+        if np.array_equal(W, W[::-1]):
             self.health["dense_sectors"] = 2
             for odd in (0, 1):
                 yield odd, _sector_block(self.u_diag, _half_derivative(self.lattice), odd)
@@ -210,13 +203,8 @@ class Operator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of L', sorted descending, with the kernel eigenvalue
-        pinned to 0 at index 0: at d >= 2 for a W that is a sum over axes
-        the sums sum_j Lambda_j of ``_separable``, negated, with nothing
-        dense assembled; otherwise a values-only eigvalsh of each block of
-        ``_blocks``, which puts the kernel at about eps ||L'||, either sign."""
-        if self.lattice.d > 1 and self.potential.separable:
-            return _descending(-self._separable[1].reshape(-1))
+        """A values-only eigvalsh of each block of ``_blocks``, which puts the
+        kernel at about eps ||L'||, either sign, before it is pinned."""
         parts = []
         with _float64_range(self):
             for _, block in self._blocks():
@@ -225,11 +213,11 @@ class Operator:
         return _descending(np.concatenate(parts))
 
     def _block_modes(self):
-        """(sector, values, vectors) for each block of ``_blocks`` at d = 1,
-        by ``eigh`` of the freshly assembled block itself (a negated copy
-        would cost one more array), each computed when it is iterated and
-        kept by no one.  Values descending, orthonormal vectors as columns in
-        the block's own basis.
+        """(sector, values, vectors) for each block of ``_blocks``, by ``eigh``
+        of the freshly assembled block itself (a negated copy would cost one
+        more array), each computed when it is iterated and kept by no one.
+        Values descending, orthonormal vectors as columns in the block's own
+        basis.
 
         The kernel is known exactly, so its eigenpair is pinned in the first
         block (the even one, or the one sector) as the folded q0 rather
@@ -251,24 +239,42 @@ class Operator:
             yield sector, values, vectors
             del vectors  # freed before the next block is assembled
 
-    def scaled_derivatives(self, x: np.ndarray) -> list:
-        """B_j x = U D_j U^{-1} x for each axis j, as lattice-shaped arrays (a
-        block of them when x is a block of flat vectors along its leading axis)."""
-        u = self.u_diag.reshape(self.lattice.shape)
-        y = x.reshape(x.shape[:-1] + u.shape) / u
-        lead = x.ndim - 1
-        return [u * axis_derivative(y, self.lattice, lead + j) for j in range(self.lattice.d)]
+    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
+        """Rows e^{L t_i} v, with empty health: mode by mode in each sector of
+        ``_block_modes``, one block at a time, U^{-1} v folded in and the
+        result unfolded in place."""
+        u = self.u_diag
+        x = v / u
+        out, N = np.empty((len(times), self.size)), self.lattice.N
+        with _float64_range(self):
+            for sector, values, vectors in self._block_modes():
+                c = vectors.T @ _fold(sector, x)
+                for row, t in zip(out, times):
+                    y = vectors @ (np.exp(values * t) * c)
+                    if sector:  # unfold: x[+-m] = (even[m] +- odd[m]) / sqrt 2, the even part in row[N:]
+                        row[N - 1 :: -1] = (row[N + 1 :] - y) * _SQRT_HALF
+                        row[N + 1 :] = (row[N + 1 :] + y) * _SQRT_HALF
+                    else:  # the one sector fills the row, the even one row[N:] (x[0] and m = 1..N)
+                        row[-len(y) :] = y
+                del vectors  # freed before the next block is assembled
+        out *= u
+        return out, {}
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """L' x = -sum_j B_j^T B_j x for a flat vector x, or for each row of a
-        block x of flat vectors."""
-        u = self.u_diag.reshape(self.lattice.shape)
-        lead = x.ndim - 1
-        acc = sum(
-            axis_derivative(u * b, self.lattice, lead + j, transpose=True)
-            for j, b in enumerate(self.scaled_derivatives(x))
-        )
-        return -(acc / u).reshape(x.shape)
+
+class SeparableOperator(Operator):
+    """The route of a W that is a sum over axes at d >= 2 (built from its
+    terms ``EnergyPotential.axes``, so ``separable``), by the per-axis
+    factors ``_separable``: -L' is the sum of the 1-D generators K_j, each
+    acting along its axis, so the factors are its eigendecomposition, built
+    once per operator by fast diagonalization (Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964).  The spectrum is the negated sums sum_j Lambda_j, with
+    nothing dense assembled, and the gap is read off it.  The propagation
+    keeps the q0 component of U^{-1} v exactly and advances the rest mode by
+    mode in the basis (x)Q_j, one dense product per axis each way, with
+    empty health.
+    """
+
+    backend = "separable"
 
     @cached_property
     def _separable(self) -> tuple:
@@ -278,9 +284,8 @@ class Operator:
         of their eigenvalues, sum_j Lambda_j, the all-kernel mode at index 0.
         Each factor comes from the SVD of its (2N+1)^2 B_j, ascending:
         Lambda_j = s_j^2 keeps the small eigenvalues of a steep W to relative
-        accuracy where eigh of K_j loses them below eps ||K_j||.  For a
-        separable W, K = -L' is the sum of the K_j, each acting along its
-        axis, to rounding, and the factors are its eigendecomposition."""
+        accuracy where eigh of K_j loses them below eps ||K_j||.  They take
+        W's mean, not its terms, as the preconditioner of any other W needs it."""
         lattice, W = self.lattice, self.W.values
         D = derivative_axis_matrix(make_lattice(1, lattice.N, lattice.l))
         vectors, total = [], 0.0
@@ -290,6 +295,12 @@ class Operator:
             vectors.append(Vt[::-1].T)
             total = total + (s[::-1] ** 2).reshape([-1 if i == j else 1 for i in range(lattice.d)])
         return vectors, total
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The sums sum_j Lambda_j of ``_separable``, negated, with nothing
+        dense assembled."""
+        return _descending(-self._separable[1].reshape(-1))
 
     def precondition(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """P x = (x)Q_j (sigma + sum_j Lambda_j)^{-1} (x)Q_j^T x for a flat
@@ -302,43 +313,21 @@ class Operator:
         return _along_axes(vectors, y / (sigma + total), lead).reshape(x.shape)
 
     def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v and the health of the propagation.  At d = 1,
-        with empty health, mode by mode in each sector of ``_block_modes``,
-        one block at a time, U^{-1} v folded in and the result unfolded in
-        place.  At d >= 2, with x = U^{-1} v = c q0 + r, the kernel part c q0
-        is kept exactly and e^{L' t} r is taken mode by mode in the factors
-        of ``_separable`` for a W that is a sum over axes, with empty health,
-        and otherwise in a Krylov space (:meth:`_propagate_krylov`)."""
+        """Rows e^{L t_i} v and the health of the propagation: with x = U^{-1}
+        v = c q0 + r, the kernel part c q0 is kept exactly and ``_advance``
+        takes e^{L' t} r."""
         u = self.u_diag
         x = v / u
-        if self.lattice.d == 1:
-            out, N = np.empty((len(times), self.size)), self.lattice.N
-            with _float64_range(self):
-                for sector, values, vectors in self._block_modes():
-                    c = vectors.T @ _fold(sector, x)
-                    for row, t in zip(out, times):
-                        y = vectors @ (np.exp(values * t) * c)
-                        if sector:  # unfold: x[+-m] = (even[m] +- odd[m]) / sqrt 2, the even part in row[N:]
-                            row[N - 1 :: -1] = (row[N + 1 :] - y) * _SQRT_HALF
-                            row[N + 1 :] = (row[N + 1 :] + y) * _SQRT_HALF
-                        else:  # the one sector fills the row, the even one row[N:] (x[0] and m = 1..N)
-                            row[-len(y) :] = y
-                    del vectors  # freed before the next block is assembled
-            out *= u
-            return out, {}
         q0 = u / np.linalg.norm(u)
         c = q0 @ x
         rest = x - c * q0
-        if self.potential.separable:
-            moved, health = self._propagate_separable(rest, times), {}
-        else:
-            moved, health = self._propagate_krylov(q0, rest, float(np.linalg.norm(x)), times)
+        moved, health = self._advance(q0, rest, float(np.linalg.norm(x)), times)
         return u * (c * q0 + moved), health
 
-    def _propagate_separable(self, rest: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Rows e^{L' t_i} rest for a W that is a sum over axes: rest in the
-        eigenbasis (x)Q_j of -L', each mode decayed at its rate sum_j
-        Lambda_j, with the all-kernel rate pinned to 0, and mapped back."""
+    def _advance(self, q0: np.ndarray, rest: np.ndarray, scale: float, times: np.ndarray) -> tuple:
+        """Rows e^{L' t_i} rest and empty health: rest in the eigenbasis
+        (x)Q_j of -L', each mode decayed at its rate sum_j Lambda_j, with the
+        all-kernel rate pinned to 0, and mapped back."""
         vectors, total = self._separable
         rates = -total
         rates.flat[0] = 0.0
@@ -346,9 +335,63 @@ class Operator:
         out = np.empty((len(times), self.size))
         for i, t in enumerate(times):
             out[i] = _along_axes(vectors, np.exp(rates * t) * modal, 0).reshape(-1)
-        return out
+        return out, {}
 
-    def _propagate_krylov(self, q0: np.ndarray, rest: np.ndarray, scale: float, times: np.ndarray) -> tuple:
+
+class MatrixFreeOperator(SeparableOperator):
+    """The route of any other W at d >= 2, through ``apply``: the per-axis
+    factors of W's mean are no longer its eigendecomposition, so they only
+    precondition (``precondition``) and start the gap's iteration.  The gap
+    comes by Lanczos (Saad, SIAM J. Numer. Anal. 29, 1992) and carries the
+    rounding of products with L', about eps ||L'|| / gap relative.  The
+    propagation keeps the q0 component exactly and advances the rest in the
+    polynomial Krylov space of L' (Hochbruck & Lubich, SIAM J. Numer. Anal.
+    34, 1997).  The spectrum is a values-only eigvalsh of the dense L',
+    assembled only when it is asked for.
+    """
+
+    backend = "matrix-free"
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """A values-only eigvalsh of L', assembled afresh and freed: one block,
+        as ``dense_sectors`` in ``health``."""
+        self.health["dense_sectors"] = 1
+        with _float64_range(self):
+            return _descending(np.linalg.eigvalsh(_dense_symmetrized(self.lattice, self.u_diag))[::-1])
+
+    def _gap(self) -> tuple:
+        """The spectral gap by Lanczos on q0-perp and the largest |alpha| of
+        the run (about ||L'||); ``health`` gets the block iterations of its
+        start, its Lanczos steps, gap residual and second passes.
+
+        Lanczos starts from the best vector of the block LOBPCG
+        :func:`_block_start`.  Where that converged, Lanczos confirms the gap at
+        its first check; where it spent its budget (a steep W that is not a sum
+        over axes), Lanczos carries on from its vector.  The run stops once the
+        Ritz residual beta_m |s_m| of the top Ritz value meets GAP_RTOL, or
+        eps max|alpha| (about eps ||L'||), below which it measures rounding
+        rather than convergence.  The gap is then the Rayleigh quotient
+        (:func:`_rayleigh`) of the Ritz vector.
+        """
+        q0 = self.kernel_vector()
+
+        def converged(alpha, beta):
+            theta, _, residual = _top_ritz(alpha, beta)
+            return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
+
+        start, iterations = _block_start(self, q0, _lowest_modes(self, GAP_BLOCK))
+        basis, alpha, beta, repeats = _lanczos(self.apply, q0, start, converged)
+        _, s, residual = _top_ritz(alpha, beta)
+        self.health.update(
+            gap_block_iterations=iterations,
+            lanczos_steps=len(alpha),
+            gap_residual=float(residual),
+            lanczos_reorth_steps=repeats,
+        )
+        return _rayleigh(self, basis.T @ s), float(np.abs(alpha).max())
+
+    def _advance(self, q0: np.ndarray, rest: np.ndarray, scale: float, times: np.ndarray) -> tuple:
         """Rows e^{L' t_i} rest, for rest orthogonal to the unit kernel
         vector q0, approximated in the polynomial Krylov space of rest
         (:func:`_polynomial_krylov`), grown until an a posteriori bound on
@@ -552,7 +595,7 @@ def _inverse_cholesky(V: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(V @ V.T))
 
 
-def _lowest_modes(op: Operator, k: int) -> np.ndarray:
+def _lowest_modes(op: MatrixFreeOperator, k: int) -> np.ndarray:
     """The k lowest modes of the preconditioner past its all-kernel one, as
     rows."""
     vectors, total = op._separable
@@ -569,7 +612,7 @@ def _rayleigh(op: Operator, y: np.ndarray) -> float:
     return sum(float(np.sum(b * b)) for b in op.scaled_derivatives(y)) / float(y @ y)
 
 
-def _block_start(op: Operator, q0: np.ndarray, modes: np.ndarray) -> tuple:
+def _block_start(op: MatrixFreeOperator, q0: np.ndarray, modes: np.ndarray) -> tuple:
     """A start vector for the gap's Lanczos run, and the number of block
     iterations spent on it: the best vector of a block LOBPCG (Knyazev, SIAM
     J. Sci. Comput. 23, 2001) for the smallest eigenvalues of K = -L' on
@@ -626,37 +669,6 @@ def _block_start(op: Operator, q0: np.ndarray, modes: np.ndarray) -> tuple:
     return start / np.linalg.norm(start), iterations
 
 
-def _lanczos_gap(op: Operator) -> tuple:
-    """The spectral gap by Lanczos on q0-perp, the largest |alpha| of the run
-    (about ||L'||) and the health of the run.
-
-    Lanczos starts from the vector of the block iteration
-    :func:`_block_start`.  Where that converged, Lanczos confirms the gap at
-    its first check; where it spent its budget (a steep W that is not a sum
-    over axes), Lanczos carries on from its vector.  The run stops once the
-    Ritz residual beta_m |s_m| of the top Ritz value meets GAP_RTOL, or
-    eps max|alpha| (about eps ||L'||), below which it measures rounding
-    rather than convergence.  The gap is then the Rayleigh quotient
-    (:func:`_rayleigh`) of the Ritz vector.
-    """
-    q0 = op.kernel_vector()
-
-    def converged(alpha, beta):
-        theta, _, residual = _top_ritz(alpha, beta)
-        return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
-
-    start, iterations = _block_start(op, q0, _lowest_modes(op, GAP_BLOCK))
-    basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, converged)
-    _, s, residual = _top_ritz(alpha, beta)
-    return _rayleigh(op, basis.T @ s), float(np.abs(alpha).max()), {
-        "backend": "matrix-free",
-        "gap_block_iterations": iterations,
-        "lanczos_steps": len(alpha),
-        "gap_residual": float(residual),
-        "lanczos_reorth_steps": repeats,
-    }
-
-
 @functools.cache
 def _gauss_legendre() -> tuple:
     """GAUSS_NODES Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -701,18 +713,9 @@ def _polynomial_krylov(op: Operator, q0: np.ndarray, start: np.ndarray, t: float
 
 def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = True) -> Operator:
     """The generator of W = E/2 (``halve``, the pipeline default) or W = E,
-    with its spectral gap.
-
-    At d = 1, and for a W that is a sum over axes at every d, the gap and
-    ||L'|| are read off ``eigenvalues`` as -eigenvalues[1] and
-    -eigenvalues[-1]: at d = 1 a values-only eigvalsh of each sector block,
-    since the axis matrix is the whole matrix and Lanczos would need about
-    n steps; at d >= 2 the sums of per-axis eigenvalues of ``_separable``,
-    with nothing dense assembled.  For any other W the gap comes through
-    ``apply``: a block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from
-    the lowest modes of the separable preconditioner, preconditioned by it,
-    runs for at most GAP_BLOCK_ITERATIONS iterations, and Lanczos finishes
-    from its best vector (see :func:`_lanczos_gap`).
+    with its spectral gap, on the one route of its lattice and potential:
+    :class:`DenseOperator` at d = 1, :class:`SeparableOperator` for a W that
+    is a sum over axes at d >= 2, and :class:`MatrixFreeOperator` otherwise.
     """
     if lattice.size > DENSE_CAP:
         raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")
@@ -723,19 +726,11 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     w_vals = e_grid.values / 2 if halve else e_grid.values
     W = GridField(lattice, w_vals, is_real=True)
     w = W.flat
-    op = Operator(lattice=lattice, potential=E, W=W, delta_W=float(w.max() - w.min()))
+    route = DenseOperator if lattice.d == 1 else SeparableOperator if E.separable else MatrixFreeOperator
+    op = route(lattice=lattice, potential=E, W=W, delta_W=float(w.max() - w.min()))
+    op.health["backend"] = op.backend
     with _float64_range(op):
-        if lattice.d == 1 or E.separable:
-            op.health["backend"] = "dense" if lattice.d == 1 else "separable"
-            op.spectral_gap = float(-op.eigenvalues[1])
-            norm = float(-op.eigenvalues[-1])
-            # past eps^2 ||L'|| the gap is rounding: of the dense spectrum,
-            # or of the SVD of an axis factor B_j, of which sqrt(gap) is a
-            # singular value resolved only above eps ||B_j||
-            if not op.spectral_gap > EPS * EPS * norm:
-                raise _too_steep(op)
-        else:
-            op.spectral_gap, norm, op.health = _lanczos_gap(op)
+        op.spectral_gap, norm = op._gap()
     if not (math.isfinite(op.spectral_gap) and op.spectral_gap > 0):
         raise _too_steep(op)
     op.health["gap_rounding"] = float(EPS * norm / op.spectral_gap)

@@ -289,13 +289,6 @@ def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     return SampleBatch(points=pts, l=l)
 
 
-def discrete_state_tv(psi: GridField, phi: GridField) -> float:
-    """TV between the sampling densities of two states on the same lattice."""
-    if psi.lattice != phi.lattice:
-        raise ValidationError("states live on different lattices")
-    return 0.5 * float(np.abs(box_probabilities(psi) - box_probabilities(phi)).sum())
-
-
 # ---------------------------------------------------------------------------
 # exact Gibbs oracle and TV quadrature
 

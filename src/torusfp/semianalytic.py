@@ -89,10 +89,20 @@ def spectrum_of_field(spec: SpectralField) -> TruncatedSpectrum:
 
 
 def spectrum_of_series(u_hat, k_max: int) -> TruncatedSpectrum:
-    """Spectrum of a 1-d analytic series, truncated at |k| <= k_max."""
+    """Spectrum of a 1-d analytic series, truncated at |k| <= k_max.  A weight
+    |u_hat(k)|^2 past float64 ends in a ValidationError naming k; the weights
+    are not rescaled, as ``semi_norms`` reads U = sqrt(sum w) off them."""
     ks = np.arange(-int(k_max), int(k_max) + 1)
-    w = np.array([abs(u_hat(int(k))) ** 2 for k in ks])
-    return TruncatedSpectrum(knorms=np.abs(ks).astype(float), weights=w, boundary=np.abs(ks) == k_max)
+    w = []
+    with np.errstate(over="ignore"):
+        for k in map(int, ks):
+            try:
+                w.append(abs(u_hat(k)) ** 2)
+            except OverflowError:  # a Python float raises where numpy returns inf
+                w.append(math.inf)
+            if not math.isfinite(w[-1]):
+                raise ValidationError(f"|u_hat(k)|^2 is not finite in float64 at k = {k}")
+    return TruncatedSpectrum(knorms=np.abs(ks).astype(float), weights=np.array(w), boundary=np.abs(ks) == k_max)
 
 
 @dataclass

@@ -4,8 +4,10 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from torusfp.lattice import RESOLUTION_CAP
 from torusfp.potential import EnergyPotential, bessel_i, cosine_potential
 
 from conftest import small_mlp
+from oracles import generator_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -402,7 +407,7 @@ def test_norm_check_holds_at_a_far_period(tmp_path, period, d):
     assert 0 <= manifest["health"]["norm_residual"] <= generator.NORM_RTOL
     norm = json.loads((out / "structure.json").read_text())["operator_norm"]
     op = generator.build_generator(cosine_potential(1.0, d, float(period)), lattice.make_lattice(d, 4, float(period)))
-    assert norm["measured"] == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-10, abs=0)
+    assert norm["measured"] == pytest.approx(np.linalg.norm(generator_matrix(op), 2), rel=1e-10, abs=0)
     assert norm["ok"]
 
 
@@ -743,6 +748,32 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: gibbs on each of the generator's
+    # three routes, and spectrum at d = 1, run with scipy unimportable
+    weights = tmp_path / "weights.json"
+    weights.write_text(small_mlp(2, seed=3).to_json())
+    small = ["--M", "6", "--samples", "100", "--seed", "1"]
+    runs = [
+        ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "6", *small],
+        ["gibbs", "--potential", "cosine:z=1", "--d", "2", "--N", "4", *small],
+        ["gibbs", "--potential", f"mlp:file={weights}", "--d", "2", "--N", "4", *small],
+        ["spectrum", "--potential", "cosine:z=1", "--d", "1", "--N", "6"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from torusfp import cli\n"
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0, 0]
 
 
 def test_witness_at_a_huge_a_finishes(tmp_path):

@@ -4,16 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusfp as tf
 from torusfp.errors import PreconditionError, SizeError
 from torusfp import generator, spectral
-from torusfp.generator import NORM_RTOL, Operator, spectrum_to_csv
+from torusfp.generator import NORM_RTOL, DenseOperator, Operator, SeparableOperator, spectrum_to_csv
 from torusfp.spectral import FFT_AXIS_POINTS, derivative_matrix, fourier_derivative, laplacian
 
 from conftest import random_band_field, small_mlp
+from oracles import generator_matrix
 
 
 def composed_generator(op):
@@ -54,7 +55,7 @@ def test_zero_potential_is_spectral_laplacian():
     lat = tf.make_lattice(1, 4, 1.0)
     op = tf.build_generator(tf.zero_potential(1, 1.0), lat)
     lap = derivative_matrix(lat, 0, order=2)
-    assert np.abs(op.matrix - lap).max() <= 1e-10 * np.abs(lap).max()
+    assert np.abs(generator_matrix(op) - lap).max() <= 1e-10 * np.abs(lap).max()
 
 
 def test_three_point_laplacian_spectrum():
@@ -70,8 +71,8 @@ def test_kernel_is_gibbs_direction():
     for halve in (True, False):
         op = tf.build_generator(E, lat, halve=halve)
         # L annihilates e^{-W}
-        resid = op.matrix @ op.stationary
-        assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(op.matrix, 2)
+        resid = generator_matrix(op) @ op.stationary
+        assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(generator_matrix(op), 2)
         # and the L' kernel is e^{-W/2}
         ref = np.exp(-op.W.flat / 2)
         ref /= np.linalg.norm(ref)
@@ -303,7 +304,7 @@ def test_d1_propagation_holds_no_n_by_n_array():
 def test_generator_matches_composed_reference(E, N, halve):
     op = tf.build_generator(E, tf.make_lattice(E.d, N, E.l), halve=halve)
     ref = composed_generator(op)
-    assert np.linalg.norm(op.matrix - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(generator_matrix(op) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 _MAX_N = {1: 149, 2: 8, 3: 2}  # at most 299, 289 and 125 nodes
@@ -327,16 +328,24 @@ def eigenvectors(op):
 
 @settings(max_examples=40, deadline=None)
 @given(generator_cases())
+# the route of each kind of potential: an MLP at d = 1 is dense, in one
+# sector, and a cosine at d = 3 a sum over axes
+@example((tf.mlp_potential(small_mlp(seed=3)), tf.make_lattice(1, 20, 1.0), True))
+@example((tf.cosine_potential(2.0, 3, 1.0), tf.make_lattice(3, 2, 1.0), False))
 def test_generator_structure_property(case):
     E, lat, halve = case
     op = tf.build_generator(E, lat, halve=halve)
     assert op.health["backend"] == ("separable" if lat.d >= 2 else "dense")
+    # the exact class: MatrixFreeOperator is a SeparableOperator too
+    assert type(op) is (SeparableOperator if lat.d >= 2 else DenseOperator)
+    if lat.d == 1:
+        assert op.health["dense_sectors"] == (1 if E.name.startswith("mlp") else 2)
     sym = op.symmetrized
     assert np.array_equal(sym, sym.T)
     ev = op.eigenvalues
     assert np.all(np.diff(ev) <= 0)
     assert ev[0] == 0.0 and np.count_nonzero(ev == 0.0) == 1
-    L = op.matrix
+    L = generator_matrix(op)
     assert np.abs(L.sum(axis=0)).max() <= 1e-9 * np.linalg.norm(L, 2)
     ref = np.exp(-op.W.flat / 2)
     assert op.kernel_vector() @ ref >= (1 - 1e-8) * np.linalg.norm(ref)
@@ -418,7 +427,7 @@ def off_by_one_ulp():
     w = op.W.values.copy()
     w[-1] = np.nextafter(w[-1], np.inf)
     assert not np.array_equal(w, w[::-1]) and np.abs(w - w[::-1]).max() == np.spacing(w[0])
-    return Operator(op.lattice, op.potential, tf.GridField(op.lattice, w, is_real=True), float(w.max() - w.min()))
+    return DenseOperator(op.lattice, op.potential, tf.GridField(op.lattice, w, is_real=True), float(w.max() - w.min()))
 
 
 @pytest.mark.parametrize(
@@ -456,8 +465,8 @@ def test_negative_semidefinite_quadratic_form(rng):
 def test_left_kernel_is_ones():
     E = tf.cosine_potential(2.0, 1, 1.0)
     op = tf.build_generator(E, tf.make_lattice(1, 10, 1.0))
-    row_sums = np.ones(op.size) @ op.matrix
-    assert np.linalg.norm(row_sums) <= 1e-9 * np.linalg.norm(op.matrix, 2)
+    row_sums = np.ones(op.size) @ generator_matrix(op)
+    assert np.linalg.norm(row_sums) <= 1e-9 * np.linalg.norm(generator_matrix(op), 2)
 
 
 def test_assembly_equivalence_band_limited(rng):
@@ -469,7 +478,7 @@ def test_assembly_equivalence_band_limited(rng):
         (tf.cosine_potential(2.0, 1, 1.0), 20),
     ]:
         op = tf.build_generator(E, tf.make_lattice(1, N, 1.0))
-        L, B = op.matrix, expanded_generator_matrix(op)
+        L, B = generator_matrix(op), expanded_generator_matrix(op)
         scale = np.linalg.norm(L, ord="fro")
         for _ in range(20):
             v = random_band_field(op.lattice, 5, rng).flat
@@ -481,7 +490,7 @@ def test_expanded_route_needs_band_limited_probes(rng):
     op = tf.build_generator(tf.cosine_potential(2.0, 1, 1.0), tf.make_lattice(1, 20, 1.0))
     B = expanded_generator_matrix(op)
     v = rng.standard_normal(op.size)
-    diff = np.linalg.norm(op.matrix @ v - B @ v) / np.linalg.norm(op.matrix @ v)
+    diff = np.linalg.norm(generator_matrix(op) @ v - B @ v) / np.linalg.norm(generator_matrix(op) @ v)
     assert diff > 1e-6
 
 
@@ -512,15 +521,16 @@ def test_operator_norm_check():
 )
 def test_operator_norm_matches_svd_oracle_without_svd(E, N, monkeypatch):
     op = tf.build_generator(E, tf.make_lattice(E.d, N, E.l))
-    oracle = np.linalg.norm(op.matrix, 2)
+    oracle = np.linalg.norm(generator_matrix(op), 2)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the norm check must not use an SVD or the dense L")
+        raise AssertionError("the norm check must not use an SVD or the dense L or L'")
 
     # numpy's norm reaches the SVD through its private module, so patch both
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     monkeypatch.setattr(importlib.import_module("numpy.linalg._linalg"), "svd", forbidden, raising=False)
-    monkeypatch.setattr(Operator, "matrix", property(forbidden))
+    monkeypatch.setattr(Operator, "symmetrized", property(forbidden))
+    monkeypatch.setattr(generator, "_dense_symmetrized", forbidden)
     rep = tf.operator_norm_check(op)
     assert rep.measured == pytest.approx(oracle, rel=1e-10, abs=0)
     assert op.health["norm_lanczos_steps"] > 0
@@ -562,7 +572,7 @@ def test_separable_spectrum_holds_the_gap_exactly(d, N):
 def test_operator_norm_through_the_fft_axis_matches_the_dense_norm():
     op = tf.build_generator(tf.cosine_potential(2.0, 1, 1.0), tf.make_lattice(1, 300, 1.0))
     assert op.lattice.points_per_axis > FFT_AXIS_POINTS
-    oracle = np.linalg.norm(op.matrix, 2)
+    oracle = np.linalg.norm(generator_matrix(op), 2)
     assert tf.operator_norm_check(op).measured == pytest.approx(oracle, rel=1e-10, abs=0)
 
 
@@ -576,7 +586,7 @@ def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     assert assembled == [] and blocks == [] and solved == []
     sym = plane.symmetrized
     assert plane.eigenvalues is plane.eigenvalues and plane.symmetrized is sym
-    assert plane.matrix.shape == sym.shape
+    assert generator_matrix(plane).shape == sym.shape
     # the sum over axes takes its spectrum from the per-axis factors: L' is
     # assembled once, on access, and no block or eigvalsh runs
     assert assembled == [1] and blocks == [] and solved == []

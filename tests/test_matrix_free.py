@@ -28,6 +28,9 @@ from torusfp.generator import (
     GAP_BLOCK_ITERATIONS,
     GAP_RTOL,
     KRYLOV_RTOL,
+    DenseOperator,
+    MatrixFreeOperator,
+    SeparableOperator,
     _lanczos,
     _random_start,
     _top_ritz,
@@ -71,10 +74,20 @@ def _svd_gap(op):
 # Rayleigh quotient of its vector, missed against the singular-value oracle
 @example((2, 6, 0.763, 7.11, False))
 @example((2, 6, 0.763, None, False))
+# the route of each kind of potential: an MLP at d = 1 is dense, in one
+# sector, and a cosine at d = 3 a sum over axes
+@example((1, 20, 1.0, None, True))
+@example((3, 2, 1.0, 4.0, True))
 def test_lanczos_gap_matches_dense_oracles(case):
     op = _build(*case)
-    separable = case[3] is not None
-    assert op.health["backend"] == ("separable" if separable else "matrix-free")
+    d, separable = case[0], case[3] is not None
+    backend = "dense" if d == 1 else "separable" if separable else "matrix-free"
+    assert op.health["backend"] == backend
+    # the exact class: MatrixFreeOperator is a SeparableOperator too
+    route = {"dense": DenseOperator, "separable": SeparableOperator, "matrix-free": MatrixFreeOperator}[backend]
+    assert type(op) is route
+    if d == 1:
+        assert op.health["dense_sectors"] == (2 if separable else 1)
     mu = np.linalg.eigvalsh(-op.symmetrized)
     gap, norm = mu[1], mu[-1]
     # eigvalsh is backward stable: its gap carries an error of about eps ||L'||
@@ -83,7 +96,7 @@ def test_lanczos_gap_matches_dense_oracles(case):
     gap_svd = _svd_gap(op)
     assert abs(op.spectral_gap - gap_svd) <= (1e-10 + 4 * EPS * np.sqrt(norm / gap_svd)) * gap_svd
 
-    if not separable:
+    if backend == "matrix-free":
         health = op.health
         assert 0 < health["lanczos_steps"] <= op.size - 1
         converged = health["gap_residual"] <= max(2 * GAP_RTOL * gap, 2 * EPS * norm)

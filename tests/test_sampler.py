@@ -19,11 +19,11 @@ from torusfp.sampler import (
     GibbsDensity,
     box_probabilities,
     density_tv_quadrature,
-    discrete_state_tv,
     normalized_series_distance,
 )
 
 from conftest import coupled_potential, small_mlp
+from oracles import discrete_state_tv
 
 
 def _normalized(fld):

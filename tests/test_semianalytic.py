@@ -94,6 +94,17 @@ def test_fit_params_takes_C_as_the_largest_ratio():
     assert max(ratios) == pytest.approx(1.0, rel=1e-13)
 
 
+def test_spectrum_of_series_refuses_a_weight_past_float64():
+    # I_k(400) is about 1e172: its square is past float64, and the spectrum
+    # names the first k whose weight overflows rather than raise OverflowError
+    _, _, _, _, _, u_hat = tf.expcos_family(400.0)
+    with pytest.raises(ValidationError, match=r"k = -60\b"):
+        spectrum_of_series(u_hat, 60)
+    # a numpy scalar overflows to inf rather than raising: refused the same way
+    with pytest.raises(ValidationError, match=r"k = -1\b"):
+        spectrum_of_series(lambda k: np.float64(1e200) if k else np.float64(1.0), 1)
+
+
 def test_fit_params_band_limited(rng):
     # flat-ish random spectrum up to k0: fitted a lands in [k0/2, k0]
     from conftest import random_band_field
