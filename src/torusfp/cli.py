@@ -161,7 +161,12 @@ def _parse_potential(spec: str, d: int, l: float):
     path = kv.get("file")
     if not path:
         raise ValidationError("mlp potential needs file=PATH with JSON weights")
-    return pot.mlp_potential(pot.PeriodicMlp.from_json(Path(path).read_text()))
+    mlp = pot.PeriodicMlp.from_json(Path(path).read_text())
+    # the run's d and l are the recorded --d and --l: a document that would
+    # set others is refused, not followed
+    if (mlp.d, mlp.l) != (d, l):
+        raise ValidationError(f"MLP document has d={mlp.d}, l={mlp.l} but the run has --d {d}, --l {l}")
+    return pot.mlp_potential(mlp)
 
 
 def _parse_range(text: str):
@@ -425,10 +430,11 @@ def _cmd_witness(cfg, out_dir, artifacts):
 def _cmd_mean(cfg, out_dir, artifacts):
     import numpy as np
 
-    from .sampler import estimate_mean, exact_mean, run_pipeline
+    from .sampler import _sample_pipeline, estimate_mean, exact_mean
 
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
-    result = run_pipeline(E, N=cfg["N"], eps=cfg["eps"], count=cfg["samples"], seed=cfg["seed"])
+    # run_pipeline without its TV, which mean.json does not hold
+    result = _sample_pipeline(E, N=cfg["N"], eps=cfg["eps"], count=cfg["samples"], seed=cfg["seed"])
 
     def observable(pts):
         return np.cos(2 * np.pi * np.asarray(pts)[..., 0] / cfg["l"])
@@ -446,7 +452,8 @@ def _cmd_mean(cfg, out_dir, artifacts):
 
 
 #: Options every subcommand takes, and the groups several of them share.
-_COMMON = {"out": _Option("torusfp-out", str, "output directory (default torusfp-out)"), "seed": _Option(None, int)}
+#: Only the stochastic subcommands, gibbs and mean, declare ``seed``.
+_COMMON = {"out": _Option("torusfp-out", str, "output directory (default torusfp-out)")}
 _SEED = _Option(None, int, "RNG seed (required: stochastic subcommand)", required=True)
 _L = _Option(1.0, float)
 _LATTICE = {"potential": _Option("cosine:z=1", str), "d": _Option(1, int), "N": _Option(16, int), "l": _L}

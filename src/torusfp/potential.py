@@ -281,6 +281,9 @@ class PeriodicMlp:
 
     def features(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
+        # a last axis of 1 would broadcast into every feature column
+        if pts.ndim == 0 or pts.shape[-1] != self.d:
+            raise ValidationError(f"MLP of d={self.d} needs points of shape (..., {self.d}), got {pts.shape}")
         theta = 2 * math.pi * pts / self.l
         feats = np.empty(pts.shape[:-1] + (2 * self.d,))
         feats[..., 0::2] = np.cos(theta)

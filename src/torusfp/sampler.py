@@ -547,7 +547,7 @@ def _integer_root(n: int, d: int) -> int:
 @dataclass
 class PipelineResult:
     batch: SampleBatch
-    tv_report: TvReport
+    tv_report: TvReport | None  # None from the steps before the TV (the mean subcommand's run)
     operator: Operator
     state: GridField     # normalized evolved state on the N-lattice
     upsampled: GridField
@@ -580,11 +580,31 @@ def run_pipeline(
     ``health`` adds the mixing part of the error, ``mixing_l2``, to the
     operator's, the propagation's and the TV's numbers.
     """
+    result = _sample_pipeline(E, N, M, T, eps, count, seed, M_cap, subcells)
+    result.tv_report = tv_distance(result.upsampled, E, subcells=subcells, bound=eps)
+    result.health.update(result.tv_report.health)
+    return result
+
+
+def _sample_pipeline(
+    E: EnergyPotential,
+    N: int,
+    M: int | None = None,
+    T: float | None = None,
+    eps: float = 0.05,
+    count: int = 10000,
+    seed: int = 0,
+    M_cap: int = 512,
+    subcells: int = 32,
+) -> PipelineResult:
+    """:func:`run_pipeline`, with its parameters, up to its samples: no TV is
+    measured, so ``tv_report`` is None and ``health`` holds no TV numbers.
+    ``subcells`` still clamps auto-M and is checked against the quadrature cap."""
     if subcells < 1:
         raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
     if M_cap < 1:
         raise ValidationError(f"M_cap must be at least 1, got {M_cap}")
-    if not 0 < eps < 1:  # the TV bound, whether or not it also picks T and M
+    if not 0 < eps < 1:  # picks T and M, and bounds run_pipeline's TV either way
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     _check_count(count, E.d)
     _check_seed(seed)
@@ -635,16 +655,14 @@ def run_pipeline(
     if E.d <= 2:
         _check_quadrature(E.d, 2 * int(M) + 1, subcells)
     upsampled = upsample(state, int(M))
-    batch = continuous_sample(upsampled, count, seed)
-    tv_report = tv_distance(upsampled, E, subcells=subcells, bound=eps)
     return PipelineResult(
-        batch=batch,
-        tv_report=tv_report,
+        batch=continuous_sample(upsampled, count, seed),
+        tv_report=None,
         operator=op,
         state=state,
         upsampled=upsampled,
         resolved=resolved,
-        health={**op.health, **evolution.health, **tv_report.health, "mixing_l2": mixing_l2},
+        health={**op.health, **evolution.health, "mixing_l2": mixing_l2},
     )
 
 

@@ -328,7 +328,8 @@ def test_mean_manifest_records_the_mixing_distance(tmp_path):
     out = tmp_path / "m"
     assert run_cli(["mean", "--N", "6", "--samples", "100", "--seed", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
-    assert set(manifest["health"]) == {"backend", "dense_sectors", "gap_rounding"} | PIPELINE_HEALTH
+    # mean measures no TV, so its health has no TV numbers
+    assert set(manifest["health"]) == {"backend", "dense_sectors", "gap_rounding", "mixing_l2"}
     assert 0 <= manifest["health"]["mixing_l2"] < 1
     assert "mixing" not in (out / "mean.json").read_text()
     assert not set(manifest["config"]) & set(manifest["health"])
@@ -443,6 +444,18 @@ def test_seed_outside_the_philox_keys_exits_2(tmp_path, capsys, command, seed):
     argv = [command, "--N", "4", "--samples", "10", "--seed", str(seed), "--out", str(tmp_path / "x")]
     assert run_cli(argv) == 2
     assert "seed must be an integer in [0, 2^128)" in capsys.readouterr().err
+
+
+def test_mean_measures_no_tv(tmp_path, monkeypatch):
+    # mean.json holds the sample mean and its quadrature value, not the TV
+    def no_tv(*args, **kwargs):
+        raise AssertionError("the TV was measured")
+
+    monkeypatch.setattr(sampler, "tv_distance", no_tv)
+    out = tmp_path / "m"
+    assert run_cli(["mean", "--d", "3", "--N", "4", "--samples", "1000", "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "mean.json").read_text())
+    assert set(doc) == {"mean", "stderr", "count", "exact", "abs_error"}
 
 
 @pytest.mark.parametrize("command", ["gibbs", "mean"])
@@ -739,6 +752,53 @@ def test_usage_exit_codes():
     with pytest.raises(SystemExit) as info:
         run_cli(["gibbs", "--potential", "cosine:z=1", "--samples", "10"])  # missing --seed
     assert info.value.code == 64
+    with pytest.raises(SystemExit) as info:
+        run_cli(["mean", "--samples", "10"])  # missing --seed
+    assert info.value.code == 64
+
+
+DETERMINISTIC = ["derive-check", "interpolate", "spectrum", "evolve", "analyze", "witness"]
+
+
+@pytest.mark.parametrize("command", DETERMINISTIC)
+def test_seed_is_a_usage_error_where_nothing_is_sampled(tmp_path, command):
+    # a seed these subcommands never read would only fork config_hash
+    with pytest.raises(SystemExit) as info:
+        run_cli([command, "--seed", "1", "--out", str(tmp_path / "x")])
+    assert info.value.code == 64
+    assert not (tmp_path / "x").exists()
+
+
+#: Runs given an MLP document of another period or dimension than --l/--d;
+#: the document is small_mlp(d, seed=3, l=l) with (d, l) as named.
+FOREIGN_MLP_RUNS = {
+    "l2-spectrum": ((1, 2.0), ["spectrum", "--d", "1", "--N", "4"]),
+    "l2-evolve": ((1, 2.0), ["evolve", "--d", "1", "--N", "4"]),
+    "l2-analyze": ((1, 2.0), ["analyze", "--d", "1", "--N", "4"]),
+    "l2-gibbs": ((1, 2.0), ["gibbs", "--d", "1", "--N", "4", "--samples", "10", "--seed", "1"]),
+    "l2-mean": ((1, 2.0), ["mean", "--d", "1", "--N", "4", "--samples", "10", "--seed", "1"]),
+    "d1-gibbs-d3": ((1, 1.0), ["gibbs", "--d", "3", "--N", "2", "--samples", "10", "--seed", "1"]),
+    "d2-analyze-d1": ((2, 1.0), ["analyze", "--d", "1", "--N", "8"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_MLP_RUNS))
+def test_mlp_document_must_match_the_run_d_and_l(tmp_path, capsys, monkeypatch, case):
+    # the run's d and l are the recorded --d and --l: a document that would
+    # change them is refused before any generator is built or artifact written
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the generator was built")
+
+    monkeypatch.setattr(sampler, "build_generator", no_generator)
+    monkeypatch.setattr(generator, "build_generator", no_generator)
+    (d, l), argv = FOREIGN_MLP_RUNS[case]
+    weights = tmp_path / "weights.json"
+    weights.write_text(small_mlp(d, seed=3, l=l).to_json())
+    out = tmp_path / "x"
+    assert run_cli(argv + ["--potential", f"mlp:file={weights}", "--out", str(out)]) == 2
+    run_d = argv[argv.index("--d") + 1]
+    assert f"MLP document has d={d}, l={l} but the run has --d {run_d}, --l 1.0" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_console_entry_point(tmp_path):
@@ -865,7 +925,7 @@ def test_flag_and_config_file_record_the_same_config(tmp_path, monkeypatch, comm
     monkeypatch.setitem(cli._COMMANDS, command, entry._replace(run=lambda cfg, out_dir, artifacts: ({}, [], {})))
     opt = entry.options[key]
     value = {bool: True, int: 7, float: 2.5, str: "x"}[opt.kind] if opt.choices is None else opt.choices[-1]
-    seed = ["--seed", "1"] if entry.options["seed"].required else []
+    seed = ["--seed", "1"] if "seed" in entry.options else []
     flag = _flags(command)[key]
     manifests = []
     for via in ("flag", "file"):
@@ -902,7 +962,7 @@ def test_main_calls_share_one_parser(tmp_path, monkeypatch):
 def test_unset_flags_parse_to_none():
     # so that a config file's values keep their precedence over defaults
     for name, command in cli._COMMANDS.items():
-        seed = ["--seed", "1"] if command.options["seed"].required else []
+        seed = ["--seed", "1"] if "seed" in command.options else []
         args = vars(build_parser().parse_args([name] + seed))
         assert all(args[key] is None for key in command.options if key != "seed"), name
 

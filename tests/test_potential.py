@@ -295,6 +295,17 @@ def test_mlp_json_round_trip():
     np.testing.assert_allclose(clone.forward(pts), mlp.forward(pts), rtol=0, atol=0)
 
 
+def test_mlp_refuses_points_of_another_dimension():
+    # an (m, 1) array would broadcast into all four feature columns of a
+    # d = 2 network, evaluating it on the diagonal x_1 = x_2
+    mlp = small_mlp(d=2, seed=9)
+    with pytest.raises(ValidationError, match=r"d=2 needs points of shape \(\.\.\., 2\), got \(5, 1\)"):
+        mlp.forward(np.zeros((5, 1)))
+    with pytest.raises(ValidationError):
+        mlp.forward(0.0)
+    assert mlp.forward(np.zeros(2)).shape == ()  # one point
+
+
 def diameter_on_fine_lattice(E):
     """max E - min E over the fine lattice: the oracle for stored diameters."""
     vals = tf.discretize(E, fine_lattice(E.d, E.l)).values
