@@ -20,7 +20,7 @@ print(f"TV(sampling density, exact Gibbs) = {result.tv_report.tv:.5f}  (target {
 
 print("\nnorm traces along the evolution (all-ones start):")
 op = result.operator
-traced = tf.evolve(op, tf.constant_field(op.lattice), r["T"], snapshots=8, chi2=True)
+traced = tf.evolve(op, tf.constant_field(op.lattice), r["T"], snapshots=8)
 rep = tf.norm_and_max_principle_report(op, traced)
 print(f"  max ||u(t)|| / ||1|| = {rep.max_norm_ratio:.6f} <= e^(D_W/2) = {rep.norm_bound:.6f}")
 print(f"  mass drift <1, u(t)>: {rep.inner_drift:.2e} relative")

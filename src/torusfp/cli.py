@@ -89,22 +89,22 @@ def _resolve_config(args) -> dict:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
+        for key in file_cfg:
+            if key not in options:
+                raise ValidationError(f"{args.command} takes no config key {key!r}")
         cfg.update(file_cfg)
     flags = vars(args)
     cfg.update({key: flags[key] for key in options if flags[key] is not None})
-    # flags arrive typed by the parser, so only a config file can get these wrong
     for key, value in cfg.items():
-        opt = _CHECKED.get(key)
-        if opt is None:
-            continue
-        kind = (int, float) if opt.kind is float else opt.kind
-        if isinstance(value, bool) != (opt.kind is bool) or not isinstance(value, kind):
-            raise ValidationError(f"config value {key}={value!r} has the wrong type")
-        if opt.choices and value not in opt.choices:
-            raise ValidationError(f"{key} must be {' or '.join(opt.choices)}, got {value!r}")
-    # argparse and json both read nan and inf as floats
-    for key, opt in options.items():
-        value = cfg.get(key)
+        opt = options[key]
+        # flags arrive typed by the parser, so only a config file can get these wrong
+        if key not in _PARSED_WHERE_USED:
+            kind = (int, float) if opt.kind is float else opt.kind
+            if isinstance(value, bool) != (opt.kind is bool) or not isinstance(value, kind):
+                raise ValidationError(f"config value {key}={value!r} has the wrong type")
+            if opt.choices and value not in opt.choices:
+                raise ValidationError(f"{key} must be {' or '.join(opt.choices)}, got {value!r}")
+        # argparse and json both read nan and inf as floats
         if opt.kind is float and isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{key} must be a finite number, got {value!r}")
     cfg["command"] = args.command
@@ -316,7 +316,7 @@ def _cmd_spectrum(cfg, out_dir, artifacts):
 
 
 def _cmd_evolve(cfg, out_dir, artifacts):
-    from .evolve import choose_T, decay_report, evolve, norm_and_max_principle_report, traces_to_csv
+    from .evolve import choose_T, decay_report, evolve, norm_and_max_principle_report
     from .generator import build_generator
     from .lattice import constant_field, make_lattice
 
@@ -330,7 +330,7 @@ def _cmd_evolve(cfg, out_dir, artifacts):
     op = build_generator(E, lat)
     if T == "auto":
         T = choose_T(1.0 / op.spectral_gap, E.diameter, cfg["eps"])
-    res = evolve(op, constant_field(lat), T, snapshots=cfg["snapshots"], chi2=True)
+    res = evolve(op, constant_field(lat), T, snapshots=cfg["snapshots"])
     dec = decay_report(op, res)
     nrm = norm_and_max_principle_report(op, res)
     violations = []
@@ -338,7 +338,7 @@ def _cmd_evolve(cfg, out_dir, artifacts):
         violations.append("chi-square decay rate below 95% of the expected rate")
     if not (nrm.max_norm_ok and nrm.min_norm_ok and nrm.inner_ok):
         violations.append("norm/mass trace bound violated")
-    _write(out_dir, "traces.csv", traces_to_csv(res), artifacts)
+    _write(out_dir, "traces.csv", res.csv_chunks(), artifacts)
     _write(
         out_dir,
         "evolution.json",
@@ -485,11 +485,6 @@ _COMMANDS = {
         **_COMMON, "seed": _SEED, **_LATTICE, "potential": _Option("cosine:z=2", str),
         "eps": _Option(0.01, float), "samples": _Option(100000, int)}),
 }
-#: Every declared key but those parsed where they are used, with the option
-#: whose kind (and choices) its config value must match.
-_CHECKED = {
-    key: opt for command in _COMMANDS.values() for key, opt in command.options.items() if key not in _PARSED_WHERE_USED
-}
 
 
 def main(argv=None) -> int:
@@ -504,10 +499,7 @@ def main(argv=None) -> int:
         resolved = dict(resolved)
         resolved["violations"] = violations
         _manifest(out_dir, cfg, resolved, health, artifacts, started)
-    except TorusFpError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return VALIDATION_EXIT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (TorusFpError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VALIDATION_EXIT
     if violations:

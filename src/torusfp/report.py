@@ -4,8 +4,10 @@ A report is a dataclass that inherits :class:`Report`.  Its JSON form holds
 its fields in declaration order (arrays as lists, nested dataclasses
 expanded), followed by every property the class defines: its verdicts.  A
 field whose metadata sets ``artifact`` false (run health) is left out.
-Every CSV artifact is written by :func:`csv_text`, except the sample
-batch, whose rows :func:`float_rows` formats with numpy into the same bytes.
+Every CSV artifact is written by :func:`csv_text`, except the all-float
+tables (the sample batch and the evolution traces), which :func:`float_csv`
+writes in pieces: :func:`float_rows` formats their rows with numpy into the
+same bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +51,22 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+#: rows per :func:`float_rows` call of :func:`float_csv`
+CSV_CHUNK = 4096
+
+
+def float_csv(header, columns: np.ndarray):
+    """An all-float table as CSV text in pieces, the same bytes as
+    :func:`csv_text` writes of the values' reprs (no value needs quoting).
+    ``columns`` holds the table's columns as its rows: the transpose of a
+    row-major table, whose chunks are then views.  The header comes first,
+    then CSV_CHUNK rows at a time, each chunk one :func:`float_rows` call, so
+    the text of the whole table need not exist at once."""
+    yield ",".join(header) + "\n"
+    for start in range(0, columns.shape[1], CSV_CHUNK):
+        yield float_rows(columns[:, start : start + CSV_CHUNK].T)
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,11 @@ target, the TV quadrature evaluates at most QUADRATURE_CAP midpoints, and a
 sample batch holds at most SAMPLE_CAP coordinates.
 
 TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
-sample batches write their own CSV, byte for byte what ``csv_text`` would,
-with one ``report.float_rows`` call per chunk of CSV_CHUNK rows: numpy's
-integer arithmetic gives the shortest round-trip digits of every value with
-1e-4 <= |x| < 1e16 whose significand is not a power of two, and ``repr``
-writes the rest.
+sample batches are written by ``report.float_csv``, byte for byte what
+``csv_text`` would, with one ``report.float_rows`` call per chunk of
+CSV_CHUNK rows: numpy's integer arithmetic gives the shortest round-trip
+digits of every value with 1e-4 <= |x| < 1e16 whose significand is not a
+power of two, and ``repr`` writes the rest.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .evolve import choose_T, evolve
 from .generator import Operator, build_generator
 from .lattice import RESOLUTION_CAP, GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
 from .potential import EnergyPotential, fine_lattice, lipschitz_on_grid
-from .report import Report, float_rows
+from .report import CSV_CHUNK, Report, float_csv
 from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
 
 _E3 = math.e**3
@@ -94,10 +94,6 @@ SAMPLE_CAP = 2**27
 #: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
 TV_BAND = 1e-8
 
-#: sample rows converted to text at a time by ``SampleBatch.csv_chunks``, and
-#: drawn and placed at a time by ``continuous_sample``
-CSV_CHUNK = 4096
-
 #: largest upsampling half-width of ``interpolation_error_bound_check``
 INTERPOLATION_M_CAP = 20000
 
@@ -122,15 +118,10 @@ class SampleBatch:
         return self.points.shape[0]
 
     def csv_chunks(self):
-        """The points as CSV text in pieces, the same bytes as ``csv_text``
-        writes: no value needs quoting, so each row is its shortest
-        round-trip reprs joined by commas.  The header comes first, then
-        CSV_CHUNK rows at a time, each chunk one ``report.float_rows`` call,
-        so the text of the whole batch need not exist at once."""
-        d = self.points.shape[1]
-        yield ",".join(f"x{i}" for i in range(d)) + "\n"
-        for start in range(0, self.count, CSV_CHUNK):
-            yield float_rows(self.points[start : start + CSV_CHUNK])
+        """The points as CSV text in pieces, columns x0, x1, ..., written by
+        ``report.float_csv``: the same bytes as ``csv_text`` writes, never
+        all held at once."""
+        return float_csv([f"x{i}" for i in range(self.points.shape[1])], self.points.T)
 
     def to_csv(self) -> str:
         """The points as CSV text: the pieces of :meth:`csv_chunks` joined."""

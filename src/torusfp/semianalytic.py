@@ -214,22 +214,23 @@ def tail_bounds(params: SemiAnalyticityParams, U: float, t: float) -> TailBounds
     if a == 0:
         mass = top if t == 0 else 0.0
         return TailBounds(t=t, mass_bound=mass, amplitude_bound=0.0 if t > 0 else None)
-    if t <= 3 * a:
-        mass = top * math.exp(-((t - a) ** 2) / (8 * a**2))
-    else:
-        mass = math.e * top * math.exp(-t / (2 * a))
     amp = None
     if t >= 2 * a:
         amp = 2 * _E3 * C * math.exp(-(t / a) * (1 - 1 / (2 * math.e)))
-    return TailBounds(t=t, mass_bound=mass, amplitude_bound=amp)
+    return TailBounds(t=t, mass_bound=_two_branch_tail(top, a, t), amplitude_bound=amp)
 
 
 def bernstein_tail_probability_bound(bp: BernsteinParams, t: float) -> float:
     """Two-branch tail bound P[X >= t] for a Bernstein random variable."""
-    top = max(bp.A, 1.0)
-    if t <= 3 * bp.b:
-        return top * math.exp(-((t - bp.b) ** 2) / (8 * bp.b**2))
-    return math.e * top * math.exp(-t / (2 * bp.b))
+    return _two_branch_tail(max(bp.A, 1.0), bp.b, t)
+
+
+def _two_branch_tail(top: float, s: float, t: float) -> float:
+    """The two-branch concentration inequality of scale s > 0 at t:
+    top exp(-(t - s)^2 / 8 s^2) up to t = 3s, e top exp(-t / 2s) beyond."""
+    if t <= 3 * s:
+        return top * math.exp(-((t - s) ** 2) / (8 * s**2))
+    return math.e * top * math.exp(-t / (2 * s))
 
 
 def bernstein_from_semianalytic(params: SemiAnalyticityParams, U: float) -> BernsteinParams:

@@ -210,7 +210,7 @@ def test_criterion_06_poincare_and_decay(built_operators):
     for op in built_operators:
         pr = tf.poincare_report(op)
         ones = tf.constant_field(op.lattice)
-        res = tf.evolve(op, ones, T=3.0 / op.spectral_gap, snapshots=16, chi2=True)
+        res = tf.evolve(op, ones, T=3.0 / op.spectral_gap, snapshots=16)
         dr = tf.decay_report(op, res)
         ok = pr.ok and dr.rate_vs_gap_ok
         all_ok &= ok

@@ -620,6 +620,41 @@ def test_float_option_out_of_range_exits_2_before_writing(tmp_path, capsys, argv
     assert not any(out.glob("*.json"))
 
 
+#: Config-file keys each subcommand leaves undeclared, among them keys that
+#: other subcommands declare (with another kind, for potential and M).
+UNDECLARED_KEYS = [
+    ("spectrum", "seed"),
+    ("witness", "potential"),
+    ("evolve", "samples"),
+    ("derive-check", "M"),
+    ("analyze", "command"),
+]
+
+
+@pytest.mark.parametrize("command, key", UNDECLARED_KEYS, ids=[f"{c}:{k}" for c, k in UNDECLARED_KEYS])
+def test_config_key_the_subcommand_does_not_declare_exits_2(tmp_path, capsys, command, key):
+    # an undeclared flag is a usage error; the same key in a config file
+    # would only be recorded, and fork config_hash
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: 5}))
+    out = tmp_path / "x"
+    assert run_cli([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f"{command} takes no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, '{"N": 8,', "{'N': 8}"], ids=["missing", "truncated", "single-quoted"])
+def test_unreadable_config_file_exits_2_before_writing(tmp_path, capsys, text):
+    config = tmp_path / "cfg.json"
+    if text is not None:
+        config.write_text(text)
+    out = tmp_path / "x"
+    assert run_cli(["spectrum", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_switches_take_json_true(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"full_potential": True}))
@@ -965,11 +1000,3 @@ def test_unset_flags_parse_to_none():
         seed = ["--seed", "1"] if "seed" in command.options else []
         args = vars(build_parser().parse_args([name] + seed))
         assert all(args[key] is None for key in command.options if key != "seed"), name
-
-
-def test_config_keys_have_one_kind_across_subcommands():
-    kinds = {}
-    for command in cli._COMMANDS.values():
-        for key, opt in command.options.items():
-            if key not in cli._PARSED_WHERE_USED:
-                assert kinds.setdefault(key, opt.kind) is opt.kind, key

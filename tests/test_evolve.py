@@ -7,8 +7,9 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import ValidationError
-from torusfp.evolve import nested_restriction_error, traces_to_csv
+from torusfp.evolve import TRACE_BLOCK, nested_restriction_error
 from torusfp.lattice import SpectralField, idft
+from torusfp.report import CSV_CHUNK, csv_text
 
 
 def _ones(lat):
@@ -61,6 +62,14 @@ def test_lattice_mismatch_rejected():
         tf.evolve(op, _ones(tf.make_lattice(1, 4, 1.0)), T=-1.0)
 
 
+@pytest.mark.parametrize("snapshots", [1, 0, -3])
+def test_evolve_needs_two_snapshots(snapshots):
+    lat = tf.make_lattice(1, 4, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    with pytest.raises(ValidationError, match=f"need at least 2 snapshots, got {snapshots}"):
+        tf.evolve(op, _ones(lat), 1.0, snapshots=snapshots)
+
+
 def test_choose_T():
     assert tf.choose_T(1.0, 2.0, 0.1) == pytest.approx(math.log(2 * math.e / 0.1))
     np.testing.assert_allclose(tf.choose_T(1.0, 2.0, 0.1), 3.9957, atol=1e-4)
@@ -101,7 +110,7 @@ def test_decay_report_single_mode():
     coeffs[lat.N + 1] = 0.05
     coeffs[lat.N - 1] = 0.05
     u0 = idft(SpectralField(lat, coeffs))
-    res = tf.evolve(op, tf.GridField(lat, u0.values.real, is_real=True), T=0.02, snapshots=10, chi2=True)
+    res = tf.evolve(op, tf.GridField(lat, u0.values.real, is_real=True), T=0.02, snapshots=10)
     rep = tf.decay_report(op, res)
     expected = 2 * (2 * math.pi / l) ** 2
     assert rep.fitted_rate == pytest.approx(expected, rel=0.01)
@@ -112,7 +121,7 @@ def test_decay_report_flags_stationary():
     lat = tf.make_lattice(1, 8, 1.0)
     op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
     rho = tf.GridField(lat, op.stationary.reshape(lat.shape), is_real=True)
-    res = tf.evolve(op, rho, T=0.1, snapshots=8, chi2=True)
+    res = tf.evolve(op, rho, T=0.1, snapshots=8)
     rep = tf.decay_report(op, res)
     assert rep.stationary_input is True  # a Python bool, which evolution.json writes as true
     assert rep.fitted_rate is None
@@ -122,10 +131,7 @@ def test_decay_report_flags_stationary():
 def test_decay_report_validation():
     lat = tf.make_lattice(1, 6, 1.0)
     op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
-    res = tf.evolve(op, _ones(lat), T=0.1, snapshots=8)
-    with pytest.raises(ValidationError):
-        tf.decay_report(op, res)  # no chi2 trace
-    res3 = tf.evolve(op, _ones(lat), T=0.1, snapshots=3, chi2=True)
+    res3 = tf.evolve(op, _ones(lat), T=0.1, snapshots=3)
     with pytest.raises(ValidationError):
         tf.decay_report(op, res3)
 
@@ -149,7 +155,7 @@ def test_decay_report_rejects_too_short_span():
     # distinct, positive times whose squares underflow: no rate can be fitted
     lat = tf.make_lattice(1, 4, 1.0)
     op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
-    res = tf.evolve(op, _ones(lat), 1e-300, snapshots=4, chi2=True)
+    res = tf.evolve(op, _ones(lat), 1e-300, snapshots=4)
     with pytest.raises(ValidationError, match="too short to fit"):
         tf.decay_report(op, res)
 
@@ -158,7 +164,7 @@ def test_decay_rate_beats_gap_and_floor():
     for E in (tf.cosine_potential(1.0, 1, 1.0), tf.invcos_potential(4.0, 1.0)):
         lat = tf.make_lattice(1, 16, 1.0)
         op = tf.build_generator(E, lat)
-        res = tf.evolve(op, _ones(lat), T=3.0 / op.spectral_gap, snapshots=20, chi2=True)
+        res = tf.evolve(op, _ones(lat), T=3.0 / op.spectral_gap, snapshots=20)
         rep = tf.decay_report(op, res)
         assert rep.rate_vs_gap_ok and rep.rate_vs_floor_ok
         # TV chain bound shrinks along the trajectory
@@ -225,26 +231,51 @@ def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatc
 
 
 def test_traces_csv():
-    lat = tf.make_lattice(1, 4, 1.0)
-    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
-    res = tf.evolve(op, _ones(lat), T=0.5, snapshots=5, chi2=True)
-    text = traces_to_csv(res)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,norm,inner,chi2,max_principle"
-    assert len(lines) == 6
+    # the repr table of the traces, in pieces; 9000 snapshots cross CSV_CHUNK
+    # and TRACE_BLOCK boundaries
+    cases = [
+        (tf.cosine_potential(1.0, 1, 1.0), 4, 5),
+        (tf.zero_potential(2, 1.0), 3, 7),
+        (tf.invcos_potential(4.0, 1.0), 4, 9000),
+    ]
+    for E, N, snapshots in cases:
+        lat = tf.make_lattice(E.d, N, 1.0)
+        op = tf.build_generator(E, lat)
+        res = tf.evolve(op, _ones(lat), T=0.5, snapshots=snapshots)
+        columns = (res.times, res.norms, res.inners, res.chi2, res.max_principle)
+        rows = ([repr(float(v)) for v in row] for row in zip(*columns))
+        pieces = list(res.csv_chunks())  # the header, then one piece per CSV_CHUNK rows
+        assert len(pieces) == 1 + math.ceil(snapshots / CSV_CHUNK)
+        assert "".join(pieces) == csv_text(["t", "norm", "inner", "chi2", "max_principle"], rows)
 
 
-def test_chi2_trace_adds_at_most_one_states_sized_array():
-    # h pi and (h - mean)^2 pi share one work array; the parent built each of
-    # them, and (h - mean) and its square, as a temporary of their own
-    lat = tf.make_lattice(1, 4, 1.0)
+def test_traces_match_whole_array_reductions():
+    # the block pass gives each row what one reduction over all states
+    # gives, up to a last block of one row
+    lat = tf.make_lattice(1, 200, 1.0)
     op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
-    peaks = {}
-    for chi2 in (False, True):
-        tracemalloc.start()
-        res = tf.evolve(op, _ones(lat), T=0.5, snapshots=10_000, chi2=chi2)
-        peaks[chi2] = tracemalloc.get_traced_memory()[1]
+    res = tf.evolve(op, _ones(lat), T=0.5, snapshots=2 * (TRACE_BLOCK // lat.size) + 1)
+    h = res.states * np.exp(op.W.flat)
+    pi = np.exp(-op.W.flat)
+    pi = pi / pi.sum()
+    mean = (h * pi).sum(axis=1)
+    assert np.array_equal(res.norms, np.linalg.norm(res.states, axis=1))
+    assert np.array_equal(res.inners, res.states.sum(axis=1))
+    assert np.array_equal(res.max_principle, h.max(axis=1))
+    assert np.array_equal(res.chi2, ((h - mean[:, None]) ** 2 * pi).sum(axis=1))
+
+
+def test_evolve_traces_hold_little_beyond_the_states():
+    # the four traces take one pass over blocks of the states: whole-array
+    # traces took three states-sized temporaries (46.2 MiB here)
+    lat = tf.make_lattice(1, 200, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    tracemalloc.start()
+    try:
+        res = tf.evolve(op, _ones(lat), 0.5, snapshots=5000)
+        for trace in (res.norms, res.inners, res.max_principle, res.chi2):
+            assert np.all(np.isfinite(trace))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
         tracemalloc.stop()
-    # beyond the run without chi2: the work array, the mean and the trace
-    extra = res.states.nbytes + 2 * res.times.nbytes
-    assert peaks[True] - peaks[False] <= extra + 2**16
+    assert peak <= 1.25 * res.states.nbytes

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusfp as tf
-from torusfp import sampler
+from torusfp import report, sampler
 from torusfp.errors import ValidationError
 from torusfp.lattice import RESOLUTION_CAP, grid_points
 from torusfp.potential import fine_lattice
@@ -276,10 +276,10 @@ def test_sample_batch_holds_points_inside_the_domain(value, inside):
     assert sampler.SampleBatch(np.empty((0, 2)), l=1.0).count == 0
 
 
-@pytest.mark.parametrize("chunk", [7, 200, sampler.CSV_CHUNK])
+@pytest.mark.parametrize("chunk", [7, 200, report.CSV_CHUNK])
 @pytest.mark.parametrize("d", [1, 3])
 def test_samples_csv_matches_csv_text(rng, d, chunk, monkeypatch):
-    monkeypatch.setattr(sampler, "CSV_CHUNK", chunk)
+    monkeypatch.setattr(report, "CSV_CHUNK", chunk)
     l = 1e300
     points = rng.uniform(-l / 2, l / 2, (200, d)) * 10.0 ** rng.integers(-320, 1, (200, d))
     # negative zero, the smallest subnormal, a negative subnormal, a huge value
@@ -304,10 +304,20 @@ def test_samples_csv_formats_each_chunk_like_csv_text(d, count):
     # one plus a row, and more than two
     points = np.random.default_rng(count + d).random((count, d)) - 0.5
     flat = points.reshape(-1)
-    for at in {0, count * d - 1, min(sampler.CSV_CHUNK * d, count * d) - 1}:
+    for at in {0, count * d - 1, min(report.CSV_CHUNK * d, count * d) - 1}:
         flat[at : at + len(_AWKWARD)] = _AWKWARD[: count * d - at]
     batch = sampler.SampleBatch(points, l=1.0)
     assert batch.to_csv() == csv_text([f"x{i}" for i in range(d)], points.tolist())
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_integer_root_corrects_the_float_root_both_ways(d):
+    # past 2^53 the float root misses by more than 0.5, below and above:
+    # both correction loops run at every d here
+    for k in (2, 3, 10**5 + 7, 10**9 + 9, 3 * 10**16 + 5, 10**17 - 1, 10**17 + 3):
+        for n in (k**d - 1, k**d, k**d + 1):
+            r = sampler._integer_root(n, d)
+            assert r**d <= n < (r + 1) ** d
 
 
 def test_sample_validation():
@@ -629,7 +639,7 @@ def test_lem_T_chain_along_trajectory():
     E = tf.cosine_potential(1.0, 1, 1.0)
     lat = tf.make_lattice(1, 16, 1.0)
     op = tf.build_generator(E, lat)
-    res = tf.evolve(op, tf.constant_field(lat), T=2.0 / op.spectral_gap, snapshots=12, chi2=True)
+    res = tf.evolve(op, tf.constant_field(lat), T=2.0 / op.spectral_gap, snapshots=12)
     rho = tf.GridField(lat, op.stationary.reshape(lat.shape), is_real=True)
     for i in range(len(res.times)):
         delta = math.sqrt(res.chi2[i] / res.chi2[0]) if res.chi2[0] > 0 else 0.0
