@@ -1,23 +1,19 @@
 """Evolution u(t) = e^{Lt} u(0), mixing-time selection, and decay
 diagnostics.
 
-``evolve`` calls ``propagate`` of the operator's route, chosen once by
-``build_generator``.  ``DenseOperator`` (d = 1) applies the propagator mode
-by mode in each reflection sector, from the eigenpairs of each sector block,
-one block at a time, kept by none; its tests hold it to scipy's expm(t L')
-within (1e-10 + 16 eps ||L'|| t) ||U^{-1} u(0)||, so every bound check
-isolates discretization error.  At d >= 2 the kernel component is kept
-exactly and the rest advanced mode by mode in the per-axis factors by
-``SeparableOperator`` (a W that is a sum over axes), and otherwise in a
-Krylov space through ``Operator.apply`` by ``MatrixFreeOperator``, to an a
-posteriori error bound of ``generator.KRYLOV_RTOL`` times ||U^{-1} u(0)||
-in the symmetrized frame; ``EvolutionResult.health`` carries the Krylov
-run's step count and bound.  Every evolution records four traces (the norm,
-the mass <1, u>, the max principle and chi-square) in one pass over its
-states, TRACE_BLOCK values at a time, so that beyond the states it holds
-only a block's temporaries and snapshot-length arrays.  The decay and norm
-reports are ``torusfp.report.Report`` dataclasses; the trace table is
-written by ``report.float_csv``.
+``evolve`` calls the one ``Operator.propagate``: the kernel component of
+U^{-1} u(0) kept exactly, the rest in the modes of the route chosen once by
+``build_generator`` (the reflection-sector modes at d = 1, the per-axis
+factors of a W that is a sum over axes, otherwise a Krylov space with an a
+posteriori error bound, whose steps and bound land in
+``EvolutionResult.health``), and the snapshot times a block at a time.  Its
+tests hold it to scipy's expm(t L') within (1e-10 + 16 eps ||L'|| t)
+||U^{-1} u(0)||, so every bound check isolates discretization error.  Every
+evolution records four traces (the norm, the mass <1, u>, the max principle
+and chi-square) in one pass over its states, BLOCK_VALUES at a time, so that
+beyond the states it holds only a block's temporaries and snapshot-length
+arrays.  The decay and norm reports are ``torusfp.report.Report``
+dataclasses; the trace table is written by ``report.float_csv``.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeError, ValidationError
-from .generator import Operator, _too_steep, build_generator, poincare_report
+from .errors import PreconditionError, SizeError, ValidationError
+from .generator import BLOCK_VALUES, Operator, _too_steep, build_generator, poincare_report
 from .lattice import GridField, make_lattice
 from .report import Report, float_csv
 
@@ -36,12 +32,6 @@ CHI2_FLOOR_REL = 1e-18
 #: Most stored state values (snapshots x nodes) of one evolution, the budget
 #: of ``sampler.SAMPLE_CAP``: 1 GiB of float64 states.
 STATE_CAP = 2**27
-#: Most state values per block of the trace pass: its two block temporaries
-#: take 1 MiB.  At d = 1, N = 200 with 5000 snapshots (15.3 MiB of states)
-#: ``evolve`` then peaks at 17.1 MiB where whole-array traces took 46.2 MiB,
-#: and the pass takes 11.9 ms (2^14: 11.7, 2^18: 14.0, whole array: 14.7;
-#: one BLAS thread, 2 vCPUs).
-TRACE_BLOCK = 2**16
 
 
 @dataclass
@@ -79,24 +69,28 @@ def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2) -> Evoluti
     if snapshots * op.size > STATE_CAP:
         raise SizeError(f"{snapshots} snapshots of {op.size} nodes need {snapshots * op.size} values, cap is {STATE_CAP}")
 
+    w = op.W.flat
+    try:  # checked before any propagation
+        with np.errstate(over="raise"):
+            e_w, pi = np.exp(w), np.exp(-w)
+    except FloatingPointError:
+        bounds = f"[{w.min():.6g}, {w.max():.6g}]"
+        raise PreconditionError(f"chi-square weights e^(+-W) overflow float64 for W in {bounds}") from None
+
     traces = np.empty((5, 1 if T == 0 else snapshots))
     times, norms, inners, chi2, max_principle = traces
     if T == 0:
         times[0] = 0.0
-        states = np.asarray(u0.flat, dtype=float)[None, :].copy()
-        health = {}
+        states, health = np.asarray(u0.flat, dtype=float)[None, :].copy(), {}
     else:
         times[:] = np.linspace(0.0, float(T), snapshots)
         if np.any(np.diff(times) <= 0):
             raise ValidationError(f"T={T} is too short to split into {snapshots} distinct snapshot times")
         states, health = op.propagate(np.asarray(u0.flat, dtype=float), times)
 
-    w = op.W.flat
-    rows = max(1, TRACE_BLOCK // op.size)
+    rows = max(1, BLOCK_VALUES // op.size)
     try:  # u e^{W} and its square overflow on steep potentials the generator accepts
         with np.errstate(over="raise"):
-            e_w = np.exp(w)
-            pi = np.exp(-w)
             pi = pi / pi.sum()
             for start in range(0, len(times), rows):
                 block = slice(start, start + rows)
@@ -212,15 +206,12 @@ def norm_and_max_principle_report(op: Operator, result: EvolutionResult) -> Norm
     inner0 = result.inners[0]
     drift = float(np.abs(result.inners - inner0).max() / abs(inner0))
 
-    warnings = []
-    mp = result.max_principle
+    mp, t = result.max_principle, result.times
     tol = 1e-6 * max(1.0, float(np.abs(mp).max()))
-    for i in range(1, len(mp)):
-        if mp[i] > mp[i - 1] + tol:
-            warnings.append(
-                f"max principle rose between t={result.times[i-1]:.6g} and t={result.times[i]:.6g}: "
-                f"{mp[i-1]:.12g} -> {mp[i]:.12g}"
-            )
+    warnings = [
+        f"max principle rose between t={t[i-1]:.6g} and t={t[i]:.6g}: {mp[i-1]:.12g} -> {mp[i]:.12g}"
+        for i in 1 + np.flatnonzero(mp[1:] > mp[:-1] + tol)
+    ]
 
     return NormTraceReport(
         max_norm_ratio=float(ratios.max()),

@@ -17,10 +17,10 @@ potential: :class:`DenseOperator` at d = 1, :class:`SeparableOperator` for a
 W that is a sum over axes at d >= 2, :class:`MatrixFreeOperator` otherwise.
 Each route owns its spectrum ``eigenvalues`` (values only, descending, the
 kernel eigenvalue pinned to 0 at index 0, computed on first access and
-kept), its gap (``_gap``) and ``propagate``, and names itself in
-``op.health["backend"]``.  All share ``apply``, which acts with L' one axis
-at a time (:func:`torusfp.spectral.axis_derivative`), on one vector or on a
-block; the dense L' (``symmetrized``) is assembled only on demand.
+kept), its gap (``_gap``) and the modes ``_pieces`` it propagates in, and
+names itself in ``op.health["backend"]``.  All share ``propagate`` and
+``apply``, which acts with L' one axis at a time (:func:`torusfp.spectral.axis_derivative`),
+on one vector or on a block; the dense L' (``symmetrized``) is assembled only on demand.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
@@ -94,13 +94,17 @@ GAP_START_NOISE = 1e-3
 GAP_BLOCK_ITERATIONS = 100
 #: Gauss-Legendre nodes per interval of the error-bound quadrature.
 GAUSS_NODES = 16
+#: Most values per block of a pass over the snapshot times, a propagation's
+#: or ``evolve``'s trace pass.  At d = 1, N = 200, 5000 snapshots, ``evolve``
+#: peaks at 16.3 MiB (states 15.3; 2^16: 17.1) and its trace pass takes 11.0
+#: ms (2^14: 16.6, 2^16: 12.3, 2^18: 15.1; one BLAS thread, 2 vCPUs).
+BLOCK_VALUES = 2**15
 
 
 @dataclass
 class Operator:
     """The symmetrized generator L' = -sum_j B_j^T B_j: what every route
-    shares.  ``propagate(v, times)`` of each route returns the states as rows
-    and the health of the propagation."""
+    shares, ``propagate`` included."""
 
     lattice: TorusLattice
     potential: EnergyPotential
@@ -156,6 +160,28 @@ class Operator:
         )
         return -(acc / u).reshape(x.shape)
 
+    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
+        """Rows e^{L t_i} v and the health of the propagation.  With x = U^{-1}
+        v = c q0 + r the kernel part c q0 is kept exactly, and each piece
+        (coefficients a, rates theta, add) of the route's ``_pieces`` of r adds
+        its modes e^{theta t} a, mapped back to grid rows, BLOCK_VALUES // n
+        times at a time: one exp and one product per block, never per time."""
+        u, q0 = self.u_diag, self.kernel_vector()
+        x = v / u
+        c = q0 @ x
+        out = np.tile(c * q0, (len(times), 1))
+        rows = max(1, BLOCK_VALUES // self.size)
+        with _float64_range(self):
+            health, pieces = self._pieces(q0, x - c * q0, float(np.linalg.norm(x)), float(np.max(times)))
+            for coefficients, rates, add in pieces:
+                for start in range(0, len(times), rows):
+                    block = slice(start, start + rows)
+                    modes = np.outer(times[block], rates)
+                    add(np.multiply(np.exp(modes, out=modes), coefficients, out=modes), out[block])
+                del coefficients, rates, add, modes  # freed before the next piece is made
+        out *= u
+        return out, health
+
     def _gap(self) -> tuple:
         """The gap and ||L'||, read off ``eigenvalues`` as -eigenvalues[1] and
         -eigenvalues[-1], so ``spectrum.csv`` row 1 is -gap bit for bit.  Past
@@ -179,9 +205,8 @@ class DenseOperator(Operator):
     itself.  No block is kept: each is assembled when it is used and freed
     before the next, so the operator holds none once built, and each
     propagation assembles the blocks once more.  The spectrum is a
-    values-only eigvalsh of each block, and the gap is read off it.  The
-    propagation runs mode by mode from ``eigh`` of each block, within
-    (1e-10 + 16 eps ||L'|| t) ||U^{-1} v|| of expm(t L').
+    values-only eigvalsh of each block, and the gap is read off it; the
+    propagation runs in the modes of ``eigh`` of each block.
     """
 
     backend = "dense"
@@ -239,26 +264,16 @@ class DenseOperator(Operator):
             yield sector, values, vectors
             del vectors  # freed before the next block is assembled
 
-    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v, with empty health: mode by mode in each sector of
-        ``_block_modes``, one block at a time, U^{-1} v folded in and the
-        result unfolded in place."""
-        u = self.u_diag
-        x = v / u
-        out, N = np.empty((len(times), self.size)), self.lattice.N
-        with _float64_range(self):
+    def _pieces(self, q0: np.ndarray, rest: np.ndarray, scale: float, t_max: float) -> tuple:
+        """Empty health and, made as it is iterated, one piece per sector of
+        ``_block_modes``, mapped back by the transpose of ``_fold``."""
+
+        def sectors():
             for sector, values, vectors in self._block_modes():
-                c = vectors.T @ _fold(sector, x)
-                for row, t in zip(out, times):
-                    y = vectors @ (np.exp(values * t) * c)
-                    if sector:  # unfold: x[+-m] = (even[m] +- odd[m]) / sqrt 2, the even part in row[N:]
-                        row[N - 1 :: -1] = (row[N + 1 :] - y) * _SQRT_HALF
-                        row[N + 1 :] = (row[N + 1 :] + y) * _SQRT_HALF
-                    else:  # the one sector fills the row, the even one row[N:] (x[0] and m = 1..N)
-                        row[-len(y) :] = y
+                yield vectors.T @ _fold(sector, rest), values, functools.partial(_add_unfolded, sector, vectors)
                 del vectors  # freed before the next block is assembled
-        out *= u
-        return out, {}
+
+        return {}, sectors()
 
 
 class SeparableOperator(Operator):
@@ -268,10 +283,8 @@ class SeparableOperator(Operator):
     acting along its axis, so the factors are its eigendecomposition, built
     once per operator by fast diagonalization (Lynch, Rice & Thomas, Numer.
     Math. 6, 1964).  The spectrum is the negated sums sum_j Lambda_j, with
-    nothing dense assembled, and the gap is read off it.  The propagation
-    keeps the q0 component of U^{-1} v exactly and advances the rest mode by
-    mode in the basis (x)Q_j, one dense product per axis each way, with
-    empty health.
+    nothing dense assembled, and the gap is read off it; the propagation
+    runs in the modes (x)Q_j.
     """
 
     backend = "separable"
@@ -312,30 +325,18 @@ class SeparableOperator(Operator):
         y = _along_axes([Q.T for Q in vectors], x.reshape(x.shape[:-1] + self.lattice.shape), lead)
         return _along_axes(vectors, y / (sigma + total), lead).reshape(x.shape)
 
-    def propagate(self, v: np.ndarray, times: np.ndarray) -> tuple:
-        """Rows e^{L t_i} v and the health of the propagation: with x = U^{-1}
-        v = c q0 + r, the kernel part c q0 is kept exactly and ``_advance``
-        takes e^{L' t} r."""
-        u = self.u_diag
-        x = v / u
-        q0 = u / np.linalg.norm(u)
-        c = q0 @ x
-        rest = x - c * q0
-        moved, health = self._advance(q0, rest, float(np.linalg.norm(x)), times)
-        return u * (c * q0 + moved), health
+    def _pieces(self, q0: np.ndarray, rest: np.ndarray, scale: float, t_max: float) -> tuple:
+        """Empty health and one piece: rest in the eigenbasis (x)Q_j of -L',
+        each mode at its rate -sum_j Lambda_j, the all-kernel one pinned to 0,
+        and the modes mapped back by one dense product per axis."""
+        vectors, total = self._separable  # total is lattice-shaped
+        rates = -total.reshape(-1)
+        rates[0] = 0.0
 
-    def _advance(self, q0: np.ndarray, rest: np.ndarray, scale: float, times: np.ndarray) -> tuple:
-        """Rows e^{L' t_i} rest and empty health: rest in the eigenbasis
-        (x)Q_j of -L', each mode decayed at its rate sum_j Lambda_j, with the
-        all-kernel rate pinned to 0, and mapped back."""
-        vectors, total = self._separable
-        rates = -total
-        rates.flat[0] = 0.0
-        modal = _along_axes([Q.T for Q in vectors], rest.reshape(self.lattice.shape), 0)
-        out = np.empty((len(times), self.size))
-        for i, t in enumerate(times):
-            out[i] = _along_axes(vectors, np.exp(rates * t) * modal, 0).reshape(-1)
-        return out, {}
+        def add(modes, rows):
+            rows += _along_axes(vectors, modes.reshape((-1,) + total.shape), 1).reshape(rows.shape)
+
+        return {}, [(_along_axes([Q.T for Q in vectors], rest.reshape(total.shape), 0).reshape(-1), rates, add)]
 
 
 class MatrixFreeOperator(SeparableOperator):
@@ -344,10 +345,9 @@ class MatrixFreeOperator(SeparableOperator):
     precondition (``precondition``) and start the gap's iteration.  The gap
     comes by Lanczos (Saad, SIAM J. Numer. Anal. 29, 1992) and carries the
     rounding of products with L', about eps ||L'|| / gap relative.  The
-    propagation keeps the q0 component exactly and advances the rest in the
-    polynomial Krylov space of L' (Hochbruck & Lubich, SIAM J. Numer. Anal.
-    34, 1997).  The spectrum is a values-only eigvalsh of the dense L',
-    assembled only when it is asked for.
+    propagation runs in the polynomial Krylov space of L' (Hochbruck &
+    Lubich, SIAM J. Numer. Anal. 34, 1997).  The spectrum is a values-only
+    eigvalsh of the dense L', assembled only when it is asked for.
     """
 
     backend = "matrix-free"
@@ -391,33 +391,26 @@ class MatrixFreeOperator(SeparableOperator):
         )
         return _rayleigh(self, basis.T @ s), float(np.abs(alpha).max())
 
-    def _advance(self, q0: np.ndarray, rest: np.ndarray, scale: float, times: np.ndarray) -> tuple:
-        """Rows e^{L' t_i} rest, for rest orthogonal to the unit kernel
-        vector q0, approximated in the polynomial Krylov space of rest
+    def _pieces(self, q0: np.ndarray, rest: np.ndarray, scale: float, t_max: float) -> tuple:
+        """The health of the Krylov run and its one piece: rest, orthogonal to
+        the unit kernel vector q0, in its polynomial Krylov space
         (:func:`_polynomial_krylov`), grown until an a posteriori bound on
-        the error at t_max falls to KRYLOV_RTOL ``scale``, and its health.
-        The space depends only on rest and max(times); each time is
-        evaluated on its own.
-        """
+        the error at t_max falls to KRYLOV_RTOL ``scale``."""
         r0 = float(np.linalg.norm(rest))
-        out = np.zeros((len(times), self.size))
         # both e^{L' t} r and its approximation have norm <= ||r||, so the
         # error never exceeds 2 ||r||: a small enough rest needs no space
         if 2 * r0 <= KRYLOV_RTOL * scale:
             error = 2 * r0 / scale if scale else 0.0
-            return out, {"krylov_steps": 0, "krylov_error": error, "krylov_reorth_steps": 0}
-
-        with _float64_range(self):
-            basis, rates, S, error, repeats = _polynomial_krylov(
-                self, q0, rest / r0, float(max(times)), KRYLOV_RTOL * scale / r0
-            )
-            error = float(error * r0 / scale)
+            return {"krylov_steps": 0, "krylov_error": error, "krylov_reorth_steps": 0}, []
+        basis, rates, S, error, repeats = _polynomial_krylov(self, q0, rest / r0, t_max, KRYLOV_RTOL * scale / r0)
+        error = float(error * r0 / scale)
         if not math.isfinite(error):
             raise _too_steep(self)
-        for i, t in enumerate(times):
-            y = S @ (np.exp(rates * t) * S[0])
-            out[i] = r0 * (basis.T @ y)
-        return out, {"krylov_steps": len(basis), "krylov_error": error, "krylov_reorth_steps": repeats}
+
+        def add(modes, rows):
+            rows += r0 * ((modes @ S.T) @ basis)
+
+        return {"krylov_steps": len(basis), "krylov_error": error, "krylov_reorth_steps": repeats}, [(S[0], rates, add)]
 
 
 def _along_axes(mats: list, y: np.ndarray, lead: int) -> np.ndarray:
@@ -509,6 +502,22 @@ def _fold(sector, x: np.ndarray) -> np.ndarray:
     if sector:
         return (x[N + 1 :] - x[N - 1 :: -1]) * _SQRT_HALF
     return np.concatenate([x[N : N + 1], (x[N + 1 :] + x[N - 1 :: -1]) * _SQRT_HALF])
+
+
+def _add_unfolded(sector, vectors: np.ndarray, modes: np.ndarray, rows: np.ndarray) -> None:
+    """Adds y = ``modes @ vectors.T``, a row per time in one sector's basis, to
+    the grid ``rows`` by the transpose of :func:`_fold`: y_m / sqrt 2 onto
+    x[m] and onto x[-m], negated in the odd sector, and the even y_0 onto x[0]."""
+    y = modes @ vectors.T
+    if sector is None:
+        rows += y
+        return
+    N = rows.shape[1] // 2
+    if not sector:
+        rows[:, N] += y[:, 0]
+    half = np.multiply(y[:, -N:], _SQRT_HALF, out=y[:, -N:])  # m = 1..N
+    rows[:, N + 1 :] += half
+    (np.subtract if sector else np.add)(rows[:, N - 1 :: -1], half, out=rows[:, N - 1 :: -1])
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple:

@@ -7,7 +7,8 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import ValidationError
-from torusfp.evolve import TRACE_BLOCK, nested_restriction_error
+from torusfp.evolve import nested_restriction_error
+from torusfp.generator import BLOCK_VALUES
 from torusfp.lattice import SpectralField, idft
 from torusfp.report import CSV_CHUNK, csv_text
 
@@ -232,7 +233,7 @@ def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatc
 
 def test_traces_csv():
     # the repr table of the traces, in pieces; 9000 snapshots cross CSV_CHUNK
-    # and TRACE_BLOCK boundaries
+    # and BLOCK_VALUES boundaries
     cases = [
         (tf.cosine_potential(1.0, 1, 1.0), 4, 5),
         (tf.zero_potential(2, 1.0), 3, 7),
@@ -254,7 +255,7 @@ def test_traces_match_whole_array_reductions():
     # gives, up to a last block of one row
     lat = tf.make_lattice(1, 200, 1.0)
     op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
-    res = tf.evolve(op, _ones(lat), T=0.5, snapshots=2 * (TRACE_BLOCK // lat.size) + 1)
+    res = tf.evolve(op, _ones(lat), T=0.5, snapshots=2 * (BLOCK_VALUES // lat.size) + 1)
     h = res.states * np.exp(op.W.flat)
     pi = np.exp(-op.W.flat)
     pi = pi / pi.sum()
@@ -279,3 +280,59 @@ def test_evolve_traces_hold_little_beyond_the_states():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * res.states.nbytes
+
+
+def reference_max_principle_warnings(result):
+    """The max-principle scan as one loop over consecutive snapshots, kept
+    as the oracle of the report's one array comparison."""
+    warnings = []
+    mp = result.max_principle
+    tol = 1e-6 * max(1.0, float(np.abs(mp).max()))
+    for i in range(1, len(mp)):
+        if mp[i] > mp[i - 1] + tol:
+            warnings.append(
+                f"max principle rose between t={result.times[i-1]:.6g} and t={result.times[i]:.6g}: "
+                f"{mp[i-1]:.12g} -> {mp[i]:.12g}"
+            )
+    return warnings
+
+
+def test_max_principle_warnings_name_each_rise():
+    # a falling max-principle trace with rises at known indices, one of
+    # them within the tolerance 1e-6 max|mp| and so no warning
+    lat = tf.make_lattice(1, 4, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    count = 1000
+    traces = np.zeros((5, count))
+    traces[0] = np.linspace(0.0, 3.0, count)
+    traces[1] = math.sqrt(op.size)
+    traces[2] = op.size
+    mp = traces[4]
+    mp[:] = np.linspace(2.0, 1.0, count)
+    rises = [1, 17, 500, count - 1]
+    for i in rises:
+        mp[i] = mp[i - 1] + 0.25
+    mp[300] = mp[299] + 1e-7  # inside the tolerance
+    result = tf.EvolutionResult(states=np.ones((count, op.size)), traces=traces)
+    warnings = tf.norm_and_max_principle_report(op, result).max_principle_warnings
+    assert warnings == reference_max_principle_warnings(result)
+    assert [w.split(" and t=")[0] for w in warnings] == [
+        f"max principle rose between t={traces[0][i - 1]:.6g}" for i in rises
+    ]
+
+
+def test_chi_square_weights_past_float64_name_w_range():
+    # a potential shifted down by 1600 builds (the generator sees only W's
+    # differences), but e^{-W} of W near -800 overflows: the refusal names
+    # chi-square's weights and W's range, not a steep potential
+    cosine = tf.cosine_potential(1.0, 1, 1.0)
+    shifted = tf.EnergyPotential(l=1.0, d=1, diameter=2.0, axes=[lambda x: cosine.axes[0](x) - 1600.0], name="low")
+    lat = tf.make_lattice(1, 8, 1.0)
+    op = tf.build_generator(shifted, lat)
+    assert op.spectral_gap > 0
+    lo, hi = float(op.W.flat.min()), float(op.W.flat.max())
+    message = rf"chi-square weights e\^\(\+-W\) overflow float64 for W in \[{lo:.6g}, {hi:.6g}\]"
+    with pytest.raises(tf.PreconditionError, match=message):
+        tf.evolve(op, _ones(lat), 0.1)
+    with pytest.raises(tf.PreconditionError, match=message):
+        tf.run_pipeline(shifted, N=8, count=10, seed=1)

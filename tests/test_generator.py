@@ -413,11 +413,17 @@ def whole_spectrum(op):
 
 def modal_propagation(op, v, times):
     """Rows e^{L t} v, mode by mode from :func:`whole_spectrum`: the
-    one-sector propagation, as a bitwise oracle."""
+    one-sector propagation of a few times, one block, as a bitwise oracle.
+    The kernel part c q0 of x = U^{-1} v is kept exactly and the rest taken
+    to the modes, decayed by one exp of the (times x rates) outer product
+    and mapped back by one product."""
     _, values, vectors = whole_spectrum(op)
     u = op.u_diag
-    modal = vectors.T @ (v / u)
-    return np.array([u * (vectors @ (np.exp(values * t) * modal)) for t in times])
+    x = v / u
+    q0 = op.kernel_vector()
+    c = q0 @ x
+    modes = np.exp(np.outer(times, values)) * (vectors.T @ (x - c * q0))
+    return (c * q0 + modes @ vectors.T) * u
 
 
 def off_by_one_ulp():
