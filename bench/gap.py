@@ -45,7 +45,11 @@ densely, apart from both:
 - non-separable: the coupled potential cosine + c z (1 - cos 2 pi (x_1 -
   x_2)) of tests/conftest.py, for (z, c) in {(1, 0.5), (4, 0.5), (8, 1)} at
   d=2 N in {12, 25}, and the MLP potential of tests/conftest.py at d=2
-  N=25, against eigvalsh of the assembled L'.
+  N=25, against eigvalsh of the assembled L'.  Each also records
+  ``assemble_s``, the median time of that assembly
+  (``generator._dense_symmetrized``, line by line from the axis matrix),
+  and ``assemble_peak_mib``, its tracemalloc peak, with ``dense_mib`` the
+  size of L' itself.
 
 Every d >= 2 case records the operator's ``gap_rounding``, eps ||L'|| / gap:
 about the gap's relative rounding error for a W that is not a sum over
@@ -218,8 +222,16 @@ def non_separable(kind: str, N: int, z: float | None, c: float | None) -> dict:
     def oracle(op):
         return float(np.linalg.eigvalsh(-op.symmetrized)[1])
 
-    E = coupled(z, c) if kind == "coupled" else mlp()
-    return {"d": 2, "N": N, "potential": kind, "z": z, "c": c} | case(E, tf.make_lattice(2, N, 1.0), oracle)
+    E, lattice = coupled(z, c) if kind == "coupled" else mlp(), tf.make_lattice(2, N, 1.0)
+    result = case(E, lattice, oracle)
+    u = np.exp(-tf.discretize(E, lattice).flat / 4)  # U = e^{-W/2} of W = E/2
+    assemble_s, _ = median_time(lambda: generator._dense_symmetrized(lattice, u))
+    _, _, peak = traced(lambda: generator._dense_symmetrized(lattice, u))
+    return {"d": 2, "N": N, "potential": kind, "z": z, "c": c} | result | {
+        "assemble_s": assemble_s,
+        "assemble_peak_mib": peak,
+        "dense_mib": lattice.size**2 * 8 / 2**20,
+    }
 
 
 def cpu_model() -> str:

@@ -21,8 +21,27 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import TorusFpError, ValidationError
+import numpy as np
+
+from . import __version__
+from .errors import PreconditionError, TorusFpError, ValidationError
+from .evolve import choose_T, decay_report, evolve, norm_and_max_principle_report
+from .generator import build_generator, condition_number_check, operator_norm_check, poincare_report, spectrum_to_csv
+from .lattice import constant_field, dft, discretize, make_lattice
+from .potential import PeriodicMlp, cosine_potential, expcos_family, invcos_potential, mlp_potential, zero_potential
 from .report import csv_text
+from .sampler import _interpolation_chain, _sample_pipeline, estimate_mean, exact_mean, run_pipeline
+from .semianalytic import (
+    SemiAnalyticityParams,
+    alias_witness,
+    bernstein_from_semianalytic,
+    fit_params,
+    profile_to_csv,
+    semi_norms,
+    tail_bounds,
+    tail_mass,
+)
+from .spectral import derivative_error_report
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -137,8 +156,6 @@ def _spec_number(kv: dict, key: str, default: float) -> float:
 
 
 def _parse_potential(spec: str, d: int, l: float):
-    from . import potential as pot
-
     kind, _, rest = spec.partition(":")
     if kind not in _POTENTIAL_KEYS:
         raise ValidationError(f"unknown potential kind {kind!r}")
@@ -150,23 +167,23 @@ def _parse_potential(spec: str, d: int, l: float):
                 raise ValidationError(f"{kind} potential takes no parameter {key!r}")
             kv[key] = val
     if kind == "zero":
-        return pot.zero_potential(d, l)
+        return zero_potential(d, l)
     if kind == "cosine":
-        return pot.cosine_potential(_spec_number(kv, "z", 1.0), d, l)
+        return cosine_potential(_spec_number(kv, "z", 1.0), d, l)
     if kind == "invcos":
         if d != 1:
             raise ValidationError("invcos potential is one-dimensional")
-        return pot.invcos_potential(_spec_number(kv, "z", 4.0), l)
+        return invcos_potential(_spec_number(kv, "z", 4.0), l)
     # kind == "mlp"
     path = kv.get("file")
     if not path:
         raise ValidationError("mlp potential needs file=PATH with JSON weights")
-    mlp = pot.PeriodicMlp.from_json(Path(path).read_text())
+    mlp = PeriodicMlp.from_json(Path(path).read_text())
     # the run's d and l are the recorded --d and --l: a document that would
     # set others is refused, not followed
     if (mlp.d, mlp.l) != (d, l):
         raise ValidationError(f"MLP document has d={mlp.d}, l={mlp.l} but the run has --d {d}, --l {l}")
-    return pot.mlp_potential(mlp)
+    return mlp_potential(mlp)
 
 
 def _parse_range(text: str):
@@ -192,10 +209,6 @@ def _write(out_dir: Path, name: str, text: str | Iterable[str], artifacts: list)
 
 
 def _manifest(out_dir: Path, cfg: dict, resolved: dict, health: dict, artifacts: list, started: float) -> None:
-    import numpy as np
-
-    from . import __version__
-
     # the output directory is incidental to the experiment: keep it out of
     # the recorded config and its hash
     cfg = {k: v for k, v in cfg.items() if k != "out"}
@@ -224,12 +237,6 @@ def _manifest(out_dir: Path, cfg: dict, resolved: dict, health: dict, artifacts:
 
 
 def _cmd_derive_check(cfg, out_dir, artifacts):
-    from .errors import PreconditionError
-    from .lattice import make_lattice
-    from .potential import expcos_family
-    from .semianalytic import SemiAnalyticityParams
-    from .spectral import derivative_error_report
-
     u, gu, lu, C, a, _ = expcos_family(_number(cfg["z"], float, "z"), l=cfg["l"])
     params = SemiAnalyticityParams(C, a)
     rows = []
@@ -250,10 +257,6 @@ def _cmd_derive_check(cfg, out_dir, artifacts):
 
 
 def _cmd_interpolate(cfg, out_dir, artifacts):
-    from .lattice import make_lattice
-    from .potential import expcos_family, invcos_potential
-    from .sampler import _interpolation_chain
-
     zs = cfg["z"]
     if isinstance(zs, str) and ".." in zs:
         zs = [float(v) for v in _parse_range(zs)]
@@ -284,15 +287,6 @@ def _cmd_interpolate(cfg, out_dir, artifacts):
 
 
 def _cmd_spectrum(cfg, out_dir, artifacts):
-    from .generator import (
-        build_generator,
-        condition_number_check,
-        operator_norm_check,
-        poincare_report,
-        spectrum_to_csv,
-    )
-    from .lattice import make_lattice
-
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
     lat = make_lattice(cfg["d"], cfg["N"], cfg["l"])
     op = build_generator(E, lat, halve=not cfg.get("full_potential", False))
@@ -316,10 +310,6 @@ def _cmd_spectrum(cfg, out_dir, artifacts):
 
 
 def _cmd_evolve(cfg, out_dir, artifacts):
-    from .evolve import choose_T, decay_report, evolve, norm_and_max_principle_report
-    from .generator import build_generator
-    from .lattice import constant_field, make_lattice
-
     T = cfg["T"]
     if T != "auto":
         T = _number(T, float, "T")
@@ -350,8 +340,6 @@ def _cmd_evolve(cfg, out_dir, artifacts):
 
 
 def _cmd_gibbs(cfg, out_dir, artifacts):
-    from .sampler import run_pipeline
-
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
     M = cfg["M"]
     T = cfg["T"]
@@ -378,18 +366,6 @@ def _cmd_gibbs(cfg, out_dir, artifacts):
 
 
 def _cmd_analyze(cfg, out_dir, artifacts):
-    from .lattice import dft, discretize, make_lattice
-    from .semianalytic import (
-        bernstein_from_semianalytic,
-        fit_params,
-        profile_to_csv,
-        semi_norms,
-        tail_bounds,
-        tail_mass,
-    )
-
-    import numpy as np
-
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
     spec = dft(discretize(lambda p: np.exp(-E.evaluate(p)), make_lattice(cfg["d"], cfg["N"], cfg["l"])))
     profile = semi_norms(spec, cfg["m_max"])
@@ -415,8 +391,6 @@ def _cmd_analyze(cfg, out_dir, artifacts):
 
 
 def _cmd_witness(cfg, out_dir, artifacts):
-    from .semianalytic import alias_witness
-
     _, _, rep = alias_witness(C=cfg["C"], a=cfg["a"], N=cfg["N"], theta=cfg["theta"], l=cfg["l"])
     _write(out_dir, "witness.json", rep.to_json(), artifacts)
     violations = []
@@ -428,10 +402,6 @@ def _cmd_witness(cfg, out_dir, artifacts):
 
 
 def _cmd_mean(cfg, out_dir, artifacts):
-    import numpy as np
-
-    from .sampler import _sample_pipeline, estimate_mean, exact_mean
-
     E = _parse_potential(cfg["potential"], cfg["d"], cfg["l"])
     # run_pipeline without its TV, which mean.json does not hold
     result = _sample_pipeline(E, N=cfg["N"], eps=cfg["eps"], count=cfg["samples"], seed=cfg["seed"])

@@ -129,7 +129,9 @@ class DecayReport(Report):
     gap: float
     poincare_floor: float
     stationary_input: bool
-    tv_chain_bound: np.ndarray  # TV <= sqrt(chi2)/2 along the trajectory
+    # TV <= sqrt(chi2)/2 along the trajectory: traces.csv's chi-square column
+    # holds it already, so evolution.json leaves it out
+    tv_chain_bound: np.ndarray = field(metadata={"artifact": False})
     slack: float = 0.05
 
     @property

@@ -20,7 +20,9 @@ kernel eigenvalue pinned to 0 at index 0, computed on first access and
 kept), its gap (``_gap``) and the modes ``_pieces`` it propagates in, and
 names itself in ``op.health["backend"]``.  All share ``propagate`` and
 ``apply``, which acts with L' one axis at a time (:func:`torusfp.spectral.axis_derivative`),
-on one vector or on a block; the dense L' (``symmetrized``) is assembled only on demand.
+on one vector or on a block; the dense L' (``symmetrized``) is assembled only on
+demand, line by line from the (2N+1)^2 axis matrix, as B_j acts along axis j
+alone (:func:`_dense_symmetrized`): no n x n derivative matrix is formed.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
@@ -56,7 +58,7 @@ from .errors import PreconditionError, SizeError, ValidationError
 from .lattice import GridField, TorusLattice, discretize, make_lattice
 from .potential import EnergyPotential
 from .report import Report, csv_text
-from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, derivative_kernel, derivative_matrix
+from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, derivative_kernel
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
@@ -132,8 +134,9 @@ class Operator:
         return np.exp(-self.W.flat)
 
     def kernel_vector(self) -> np.ndarray:
-        """Unit eigenvector of L' at eigenvalue zero: e^{-W/2} normalized."""
-        u = self.u_diag
+        """Unit eigenvector of L' at eigenvalue zero: e^{-W/2} normalized,
+        divided by its peak first so that its squares stay inside float64."""
+        u = self.u_diag / self.u_diag.max()
         return u / np.linalg.norm(u)
 
     @cached_property
@@ -436,15 +439,35 @@ def _float64_range(op: Operator):
 
 
 def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
-    """Dense L' = -K, K = sum_j B_j^T B_j, negated in place.  numpy computes
-    B^T @ B as a symmetric rank-k update, so L' is exactly symmetric."""
-    K = None
+    """Dense L' = -sum_j B_j^T B_j, line by line.  B_j acts along axis j
+    alone: on each line of the lattice along axis j, the 2N+1 nodes that
+    differ only in coordinate j, it is B_l = diag(u_l) D diag(1 / u_l) for
+    the axis matrix D and U's values u_l on the line, and K_l = B_l^T B_l is
+    subtracted from the block of L' that the line occupies, a view of L' as
+    an array of shape ``shape + shape``.  That is O(d n (2N+1)^2) work, and
+    L' is the only n x n array.  At d = 1 the one line is the whole axis, so
+    D is scaled and K negated in place.  Two nodes share a line of at most
+    one axis, so L' is exactly symmetric, as each K_l is (:func:`_gram`)."""
+    D = derivative_axis_matrix(lattice)
+    if lattice.d == 1:
+        K = _gram(D, u, u)
+        return np.negative(K, out=K)
+    L = np.zeros((lattice.size, lattice.size))
+    blocks, u = L.reshape(lattice.shape * 2), u.reshape(lattice.shape)
     for j in range(lattice.d):
-        B = derivative_matrix(lattice, j)
-        B *= u[:, None]
-        B /= u[None, :]
-        K = B.T @ B if K is None else np.add(K, B.T @ B, out=K)
-    return np.negative(K, out=K)
+        for rest in np.ndindex(lattice.shape[1:]):
+            line = rest[:j] + (slice(None),) + rest[j:]
+            blocks[line + line] -= _gram(D.copy(), u[line], u[line])
+    return L
+
+
+def _gram(B: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """K = S^T S for S = diag(rows) B diag(1 / cols), with S written over B.
+    numpy computes S^T @ S as a symmetric rank-k update, so K is exactly
+    symmetric."""
+    B *= rows[:, None]
+    B /= cols[None, :]
+    return B.T @ B
 
 
 def _descending(values: np.ndarray) -> np.ndarray:
@@ -480,15 +503,10 @@ def _sector_block(u: np.ndarray, half: np.ndarray, odd: int) -> np.ndarray:
     holds u at m = 0..N in the even sector and m = 1..N in the odd one, and
     D_s is D_oe from the even sector, -D_oe^T from the odd one.  ``half`` is
     overwritten by B_s (transposed in the odd sector), so the block costs one
-    array beside it.  Negated in place; numpy computes B^T @ B as a
-    symmetric rank-k update, so the block is exactly symmetric."""
+    array beside it.  Negated in place, and exactly symmetric (:func:`_gram`)."""
     N = len(half)
-    B = half
-    if odd:
-        B = np.negative(half, out=half).T
-    B *= u[N + 1 - odd :][:, None]
-    B /= u[N + odd :][None, :]
-    K = B.T @ B
+    B = np.negative(half, out=half).T if odd else half
+    K = _gram(B, u[N + 1 - odd :], u[N + odd :])
     return np.negative(K, out=K)
 
 

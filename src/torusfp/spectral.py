@@ -137,15 +137,6 @@ def derivative_axis_matrix(lattice: TorusLattice, order: int = 1) -> np.ndarray:
     return t[(idx[:, None] - idx[None, :]) % n]
 
 
-def derivative_matrix(lattice: TorusLattice, axis: int, order: int = 1) -> np.ndarray:
-    """Dense matrix of the axis derivative on the full (2N+1)^d space."""
-    if not 0 <= axis < lattice.d:
-        raise ValidationError(f"axis {axis} out of range for d={lattice.d}")
-    mat = derivative_axis_matrix(lattice, order)
-    n = lattice.points_per_axis
-    return functools.reduce(np.kron, [mat if j == axis else np.eye(n) for j in range(lattice.d)])
-
-
 def gradient(u: GridField) -> list:
     """All first-order axis derivatives of ``u``."""
     return [fourier_derivative(u, axis=j, order=1) for j in range(u.lattice.d)]

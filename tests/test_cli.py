@@ -825,7 +825,7 @@ def test_mlp_document_must_match_the_run_d_and_l(tmp_path, capsys, monkeypatch, 
         raise AssertionError("the generator was built")
 
     monkeypatch.setattr(sampler, "build_generator", no_generator)
-    monkeypatch.setattr(generator, "build_generator", no_generator)
+    monkeypatch.setattr(cli, "build_generator", no_generator)
     (d, l), argv = FOREIGN_MLP_RUNS[case]
     weights = tmp_path / "weights.json"
     weights.write_text(small_mlp(d, seed=3, l=l).to_json())

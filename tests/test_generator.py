@@ -11,10 +11,10 @@ import torusfp as tf
 from torusfp.errors import PreconditionError, SizeError
 from torusfp import generator, spectral
 from torusfp.generator import NORM_RTOL, DenseOperator, Operator, SeparableOperator, spectrum_to_csv
-from torusfp.spectral import FFT_AXIS_POINTS, derivative_matrix, fourier_derivative, laplacian
+from torusfp.spectral import FFT_AXIS_POINTS, fourier_derivative, laplacian
 
-from conftest import random_band_field, small_mlp
-from oracles import generator_matrix
+from conftest import coupled_potential, random_band_field, small_mlp
+from oracles import derivative_matrix, generator_matrix, kronecker_symmetrized
 
 
 def composed_generator(op):
@@ -453,6 +453,72 @@ def test_a_potential_that_is_not_bitwise_even_takes_one_sector(make):
         v = np.random.default_rng(0).standard_normal(op.size) + 2.0
         times = np.array([0.0, 0.1, 1.0])
         assert np.array_equal(op.propagate(v, times)[0], modal_propagation(op, v, times))
+
+
+def unscaled_u(E, lattice):
+    """U = e^{-W/2} of W = E/2 on the lattice, with no gap solved."""
+    return np.exp(-tf.discretize(E, lattice).flat / 4)
+
+
+@pytest.mark.parametrize(
+    "E, d, N",
+    [(coupled_potential(1.0, 0.5), 2, 8), (coupled_potential(1.0, 0.5), 2, 25), (tf.mlp_potential(small_mlp(3)), 3, 4)],
+    ids=["coupled-N8", "coupled-N25", "mlp-d3"],
+)
+def test_line_assembly_matches_the_kronecker_reference(E, d, N):
+    lattice = tf.make_lattice(d, N, 1.0)
+    u = unscaled_u(E, lattice)
+    L, ref = generator._dense_symmetrized(lattice, u), kronecker_symmetrized(lattice, u)
+    assert np.abs(L - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(L, L.T)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: tf.build_generator(tf.mlp_potential(small_mlp(1)), tf.make_lattice(1, 200, 1.0)), off_by_one_ulp],
+    ids=["mlp-d1", "cosine-one-ulp-off"],
+)
+def test_line_assembly_at_d1_is_the_kronecker_arithmetic_bitwise(make):
+    # at d = 1 the one line is the whole axis: the same products in the same order
+    op = make()
+    L = generator._dense_symmetrized(op.lattice, op.u_diag)
+    ref = kronecker_symmetrized(op.lattice, op.u_diag)
+    assert L.tobytes() == ref.tobytes() and np.array_equal(L, L.T)
+    assert op.eigenvalues.tobytes() == generator._descending(np.linalg.eigvalsh(ref)[::-1]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "E, d, N, limit",
+    [(coupled_potential(1.0, 0.5), 2, 25, lambda n: 1.1 * 8 * n * n), (tf.mlp_potential(small_mlp(1)), 1, 1023, lambda n: 2**26)],
+    ids=["coupled-d2", "mlp-d1"],
+)
+def test_line_assembly_holds_L_alone(E, d, N, limit):
+    # no n x n derivative matrix: at d >= 2 L' is the only n x n array (the
+    # Kronecker product peaked at 3.0 times it), at d = 1 L' and the scaled
+    # axis matrix (64 MiB at N = 1023, as before)
+    lattice = tf.make_lattice(d, N, 1.0)
+    u = unscaled_u(E, lattice)
+    tracemalloc.start()
+    try:
+        L = generator._dense_symmetrized(lattice, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.shape == (lattice.size, lattice.size)
+    assert peak <= limit(lattice.size)
+
+
+def test_kernel_vector_of_a_potential_far_below_zero_is_finite():
+    # W near -800 puts e^{-W/2} near e^{400}, whose square overflows float64;
+    # the kernel vector is still the unit vector along e^{-W/2}
+    cosine = tf.cosine_potential(1.0, 1, 1.0)
+    low = tf.EnergyPotential(l=1.0, d=1, diameter=2.0, axes=[lambda x: cosine.axes[0](x) - 1600.0], name="low")
+    op = tf.build_generator(low, tf.make_lattice(1, 8, 1.0))
+    with np.errstate(all="raise"):
+        q0 = op.kernel_vector()
+    ref = np.exp(-(op.W.flat - op.W.flat.min()) / 2)
+    assert np.abs(q0 - ref / np.linalg.norm(ref)).max() <= 1e-14
+    assert np.linalg.norm(q0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_negative_semidefinite_quadratic_form(rng):

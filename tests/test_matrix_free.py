@@ -35,9 +35,9 @@ from torusfp.generator import (
     _random_start,
     _top_ritz,
 )
-from torusfp.spectral import derivative_matrix
 
 from conftest import coupled_potential, small_mlp
+from oracles import derivative_matrix
 
 EPS = np.finfo(float).eps
 _MAX_N = {1: 149, 2: 8, 3: 2}  # at most 299, 289 and 125 nodes

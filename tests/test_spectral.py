@@ -8,7 +8,6 @@ from torusfp.errors import PreconditionError, ValidationError
 from torusfp.spectral import (
     FFT_AXIS_POINTS,
     derivative_axis_matrix,
-    derivative_matrix,
     first_derivative_error_bound,
     operator_norm,
     second_derivative_error_bound,
@@ -16,6 +15,7 @@ from torusfp.spectral import (
 )
 
 from conftest import random_band_field
+from oracles import derivative_matrix
 
 
 def test_kernel_closed_form():
