@@ -15,14 +15,15 @@ is spanned by q0 = e^{-W/2} / ||e^{-W/2}|| (B_j e^{-W/2} = diag(e^{-W/2}) D_j 1
 :func:`build_generator` chooses the route once, by the lattice and the
 potential: :class:`DenseOperator` at d = 1, :class:`SeparableOperator` for a
 W that is a sum over axes at d >= 2, :class:`MatrixFreeOperator` otherwise.
-Each route owns its spectrum ``eigenvalues`` (values only, descending, the
-kernel eigenvalue pinned to 0 at index 0, computed on first access and
-kept), its gap (``_gap``) and the modes ``_pieces`` it propagates in, and
-names itself in ``op.health["backend"]``.  All share ``propagate`` and
-``apply``, which acts with L' one axis at a time (:func:`torusfp.spectral.axis_derivative`),
-on one vector or on a block; the dense L' (``symmetrized``) is assembled only on
-demand, line by line from the (2N+1)^2 axis matrix, as B_j acts along axis j
-alone (:func:`_dense_symmetrized`): no n x n derivative matrix is formed.
+The spectrum ``eigenvalues`` (values only, descending, the kernel eigenvalue
+pinned to 0 at index 0, computed on first access and kept) is that of the
+dense sector blocks of ``Operator._blocks`` on every route but the
+separable one, which reads it off its factors.  Each route owns its gap
+(``_gap``) and the modes ``_pieces`` it propagates in, and names itself in
+``op.health["backend"]``.  All share ``propagate`` and ``apply``, which acts
+with L' one axis at a time (:func:`torusfp.spectral.axis_derivative`); L'
+(``symmetrized``) and its sector blocks are assembled only on demand, line
+by line (:func:`_dense_symmetrized`): no n x n derivative matrix is formed.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
@@ -62,10 +63,9 @@ from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, deri
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
-#: Largest node count of ``build_generator``, on every route: at d = 1 a dense
-#: sector block holds about n^2 / 4 entries (n^2 in one sector), one at a
-#: time, and a propagation holds its eigenvectors, as many again, and at
-#: d >= 2 the dense L' of a W that is not a sum over axes holds n^2.
+#: Largest node count of ``build_generator``, on every route: a dense sector
+#: block holds about n^2 / 4 entries (n^2 in one sector), one at a time, and
+#: a d = 1 propagation holds its eigenvectors, as many again.
 DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
@@ -185,6 +185,32 @@ class Operator:
         out *= u
         return out, health
 
+    def _blocks(self):
+        """The dense L' as (sector, block) pairs, each assembled by
+        :func:`_dense_symmetrized` when it is iterated.  The inversion x -> -x
+        maps flat index i to n - 1 - i; if W equals its own inversion, bitwise,
+        L' commutes with it (each D_j anticommutes with it) and splits into
+        the even and the odd sector (0 and 1, the even one first), in the
+        basis of :func:`_fold`; otherwise, as for an MLP W, there is one
+        block, (None, L').  A consumer drops each block before it asks for the
+        next, so at most one is alive; ``health`` gets ``dense_sectors``."""
+        w = self.W.flat
+        sectors = (0, 1) if np.array_equal(w, w[::-1]) else (None,)
+        self.health["dense_sectors"] = len(sectors)
+        for sector in sectors:
+            yield sector, _dense_symmetrized(self.lattice, self.u_diag, sector)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """A values-only eigvalsh of each block of ``_blocks``, which puts the
+        kernel at about eps ||L'||, either sign, before it is pinned."""
+        parts = []
+        with _float64_range(self):
+            for _, block in self._blocks():
+                parts.append(np.linalg.eigvalsh(block)[::-1])
+                del block  # freed before the next block is assembled
+        return _descending(np.concatenate(parts))
+
     def _gap(self) -> tuple:
         """The gap and ||L'||, read off ``eigenvalues`` as -eigenvalues[1] and
         -eigenvalues[-1], so ``spectrum.csv`` row 1 is -gap bit for bit.  Past
@@ -198,47 +224,13 @@ class Operator:
 
 
 class DenseOperator(Operator):
-    """The d = 1 route, by dense sector blocks: at d = 1 Lanczos and Krylov
-    need about n steps, some 12 times the dense cost at N = 1023.
-
-    If W equals its own flip n -> -n, bitwise, L' commutes with that
-    reflection (D anticommutes with it) and splits into an even and an odd
-    sector, each block -B^T B assembled in the basis (e_m +- e_{-m}) / sqrt 2
-    of its sector without forming L'; otherwise there is one block, L'
-    itself.  No block is kept: each is assembled when it is used and freed
-    before the next, so the operator holds none once built, and each
-    propagation assembles the blocks once more.  The spectrum is a
-    values-only eigvalsh of each block, and the gap is read off it; the
-    propagation runs in the modes of ``eigh`` of each block.
-    """
+    """The d = 1 route, by the sector blocks of ``_blocks``: at d = 1 Lanczos
+    and Krylov need about n steps, some 12 times the dense cost at N = 1023.
+    No block is kept, so the operator holds none once built; the gap is read
+    off the dense spectrum, and each propagation assembles each block once
+    more and runs in the modes of its ``eigh``."""
 
     backend = "dense"
-
-    def _blocks(self):
-        """The blocks as (sector, block) pairs, each assembled only when it is
-        iterated: the even and the odd reflection sector (0 and 1), the even
-        one first, or one, (None, L').  A consumer drops each block before it
-        asks for the next, so at most one is alive.  The count goes into
-        ``health`` as ``dense_sectors``."""
-        W = self.W.values
-        if np.array_equal(W, W[::-1]):
-            self.health["dense_sectors"] = 2
-            for odd in (0, 1):
-                yield odd, _sector_block(self.u_diag, _half_derivative(self.lattice), odd)
-        else:
-            self.health["dense_sectors"] = 1
-            yield None, _dense_symmetrized(self.lattice, self.u_diag)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """A values-only eigvalsh of each block of ``_blocks``, which puts the
-        kernel at about eps ||L'||, either sign, before it is pinned."""
-        parts = []
-        with _float64_range(self):
-            for _, block in self._blocks():
-                parts.append(np.linalg.eigvalsh(block)[::-1])
-                del block  # freed before the next block is assembled
-        return _descending(np.concatenate(parts))
 
     def _block_modes(self):
         """(sector, values, vectors) for each block of ``_blocks``, by ``eigh``
@@ -349,19 +341,12 @@ class MatrixFreeOperator(SeparableOperator):
     comes by Lanczos (Saad, SIAM J. Numer. Anal. 29, 1992) and carries the
     rounding of products with L', about eps ||L'|| / gap relative.  The
     propagation runs in the polynomial Krylov space of L' (Hochbruck &
-    Lubich, SIAM J. Numer. Anal. 34, 1997).  The spectrum is a values-only
-    eigvalsh of the dense L', assembled only when it is asked for.
+    Lubich, SIAM J. Numer. Anal. 34, 1997).  The spectrum is the dense one
+    of ``_blocks``: two sectors for a W even under x -> -x, one for an MLP W.
     """
 
     backend = "matrix-free"
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """A values-only eigvalsh of L', assembled afresh and freed: one block,
-        as ``dense_sectors`` in ``health``."""
-        self.health["dense_sectors"] = 1
-        with _float64_range(self):
-            return _descending(np.linalg.eigvalsh(_dense_symmetrized(self.lattice, self.u_diag))[::-1])
+    eigenvalues = Operator.eigenvalues  # not the factors' sums: they precondition only
 
     def _gap(self) -> tuple:
         """The spectral gap by Lanczos on q0-perp and the largest |alpha| of
@@ -438,26 +423,40 @@ def _float64_range(op: Operator):
             raise _too_steep(op) from None
 
 
-def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray) -> np.ndarray:
-    """Dense L' = -sum_j B_j^T B_j, line by line.  B_j acts along axis j
-    alone: on each line of the lattice along axis j, the 2N+1 nodes that
-    differ only in coordinate j, it is B_l = diag(u_l) D diag(1 / u_l) for
-    the axis matrix D and U's values u_l on the line, and K_l = B_l^T B_l is
-    subtracted from the block of L' that the line occupies, a view of L' as
-    an array of shape ``shape + shape``.  That is O(d n (2N+1)^2) work, and
-    L' is the only n x n array.  At d = 1 the one line is the whole axis, so
-    D is scaled and K negated in place.  Two nodes share a line of at most
-    one axis, so L' is exactly symmetric, as each K_l is (:func:`_gram`)."""
-    D = derivative_axis_matrix(lattice)
+def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray, sector=None) -> np.ndarray:
+    """Dense L' = -sum_j B_j^T B_j, or its block on the even (``sector`` 0)
+    or odd (1) sector of ``Operator._blocks``, line by line.  On each line
+    of the lattice along axis j, B_j is B_l = diag(u_l) D diag(1 / u_l) for
+    the axis matrix D and U's values u_l there, and K_l = B_l^T B_l is
+    subtracted at the line's nodes: O(d n (2N+1)^2) work, with the result
+    the only n x n array.  In a sector a line and its mirror add the same
+    K_l, once, at the sector indices |i - c| - odd of the nodes i of the
+    line whose middle node lies past the centre c, with sign -1 in the odd
+    sector below c; the line through the origin is its own mirror and adds
+    its d = 1 block (:func:`_sector_block`).  No block is folded from L',
+    which commutes with the inversion only to rounding.  At d = 1 D is
+    scaled and K negated in place, or the sector block returned.  Each K_l
+    is exactly symmetric (:func:`_gram`), and so is the result."""
     if lattice.d == 1:
-        K = _gram(D, u, u)
+        if sector is not None:
+            return _sector_block(u, _half_derivative(lattice), sector)
+        K = _gram(derivative_axis_matrix(lattice), u, u)
         return np.negative(K, out=K)
-    L = np.zeros((lattice.size, lattice.size))
-    blocks, u = L.reshape(lattice.shape * 2), u.reshape(lattice.shape)
+    D, N, c, odd = derivative_axis_matrix(lattice), lattice.N, lattice.size // 2, sector or 0
+    L = np.zeros((lattice.size,) * 2 if sector is None else (c + 1 - odd,) * 2)
+    index, u = np.arange(lattice.size).reshape(lattice.shape), u.reshape(lattice.shape)
     for j in range(lattice.d):
         for rest in np.ndindex(lattice.shape[1:]):
             line = rest[:j] + (slice(None),) + rest[j:]
-            blocks[line + line] -= _gram(D.copy(), u[line], u[line])
+            nodes, rows = index[line], u[line]
+            if sector is None:
+                L[np.ix_(nodes, nodes)] -= _gram(D.copy(), rows, rows)
+            elif nodes[N] == c:
+                at = nodes[N + odd :] - c - odd
+                L[np.ix_(at, at)] += _sector_block(rows, _half_derivative(lattice), odd)
+            elif nodes[N] > c:
+                at = np.abs(nodes - c) - odd
+                L[np.ix_(at, at)] -= _gram(D.copy(), rows, np.where(nodes < c, -rows, rows) if odd else rows)
     return L
 
 
@@ -511,9 +510,9 @@ def _sector_block(u: np.ndarray, half: np.ndarray, odd: int) -> np.ndarray:
 
 
 def _fold(sector, x: np.ndarray) -> np.ndarray:
-    """A grid vector of a 1-D lattice in the basis of one sector of
-    ``_blocks``: x[0] and (x[m] + x[-m]) / sqrt 2 in the even one, (x[m] -
-    x[-m]) / sqrt 2 in the odd one, m = 1..N; x itself in the one sector."""
+    """A flat grid vector in the basis of one sector of ``_blocks``: x[c] and
+    (x[c + m] + x[c - m]) / sqrt 2 in the even one, (x[c + m] - x[c - m]) /
+    sqrt 2 in the odd one, m = 1..c = n // 2; x itself in the one sector."""
     if sector is None:
         return x
     N = len(x) // 2

@@ -109,8 +109,8 @@ class SampleBatch:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2:
             raise ValidationError("sample points must form a (count, d) array")
-        # min and max build no count x d masks; a NaN fails neither test
-        if self.points.size and (self.points.min() < -self.l / 2 or self.points.max() >= self.l / 2):
+        # min and max build no count x d masks, and carry a NaN, which fails both tests
+        if self.points.size and not (self.points.min() >= -self.l / 2 and self.points.max() < self.l / 2):
             raise ValidationError("sample points fall outside the fundamental domain")
 
     @property
@@ -157,7 +157,7 @@ def upsample(state: GridField, M: int) -> GridField:
     if M < lat.N:
         raise ValidationError(f"target half-width M={M} smaller than source N={lat.N}")
     nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails it too
         raise ValidationError(f"upsample expects a unit-norm state, got norm {nrm}")
     if M == lat.N:
         return state.copy()
@@ -246,7 +246,7 @@ def continuous_sample(state: GridField, count: int, seed: int) -> SampleBatch:
     if lat.size > RESOLUTION_CAP:  # int32 boxes: a lattice not from make_lattice
         raise SizeError(f"lattice has {lat.size} nodes, exceeding the cap {RESOLUTION_CAP}")
     nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails it too
         raise ValidationError(f"continuous sampling expects a unit-norm state, got norm {nrm}")
 
     cum = np.cumsum(box_probabilities(state).reshape(-1))

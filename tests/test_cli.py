@@ -226,6 +226,18 @@ def test_spectrum_manifest_records_norm_health(tmp_path):
     assert not set(manifest["config"]) & NORM_HEALTH
 
 
+def sectors_only(assemble):
+    """The dense assembler, which builds a sector block but fails on the
+    whole L' (no sector)."""
+
+    def checked(lattice, u, sector=None):
+        if sector is None:
+            raise AssertionError("the whole L' was assembled")
+        return assemble(lattice, u, sector)
+
+    return checked
+
+
 def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
     # the even d = 1 cosine splits into its even and odd reflection sectors:
     # one block and one values-only eigvalsh each; the d = 2 cosine is a sum
@@ -233,10 +245,7 @@ def test_spectrum_assembles_the_dense_generator_once(tmp_path, monkeypatch):
     # block and no eigvalsh or eigh of n rows; the whole L' is never assembled
     blocks, solved = [], []
     assemble, eigvalsh, eigh = generator._sector_block, np.linalg.eigvalsh, np.linalg.eigh
-
-    def whole(*args):
-        raise AssertionError("the whole L' was assembled")
-
+    whole = sectors_only(generator._dense_symmetrized)
     monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(a[2]) or assemble(*a))
     monkeypatch.setattr(generator, "_dense_symmetrized", whole)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
@@ -260,9 +269,7 @@ def test_spectrum_d1_runs_no_eigendecomposition(tmp_path, monkeypatch, N):
     # no n x n array reaches eigvalsh or eigh, and L' is never assembled
     n = 2 * N + 1
     eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
-
-    def whole(*args):
-        raise AssertionError("the whole L' was assembled")
+    whole = sectors_only(generator._dense_symmetrized)
 
     def smaller(solve):
         def checked(a, *args, **kwargs):

@@ -508,6 +508,22 @@ def test_line_assembly_holds_L_alone(E, d, N, limit):
     assert peak <= limit(lattice.size)
 
 
+def test_d2_sector_spectrum_holds_one_block_alone():
+    # the coupled W is even under x -> -x: its spectrum assembles and solves
+    # one sector block at a time, the even one (c + 1)^2 for the centre c,
+    # about a quarter of L', and a line's work arrays beside it
+    op = tf.build_generator(coupled_potential(1.0, 0.5), tf.make_lattice(2, 25, 1.0))
+    c = op.size // 2
+    tracemalloc.start()
+    try:
+        op.eigenvalues
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.health["dense_sectors"] == 2
+    assert peak <= 8 * (c + 1) ** 2 + 2**21
+
+
 def test_kernel_vector_of_a_potential_far_below_zero_is_finite():
     # W near -800 puts e^{-W/2} near e^{400}, whose square overflows float64;
     # the kernel vector is still the unit vector along e^{-W/2}
@@ -651,7 +667,14 @@ def test_operator_norm_through_the_fft_axis_matches_the_dense_norm():
 def test_dense_arrays_are_assembled_on_first_access_and_kept(monkeypatch):
     assembled, blocks, solved = [], [], []
     assemble, block, eigvalsh = generator._dense_symmetrized, generator._sector_block, np.linalg.eigvalsh
-    monkeypatch.setattr(generator, "_dense_symmetrized", lambda *a: assembled.append(1) or assemble(*a))
+
+    def counted(lattice, u, sector=None):
+        # only the whole L' (no sector) counts as assembled
+        if sector is None:
+            assembled.append(1)
+        return assemble(lattice, u, sector)
+
+    monkeypatch.setattr(generator, "_dense_symmetrized", counted)
     monkeypatch.setattr(generator, "_sector_block", lambda *a: blocks.append(1) or block(*a))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(1) or eigvalsh(a))
     plane = tf.build_generator(tf.cosine_potential(1.0, 2, 1.0), tf.make_lattice(2, 4, 1.0))

@@ -54,10 +54,19 @@ def cases(draw, lowest_d=2):
     return d, N, draw(st.floats(0.05, 10.0)), z, draw(st.booleans())
 
 
-def _build(d, N, l, z, halve):
+def _build(d, N, l, z, halve, c=0.0):
     """The cosine generator, or for z None that of an MLP potential, which is
-    not bitwise even and takes one sector."""
+    not bitwise even and takes one sector.  A coupling c > 0 adds
+    c (1 - cos 2 pi (x_0 - x_1 + x_2 ...) / l) to the cosine: not a sum over
+    axes, and still even under x -> -x, bitwise."""
     E = tf.mlp_potential(small_mlp(d, seed=3, l=l)) if z is None else tf.cosine_potential(z, d, l)
+    if c:
+        cosine, signs = E, (-1.0) ** np.arange(d)
+
+        def coupled(pts):
+            return cosine.evaluate(pts) + c * (1 - np.cos(2 * np.pi * (pts @ signs) / l))
+
+        E = tf.EnergyPotential(evaluator=coupled, l=l, d=d, diameter=cosine.diameter + 2 * c, name="coupled")
     return tf.build_generator(E, tf.make_lattice(d, N, l), halve=halve)
 
 
@@ -78,9 +87,12 @@ def _svd_gap(op):
 # sector, and a cosine at d = 3 a sum over axes
 @example((1, 20, 1.0, None, True))
 @example((3, 2, 1.0, 4.0, True))
+# a coupled W, not a sum over axes and even under x -> -x, at d = 2 and 3
+@example((2, 6, 0.763, 4.0, False, 2.0))
+@example((3, 3, 1.0, 1.0, True, 1.0))
 def test_lanczos_gap_matches_dense_oracles(case):
     op = _build(*case)
-    d, separable = case[0], case[3] is not None
+    d, separable = case[0], case[3] is not None and len(case) == 5
     backend = "dense" if d == 1 else "separable" if separable else "matrix-free"
     assert op.health["backend"] == backend
     # the exact class: MatrixFreeOperator is a SeparableOperator too
@@ -90,6 +102,14 @@ def test_lanczos_gap_matches_dense_oracles(case):
         assert op.health["dense_sectors"] == (2 if separable else 1)
     mu = np.linalg.eigvalsh(-op.symmetrized)
     gap, norm = mu[1], mu[-1]
+    if backend == "matrix-free":
+        # the dense spectrum at d >= 2: two inversion sectors for an even W,
+        # each block exactly symmetric, one for an MLP, against one eigvalsh
+        ev = op.eigenvalues
+        assert op.health["dense_sectors"] == (1 if case[3] is None else 2)
+        assert all(np.array_equal(block, block.T) for _, block in op._blocks())
+        whole = np.linalg.eigvalsh(op.symmetrized)[::-1]
+        assert ev[0] == 0.0 and np.abs(ev[1:] - whole[1:]).max() <= 1e-13 * norm
     # eigvalsh is backward stable: its gap carries an error of about eps ||L'||
     assert abs(op.spectral_gap - gap) <= (1e-10 + 4 * EPS * norm / gap) * gap
     # a singular value of the stacked B_j carries eps ||B|| = eps sqrt(||L'||)

@@ -75,6 +75,11 @@ def test_upsample_isometry_and_validation(rng):
         tf.upsample(psi, 2)
     with pytest.raises(ValidationError):
         tf.upsample(tf.GridField(lat, 2.0 * psi.values), 8)
+    # one NaN node makes the norm NaN, which fails the unit-norm check too
+    values = psi.values.copy()
+    values[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="unit-norm"):
+        tf.upsample(tf.GridField(lat, values, is_real=True), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +267,18 @@ def test_sample_count_cap(monkeypatch):
 
 @pytest.mark.parametrize(
     "value, inside",
-    [(-0.5, True), (np.nextafter(0.5, 0), True), (np.nextafter(-0.5, -1), False), (0.5, False), (-np.inf, False)],
+    [
+        (-0.5, True),
+        (np.nextafter(0.5, 0), True),
+        (np.nextafter(-0.5, -1), False),
+        (0.5, False),
+        (-np.inf, False),
+        (np.nan, False),
+    ],
 )
 def test_sample_batch_holds_points_inside_the_domain(value, inside):
-    # [-l/2, l/2) is half open; the batch is checked by its min and max
+    # [-l/2, l/2) is half open, and holds no NaN; the batch is checked by its
+    # min and max
     points = np.zeros((5, 2))
     points[3, 1] = value
     if inside:
@@ -326,6 +339,10 @@ def test_sample_validation():
         tf.continuous_sample(_uniform_state(lat), 0, seed=1)
     with pytest.raises(ValidationError):
         tf.continuous_sample(tf.constant_field(lat), 10, seed=1)  # not unit norm
+    nan_node = _uniform_state(lat).values.copy()
+    nan_node[3] = np.nan
+    with pytest.raises(ValidationError, match="unit-norm"):
+        tf.continuous_sample(tf.GridField(lat, nan_node, is_real=True), 5, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
