@@ -24,9 +24,7 @@ from .spectral import (
     DerivativeKernel,
     derivative_error_report,
     derivative_kernel,
-    divergence,
     fourier_derivative,
-    gradient,
     kernel_derivative,
     laplacian,
 )
@@ -77,7 +75,6 @@ from .sampler import (
     continuous_sample,
     estimate_mean,
     exact_mean,
-    interpolation_error_bound_check,
     run_pipeline,
     tv_distance,
     upsample,
@@ -122,16 +119,13 @@ __all__ = [
     "derivative_kernel",
     "dft",
     "discretize",
-    "divergence",
     "estimate_mean",
     "evolve",
     "exact_mean",
     "expcos_family",
     "fit_params",
     "fourier_derivative",
-    "gradient",
     "idft",
-    "interpolation_error_bound_check",
     "invcos_potential",
     "kernel_derivative",
     "laplacian",

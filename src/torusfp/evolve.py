@@ -13,7 +13,9 @@ evolution records four traces (the norm, the mass <1, u>, the max principle
 and chi-square) in one pass over its states, BLOCK_VALUES at a time, so that
 beyond the states it holds only a block's temporaries and snapshot-length
 arrays.  The decay and norm reports are ``torusfp.report.Report``
-dataclasses; the trace table is written by ``report.float_csv``.
+dataclasses; the trace table is written by ``report.float_csv``.  The
+discretization check on nested lattices, N against 3N + 1, is a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, SizeError, ValidationError
-from .generator import BLOCK_VALUES, Operator, _too_steep, build_generator, poincare_report
-from .lattice import GridField, make_lattice
+from .generator import BLOCK_VALUES, Operator, _too_steep, poincare_report
+from .lattice import GridField, is_integer
 from .report import Report, float_csv
 
 CHI2_FLOOR_REL = 1e-18
@@ -64,6 +66,8 @@ def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2) -> Evoluti
         raise ValidationError(f"evolution time must be finite and >= 0, got {T}")
     if u0.lattice != op.lattice:
         raise ValidationError("initial state lives on a different lattice")
+    if not is_integer(snapshots):
+        raise ValidationError(f"snapshots must be an integer, got {snapshots!r}")
     if snapshots < 2:
         raise ValidationError(f"need at least 2 snapshots, got {snapshots}")
     if snapshots * op.size > STATE_CAP:
@@ -222,29 +226,4 @@ def norm_and_max_principle_report(op: Operator, result: EvolutionResult) -> Norm
         inner_drift=drift,
         max_principle_warnings=warnings,
     )
-
-
-# ---------------------------------------------------------------------------
-# discrete-vs-continuous consistency on nested lattices
-
-
-def nested_restriction_error(E, N: int, T: float) -> float:
-    """|| u_N(T) - restrict(u_{N_ref}(T)) || under the E/2 generator, with
-    N_ref = 3N + 1, whose lattice of 3 (2N+1) points per axis contains the
-    coarse one (fine index 3n + 1 per shifted axis).
-    """
-    N_ref = 3 * N + 1
-    coarse = make_lattice(E.d, N, E.l)
-    fine = make_lattice(E.d, N_ref, E.l)
-
-    op_f = build_generator(E, fine)  # first: past DENSE_CAP, refused before any work
-    op_c = build_generator(E, coarse)
-
-    ones_c = GridField(coarse, np.ones(coarse.shape), is_real=True)
-    ones_f = GridField(fine, np.ones(fine.shape), is_real=True)
-    u_c = evolve(op_c, ones_c, T, snapshots=2).final.reshape(coarse.shape)
-    u_f = evolve(op_f, ones_f, T, snapshots=2).final.reshape(fine.shape)
-
-    sel = tuple(slice(1, None, 3) for _ in range(E.d))
-    return float(np.linalg.norm((u_c - u_f[sel]).reshape(-1)))
 

@@ -17,13 +17,15 @@ potential: :class:`DenseOperator` at d = 1, :class:`SeparableOperator` for a
 W that is a sum over axes at d >= 2, :class:`MatrixFreeOperator` otherwise.
 The spectrum ``eigenvalues`` (values only, descending, the kernel eigenvalue
 pinned to 0 at index 0, computed on first access and kept) is that of the
-dense sector blocks of ``Operator._blocks`` on every route but the
-separable one, which reads it off its factors.  Each route owns its gap
+dense sector blocks of ``Operator._blocks`` on every route but the separable
+one, which reads it off its factors.  Row 1 is -spectral_gap bit for bit on
+every route: the matrix-free one, whose gap comes by Lanczos, pins it there,
+and the others read the gap off the spectrum.  Each route owns its gap
 (``_gap``) and the modes ``_pieces`` it propagates in, and names itself in
 ``op.health["backend"]``.  All share ``propagate`` and ``apply``, which acts
 with L' one axis at a time (:func:`torusfp.spectral.axis_derivative`); L'
-(``symmetrized``) and its sector blocks are assembled only on demand, line
-by line (:func:`_dense_symmetrized`): no n x n derivative matrix is formed.
+(``symmetrized``) and its sector blocks are assembled only on demand, line by
+line (:func:`_dense_symmetrized`): no n x n derivative matrix is formed.
 
 Every Lanczos run (the gap, the propagation and the norm check)
 orthogonalizes each new direction once against its basis and q0, and a
@@ -342,11 +344,22 @@ class MatrixFreeOperator(SeparableOperator):
     rounding of products with L', about eps ||L'|| / gap relative.  The
     propagation runs in the polynomial Krylov space of L' (Hochbruck &
     Lubich, SIAM J. Numer. Anal. 34, 1997).  The spectrum is the dense one
-    of ``_blocks``: two sectors for a W even under x -> -x, one for an MLP W.
+    of ``_blocks``: two sectors for a W even under x -> -x, one for an MLP W;
+    its row 1 is pinned to the Lanczos gap.
     """
 
     backend = "matrix-free"
-    eigenvalues = Operator.eigenvalues  # not the factors' sums: they precondition only
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The dense spectrum of ``Operator.eigenvalues`` (the factors' sums
+        only precondition), with row 1 pinned to -spectral_gap as row 0 is to
+        0; the two agree to ``gap_rounding``, and a later row that rounding
+        puts above -gap is capped to it, so the column stays descending."""
+        values = Operator.eigenvalues.func(self)
+        values[1] = -self.spectral_gap
+        np.minimum(values[2:], values[1], out=values[2:])
+        return values
 
     def _gap(self) -> tuple:
         """The spectral gap by Lanczos on q0-perp and the largest |alpha| of

@@ -81,9 +81,9 @@ def make_lattice(d: int, N: int, l: float) -> TorusLattice:
     """Build a lattice with 2N+1 points per axis on a d-torus of period l,
     refusing one of more than RESOLUTION_CAP nodes, and a period whose
     derivative scale (2 pi N / l)^2 leaves the float64 normal range."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not is_integer(d) or d < 1:
         raise ValidationError(f"dimension d must be a positive integer, got {d!r}")
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not is_integer(N) or N < 1:
         raise ValidationError(f"half-width N must be a positive integer, got {N!r}")
     l = check_period(l)
     scale = 2 * math.pi * int(N) / l
@@ -95,6 +95,12 @@ def make_lattice(d: int, N: int, l: float) -> TorusLattice:
     if size > RESOLUTION_CAP:
         raise SizeError(f"lattice has {size} nodes, exceeding the cap {RESOLUTION_CAP}")
     return TorusLattice(d=int(d), N=int(N), l=l)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, the one test of every
+    integer argument: a bool, which Python counts as an int, is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_period(l: float) -> float:

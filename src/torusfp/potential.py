@@ -19,6 +19,10 @@ the tensor product of d 1-D coordinate arrays, the grid the quadratures sum
 over: it adds the terms, each evaluated once on its axis, by broadcasting in
 the evaluator's order, the values of the points bit for bit; any other
 potential lays the points out with ``grid_points``.
+
+The closed-form Fourier coefficients of e^{-E} of the cosine, invcos and
+zero potentials are test oracles (``tests/oracles.py``); invcos keeps u and
+its coefficients u_hat in ``meta`` for ``interpolate`` and the witness.
 """
 
 from __future__ import annotations
@@ -93,7 +97,6 @@ class EnergyPotential:
     _: KW_ONLY
     evaluator: object = None  # callable mapping points (m, d) -> (m,)
     axes: tuple = None  # the d terms E_j of E(x) = sum_j E_j(x_j), each 1-D array -> values
-    analytic_fourier: object = None  # callable k (multi-index) -> coeff of e^{-E}
     name: str = "custom"
     meta: dict = field(default_factory=dict)
 
@@ -181,18 +184,11 @@ def cosine_potential(z: float, d: int = 1, l: float = 2 * math.pi) -> EnergyPote
     def term(x):
         return z * (1.0 - np.cos(w * x)) - s
 
-    def analytic_fourier(k):
-        coeff = math.exp(d * (s - z))  # e^{-E} = e^{d (s - z)} prod_i e^{z cos(w x_i)}
-        for ki in np.atleast_1d(np.asarray(k, dtype=int)):
-            coeff *= bessel_i(int(ki), z)
-        return coeff
-
     return EnergyPotential(
         axes=[term] * int(d),
         l=l,
         d=int(d),
         diameter=2 * abs(z) * d,
-        analytic_fourier=analytic_fourier,
         name=f"cosine(z={z})",
         meta={"z": z},
     )
@@ -221,19 +217,14 @@ def invcos_potential(z: float, l: float = 2 * math.pi) -> EnergyPotential:
     def u_hat(k):
         return z ** (-abs(int(np.atleast_1d(k)[0])) / 2)
 
-    def analytic_fourier(k):
-        return u_hat(k) / u_max
-
     return EnergyPotential(
         evaluator=evaluator,
         l=l,
         d=1,
         diameter=math.log(u_max / u_min),
-        analytic_fourier=analytic_fourier,
         name=f"invcos(z={z})",
         meta={
             "z": z,
-            "u_mean_square": (1 + 1 / z) / (1 - 1 / z),
             # |u_hat[k]| < 1e-16 beyond this index
             "k_max": int(math.ceil(32 * math.log(10) / math.log(z))) + 1,
             "u": u,
@@ -342,7 +333,6 @@ def zero_potential(d: int = 1, l: float = 2 * math.pi) -> EnergyPotential:
         l=check_period(l),
         d=int(d),
         diameter=0.0,
-        analytic_fourier=lambda k: 1.0 if not np.any(np.atleast_1d(k)) else 0.0,
         name="zero",
     )
 
@@ -378,16 +368,3 @@ def expcos_family(z: float, l: float = 1.0):
     a = max(z / 2, 1.0)
     return u, grad_u, lap_u, C, a, u_hat
 
-
-def periodicity_check(E: EnergyPotential) -> bool:
-    """Check at 64 random points that E(x + l e_j) = E(x), to 1e-10, for
-    every axis."""
-    rng = np.random.default_rng(0)
-    pts = (rng.random((64, E.d)) - 0.5) * E.l
-    base = E.evaluate(pts)
-    for j in range(E.d):
-        shifted = pts.copy()
-        shifted[:, j] += E.l
-        if np.abs(E.evaluate(shifted) - base).max() > 1e-10 * max(1.0, np.abs(base).max()):
-            return False
-    return True

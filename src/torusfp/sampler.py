@@ -47,12 +47,16 @@ Sizes are checked before any work: ``make_lattice`` bounds the upsampling
 target, the TV quadrature evaluates at most QUADRATURE_CAP midpoints, and a
 sample batch holds at most SAMPLE_CAP coordinates.
 
-TV, mean and interpolation results are ``torusfp.report.Report`` dataclasses;
-sample batches are written by ``report.float_csv``, byte for byte what
-``csv_text`` would, with one ``report.float_rows`` call per chunk of
-CSV_CHUNK rows: numpy's integer arithmetic gives the shortest round-trip
-digits of every value with 1e-4 <= |x| < 1e16 whose significand is not a
-power of two, and ``repr`` writes the rest.
+The interpolation chain of a 1-d analytic series (``_interpolation_chain``,
+for ``interpolate`` and demo 02) measures its lattice distance and TV; the
+envelopes they are checked against are test oracles (``tests/oracles.py``).
+
+TV and mean results are ``torusfp.report.Report`` dataclasses; sample batches
+are written by ``report.float_csv``, byte for byte what ``csv_text`` would,
+with one ``report.float_rows`` call per chunk of CSV_CHUNK rows: numpy's
+integer arithmetic gives the shortest round-trip digits of every value with
+1e-4 <= |x| < 1e16 whose significand is not a power of two, and ``repr``
+writes the rest.
 """
 
 from __future__ import annotations
@@ -63,23 +67,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, SizeError, ValidationError
+from .errors import SizeError, ValidationError
 from .evolve import choose_T, evolve
 from .generator import Operator, build_generator
-from .lattice import RESOLUTION_CAP, GridField, SpectralField, dft, discretize, grid_points, idft, make_lattice
+from .lattice import RESOLUTION_CAP, GridField, SpectralField, dft, discretize, grid_points, idft, is_integer, make_lattice
 from .potential import EnergyPotential, fine_lattice, lipschitz_on_grid
 from .report import CSV_CHUNK, Report, float_csv
-from .semianalytic import SemiAnalyticityParams, fit_params, semi_norms
+from .semianalytic import fit_params, semi_norms
 
-_E3 = math.e**3
 _E4 = math.e**4
-
-#: coefficient of the normalized-distance bound (truncation of one state)
-ER_CONST = 4 * math.sqrt(2) * _E3
-#: coefficient in the upsampling TV bound (2 delta branch)
-UPSAMPLE_CONST = 8 * math.sqrt(2) * _E3
-#: coefficient in the interpolation TV bound (delta branch)
-INTERPOLATION_CONST = 16 * math.sqrt(2) * _E3
 
 MC_POINTS = 10**6
 
@@ -93,9 +89,6 @@ SAMPLE_CAP = 2**27
 #: c rho inside which the quadrature TV keeps a subcell aside: outside it, the
 #: sign of mu - rho / Z is that of mu - c rho whenever |1/Z - c| <= TV_BAND c
 TV_BAND = 1e-8
-
-#: largest upsampling half-width of ``interpolation_error_bound_check``
-INTERPOLATION_M_CAP = 20000
 
 
 @dataclass
@@ -179,13 +172,15 @@ def box_probabilities(state: GridField) -> np.ndarray:
 
 def _check_seed(seed: int) -> None:
     """Refuse a seed that is not a Philox key, an integer in [0, 2^128)."""
-    if not 0 <= int(seed) < 2**128:
-        raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed}")
+    if not (is_integer(seed) and 0 <= seed < 2**128):
+        raise ValidationError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
 
 def _check_count(count: int, d: int) -> None:
-    """Refuse a sample count below one, or one whose count * d coordinates
-    exceed SAMPLE_CAP."""
+    """Refuse a sample count that is not an integer, one below one, or one
+    whose count * d coordinates exceed SAMPLE_CAP."""
+    if not is_integer(count):
+        raise ValidationError(f"sample count must be an integer, got {count!r}")
     if count <= 0:
         raise ValidationError(f"sample count must be positive, got {count}")
     if count * d > SAMPLE_CAP:
@@ -308,6 +303,12 @@ class GibbsDensity:
         return np.exp(-self.E.evaluate(points)) / self.Z
 
 
+def _check_subcells(subcells: int) -> None:
+    """Refuse a subcell count that is not an integer, or one below one."""
+    if not is_integer(subcells) or subcells < 1:
+        raise ValidationError(f"need a positive integer count of subcells per box, got subcells={subcells!r}")
+
+
 def _check_quadrature(d: int, boxes: int, subcells: int) -> None:
     """SizeError unless the TV quadrature over ``boxes`` boxes per axis with
     ``subcells`` midpoints each fits QUADRATURE_CAP."""
@@ -324,6 +325,7 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
     exactly.  ``raw_density`` maps an (m, d) array of points to m values.
     One pass over the grid suffices: see :func:`_tv_quadrature`.
     """
+    _check_subcells(subcells)
 
     def on_grid(axes):
         return np.asarray(raw_density(grid_points(*axes)), dtype=float).reshape([len(a) for a in axes])
@@ -334,13 +336,11 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
 def _quadrature_grid(state: GridField, subcells: int) -> tuple:
     """The midpoints of all subcells along one axis, box by box, the volume
     of a subcell and the state's sampling density mu on its boxes, after the
-    checks every quadrature TV makes: d <= 2, a subcell or more per box, and
-    at most QUADRATURE_CAP midpoints."""
+    checks every quadrature TV makes: d <= 2 and at most QUADRATURE_CAP
+    midpoints (its callers check the subcell count)."""
     lat = state.lattice
     if lat.d > 2:
         raise SizeError("quadrature TV is provided for d <= 2; use the Monte Carlo path")
-    if subcells < 1:
-        raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
     n, S = lat.points_per_axis, subcells
     _check_quadrature(lat.d, n, S)
     offsets = ((np.arange(S) + 0.5) / S - 0.5) * (lat.l / n)
@@ -474,6 +474,7 @@ def tv_distance(state: GridField, E: EnergyPotential, subcells: int = 32, bound:
     reported instead, whose health counts one pass and the density values of
     its points and of the fine-lattice nodes of the Gibbs normalizer.
     """
+    _check_subcells(subcells)
     lat = state.lattice
     if lat.d <= 2:
         if lat.d == 2 and E.separable:
@@ -591,8 +592,9 @@ def _sample_pipeline(
     """:func:`run_pipeline`, with its parameters, up to its samples: no TV is
     measured, so ``tv_report`` is None and ``health`` holds no TV numbers.
     ``subcells`` still clamps auto-M and is checked against the quadrature cap."""
-    if subcells < 1:
-        raise ValidationError(f"need at least one subcell per box, got subcells={subcells}")
+    _check_subcells(subcells)
+    if not is_integer(M_cap):
+        raise ValidationError(f"M_cap must be an integer, got {M_cap!r}")
     if M_cap < 1:
         raise ValidationError(f"M_cap must be at least 1, got {M_cap}")
     if not 0 < eps < 1:  # picks T and M, and bounds run_pipeline's TV either way
@@ -636,6 +638,8 @@ def _sample_pipeline(
         M = max(M, N)
     else:
         resolved["M_mode"] = "fixed"
+        if not is_integer(M):
+            raise ValidationError(f"M must be an integer, got {M!r}")
         if M < N:
             raise ValidationError(f"M={M} must be at least N={N}")
     resolved["M"] = int(M)
@@ -686,32 +690,13 @@ def exact_mean(f, E: EnergyPotential) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interpolation error bound check
-
-
-@dataclass
-class InterpolationReport(Report):
-    N: int
-    measured_distance: float
-    distance_bound: float
-    tv: float | None
-    tv_bound: float
-    M_bound_choice: int
-    M_used: int | None
-    tv_feasible: bool
-
-    @property
-    def distance_ok(self) -> bool:
-        return self.measured_distance <= self.distance_bound
-
-    @property
-    def tv_ok(self) -> bool:
-        return (not self.tv_feasible) or self.tv <= self.tv_bound
+# the interpolation chain of a 1-d analytic series
 
 
 def _series_distance(state: GridField, u_hat, k_max: int) -> tuple:
-    """:func:`normalized_series_distance` and U, both taken from the series
-    divided by its peak, so that U^2 need not fit in float64."""
+    """d(F_N |u_N>, u_hat / U) for a 1-d analytic series truncated at k_max,
+    and U, both taken from the series divided by its peak, so that U^2 need
+    not fit in float64."""
     lat = state.lattice
     if lat.d != 1:
         raise ValidationError("series distance is implemented for d = 1")
@@ -727,17 +712,12 @@ def _series_distance(state: GridField, u_hat, k_max: int) -> tuple:
     return math.sqrt(inner + float(np.sum((series[~inside] / U) ** 2))), U * peak
 
 
-def normalized_series_distance(state: GridField, u_hat, k_max: int) -> float:
-    """d(F_N |u_N>, u_hat / U) for a 1-d analytic series truncated at k_max."""
-    return _series_distance(state, u_hat, k_max)[0]
-
-
 def _interpolation_chain(u, u_hat, lat, k_max: int) -> tuple:
     """u on the N-lattice ``lat`` as a unit state, its distance from u_hat / U
-    (:func:`normalized_series_distance`, u_hat evaluated once per
-    |k| <= k_max), U, and a function of M: the TV of the state upsampled to
-    max(M, N) against u^2.  u is divided by its peak on the lattice before
-    anything is squared, so that u^2 need not fit in float64."""
+    (:func:`_series_distance`, u_hat evaluated once per |k| <= k_max), U,
+    and a function of M: the TV of the state upsampled to max(M, N) against
+    u^2.  u is divided by its peak on the lattice before anything is
+    squared, so that u^2 need not fit in float64."""
     values = discretize(u, lat).values
     peak = float(np.abs(values).max())
     if not peak > 0:
@@ -750,38 +730,3 @@ def _interpolation_chain(u, u_hat, lat, k_max: int) -> tuple:
         return density_tv_quadrature(upsample(state, max(M, lat.N)), lambda pts: (np.asarray(u(pts)) / peak) ** 2)
 
     return state, distance, U, tv
-
-
-def interpolation_error_bound_check(
-    u,
-    u_hat,
-    params: SemiAnalyticityParams,
-    N: int,
-    l: float,
-    lipschitz: float,
-    k_max: int = 60,
-) -> InterpolationReport:
-    """Measured truncation distance and sampling TV against their envelopes.
-
-    Requires N >= 2 a d (d = 1 here).  The TV side uses the lattice size the
-    accuracy formula itself dictates; when that exceeds INTERPOLATION_M_CAP
-    the TV is still measured at the cap but not asserted (flagged infeasible).
-    """
-    C, a = params.C, params.a
-    if N < 2 * a:
-        raise PreconditionError(f"need N >= 2ad = {2 * a}, got N={N}")
-
-    _, measured, U, tv_at = _interpolation_chain(u, u_hat, make_lattice(1, N, l), k_max)
-    envelope = (C / U) * math.exp(-0.6 * N / a)
-    M_choice = choose_M(min(UPSAMPLE_CONST * envelope, 0.999999), lipschitz, l, 1, a, C, U)
-    M_used = max(min(M_choice, INTERPOLATION_M_CAP), N)
-    return InterpolationReport(
-        N=N,
-        measured_distance=measured,
-        distance_bound=ER_CONST * envelope,
-        tv=tv_at(M_used),
-        tv_bound=INTERPOLATION_CONST * envelope,
-        M_bound_choice=M_choice,
-        M_used=M_used,
-        tv_feasible=M_choice <= INTERPOLATION_M_CAP,
-    )

@@ -178,10 +178,6 @@ def fit_params(profile: FourierMomentProfile) -> SemiAnalyticityParams:
     return SemiAnalyticityParams(C=math.exp(log_C), a=a)
 
 
-def certificate_holds(profile: FourierMomentProfile, params: SemiAnalyticityParams) -> bool:
-    return all(profile[m] <= params.bound(m) * (1 + 1e-9) for m in range(profile.m_max + 1))
-
-
 # ---------------------------------------------------------------------------
 # tails and concentration
 
@@ -220,11 +216,6 @@ def tail_bounds(params: SemiAnalyticityParams, U: float, t: float) -> TailBounds
     return TailBounds(t=t, mass_bound=_two_branch_tail(top, a, t), amplitude_bound=amp)
 
 
-def bernstein_tail_probability_bound(bp: BernsteinParams, t: float) -> float:
-    """Two-branch tail bound P[X >= t] for a Bernstein random variable."""
-    return _two_branch_tail(max(bp.A, 1.0), bp.b, t)
-
-
 def _two_branch_tail(top: float, s: float, t: float) -> float:
     """The two-branch concentration inequality of scale s > 0 at t:
     top exp(-(t - s)^2 / 8 s^2) up to t = 3s, e top exp(-t / 2s) beyond."""
@@ -244,20 +235,6 @@ def bernstein_from_semianalytic(params: SemiAnalyticityParams, U: float) -> Bern
 def semianalytic_from_bernstein(bp: BernsteinParams) -> SemiAnalyticityParams:
     """A Bernstein (A, b) norm profile certifies (sqrt(2Ae), 4b) semi-analyticity."""
     return SemiAnalyticityParams(C=math.sqrt(2 * bp.A * math.e), a=4 * bp.b)
-
-
-def fourier_norm_moment(spec, m: int) -> float:
-    """E ||K_u||^m under the law |u_hat[k]|^2 / U^2."""
-    if isinstance(spec, SpectralField):
-        spec = spectrum_of_field(spec)
-    total = spec.mean_square
-    if total <= 0:
-        raise ValidationError("spectrum carries no mass")
-    return float(np.sum(spec.knorms**m * spec.weights) / total)
-
-
-def paley_zygmund_floor(mean: float, second_moment: float, theta: float) -> float:
-    return (1 - theta) ** 2 * mean**2 / second_moment
 
 
 # ---------------------------------------------------------------------------

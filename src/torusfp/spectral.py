@@ -137,27 +137,6 @@ def derivative_axis_matrix(lattice: TorusLattice, order: int = 1) -> np.ndarray:
     return t[(idx[:, None] - idx[None, :]) % n]
 
 
-def gradient(u: GridField) -> list:
-    """All first-order axis derivatives of ``u``."""
-    return [fourier_derivative(u, axis=j, order=1) for j in range(u.lattice.d)]
-
-
-def divergence(vs: list) -> GridField:
-    """Sum of axis derivatives of a list of d component fields."""
-    if len(vs) == 0:
-        raise ValidationError("divergence needs at least one component")
-    lat = vs[0].lattice
-    if len(vs) != lat.d:
-        raise ValidationError(f"divergence got {len(vs)} components for d={lat.d}")
-    acc = None
-    for j, v in enumerate(vs):
-        if v.lattice != lat:
-            raise ValidationError("divergence components live on different lattices")
-        dv = fourier_derivative(v, axis=j, order=1)
-        acc = dv.values if acc is None else acc + dv.values
-    return GridField(lat, acc, is_real=all(v.is_real for v in vs))
-
-
 def laplacian(u: GridField) -> GridField:
     """Sum of second-order axis derivatives of ``u``."""
     acc = None
@@ -165,16 +144,6 @@ def laplacian(u: GridField) -> GridField:
         d2 = fourier_derivative(u, axis=j, order=2)
         acc = d2.values if acc is None else acc + d2.values
     return GridField(u.lattice, acc, is_real=u.is_real)
-
-
-def sup_norm_bound(N: int, l: float) -> float:
-    """Worst-case amplification of the max norm by one spectral derivative."""
-    return (2 * np.pi / l) * (2 * N + 1) * (math.log((4 * N + 2) / math.pi) / math.pi + 0.5)
-
-
-def operator_norm(lattice: TorusLattice) -> float:
-    """Exact l2 operator norm of one axis derivative: 2 pi N / l."""
-    return 2 * np.pi * lattice.N / lattice.l
 
 
 @dataclass

@@ -306,6 +306,20 @@ def test_spectrum_row_one_is_the_negated_gap(tmp_path, d, N, spec):
     assert rows[0][1] == "0.0" and all(float(value) < 0 for _, value in rows[1:])
 
 
+def test_spectrum_row_one_is_the_negated_gap_on_the_matrix_free_route(tmp_path):
+    # an MLP W takes the matrix-free route, whose gap comes by Lanczos and
+    # whose spectrum is dense: row 1 is still -gap bit for bit
+    weights = tmp_path / "mlp.json"
+    weights.write_text(small_mlp(2, seed=3).to_json())
+    out = tmp_path / "s"
+    argv = ["spectrum", "--potential", f"mlp:file={weights}", "--d", "2", "--N", "8", "--out", str(out)]
+    assert run_cli(argv) == 0
+    rows = [row.split(",") for row in (out / "spectrum.csv").read_text().strip().split("\n")[1:]]
+    manifest = json.loads((out / "run-manifest.json").read_text())
+    assert manifest["health"]["backend"] == "matrix-free"
+    assert -float(rows[1][1]) == manifest["resolved"]["gap"]
+    assert rows[1][1] == repr(-manifest["resolved"]["gap"])
+
 def test_gibbs_writes_samples_in_pieces(tmp_path, monkeypatch):
     # samples.csv goes to disk CSV_CHUNK rows at a time: the text of the
     # whole batch, and its encoded copy, are never held at once

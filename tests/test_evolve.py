@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 
@@ -7,10 +6,12 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import ValidationError
-from torusfp.evolve import nested_restriction_error
 from torusfp.generator import BLOCK_VALUES
 from torusfp.lattice import SpectralField, idft
 from torusfp.report import CSV_CHUNK, csv_text
+
+import oracles
+from oracles import nested_restriction_error
 
 
 def _ones(lat):
@@ -68,6 +69,14 @@ def test_evolve_needs_two_snapshots(snapshots):
     lat = tf.make_lattice(1, 4, 1.0)
     op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
     with pytest.raises(ValidationError, match=f"need at least 2 snapshots, got {snapshots}"):
+        tf.evolve(op, _ones(lat), 1.0, snapshots=snapshots)
+
+
+@pytest.mark.parametrize("snapshots", [2.5, True, "4"])
+def test_evolve_needs_an_integer_snapshot_count(snapshots):
+    lat = tf.make_lattice(1, 4, 1.0)
+    op = tf.build_generator(tf.cosine_potential(1.0, 1, 1.0), lat)
+    with pytest.raises(ValidationError, match="snapshots must be an integer"):
         tf.evolve(op, _ones(lat), 1.0, snapshots=snapshots)
 
 
@@ -223,9 +232,8 @@ def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatc
         built.append(lattice.size)
         return build_generator(E, lattice, halve)
 
-    evolve_module = importlib.import_module("torusfp.evolve")  # torusfp.evolve is also the function
-    build_generator = evolve_module.build_generator
-    monkeypatch.setattr(evolve_module, "build_generator", recording)
+    build_generator = oracles.build_generator
+    monkeypatch.setattr(oracles, "build_generator", recording)
     with pytest.raises(tf.SizeError):
         nested_restriction_error(tf.cosine_potential(1.0, 1, 1.0), 700, T=0.1)
     assert built == [4203]

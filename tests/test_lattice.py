@@ -37,6 +37,10 @@ def test_make_lattice_cap_and_validation():
         tf.make_lattice(0, 4, 1.0)
     with pytest.raises(ValidationError):
         tf.make_lattice(1, -2, 1.0)
+    # a bool is an int to Python, not a dimension or a half-width
+    for d, N in ((True, 4), (1, True), (1, 4.0)):
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            tf.make_lattice(d, N, 1.0)
     with pytest.raises(ValidationError):
         tf.make_lattice(1, 4, -1.0)
 

@@ -9,10 +9,11 @@ import scipy.special as sps
 import torusfp as tf
 from torusfp.errors import EvalError, ValidationError
 from torusfp.lattice import grid_points
-from torusfp.potential import fine_lattice, lipschitz_on_grid, periodicity_check
+from torusfp.potential import fine_lattice, lipschitz_on_grid
 from torusfp.sampler import density_tv_quadrature
 
 from conftest import coupled_potential, small_mlp
+from oracles import cosine_fourier, invcos_fourier, periodicity_check, zero_fourier
 
 
 def test_bessel_series_against_scipy():
@@ -191,6 +192,7 @@ def test_cosine_fourier_is_bessel_product():
     # modulo 2N+1 before comparing
     z = 1.0
     pot = tf.cosine_potential(z, 2, 1.0)
+    fourier = cosine_fourier(z, 2)
     lat = tf.make_lattice(2, 4, 1.0)
     n = lat.points_per_axis
     fld = tf.discretize(lambda p: np.exp(-pot.evaluate(p)), lat)
@@ -199,15 +201,29 @@ def test_cosine_fourier_is_bessel_product():
     folded = np.zeros(lat.shape)
     for p1 in range(-3, 4):
         for p2 in range(-3, 4):
-            folded += np.vectorize(lambda k1, k2: pot.analytic_fourier((k1 + p1 * n, k2 + p2 * n)))(
+            folded += np.vectorize(lambda k1, k2: fourier((k1 + p1 * n, k2 + p2 * n)))(
                 grids[0], grids[1]
             )
     assert np.abs(est - folded).max() <= 1e-8
     # without the fold the mismatch is exactly the leading alias term
-    plain = np.vectorize(lambda k1, k2: pot.analytic_fourier((k1, k2)))(grids[0], grids[1])
+    plain = np.vectorize(lambda k1, k2: fourier((k1, k2)))(grids[0], grids[1])
     lead = tf.bessel_i(n - lat.N, z) * tf.bessel_i(0, z) * math.exp(-2 * z)
     np.testing.assert_allclose(np.abs(est - plain).max(), lead, rtol=1e-6)
 
+
+@pytest.mark.parametrize(
+    "pot, fourier",
+    [(tf.invcos_potential(4.0, 1.0), invcos_fourier(4.0)), (tf.zero_potential(1, 1.0), zero_fourier)],
+    ids=["invcos", "zero"],
+)
+def test_gibbs_fourier_of_invcos_and_zero(pot, fourier):
+    # the DFT of e^{-E} on the lattice is the closed-form series folded
+    # modulo 2N+1 (at z = 4 the invcos terms past |k| = 60 are below 1e-18)
+    lat = tf.make_lattice(1, 8, 1.0)
+    n = lat.points_per_axis
+    est = tf.dft(tf.discretize(lambda p: np.exp(-pot.evaluate(p)), lat)).series_coefficients()
+    folded = [sum(fourier(k + p * n) for p in range(-4, 5)) for k in lat.axis_indices()]
+    assert np.abs(est - folded).max() <= 1e-14
 
 def test_invcos_potential():
     with pytest.raises(ValidationError):

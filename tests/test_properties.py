@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusfp as tf
-from torusfp.spectral import operator_norm
+
+from oracles import operator_norm
 
 _MAX_N = {1: 149, 2: 8, 3: 2}  # at most 299, 289 and 125 nodes
 _SETTINGS = settings(max_examples=25, deadline=None)

@@ -15,15 +15,10 @@ from torusfp.errors import ValidationError
 from torusfp.lattice import RESOLUTION_CAP, grid_points
 from torusfp.potential import fine_lattice
 from torusfp.report import csv_text, fast_domain
-from torusfp.sampler import (
-    GibbsDensity,
-    box_probabilities,
-    density_tv_quadrature,
-    normalized_series_distance,
-)
+from torusfp.sampler import GibbsDensity, box_probabilities, density_tv_quadrature
 
 from conftest import coupled_potential, small_mlp
-from oracles import discrete_state_tv
+from oracles import discrete_state_tv, interpolation_error_bound_check
 
 
 def _normalized(fld):
@@ -337,6 +332,8 @@ def test_sample_validation():
     lat = tf.make_lattice(1, 4, 1.0)
     with pytest.raises(ValidationError):
         tf.continuous_sample(_uniform_state(lat), 0, seed=1)
+    with pytest.raises(ValidationError, match="sample count must be an integer, got 5.0"):
+        tf.continuous_sample(_uniform_state(lat), 5.0, seed=1)
     with pytest.raises(ValidationError):
         tf.continuous_sample(tf.constant_field(lat), 10, seed=1)  # not unit norm
     nan_node = _uniform_state(lat).values.copy()
@@ -345,8 +342,9 @@ def test_sample_validation():
         tf.continuous_sample(tf.GridField(lat, nan_node, is_real=True), 5, seed=1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, math.nan])
 def test_sample_seed_outside_the_philox_keys_is_a_validation_error(seed):
+    # a float or a bool was once taken as int(seed): recorded as given, drawn as another key
     lat = tf.make_lattice(1, 4, 1.0)
     with pytest.raises(ValidationError, match="seed must be an integer in"):
         tf.continuous_sample(_uniform_state(lat), 10, seed=seed)
@@ -355,6 +353,32 @@ def test_sample_seed_outside_the_philox_keys_is_a_validation_error(seed):
     # the ends of the key range draw
     for key in (0, 2**128 - 1):
         assert tf.continuous_sample(_uniform_state(lat), 10, seed=key).count == 10
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"count": 5.0}, "sample count must be an integer"),
+        ({"count": True}, "sample count must be an integer"),
+        ({"subcells": 2.5}, "subcells=2.5"),
+        ({"M": 6.0}, "M must be an integer"),
+        ({"M_cap": 8.5}, "M_cap must be an integer"),
+    ],
+)
+def test_pipeline_refuses_non_integer_arguments(kwargs, match):
+    args = {"N": 4, "count": 5, "seed": 1, **kwargs}
+    with pytest.raises(ValidationError, match=match):
+        tf.run_pipeline(tf.cosine_potential(1.0, 1, 1.0), **args)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tv_distance_refuses_a_non_integer_subcell_count(d):
+    # at d = 3 the Monte Carlo TV reads no subcells, and took any value
+    E = tf.cosine_potential(1.0, d, 1.0)
+    state = _uniform_state(tf.make_lattice(d, 2, 1.0))
+    for subcells in (2.5, True, 0):
+        with pytest.raises(ValidationError, match="positive integer count of subcells"):
+            tf.tv_distance(state, E, subcells=subcells)
 
 
 def test_pipeline_samples_csv_is_a_repr_join_at_another_seed():
@@ -835,7 +859,7 @@ def test_interpolation_check_band_limited():
         return 0.5 if abs(k) == 1 else 0.0
 
     params = tf.SemiAnalyticityParams(C=1 / math.sqrt(2), a=1.0)
-    rep = tf.interpolation_error_bound_check(u, u_hat, params, N=4, l=l, lipschitz=1.05 * 2 * math.pi)
+    rep = interpolation_error_bound_check(u, u_hat, params, N=4, l=l, lipschitz=1.05 * 2 * math.pi)
     assert rep.measured_distance <= 1e-10
     assert rep.distance_ok
 
@@ -846,7 +870,7 @@ def test_interpolation_check_expcos_sweep():
     lip = 1.05 * 4 * math.pi * math.exp(2)  # coarse bound on |u'|
     measured = []
     for N in (8, 12, 16, 24, 32, 40, 48):
-        rep = tf.interpolation_error_bound_check(u, u_hat, params, N, 1.0, lip, k_max=80)
+        rep = interpolation_error_bound_check(u, u_hat, params, N, 1.0, lip, k_max=80)
         assert rep.distance_ok
         assert rep.tv_ok
         measured.append((N, rep.measured_distance))
@@ -863,10 +887,10 @@ def test_interpolation_check_evaluates_the_series_once_per_k():
         calls.append(k)
         return u_hat(k)
 
-    rep = tf.interpolation_error_bound_check(u, counted, tf.SemiAnalyticityParams(C, a), 8, 1.0, 200.0, k_max=80)
+    rep = interpolation_error_bound_check(u, counted, tf.SemiAnalyticityParams(C, a), 8, 1.0, 200.0, k_max=80)
     assert sorted(calls) == list(range(-80, 81))
     state = _normalized(tf.discretize(u, tf.make_lattice(1, 8, 1.0)))
-    assert rep.measured_distance == pytest.approx(normalized_series_distance(state, u_hat, 80), rel=1e-9)
+    assert rep.measured_distance == pytest.approx(sampler._series_distance(state, u_hat, 80)[0], rel=1e-9)
 
 
 def test_interpolation_chain_scales_before_squaring():
@@ -883,7 +907,7 @@ def test_interpolation_chain_scales_before_squaring():
 def test_interpolation_check_precondition():
     u, _, _, C, a, u_hat = tf.expcos_family(2.0, l=1.0)
     with pytest.raises(tf.PreconditionError):
-        tf.interpolation_error_bound_check(u, u_hat, tf.SemiAnalyticityParams(C, a), N=1, l=1.0, lipschitz=1.0)
+        interpolation_error_bound_check(u, u_hat, tf.SemiAnalyticityParams(C, a), N=1, l=1.0, lipschitz=1.0)
 
 
 def test_series_distance_matches_manual(rng):
@@ -892,7 +916,7 @@ def test_series_distance_matches_manual(rng):
     lat = tf.make_lattice(1, 5, 1.0)
     fld = tf.discretize(u, lat)
     state = _normalized(fld)
-    got = normalized_series_distance(state, u_hat, k_max=50)
+    got = sampler._series_distance(state, u_hat, 50)[0]
     coeffs = tf.dft(state).flat
     ks = np.arange(-50, 51)
     series = np.array([u_hat(int(k)) for k in ks])

@@ -5,15 +5,9 @@ import pytest
 
 import torusfp as tf
 from torusfp.errors import PreconditionError, ValidationError
-from torusfp.semianalytic import (
-    TruncatedSpectrum,
-    bernstein_tail_probability_bound,
-    certificate_holds,
-    fourier_norm_moment,
-    paley_zygmund_floor,
-    profile_to_csv,
-    spectrum_of_series,
-)
+from torusfp.semianalytic import TruncatedSpectrum, _two_branch_tail, profile_to_csv, spectrum_of_series
+
+from oracles import certificate_holds, fourier_norm_moment, paley_zygmund_floor
 
 
 def test_semi_norms_constant():
@@ -176,14 +170,14 @@ def test_bernstein_maps():
 
 def test_bernstein_tail_continuity():
     bp = tf.BernsteinParams(1.7, 0.9)
-    lo = bernstein_tail_probability_bound(bp, 3 * bp.b)
+    lo = _two_branch_tail(max(bp.A, 1.0), bp.b, 3 * bp.b)
     hi = math.e * max(bp.A, 1.0) * math.exp(-3 * bp.b / (2 * bp.b))
     assert abs(lo - hi) <= 1e-12 * lo
     # Gaussian branch below, exponential branch above
-    assert bernstein_tail_probability_bound(bp, 0.5) == pytest.approx(
+    assert _two_branch_tail(max(bp.A, 1.0), bp.b, 0.5) == pytest.approx(
         max(bp.A, 1) * math.exp(-((0.5 - 0.9) ** 2) / (8 * 0.81))
     )
-    assert bernstein_tail_probability_bound(bp, 10.0) == pytest.approx(math.e * 1.7 * math.exp(-10 / 1.8))
+    assert _two_branch_tail(max(bp.A, 1.0), bp.b, 10.0) == pytest.approx(math.e * 1.7 * math.exp(-10 / 1.8))
 
 
 def test_compose_params():
