@@ -53,7 +53,6 @@ from .semianalytic import (
     tail_mass,
 )
 from .generator import (
-    DENSE_CAP,
     Operator,
     build_generator,
     condition_number_check,
@@ -83,7 +82,6 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DENSE_CAP",
     "BernsteinParams",
     "DerivativeKernel",
     "EnergyPotential",

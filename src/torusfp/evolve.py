@@ -12,10 +12,11 @@ tests hold it to scipy's expm(t L') within (1e-10 + 16 eps ||L'|| t)
 evolution records four traces (the norm, the mass <1, u>, the max principle
 and chi-square) in one pass over its states, BLOCK_VALUES at a time, so that
 beyond the states it holds only a block's temporaries and snapshot-length
-arrays.  The decay and norm reports are ``torusfp.report.Report``
-dataclasses; the trace table is written by ``report.float_csv``.  The
-discretization check on nested lattices, N against 3N + 1, is a test oracle
-(``tests/oracles.py``).
+arrays; the states, snapshots x nodes, are checked by
+``lattice.check_values`` first.  The decay and norm reports are
+``torusfp.report.Report`` dataclasses; the trace table is written by
+``report.float_csv``.  The discretization check on nested lattices, N
+against 3N + 1, is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, SizeError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .generator import BLOCK_VALUES, Operator, _too_steep, poincare_report
-from .lattice import GridField, is_integer
+from .lattice import GridField, check_values, is_integer
 from .report import Report, float_csv
 
 CHI2_FLOOR_REL = 1e-18
-#: Most stored state values (snapshots x nodes) of one evolution, the budget
-#: of ``sampler.SAMPLE_CAP``: 1 GiB of float64 states.
-STATE_CAP = 2**27
 
 
 @dataclass
@@ -70,8 +68,7 @@ def evolve(op: Operator, u0: GridField, T: float, snapshots: int = 2) -> Evoluti
         raise ValidationError(f"snapshots must be an integer, got {snapshots!r}")
     if snapshots < 2:
         raise ValidationError(f"need at least 2 snapshots, got {snapshots}")
-    if snapshots * op.size > STATE_CAP:
-        raise SizeError(f"{snapshots} snapshots of {op.size} nodes need {snapshots * op.size} values, cap is {STATE_CAP}")
+    check_values(snapshots * op.size, f"an evolution of {snapshots} snapshots of {op.size} nodes")
 
     w = op.W.flat
     try:  # checked before any propagation

@@ -33,8 +33,13 @@ second time only when the first pass left less than 1/sqrt(2) of its norm
 (the DGKS rule).  ``op.health`` records, beside each route's own numbers,
 ``gap_rounding``, the ratio eps ||L'|| / gap.  U scales L' by up to
 e^{delta_W}: numbers of a steep potential past the float64 range, and a gap
-read off the spectrum below eps^2 ||L'||, the rounding of the spectrum or of
-the SVD it comes from, end in a PreconditionError that names delta_W and N.
+read off the spectrum within its rounding (``gap_floor`` ||L'||: eps ||L'||
+for the dense blocks, eps^2 ||L'|| for the SVD of the separable factors),
+end in a PreconditionError that names delta_W and N.
+
+No node count bounds a route beyond the lattice's own: the arrays that grow
+past O(n), a dense block of L' (rows^2) and a Lanczos basis (m n), are
+checked by ``lattice.check_values`` where they are made.
 
 The structure checks compare the condition number of the eigenvector basis
 (max(u)/min(u) in closed form), the spectral norm of L and the spectral gap
@@ -57,18 +62,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import PreconditionError, SizeError, ValidationError
-from .lattice import GridField, TorusLattice, discretize, make_lattice
+from .errors import PreconditionError, ValidationError
+from .lattice import GridField, TorusLattice, check_values, discretize, make_lattice
 from .potential import EnergyPotential
 from .report import Report, csv_text
 from .spectral import _along_axis, axis_derivative, derivative_axis_matrix, derivative_kernel
 
 EPS = np.finfo(float).eps
 _SQRT_HALF = math.sqrt(0.5)
-#: Largest node count of ``build_generator``, on every route: a dense sector
-#: block holds about n^2 / 4 entries (n^2 in one sector), one at a time, and
-#: a d = 1 propagation holds its eigenvectors, as many again.
-DENSE_CAP = 4096
 #: The gap iteration stops once the Ritz residual r of its top Ritz value,
 #: which bounds |theta - lambda| for some eigenvalue lambda, falls to
 #: GAP_RTOL |theta|, or to the rounding level eps ||L'||.
@@ -117,6 +118,9 @@ class Operator:
     spectral_gap: float = math.nan
     health: dict = field(default_factory=dict)
     backend: ClassVar[str]
+    #: ``_gap`` refuses a gap at or below this multiple of ||L'||: sqrt(gap), a
+    #: singular value of an axis factor B_j, is resolved only above eps ||B_j||
+    gap_floor: ClassVar[float] = EPS * EPS
 
     @property
     def size(self) -> int:
@@ -215,12 +219,10 @@ class Operator:
 
     def _gap(self) -> tuple:
         """The gap and ||L'||, read off ``eigenvalues`` as -eigenvalues[1] and
-        -eigenvalues[-1], so ``spectrum.csv`` row 1 is -gap bit for bit.  Past
-        eps^2 ||L'|| the gap is rounding: of the dense spectrum, or of the SVD
-        of an axis factor B_j, of which sqrt(gap) is a singular value resolved
-        only above eps ||B_j||."""
+        -eigenvalues[-1], so ``spectrum.csv`` row 1 is -gap bit for bit, and
+        refused at or below ``gap_floor`` ||L'||, where it is rounding."""
         gap, norm = float(-self.eigenvalues[1]), float(-self.eigenvalues[-1])
-        if not gap > EPS * EPS * norm:
+        if not gap > self.gap_floor * norm:
             raise _too_steep(self)
         return gap, norm
 
@@ -233,6 +235,9 @@ class DenseOperator(Operator):
     more and runs in the modes of its ``eigh``."""
 
     backend = "dense"
+    #: eigvalsh of a formed block K = B^T B rounds its small eigenvalues by
+    #: about eps ||L'||: a gap at or below that, ``gap_rounding`` >= 1, is refused
+    gap_floor = EPS
 
     def _block_modes(self):
         """(sector, values, vectors) for each block of ``_blocks``, by ``eigh``
@@ -382,7 +387,7 @@ class MatrixFreeOperator(SeparableOperator):
             return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
         start, iterations = _block_start(self, q0, _lowest_modes(self, GAP_BLOCK))
-        basis, alpha, beta, repeats = _lanczos(self.apply, q0, start, converged)
+        basis, alpha, beta, repeats = _lanczos(self.apply, q0, start, converged, "Lanczos basis of the gap")
         _, s, residual = _top_ritz(alpha, beta)
         self.health.update(
             gap_block_iterations=iterations,
@@ -450,13 +455,16 @@ def _dense_symmetrized(lattice: TorusLattice, u: np.ndarray, sector=None) -> np.
     which commutes with the inversion only to rounding.  At d = 1 D is
     scaled and K negated in place, or the sector block returned.  Each K_l
     is exactly symmetric (:func:`_gram`), and so is the result."""
+    c, odd = lattice.size // 2, sector or 0
+    rows = lattice.size if sector is None else c + 1 - odd
+    check_values(rows * rows, "dense L'" if sector is None else "dense sector block")
     if lattice.d == 1:
         if sector is not None:
             return _sector_block(u, _half_derivative(lattice), sector)
         K = _gram(derivative_axis_matrix(lattice), u, u)
         return np.negative(K, out=K)
-    D, N, c, odd = derivative_axis_matrix(lattice), lattice.N, lattice.size // 2, sector or 0
-    L = np.zeros((lattice.size,) * 2 if sector is None else (c + 1 - odd,) * 2)
+    D, N = derivative_axis_matrix(lattice), lattice.N
+    L = np.zeros((rows, rows))
     index, u = np.arange(lattice.size).reshape(lattice.shape), u.reshape(lattice.shape)
     for j in range(lattice.d):
         for rest in np.ndindex(lattice.shape[1:]):
@@ -572,7 +580,7 @@ def _random_start(q0: np.ndarray) -> np.ndarray:
     return start / np.linalg.norm(start)
 
 
-def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
+def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged, what: str) -> tuple:
     """Lanczos on the orthogonal complement of the unit vector ``q0``, until
     ``converged(alpha, beta)`` holds, asked after CHECK_EVERY steps and then
     every max(CHECK_EVERY, m / 8) steps, or until the space is invariant or
@@ -587,11 +595,11 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     Math. Comp. 30, 1976).  Returns the basis as rows, the diagonal alpha,
     the off-diagonal beta (m entries each; the last entry of beta couples
     the basis to the next direction) and the number of steps that needed
-    the second pass.
+    the second pass.  Each growth of the basis is checked as ``what``.
     """
     n = len(start)
     steps = n - 1
-    basis = np.empty((min(steps, 4 * CHECK_EVERY), n))
+    basis = np.empty((0, n))
     alpha = np.empty(steps)
     beta = np.empty(steps)
     q = start
@@ -599,7 +607,9 @@ def _lanczos(apply, q0: np.ndarray, start: np.ndarray, converged) -> tuple:
     check = CHECK_EVERY
     for k in range(steps):
         if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k, steps - k), n))])
+            grown = k + min(max(k, 4 * CHECK_EVERY), steps - k)
+            check_values(grown * n, what)
+            basis = np.concatenate([basis, np.empty((grown - k, n))])
         basis[k] = q
         w = apply(q)
         alpha[k] = q @ w
@@ -745,7 +755,7 @@ def _polynomial_krylov(op: Operator, q0: np.ndarray, start: np.ndarray, t: float
         modes, ds = _quadrature(theta, t)
         return min(beta[-1] * (ds @ np.abs(modes @ (S[-1] * S[0]))), 2.0)
 
-    basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, lambda a, b: bound(a, b) <= tol)
+    basis, alpha, beta, repeats = _lanczos(op.apply, q0, start, lambda a, b: bound(a, b) <= tol, "Krylov basis")
     theta, S = _ritz(alpha, beta)
     return basis, theta, S, bound(alpha, beta), repeats
 
@@ -756,8 +766,6 @@ def build_generator(E: EnergyPotential, lattice: TorusLattice, halve: bool = Tru
     :class:`DenseOperator` at d = 1, :class:`SeparableOperator` for a W that
     is a sum over axes at d >= 2, and :class:`MatrixFreeOperator` otherwise.
     """
-    if lattice.size > DENSE_CAP:
-        raise SizeError(f"lattice has {lattice.size} nodes, exceeding the cap {DENSE_CAP}")
     if lattice.d != E.d:
         raise ValidationError(f"potential dimension {E.d} != lattice dimension {lattice.d}")
 
@@ -818,7 +826,7 @@ def operator_norm_check(op: Operator) -> OperatorNormReport:
 
     with _float64_range(op):
         q0 = u * u / np.linalg.norm(u * u)
-        _, alpha, beta, repeats = _lanczos(normal, q0, _random_start(q0), converged)
+        _, alpha, beta, repeats = _lanczos(normal, q0, _random_start(q0), converged, "Lanczos basis of the norm")
         theta, _, residual = _top_ritz(alpha, beta)
     if not math.isfinite(theta):
         raise _too_steep(op)

@@ -13,8 +13,9 @@ The discrete Fourier transform is the centered unitary convention
 
 with both ``k`` and ``n`` running over ``[-N..N]^d``.
 
-``make_lattice`` refuses every lattice of more than RESOLUTION_CAP nodes; dense
-operator work has its own, smaller limit, ``generator.DENSE_CAP``.
+Two size limits bound every run: ``make_lattice`` refuses every lattice of
+more than RESOLUTION_CAP nodes, and :func:`check_values` every array and
+quadrature sized from the input past VALUE_CAP values, where it is made.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .errors import EvalError, SizeError, ValidationError
 
 #: Largest total node count of any lattice: 2^22, so at most 2047^2 or 161^3.
 RESOLUTION_CAP = 2**22
+#: Most float64 values of any array, or quadrature, sized from the input: 1 GiB.
+VALUE_CAP = 2**27
 
 _REAL_TOL = 1e-12
 
@@ -95,6 +98,12 @@ def make_lattice(d: int, N: int, l: float) -> TorusLattice:
     if size > RESOLUTION_CAP:
         raise SizeError(f"lattice has {size} nodes, exceeding the cap {RESOLUTION_CAP}")
     return TorusLattice(d=int(d), N=int(N), l=l)
+
+
+def check_values(count: int, what: str) -> None:
+    """SizeError naming ``what`` when its ``count`` values exceed VALUE_CAP."""
+    if count > VALUE_CAP:
+        raise SizeError(f"{what} needs {count} values, cap is {VALUE_CAP}")
 
 
 def is_integer(value) -> bool:

@@ -44,8 +44,8 @@ fundamental domain.  It works CSV_CHUNK rows at a time, so that beside the
 points it holds only their boxes, as int32.
 
 Sizes are checked before any work: ``make_lattice`` bounds the upsampling
-target, the TV quadrature evaluates at most QUADRATURE_CAP midpoints, and a
-sample batch holds at most SAMPLE_CAP coordinates.
+target, and ``lattice.check_values`` the midpoints of the TV quadrature and
+the coordinates of a sample batch.
 
 The interpolation chain of a 1-d analytic series (``_interpolation_chain``,
 for ``interpolate`` and demo 02) measures its lattice distance and TV; the
@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lattice as _lattice
 from .errors import SizeError, ValidationError
 from .evolve import choose_T, evolve
 from .generator import Operator, build_generator
@@ -78,12 +79,6 @@ from .semianalytic import fit_params, semi_norms
 _E4 = math.e**4
 
 MC_POINTS = 10**6
-
-#: largest midpoint count of the TV quadrature
-QUADRATURE_CAP = 2**27
-
-#: largest count * d of a sample batch: 2^27 coordinates, 1 GiB of float64
-SAMPLE_CAP = 2**27
 
 #: relative half-width of the band around the estimated reference density
 #: c rho inside which the quadrature TV keeps a subcell aside: outside it, the
@@ -178,13 +173,12 @@ def _check_seed(seed: int) -> None:
 
 def _check_count(count: int, d: int) -> None:
     """Refuse a sample count that is not an integer, one below one, or one
-    whose count * d coordinates exceed SAMPLE_CAP."""
+    whose count * d coordinates exceed the value budget."""
     if not is_integer(count):
         raise ValidationError(f"sample count must be an integer, got {count!r}")
     if count <= 0:
         raise ValidationError(f"sample count must be positive, got {count}")
-    if count * d > SAMPLE_CAP:
-        raise SizeError(f"sample count {count} needs {count * d} coordinates, cap is {SAMPLE_CAP}")
+    _lattice.check_values(count * d, f"sample count {count}")
 
 
 def _guide_table(cum: np.ndarray, count: int) -> np.ndarray:
@@ -309,13 +303,6 @@ def _check_subcells(subcells: int) -> None:
         raise ValidationError(f"need a positive integer count of subcells per box, got subcells={subcells!r}")
 
 
-def _check_quadrature(d: int, boxes: int, subcells: int) -> None:
-    """SizeError unless the TV quadrature over ``boxes`` boxes per axis with
-    ``subcells`` midpoints each fits QUADRATURE_CAP."""
-    if (boxes * subcells) ** d > QUADRATURE_CAP:
-        raise SizeError(f"quadrature needs {(boxes * subcells) ** d} evaluations, cap is {QUADRATURE_CAP}")
-
-
 def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> float:
     """TV between the state's piecewise-constant sampling density and the
     normalized density proportional to ``raw_density`` (d <= 2).
@@ -336,13 +323,13 @@ def density_tv_quadrature(state: GridField, raw_density, subcells: int = 32) -> 
 def _quadrature_grid(state: GridField, subcells: int) -> tuple:
     """The midpoints of all subcells along one axis, box by box, the volume
     of a subcell and the state's sampling density mu on its boxes, after the
-    checks every quadrature TV makes: d <= 2 and at most QUADRATURE_CAP
-    midpoints (its callers check the subcell count)."""
+    checks every quadrature TV makes: d <= 2 and midpoints within the value
+    budget (its callers check the subcell count)."""
     lat = state.lattice
     if lat.d > 2:
         raise SizeError("quadrature TV is provided for d <= 2; use the Monte Carlo path")
     n, S = lat.points_per_axis, subcells
-    _check_quadrature(lat.d, n, S)
+    _lattice.check_values((n * S) ** lat.d, "quadrature")
     offsets = ((np.arange(S) + 0.5) / S - 0.5) * (lat.l / n)
     axis = (lat.axis_points()[:, None] + offsets[None, :]).reshape(-1)
     sub_vol = (lat.l / (n * S)) ** lat.d
@@ -567,7 +554,7 @@ def run_pipeline(
     parameters fitted to the evolved state's spectrum, capped at M_cap, at
     the largest M whose (2M+1)^d nodes stay within RESOLUTION_CAP and, for
     d <= 2, at the largest M whose TV quadrature ((2M+1) subcells)^d stays
-    within QUADRATURE_CAP, but never below N.
+    within ``lattice.VALUE_CAP``, but never below N.
 
     ``health`` adds the mixing part of the error, ``mixing_l2``, to the
     operator's, the propagation's and the TV's numbers.
@@ -591,7 +578,7 @@ def _sample_pipeline(
 ) -> PipelineResult:
     """:func:`run_pipeline`, with its parameters, up to its samples: no TV is
     measured, so ``tv_report`` is None and ``health`` holds no TV numbers.
-    ``subcells`` still clamps auto-M and is checked against the quadrature cap."""
+    ``subcells`` still clamps auto-M and sizes the quadrature it checks."""
     _check_subcells(subcells)
     if not is_integer(M_cap):
         raise ValidationError(f"M_cap must be an integer, got {M_cap!r}")
@@ -634,7 +621,7 @@ def _sample_pipeline(
         )
         M = min(M, M_cap, (_integer_root(RESOLUTION_CAP, E.d) - 1) // 2)
         if E.d <= 2:
-            M = min(M, (_integer_root(QUADRATURE_CAP, E.d) // subcells - 1) // 2)
+            M = min(M, (_integer_root(_lattice.VALUE_CAP, E.d) // subcells - 1) // 2)
         M = max(M, N)
     else:
         resolved["M_mode"] = "fixed"
@@ -648,7 +635,7 @@ def _sample_pipeline(
     # now: check them against their caps before the work ahead
     make_lattice(E.d, int(M), E.l)
     if E.d <= 2:
-        _check_quadrature(E.d, 2 * int(M) + 1, subcells)
+        _lattice.check_values(((2 * int(M) + 1) * subcells) ** E.d, "quadrature")
     upsampled = upsample(state, int(M))
     return PipelineResult(
         batch=continuous_sample(upsampled, count, seed),

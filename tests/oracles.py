@@ -207,7 +207,7 @@ def nested_restriction_error(E, N, T):
     coarse = make_lattice(E.d, N, E.l)
     fine = make_lattice(E.d, 3 * N + 1, E.l)
 
-    op_f = build_generator(E, fine)  # first: past DENSE_CAP, refused before any work
+    op_f = build_generator(E, fine)  # first: past the value budget, refused before any work
     op_c = build_generator(E, coarse)
 
     u_c = evolve(op_c, constant_field(coarse), T, snapshots=2).final.reshape(coarse.shape)

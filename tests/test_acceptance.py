@@ -50,8 +50,6 @@ def test_criterion_01_spectral_algebra_suite():
     worst = {"product": 0.0, "antisym": 0.0, "colsum": 0.0, "compose": 0.0, "sup": 0.0}
     for d in (1, 2):
         for N in (4, 8, 16, 32):
-            # d=2, N=32 has 4225 nodes: past DENSE_CAP, which bounds only
-            # the generator, so these FFT-only checks need no exception
             lat = tf.make_lattice(d, N, 1.0)
             for _ in range(100):
                 u = random_band_field(lat, N // 2, rng)

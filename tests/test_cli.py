@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -490,7 +489,7 @@ def test_sample_count_past_the_cap_exits_2(tmp_path, capsys, monkeypatch, comman
     argv = [command, "--d", "1", "--N", "4", *fixed, "--samples", "100000000000", "--seed", "1"]
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert "sample count 100000000000" in err and f"cap is {sampler.SAMPLE_CAP}" in err
+    assert f"sample count 100000000000 needs 100000000000 values, cap is {lattice.VALUE_CAP}" in err
     assert run_cli([command, "--N", "4", "--samples", "0", "--seed", "1", "--out", str(tmp_path / "y")]) == 2
     assert "sample count must be positive, got 0" in capsys.readouterr().err
 
@@ -499,12 +498,11 @@ def test_evolve_snapshots_past_the_state_budget_exit_2(tmp_path, capsys, monkeyp
     # snapshots x nodes is checked against the budget before any state is
     # stored: 10^8 snapshots at N = 4 would hold 7.2 GB; the budget is
     # lowered here so that a run that ignores it stays small
-    evolve_module = importlib.import_module("torusfp.evolve")  # torusfp.evolve is also the function
-    monkeypatch.setattr(evolve_module, "STATE_CAP", 9 * 100, raising=False)
+    monkeypatch.setattr(lattice, "VALUE_CAP", 9 * 100)
     argv = ["evolve", "--N", "4", "--T", "1", "--out", str(tmp_path / "x")]
     assert run_cli(argv + ["--snapshots", "100"]) == 0
     assert run_cli(argv + ["--snapshots", "101"]) == 2
-    assert "101 snapshots of 9 nodes need 909 values, cap is 900" in capsys.readouterr().err
+    assert "an evolution of 101 snapshots of 9 nodes needs 909 values, cap is 900" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
@@ -548,8 +546,10 @@ def test_expcos_constant_past_float64_exits_2(tmp_path, capsys, argv):
 
 
 def test_validation_exit_code(tmp_path):
+    # a sector block of 12001^2 values, past the value budget: refused
+    # before it is allocated
     code = run_cli(
-        ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "9999", "--samples", "10", "--seed", "1",
+        ["gibbs", "--potential", "cosine:z=1", "--d", "1", "--N", "12000", "--samples", "10", "--seed", "1",
          "--out", str(tmp_path / "x")]
     )
     assert code == 2
@@ -731,13 +731,16 @@ def test_lattices_past_the_node_budget_exit_before_allocating(tmp_path, monkeypa
     assert f"exceeding the cap {RESOLUTION_CAP}" in capsys.readouterr().err
 
 
-def test_dense_cap_bounds_only_the_generator(tmp_path, monkeypatch):
-    # 67^2 = 4489 nodes: raising generator.DENSE_CAP, and nothing else, lets
-    # the run through; no other module holds a limit of its own at 4096
+def test_value_budget_bounds_arrays_not_nodes(tmp_path, monkeypatch, capsys):
+    # 67^2 = 4489 nodes, past the 4096 that once capped every generator, run;
+    # lowering lattice.VALUE_CAP below the (67 * 32)^2 midpoints of the TV
+    # quadrature, and nothing else, refuses the same run
     argv = ["gibbs", "--d", "2", "--N", "33", "--M", "33", "--samples", "1000", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(tmp_path / "run")]) == 0
+    midpoints = (67 * 32) ** 2
+    monkeypatch.setattr(lattice, "VALUE_CAP", midpoints - 1)
     assert run_cli(argv + ["--out", str(tmp_path / "capped")]) == 2
-    monkeypatch.setattr(generator, "DENSE_CAP", 8192)
-    assert run_cli(argv + ["--out", str(tmp_path / "raised")]) == 0
+    assert f"quadrature needs {midpoints} values, cap is {midpoints - 1}" in capsys.readouterr().err
 
 
 #: Runs whose Monte Carlo TV or exact mean needs the Gibbs oracle at d = 5,
@@ -775,15 +778,15 @@ def test_gibbs_oracle_runs_at_d5_within_the_fine_lattice(tmp_path, monkeypatch, 
 
 
 def test_fixed_M_past_the_quadrature_cap_exits_before_upsampling(tmp_path, monkeypatch, capsys):
-    # d = 2, M = 1000: (2001 * 32)^2 evaluations, 30 times QUADRATURE_CAP; the
-    # run used to upsample and sample at that size before the TV said so
+    # d = 2, M = 1000: (2001 * 32)^2 midpoints, 30 times lattice.VALUE_CAP;
+    # the run used to upsample and sample at that size before the TV said so
     def no_upsample(state, M):
         raise AssertionError(f"upsampled to M={M} before the quadrature check")
 
     monkeypatch.setattr(sampler, "upsample", no_upsample)
     argv = ["gibbs", "--d", "2", "--N", "5", "--M", "1000", "--seed", "1"]
     assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 2
-    assert "quadrature needs 4100097024 evaluations" in capsys.readouterr().err
+    assert "quadrature needs 4100097024 values" in capsys.readouterr().err
 
 
 def test_assert_mode_exit_code(tmp_path):

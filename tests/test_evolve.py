@@ -222,10 +222,10 @@ def test_nested_restriction_error_decays():
     assert slope <= -0.5  # at least geometric decay in N
 
 
-def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatch):
-    # N = 700 nests in N_ref = 2101 (4203 nodes): with DENSE_CAP checked only
-    # by build_generator, the fine lattice must be refused before the coarse
-    # one is built
+def test_nested_restriction_refuses_a_fine_lattice_past_the_value_budget(monkeypatch):
+    # N = 3862 nests in N_ref = 11587 (23175 nodes), whose even sector block
+    # of 11588^2 values is the first past lattice.VALUE_CAP: the fine lattice
+    # must be refused before the coarse one is built
     built = []
 
     def recording(E, lattice, halve=True):
@@ -234,9 +234,9 @@ def test_nested_restriction_refuses_a_fine_lattice_past_the_dense_cap(monkeypatc
 
     build_generator = oracles.build_generator
     monkeypatch.setattr(oracles, "build_generator", recording)
-    with pytest.raises(tf.SizeError):
-        nested_restriction_error(tf.cosine_potential(1.0, 1, 1.0), 700, T=0.1)
-    assert built == [4203]
+    with pytest.raises(tf.SizeError, match="dense sector block needs 134281744 values"):
+        nested_restriction_error(tf.cosine_potential(1.0, 1, 1.0), 3862, T=0.1)
+    assert built == [23175]
 
 
 def test_traces_csv():

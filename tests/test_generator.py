@@ -779,9 +779,32 @@ def test_poincare_report():
 
 
 def test_dense_cap_enforced():
-    E = tf.zero_potential(2, 1.0)
-    with pytest.raises(SizeError):
-        tf.build_generator(E, tf.make_lattice(2, 40, 1.0))
+    # no node cap: a 6561-node lattice builds on the separable route; the
+    # value budget refuses a d = 1 sector block of 12001^2 values before it
+    # is allocated
+    assert tf.build_generator(tf.zero_potential(2, 1.0), tf.make_lattice(2, 40, 1.0)).size == 6561
+    with pytest.raises(SizeError, match="dense sector block needs 144024001 values"):
+        tf.build_generator(tf.zero_potential(1, 1.0), tf.make_lattice(1, 12000, 1.0))
+
+
+def test_dense_gap_within_its_rounding_is_refused():
+    # eigvalsh of the formed blocks K = B^T B rounds the gap by about
+    # eps ||L'||: cosine z = 30 at N = 16 read 1.76e-5, where a 60-digit
+    # eigensolver and the separable route read 9.0032394e-8
+    with pytest.raises(PreconditionError, match="too steep"):
+        tf.build_generator(tf.cosine_potential(30.0, 1, 1.0), tf.make_lattice(1, 16, 1.0))
+
+
+@pytest.mark.parametrize("N", [16, 25])
+@pytest.mark.parametrize("z", [1.0, 12.0, 16.0, 20.0, 22.0])
+def test_dense_gap_agrees_with_the_separable_gap_within_its_rounding(z, N):
+    # the d = 2 cosine is a sum over axes, whose gap, from the SVD of its
+    # axis factors, is the d = 1 gap to relative accuracy; z = 22 reads
+    # gap_rounding 0.69, just inside the dense route's limit
+    line = tf.build_generator(tf.cosine_potential(z, 1, 1.0), tf.make_lattice(1, N, 1.0))
+    plane = tf.build_generator(tf.cosine_potential(z, 2, 1.0), tf.make_lattice(2, N, 1.0))
+    assert line.health["gap_rounding"] < 1
+    assert abs(line.spectral_gap - plane.spectral_gap) <= line.health["gap_rounding"] * line.spectral_gap
 
 
 def test_exports():

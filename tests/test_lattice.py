@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import torusfp as tf
+from torusfp import lattice
 from torusfp.errors import SizeError, ValidationError
-from torusfp.lattice import RESOLUTION_CAP
+from torusfp.lattice import RESOLUTION_CAP, VALUE_CAP, check_values
+from torusfp.sampler import density_tv_quadrature
+
+from conftest import coupled_potential, small_mlp
 
 
 def brute_force_dft(values, N):
@@ -26,8 +30,9 @@ def test_make_lattice_points():
 
 
 def test_make_lattice_cap_and_validation():
-    # the node limit is RESOLUTION_CAP; DENSE_CAP bounds only the generator
-    assert tf.make_lattice(1, 2048, 1.0).size == 4097 > tf.DENSE_CAP
+    # the node limit is RESOLUTION_CAP; the arrays sized from the nodes have
+    # a budget of their own, VALUE_CAP
+    assert tf.make_lattice(1, 2048, 1.0).size == 4097
     assert tf.make_lattice(2, 1023, 1.0).size == 2047**2 <= RESOLUTION_CAP
     with pytest.raises(SizeError, match=f"4198401 nodes, exceeding the cap {RESOLUTION_CAP}"):
         tf.make_lattice(2, 1024, 1.0)  # 2049^2 points
@@ -43,6 +48,53 @@ def test_make_lattice_cap_and_validation():
             tf.make_lattice(d, N, 1.0)
     with pytest.raises(ValidationError):
         tf.make_lattice(1, 4, -1.0)
+
+
+def test_check_values_names_what_is_past_the_budget():
+    assert VALUE_CAP == 2**27  # 1 GiB of float64
+    check_values(VALUE_CAP, "an array at the budget")
+    with pytest.raises(SizeError, match=f"an array needs {VALUE_CAP + 1} values, cap is {VALUE_CAP}"):
+        check_values(VALUE_CAP + 1, "an array")
+
+
+def _state(lat):
+    return tf.GridField(lat, np.full(lat.shape, lat.size**-0.5), is_real=True)
+
+
+def _budget_sites():
+    """For each array or quadrature sized from the input: the call that makes
+    it, on inputs built within the budget, its name in the SizeError and
+    its value count.  Lattices of 9 (d = 1) and 81 (d = 2) nodes; a Lanczos
+    or Krylov basis starts with 32 rows."""
+    line, plane = tf.make_lattice(1, 4, 1.0), tf.make_lattice(2, 4, 1.0)
+    cosine = tf.cosine_potential(1.0, 1, 1.0)
+    coupled_E = coupled_potential(1.0, 0.5)
+    coupled = tf.build_generator(coupled_E, plane)
+    mlp = tf.build_generator(tf.mlp_potential(small_mlp(d=2)), plane)
+    dense = tf.build_generator(cosine, line)
+    return {
+        "sector block": (lambda: tf.build_generator(cosine, line), "dense sector block", 5 * 5),
+        "one-block L'": (lambda: mlp.eigenvalues, "dense L'", 81 * 81),
+        "gap": (lambda: tf.build_generator(coupled_E, plane), "Lanczos basis of the gap", 32 * 81),
+        "Krylov": (lambda: tf.evolve(coupled, tf.constant_field(plane), 1.0), "Krylov basis", 32 * 81),
+        "norm": (lambda: tf.operator_norm_check(coupled), "Lanczos basis of the norm", 32 * 81),
+        "samples": (lambda: tf.continuous_sample(_state(plane), 100, seed=1), "sample count 100", 200),
+        "states": (lambda: tf.evolve(dense, tf.constant_field(line), 1.0, 10), "an evolution of 10 snapshots of 9 nodes", 90),
+        "quadrature": (lambda: density_tv_quadrature(_state(line), lambda p: np.ones(len(p)), 4), "quadrature", 36),
+    }
+
+
+@pytest.mark.parametrize("site", ["sector block", "one-block L'", "gap", "Krylov", "norm", "samples", "states", "quadrature"])
+def test_every_site_checks_its_values_against_the_one_budget(monkeypatch, site):
+    # one patch of lattice.VALUE_CAP reaches every site: one value below the
+    # site's count it refuses, naming the site and the count; at the count
+    # the same call runs through
+    make, what, count = _budget_sites()[site]
+    monkeypatch.setattr(lattice, "VALUE_CAP", count - 1)
+    with pytest.raises(SizeError, match=f"^{what} needs {count} values, cap is {count - 1}$"):
+        make()
+    monkeypatch.setattr(lattice, "VALUE_CAP", count)
+    make()
 
 
 def test_discretize_examples():

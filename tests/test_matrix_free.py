@@ -30,6 +30,7 @@ from torusfp.generator import (
     KRYLOV_RTOL,
     DenseOperator,
     MatrixFreeOperator,
+    Operator,
     SeparableOperator,
     _lanczos,
     _random_start,
@@ -187,7 +188,7 @@ def test_lanczos_keeps_the_kernel_out_past_300_steps():
         theta, _, residual = _top_ritz(alpha, beta)
         return residual <= max(GAP_RTOL * abs(theta), EPS * np.abs(alpha).max())
 
-    _, alpha, beta, _ = _lanczos(op.apply, q0, _random_start(q0), converged)
+    _, alpha, beta, _ = _lanczos(op.apply, q0, _random_start(q0), converged, "Lanczos basis")
     assert len(alpha) > 300
     line = _build(1, 25, 1.0, 8.0, True)
     gap, norm = line.spectral_gap, -line.eigenvalues[-1]
@@ -202,6 +203,28 @@ def test_gap_matches_the_separable_oracle_past_the_property_range(d, N, z):
     line = _build(1, N, 1.0, z, True)
     assert op.health["backend"] == "separable"
     assert abs(op.spectral_gap - line.spectral_gap) <= 1e-12 * line.spectral_gap
+
+
+def test_separable_spectrum_past_the_old_node_cap_is_the_tensor_sum():
+    # d = 3, N = 15: 29791 nodes, past the 4096 that once capped every route;
+    # the spectrum is the sums of three d = 1 spectra, each of whose values
+    # carries the rounding eps ||L'|| of its dense blocks
+    op = _build(3, 15, 1.0, 4.0, True)
+    line = _build(1, 15, 1.0, 4.0, True).eigenvalues
+    sums = (line[:, None, None] + line[None, :, None] + line[None, None, :]).reshape(-1)
+    want = np.sort(sums)[::-1]
+    assert op.health["backend"] == "separable" and op.size == 29791
+    assert np.abs(op.eigenvalues - want).max() <= 64 * EPS * np.abs(want).max()
+
+
+def test_lanczos_gap_past_the_old_node_cap_matches_the_dense_sectors():
+    # coupled W at d = 2, N = 33: 4489 nodes, past the 4096 that once capped
+    # every route; the Lanczos gap against the gap of the two dense sector
+    # blocks, within the rounding that gap_rounding states
+    op = tf.build_generator(coupled_potential(1.0, 0.5), tf.make_lattice(2, 33, 1.0))
+    dense = Operator.eigenvalues.func(op)
+    assert op.health["backend"] == "matrix-free" and op.health["dense_sectors"] == 2
+    assert abs(op.spectral_gap + dense[1]) <= op.health["gap_rounding"] * op.spectral_gap
 
 
 def test_separable_route_keeps_the_gap_and_the_mass():
@@ -269,7 +292,7 @@ def test_one_orthogonalization_pass_keeps_the_basis_orthonormal(z):
     # orthogonal to the kernel to rounding
     op = _build(2, 25, 1.0, z, True)
     q0 = op.kernel_vector()
-    basis, alpha, _, repeats = _lanczos(op.apply, q0, _random_start(q0), lambda a, b: len(a) >= 600)
+    basis, alpha, _, repeats = _lanczos(op.apply, q0, _random_start(q0), lambda a, b: len(a) >= 600, "Lanczos basis")
     assert len(alpha) >= 600
     assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-13
     assert np.abs(basis @ q0).max() <= 1e-13
@@ -287,7 +310,7 @@ def test_second_orthogonalization_pass_runs_when_the_first_cancels():
     A = rng.standard_normal((n, n))
     q0 = np.zeros(n)
     q0[0] = 1.0
-    basis, alpha, _, repeats = _lanczos(lambda x: A @ x, q0, _random_start(q0), lambda a, b: False)
+    basis, alpha, _, repeats = _lanczos(lambda x: A @ x, q0, _random_start(q0), lambda a, b: False, "Lanczos basis")
     assert len(alpha) == n - 1
     assert repeats > 0
     assert np.abs(basis @ basis.T - np.eye(n - 1)).max() <= 1e-13

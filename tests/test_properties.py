@@ -1,6 +1,6 @@
-"""Property tests over random (d, N, l, z) within the dense cap: the
-invariants the README documents must hold on every supported lattice, not
-only at the sizes the example-based tests use."""
+"""Property tests over random (d, N, l, z) on lattices of at most 299
+nodes: the invariants the README documents must hold on every supported
+lattice, not only at the sizes the example-based tests use."""
 
 import numpy as np
 from hypothesis import example, given, settings

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusfp as tf
-from torusfp import report, sampler
+from torusfp import lattice, report, sampler
 from torusfp.errors import ValidationError
 from torusfp.lattice import RESOLUTION_CAP, grid_points
 from torusfp.potential import fine_lattice
@@ -249,14 +249,14 @@ def test_sampling_memory_stays_near_its_output():
 
 def test_sample_count_cap(monkeypatch):
     lat = tf.make_lattice(2, 4, 1.0)
-    with pytest.raises(tf.SizeError, match=f"sample count 100000000000 needs 200000000000 coordinates, cap is {sampler.SAMPLE_CAP}"):
+    with pytest.raises(tf.SizeError, match=f"sample count 100000000000 needs 200000000000 values, cap is {lattice.VALUE_CAP}"):
         tf.continuous_sample(_uniform_state(lat), 10**11, seed=1)
     with pytest.raises(tf.SizeError, match="sample count 100000000000"):
         tf.run_pipeline(tf.cosine_potential(1.0, 1, 1.0), N=4, count=10**11, seed=1)
-    # the cap counts coordinates: count * d
-    monkeypatch.setattr(sampler, "SAMPLE_CAP", 1000)
+    # the budget counts coordinates: count * d
+    monkeypatch.setattr(lattice, "VALUE_CAP", 1000)
     assert tf.continuous_sample(_uniform_state(lat), 500, seed=1).count == 500
-    with pytest.raises(tf.SizeError, match="sample count 501 needs 1002 coordinates, cap is 1000"):
+    with pytest.raises(tf.SizeError, match="sample count 501 needs 1002 values, cap is 1000"):
         tf.continuous_sample(_uniform_state(lat), 501, seed=1)
 
 
@@ -738,8 +738,8 @@ def test_pipeline_auto_M_never_below_N():
 
 def test_pipeline_auto_M_stays_within_quadrature_cap(monkeypatch):
     # d=2 auto-M used to clamp only to M_cap, so the TV quadrature asked for
-    # ((2M+1) * subcells)^2 evaluations beyond QUADRATURE_CAP and raised SizeError
-    monkeypatch.setattr(sampler, "QUADRATURE_CAP", 2**20)
+    # ((2M+1) * subcells)^2 midpoints beyond the value budget and raised SizeError
+    monkeypatch.setattr(lattice, "VALUE_CAP", 2**20)
     N, subcells = 8, 32
     result = tf.run_pipeline(tf.cosine_potential(1.0, 2, 1.0), N=N, count=100, seed=1, subcells=subcells)
     M = result.resolved["M"]
@@ -817,14 +817,14 @@ def test_gibbs_oracle_matches_the_bessel_closed_forms(d, z):
 
 
 def test_both_quadratures_share_one_budget(monkeypatch):
-    # lowering QUADRATURE_CAP alone makes the TV quadrature (41 * 32 midpoints
-    # here) refuse before laying anything out
+    # lowering lattice.VALUE_CAP alone makes the TV quadrature (41 * 32
+    # midpoints here) refuse before laying anything out
     def no_points(*args):
         raise AssertionError("midpoints laid out past the budget")
 
-    monkeypatch.setattr(sampler, "QUADRATURE_CAP", 2**10)
+    monkeypatch.setattr(lattice, "VALUE_CAP", 2**10)
     monkeypatch.setattr(sampler, "grid_points", no_points)
-    with pytest.raises(tf.SizeError, match="quadrature needs 1312 evaluations, cap is 1024"):
+    with pytest.raises(tf.SizeError, match="quadrature needs 1312 values, cap is 1024"):
         density_tv_quadrature(_uniform_state(tf.make_lattice(1, 20, 1.0)), no_points)
 
 
